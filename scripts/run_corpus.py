@@ -4,7 +4,12 @@ one-line verdict per run.  Known-bad fixtures (the failing Whitney cone,
 the non-regular square scaling, the broken translation action) are
 expected to exit 2; anything off-script trips the final exit code.
 
-    python3 scripts/run_corpus.py [--format text|json]
+    python3 scripts/run_corpus.py [--format text|json] [--dump DIR]
+
+``--dump DIR`` also writes each run's report to ``DIR/report<NN>.<format>``
+and the artifacts of the producing verbs into DIR, so two checkouts can
+be diffed for byte-identical output.  The reports name DIR as ``<dump>``
+so that the tree does not depend on where it was written.
 """
 
 import argparse
@@ -69,16 +74,27 @@ def plan(tmp):
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--format", choices=("text", "json"), default="text")
+    parser.add_argument("--dump", metavar="DIR",
+                        help="write every report and artifact into DIR")
     args = parser.parse_args()
 
     surprises = 0
-    with tempfile.TemporaryDirectory() as tmp:
+    if args.dump:
+        os.makedirs(args.dump, exist_ok=True)
+        workdir = contextlib.nullcontext(os.path.abspath(args.dump))
+    else:
+        workdir = tempfile.TemporaryDirectory()
+    with workdir as tmp:
         runs = plan(tmp)
-        for expected, argv in runs:
+        for k, (expected, argv) in enumerate(runs):
             buffer = io.StringIO()
             with contextlib.redirect_stdout(buffer):
                 code = cli_main(argv + ["--format", args.format,
                                         "--no-timestamp"])
+            if args.dump:
+                with open(os.path.join(tmp, f"report{k:02d}.{args.format}"),
+                          "w", encoding="utf-8") as fh:
+                    fh.write(buffer.getvalue().replace(tmp, "<dump>"))
             verb = " ".join(a for a in argv[:2] if not a.startswith("-"))
             target = os.path.basename(
                 next((a for a in argv if a.endswith(".json")), ""))

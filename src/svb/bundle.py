@@ -127,7 +127,6 @@ class ConvergenceScenario:
 class BundleValidation:
     passed: bool
     problems: tuple[str, ...]
-    scaling_checked: bool = True
 
     def __bool__(self):
         return self.passed
@@ -160,14 +159,6 @@ def validate_bundle(b: SampledStratifiedBundle,
                        abs(np.trace(p) - fiber.dim))
             if max(defects) > max(tol_ortho, 1e-12):
                 problems.append(f"fiber over {key} fails projection invariants")
-        # Scalar stability is a tautology for linear fibers; exercised on
-        # one vector anyway so the report documents the axiom.
-        if fiber.dim:
-            v = fiber.basis[0]
-            for lam in (0.5, -2.0):
-                if np.linalg.norm(fiber.project(lam * v) - lam * v) > 1e-9:
-                    problems.append(f"fiber over {key} not scale stable")
-                    break
     return BundleValidation(passed=not problems, problems=tuple(problems))
 
 
@@ -182,20 +173,6 @@ class WhitneyVerdict:
         return self.status == PASS
 
 
-def _scenario_data(b: SampledStratifiedBundle, sc: ConvergenceScenario,
-                   tail_len: int):
-    x0_key = (sc.target_stratum, sc.x0_index)
-    x0 = b.point(x0_key)
-    seq_keys = [(sc.source_stratum, i) for i in sc.sequence_indices]
-    seq_points = [b.point(k) for k in seq_keys]
-    dists = [float(np.linalg.norm(p - x0)) for p in seq_points]
-    tail = dists[-tail_len:]
-    if any(a < bb - 1e-12 for a, bb in zip(tail, tail[1:])):
-        raise ValueError(
-            "scenario tail does not approach the limit point monotonically")
-    return x0_key, seq_keys
-
-
 def whitney_a_check(b: SampledStratifiedBundle, sc: ConvergenceScenario,
                     tol: float = TOL_CHECK,
                     tail_len: int = TAIL_LEN) -> WhitneyVerdict:
@@ -205,7 +182,14 @@ def whitney_a_check(b: SampledStratifiedBundle, sc: ConvergenceScenario,
     the fiber over the limit point, FAIL with the containment residual
     otherwise, INCONCLUSIVE when no limit is detected.
     """
-    x0_key, seq_keys = _scenario_data(b, sc, tail_len)
+    x0_key = (sc.target_stratum, sc.x0_index)
+    x0 = b.point(x0_key)
+    seq_keys = [(sc.source_stratum, i) for i in sc.sequence_indices]
+    dists = [float(np.linalg.norm(b.point(k) - x0)) for k in seq_keys]
+    tail = dists[-tail_len:]
+    if any(a < bb - 1e-12 for a, bb in zip(tail, tail[1:])):
+        raise ValueError(
+            "scenario tail does not approach the limit point monotonically")
     seq = SubspaceSequence([b.fiber(k) for k in seq_keys])
     limit = sequence_limit(seq, tol=tol, tail_len=tail_len)
     if limit is None:
@@ -227,37 +211,30 @@ def whitney_a_from_sections(b: SampledStratifiedBundle,
     containment test of ``whitney_a_check`` with the per-section tail
     residuals attached.
     """
-    x0_key, seq_keys = _scenario_data(b, sc, tail_len)
-    all_keys = b.point_keys()
+    verdict = whitney_a_check(b, sc, tol=tol, tail_len=tail_len)
     for j, section in enumerate(sections):
-        for key in all_keys:
+        for key in b.point_keys():
             if key not in section:
                 raise ValueError(f"section {j} undefined at point {key}")
-            v = np.asarray(section[key], dtype=float)
-            fiber = b.fiber(key)
-            if np.linalg.norm(v - fiber.project(v)) > tol:
+            if not b.fiber(key).contains_vector(section[key], tol):
                 raise ValueError(
                     f"section {j} leaves the fiber at point {key}")
-    x0_fiber = b.fiber(x0_key)
+    x0_key = (sc.target_stratum, sc.x0_index)
     spanned = span([np.asarray(sec[x0_key], dtype=float) for sec in sections],
                    b.fiber_ambient)
-    if spanned.dim != x0_fiber.dim:
+    if spanned.dim != b.fiber(x0_key).dim:
         raise ValueError(
             "section values at the limit point do not span its fiber")
-
-    seq = SubspaceSequence([b.fiber(k) for k in seq_keys])
-    limit = sequence_limit(seq, tol=tol, tail_len=tail_len)
-    if limit is None:
-        return WhitneyVerdict(INCONCLUSIVE)
-    final_key = seq_keys[-1]
+    if verdict.limit is None:
+        return verdict
+    final_key = (sc.source_stratum, sc.sequence_indices[-1])
     section_residuals = tuple(
-        float(np.linalg.norm(np.asarray(sec[final_key], dtype=float)
-                             - limit.project(np.asarray(sec[final_key],
-                                                        dtype=float))))
-        for sec in sections)
-    ok, residual = containment_residual(x0_fiber, limit, tol)
-    status = PASS if ok and all(r <= tol for r in section_residuals) else FAIL
-    return WhitneyVerdict(status, residual=residual, limit=limit,
+        float(np.linalg.norm(v - verdict.limit.project(v)))
+        for v in (np.asarray(sec[final_key], dtype=float) for sec in sections))
+    passed = verdict.status == PASS and all(r <= tol
+                                            for r in section_residuals)
+    return WhitneyVerdict(PASS if passed else FAIL, residual=verdict.residual,
+                          limit=verdict.limit,
                           section_residuals=section_residuals)
 
 

@@ -51,7 +51,6 @@ class Tolerances:
     eps_touch: float | None = None
     delta_cover: float | None = None
     tail_len: int = TAIL_LEN
-    max_local_strata: int = MAX_LOCAL_STRATA
 
     def __post_init__(self):
         for name in ("tol_ortho", "tol_rank", "tol_check", "step", "r_cc",
@@ -70,8 +69,7 @@ class Tolerances:
         """Build defaults overridden by SVB_* environment variables.
 
         SVB_TOL_ORTHO, SVB_TOL_RANK, SVB_TOL_CHECK, SVB_STEP, SVB_R_CC,
-        SVB_CLUSTER_RADIUS, SVB_EPS_TOUCH, SVB_DELTA_COVER, SVB_TAIL_LEN,
-        SVB_MAX_LOCAL_STRATA.
+        SVB_CLUSTER_RADIUS, SVB_EPS_TOUCH, SVB_DELTA_COVER, SVB_TAIL_LEN.
         """
         environ = os.environ if environ is None else environ
         overrides = {}
@@ -79,7 +77,7 @@ class Tolerances:
             raw = environ.get(_ENV_PREFIX + f.name.upper())
             if raw is None:
                 continue
-            if f.name in ("tail_len", "max_local_strata"):
+            if f.name == "tail_len":
                 overrides[f.name] = int(raw)
             else:
                 overrides[f.name] = float(raw)

@@ -14,7 +14,7 @@ reproducing its quotient rank table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,12 +22,18 @@ import numpy as np
 from .bundle import SampledStratifiedBundle
 from .config import R_CC, TOL_CHECK, TOL_ORTHO
 from .grassmann import Subspace, apply_linear_map, gap_distance, intersection, span
-from .strata import Stratification, Stratum, single_linkage_components
+from .strata import (
+    LabelPartition,
+    Stratification,
+    Stratum,
+    distance_blocks,
+    graph_components,
+    partition_by_label,
+)
 
 __all__ = [
     "FiniteGroupAction",
     "OrbitTypeLabel",
-    "OrbitTypePartition",
     "stabilizer",
     "conjugacy_label",
     "fixed_subspace",
@@ -186,18 +192,10 @@ def fixed_subspace(g: FiniteGroupAction, subgroup, use_fiber: bool = False,
     return span(avg.T, avg.shape[0], tol_abs=1e-10)
 
 
-@dataclass(frozen=True)
-class OrbitTypePartition:
-    stratification: Stratification
-    labels: tuple[OrbitTypeLabel, ...]          # one per input point
-    point_to_key: dict = field(repr=False)      # input index -> (stratum, i)
-    label_of_stratum: dict = field(repr=False)  # stratum name -> label
-
-
 def orbit_type_partition(g: FiniteGroupAction, points, r_cc: float = R_CC,
                          tol: float = TOL_CHECK,
                          eps_adjacent: Optional[float] = None
-                         ) -> OrbitTypePartition:
+                         ) -> LabelPartition:
     """Group points by the conjugacy class of their stabilizers and split
     each class into connected components.
 
@@ -207,42 +205,14 @@ def orbit_type_partition(g: FiniteGroupAction, points, r_cc: float = R_CC,
     are adjacent); audit it with ``check_frontier``.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if eps_adjacent is None:
-        eps_adjacent = r_cc
-    labels = tuple(conjugacy_label(g, stabilizer(g, p, tol)) for p in pts)
+    labels = [conjugacy_label(g, stabilizer(g, p, tol)) for p in pts]
     distinct = sorted(set(labels), key=lambda lab: (-len(lab), lab.indices))
-
-    strata = []
-    point_to_key: dict[int, tuple[str, int]] = {}
-    label_of_stratum = {}
-    for t, label in enumerate(distinct):
-        member_idx = [i for i, lab in enumerate(labels) if lab == label]
-        cloud = pts[member_idx]
-        dim = fixed_subspace(g, label.indices).dim
-        for c, component in enumerate(single_linkage_components(cloud, r_cc)):
-            name = f"type{t}_c{c}"
-            local = [member_idx[i] for i in component]
-            strata.append(Stratum(name, dim, pts[local]))
-            label_of_stratum[name] = label
-            for j, global_index in enumerate(local):
-                point_to_key[global_index] = (name, j)
-
-    closure = []
-    for low in strata:
-        for high in strata:
-            if low.name == high.name:
-                continue
-            h_label = label_of_stratum[low.name]
-            k_label = label_of_stratum[high.name]
-            if not _class_properly_contains(g, h_label, k_label):
-                continue
-            gap = _min_cloud_distance(low.points, high.points)
-            if gap <= eps_adjacent:
-                closure.append((low.name, high.name))
-    stratification = Stratification(strata, closure_order=closure)
-    return OrbitTypePartition(stratification=stratification, labels=labels,
-                              point_to_key=point_to_key,
-                              label_of_stratum=label_of_stratum)
+    dims = {label: fixed_subspace(g, label.indices).dim for label in distinct}
+    return partition_by_label(
+        pts, labels, [(f"type{t}", label) for t, label in enumerate(distinct)],
+        dim=lambda label, cloud: dims[label],
+        below=lambda low, high: _class_properly_contains(g, low, high),
+        r_cc=r_cc, eps_adjacent=eps_adjacent)
 
 
 def _class_properly_contains(g: FiniteGroupAction, big: OrbitTypeLabel,
@@ -253,11 +223,6 @@ def _class_properly_contains(g: FiniteGroupAction, big: OrbitTypeLabel,
     big_set = set(big.indices)
     return any(set(g.conjugate_subgroup(small.indices, t)) <= big_set
                for t in range(g.order))
-
-
-def _min_cloud_distance(a, b) -> float:
-    diff = a[:, None, :] - b[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(axis=2)).min())
 
 
 def _pooled_points(b: SampledStratifiedBundle):
@@ -271,22 +236,46 @@ def _point_permutations(g: FiniteGroupAction, pts: np.ndarray,
     raises if the set is not orbit saturated."""
     perms = []
     for i, m in enumerate(g.elements):
-        images = pts @ m.T
         perm = np.zeros(len(pts), dtype=int)
-        for p, img in enumerate(images):
-            dists = np.linalg.norm(pts - img, axis=1)
-            q = int(np.argmin(dists))
-            if dists[q] > tol:
+        for start, d in distance_blocks(pts @ m.T, pts):
+            nearest = d.argmin(axis=1)
+            off = np.flatnonzero(d[np.arange(len(d)), nearest] > tol)
+            if off.size:
                 raise ValueError(
                     f"sample set is not orbit saturated: element {i} moves "
-                    f"point {pts[p].tolist()} off the sample set")
-            perm[p] = q
+                    f"point {pts[start + off[0]].tolist()} off the sample set")
+            perm[start:start + len(d)] = nearest
         if len(set(perm.tolist())) != len(pts):
             raise ValueError(
                 f"element {i} collapses distinct sample points; the matching "
                 "tolerance is coarser than the sample spacing")
         perms.append(perm)
     return perms
+
+
+def _audit_equivariance(g: FiniteGroupAction, b: SampledStratifiedBundle,
+                        keys, perms, tol: float, message: str) -> None:
+    """Raise ``message.format(i=, key=, gap=)`` at the first fiber that
+    element ``i`` does not carry onto the fiber over the image point."""
+    for i, perm in enumerate(perms):
+        for p, key in enumerate(keys):
+            moved = apply_linear_map(g.fiber_elements[i], b.fiber(key))
+            gap = gap_distance(moved, b.fiber(keys[perm[p]]))
+            if gap > tol:
+                raise ValueError(message.format(i=i, key=key, gap=gap))
+
+
+def _constant_ranks(base: Stratification, fibers, message: str) -> dict:
+    """Fiber rank per stratum; raises ``message.format(ranks=, name=)``
+    at the first stratum where it varies."""
+    ranks = {}
+    for stratum in base.strata:
+        dims = {fibers[(stratum.name, i)].dim for i in range(len(stratum))}
+        if len(dims) != 1:
+            raise ValueError(message.format(ranks=sorted(dims),
+                                            name=stratum.name))
+        ranks[stratum.name] = dims.pop()
+    return ranks
 
 
 def invariant_subbundle(g: FiniteGroupAction, b: SampledStratifiedBundle,
@@ -305,16 +294,10 @@ def invariant_subbundle(g: FiniteGroupAction, b: SampledStratifiedBundle,
     keys, pts = _pooled_points(b)
     if pts.shape[1] != g.n:
         raise ValueError("group acts on the wrong ambient dimension")
-    perms = _point_permutations(g, pts, tol)
-    for i in range(g.order):
-        for p, key in enumerate(keys):
-            moved = apply_linear_map(g.fiber_elements[i], b.fiber(key))
-            target = b.fiber(keys[perms[i][p]])
-            residual = gap_distance(moved, target)
-            if residual > tol:
-                raise ValueError(
-                    f"bundle is not equivariant: element {i} maps the fiber "
-                    f"over {key} with gap {residual:.3e}")
+    _audit_equivariance(
+        g, b, keys, _point_permutations(g, pts, tol), tol,
+        "bundle is not equivariant: element {i} maps the fiber over {key} "
+        "with gap {gap:.3e}")
 
     partition = orbit_type_partition(g, pts, r_cc=r_cc, tol=tol)
     new_fibers = {}
@@ -324,14 +307,10 @@ def invariant_subbundle(g: FiniteGroupAction, b: SampledStratifiedBundle,
         new_fibers[partition.point_to_key[p]] = intersection(
             b.fiber(key), invariant, tol=tol)
 
-    ranks = {}
-    for stratum in partition.stratification.strata:
-        dims = {new_fibers[(stratum.name, i)].dim for i in range(len(stratum))}
-        if len(dims) != 1:
-            raise ValueError(
-                f"invariant fibers have non-constant rank {sorted(dims)} on "
-                f"stratum {stratum.name!r}; sampling or equivariance is off")
-        ranks[stratum.name] = dims.pop()
+    ranks = _constant_ranks(
+        partition.stratification, new_fibers,
+        "invariant fibers have non-constant rank {ranks} on stratum "
+        "{name!r}; sampling or equivariance is off")
     return SampledStratifiedBundle(partition.stratification, b.fiber_ambient,
                                    new_fibers, ranks)
 
@@ -351,45 +330,16 @@ def quotient_bundle(g: FiniteGroupAction, tilde: SampledStratifiedBundle,
     keys, pts = _pooled_points(tilde)
     perms = _point_permutations(g, pts, tol)
 
-    # Union-find over the permutation graph.
-    parent = list(range(len(pts)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, bb):
-        ra, rb = find(a), find(bb)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for perm in perms:
-        for p, q in enumerate(perm):
-            union(p, int(q))
-
-    orbits: dict[int, list[int]] = {}
-    for p in range(len(pts)):
-        orbits.setdefault(find(p), []).append(p)
-
     # Audit: fibers along each orbit map onto each other.
-    for i, perm in enumerate(perms):
-        for p in range(len(pts)):
-            moved = apply_linear_map(g.fiber_elements[i],
-                                     tilde.fiber(keys[p]))
-            target = tilde.fiber(keys[perm[p]])
-            residual = gap_distance(moved, target)
-            if residual > tol:
-                raise ValueError(
-                    f"representative fiber mismatch across an orbit: element "
-                    f"{i} at {keys[p]} has gap {residual:.3e}")
+    _audit_equivariance(
+        g, tilde, keys, perms, tol,
+        "representative fiber mismatch across an orbit: element {i} at "
+        "{key} has gap {gap:.3e}")
 
-    reps = []
-    for members in orbits.values():
-        rep = min(members, key=lambda p: tuple(pts[p]))
-        reps.append(rep)
-    reps.sort()
+    orbits = graph_components(len(pts),
+                              [(np.arange(len(pts)), perm) for perm in perms])
+    reps = sorted(min(members, key=lambda p: tuple(pts[p]))
+                  for members in orbits)
 
     rep_pts = pts[reps]
     partition = orbit_type_partition(g, rep_pts, r_cc=r_cc, tol=tol)
@@ -402,14 +352,9 @@ def quotient_bundle(g: FiniteGroupAction, tilde: SampledStratifiedBundle,
     for local, rep in enumerate(reps):
         name, j = partition.point_to_key[local]
         new_fibers[(f"{name}/G", j)] = tilde.fiber(keys[rep])
-    ranks = {}
-    for stratum in renamed.strata:
-        dims = {new_fibers[(stratum.name, i)].dim for i in range(len(stratum))}
-        if len(dims) != 1:
-            raise ValueError(
-                f"quotient fibers have non-constant rank {sorted(dims)} on "
-                f"stratum {stratum.name!r}")
-        ranks[stratum.name] = dims.pop()
+    ranks = _constant_ranks(
+        renamed, new_fibers,
+        "quotient fibers have non-constant rank {ranks} on stratum {name!r}")
     return SampledStratifiedBundle(renamed, tilde.fiber_ambient, new_fibers,
                                    ranks)
 

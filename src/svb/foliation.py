@@ -10,7 +10,6 @@ Leaves are never integrated; only the tangent data is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -19,10 +18,10 @@ from .bundle import SampledStratifiedBundle
 from .config import R_CC, TOL_RANK
 from .grassmann import Subspace, span
 from .strata import (
+    LabelPartition,
     Stratification,
-    Stratum,
     estimate_cloud_dim,
-    single_linkage_components,
+    partition_by_label,
 )
 
 __all__ = [
@@ -112,46 +111,16 @@ def distribution_at(vfs: VectorFieldSet, x,
                 tol_rank=tol_rank)
 
 
-@dataclass(frozen=True)
-class _RankPartition:
-    stratification: Stratification
-    point_to_key: dict = field(repr=False)
-    rank_of_stratum: dict = field(repr=False)
-
-
 def _rank_partition(vfs: VectorFieldSet, r_cc: float,
                     eps_adjacent: Optional[float],
-                    tol_rank: float) -> _RankPartition:
-    if eps_adjacent is None:
-        eps_adjacent = r_cc
+                    tol_rank: float) -> LabelPartition:
     pts = vfs.sample_points
     ranks = [distribution_at(vfs, p, tol_rank=tol_rank).dim for p in pts]
-    strata = []
-    point_to_key: dict[int, tuple[str, int]] = {}
-    rank_of_stratum: dict[str, int] = {}
-    for r in sorted(set(ranks)):
-        member_idx = [i for i, rr in enumerate(ranks) if rr == r]
-        cloud = pts[member_idx]
-        for c, component in enumerate(single_linkage_components(cloud, r_cc)):
-            name = f"rank{r}_c{c}"
-            local = [member_idx[i] for i in component]
-            strata.append(Stratum(name, estimate_cloud_dim(pts[local]),
-                                  pts[local]))
-            rank_of_stratum[name] = r
-            for j, global_index in enumerate(local):
-                point_to_key[global_index] = (name, j)
-
-    closure = []
-    for low in strata:
-        for high in strata:
-            if rank_of_stratum[low.name] >= rank_of_stratum[high.name]:
-                continue
-            diff = low.points[:, None, :] - high.points[None, :, :]
-            gap = float(np.sqrt((diff ** 2).sum(axis=2)).min())
-            if gap <= eps_adjacent:
-                closure.append((low.name, high.name))
-    stratification = Stratification(strata, closure_order=closure)
-    return _RankPartition(stratification, point_to_key, rank_of_stratum)
+    return partition_by_label(
+        pts, ranks, [(f"rank{r}", r) for r in sorted(set(ranks))],
+        dim=lambda rank, cloud: estimate_cloud_dim(cloud),
+        below=lambda low, high: low < high, r_cc=r_cc,
+        eps_adjacent=eps_adjacent)
 
 
 def stratify_by_rank(vfs: VectorFieldSet, r_cc: float = R_CC,
@@ -180,11 +149,11 @@ def foliation_bundle(vfs: VectorFieldSet, r_cc: float = R_CC,
                                                        tol_rank=tol_rank)
     for stratum in part.stratification.strata:
         dims = {fibers[(stratum.name, j)].dim for j in range(len(stratum))}
-        if dims != {part.rank_of_stratum[stratum.name]}:
+        if dims != {part.label_of_stratum[stratum.name]}:
             raise ValueError(
                 f"component {stratum.name!r} has non-constant distribution "
                 f"rank {sorted(dims)}")
-    ranks = dict(part.rank_of_stratum)
+    ranks = dict(part.label_of_stratum)
     return SampledStratifiedBundle(part.stratification, vfs.ambient_dim,
                                    fibers, ranks)
 

@@ -93,6 +93,12 @@ def _matrix(value, path):
         raise SchemaError(f"{path}: expected a numeric matrix") from None
     if arr.ndim != 2:
         raise SchemaError(f"{path}: expected a list of equal-length rows")
+    return _finite(arr, path)
+
+
+def _finite(arr, path):
+    if not np.isfinite(arr).all():
+        raise SchemaError(f"{path}: non-finite value (NaN or infinity)")
     return arr
 
 
@@ -142,6 +148,7 @@ def subspace_from_json(obj, path="$") -> Subspace:
     basis = _expect(obj, "basis", list, path)
     arr = np.asarray(basis, dtype=float) if basis else \
         np.zeros((0, ambient))
+    _finite(arr, f"{path}.basis")
     try:
         return Subspace(ambient, arr)
     except ValueError as exc:
@@ -186,6 +193,7 @@ def bundle_from_json(obj, path="$") -> SampledStratifiedBundle:
         basis = _expect(item, "basis", list, fpath)
         arr = np.asarray(basis, dtype=float) if basis else \
             np.zeros((0, fiber_ambient))
+        _finite(arr, f"{fpath}.basis")
         try:
             fibers[(str(idx[0]), int(idx[1]))] = Subspace(fiber_ambient, arr)
         except ValueError as exc:

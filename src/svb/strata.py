@@ -7,12 +7,15 @@ the samples but are not declared (or whose declared covering fails at
 the requested resolution).  ``local_finiteness_report`` counts how many
 strata crowd each sample point, the finite surrogate for local
 finiteness.
+
+All cloud distances go through one block-wise kernel, so memory stays
+bounded as clouds grow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -25,12 +28,21 @@ __all__ = [
     "FrontierViolation",
     "FrontierReport",
     "LocalFinitenessReport",
+    "LabelPartition",
     "check_frontier",
     "filtration",
     "local_finiteness_report",
     "estimate_cloud_dim",
     "single_linkage_components",
+    "graph_components",
+    "distance_blocks",
+    "cloud_minima",
+    "partition_by_label",
 ]
+
+# Coordinate differences held by one block of the distance kernel: 8 MB
+# of float64, which bounds the kernel's memory whatever the cloud sizes.
+_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -100,12 +112,14 @@ class Stratification:
         self._check_disjoint()
 
     def _check_disjoint(self):
-        for i, s in enumerate(self.strata):
-            for r in self.strata[i + 1:]:
-                d = _cloud_min_distance(s.points, r.points)
-                if d <= 0.0:
-                    raise ValueError(
-                        f"strata {s.name!r} and {r.name!r} share a sample point")
+        for i, s in enumerate(self.strata[:-1]):
+            later = self.strata[i + 1:]
+            gaps = cloud_minima(s.points, [r.points for r in later])
+            hits = np.flatnonzero(gaps.min(axis=0) <= 0.0)
+            if hits.size:
+                r = later[hits[0]]
+                raise ValueError(
+                    f"strata {s.name!r} and {r.name!r} share a sample point")
 
     def stratum(self, name: str) -> Stratum:
         try:
@@ -125,11 +139,6 @@ class Stratification:
         cloud = np.concatenate([s.points for s in self.strata], axis=0)
         spread = cloud.max(axis=0) - cloud.min(axis=0)
         return float(np.linalg.norm(spread))
-
-    def iter_points(self):
-        for s in self.strata:
-            for i, p in enumerate(s.points):
-                yield s.name, i, p
 
     def __repr__(self):
         return (f"Stratification(ambient={self.ambient_dim}, "
@@ -153,14 +162,22 @@ def _transitive_closure(names, pairs) -> frozenset:
     return frozenset((a, b) for a, bs in reach.items() for b in bs)
 
 
-def _cloud_min_distance(a: np.ndarray, b: np.ndarray) -> float:
-    diff = a[:, None, :] - b[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(axis=2)).min())
+def distance_blocks(a: np.ndarray, b: np.ndarray):
+    """Yield ``(start, d)`` with ``d[i, j] = |a[start + i] - b[j]|``,
+    covering the rows of ``a`` in order, at most ``_BLOCK`` coordinate
+    differences (but at least one row) per block."""
+    rows = max(1, _BLOCK // max(b.size, 1))
+    for start in range(0, len(a), rows):
+        chunk = a[start:start + rows]
+        diff = chunk[:, None, :] - b[None, :, :]
+        yield start, np.sqrt((diff ** 2).sum(-1))
 
 
-def _distances_to_cloud(points: np.ndarray, cloud: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - cloud[None, :, :]
-    return np.sqrt((diff ** 2).sum(axis=2)).min(axis=1)
+def cloud_minima(points: np.ndarray, clouds) -> np.ndarray:
+    """Distance from each point (row) to each cloud (column)."""
+    starts = np.cumsum([0] + [len(c) for c in clouds[:-1]])
+    return np.concatenate([np.minimum.reduceat(d, starts, axis=1) for _, d
+                           in distance_blocks(points, np.concatenate(clouds))])
 
 
 def single_linkage_components(points: np.ndarray,
@@ -169,28 +186,94 @@ def single_linkage_components(points: np.ndarray,
     (single linkage).  Components come out sorted by their smallest
     member index, members sorted ascending."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n = pts.shape[0]
     if radius <= 0:
         raise ValueError("radius must be positive")
-    diff = pts[:, None, :] - pts[None, :, :]
-    adjacent = np.sqrt((diff ** 2).sum(axis=2)) <= radius
-    seen = np.zeros(n, dtype=bool)
-    components = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        frontier = [start]
-        seen[start] = True
-        members = []
-        while frontier:
-            i = frontier.pop()
-            members.append(i)
-            for j in np.nonzero(adjacent[i])[0]:
-                if not seen[j]:
-                    seen[j] = True
-                    frontier.append(int(j))
-        components.append(sorted(members))
-    return components
+
+    def edges():
+        for start, d in distance_blocks(pts, pts):
+            i, j = np.nonzero(d <= radius)
+            yield i + start, j
+    return graph_components(len(pts), edges())
+
+
+def graph_components(n: int, edges) -> list[list[int]]:
+    """Connected components of the graph on ``range(n)`` whose edges
+    arrive as pairs of index arrays ``(i, j)``.  Components come out
+    sorted by their smallest member, members sorted ascending."""
+    # Union-find whose roots are the smallest index of their tree: each
+    # round hooks the larger root of every split edge onto the smaller
+    # one, then flattens the trees by pointer jumping.
+    root = np.arange(n)
+    for i, j in edges:
+        while True:
+            ri, rj = root[i], root[j]
+            split = ri != rj
+            if not split.any():
+                break
+            np.minimum.at(root, np.maximum(ri, rj)[split],
+                          np.minimum(ri, rj)[split])
+            while not np.array_equal(root[root], root):
+                root = root[root]
+    order = np.argsort(root, kind="stable")
+    cuts = np.flatnonzero(np.diff(root[order])) + 1
+    return [c.tolist() for c in np.split(order, cuts) if c.size]
+
+
+@dataclass(frozen=True)
+class LabelPartition:
+    """Strata cut from labelled samples by ``partition_by_label``."""
+
+    stratification: Stratification
+    labels: tuple                               # one per input point
+    point_to_key: dict = field(repr=False)      # input index -> (stratum, i)
+    label_of_stratum: dict = field(repr=False)  # stratum name -> label
+
+
+def partition_by_label(points, labels: Sequence[Hashable],
+                       classes: Sequence[tuple[str, Hashable]],
+                       dim: Callable[[Hashable, np.ndarray], int],
+                       below: Callable[[Hashable, Hashable], bool],
+                       r_cc: float, eps_adjacent: Optional[float] = None
+                       ) -> LabelPartition:
+    """Group labelled points into strata.
+
+    ``classes`` lists ``(prefix, label)`` for every distinct label, in
+    the order the strata are emitted; each label class is split into
+    single-linkage components at radius ``r_cc``, named
+    ``{prefix}_c{c}``, with dimension ``dim(label, cloud)``.  A stratum
+    is declared in the closure of another when ``below(its label, the
+    other's label)`` holds and the two clouds come within
+    ``eps_adjacent`` (default: ``r_cc``); audit the result with
+    ``check_frontier``.
+    """
+    if eps_adjacent is None:
+        eps_adjacent = r_cc
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    labels = tuple(labels)
+    strata = []
+    point_to_key: dict[int, tuple[str, int]] = {}
+    label_of_stratum = {}
+    for prefix, label in classes:
+        member_idx = [i for i, lab in enumerate(labels) if lab == label]
+        components = single_linkage_components(pts[member_idx], r_cc)
+        for c, component in enumerate(components):
+            name = f"{prefix}_c{c}"
+            local = [member_idx[i] for i in component]
+            strata.append(Stratum(name, dim(label, pts[local]), pts[local]))
+            label_of_stratum[name] = label
+            for j, global_index in enumerate(local):
+                point_to_key[global_index] = (name, j)
+
+    clouds = [st.points for st in strata]
+    closure = []
+    for low in strata:
+        gaps = cloud_minima(low.points, clouds).min(axis=0)
+        for high, gap in zip(strata, gaps):
+            if (below(label_of_stratum[low.name], label_of_stratum[high.name])
+                    and gap <= eps_adjacent):
+                closure.append((low.name, high.name))
+    return LabelPartition(Stratification(strata, closure_order=closure),
+                          labels, point_to_key, label_of_stratum)
 
 
 def estimate_cloud_dim(points: np.ndarray, tol_rank: float = TOL_RANK) -> int:
@@ -249,24 +332,26 @@ def check_frontier(s: Stratification, eps_touch: Optional[float] = None,
 
     violations = []
     touching = []
-    for source in s.strata:
-        for target in s.strata:
-            if source.name == target.name:
-                continue
-            dists = _distances_to_cloud(source.points, target.points)
-            if float(dists.max()) > eps_touch:
-                continue
+    clouds = [st.points for st in s.strata]
+    for k, source in enumerate(s.strata):
+        minima = cloud_minima(source.points, clouds)
+        worst = minima.argmax(axis=0)
+        reach = minima.max(axis=0)
+        touches = reach <= eps_touch
+        touches[k] = False
+        for j in np.flatnonzero(touches):
+            target = s.strata[j]
             touching.append((source.name, target.name))
-            worst = int(np.argmax(dists))
-            witness = tuple(float(x) for x in source.points[worst])
+            witness = tuple(float(x) for x in source.points[worst[j]])
+            distance = float(reach[j])
             if not s.in_closure(source.name, target.name):
                 violations.append(FrontierViolation(
                     source.name, target.name, "undeclared",
-                    witness, float(dists.max())))
-            elif float(dists.max()) > delta_cover:
+                    witness, distance))
+            elif distance > delta_cover:
                 violations.append(FrontierViolation(
                     source.name, target.name, "not_covered",
-                    witness, float(dists.max())))
+                    witness, distance))
     violations.sort(key=lambda v: (v.s, v.r))
     touching.sort()
     return FrontierReport(passed=not violations, eps_touch=eps_touch,
@@ -305,11 +390,9 @@ def local_finiteness_report(s: Stratification, radius: float,
         raise ValueError("radius must be positive")
     counts = []
     flagged = []
+    clouds = [st.points for st in s.strata]
     for home in s.strata:
-        near = np.zeros(len(home), dtype=int)
-        for other in s.strata:
-            dists = _distances_to_cloud(home.points, other.points)
-            near += (dists <= radius).astype(int)
+        near = (cloud_minima(home.points, clouds) <= radius).sum(axis=1)
         for i, c in enumerate(near):
             counts.append((home.name, i, int(c)))
             if c > threshold:

@@ -89,6 +89,41 @@ class TestExitCodes:
         assert code == 1
 
 
+class TestNonFiniteInput:
+    def test_nan_point_is_one(self, capsys, tmp_path):
+        obj = read_json(fx("line.json"))
+        obj["strata"][1]["points"][2][0] = float("nan")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(obj))
+        code = main(["check", "frontier", "--stratification", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "$.strata[1].points: non-finite value" in captured.err
+
+    def test_inf_bundle_basis_is_one(self, capsys, tmp_path):
+        obj = read_json(fx("cone_pass.json"))
+        obj["fibers"][3]["basis"][0][0] = float("inf")
+        bad = tmp_path / "inf.json"
+        bad.write_text(json.dumps(obj))
+        code = main(["check", "whitney-a", "--bundle", str(bad),
+                     "--scenario", fx("cone_scenario.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "$.fibers[3].basis: non-finite value" in err
+
+    def test_inf_subspace_basis_is_one(self, capsys, tmp_path):
+        obj = read_json(fx("plane_in_r3.json"))
+        obj["basis"][1][2] = float("-inf")
+        bad = tmp_path / "inf.json"
+        bad.write_text(json.dumps(obj))
+        code = main(["check", "orthogonality", "--functor", "wedge:2",
+                     "--subspace", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "$.basis: non-finite value" in err
+
+
 class TestVerbs:
     def test_frontier_pass(self, capsys):
         code, out = run(capsys, "check", "frontier",

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from svb import strata
 from svb.bundle import SampledStratifiedBundle, trivial_bundle
 from svb.equivariant import (
     FiniteGroupAction,
+    _point_permutations,
     circle_action_on_plane_report,
     conjugacy_label,
     fixed_subspace,
@@ -211,6 +213,22 @@ def Stratification_no_mirror():
         Stratum("S0", 0, [[0.0]]),
         Stratum("S+", 1, [[0.5], [1.0]]),
     ], closure_order=[("S0", "S+")])
+
+
+class TestPointPermutations:
+    def test_first_unmatched_point_named(self, monkeypatch):
+        monkeypatch.setattr(strata, "_BLOCK", 2)
+        g = axis_reflection_group()
+        pts = np.array([[0.5, 0.0], [1.0, 0.5], [2.0, 0.3], [1.0, -0.5]])
+        with pytest.raises(ValueError, match=r"point \[2.0, 0.3\] off"):
+            _point_permutations(g, pts, 1e-8)
+
+    def test_permutation_matches_images(self, monkeypatch):
+        monkeypatch.setattr(strata, "_BLOCK", 2)
+        g = dihedral_square_group()
+        pts = grid_points(step=0.5)
+        for m, perm in zip(g.elements, _point_permutations(g, pts, 1e-8)):
+            assert np.allclose(pts[perm], pts @ m.T)
 
 
 class TestQuotientBundle:

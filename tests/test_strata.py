@@ -1,11 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from svb import strata
+from svb.equivariant import orbit_type_partition
 from svb.fixtures import (
     cantor_stratification,
     cone_stratification,
+    dihedral_square_group,
     line_stratification,
     local_line_stratification,
 )
@@ -13,9 +18,13 @@ from svb.strata import (
     Stratification,
     Stratum,
     check_frontier,
+    cloud_minima,
+    distance_blocks,
     estimate_cloud_dim,
     filtration,
+    graph_components,
     local_finiteness_report,
+    single_linkage_components,
 )
 
 
@@ -172,3 +181,97 @@ class TestCloudDim:
         rng = np.random.default_rng(0)
         pts = rng.standard_normal((25, 2))
         assert estimate_cloud_dim(pts) == 2
+
+
+def _kernel_results():
+    grid = np.array([[x, y] for x in np.arange(-1.0, 1.01, 0.25)
+                     for y in np.arange(-1.0, 1.01, 0.25)])
+    part = orbit_type_partition(dihedral_square_group(), grid, r_cc=0.4)
+    return (
+        check_frontier(line_stratification(), 0.05, 0.05),
+        check_frontier(cone_stratification(), 0.08, 0.01),
+        check_frontier(cantor_stratification(4)),
+        local_finiteness_report(cantor_stratification(5), 0.1, threshold=3),
+        local_finiteness_report(local_line_stratification(), 0.1),
+        single_linkage_components(
+            np.concatenate([s.points for s in cone_stratification().strata]),
+            0.05),
+        single_linkage_components(grid, 0.3),
+        [(s.name, s.dim, s.points.tolist())
+         for s in part.stratification.strata],
+        part.stratification.closure_order,
+        part.labels, part.point_to_key, part.label_of_stratum,
+    )
+
+
+class TestDistanceKernel:
+    def test_blocks_cover_rows_in_order(self, monkeypatch):
+        monkeypatch.setattr(strata, "_BLOCK", 5)
+        a = np.arange(12.0).reshape(6, 2)
+        blocks = list(distance_blocks(a, a[:2]))
+        assert [start for start, _ in blocks] == list(range(6))
+        d = np.concatenate([block for _, block in blocks])
+        assert d.shape == (6, 2)
+        assert d[3, 1] == np.linalg.norm(a[3] - a[1])
+
+    def test_cloud_minima_per_cloud(self):
+        clouds = [np.array([[0.0], [5.0]]), np.array([[2.0]]),
+                  np.array([[9.0], [7.0], [4.0]])]
+        minima = cloud_minima(np.array([[1.0], [8.0]]), clouds)
+        assert minima.tolist() == [[1.0, 1.0, 3.0], [3.0, 6.0, 1.0]]
+
+    def test_small_blocks_match_one_block(self, monkeypatch):
+        monkeypatch.setattr(strata, "_BLOCK", 1 << 60)
+        whole = _kernel_results()
+        monkeypatch.setattr(strata, "_BLOCK", 3)
+        assert _kernel_results() == whole
+
+    def test_first_shared_pair_named(self, monkeypatch):
+        monkeypatch.setattr(strata, "_BLOCK", 2)
+        a = Stratum("a", 0, [[0.0], [4.0]])
+        b = Stratum("b", 0, [[1.0], [3.0]])
+        c = Stratum("c", 0, [[2.0], [3.0], [4.0]])
+        with pytest.raises(ValueError, match="'a' and 'c' share"):
+            Stratification([a, b, c])
+
+    def test_single_linkage_memory_bounded(self):
+        pts = np.random.default_rng(3).random((3000, 3))
+        tracemalloc.start()
+        try:
+            components = single_linkage_components(pts, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(i for c in components for i in c) == list(range(3000))
+        assert peak < 64 * 2 ** 20
+
+
+class TestGraphComponents:
+    def test_scrambled_path_is_one_component(self):
+        i = np.array([0, 5, 1, 4, 2])
+        j = np.array([5, 1, 4, 2, 3])
+        assert graph_components(7, [(i, j)]) == [[0, 1, 2, 3, 4, 5], [6]]
+
+    def test_edges_across_batches(self):
+        batches = [(np.array([4]), np.array([2])),
+                   (np.array([3]), np.array([0])),
+                   (np.array([2]), np.array([0]))]
+        assert graph_components(5, batches) == [[0, 2, 3, 4], [1]]
+
+    def test_matches_breadth_first_search(self):
+        pts = np.random.default_rng(7).random((120, 2))
+        radius = 0.09
+        adjacent = np.linalg.norm(pts[:, None] - pts[None], axis=2) <= radius
+        seen, expected = set(), []
+        for start in range(len(pts)):
+            if start in seen:
+                continue
+            todo, members = [start], {start}
+            while todo:
+                for k in np.flatnonzero(adjacent[todo.pop()]).tolist():
+                    if k not in members:
+                        members.add(k)
+                        todo.append(k)
+            seen |= members
+            expected.append(sorted(members))
+        assert single_linkage_components(pts, radius) == expected
