@@ -16,7 +16,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .config import TAIL_LEN, TOL_CHECK, TOL_ORTHO, TOL_RANK
+from .config import TAIL_LEN, TOL_CHECK, TOL_ORTHO
 from .functors import LinearFunctor, apply_to_map, dim_map
 from .functors import apply_to_subspace as _functor_on_subspace
 from .grassmann import (
@@ -238,24 +238,17 @@ def whitney_a_from_sections(b: SampledStratifiedBundle,
                           section_residuals=section_residuals)
 
 
-def apply_functor_to_bundle(f: LinearFunctor, b: SampledStratifiedBundle,
-                            tol_rank: float = TOL_RANK
+def apply_functor_to_bundle(f: LinearFunctor, b: SampledStratifiedBundle
                             ) -> SampledStratifiedBundle:
     """Apply a functor fibrewise: same base, fibers F(A_x), ranks F(rank)."""
     validation = validate_bundle(b)
     if not validation.passed:
         raise ValueError("bundle fails validation: " + "; ".join(validation.problems))
-    new_fibers = {key: _functor_on_subspace(f, fiber, tol_rank=tol_rank)
+    new_fibers = {key: _functor_on_subspace(f, fiber)
                   for key, fiber in b.fibers.items()}
     new_ranks = {name: dim_map(f, r) for name, r in b.stratum_rank.items()}
-    out = SampledStratifiedBundle(b.base, dim_map(f, b.fiber_ambient),
-                                  new_fibers, new_ranks)
-    for key, fiber in out.fibers.items():
-        if fiber.dim != new_ranks[key[0]]:
-            raise RuntimeError(
-                f"functor image over {key} has rank {fiber.dim}, "
-                f"expected {new_ranks[key[0]]}")
-    return out
+    return SampledStratifiedBundle(b.base, dim_map(f, b.fiber_ambient),
+                                   new_fibers, new_ranks)
 
 
 class BundleMorphism:

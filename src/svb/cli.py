@@ -241,7 +241,7 @@ def _run_checks(args, cfg: Tolerances) -> tuple[list[dict], dict]:
         add("validate-input", "PASS" if validation.passed else "FAIL",
             problems=list(validation.problems))
         if validation.passed:
-            image = apply_functor_to_bundle(functor, bundle, cfg.tol_rank)
+            image = apply_functor_to_bundle(functor, bundle)
             out_validation = validate_bundle(image, cfg.tol_ortho)
             add("validate-output",
                 "PASS" if out_validation.passed else "FAIL",

@@ -31,8 +31,8 @@ from typing import Union
 
 import numpy as np
 
-from .config import TOL_CHECK, TOL_ORTHO, TOL_RANK
-from .grassmann import Subspace, opnorm, span
+from .config import TOL_CHECK
+from .grassmann import Subspace, opnorm
 
 __all__ = [
     "Identity",
@@ -206,18 +206,17 @@ def apply_to_map(f: LinearFunctor, m) -> np.ndarray:
     raise TypeError(f"not a functor spec: {f!r}")
 
 
-def apply_to_subspace(f: LinearFunctor, w: Subspace,
-                      tol_rank: float = TOL_RANK) -> Subspace:
-    """F(W) inside F(R^N), computed as the image of F(P_W).
+def apply_to_subspace(f: LinearFunctor, w: Subspace) -> Subspace:
+    """F(W) inside F(R^N), spanned by the rows of F(B).
 
-    F(P_W) is (up to rounding) an orthogonal projection, so its singular
-    values are 0 or 1; the absolute floor discards determinant-level
-    rounding noise that the relative rank rule would otherwise promote
-    to a spurious dimension.
+    For an orthonormal basis B of W, F(B) F(B)^T = F(B B^T) = F(I) = I,
+    so the rows of F(B) are already an orthonormal basis of F(W) with
+    exactly ``dim_map(f, dim W)`` vectors: no rank decision is needed.
+    F(B) inherits the orthonormality defect of B, amplified by the degree
+    of F, so its audit uses the verdict tolerance.
     """
-    fp = apply_to_map(f, w.projection)
-    return span(fp.T, dim_map(f, w.ambient_dim), tol_rank=tol_rank,
-                tol_abs=TOL_ORTHO)
+    return Subspace(dim_map(f, w.ambient_dim), apply_to_map(f, w.basis),
+                    tol_ortho=TOL_CHECK)
 
 
 def check_orthogonality(f: LinearFunctor, w: Subspace,

@@ -63,7 +63,8 @@ class Subspace:
         if basis.shape[0] > ambient_dim:
             raise ValueError("more basis vectors than ambient dimensions")
         gram = basis @ basis.T
-        if not np.allclose(gram, np.eye(basis.shape[0]), atol=max(tol_ortho, 1e-12)):
+        if not np.allclose(gram, np.eye(basis.shape[0]), rtol=0.0,
+                           atol=max(tol_ortho, 1e-12)):
             raise ValueError("basis is not orthonormal within tolerance")
         basis = basis.copy()
         basis.flags.writeable = False
@@ -136,14 +137,6 @@ class SubspaceSequence:
     def __getitem__(self, i):
         return self.items[i]
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.items[0].ambient_dim
-
-    @property
-    def rank(self) -> int:
-        return self.items[0].dim
-
 
 def span(vectors, ambient_dim: int, tol_rank: float = TOL_RANK,
          tol_abs: float = 0.0) -> Subspace:
@@ -202,9 +195,8 @@ def sequence_limit(seq: SubspaceSequence, tol: float = TOL_CHECK,
     """Cauchy-tail limit of a subspace sequence, or None if there is none.
 
     The last ``tail_len`` projections must be pairwise within ``tol`` in
-    the gap metric; the limit is then recovered from the final
-    projection, re-orthonormalized with the rank forced to the sequence
-    rank.  Returns None when the tail is not Cauchy.
+    the gap metric; the limit is then the final tail item, which already
+    has the sequence rank.  Returns None when the tail is not Cauchy.
     """
     if tail_len < 1:
         raise ValueError("tail_len must be at least 1")
@@ -216,8 +208,7 @@ def sequence_limit(seq: SubspaceSequence, tol: float = TOL_CHECK,
         for j in range(i + 1, len(tail)):
             if gap_distance(tail[i], tail[j]) > tol:
                 return None
-    _, _, vh = np.linalg.svd(tail[-1].projection)
-    return Subspace(seq.ambient_dim, vh[:seq.rank])
+    return tail[-1]
 
 
 def apply_linear_map(m, w: Subspace, tol_rank: float = TOL_RANK) -> Subspace:

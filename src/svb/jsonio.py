@@ -86,13 +86,15 @@ def _check_schema(obj, path):
         raise SchemaError(f"{path}.schema: expected {SCHEMA!r}, got {tag!r}")
 
 
-def _matrix(value, path):
+def _matrix(value, path, ndim=2):
+    """``value`` as a finite float matrix, or a vector when ``ndim`` is 1."""
+    kind = "list of numbers" if ndim == 1 else "list of equal-length rows"
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
-        raise SchemaError(f"{path}: expected a numeric matrix") from None
-    if arr.ndim != 2:
-        raise SchemaError(f"{path}: expected a list of equal-length rows")
+        arr = None
+    if arr is None or arr.ndim != ndim:
+        raise SchemaError(f"{path}: expected a numeric {kind}")
     return _finite(arr, path)
 
 
@@ -236,6 +238,9 @@ def group_from_json(obj, path="$") -> FiniteGroupAction:
     n = _expect(obj, "n", int, path)
     elements = _expect(obj, "elements", list, path)
     fiber = obj.get("fiber_elements")
+    for key, mats in (("elements", elements), ("fiber_elements", fiber or [])):
+        for i, m in enumerate(mats):
+            _matrix(m, f"{path}.{key}[{i}]")
     try:
         return FiniteGroupAction(n, elements, fiber_elements=fiber)
     except ValueError as exc:
@@ -254,7 +259,8 @@ def action_from_json(obj, path="$") -> MonoidActionSample:
     ambient = _expect(obj, "ambient", int, path)
     kind = _expect(obj, "kind", str, path)
     samples = _matrix(_expect(obj, "samples", list, path), f"{path}.samples")
-    t_grid = _expect(obj, "t_grid", list, path)
+    t_grid = _matrix(_expect(obj, "t_grid", list, path), f"{path}.t_grid",
+                     ndim=1)
     descriptor = {"kind": kind}
     if kind == "builtin":
         descriptor["name"] = _expect(obj, "name", str, path)
@@ -277,8 +283,13 @@ def fields_to_json(vfs: VectorFieldSet) -> dict:
 def fields_from_json(obj, path="$") -> VectorFieldSet:
     _check_schema(obj, path)
     _expect(obj, "ambient", int, path)
-    _expect(obj, "fields", list, path)
-    _expect(obj, "samples", list, path)
+    _matrix(_expect(obj, "samples", list, path), f"{path}.samples")
+    for i, item in enumerate(_expect(obj, "fields", list, path)):
+        fpath = f"{path}.fields[{i}]"
+        for j, term in enumerate(_expect(item, "coeffs", list, fpath)):
+            tpath = f"{fpath}.coeffs[{j}]"
+            _matrix(_expect(term, "vector", list, tpath), f"{tpath}.vector",
+                    ndim=1)
     try:
         return VectorFieldSet.from_json(obj)
     except (KeyError, TypeError, ValueError) as exc:

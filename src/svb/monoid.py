@@ -22,6 +22,8 @@ import numpy as np
 from .config import CLUSTER_RADIUS, STEP, TOL_CHECK
 from .grassmann import Subspace, span
 
+_EPS = float(np.finfo(float).eps)
+
 __all__ = [
     "MonoidActionSample",
     "MonoidAudit",
@@ -195,21 +197,28 @@ def vertical_derivative(a: MonoidActionSample, e, step: float = STEP
                         ) -> tuple[np.ndarray, float]:
     """Richardson-refined central difference of t -> h_t(e) at t = 0.
 
-    Returns the refined derivative and an error estimate (the classical
-    |D(h/2) - D(h)| / 3 bound on the leading truncation term).
+    Returns the refined derivative and an error estimate: the classical
+    |D(h/2) - D(h)| / 3 bound on the leading truncation term plus the
+    rounding it leaves out.  If each evaluation is off by at most delta,
+    the refined quotient is off by at most 3 delta / h; delta is taken as
+    2 eps times the largest sampled magnitude (at least two units in the
+    last place), per component.  A component whose four samples are
+    bitwise equal has an exact zero quotient and gets no rounding term,
+    so actions that do not move e (the identity) keep a zero estimate.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     e = np.asarray(e, dtype=float)
-
-    def central(h):
-        return (a.evaluate(h, e) - a.evaluate(-h, e)) / (2.0 * h)
-
-    coarse = central(step)
-    fine = central(step / 2.0)
+    samples = np.array([a.evaluate(t, e) for t in
+                        (step, -step, step / 2.0, -step / 2.0)])
+    coarse = (samples[0] - samples[1]) / (2.0 * step)
+    fine = (samples[2] - samples[3]) / step
     refined = (4.0 * fine - coarse) / 3.0
-    estimate = float(np.linalg.norm(fine - coarse)) / 3.0
-    return refined, estimate
+    truncation = float(np.linalg.norm(fine - coarse)) / 3.0
+    moving = (samples != samples[0]).any(axis=0)
+    largest = np.abs(samples).max(axis=0)[moving]
+    rounding = 3.0 * 2.0 * _EPS * float(np.sqrt(largest @ largest)) / step
+    return refined, truncation + rounding
 
 
 @dataclass(frozen=True)

@@ -123,6 +123,39 @@ class TestNonFiniteInput:
         assert code == 1
         assert "$.basis: non-finite value" in err
 
+    @pytest.mark.parametrize("fixture, entry, where, argv", [
+        ("fields_line.json", ("samples", 3, 0), "$.samples",
+         ["foliation", "stratify", "--r-cc", "0.015", "--fields"]),
+        ("fields_line.json", ("fields", 0, "coeffs", 0, "vector", 0),
+         "$.fields[0].coeffs[0].vector",
+         ["foliation", "stratify", "--r-cc", "0.015", "--fields"]),
+        ("action_scalar.json", ("t_grid", 1), "$.t_grid",
+         ["monoid", "analyze", "--action"]),
+        ("sign_flip_group.json", ("elements", 1, 0, 0), "$.elements[1]",
+         ["equivariant", "tilde", "--bundle", fx("sign_flip_tangent.json"),
+          "--group"]),
+        ("sign_flip_group.json", ("fiber_elements", 1, 0, 0),
+         "$.fiber_elements[1]",
+         ["equivariant", "tilde", "--bundle", fx("sign_flip_tangent.json"),
+          "--group"]),
+    ], ids=["fields-sample", "fields-vector", "action-t-grid", "group-element",
+            "group-fiber-element"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_reader_input_is_one(self, capsys, tmp_path, fixture,
+                                            entry, where, argv, value):
+        obj = read_json(fx(fixture))
+        target = obj
+        for step in entry[:-1]:
+            target = target[step]
+        target[entry[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        code = main(argv + [str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"{where}: non-finite value" in captured.err
+
 
 class TestVerbs:
     def test_frontier_pass(self, capsys):

@@ -127,6 +127,15 @@ class TestApplyToSubspace:
         out = apply_to_subspace(TensorPower(1), w)
         assert gap_distance(out, w) <= 1e-12
 
+    @pytest.mark.parametrize("f", [SymPower(3), TensorPower(3)])
+    def test_basis_at_the_orthonormality_tolerance(self, f):
+        # Gram defect 9e-11 passes the Subspace check; F(B) triples it.
+        w = Subspace(3, [[1.0 + 4.5e-11, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        out = apply_to_subspace(f, w)
+        assert out.dim == dim_map(f, 2)
+        reference = span(apply_to_map(f, w.projection).T, dim_map(f, 3))
+        assert gap_distance(out, reference) <= 1e-9
+
 
 class TestCheckOrthogonality:
     def test_wedge_on_plane(self):
@@ -302,6 +311,11 @@ def test_orthogonality_property(seed, fi, ambient):
     assert ok, (f, residual)
     fw = apply_to_subspace(f, w)
     assert fw.dim == dim_map(f, w.dim)
+    # Reference: the image of F(P_W), orthonormalized by SVD.
+    reference = span(fp.T, dim_map(f, ambient), tol_abs=1e-10)
+    assert gap_distance(fw, reference) <= 1e-12
+    fb = apply_to_map(f, w.basis)
+    assert np.abs(fb @ fb.T - np.eye(fw.dim)).max(initial=0.0) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)

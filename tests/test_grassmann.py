@@ -31,6 +31,16 @@ def random_orthogonal(rng, n):
     return q * np.sign(np.diag(r))
 
 
+class TestSubspace:
+    def test_rejects_basis_off_unit_length(self):
+        # 1.000005 passes a relative 1e-5 test; the bound is absolute.
+        with pytest.raises(ValueError):
+            Subspace(1, [[1.000005]])
+        with pytest.raises(ValueError):
+            Subspace(2, [[1.0, 0.0], [0.0, 1.0 + 1e-9]])
+        assert Subspace(2, [[1.0, 0.0], [0.0, 1.0 + 1e-12]]).dim == 2
+
+
 class TestSpan:
     def test_full_space(self):
         w = span([(1, 0), (0, 1)], 2)

@@ -192,3 +192,16 @@ def test_error_estimate_bounds_true_error(seed, ambient):
         if estimate + 1e-13 >= actual:
             hits += 1
     assert hits / len(samples) >= 0.95
+
+
+@pytest.mark.parametrize("seed", [112, 1021])
+def test_error_estimate_covers_rounding(seed):
+    """Cases whose truncation estimate alone (3.8e-13 at seed 112) fell
+    below the rounding error of the refined quotient (7.5e-13)."""
+    rng = np.random.default_rng(seed)
+    coeffs, exact = _random_polynomial_action(rng, 2)
+    samples = rng.uniform(-1.0, 1.0, size=(6, 2))
+    a = MonoidActionSample.polynomial(coeffs, 2, samples)
+    for e in samples:
+        phi, estimate = vertical_derivative(a, e)
+        assert estimate >= float(np.linalg.norm(phi - exact(e)))
