@@ -2,7 +2,7 @@
 
 Exit codes: 0 when every check passes, 2 when any check fails, 3 when
 some check is inconclusive and none fails, 1 on input errors (unreadable
-files, schema violations, bad flags).
+files, schema violations, bad flags or tolerance values).
 
 Reports are deterministic for fixed inputs and configuration; the
 timestamp is the only varying field and ``--no-timestamp`` drops it.
@@ -11,6 +11,7 @@ timestamp is the only varying field and ``--no-timestamp`` drops it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import re
@@ -41,14 +42,20 @@ class CliError(Exception):
     """Input-level problem: reported on stderr with exit code 1."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1; argparse's own 2 would read as a FAIL."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _tolerance_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("tolerances")
-    group.add_argument("--tol-ortho", type=float, default=None)
     group.add_argument("--tol-rank", type=float, default=None)
     group.add_argument("--tol-check", type=float, default=None)
     group.add_argument("--step", type=float, default=None)
     group.add_argument("--r-cc", type=float, default=None)
-    group.add_argument("--cluster-radius", type=float, default=None)
     group.add_argument("--eps-touch", type=float, default=None)
     group.add_argument("--delta-cover", type=float, default=None)
     group.add_argument("--tail-len", type=int, default=None)
@@ -64,7 +71,7 @@ def _output_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="svb",
         description="checks and constructions on sampled stratified "
                     "vector bundles")
@@ -139,11 +146,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args: argparse.Namespace) -> Tolerances:
-    return Tolerances.from_env().replace(
-        tol_ortho=args.tol_ortho, tol_rank=args.tol_rank,
-        tol_check=args.tol_check, step=args.step, r_cc=args.r_cc,
-        cluster_radius=args.cluster_radius, eps_touch=args.eps_touch,
-        delta_cover=args.delta_cover, tail_len=args.tail_len)
+    try:
+        return Tolerances.from_env().replace(
+            tol_rank=args.tol_rank, tol_check=args.tol_check,
+            step=args.step, r_cc=args.r_cc, eps_touch=args.eps_touch,
+            delta_cover=args.delta_cover, tail_len=args.tail_len)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
 
 
 def _verb(args) -> str:
@@ -197,7 +206,7 @@ def _run_checks(args, cfg: Tolerances) -> tuple[list[dict], dict]:
 
     elif verb == "check whitney-a":
         bundle = jsonio.bundle_from_json(jsonio.read_json(args.bundle))
-        validation = validate_bundle(bundle, cfg.tol_ortho)
+        validation = validate_bundle(bundle)
         add("validate-bundle", "PASS" if validation.passed else "FAIL",
             problems=list(validation.problems))
         if args.scenario:
@@ -237,12 +246,12 @@ def _run_checks(args, cfg: Tolerances) -> tuple[list[dict], dict]:
     elif verb == "apply-functor":
         functor = _parse_functor_arg(args.functor)
         bundle = jsonio.bundle_from_json(jsonio.read_json(args.bundle))
-        validation = validate_bundle(bundle, cfg.tol_ortho)
+        validation = validate_bundle(bundle)
         add("validate-input", "PASS" if validation.passed else "FAIL",
             problems=list(validation.problems))
         if validation.passed:
             image = apply_functor_to_bundle(functor, bundle)
-            out_validation = validate_bundle(image, cfg.tol_ortho)
+            out_validation = validate_bundle(image)
             add("validate-output",
                 "PASS" if out_validation.passed else "FAIL",
                 ranks=dict(sorted(image.stratum_rank.items())),
@@ -253,13 +262,16 @@ def _run_checks(args, cfg: Tolerances) -> tuple[list[dict], dict]:
 
     elif verb == "monoid analyze":
         action = jsonio.action_from_json(jsonio.read_json(args.action))
-        audit = audit_axioms(action, cfg.tol_check)
+        try:
+            audit = audit_axioms(action, cfg.tol_check)
+            regularity = regularity_check(action, tol=cfg.tol_check,
+                                          step=cfg.step)
+        except ValueError as exc:  # non-finite evaluator value
+            raise CliError(f"action: {exc}") from None
         add("axioms", "PASS" if audit.passed else "FAIL",
             identity_violations=[list(v) for v in audit.identity_violations],
             composition_violations=[list(v) for v in
                                     audit.composition_violations])
-        regularity = regularity_check(action, tol=cfg.tol_check,
-                                      step=cfg.step)
         add("regularity",
             "PASS" if regularity.overall == "REGULAR" else "FAIL",
             classification=regularity.overall,
@@ -314,7 +326,7 @@ def _run_checks(args, cfg: Tolerances) -> tuple[list[dict], dict]:
     elif verb == "foliation bundle":
         vfs = jsonio.fields_from_json(jsonio.read_json(args.fields))
         bundle = foliation_bundle(vfs, r_cc=cfg.r_cc, tol_rank=cfg.tol_rank)
-        validation = validate_bundle(bundle, cfg.tol_ortho)
+        validation = validate_bundle(bundle)
         add("validate-bundle", "PASS" if validation.passed else "FAIL",
             ranks=dict(sorted(bundle.stratum_rank.items())),
             problems=list(validation.problems))
@@ -369,8 +381,8 @@ def _render_text(report: dict) -> str:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = _config(args)
     try:
+        cfg = _config(args)
         checks, artifacts = _run_checks(args, cfg)
     except (CliError, jsonio.SchemaError) as exc:
         print(f"svb: error: {exc}", file=sys.stderr)
@@ -381,13 +393,7 @@ def main(argv=None) -> int:
         "schema": jsonio.SCHEMA,
         "tool": {"name": "svb", "version": __version__},
         "command": _verb(args),
-        "config": {
-            "tol_ortho": cfg.tol_ortho, "tol_rank": cfg.tol_rank,
-            "tol_check": cfg.tol_check, "step": cfg.step, "r_cc": cfg.r_cc,
-            "cluster_radius": cfg.cluster_radius,
-            "eps_touch": cfg.eps_touch, "delta_cover": cfg.delta_cover,
-            "tail_len": cfg.tail_len,
-        },
+        "config": dataclasses.asdict(cfg),
         "checks": checks,
         "overall": overall,
     }

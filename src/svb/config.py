@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields
 
-# Orthonormality / projector-idempotence audits.
+# Orthonormality audit of every Subspace basis (entrywise Gram defect).
 TOL_ORTHO = 1e-10
 # Singular values sigma count toward the rank iff sigma > TOL_RANK * sigma_max.
 TOL_RANK = 1e-8
@@ -42,24 +42,21 @@ class Tolerances:
     under audit.
     """
 
-    tol_ortho: float = TOL_ORTHO
     tol_rank: float = TOL_RANK
     tol_check: float = TOL_CHECK
     step: float = STEP
     r_cc: float = R_CC
-    cluster_radius: float = CLUSTER_RADIUS
     eps_touch: float | None = None
     delta_cover: float | None = None
     tail_len: int = TAIL_LEN
 
     def __post_init__(self):
-        for name in ("tol_ortho", "tol_rank", "tol_check", "step", "r_cc",
-                     "cluster_radius"):
-            if getattr(self, name) <= 0:
+        for name in ("tol_rank", "tol_check", "step", "r_cc"):
+            if not getattr(self, name) > 0:  # NaN fails too
                 raise ValueError(f"{name} must be positive")
         for name in ("eps_touch", "delta_cover"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
+            if value is not None and not value > 0:
                 raise ValueError(f"{name} must be positive when set")
         if self.tail_len < 1:
             raise ValueError("tail_len must be at least 1")
@@ -68,19 +65,20 @@ class Tolerances:
     def from_env(cls, environ=None) -> "Tolerances":
         """Build defaults overridden by SVB_* environment variables.
 
-        SVB_TOL_ORTHO, SVB_TOL_RANK, SVB_TOL_CHECK, SVB_STEP, SVB_R_CC,
-        SVB_CLUSTER_RADIUS, SVB_EPS_TOUCH, SVB_DELTA_COVER, SVB_TAIL_LEN.
+        SVB_TOL_RANK, SVB_TOL_CHECK, SVB_STEP, SVB_R_CC, SVB_EPS_TOUCH,
+        SVB_DELTA_COVER, SVB_TAIL_LEN.  Bad values raise ``ValueError``.
         """
         environ = os.environ if environ is None else environ
         overrides = {}
         for f in fields(cls):
-            raw = environ.get(_ENV_PREFIX + f.name.upper())
-            if raw is None:
-                continue
-            if f.name == "tail_len":
-                overrides[f.name] = int(raw)
-            else:
-                overrides[f.name] = float(raw)
+            var = _ENV_PREFIX + f.name.upper()
+            if var in environ:
+                parse = int if f.name == "tail_len" else float
+                try:
+                    overrides[f.name] = parse(environ[var])
+                except ValueError:
+                    raise ValueError(f"{var}: expected {parse.__name__}, "
+                                     f"got {environ[var]!r}") from None
         return cls(**overrides)
 
     def replace(self, **kwargs) -> "Tolerances":

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bundle import SampledStratifiedBundle
-from .config import R_CC, TOL_CHECK, TOL_ORTHO
+from .config import R_CC, TOL_CHECK
 from .grassmann import Subspace, apply_linear_map, gap_distance, intersection, span
 from .strata import (
     LabelPartition,
@@ -47,13 +47,16 @@ __all__ = [
 ]
 
 
+_TOL_ORTHOGONAL = 1e-9  # bound on |M M^T - I| for group and fiber elements
+
+
 class FiniteGroupAction:
     """A finite group of orthogonal n x n matrices, with an optional
     matching list of orthogonal fiber matrices (same multiplication
     table) acting on a bundle's ambient fiber space."""
 
     def __init__(self, n: int, elements: Sequence, fiber_elements=None,
-                 tol: float = 1e-9, tol_ortho: float = TOL_ORTHO):
+                 tol: float = 1e-9):
         self.n = int(n)
         mats = [np.atleast_2d(np.asarray(m, dtype=float)) for m in elements]
         if not mats:
@@ -61,7 +64,7 @@ class FiniteGroupAction:
         for i, m in enumerate(mats):
             if m.shape != (self.n, self.n):
                 raise ValueError(f"element {i} is not {self.n} x {self.n}")
-            if np.linalg.norm(m @ m.T - np.eye(self.n), 2) > max(tol_ortho, 1e-9):
+            if np.linalg.norm(m @ m.T - np.eye(self.n), 2) > _TOL_ORTHOGONAL:
                 raise ValueError(f"element {i} is not orthogonal")
         self.elements = mats
         self.tol = float(tol)
@@ -94,7 +97,7 @@ class FiniteGroupAction:
             for i, m in enumerate(fibs):
                 if m.shape != (k, k):
                     raise ValueError(f"fiber element {i} is not square")
-                if np.linalg.norm(m @ m.T - np.eye(k), 2) > max(tol_ortho, 1e-9):
+                if np.linalg.norm(m @ m.T - np.eye(k), 2) > _TOL_ORTHOGONAL:
                     raise ValueError(f"fiber element {i} is not orthogonal")
             for i in range(order):
                 for j in range(order):

@@ -17,12 +17,7 @@ import numpy as np
 from .bundle import SampledStratifiedBundle
 from .config import R_CC, TOL_RANK
 from .grassmann import Subspace, span
-from .strata import (
-    LabelPartition,
-    Stratification,
-    estimate_cloud_dim,
-    partition_by_label,
-)
+from .strata import Stratification, estimate_cloud_dim, partition_by_label
 
 __all__ = [
     "PolynomialVectorField",
@@ -111,51 +106,36 @@ def distribution_at(vfs: VectorFieldSet, x,
                 tol_rank=tol_rank)
 
 
-def _rank_partition(vfs: VectorFieldSet, r_cc: float,
-                    eps_adjacent: Optional[float],
-                    tol_rank: float) -> LabelPartition:
-    pts = vfs.sample_points
-    ranks = [distribution_at(vfs, p, tol_rank=tol_rank).dim for p in pts]
-    return partition_by_label(
-        pts, ranks, [(f"rank{r}", r) for r in sorted(set(ranks))],
-        dim=lambda rank, cloud: estimate_cloud_dim(cloud),
-        below=lambda low, high: low < high, r_cc=r_cc,
-        eps_adjacent=eps_adjacent)
-
-
 def stratify_by_rank(vfs: VectorFieldSet, r_cc: float = R_CC,
                      eps_adjacent: Optional[float] = None,
                      tol_rank: float = TOL_RANK) -> Stratification:
     """Group the samples by distribution rank and split each rank class
-    into single-linkage components.
+    into single-linkage components: the base of ``foliation_bundle``.
 
     Closure pairs are declared from the rank ordering of clouds within
     ``eps_adjacent`` of each other (default: the clustering radius);
     audit with ``check_frontier``.
     """
-    return _rank_partition(vfs, r_cc, eps_adjacent, tol_rank).stratification
+    return foliation_bundle(vfs, r_cc, eps_adjacent, tol_rank).base
 
 
 def foliation_bundle(vfs: VectorFieldSet, r_cc: float = R_CC,
                      eps_adjacent: Optional[float] = None,
                      tol_rank: float = TOL_RANK) -> SampledStratifiedBundle:
     """Bundle over the rank stratification whose fiber at x is the
-    distribution there; per-stratum rank constancy holds by construction
-    and is re-verified."""
-    part = _rank_partition(vfs, r_cc, eps_adjacent, tol_rank)
-    fibers = {}
-    for i, p in enumerate(vfs.sample_points):
-        fibers[part.point_to_key[i]] = distribution_at(vfs, p,
-                                                       tol_rank=tol_rank)
-    for stratum in part.stratification.strata:
-        dims = {fibers[(stratum.name, j)].dim for j in range(len(stratum))}
-        if dims != {part.label_of_stratum[stratum.name]}:
-            raise ValueError(
-                f"component {stratum.name!r} has non-constant distribution "
-                f"rank {sorted(dims)}")
-    ranks = dict(part.label_of_stratum)
+    distribution there.  Strata are cut by that very rank, so each
+    stratum's rank is constant by construction."""
+    pts = vfs.sample_points
+    dists = [distribution_at(vfs, p, tol_rank=tol_rank) for p in pts]
+    ranks = [d.dim for d in dists]
+    part = partition_by_label(
+        pts, ranks, [(f"rank{r}", r) for r in sorted(set(ranks))],
+        dim=lambda rank, cloud: estimate_cloud_dim(cloud),
+        below=lambda low, high: low < high, r_cc=r_cc,
+        eps_adjacent=eps_adjacent)
+    fibers = {part.point_to_key[i]: d for i, d in enumerate(dists)}
     return SampledStratifiedBundle(part.stratification, vfs.ambient_dim,
-                                   fibers, ranks)
+                                   fibers, dict(part.label_of_stratum))
 
 
 def fields_as_sections(vfs: VectorFieldSet,

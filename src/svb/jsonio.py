@@ -265,7 +265,16 @@ def action_from_json(obj, path="$") -> MonoidActionSample:
     if kind == "builtin":
         descriptor["name"] = _expect(obj, "name", str, path)
     elif kind == "polynomial":
-        descriptor["coeffs"] = _expect(obj, "coeffs", list, path)
+        coeffs = _expect(obj, "coeffs", list, path)
+        for i, coord_terms in enumerate(coeffs):
+            if not isinstance(coord_terms, list):
+                raise SchemaError(f"{path}.coeffs[{i}]: expected a list")
+            for j, term in enumerate(coord_terms):
+                tpath = f"{path}.coeffs[{i}][{j}]"
+                _expect(term, "powers", list, tpath)
+                _finite(np.float64(_expect(term, "coef", (int, float), tpath)),
+                        f"{tpath}.coef")
+        descriptor["coeffs"] = coeffs
     else:
         raise SchemaError(f"{path}.kind: expected 'builtin' or 'polynomial'")
     try:
@@ -288,6 +297,7 @@ def fields_from_json(obj, path="$") -> VectorFieldSet:
         fpath = f"{path}.fields[{i}]"
         for j, term in enumerate(_expect(item, "coeffs", list, fpath)):
             tpath = f"{fpath}.coeffs[{j}]"
+            _expect(term, "powers", list, tpath)
             _matrix(_expect(term, "vector", list, tpath), f"{tpath}.vector",
                     ndim=1)
     try:

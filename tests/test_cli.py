@@ -6,8 +6,8 @@ import pytest
 
 from svb.bundle import SampledStratifiedBundle
 from svb.cli import main
-from svb.fixtures import cone_bundle
-from svb.grassmann import span
+from svb.fixtures import cone_bundle, line_stratification
+from svb.grassmann import Subspace, span
 from svb.jsonio import bundle_from_json, bundle_to_json, read_json, write_json
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -33,8 +33,24 @@ class TestParser:
     def test_missing_subcommand_exits_with_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["check"])
-        assert exc.value.code == 2
+        assert exc.value.code == 1
         assert "usage" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--tol-ortho", "--cluster-radius"])
+    def test_removed_tolerance_flag_is_usage_error(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "frontier", "--stratification", fx("line.json"),
+                  flag, "1e-9"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 1
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag}" in captured.err
+
+    def test_help_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "frontier", "--help"])
+        assert exc.value.code == 0
+        assert "--tol-check" in capsys.readouterr().out
 
 
 class TestExitCodes:
@@ -131,6 +147,8 @@ class TestNonFiniteInput:
          ["foliation", "stratify", "--r-cc", "0.015", "--fields"]),
         ("action_scalar.json", ("t_grid", 1), "$.t_grid",
          ["monoid", "analyze", "--action"]),
+        ("action_cone_scalar.json", ("coeffs", 1, 0, "coef"),
+         "$.coeffs[1][0].coef", ["monoid", "analyze", "--action"]),
         ("sign_flip_group.json", ("elements", 1, 0, 0), "$.elements[1]",
          ["equivariant", "tilde", "--bundle", fx("sign_flip_tangent.json"),
           "--group"]),
@@ -138,8 +156,8 @@ class TestNonFiniteInput:
          "$.fiber_elements[1]",
          ["equivariant", "tilde", "--bundle", fx("sign_flip_tangent.json"),
           "--group"]),
-    ], ids=["fields-sample", "fields-vector", "action-t-grid", "group-element",
-            "group-fiber-element"])
+    ], ids=["fields-sample", "fields-vector", "action-t-grid", "action-coef",
+            "group-element", "group-fiber-element"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_reader_input_is_one(self, capsys, tmp_path, fixture,
                                             entry, where, argv, value):
@@ -155,6 +173,19 @@ class TestNonFiniteInput:
         assert code == 1
         assert captured.out == ""
         assert f"{where}: non-finite value" in captured.err
+
+    def test_overflowing_action_is_one(self, capsys, tmp_path):
+        # A finite coefficient whose values overflow during the audits.
+        obj = read_json(fx("action_cone_scalar.json"))
+        obj["coeffs"][0][0]["coef"] = 1e308
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        code = main(["monoid", "analyze", "--action", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "svb: error: action: evaluator returned a non-finite value" \
+            in captured.err
 
 
 class TestVerbs:
@@ -243,6 +274,39 @@ class TestVerbs:
         produced = bundle_from_json(read_json(str(bundle_path)))
         assert sorted(produced.stratum_rank.values()) == [0, 1, 1]
 
+    @staticmethod
+    def _gram_defect_bundle(tmp_path, rank):
+        """Constant fibers whose basis has Gram defect 9e-11, just inside
+        the orthonormality tolerance of Subspace."""
+        base = line_stratification()
+        w = Subspace(3, np.eye(3)[:rank] * (1 + 4.5e-11))
+        fibers = {(s.name, i): w for s in base.strata for i in range(len(s))}
+        path = tmp_path / f"rank{rank}.json"
+        write_json(bundle_to_json(SampledStratifiedBundle(
+            base, 3, fibers, {s.name: rank for s in base.strata})),
+            str(path))
+        return str(path)
+
+    def test_apply_functor_accepts_gram_defect_at_tolerance(self, capsys,
+                                                            tmp_path):
+        code, out = run(capsys, "apply-functor", "--functor", "sym:3",
+                        "--bundle", self._gram_defect_bundle(tmp_path, 1))
+        assert code == 0
+        verdicts = {c["name"]: c["verdict"] for c in json.loads(out)["checks"]}
+        assert verdicts == {"validate-input": "PASS",
+                            "validate-output": "PASS"}
+
+    def test_whitney_a_accepts_gram_defect_at_tolerance(self, capsys,
+                                                        tmp_path):
+        code, out = run(capsys, "check", "whitney-a",
+                        "--bundle", self._gram_defect_bundle(tmp_path, 2),
+                        "--auto-sequence", "radial:S0[0],10",
+                        "--source-stratum", "S+")
+        assert code == 0
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["validate-bundle"]["verdict"] == "PASS"
+        assert checks["validate-bundle"]["problems"] == []
+
     def test_auto_sequence(self, capsys):
         code, out = run(capsys, "check", "whitney-a",
                         "--bundle", fx("cone_pass.json"),
@@ -296,3 +360,20 @@ class TestEnvOverrides:
                         "--scenario", fx("cone_scenario.json"),
                         "--tol-check", "1e-7")
         assert json.loads(out)["config"]["tol_check"] == 1e-7
+
+    @pytest.mark.parametrize("env, flags, message", [
+        ({}, ["--tol-check", "-1"], "tol_check must be positive"),
+        ({}, ["--tol-check", "nan"], "tol_check must be positive"),
+        ({"SVB_TAIL_LEN": "abc"}, [], "SVB_TAIL_LEN: expected int, got 'abc'"),
+        ({"SVB_R_CC": "0"}, [], "r_cc must be positive"),
+    ], ids=["flag-negative", "flag-nan", "env-unparsable", "env-zero"])
+    def test_bad_tolerance_is_one(self, capsys, monkeypatch, env, flags,
+                                  message):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        code = main(["check", "frontier", "--stratification", fx("line.json")]
+                    + flags)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"svb: error: {message}" in captured.err

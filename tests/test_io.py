@@ -125,6 +125,12 @@ class TestSchemaErrors:
     def test_fields_missing_key(self):
         with pytest.raises(SchemaError, match="ambient"):
             fields_from_json({"schema": SCHEMA, "fields": [], "samples": []})
+        term = {"vector": [1.0]}
+        with pytest.raises(SchemaError,
+                           match=r"\$\.fields\[0\]\.coeffs\[0\]\.powers: missing"):
+            fields_from_json({"schema": SCHEMA, "ambient": 1,
+                              "fields": [{"coeffs": [term]}],
+                              "samples": [[0.0]]})
 
     def test_unreadable_file(self, tmp_path):
         missing = tmp_path / "nope.json"
