@@ -28,8 +28,11 @@ from svb.jsonio import (
 from svb.monoid import MonoidActionSample
 
 
-def main() -> None:
-    root = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+
+def main(root: str = FIXTURES) -> None:
+    """Write the corpus into ``root`` (default: the committed fixtures/)."""
     os.makedirs(root, exist_ok=True)
 
     def emit(name, obj):

@@ -1,11 +1,13 @@
 """Finite orthogonal group actions on sampled spaces and bundles.
 
-A group is a finite list of orthogonal matrices closed under products;
+A group is a finite stack of orthogonal matrices closed under products;
 everything downstream is brute force over the multiplication table:
 stabilizers, conjugacy classes of subgroups, orbit-type stratifications,
 and fixed subspaces via averaging.  ``invariant_subbundle`` shrinks an
 equivariant bundle to the stabilizer-invariant part of each fiber and
-``quotient_bundle`` pushes the result down to one fiber per orbit.
+``quotient_bundle`` pushes the result down to one fiber per orbit.  The
+equivariance audit needs no rank decision: an orthogonal fiber matrix M
+carries the fiber with projection P onto the one with projection M P M^T.
 
 Infinite rotation groups are not first class; the plane-rotation action
 on R^2 ships as a closed-form fixture (``circle_action_on_plane_report``)
@@ -15,13 +17,13 @@ reproducing its quotient rank table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .bundle import SampledStratifiedBundle
 from .config import R_CC, TOL_CHECK
-from .grassmann import Subspace, apply_linear_map, gap_distance, intersection, span
+from .grassmann import Subspace, intersection, span
 from .strata import (
     LabelPartition,
     Stratification,
@@ -47,45 +49,39 @@ __all__ = [
 ]
 
 
-_TOL_ORTHOGONAL = 1e-9  # bound on |M M^T - I| for group and fiber elements
+_TOL_GROUP = 1e-9  # bound on orthogonality defects, matches, fiber table
 
 
 class FiniteGroupAction:
     """A finite group of orthogonal n x n matrices, with an optional
     matching list of orthogonal fiber matrices (same multiplication
-    table) acting on a bundle's ambient fiber space."""
+    table) acting on a bundle's ambient fiber space, both held as
+    stacked ``(order, n, n)`` and ``(order, k, k)`` arrays."""
 
-    def __init__(self, n: int, elements: Sequence, fiber_elements=None,
-                 tol: float = 1e-9):
+    def __init__(self, n: int, elements: Sequence, fiber_elements=None):
         self.n = int(n)
         mats = [np.atleast_2d(np.asarray(m, dtype=float)) for m in elements]
         if not mats:
             raise ValueError("group needs at least the identity element")
-        for i, m in enumerate(mats):
-            if m.shape != (self.n, self.n):
-                raise ValueError(f"element {i} is not {self.n} x {self.n}")
-            if np.linalg.norm(m @ m.T - np.eye(self.n), 2) > _TOL_ORTHOGONAL:
-                raise ValueError(f"element {i} is not orthogonal")
-        self.elements = mats
-        self.tol = float(tol)
-        self.identity_index = self._match(np.eye(self.n), mats, tol)
-        if self.identity_index is None:
+        self.elements = mats = _orthogonal_stack(
+            mats, self.n, "element", f"element {{}} is not {self.n} x {self.n}")
+        identity = np.abs(mats - np.eye(self.n)).max(axis=(1, 2)) <= _TOL_GROUP
+        if identity.sum() != 1:
             raise ValueError("the identity matrix is missing from the group")
+        self.identity_index = int(identity.argmax())
         order = len(mats)
         self.table = np.zeros((order, order), dtype=int)
         for i in range(order):
-            for j in range(order):
-                k = self._match(mats[i] @ mats[j], mats, tol)
-                if k is None:
-                    raise ValueError(
-                        f"product of elements {i} and {j} is not in the group")
-                self.table[i, j] = k
-        self.inverse = np.zeros(order, dtype=int)
-        for i in range(order):
-            hits = np.nonzero(self.table[i] == self.identity_index)[0]
-            if hits.size != 1:
-                raise ValueError(f"element {i} has no unique inverse")
-            self.inverse[i] = hits[0]
+            # matches[j, k]: the product of elements i and j is element k.
+            matches = np.abs((mats[i] @ mats)[:, None] - mats).max(
+                axis=(2, 3)) <= _TOL_GROUP
+            _raise_first(matches.sum(axis=1) != 1,
+                         f"product of elements {i} and {{}} is not in the group")
+            self.table[i] = matches.argmax(axis=1)
+        inverses = self.table == self.identity_index
+        _raise_first(inverses.sum(axis=1) != 1,
+                     "element {} has no unique inverse")
+        self.inverse = inverses.argmax(axis=1)
 
         self.fiber_elements = None
         if fiber_elements is not None:
@@ -93,28 +89,13 @@ class FiniteGroupAction:
                     for m in fiber_elements]
             if len(fibs) != order:
                 raise ValueError("fiber_elements must match the element list")
-            k = fibs[0].shape[0]
-            for i, m in enumerate(fibs):
-                if m.shape != (k, k):
-                    raise ValueError(f"fiber element {i} is not square")
-                if np.linalg.norm(m @ m.T - np.eye(k), 2) > _TOL_ORTHOGONAL:
-                    raise ValueError(f"fiber element {i} is not orthogonal")
-            for i in range(order):
-                for j in range(order):
-                    want = fibs[self.table[i, j]]
-                    if np.linalg.norm(fibs[i] @ fibs[j] - want, 2) > tol:
-                        raise ValueError(
-                            "fiber elements do not follow the multiplication "
-                            f"table at ({i}, {j})")
+            fibs = _orthogonal_stack(fibs, fibs[0].shape[0], "fiber element",
+                                     "fiber element {} is not square")
+            residual = np.linalg.norm(fibs[:, None] @ fibs - fibs[self.table],
+                                      2, axis=(2, 3))
+            _raise_first(residual > _TOL_GROUP, "fiber elements do not follow "
+                         "the multiplication table at ({}, {})")
             self.fiber_elements = fibs
-
-    @staticmethod
-    def _match(candidate, mats, tol) -> Optional[int]:
-        hits = [i for i, m in enumerate(mats)
-                if float(np.abs(candidate - m).max()) <= tol]
-        if len(hits) == 1:
-            return hits[0]
-        return None
 
     @property
     def order(self) -> int:
@@ -130,14 +111,34 @@ class FiniteGroupAction:
                             for h in subgroup))
 
     def to_json(self) -> dict:
-        out = {"n": self.n, "elements": [m.tolist() for m in self.elements]}
+        out = {"n": self.n, "elements": self.elements.tolist()}
         if self.fiber_elements is not None:
-            out["fiber_elements"] = [m.tolist() for m in self.fiber_elements]
+            out["fiber_elements"] = self.fiber_elements.tolist()
         return out
 
     @classmethod
     def from_json(cls, obj: dict) -> "FiniteGroupAction":
         return cls(obj["n"], obj["elements"], obj.get("fiber_elements"))
+
+
+def _raise_first(bad, message: str) -> None:
+    """Raise ``message`` formatted with the indices of the first true
+    entry of ``bad`` in row-major order, if there is one."""
+    off = np.argwhere(bad)
+    if off.size:
+        raise ValueError(message.format(*off[0]))
+
+
+def _orthogonal_stack(mats, size: int, what: str,
+                      shape_error: str) -> np.ndarray:
+    """Stack ``mats``, raising at the first that is not ``size x size``,
+    then at the first that is not orthogonal."""
+    _raise_first([m.shape != (size, size) for m in mats], shape_error)
+    mats = np.stack(mats)
+    defect = np.linalg.norm(mats @ mats.transpose(0, 2, 1) - np.eye(size), 2,
+                            axis=(1, 2))
+    _raise_first(defect > _TOL_GROUP, f"{what} {{}} is not orthogonal")
+    return mats
 
 
 @dataclass(frozen=True)
@@ -155,25 +156,18 @@ def stabilizer(g: FiniteGroupAction, x, tol: float = TOL_CHECK
                ) -> tuple[int, ...]:
     """Indices of the elements fixing x, verified subgroup-closed."""
     x = np.asarray(x, dtype=float)
-    members = tuple(i for i, m in enumerate(g.elements)
-                    if float(np.linalg.norm(m @ x - x)) <= tol)
-    member_set = set(members)
-    for i in members:
-        for j in members:
-            if g.multiply(i, j) not in member_set:
-                raise ValueError(
-                    f"stabilizer of {x.tolist()} is not closed under the group "
-                    "table; the tolerance is too loose or too tight")
-    return members
+    members = np.flatnonzero(np.linalg.norm(g.elements @ x - x, axis=1) <= tol)
+    if not np.isin(g.table[np.ix_(members, members)], members).all():
+        raise ValueError(
+            f"stabilizer of {x.tolist()} is not closed under the group "
+            "table; the tolerance is too loose or too tight")
+    return tuple(members.tolist())
 
 
 def conjugacy_label(g: FiniteGroupAction, subgroup) -> OrbitTypeLabel:
-    best = tuple(sorted(int(i) for i in subgroup))
-    for t in range(g.order):
-        candidate = g.conjugate_subgroup(subgroup, t)
-        if candidate < best:
-            best = candidate
-    return OrbitTypeLabel(best)
+    # Conjugating by the identity gives the sorted subgroup itself.
+    return OrbitTypeLabel(min(g.conjugate_subgroup(subgroup, t)
+                              for t in range(g.order)))
 
 
 def fixed_subspace(g: FiniteGroupAction, subgroup, use_fiber: bool = False,
@@ -196,26 +190,32 @@ def fixed_subspace(g: FiniteGroupAction, subgroup, use_fiber: bool = False,
 
 
 def orbit_type_partition(g: FiniteGroupAction, points, r_cc: float = R_CC,
-                         tol: float = TOL_CHECK,
-                         eps_adjacent: Optional[float] = None
-                         ) -> LabelPartition:
+                         tol: float = TOL_CHECK) -> LabelPartition:
     """Group points by the conjugacy class of their stabilizers and split
-    each class into connected components.
+    each class into connected components at radius ``r_cc``.
 
     The closure order of the emitted stratification is declared by the
     containment heuristic (a stratum with a strictly larger stabilizer
     class lies below one whose class embeds into it, when their clouds
-    are adjacent); audit it with ``check_frontier``.
+    come within ``r_cc``); audit it with ``check_frontier``.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    labels = [conjugacy_label(g, stabilizer(g, p, tol)) for p in pts]
+    return _partition_by_stabilizer(g, pts, [stabilizer(g, p, tol)
+                                             for p in pts], r_cc)
+
+
+def _partition_by_stabilizer(g: FiniteGroupAction, pts: np.ndarray, stabs,
+                             r_cc: float) -> LabelPartition:
+    """``orbit_type_partition`` for points whose stabilizers are known."""
+    label_of = {stab: conjugacy_label(g, stab) for stab in dict.fromkeys(stabs)}
+    labels = [label_of[stab] for stab in stabs]
     distinct = sorted(set(labels), key=lambda lab: (-len(lab), lab.indices))
     dims = {label: fixed_subspace(g, label.indices).dim for label in distinct}
     return partition_by_label(
         pts, labels, [(f"type{t}", label) for t, label in enumerate(distinct)],
         dim=lambda label, cloud: dims[label],
         below=lambda low, high: _class_properly_contains(g, low, high),
-        r_cc=r_cc, eps_adjacent=eps_adjacent)
+        r_cc=r_cc)
 
 
 def _class_properly_contains(g: FiniteGroupAction, big: OrbitTypeLabel,
@@ -226,11 +226,6 @@ def _class_properly_contains(g: FiniteGroupAction, big: OrbitTypeLabel,
     big_set = set(big.indices)
     return any(set(g.conjugate_subgroup(small.indices, t)) <= big_set
                for t in range(g.order))
-
-
-def _pooled_points(b: SampledStratifiedBundle):
-    keys = b.point_keys()
-    return keys, np.array([b.point(k) for k in keys])
 
 
 def _point_permutations(g: FiniteGroupAction, pts: np.ndarray,
@@ -256,16 +251,42 @@ def _point_permutations(g: FiniteGroupAction, pts: np.ndarray,
     return perms
 
 
-def _audit_equivariance(g: FiniteGroupAction, b: SampledStratifiedBundle,
-                        keys, perms, tol: float, message: str) -> None:
-    """Raise ``message.format(i=, key=, gap=)`` at the first fiber that
-    element ``i`` does not carry onto the fiber over the image point."""
-    for i, perm in enumerate(perms):
-        for p, key in enumerate(keys):
-            moved = apply_linear_map(g.fiber_elements[i], b.fiber(key))
-            gap = gap_distance(moved, b.fiber(keys[perm[p]]))
-            if gap > tol:
-                raise ValueError(message.format(i=i, key=key, gap=gap))
+def _equivariant_samples(g: FiniteGroupAction, b: SampledStratifiedBundle,
+                         tol: float, task: str, message: str):
+    """Sample keys, points and each element's permutation of the points,
+    once ``g`` is shown to carry a fiber action on ``b``'s spaces that is
+    equivariant: ``message.format(i=, key=, gap=)`` is raised at the first
+    fiber (elements in order, then points) that element ``i`` carries
+    farther than ``tol`` from the fiber over the image point."""
+    if g.fiber_elements is None:
+        raise ValueError(f"{task} needs a fiber action")
+    if g.n != b.base.ambient_dim:
+        raise ValueError(f"group acts on R^{g.n}, but the bundle base lies "
+                         f"in R^{b.base.ambient_dim}")
+    k = g.fiber_elements.shape[1]
+    if k != b.fiber_ambient:
+        raise ValueError(f"fiber elements are {k} x {k}, but the bundle "
+                         f"fibers lie in R^{b.fiber_ambient}")
+    keys = b.point_keys()
+    pts = np.array([b.point(key) for key in keys])
+    perms = _point_permutations(g, pts, tol)
+    gaps = _equivariance_gaps(g, b, keys, perms)
+    off = np.argwhere(gaps > tol)
+    if off.size:
+        i, p = off[0]
+        raise ValueError(message.format(i=i, key=keys[p], gap=gaps[i, p]))
+    return keys, pts, perms
+
+
+def _equivariance_gaps(g: FiniteGroupAction, b: SampledStratifiedBundle,
+                       keys, perms) -> np.ndarray:
+    """``[i, p]``: gap between the image under element ``i`` of the fiber
+    over ``keys[p]``, of projection M P M^T, and the fiber over the image
+    point."""
+    proj = np.stack([b.fiber(key).projection for key in keys])
+    return np.stack([np.linalg.norm(m @ proj @ m.T - proj[perm], 2,
+                                    axis=(1, 2))
+                     for m, perm in zip(g.fiber_elements, perms)])
 
 
 def _constant_ranks(base: Stratification, fibers, message: str) -> dict:
@@ -292,23 +313,18 @@ def invariant_subbundle(g: FiniteGroupAction, b: SampledStratifiedBundle,
     fiber over g.x within ``tol``.  Per-stratum rank constancy of the
     result is verified and violations raise.
     """
-    if g.fiber_elements is None:
-        raise ValueError("building the invariant subbundle needs a fiber action")
-    keys, pts = _pooled_points(b)
-    if pts.shape[1] != g.n:
-        raise ValueError("group acts on the wrong ambient dimension")
-    _audit_equivariance(
-        g, b, keys, _point_permutations(g, pts, tol), tol,
+    keys, pts, _ = _equivariant_samples(
+        g, b, tol, "building the invariant subbundle",
         "bundle is not equivariant: element {i} maps the fiber over {key} "
         "with gap {gap:.3e}")
 
-    partition = orbit_type_partition(g, pts, r_cc=r_cc, tol=tol)
-    new_fibers = {}
-    for p, key in enumerate(keys):
-        stab = stabilizer(g, pts[p], tol)
-        invariant = fixed_subspace(g, stab, use_fiber=True)
-        new_fibers[partition.point_to_key[p]] = intersection(
-            b.fiber(key), invariant, tol=tol)
+    stabs = [stabilizer(g, p, tol) for p in pts]
+    partition = _partition_by_stabilizer(g, pts, stabs, r_cc)
+    invariant = {stab: fixed_subspace(g, stab, use_fiber=True)
+                 for stab in dict.fromkeys(stabs)}
+    new_fibers = {partition.point_to_key[p]: intersection(
+        b.fiber(key), invariant[stab], tol=tol)
+        for p, (key, stab) in enumerate(zip(keys, stabs))}
 
     ranks = _constant_ranks(
         partition.stratification, new_fibers,
@@ -328,14 +344,8 @@ def quotient_bundle(g: FiniteGroupAction, tilde: SampledStratifiedBundle,
     within ``tol`` across every orbit, so the representative fiber is
     well defined.
     """
-    if g.fiber_elements is None:
-        raise ValueError("quotient needs a fiber action")
-    keys, pts = _pooled_points(tilde)
-    perms = _point_permutations(g, pts, tol)
-
-    # Audit: fibers along each orbit map onto each other.
-    _audit_equivariance(
-        g, tilde, keys, perms, tol,
+    keys, pts, perms = _equivariant_samples(
+        g, tilde, tol, "quotient",
         "representative fiber mismatch across an orbit: element {i} at "
         "{key} has gap {gap:.3e}")
 
@@ -344,8 +354,7 @@ def quotient_bundle(g: FiniteGroupAction, tilde: SampledStratifiedBundle,
     reps = sorted(min(members, key=lambda p: tuple(pts[p]))
                   for members in orbits)
 
-    rep_pts = pts[reps]
-    partition = orbit_type_partition(g, rep_pts, r_cc=r_cc, tol=tol)
+    partition = orbit_type_partition(g, pts[reps], r_cc=r_cc, tol=tol)
     renamed = Stratification(
         [Stratum(f"{s.name}/G", s.dim, s.points)
          for s in partition.stratification.strata],

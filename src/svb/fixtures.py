@@ -290,7 +290,7 @@ def rotation_group(n: int, with_tangent_action: bool = True
         mats.append(np.array([[np.cos(theta), -np.sin(theta)],
                               [np.sin(theta), np.cos(theta)]]))
     fiber = [m.copy() for m in mats] if with_tangent_action else None
-    return FiniteGroupAction(2, mats, fiber_elements=fiber, tol=1e-9)
+    return FiniteGroupAction(2, mats, fiber_elements=fiber)
 
 
 def sign_flip_tangent_bundle() -> SampledStratifiedBundle:

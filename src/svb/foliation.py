@@ -10,7 +10,7 @@ Leaves are never integrated; only the tangent data is built.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -107,20 +107,18 @@ def distribution_at(vfs: VectorFieldSet, x,
 
 
 def stratify_by_rank(vfs: VectorFieldSet, r_cc: float = R_CC,
-                     eps_adjacent: Optional[float] = None,
                      tol_rank: float = TOL_RANK) -> Stratification:
     """Group the samples by distribution rank and split each rank class
     into single-linkage components: the base of ``foliation_bundle``.
 
     Closure pairs are declared from the rank ordering of clouds within
-    ``eps_adjacent`` of each other (default: the clustering radius);
-    audit with ``check_frontier``.
+    the clustering radius ``r_cc`` of each other; audit with
+    ``check_frontier``.
     """
-    return foliation_bundle(vfs, r_cc, eps_adjacent, tol_rank).base
+    return foliation_bundle(vfs, r_cc, tol_rank).base
 
 
 def foliation_bundle(vfs: VectorFieldSet, r_cc: float = R_CC,
-                     eps_adjacent: Optional[float] = None,
                      tol_rank: float = TOL_RANK) -> SampledStratifiedBundle:
     """Bundle over the rank stratification whose fiber at x is the
     distribution there.  Strata are cut by that very rank, so each
@@ -131,8 +129,7 @@ def foliation_bundle(vfs: VectorFieldSet, r_cc: float = R_CC,
     part = partition_by_label(
         pts, ranks, [(f"rank{r}", r) for r in sorted(set(ranks))],
         dim=lambda rank, cloud: estimate_cloud_dim(cloud),
-        below=lambda low, high: low < high, r_cc=r_cc,
-        eps_adjacent=eps_adjacent)
+        below=lambda low, high: low < high, r_cc=r_cc)
     fibers = {part.point_to_key[i]: d for i, d in enumerate(dists)}
     return SampledStratifiedBundle(part.stratification, vfs.ambient_dim,
                                    fibers, dict(part.label_of_stratum))

@@ -91,14 +91,12 @@ def _matrix(value, path, ndim=2):
     kind = "list of numbers" if ndim == 1 else "list of equal-length rows"
     try:
         arr = np.asarray(value, dtype=float)
+    except OverflowError:
+        raise SchemaError(f"{path}: number beyond the float range") from None
     except (TypeError, ValueError):
         arr = None
     if arr is None or arr.ndim != ndim:
         raise SchemaError(f"{path}: expected a numeric {kind}")
-    return _finite(arr, path)
-
-
-def _finite(arr, path):
     if not np.isfinite(arr).all():
         raise SchemaError(f"{path}: non-finite value (NaN or infinity)")
     return arr
@@ -148,9 +146,7 @@ def stratification_from_json(obj, path="$") -> Stratification:
 def subspace_from_json(obj, path="$") -> Subspace:
     ambient = _expect(obj, "ambient", int, path)
     basis = _expect(obj, "basis", list, path)
-    arr = np.asarray(basis, dtype=float) if basis else \
-        np.zeros((0, ambient))
-    _finite(arr, f"{path}.basis")
+    arr = _matrix(basis, f"{path}.basis") if basis else np.zeros((0, ambient))
     try:
         return Subspace(ambient, arr)
     except ValueError as exc:
@@ -193,9 +189,8 @@ def bundle_from_json(obj, path="$") -> SampledStratifiedBundle:
         if len(idx) != 2:
             raise SchemaError(f"{fpath}.point_index: expected [stratum, i]")
         basis = _expect(item, "basis", list, fpath)
-        arr = np.asarray(basis, dtype=float) if basis else \
+        arr = _matrix(basis, f"{fpath}.basis") if basis else \
             np.zeros((0, fiber_ambient))
-        _finite(arr, f"{fpath}.basis")
         try:
             fibers[(str(idx[0]), int(idx[1]))] = Subspace(fiber_ambient, arr)
         except ValueError as exc:
@@ -272,8 +267,8 @@ def action_from_json(obj, path="$") -> MonoidActionSample:
             for j, term in enumerate(coord_terms):
                 tpath = f"{path}.coeffs[{i}][{j}]"
                 _expect(term, "powers", list, tpath)
-                _finite(np.float64(_expect(term, "coef", (int, float), tpath)),
-                        f"{tpath}.coef")
+                _matrix([_expect(term, "coef", (int, float), tpath)],
+                        f"{tpath}.coef", ndim=1)
         descriptor["coeffs"] = coeffs
     else:
         raise SchemaError(f"{path}.kind: expected 'builtin' or 'polynomial'")

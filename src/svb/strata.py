@@ -233,8 +233,7 @@ def partition_by_label(points, labels: Sequence[Hashable],
                        classes: Sequence[tuple[str, Hashable]],
                        dim: Callable[[Hashable, np.ndarray], int],
                        below: Callable[[Hashable, Hashable], bool],
-                       r_cc: float, eps_adjacent: Optional[float] = None
-                       ) -> LabelPartition:
+                       r_cc: float) -> LabelPartition:
     """Group labelled points into strata.
 
     ``classes`` lists ``(prefix, label)`` for every distinct label, in
@@ -242,12 +241,9 @@ def partition_by_label(points, labels: Sequence[Hashable],
     single-linkage components at radius ``r_cc``, named
     ``{prefix}_c{c}``, with dimension ``dim(label, cloud)``.  A stratum
     is declared in the closure of another when ``below(its label, the
-    other's label)`` holds and the two clouds come within
-    ``eps_adjacent`` (default: ``r_cc``); audit the result with
-    ``check_frontier``.
+    other's label)`` holds and the two clouds come within ``r_cc``;
+    audit the result with ``check_frontier``.
     """
-    if eps_adjacent is None:
-        eps_adjacent = r_cc
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     labels = tuple(labels)
     strata = []
@@ -270,7 +266,7 @@ def partition_by_label(points, labels: Sequence[Hashable],
         gaps = cloud_minima(low.points, clouds).min(axis=0)
         for high, gap in zip(strata, gaps):
             if (below(label_of_stratum[low.name], label_of_stratum[high.name])
-                    and gap <= eps_adjacent):
+                    and gap <= r_cc):
                 closure.append((low.name, high.name))
     return LabelPartition(Stratification(strata, closure_order=closure),
                           labels, point_to_key, label_of_stratum)

@@ -174,6 +174,42 @@ class TestNonFiniteInput:
         assert captured.out == ""
         assert f"{where}: non-finite value" in captured.err
 
+    @pytest.mark.parametrize("fixture, entry, value, message, argv", [
+        ("line.json", ("strata", 1, "points", 2, 0), 10 ** 400,
+         "$.strata[1].points: number beyond the float range",
+         ["check", "frontier", "--stratification"]),
+        ("action_cone_scalar.json", ("coeffs", 1, 0, "coef"), 10 ** 400,
+         "$.coeffs[1][0].coef: number beyond the float range",
+         ["monoid", "analyze", "--action"]),
+        ("ring_tangent.json", ("fibers", 3, "basis", 0, 0), 10 ** 400,
+         "$.fibers[3].basis: number beyond the float range",
+         ["equivariant", "tilde", "--group", fx("rotation8_group.json"),
+          "--bundle"]),
+        ("ring_tangent.json", ("fibers", 3, "basis", 1), [0.0],
+         "$.fibers[3].basis: expected a numeric list of equal-length rows",
+         ["equivariant", "tilde", "--group", fx("rotation8_group.json"),
+          "--bundle"]),
+        ("plane_in_r3.json", ("basis", 1), [0.0, 1.0],
+         "$.basis: expected a numeric list of equal-length rows",
+         ["check", "orthogonality", "--functor", "wedge:2", "--subspace"]),
+    ], ids=["point-overflow", "coef-overflow", "basis-overflow",
+            "bundle-basis-ragged", "subspace-basis-ragged"])
+    def test_unrepresentable_reader_input_is_one(self, capsys, tmp_path,
+                                                 fixture, entry, value,
+                                                 message, argv):
+        obj = read_json(fx(fixture))
+        target = obj
+        for step in entry[:-1]:
+            target = target[step]
+        target[entry[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        code = main(argv + [str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_overflowing_action_is_one(self, capsys, tmp_path):
         # A finite coefficient whose values overflow during the audits.
         obj = read_json(fx("action_cone_scalar.json"))
@@ -253,6 +289,23 @@ class TestVerbs:
         comparison = [c for c in report["checks"]
                       if c["name"] == "tangent-comparison"][0]
         assert comparison["isomorphic"] is True
+
+    @pytest.mark.parametrize("verb", ["tilde", "quotient"])
+    @pytest.mark.parametrize("group, bundle, message", [
+        ("sign_flip_group.json", "ring_tangent.json",
+         "group acts on R^1, but the bundle base lies in R^2"),
+        ("sign_flip_group.json", "trivial3.json",
+         "fiber elements are 1 x 1, but the bundle fibers lie in R^3"),
+        ("rotation8_group.json", "trivial3.json",
+         "group acts on R^2, but the bundle base lies in R^1"),
+    ], ids=["base", "fiber", "base-before-fiber"])
+    def test_equivariant_size_mismatch_fails(self, capsys, verb, group,
+                                             bundle, message):
+        code, out = run(capsys, "equivariant", verb, "--group", fx(group),
+                        "--bundle", fx(bundle))
+        assert code == 2
+        (check,) = json.loads(out)["checks"]
+        assert check == {"name": verb, "verdict": "FAIL", "error": message}
 
     def test_foliation_stratify_and_bundle(self, capsys, tmp_path):
         strat = tmp_path / "strat.json"

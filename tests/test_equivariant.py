@@ -1,10 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 
 from svb import strata
 from svb.bundle import SampledStratifiedBundle, trivial_bundle
+from svb.config import TOL_CHECK
 from svb.equivariant import (
     FiniteGroupAction,
+    _equivariance_gaps,
     _point_permutations,
     circle_action_on_plane_report,
     conjugacy_label,
@@ -24,8 +28,8 @@ from svb.fixtures import (
     sign_flip_group,
     sign_flip_tangent_bundle,
 )
-from svb.grassmann import Subspace, gap_distance, span
-from svb.strata import check_frontier
+from svb.grassmann import Subspace, apply_linear_map, gap_distance, span
+from svb.strata import Stratification, Stratum, check_frontier
 
 
 def trivial_group(n=2):
@@ -59,6 +63,34 @@ class TestGroupConstruction:
         with pytest.raises(ValueError, match="multiplication"):
             FiniteGroupAction(1, [[[1.0]], [[-1.0]]],
                               fiber_elements=[[[-1.0]], [[1.0]]])
+
+    @pytest.mark.parametrize("elements, fibers, message", [
+        ([np.eye(2), np.diag([1.0, -1.0]), np.diag([2.0, 0.5])], None,
+         "element 2 is not orthogonal"),
+        ([[[1.0]], [[-1.0]]], [[[1.0]], [[2.0]]],
+         "fiber element 1 is not orthogonal"),
+    ], ids=["element", "fiber-element"])
+    def test_non_orthogonal_index_named(self, elements, fibers, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FiniteGroupAction(len(elements[0]), elements,
+                              fiber_elements=fibers)
+
+    def test_fiber_table_mismatch_names_pair(self):
+        # k -> (-1)^k is a homomorphism of the quarter rotations; swapping
+        # the last two signs first breaks the table at (1, 1): the fiber
+        # square of element 1 is +1, the fiber element of the half turn -1.
+        g = rotation_group(4, with_tangent_action=False)
+        with pytest.raises(ValueError, match=r"table at \(1, 1\)$"):
+            FiniteGroupAction(2, g.elements,
+                              fiber_elements=[[[1.0]], [[-1.0]], [[-1.0]],
+                                              [[1.0]]])
+
+    def test_missing_identity_reported_before_closure(self):
+        # The set lacks the identity and is not closed either.
+        rot = rotation_group(4, with_tangent_action=False).elements
+        with pytest.raises(ValueError,
+                           match="^the identity matrix is missing"):
+            FiniteGroupAction(2, [rot[1], rot[2]])
 
     def test_inverses_found(self):
         g = dihedral_square_group()
@@ -229,6 +261,83 @@ class TestPointPermutations:
         pts = grid_points(step=0.5)
         for m, perm in zip(g.elements, _point_permutations(g, pts, 1e-8)):
             assert np.allclose(pts[perm], pts @ m.T)
+
+
+def radial_line_bundle(order=8, tilt=0.0, tilted=3):
+    """Rank-1 radial lines over an ``order``-point unit ring, equivariant
+    under ``rotation_group(order)`` until the line over point ``tilted``
+    is turned by ``tilt``: element 1 then carries the line over point
+    ``tilted - 1`` onto a line at angle ``tilt`` to the fiber there."""
+    angles = 2.0 * np.pi * np.arange(order) / order
+    base = Stratification([Stratum(
+        "ring", 1, np.column_stack([np.cos(angles), np.sin(angles)]))])
+    turn = np.where(np.arange(order) == tilted, tilt, 0.0)
+    fibers = {("ring", k): span([(np.cos(a + t), np.sin(a + t))], 2)
+              for k, (a, t) in enumerate(zip(angles, turn))}
+    return SampledStratifiedBundle(base, 2, fibers, {"ring": 1})
+
+
+class TestEquivarianceThreshold:
+    CASES = [
+        (invariant_subbundle, "bundle is not equivariant: element 1 maps "
+         "the fiber over ('ring', 2) with gap 2.000e-08"),
+        (quotient_bundle, "representative fiber mismatch across an orbit: "
+         "element 1 at ('ring', 2) has gap 2.000e-08"),
+    ]
+
+    @pytest.mark.parametrize("build, message", CASES,
+                             ids=["invariant", "quotient"])
+    def test_tilt_above_tolerance_rejected(self, build, message):
+        b = radial_line_bundle(tilt=np.arcsin(2 * TOL_CHECK))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(rotation_group(8), b, r_cc=1.0)
+
+    @pytest.mark.parametrize("build", [c[0] for c in CASES],
+                             ids=["invariant", "quotient"])
+    def test_tilt_below_tolerance_accepted(self, build):
+        b = radial_line_bundle(tilt=np.arcsin(TOL_CHECK / 2))
+        out = build(rotation_group(8), b, r_cc=1.0)
+        assert set(out.stratum_rank.values()) == {1}
+
+
+@pytest.fixture(scope="module")
+def equivariance_inputs():
+    """(group, bundle) pairs: rotation rings, the dihedral grid, their
+    tilde bundles, and a tilted radial-line ring."""
+    cases = {}
+    grid = Stratification([Stratum("plane", 2, grid_points(step=0.25))])
+    for name, (g, b, r_cc) in {
+            "ring8": (rotation_group(8), ring_tangent_bundle(8), 1.0),
+            "ring12": (rotation_group(12), ring_tangent_bundle(12), 1.0),
+            "grid": (dihedral_square_group(with_tangent_action=True),
+                     trivial_bundle(grid, 2), 0.4)}.items():
+        cases[name] = (g, b)
+        cases[f"{name}-tilde"] = (g, invariant_subbundle(g, b, r_cc=r_cc))
+    cases["radial-tilted"] = (rotation_group(8),
+                              radial_line_bundle(tilt=0.3))
+    return cases
+
+
+class TestAuditReference:
+    @pytest.mark.parametrize("name", ["ring8", "ring8-tilde", "ring12",
+                                      "ring12-tilde", "grid", "grid-tilde",
+                                      "radial-tilted"])
+    def test_conjugated_projections_match_image_spans(
+            self, equivariance_inputs, name):
+        # Reference: span the image of each basis under the fiber matrix,
+        # then take the gap to the fiber over the image point.
+        g, b = equivariance_inputs[name]
+        keys = b.point_keys()
+        perms = _point_permutations(
+            g, np.array([b.point(key) for key in keys]), TOL_CHECK)
+        gaps = _equivariance_gaps(g, b, keys, perms)
+        reference = np.array([
+            [gap_distance(apply_linear_map(g.fiber_elements[i], b.fiber(key)),
+                          b.fiber(keys[perm[p]]))
+             for p, key in enumerate(keys)]
+            for i, perm in enumerate(perms)])
+        assert gaps.shape == (g.order, len(keys))
+        assert np.abs(gaps - reference).max() <= 1e-12
 
 
 class TestQuotientBundle:

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import os
 
 import numpy as np
 import pytest
@@ -150,3 +152,18 @@ def test_written_files_end_with_newline(tmp_path):
     text = path.read_text()
     assert text.endswith("\n")
     json.loads(text)
+
+
+def test_make_fixtures_reproduces_committed_corpus(tmp_path):
+    repo = os.path.join(os.path.dirname(__file__), "..")
+    spec = importlib.util.spec_from_file_location(
+        "make_fixtures", os.path.join(repo, "scripts", "make_fixtures.py"))
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.main(str(tmp_path))
+    committed = os.path.join(repo, "fixtures")
+    names = sorted(os.listdir(committed))
+    assert sorted(os.listdir(tmp_path)) == names
+    for name in names:
+        with open(os.path.join(committed, name), "rb") as fh:
+            assert (tmp_path / name).read_bytes() == fh.read(), name
