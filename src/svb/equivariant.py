@@ -28,8 +28,8 @@ from .strata import (
     LabelPartition,
     Stratification,
     Stratum,
-    distance_blocks,
     graph_components,
+    near_pairs,
     partition_by_label,
 )
 
@@ -232,18 +232,23 @@ def _point_permutations(g: FiniteGroupAction, pts: np.ndarray,
                         tol: float) -> list[np.ndarray]:
     """For each group element, the induced permutation of the sample set;
     raises if the set is not orbit saturated."""
+    n = len(pts)
+    # Each image is matched to its nearest sample point within tol, ties
+    # going to the lowest index; -1 marks an image with none.
+    match = np.full(g.order * n, -1)
+    images = np.concatenate([pts @ m.T for m in g.elements])
+    for i, j, d in near_pairs(images, pts, tol):
+        order = np.lexsort((j, d, i))
+        nearest = order[np.unique(i[order], return_index=True)[1]]
+        match[i[nearest]] = j[nearest]
     perms = []
-    for i, m in enumerate(g.elements):
-        perm = np.zeros(len(pts), dtype=int)
-        for start, d in distance_blocks(pts @ m.T, pts):
-            nearest = d.argmin(axis=1)
-            off = np.flatnonzero(d[np.arange(len(d)), nearest] > tol)
-            if off.size:
-                raise ValueError(
-                    f"sample set is not orbit saturated: element {i} moves "
-                    f"point {pts[start + off[0]].tolist()} off the sample set")
-            perm[start:start + len(d)] = nearest
-        if len(set(perm.tolist())) != len(pts):
+    for i, perm in enumerate(match.reshape(g.order, n)):
+        off = np.flatnonzero(perm < 0)
+        if off.size:
+            raise ValueError(
+                f"sample set is not orbit saturated: element {i} moves "
+                f"point {pts[off[0]].tolist()} off the sample set")
+        if len(set(perm.tolist())) != n:
             raise ValueError(
                 f"element {i} collapses distinct sample points; the matching "
                 "tolerance is coarser than the sample spacing")

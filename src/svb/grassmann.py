@@ -63,8 +63,9 @@ class Subspace:
         if basis.shape[0] > ambient_dim:
             raise ValueError("more basis vectors than ambient dimensions")
         gram = basis @ basis.T
-        if not np.allclose(gram, np.eye(basis.shape[0]), rtol=0.0,
-                           atol=max(tol_ortho, 1e-12)):
+        # Fails on NaN and infinity too; an empty Gram matrix passes.
+        if not (np.abs(gram - np.eye(basis.shape[0]))
+                <= max(tol_ortho, 1e-12)).all():
             raise ValueError("basis is not orthonormal within tolerance")
         basis = basis.copy()
         basis.flags.writeable = False

@@ -186,17 +186,23 @@ def bundle_from_json(obj, path="$") -> SampledStratifiedBundle:
     for i, item in enumerate(_expect(obj, "fibers", list, path)):
         fpath = f"{path}.fibers[{i}]"
         idx = _expect(item, "point_index", list, fpath)
-        if len(idx) != 2:
+        if len(idx) != 2 or not isinstance(idx[1], int):
             raise SchemaError(f"{fpath}.point_index: expected [stratum, i]")
         basis = _expect(item, "basis", list, fpath)
         arr = _matrix(basis, f"{fpath}.basis") if basis else \
             np.zeros((0, fiber_ambient))
         try:
-            fibers[(str(idx[0]), int(idx[1]))] = Subspace(fiber_ambient, arr)
+            fibers[(str(idx[0]), idx[1])] = Subspace(fiber_ambient, arr)
         except ValueError as exc:
             raise SchemaError(f"{fpath}.basis: {exc}") from None
+    for s in base.strata:
+        for i in range(len(s)):
+            if (s.name, i) not in fibers:
+                raise SchemaError(f"{path}.fibers: missing fiber over point "
+                                  f"{(s.name, i)}")
     ranks_obj = _expect(obj, "ranks", dict, path)
-    ranks = {str(k): int(v) for k, v in ranks_obj.items()}
+    ranks = {str(k): _expect(ranks_obj, k, int, f"{path}.ranks")
+             for k in ranks_obj}
     return SampledStratifiedBundle(base, fiber_ambient, fibers, ranks)
 
 

@@ -8,13 +8,19 @@ the requested resolution).  ``local_finiteness_report`` counts how many
 strata crowd each sample point, the finite surrogate for local
 finiteness.
 
-All cloud distances go through one block-wise kernel, so memory stays
-bounded as clouds grow.
+Strata share a sample point when two rows are equal, which one sort
+decides.  Every other cloud distance is needed only up to a known radius
+(``eps_touch``, ``radius``, ``r_cc``), so all of them come from one
+radius-bounded grid query, ``near_pairs``.  It yields its pairs in
+chunks of bounded size and its callers reduce each chunk at once, so
+whatever the radius, memory grows linearly with the number of points
+plus the stratum pairs a result names.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -35,14 +41,17 @@ __all__ = [
     "estimate_cloud_dim",
     "single_linkage_components",
     "graph_components",
-    "distance_blocks",
-    "cloud_minima",
+    "near_pairs",
     "partition_by_label",
 ]
 
-# Coordinate differences held by one block of the distance kernel: 8 MB
-# of float64, which bounds the kernel's memory whatever the cloud sizes.
-_BLOCK = 1 << 20
+# Candidate pairs examined per chunk of ``near_pairs`` (but at least one
+# query row per chunk), which bounds its memory whatever the radius.
+_CHUNK = 1 << 17
+
+# Grid cells per coordinate at most, so that cell keys fit in int64
+# however small the radius is against the cloud's extent.
+_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -59,6 +68,9 @@ class Stratum:
             raise ValueError(f"stratum {self.name!r} has an empty point cloud")
         if self.dim < 0:
             raise ValueError(f"stratum {self.name!r} has negative dimension")
+        if not np.isfinite(pts).all():
+            raise ValueError(
+                f"stratum {self.name!r} has a non-finite sample point")
         pts = pts.copy()
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
@@ -96,6 +108,7 @@ class Stratification:
                     f"expected R^{ambient}")
         self.ambient_dim = ambient
         self.strata = strata
+        self._cloud, self._owner = _stack(strata)
         self._by_name = {s.name: s for s in strata}
         order = {(str(a), str(b)) for a, b in closure_order}
         for a, b in order:
@@ -112,14 +125,19 @@ class Stratification:
         self._check_disjoint()
 
     def _check_disjoint(self):
-        for i, s in enumerate(self.strata[:-1]):
-            later = self.strata[i + 1:]
-            gaps = cloud_minima(s.points, [r.points for r in later])
-            hits = np.flatnonzero(gaps.min(axis=0) <= 0.0)
-            if hits.size:
-                r = later[hits[0]]
-                raise ValueError(
-                    f"strata {s.name!r} and {r.name!r} share a sample point")
+        # Sorted by coordinates, then by stratum, equal rows of distinct
+        # strata sit next to each other; the lowest such pair of strata
+        # is the first pair that shares a point.
+        order = np.lexsort((self._owner, *self._cloud.T))
+        rows, owner = self._cloud[order], self._owner[order]
+        shared = np.flatnonzero((rows[1:] == rows[:-1]).all(axis=1)
+                                & (owner[1:] != owner[:-1]))
+        if shared.size:
+            low, high = owner[shared], owner[shared + 1]
+            k = np.lexsort((high, low))[0]
+            raise ValueError(
+                f"strata {self.strata[low[k]].name!r} and "
+                f"{self.strata[high[k]].name!r} share a sample point")
 
     def stratum(self, name: str) -> Stratum:
         try:
@@ -136,8 +154,7 @@ class Stratification:
         return (s, r) in self._closure_reachable
 
     def diameter(self) -> float:
-        cloud = np.concatenate([s.points for s in self.strata], axis=0)
-        spread = cloud.max(axis=0) - cloud.min(axis=0)
+        spread = self._cloud.max(axis=0) - self._cloud.min(axis=0)
         return float(np.linalg.norm(spread))
 
     def __repr__(self):
@@ -162,22 +179,63 @@ def _transitive_closure(names, pairs) -> frozenset:
     return frozenset((a, b) for a, bs in reach.items() for b in bs)
 
 
-def distance_blocks(a: np.ndarray, b: np.ndarray):
-    """Yield ``(start, d)`` with ``d[i, j] = |a[start + i] - b[j]|``,
-    covering the rows of ``a`` in order, at most ``_BLOCK`` coordinate
-    differences (but at least one row) per block."""
-    rows = max(1, _BLOCK // max(b.size, 1))
-    for start in range(0, len(a), rows):
-        chunk = a[start:start + rows]
-        diff = chunk[:, None, :] - b[None, :, :]
-        yield start, np.sqrt((diff ** 2).sum(-1))
+def _stack(strata):
+    """All sample points in stratum order, and each row's stratum index."""
+    return (np.concatenate([st.points for st in strata]),
+            np.repeat(np.arange(len(strata)), [len(st) for st in strata]))
 
 
-def cloud_minima(points: np.ndarray, clouds) -> np.ndarray:
-    """Distance from each point (row) to each cloud (column)."""
-    starts = np.cumsum([0] + [len(c) for c in clouds[:-1]])
-    return np.concatenate([np.minimum.reduceat(d, starts, axis=1) for _, d
-                           in distance_blocks(points, np.concatenate(clouds))])
+def near_pairs(a: np.ndarray, b: np.ndarray, r: float):
+    """Yield index and distance arrays ``(i, j, d)`` holding every pair
+    with ``d = |a[i] - b[j]| <= r``, in chunks of consecutive rows of
+    ``a``: a chunk holds all pairs of its rows.
+
+    Candidates come from a uniform grid on the first three coordinates
+    (all of them in lower ambient dimension) with cells at least ``r``
+    wide.  A coordinate projection never increases a distance, so the
+    3^g cells around a row's cell hold all its neighbours.  Rows with a
+    non-finite grid coordinate have no pairs."""
+    if not r >= 0:
+        return
+    g = min(a.shape[1], 3)
+    rows_a = np.flatnonzero(np.isfinite(a[:, :g]).all(axis=1))
+    rows_b = np.flatnonzero(np.isfinite(b[:, :g]).all(axis=1))
+    if not (rows_a.size and rows_b.size):
+        return
+    grid = np.concatenate([a[rows_a, :g], b[rows_b, :g]])
+    lo = grid.min(axis=0)
+    extent = float((grid.max(axis=0) - lo).max(initial=0.0))
+    # The slightly wider cell keeps pairs at exactly d == r clear of
+    # rounding in the floor division.  Cells are never narrower than
+    # 2^-500: closer coordinates may square to an underflow, and the
+    # distance formula, not the grid, has to decide those pairs.
+    cell = max(r * (1 + 2.0 ** -20), extent / _CELLS, 2.0 ** -500)
+    weights = (_CELLS + 3) ** np.arange(g)
+
+    def keys(x):
+        return (np.floor((x[:, :g] - lo) / cell).astype(np.int64) + 1) @ weights
+
+    kb = keys(b[rows_b])
+    order = np.argsort(kb, kind="stable")
+    kb, cands = kb[order], rows_b[order]
+    near = keys(a[rows_a])[:, None] + np.array(
+        list(product((-1, 0, 1), repeat=g)), dtype=np.int64) @ weights
+    starts = np.searchsorted(kb, near, side="left")
+    counts = np.searchsorted(kb, near, side="right") - starts
+    per_row = counts.sum(axis=1)
+    reach = np.cumsum(per_row)
+    q0 = 0
+    while q0 < len(rows_a):
+        q1 = max(q0 + 1, int(np.searchsorted(
+            reach, reach[q0] - per_row[q0] + _CHUNK, side="right")))
+        c, s = counts[q0:q1].ravel(), starts[q0:q1].ravel()
+        run = np.cumsum(c) - c
+        j = cands[np.arange(c.sum()) + np.repeat(s - run, c)]
+        i = np.repeat(rows_a[q0:q1], per_row[q0:q1])
+        d = np.sqrt(((a[i] - b[j]) ** 2).sum(-1))
+        keep = d <= r
+        yield i[keep], j[keep], d[keep]
+        q0 = q1
 
 
 def single_linkage_components(points: np.ndarray,
@@ -186,14 +244,10 @@ def single_linkage_components(points: np.ndarray,
     (single linkage).  Components come out sorted by their smallest
     member index, members sorted ascending."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError("radius must be positive")
-
-    def edges():
-        for start, d in distance_blocks(pts, pts):
-            i, j = np.nonzero(d <= radius)
-            yield i + start, j
-    return graph_components(len(pts), edges())
+    return graph_components(len(pts), ((i, j) for i, j, _
+                                       in near_pairs(pts, pts, radius)))
 
 
 def graph_components(n: int, edges) -> list[list[int]]:
@@ -260,14 +314,16 @@ def partition_by_label(points, labels: Sequence[Hashable],
             for j, global_index in enumerate(local):
                 point_to_key[global_index] = (name, j)
 
-    clouds = [st.points for st in strata]
+    cloud, owner = _stack(strata)
+    near = set()
+    for i, j, _ in near_pairs(cloud, cloud, r_cc):
+        near.update(np.unique(owner[i] * len(strata) + owner[j]).tolist())
     closure = []
-    for low in strata:
-        gaps = cloud_minima(low.points, clouds).min(axis=0)
-        for high, gap in zip(strata, gaps):
-            if (below(label_of_stratum[low.name], label_of_stratum[high.name])
-                    and gap <= r_cc):
-                closure.append((low.name, high.name))
+    for pair in sorted(near):
+        low, high = divmod(pair, len(strata))
+        low, high = strata[low].name, strata[high].name
+        if below(label_of_stratum[low], label_of_stratum[high]):
+            closure.append((low, high))
     return LabelPartition(Stratification(strata, closure_order=closure),
                           labels, point_to_key, label_of_stratum)
 
@@ -323,37 +379,71 @@ def check_frontier(s: Stratification, eps_touch: Optional[float] = None,
         eps_touch = 1e-2 * scale if scale > 0 else 1e-2
     if delta_cover is None:
         delta_cover = 1e-2 * scale if scale > 0 else 1e-2
-    if eps_touch <= 0 or delta_cover <= 0:
+    if not (eps_touch > 0 and delta_cover > 0):
         raise ValueError("eps_touch and delta_cover must be positive")
 
+    # Per stratum pair, keyed source * n + target: how many source points
+    # come within eps_touch of the target, the largest of their nearest
+    # distances and the first source point at it.  Chunks arrive in row
+    # order and strata are contiguous rows, so the pairs of every source
+    # before the stratum of a chunk's last row are complete: the touching
+    # ones (all source points near the target) are kept, the rest dropped.
+    n, owner = len(s.strata), s._owner
+    size = np.bincount(owner, minlength=n)
+    empty = np.zeros(0, dtype=np.int64)
+    pending = (empty, empty, np.zeros(0), empty)
+    kept = []
+
+    def settle(upto):
+        source = pending[0] // n
+        full = (source < upto) & (pending[1] == size[source])
+        kept.append(tuple(x[full] for x in pending))
+        return tuple(x[source >= upto] for x in pending)
+
+    for i, j, d in near_pairs(s._cloud, s._cloud, eps_touch):
+        upto = owner[i[-1]] if i.size else 0
+        other = owner[i] != owner[j]
+        i, target, d = i[other], owner[j[other]], d[other]
+        key = i * n + target
+        order = np.lexsort((d, key))
+        nearest = order[np.unique(key[order], return_index=True)[1]]
+        i, target = i[nearest], target[nearest]
+        pending = _farthest_per_pair(*map(np.concatenate, zip(pending, (
+            owner[i] * n + target, np.ones(i.size, dtype=np.int64),
+            d[nearest], i))))
+        pending = settle(upto)
+    settle(n)
+    pair, _, reach, worst = map(np.concatenate, zip(*kept))
+    source, target = np.divmod(pair, n)
+    names = s.names
     violations = []
     touching = []
-    clouds = [st.points for st in s.strata]
-    for k, source in enumerate(s.strata):
-        minima = cloud_minima(source.points, clouds)
-        worst = minima.argmax(axis=0)
-        reach = minima.max(axis=0)
-        touches = reach <= eps_touch
-        touches[k] = False
-        for j in np.flatnonzero(touches):
-            target = s.strata[j]
-            touching.append((source.name, target.name))
-            witness = tuple(float(x) for x in source.points[worst[j]])
-            distance = float(reach[j])
-            if not s.in_closure(source.name, target.name):
-                violations.append(FrontierViolation(
-                    source.name, target.name, "undeclared",
-                    witness, distance))
-            elif distance > delta_cover:
-                violations.append(FrontierViolation(
-                    source.name, target.name, "not_covered",
-                    witness, distance))
+    for a, b, distance, witness in zip(
+            source.tolist(), target.tolist(), reach.tolist(),
+            s._cloud[worst].tolist()):
+        a, b, witness = names[a], names[b], tuple(witness)
+        touching.append((a, b))
+        if not s.in_closure(a, b):
+            violations.append(FrontierViolation(a, b, "undeclared",
+                                                witness, distance))
+        elif distance > delta_cover:
+            violations.append(FrontierViolation(a, b, "not_covered",
+                                                witness, distance))
     violations.sort(key=lambda v: (v.s, v.r))
     touching.sort()
     return FrontierReport(passed=not violations, eps_touch=eps_touch,
                           delta_cover=delta_cover,
                           violations=tuple(violations),
                           touching_pairs=tuple(touching))
+
+
+def _farthest_per_pair(pair, count, reach, point):
+    """Merge rows sharing a pair key: their counts add up, and the
+    largest reach is kept with the lowest point attaining it."""
+    order = np.lexsort((point, -reach, pair))
+    pair, count, reach, point = (x[order] for x in (pair, count, reach, point))
+    runs = np.flatnonzero(np.diff(pair, prepend=-1))
+    return pair[runs], np.add.reduceat(count, runs), reach[runs], point[runs]
 
 
 def filtration(s: Stratification) -> list[set[str]]:
@@ -382,17 +472,21 @@ def local_finiteness_report(s: Stratification, radius: float,
     """Count, for every sample point, the strata meeting the radius ball
     around it (the point's own stratum included); flag points whose
     count exceeds ``threshold``."""
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError("radius must be positive")
+    n, owner = len(s.strata), s._owner
+    near = np.zeros(len(owner), dtype=int)
+    for i, j, _ in near_pairs(s._cloud, s._cloud, radius):
+        near += np.bincount(np.unique(i * n + owner[j]) // n,
+                            minlength=len(owner))
+    cuts = np.cumsum([len(st) for st in s.strata])[:-1]
     counts = []
     flagged = []
-    clouds = [st.points for st in s.strata]
-    for home in s.strata:
-        near = (cloud_minima(home.points, clouds) <= radius).sum(axis=1)
-        for i, c in enumerate(near):
-            counts.append((home.name, i, int(c)))
+    for home, near_home in zip(s.strata, np.split(near, cuts)):
+        for i, c in enumerate(near_home.tolist()):
+            counts.append((home.name, i, c))
             if c > threshold:
-                flagged.append((home.name, i, int(c)))
+                flagged.append((home.name, i, c))
     max_count = max(c for _, _, c in counts)
     return LocalFinitenessReport(passed=not flagged, radius=radius,
                                  max_count=max_count, threshold=threshold,

@@ -104,6 +104,26 @@ class TestExitCodes:
                      "--scenario", str(sc)])
         assert code == 1
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda obj: obj["ranks"].update(bulk="two"),
+         "$.ranks.bulk: expected int, got str"),
+        (lambda obj: obj["fibers"].pop(16),
+         "$.fibers: missing fiber over point ('bulk', 15)"),
+        (lambda obj: obj["fibers"][2].update(point_index=["bulk", "x"]),
+         "$.fibers[2].point_index: expected [stratum, i]"),
+    ], ids=["rank-not-int", "fiber-missing", "point-index-not-int"])
+    def test_malformed_bundle_is_one(self, capsys, tmp_path, edit, message):
+        obj = read_json(fx("ring_tangent.json"))
+        edit(obj)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        code = main(["equivariant", "tilde", "--group",
+                     fx("rotation8_group.json"), "--bundle", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"svb: error: {message}" in captured.err
+
 
 class TestNonFiniteInput:
     def test_nan_point_is_one(self, capsys, tmp_path):

@@ -249,14 +249,14 @@ def Stratification_no_mirror():
 
 class TestPointPermutations:
     def test_first_unmatched_point_named(self, monkeypatch):
-        monkeypatch.setattr(strata, "_BLOCK", 2)
+        monkeypatch.setattr(strata, "_CHUNK", 2)
         g = axis_reflection_group()
         pts = np.array([[0.5, 0.0], [1.0, 0.5], [2.0, 0.3], [1.0, -0.5]])
         with pytest.raises(ValueError, match=r"point \[2.0, 0.3\] off"):
             _point_permutations(g, pts, 1e-8)
 
     def test_permutation_matches_images(self, monkeypatch):
-        monkeypatch.setattr(strata, "_BLOCK", 2)
+        monkeypatch.setattr(strata, "_CHUNK", 2)
         g = dihedral_square_group()
         pts = grid_points(step=0.5)
         for m, perm in zip(g.elements, _point_permutations(g, pts, 1e-8)):

@@ -40,6 +40,29 @@ class TestSubspace:
             Subspace(2, [[1.0, 0.0], [0.0, 1.0 + 1e-9]])
         assert Subspace(2, [[1.0, 0.0], [0.0, 1.0 + 1e-12]]).dim == 2
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_basis(self, bad):
+        with pytest.raises(ValueError, match="orthonormal"):
+            Subspace(2, [[1.0, 0.0], [0.0, bad]])
+        with pytest.raises(ValueError, match="orthonormal"):
+            Subspace(2, [[bad, 0.0]])
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9])
+    def test_gram_bound_on_both_sides(self, tol):
+        # The Gram entry of a 1-vector basis [x] is x^2.
+        assert Subspace(1, [[np.sqrt(1 + 0.9 * tol)]], tol_ortho=tol).dim == 1
+        with pytest.raises(ValueError):
+            Subspace(1, [[np.sqrt(1 + 1.1 * tol)]], tol_ortho=tol)
+        tilted = [[1.0, 0.0], [0.9 * tol, 1.0]]
+        assert Subspace(2, tilted, tol_ortho=tol).dim == 2
+        with pytest.raises(ValueError):
+            Subspace(2, [[1.0, 0.0], [1.1 * tol, 1.0]], tol_ortho=tol)
+
+    def test_empty_basis_passes(self):
+        assert Subspace(3, np.zeros((0, 3))).dim == 0
+        assert Subspace(0, []).dim == 0
+
 
 class TestSpan:
     def test_full_space(self):

@@ -18,12 +18,11 @@ from svb.strata import (
     Stratification,
     Stratum,
     check_frontier,
-    cloud_minima,
-    distance_blocks,
     estimate_cloud_dim,
     filtration,
     graph_components,
     local_finiteness_report,
+    near_pairs,
     single_linkage_components,
 )
 
@@ -37,6 +36,11 @@ class TestConstruction:
     def test_empty_cloud_rejected(self):
         with pytest.raises(ValueError):
             Stratum("empty", 0, np.zeros((0, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected(self, bad):
+        with pytest.raises(ValueError, match="'s' has a non-finite sample"):
+            Stratum("s", 0, [[0.0, 1.0], [2.0, bad]])
 
     def test_duplicate_names_rejected(self):
         a = Stratum("s", 0, [[0.0]])
@@ -105,6 +109,41 @@ class TestCheckFrontier:
         with pytest.raises(ValueError):
             check_frontier(line_stratification(), -1.0, 0.05)
 
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 17])
+    def test_matches_dense_reference(self, monkeypatch, chunk):
+        monkeypatch.setattr(strata, "_CHUNK", chunk)
+        rng = np.random.default_rng(8)
+        pts = np.unique(rng.random((300, 2)).round(2), axis=0)
+        label = rng.integers(0, 6, len(pts))
+        s = Stratification(
+            [Stratum(f"t{k}", 0, pts[label == k]) for k in range(6)],
+            closure_order=[(f"t{a}", f"t{b}") for a in range(6)
+                           for b in range(a + 2, 6)])
+        for eps in (0.05, 0.15, 0.3, 2.0):
+            touching, violations = [], []
+            for a in s.strata:
+                for b in s.strata:
+                    d = np.sqrt(((a.points[:, None] - b.points[None]) ** 2)
+                                .sum(-1)).min(axis=1)
+                    if a is b or (d > eps).any():
+                        continue
+                    touching.append((a.name, b.name))
+                    w = int(np.argmax(d))
+                    reason = ("undeclared" if not s.in_closure(a.name, b.name)
+                              else "not_covered" if d[w] > eps / 2 else None)
+                    if reason:
+                        violations.append(strata.FrontierViolation(
+                            a.name, b.name, reason, tuple(a.points[w]),
+                            float(d[w])))
+            report = check_frontier(s, eps, eps / 2)
+            assert report.touching_pairs == tuple(touching)
+            assert report.violations == tuple(violations)
+
+    @pytest.mark.parametrize("eps, delta", [(np.nan, 0.05), (0.05, np.nan)])
+    def test_nan_thresholds_rejected(self, eps, delta):
+        with pytest.raises(ValueError, match="must be positive"):
+            check_frontier(line_stratification(), eps, delta)
+
 
 @settings(max_examples=40, deadline=None)
 @given(delta=st.floats(min_value=1e-3, max_value=0.2),
@@ -168,6 +207,12 @@ class TestLocalFiniteness:
         with pytest.raises(ValueError):
             local_finiteness_report(single_stratum(), 0.0)
 
+    def test_nan_radius_rejected(self):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            local_finiteness_report(single_stratum(), np.nan)
+        with pytest.raises(ValueError, match="radius must be positive"):
+            single_linkage_components(np.zeros((2, 1)), np.nan)
+
 
 class TestCloudDim:
     def test_singleton(self):
@@ -204,35 +249,87 @@ def _kernel_results():
     )
 
 
+def _pairs(a, b, r):
+    """All ``near_pairs`` triples as a sorted list."""
+    return sorted((int(i), int(j), float(d)) for chunk in near_pairs(a, b, r)
+                  for i, j, d in zip(*chunk))
+
+
+def _brute_pairs(a, b, r):
+    d = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(-1))
+    return sorted((int(i), int(j), float(d[i, j]))
+                  for i, j in zip(*np.nonzero(d <= r)))
+
+
 class TestDistanceKernel:
-    def test_blocks_cover_rows_in_order(self, monkeypatch):
-        monkeypatch.setattr(strata, "_BLOCK", 5)
+    def test_chunks_cover_rows_in_order(self, monkeypatch):
+        monkeypatch.setattr(strata, "_CHUNK", 5)
         a = np.arange(12.0).reshape(6, 2)
-        blocks = list(distance_blocks(a, a[:2]))
-        assert [start for start, _ in blocks] == list(range(6))
-        d = np.concatenate([block for _, block in blocks])
-        assert d.shape == (6, 2)
-        assert d[3, 1] == np.linalg.norm(a[3] - a[1])
+        # Two candidates per row: two rows fit in a chunk of five.
+        chunks = list(near_pairs(a, a[:2], 100.0))
+        assert [sorted(set(i.tolist())) for i, _, _ in chunks] == [
+            [0, 1], [2, 3], [4, 5]]
+        assert _pairs(a, a[:2], 100.0) == _brute_pairs(a, a[:2], 100.0)
+        hit = [d for i, j, d in _pairs(a, a[:2], 100.0) if (i, j) == (3, 1)]
+        assert hit == [np.linalg.norm(a[3] - a[1])]
 
-    def test_cloud_minima_per_cloud(self):
-        clouds = [np.array([[0.0], [5.0]]), np.array([[2.0]]),
-                  np.array([[9.0], [7.0], [4.0]])]
-        minima = cloud_minima(np.array([[1.0], [8.0]]), clouds)
-        assert minima.tolist() == [[1.0, 1.0, 3.0], [3.0, 6.0, 1.0]]
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_near_pairs_match_brute_force(self, dim):
+        rng = np.random.default_rng(dim)
+        a, b = rng.random((150, dim)), rng.random((90, dim))
+        for r in (0.05, 0.3, 3.0):
+            assert _pairs(a, b, r) == _brute_pairs(a, b, r)
 
-    def test_small_blocks_match_one_block(self, monkeypatch):
-        monkeypatch.setattr(strata, "_BLOCK", 1 << 60)
+    def test_pair_at_exactly_the_radius(self):
+        pts = 1e3 * np.random.default_rng(11).random((200, 3))
+        for i in range(0, 200, 2):
+            d = np.sqrt(((pts[i] - pts[i + 1]) ** 2).sum(-1))
+            assert (i, i + 1, d) in _pairs(pts, pts, d)
+            inside = _pairs(pts, pts, np.nextafter(d, 0.0))
+            assert (i, i + 1) not in {(p, q) for p, q, _ in inside}
+
+    def test_pair_on_a_cell_boundary(self):
+        r = 0.1
+        a = np.array([[3 * r, 0.0], [-r, 0.0]])
+        b = np.array([[4 * r, 0.0], [0.0, 0.0], [3 * r + 1e-9, 0.1]])
+        assert _pairs(a, b, r) == _brute_pairs(a, b, r)
+        assert (0, 0) in {(i, j) for i, j, _ in _pairs(a, b, r)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 6),
+           st.floats(1e-3, 2.0), st.integers(0, 2 ** 16))
+    def test_grid_misses_no_pair(self, n, dim, r, seed):
+        pts = np.random.default_rng(seed).random((n, dim)).round(1)
+        assert _pairs(pts, pts, r) == _brute_pairs(pts, pts, r)
+
+    def test_small_chunks_match_one_chunk(self, monkeypatch):
+        monkeypatch.setattr(strata, "_CHUNK", 1 << 60)
         whole = _kernel_results()
-        monkeypatch.setattr(strata, "_BLOCK", 3)
-        assert _kernel_results() == whole
+        for chunk in (1, 3):
+            monkeypatch.setattr(strata, "_CHUNK", chunk)
+            assert _kernel_results() == whole
 
-    def test_first_shared_pair_named(self, monkeypatch):
-        monkeypatch.setattr(strata, "_BLOCK", 2)
+    def test_first_shared_pair_named(self):
         a = Stratum("a", 0, [[0.0], [4.0]])
         b = Stratum("b", 0, [[1.0], [3.0]])
         c = Stratum("c", 0, [[2.0], [3.0], [4.0]])
         with pytest.raises(ValueError, match="'a' and 'c' share"):
             Stratification([a, b, c])
+
+    def test_negative_zero_is_shared(self):
+        a = Stratum("a", 0, [[0.0, 1.0]])
+        b = Stratum("b", 0, [[2.0, 2.0], [-0.0, 1.0]])
+        with pytest.raises(ValueError, match="'a' and 'b' share"):
+            Stratification([a, b])
+
+    def test_distinct_points_closer_than_underflow_are_not_shared(self):
+        # Their squared difference underflows, so the distance formula
+        # reads 0; disjointness is decided by equality, not distance.
+        a = Stratum("a", 0, [[0.0]])
+        b = Stratum("b", 0, [[1e-200]])
+        s = Stratification([a, b])
+        assert _pairs(s._cloud, s._cloud, 1e-300) == [
+            (0, 0, 0.0), (0, 1, 0.0), (1, 0, 0.0), (1, 1, 0.0)]
 
     def test_single_linkage_memory_bounded(self):
         pts = np.random.default_rng(3).random((3000, 3))
@@ -243,6 +340,41 @@ class TestDistanceKernel:
         finally:
             tracemalloc.stop()
         assert sorted(i for c in components for i in c) == list(range(3000))
+        assert peak < 64 * 2 ** 20
+
+    def test_memory_bounded_at_the_cloud_diameter(self):
+        pts = np.random.default_rng(4).random((3000, 3))
+        s = Stratification([Stratum(f"s{k}", 3, pts[k::3]) for k in range(3)])
+        radius = 2.0  # above the unit cube's diameter, sqrt(3)
+        tracemalloc.start()
+        try:
+            components = single_linkage_components(pts, radius)
+            report = check_frontier(s, radius, radius)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert components == [list(range(3000))]
+        assert len(report.touching_pairs) == 6
+        assert peak < 64 * 2 ** 20
+
+    def test_memory_bounded_with_many_strata(self):
+        # 1,000 strata share 2,000 points of the unit interval, so at
+        # radius 1 each of those points is near every stratum; a private
+        # outlier keeps every stratum from touching any other.
+        shared = np.random.default_rng(5).random(2000)
+        s = Stratification([
+            Stratum(f"s{k}", 0, np.r_[shared[k::1000], 3.0 + 2.0 * k,
+                                      ].reshape(-1, 1))
+            for k in range(1000)])
+        tracemalloc.start()
+        try:
+            report = check_frontier(s, 1.0, 1.0)
+            finiteness = local_finiteness_report(s, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed and report.touching_pairs == ()
+        assert finiteness.max_count == 1000
         assert peak < 64 * 2 ** 20
 
 
