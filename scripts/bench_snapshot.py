@@ -9,8 +9,10 @@ end-to-end metric together with the run context (commit, numpy, BLAS
 and its threads, nproc).  It also times kernels at the sizes the
 benchmark's inputs hide: ``check_frontier`` and
 ``local_finiteness_report`` on the Cantor stratifications of levels 6-9,
-and the construction of a 3,200-point ``Stratification`` (32 clusters in
-R^3), five times each.  Seeds, run length and repeats are fixed, so that
+the construction of a 3,200-point ``Stratification`` (32 clusters in
+R^3), ``apply_functor_to_bundle`` with sym:3 on a rank-4 trivial bundle
+over 2,000 points and ``check_orthogonality`` with sym:4 on a 3-plane in
+R^7, five times each.  Seeds, run length and repeats are fixed, so that
 any two snapshots compare like with like.  Each measurement runs in a fresh process that imports svb from
 the checkout's ``src``, so a snapshot of an older commit only needs its
 checkout; ``--checkout`` defaults to the one holding this script.
@@ -98,8 +100,11 @@ def scaled_timings(checkout):
     import numpy as np
 
     import svb
+    from svb.bundle import apply_functor_to_bundle, trivial_bundle
     from svb.fixtures import cantor_stratification
-    from svb.strata import (Stratification, check_frontier,
+    from svb.functors import SymPower, check_orthogonality
+    from svb.grassmann import Subspace
+    from svb.strata import (Stratification, Stratum, check_frontier,
                             local_finiteness_report)
 
     if os.path.dirname(os.path.abspath(svb.__file__)) != \
@@ -118,6 +123,16 @@ def scaled_timings(checkout):
     cases["stratification_3200"] = (
         {"points": 3200, "strata": len(strata)},
         lambda: Stratification(strata))
+    rng = np.random.default_rng(0)
+    bundle = trivial_bundle(Stratification(
+        [Stratum("bulk", 2, rng.uniform(-1.0, 1.0, (2000, 2)))]), 4)
+    cases["sym3_apply_2000"] = (
+        {"points": 2000, "rank": 4, "fiber_ambient": 4},
+        lambda: apply_functor_to_bundle(SymPower(3), bundle))
+    plane = Subspace(7, np.linalg.qr(rng.normal(size=(7, 3)))[0].T)
+    cases["sym4_orthogonality_r7"] = (
+        {"rank": 3, "ambient": 7},
+        lambda: check_orthogonality(SymPower(4), plane))
     out = {}
     for name, (size, call) in cases.items():
         times = []

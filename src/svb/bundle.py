@@ -18,7 +18,6 @@ import numpy as np
 
 from .config import TAIL_LEN, TOL_CHECK
 from .functors import LinearFunctor, apply_to_map, dim_map
-from .functors import apply_to_subspace as _functor_on_subspace
 from .grassmann import (
     Subspace,
     SubspaceSequence,
@@ -35,9 +34,11 @@ __all__ = [
     "ConvergenceScenario",
     "BundleMorphism",
     "BundleValidation",
+    "InvalidBundleError",
     "WhitneyVerdict",
     "MorphismValidation",
     "validate_bundle",
+    "fiber_stacks",
     "whitney_a_check",
     "whitney_a_from_sections",
     "apply_functor_to_bundle",
@@ -231,17 +232,53 @@ def whitney_a_from_sections(b: SampledStratifiedBundle,
                           section_residuals=section_residuals)
 
 
+class InvalidBundleError(ValueError):
+    """A bundle that fails :func:`validate_bundle` was given where a
+    valid one is needed; ``validation`` holds the problems found."""
+
+    def __init__(self, validation: BundleValidation):
+        super().__init__("bundle fails validation: "
+                         + "; ".join(validation.problems))
+        self.validation = validation
+
+
+def fiber_stacks(b: SampledStratifiedBundle
+                 ) -> list[tuple[list[PointKey], np.ndarray]]:
+    """The fiber bases stacked stratum by stratum: one ``(keys, bases)``
+    pair per stratum, ``bases`` of shape ``(len(keys), rank, ambient)``
+    with the point keys in index order.  A stratum whose fibers differ
+    in shape (a bundle that fails validation) gives one pair per shape."""
+    out = []
+    for s in b.base.strata:
+        groups: dict[tuple[int, ...], tuple[list, list]] = {}
+        for i in range(len(s)):
+            basis = b.fiber((s.name, i)).basis
+            keys, bases = groups.setdefault(basis.shape, ([], []))
+            keys.append((s.name, i))
+            bases.append(basis)
+        out.extend((keys, np.stack(bases)) for keys, bases in groups.values())
+    return out
+
+
 def apply_functor_to_bundle(f: LinearFunctor, b: SampledStratifiedBundle
                             ) -> SampledStratifiedBundle:
-    """Apply a functor fibrewise: same base, fibers F(A_x), ranks F(rank)."""
+    """Apply a functor fibrewise: same base, fibers F(A_x), ranks F(rank).
+
+    One ``apply_to_map`` call maps the stacked bases of each stratum.
+    As in ``apply_to_subspace``, every image basis is audited by its
+    :class:`Subspace` at the verdict tolerance.  Raises
+    :class:`InvalidBundleError` when ``b`` fails validation.
+    """
     validation = validate_bundle(b)
     if not validation.passed:
-        raise ValueError("bundle fails validation: " + "; ".join(validation.problems))
-    new_fibers = {key: _functor_on_subspace(f, fiber)
-                  for key, fiber in b.fibers.items()}
+        raise InvalidBundleError(validation)
+    ambient = dim_map(f, b.fiber_ambient)
+    new_fibers = {}
+    for keys, bases in fiber_stacks(b):
+        for key, image in zip(keys, apply_to_map(f, bases)):
+            new_fibers[key] = Subspace(ambient, image, tol_ortho=TOL_CHECK)
     new_ranks = {name: dim_map(f, r) for name, r in b.stratum_rank.items()}
-    return SampledStratifiedBundle(b.base, dim_map(f, b.fiber_ambient),
-                                   new_fibers, new_ranks)
+    return SampledStratifiedBundle(b.base, ambient, new_fibers, new_ranks)
 
 
 class BundleMorphism:

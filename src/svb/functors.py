@@ -32,7 +32,7 @@ from typing import Union
 import numpy as np
 
 from .config import TOL_CHECK
-from .grassmann import Subspace, opnorm
+from .grassmann import Subspace, orthonormal_rows
 
 __all__ = [
     "Identity",
@@ -47,6 +47,7 @@ __all__ = [
     "apply_to_map",
     "apply_to_subspace",
     "check_orthogonality",
+    "orthogonality_residuals",
     "parse_functor",
     "functor_to_json",
     "functor_from_json",
@@ -135,22 +136,56 @@ def dim_map(f: LinearFunctor, k: int) -> int:
 
 
 def _tensor_power_matrix(m: np.ndarray, n: int) -> np.ndarray:
+    # Iterated Kronecker product of each matrix of the stack, entries
+    # multiplied in kron's (a*b)*c order.
+    *lead, k, j = m.shape
     out = m
-    for _ in range(n - 1):
-        out = np.kron(out, m)
+    for p in range(1, n):
+        out = (out[..., :, None, :, None] * m[..., None, :, None, :]
+               ).reshape(*lead, k ** (p + 1), j ** (p + 1))
     return out
 
 
+def _index_tuples(combos, k: int, j: int, n: int):
+    """The index tuples ``combos(range(k), n)`` labelling the rows of F(m)
+    and ``combos(range(j), n)`` labelling its columns, as (count, n)
+    arrays."""
+    rows = np.array(list(combos(range(k), n)), dtype=np.intp).reshape(-1, n)
+    cols = np.array(list(combos(range(j), n)), dtype=np.intp).reshape(-1, n)
+    return rows, cols
+
+
+# Working memory, in matrix entries, above which a stack is processed in
+# chunks; one matrix at a time needs no more than the per-matrix route.
+_CHUNK = 1 << 20
+
+
+def _chunks(count: int, work: int) -> list[slice]:
+    """Consecutive slices of a stack of ``count`` matrices that each need
+    ``work`` entries of working memory, at most ``_CHUNK`` entries (and
+    at least one matrix) per slice."""
+    step = max(1, _CHUNK // max(work, 1))
+    return [slice(i, i + step) for i in range(0, count, step)]
+
+
+def _by_chunks(kernel, m: np.ndarray, ri, ci, n: int) -> np.ndarray:
+    """The (..., R, C) stack of ``kernel`` applied chunk by chunk to the
+    stack ``m`` (..., k, j); a kernel gathers n^2 entries of m per entry
+    of its result."""
+    *lead, k, j = m.shape
+    out = np.zeros((math.prod(lead), len(ri), len(ci)))
+    if out.size:
+        stack = m.reshape(len(out), k, j)
+        for part in _chunks(len(out), n * n * out[0].size):
+            out[part] = kernel(stack[part])
+    return out.reshape(*lead, len(ri), len(ci))
+
+
 def _wedge_power_matrix(m: np.ndarray, n: int) -> np.ndarray:
-    k, j = m.shape
-    rows = list(itertools.combinations(range(k), n))
-    cols = list(itertools.combinations(range(j), n))
-    if not rows or not cols:
-        return np.zeros((len(rows), len(cols)))
-    ri = np.array(rows)  # (R, n)
-    ci = np.array(cols)  # (C, n)
-    blocks = m[ri[:, None, :, None], ci[None, :, None, :]]  # (R, C, n, n)
-    return np.linalg.det(blocks)
+    ri, ci = _index_tuples(itertools.combinations, *m.shape[-2:], n)
+    # Entry (r, c) is the n x n minor of m on rows ri[r], columns ci[c].
+    return _by_chunks(lambda s: np.linalg.det(
+        s[:, ri[:, None, :, None], ci[None, :, None, :]]), m, ri, ci, n)
 
 
 def _multiplicity_factorial(index_tuple) -> float:
@@ -163,37 +198,44 @@ def _multiplicity_factorial(index_tuple) -> float:
 
 
 def _sym_power_matrix(m: np.ndarray, n: int) -> np.ndarray:
-    k, j = m.shape
-    rows = list(itertools.combinations_with_replacement(range(k), n))
-    cols = list(itertools.combinations_with_replacement(range(j), n))
-    if not rows or not cols:
-        return np.zeros((len(rows), len(cols)))
-    ri = np.array(rows)
-    ci = np.array(cols)
-    blocks = m[ri[:, None, :, None], ci[None, :, None, :]]  # (R, C, n, n)
-    perm = np.zeros(blocks.shape[:2])
-    positions = np.arange(n)
-    for sigma in itertools.permutations(range(n)):
-        perm += np.prod(blocks[:, :, positions, list(sigma)], axis=-1)
-    weights_r = np.sqrt([_multiplicity_factorial(t) for t in rows])
-    weights_c = np.sqrt([_multiplicity_factorial(t) for t in cols])
-    return perm / np.outer(weights_r, weights_c)
+    ri, ci = _index_tuples(itertools.combinations_with_replacement,
+                           *m.shape[-2:], n)
+    weights = np.outer(
+        np.sqrt([_multiplicity_factorial(t) for t in ri.tolist()]),
+        np.sqrt([_multiplicity_factorial(t) for t in ci.tolist()]))
+
+    def permanents(s):
+        # factor[a][b][:, r, c] = s[:, ri[r, a], ci[c, b]]: every entry a
+        # permanent term can take, gathered once per (position, column).
+        factor = [[s[:, ri[:, None, a], ci[None, :, b]] for b in range(n)]
+                  for a in range(n)]
+        perm = np.zeros(factor[0][0].shape)
+        for sigma in itertools.permutations(range(n)):
+            term = factor[0][sigma[0]]
+            for a in range(1, n):
+                term = term * factor[a][sigma[a]]
+            perm += term
+        return perm / weights
+
+    return _by_chunks(permanents, m, ri, ci, n)
 
 
 def apply_to_map(f: LinearFunctor, m) -> np.ndarray:
-    """Matrix of F(m) in the canonical bases; m may be rectangular k x j."""
+    """Matrix of F(m) in the canonical bases; m may be rectangular k x j,
+    or a stack (..., k, j) of such matrices, mapped matrix by matrix."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
     if isinstance(f, Identity):
         return m.copy()
     if isinstance(f, ConstantSum):
-        return np.eye(f.dim)
+        return np.broadcast_to(np.eye(f.dim),
+                               (*m.shape[:-2], f.dim, f.dim)).copy()
     if isinstance(f, DirectSum):
         top = apply_to_map(f.left, m)
         bottom = apply_to_map(f.right, m)
-        out = np.zeros((top.shape[0] + bottom.shape[0],
-                        top.shape[1] + bottom.shape[1]))
-        out[:top.shape[0], :top.shape[1]] = top
-        out[top.shape[0]:, top.shape[1]:] = bottom
+        (r1, c1), (r2, c2) = top.shape[-2:], bottom.shape[-2:]
+        out = np.zeros((*m.shape[:-2], r1 + r2, c1 + c2))
+        out[..., :r1, :c1] = top
+        out[..., r1:, c1:] = bottom
         return out
     if isinstance(f, TensorPower):
         return _tensor_power_matrix(m, f.n)
@@ -219,12 +261,34 @@ def apply_to_subspace(f: LinearFunctor, w: Subspace) -> Subspace:
                     tol_ortho=TOL_CHECK)
 
 
+def orthogonality_residuals(f: LinearFunctor, bases) -> np.ndarray:
+    """Residuals of F(P_W) = P_{F(W)} in the operator norm, one per
+    subspace W of a stack ``(count, r, k)`` of orthonormal bases.
+
+    P_{F(W)} is F(B)^T F(B); as in ``apply_to_subspace``, every F(B) must
+    pass the orthonormality audit at the verdict tolerance (ValueError
+    otherwise).  The stack goes through in chunks, so memory does not
+    grow with ``count``.
+    """
+    bases = np.asarray(bases, dtype=float)
+    dim = dim_map(f, bases.shape[-1])
+    residuals = np.zeros(len(bases))
+    for part in _chunks(len(bases), dim * dim):
+        chunk = bases[part]
+        images = apply_to_map(f, chunk)
+        if not orthonormal_rows(images, TOL_CHECK).all():
+            raise ValueError("basis is not orthonormal within tolerance")
+        if dim:
+            defect = (apply_to_map(f, chunk.swapaxes(-1, -2) @ chunk)
+                      - images.swapaxes(-1, -2) @ images)
+            residuals[part] = np.linalg.norm(defect, 2, axis=(-2, -1))
+    return residuals
+
+
 def check_orthogonality(f: LinearFunctor, w: Subspace,
                         tol: float = TOL_CHECK) -> tuple[bool, float]:
     """Residual of F(P_W) = P_{F(W)} in the operator norm."""
-    fp = apply_to_map(f, w.projection)
-    fw = apply_to_subspace(f, w)
-    residual = opnorm(fp - fw.projection)
+    residual = float(orthogonality_residuals(f, w.basis[None])[0])
     return residual <= tol, residual
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "apply_linear_map",
     "intersection",
     "opnorm",
+    "orthonormal_rows",
 ]
 
 
@@ -35,6 +36,15 @@ def opnorm(a) -> float:
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2))
+
+
+def orthonormal_rows(bases, tol: float = TOL_ORTHO) -> np.ndarray:
+    """Whether the rows of each basis in a stack ``(..., r, k)`` are
+    orthonormal: every Gram entry within ``max(tol, 1e-12)`` of the
+    identity.  NaN and infinity fail; an empty Gram matrix passes."""
+    gram = bases @ bases.swapaxes(-1, -2)
+    return (np.abs(gram - np.eye(bases.shape[-2]))
+            <= max(tol, 1e-12)).all(axis=(-2, -1))
 
 
 class Subspace:
@@ -62,10 +72,7 @@ class Subspace:
                 f"basis vectors have length {basis.shape[1]}, expected {ambient_dim}")
         if basis.shape[0] > ambient_dim:
             raise ValueError("more basis vectors than ambient dimensions")
-        gram = basis @ basis.T
-        # Fails on NaN and infinity too; an empty Gram matrix passes.
-        if not (np.abs(gram - np.eye(basis.shape[0]))
-                <= max(tol_ortho, 1e-12)).all():
+        if not orthonormal_rows(basis, tol_ortho):
             raise ValueError("basis is not orthonormal within tolerance")
         basis = basis.copy()
         basis.flags.writeable = False

@@ -27,6 +27,7 @@ __all__ = [
     "SchemaError",
     "read_json",
     "write_json",
+    "dumps",
     "stratification_to_json",
     "stratification_from_json",
     "bundle_to_json",
@@ -62,8 +63,103 @@ def read_json(path: str) -> Any:
 
 def write_json(obj: Any, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        _encode(obj, fh.write, "\n")
         fh.write("\n")
+
+
+def dumps(obj: Any) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
+
+    The standard library's indented encoder is pure Python, one
+    generator step per number.  This walk emits containers the same way
+    but hands each list of scalars, and each list of rows of numbers, to
+    the compact C encoder in one call and re-indents its output by
+    replacing the separators ``", "`` (and ``"], ["`` between rows).
+    That is exact when no string in the list contains a separator, which
+    is checked on the encoded text.
+    """
+    chunks: list[str] = []
+    _encode(obj, chunks.append, "\n")
+    return "".join(chunks)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+if json.encoder.c_make_encoder is not None:
+    # The compact one-shot C encoder that json.dumps builds on each call.
+    _c_encoder = json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, _encode_str, None, ": ", ", ",
+        False, False, True)
+
+    def _compact(obj) -> str:
+        return "".join(_c_encoder(obj, 0))
+else:
+    _compact = json.JSONEncoder().encode
+_CONTAINERS = (list, tuple, dict)
+_LEAF_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
+def _key(key) -> str:
+    if isinstance(key, str):
+        return _encode_str(key)
+    if isinstance(key, (int, float)) or key is None:
+        return '"' + _compact(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _encode(obj, write, newline: str) -> None:
+    """Write ``obj`` indented two spaces per level; ``newline`` is a line
+    break followed by the indentation of the current level."""
+    if isinstance(obj, dict):
+        if not obj:
+            write("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, value in sorted(obj.items()):
+            if isinstance(value, _CONTAINERS):
+                write(separator + _key(key) + ": ")
+                _encode(value, write, inner)
+            else:
+                write(separator + _key(key) + ": " + _compact(value))
+            separator = "," + inner
+        write(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            write("[]")
+            return
+        inner = newline + "  "
+        types = set(map(type, obj))
+        if types <= _LEAF_TYPES:
+            text = _compact(obj)
+            # Only the item separators match, unless a string holds ", ".
+            if text.count(", ") == len(obj) - 1:
+                body = text[1:-1].replace(", ", "," + inner)
+                write(f"[{inner}{body}{newline}]")
+                return
+        elif types == {list}:
+            text = _compact(obj)
+            # Rows holding neither strings nor lists, none of them empty:
+            # "], [" separates the rows and ", " their entries.
+            if ('"' not in text and "[]" not in text
+                    and text.count("[") == len(obj) + 1):
+                entry = inner + "  "
+                body = (text[2:-2]
+                        .replace("], [", f"{inner}],{inner}[{entry}")
+                        .replace(", ", "," + entry))
+                write(f"[{inner}[{entry}{body}{inner}]{newline}]")
+                return
+        separator = "[" + inner
+        for item in obj:
+            if isinstance(item, _CONTAINERS):
+                write(separator)
+                _encode(item, write, inner)
+            else:
+                write(separator + _compact(item))
+            separator = "," + inner
+        write(newline + "]")
+    else:
+        write(_compact(obj))
 
 
 def _expect(obj, key, kinds, path):
@@ -182,17 +278,24 @@ def bundle_from_json(obj, path="$") -> SampledStratifiedBundle:
     base_obj.setdefault("schema", SCHEMA)
     base = stratification_from_json(base_obj, f"{path}.base")
     fiber_ambient = _expect(obj, "fiber_ambient", int, path)
+    sizes = {s.name: len(s) for s in base.strata}
     fibers = {}
     for i, item in enumerate(_expect(obj, "fibers", list, path)):
         fpath = f"{path}.fibers[{i}]"
         idx = _expect(item, "point_index", list, fpath)
         if len(idx) != 2 or not isinstance(idx[1], int):
             raise SchemaError(f"{fpath}.point_index: expected [stratum, i]")
+        key = (str(idx[0]), idx[1])
+        if not 0 <= key[1] < sizes.get(key[0], 0):
+            raise SchemaError(f"{fpath}.point_index: no sample point {key}")
+        if key in fibers:
+            raise SchemaError(f"{fpath}.point_index: repeated fiber over "
+                              f"point {key}")
         basis = _expect(item, "basis", list, fpath)
         arr = _matrix(basis, f"{fpath}.basis") if basis else \
             np.zeros((0, fiber_ambient))
         try:
-            fibers[(str(idx[0]), idx[1])] = Subspace(fiber_ambient, arr)
+            fibers[key] = Subspace(fiber_ambient, arr)
         except ValueError as exc:
             raise SchemaError(f"{fpath}.basis: {exc}") from None
     for s in base.strata:

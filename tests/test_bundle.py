@@ -4,10 +4,12 @@ import pytest
 from svb.bundle import (
     BundleMorphism,
     ConvergenceScenario,
+    InvalidBundleError,
     SampledStratifiedBundle,
     apply_functor_to_bundle,
     apply_functor_to_morphism,
     compose_morphisms,
+    fiber_stacks,
     trivial_bundle,
     validate_bundle,
     validate_morphism,
@@ -21,9 +23,24 @@ from svb.fixtures import (
     cone_scenario,
     cone_sections,
     line_stratification,
+    ring_tangent_bundle,
+    sign_flip_tangent_bundle,
     step_rank_bundle,
 )
-from svb.functors import SymPower, TensorPower, WedgePower, dim_map
+from svb.functors import (
+    Compose,
+    ConstantSum,
+    DirectSum,
+    Identity,
+    SymPower,
+    TensorPower,
+    WedgePower,
+    apply_to_subspace,
+    check_orthogonality,
+    dim_map,
+    orthogonality_residuals,
+)
+from svb.strata import Stratification, Stratum
 from svb.grassmann import Subspace, gap_distance, opnorm, span
 
 PRIMITIVES = [WedgePower(1), WedgePower(2), WedgePower(3),
@@ -186,8 +203,75 @@ class TestApplyFunctorToBundle:
         fibers = dict(b.fibers)
         fibers[("S+", 0)] = span([(1.0, 0.0)], 2)
         broken = SampledStratifiedBundle(b.base, 2, fibers, b.stratum_rank)
-        with pytest.raises(ValueError, match="validation"):
+        with pytest.raises(ValueError, match="validation") as caught:
             apply_functor_to_bundle(WedgePower(2), broken)
+        assert isinstance(caught.value, InvalidBundleError)
+        assert caught.value.validation == validate_bundle(broken)
+
+
+def _random_fiber_bundle(n=150, rank=2, ambient=5, seed=7):
+    rng = np.random.default_rng(seed)
+    base = Stratification([Stratum("bulk", 2,
+                                   rng.uniform(-1.0, 1.0, size=(n, 2)))])
+    fibers = {("bulk", i): span(rng.standard_normal((rank, ambient)), ambient)
+              for i in range(n)}
+    return SampledStratifiedBundle(base, ambient, fibers, {"bulk": rank})
+
+
+BUNDLES = {"step-rank": step_rank_bundle, "cone-pass": cone_bundle,
+           "ring-tangent": ring_tangent_bundle,
+           "sign-flip": sign_flip_tangent_bundle,
+           "random-150": _random_fiber_bundle}
+FUNCTORS = [Identity(), ConstantSum(1), DirectSum(Identity(), ConstantSum(1)),
+            Compose(WedgePower(2), DirectSum(Identity(), ConstantSum(1))),
+            TensorPower(2), WedgePower(2), WedgePower(3), SymPower(2),
+            SymPower(3)]
+
+
+class TestStratumStacks:
+    """One functor call per stratum stack gives, bit for bit, what one
+    call per fiber gives."""
+
+    @pytest.mark.parametrize("make", BUNDLES.values(), ids=BUNDLES.keys())
+    def test_one_stack_per_stratum_in_point_order(self, make):
+        b = make()
+        stacks = fiber_stacks(b)
+        assert len(stacks) == len(b.base.strata)
+        assert [k for keys, _ in stacks for k in keys] == b.point_keys()
+        for keys, bases in stacks:
+            for key, basis in zip(keys, bases):
+                assert np.array_equal(basis, b.fiber(key).basis)
+
+    def test_mixed_ranks_split_a_stratum(self):
+        b = trivial_bundle(line_stratification(), 2)
+        fibers = dict(b.fibers)
+        fibers[("S+", 1)] = span([(1.0, 0.0)], 2)
+        stacks = fiber_stacks(SampledStratifiedBundle(b.base, 2, fibers,
+                                                      b.stratum_rank))
+        ranks = {tuple(keys): bases.shape[1] for keys, bases in stacks}
+        assert ranks[(("S+", 1),)] == 1
+        assert len(stacks) == len(b.base.strata) + 1
+
+    @pytest.mark.parametrize("make", BUNDLES.values(), ids=BUNDLES.keys())
+    @pytest.mark.parametrize("f", FUNCTORS, ids=repr)
+    def test_image_equals_per_fiber_image(self, make, f):
+        b = make()
+        out = apply_functor_to_bundle(f, b)
+        for key in b.point_keys():
+            expected = apply_to_subspace(f, b.fiber(key))
+            assert out.fiber(key).ambient_dim == expected.ambient_dim
+            assert np.array_equal(out.fiber(key).basis, expected.basis)
+            assert np.array_equal(out.fiber(key).projection,
+                                  expected.projection)
+
+    @pytest.mark.parametrize("make", BUNDLES.values(), ids=BUNDLES.keys())
+    @pytest.mark.parametrize("f", FUNCTORS, ids=repr)
+    def test_residuals_equal_per_fiber_check(self, make, f):
+        b = make()
+        for keys, bases in fiber_stacks(b):
+            residuals = orthogonality_residuals(f, bases)
+            assert residuals.tolist() == [
+                check_orthogonality(f, b.fiber(key))[1] for key in keys]
 
 
 class TestFunctorPreservesWhitney:

@@ -4,9 +4,11 @@ import os
 import numpy as np
 import pytest
 
+import svb.bundle
 from svb.bundle import SampledStratifiedBundle
 from svb.cli import main
 from svb.fixtures import cone_bundle, line_stratification
+from svb.functors import SymPower, check_orthogonality
 from svb.grassmann import Subspace, span
 from svb.jsonio import bundle_from_json, bundle_to_json, read_json, write_json
 
@@ -111,7 +113,20 @@ class TestExitCodes:
          "$.fibers: missing fiber over point ('bulk', 15)"),
         (lambda obj: obj["fibers"][2].update(point_index=["bulk", "x"]),
          "$.fibers[2].point_index: expected [stratum, i]"),
-    ], ids=["rank-not-int", "fiber-missing", "point-index-not-int"])
+        (lambda obj: obj["fibers"].append(
+            dict(obj["fibers"][3], point_index=["ghost", 0])),
+         "$.fibers[17].point_index: no sample point ('ghost', 0)"),
+        (lambda obj: obj["fibers"][5].update(point_index=["bulk", 16]),
+         "$.fibers[5].point_index: no sample point ('bulk', 16)"),
+        (lambda obj: obj["fibers"][5].update(point_index=["bulk", -1]),
+         "$.fibers[5].point_index: no sample point ('bulk', -1)"),
+        (lambda obj: obj["fibers"][5].update(point_index=["origin", 1]),
+         "$.fibers[5].point_index: no sample point ('origin', 1)"),
+        (lambda obj: obj["fibers"].append(dict(obj["fibers"][2])),
+         "$.fibers[17].point_index: repeated fiber over point ('bulk', 1)"),
+    ], ids=["rank-not-int", "fiber-missing", "point-index-not-int",
+            "unknown-stratum", "index-past-end", "index-negative",
+            "index-past-singleton", "fiber-repeated"])
     def test_malformed_bundle_is_one(self, capsys, tmp_path, edit, message):
         obj = read_json(fx("ring_tangent.json"))
         edit(obj)
@@ -263,6 +278,35 @@ class TestVerbs:
         report = json.loads(out)
         assert report["artifacts"]["bundle"] == str(out_path)
 
+    @pytest.mark.parametrize("declared, verdicts", [
+        (3, {"validate-input": "PASS", "validate-output": "PASS"}),
+        (2, {"validate-input": "FAIL"}),
+    ], ids=["valid", "rank-mismatch"])
+    def test_apply_functor_validates_input_once(self, capsys, tmp_path,
+                                                monkeypatch, declared,
+                                                verdicts):
+        calls = []
+        validate = svb.bundle.validate_bundle
+        monkeypatch.setattr(svb.bundle, "validate_bundle",
+                            lambda b: calls.append(b) or validate(b))
+        obj = read_json(fx("trivial3.json"))
+        obj["ranks"]["S0"] = declared
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(obj))
+        code, out = run(capsys, "apply-functor", "--functor", "sym:2",
+                        "--bundle", str(path))
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert {n: c["verdict"] for n, c in checks.items()} == verdicts
+        assert len(calls) == 1
+        if declared == 3:
+            assert code == 0
+            assert checks["validate-output"]["ranks"] == \
+                {"S0": 6, "S+": 6, "S-": 6}
+        else:
+            assert code == 2
+            assert checks["validate-input"]["problems"][0] == \
+                "fiber over ('S0', 0) has rank 3, stratum 'S0' declares 2"
+
     def test_orthogonality_on_bundle(self, capsys):
         code, out = run(capsys, "check", "orthogonality",
                         "--functor", "sym:2",
@@ -271,6 +315,22 @@ class TestVerbs:
         assert code == 0
         report = json.loads(out)
         assert all(c["verdict"] == "PASS" for c in report["checks"])
+
+    def test_orthogonality_on_bundle_of_mixed_ranks(self, capsys, tmp_path):
+        # A stratum whose fibers differ in rank is checked fiber by fiber,
+        # in point order, with the residual of the per-subspace check.
+        obj = read_json(fx("trivial3.json"))
+        obj["fibers"][4]["basis"] = [[0.0, 0.6, 0.8]]
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(obj))
+        code, out = run(capsys, "check", "orthogonality", "--functor",
+                        "sym:3", "--bundle", str(path))
+        assert code == 0
+        bundle = bundle_from_json(obj)
+        assert [(c["name"], c["residual"]) for c in json.loads(out)["checks"]] \
+            == [(f"orthogonality[{s}:{i}]",
+                 check_orthogonality(SymPower(3), bundle.fiber((s, i)))[1])
+                for s, i in bundle.point_keys()]
 
     def test_orthogonality_needs_one_input(self, capsys):
         code = main(["check", "orthogonality", "--functor", "wedge:2"])

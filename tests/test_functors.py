@@ -1,11 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import svb.functors
 from svb.functors import (
     Compose,
     ConstantSum,
@@ -18,6 +20,7 @@ from svb.functors import (
     apply_to_subspace,
     check_orthogonality,
     dim_map,
+    orthogonality_residuals,
     format_functor,
     functor_from_json,
     functor_to_json,
@@ -105,6 +108,92 @@ class TestApplyToMap:
         for f in PRIMITIVES + COMPOSITES:
             out = apply_to_map(f, m)
             assert out.shape == (dim_map(f, 3), dim_map(f, 4))
+
+
+STACKED = [Identity(), ConstantSum(2), DirectSum(Identity(), ConstantSum(1)),
+           Compose(WedgePower(2), DirectSum(Identity(), ConstantSum(1))),
+           Compose(SymPower(2), WedgePower(2))] + [
+    power(n) for n in (1, 2, 3, 4)
+    for power in (TensorPower, WedgePower, SymPower)]
+
+
+class TestStackedMaps:
+    """A stack (..., k, j) maps matrix by matrix, bit for bit the same as
+    one call per matrix."""
+
+    @staticmethod
+    def _per_matrix(f, stack):
+        flat = stack.reshape(math.prod(stack.shape[:-2]), *stack.shape[-2:])
+        out = [apply_to_map(f, m) for m in flat]
+        return np.stack(out).reshape(*stack.shape[:-2], *out[0].shape)
+
+    @pytest.mark.parametrize("f", STACKED, ids=format_functor)
+    @pytest.mark.parametrize("shape", [(6, 3, 3), (5, 2, 4), (2, 3, 4, 2),
+                                       (4, 0, 3), (3, 2, 2)],
+                             ids=["square", "rectangular", "two-lead",
+                                  "rank-0", "small"])
+    def test_stack_equals_per_matrix(self, f, shape):
+        if isinstance(f, TensorPower) and f.n == 4 and shape[-1] > 3:
+            shape = shape[:-1] + (3,)
+        rng = np.random.default_rng(sum(shape))
+        stack = rng.standard_normal(shape)
+        out = apply_to_map(f, stack)
+        assert out.shape == (*shape[:-2], dim_map(f, shape[-2]),
+                             dim_map(f, shape[-1]))
+        assert np.array_equal(out, self._per_matrix(f, stack))
+
+    @pytest.mark.parametrize("f", [WedgePower(2), SymPower(3),
+                                   Compose(SymPower(2), WedgePower(2))],
+                             ids=format_functor)
+    def test_small_chunks_match_one_chunk(self, f, monkeypatch):
+        rng = np.random.default_rng(11)
+        stack = rng.standard_normal((7, 4, 4))
+        bases = np.stack([random_subspace(rng, 4, 2).basis
+                          for _ in range(7)])
+        whole = apply_to_map(f, stack)
+        residuals = orthogonality_residuals(f, bases)
+        for chunk in (1, 200):  # one matrix, or a few, per chunk
+            monkeypatch.setattr(svb.functors, "_CHUNK", chunk)
+            assert np.array_equal(apply_to_map(f, stack), whole)
+            assert np.array_equal(orthogonality_residuals(f, bases),
+                                  residuals)
+
+    def test_memory_bounded_as_the_stack_grows(self):
+        # 1,000 planes in R^7 under sym:3: all n^2 gathered factors of
+        # the whole stack would take 508 MB, F(P) alone 56 MB.
+        rng = np.random.default_rng(2)
+        q, _ = np.linalg.qr(rng.standard_normal((1000, 7, 2)))
+        bases = q.swapaxes(-1, -2)
+        tracemalloc.start()
+        try:
+            residuals = orthogonality_residuals(SymPower(3), bases)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (residuals <= 1e-12).all()
+        assert peak < 48 * 2 ** 20, peak
+
+    def test_zero_size_image(self):
+        # wedge:3 of R^2 is R^0: every image is a 0 x 0 matrix.
+        out = apply_to_map(WedgePower(3), np.ones((5, 2, 2)))
+        assert out.shape == (5, 0, 0)
+        residuals = orthogonality_residuals(WedgePower(3),
+                                            np.eye(2)[None].repeat(5, 0))
+        assert np.array_equal(residuals, np.zeros(5))
+
+    @pytest.mark.parametrize("f", STACKED, ids=format_functor)
+    def test_residuals_equal_per_subspace_check(self, f):
+        rng = np.random.default_rng(5)
+        fibers = [random_subspace(rng, 4, 2) for _ in range(7)]
+        residuals = orthogonality_residuals(
+            f, np.stack([w.basis for w in fibers]))
+        assert residuals.tolist() == [check_orthogonality(f, w)[1]
+                                      for w in fibers]
+        # The per-subspace formula: F(P_W) against the projection of the
+        # audited image subspace.
+        assert residuals.tolist() == [
+            opnorm(apply_to_map(f, w.projection)
+                   - apply_to_subspace(f, w).projection) for w in fibers]
 
 
 class TestApplyToSubspace:

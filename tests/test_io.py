@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svb.fixtures import (
     cone_bundle,
@@ -20,6 +22,7 @@ from svb.jsonio import (
     action_to_json,
     bundle_from_json,
     bundle_to_json,
+    dumps,
     fields_from_json,
     group_from_json,
     group_to_json,
@@ -152,6 +155,78 @@ def test_written_files_end_with_newline(tmp_path):
     text = path.read_text()
     assert text.endswith("\n")
     json.loads(text)
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+
+class TestWriter:
+    """``dumps`` is the standard library's indented encoder, byte for
+    byte."""
+
+    @staticmethod
+    def _stdlib(obj):
+        return json.dumps(obj, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("name", sorted(os.listdir(FIXTURES)))
+    def test_fixture(self, name):
+        obj = read_json(os.path.join(FIXTURES, name))
+        assert dumps(obj) == self._stdlib(obj)
+
+    @pytest.mark.parametrize("obj", [
+        [float("nan"), float("inf"), -float("inf"), -0.0, 1e-300, 10 ** 40],
+        [True, False, None, 0, -1, 2.5],
+        ["a, b", 1, "[", '"q", r', "\u00e9, \u4e2d", None],
+        ["plain", "words"], [[], {}, [[]], [{}]], {"": [], "k": {}},
+        [1, [2, [3, "x, y"]], {"z": [4.0, "w"]}], "top, level", -0.0,
+        [[1.0, 2.0], [3.0, -0.0]], [[1, None, True], [float("nan")]],
+        [[1.0], []], [[1.0, "a, b"], [2.0]], [[[1.0]], [[2.0]]],
+        [[{}], [1.0]], [[{"a": [1, 2]}], [2.0]],
+        (1, (2.0, "t")), {"b": 1, "a": [1, 2], "c": {"e": None, "d": 1}},
+        [{1: "int", 2.5: "float", -0.0: "zero"}, {None: "null"},
+         {True: "t", False: "f"}, {float("nan"): "nan"}],
+    ], ids=["non-finite", "bools-ints", "separator-in-string", "strings",
+            "empty-containers", "empty-values", "nested", "scalar",
+            "negative-zero", "matrix", "matrix-mixed", "matrix-empty-row",
+            "matrix-string", "matrix-deeper", "matrix-empty-object",
+            "matrix-object", "tuples", "sorted-keys", "non-string-keys"])
+    def test_edge_cases(self, obj):
+        assert dumps(obj) == self._stdlib(obj)
+
+    scalars = (st.none() | st.booleans() | st.integers()
+               | st.integers(min_value=-10 ** 30, max_value=10 ** 30)
+               | st.floats(allow_nan=True, allow_infinity=True)
+               | st.sampled_from([-0.0, 1e-300, 5e-324, 1.7976931348623157e308])
+               | st.text()
+               | st.sampled_from([", ", "a, b", "[1, 2]", '"x", "y"', "], ["])
+               | st.text(alphabet=st.sampled_from(
+                   [",", " ", "[", "]", "{", "}", '"', "\\", ":", "\n",
+                    "\u00e9", "\u4e2d", "\U0001f600", "a"])))
+    documents = st.recursive(
+        scalars,
+        lambda inner: (st.lists(inner, max_size=6)
+                       | st.tuples(inner, inner)
+                       | st.dictionaries(st.text(max_size=5), inner,
+                                         max_size=5)),
+        max_leaves=40)
+
+    @settings(max_examples=300, deadline=None)
+    @given(obj=documents)
+    def test_generated_documents(self, obj):
+        assert dumps(obj) == self._stdlib(obj)
+
+    def test_unserializable_raises_like_stdlib(self):
+        for obj in ([object()], {"k": {1, 2}}, {(1, 2): 3}):
+            with pytest.raises(TypeError):
+                self._stdlib(obj)
+            with pytest.raises(TypeError):
+                dumps(obj)
+
+    def test_write_json_is_dumps_plus_newline(self, tmp_path):
+        obj = bundle_to_json(cone_bundle("fail", depth=6))
+        path = tmp_path / "b.json"
+        write_json(obj, str(path))
+        assert path.read_text() == dumps(obj) + "\n"
 
 
 def test_make_fixtures_reproduces_committed_corpus(tmp_path):
