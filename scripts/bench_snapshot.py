@@ -12,13 +12,19 @@ benchmark's inputs hide: ``check_frontier`` and
 the construction of a 3,200-point ``Stratification`` (32 clusters in
 R^3), ``apply_functor_to_bundle`` with sym:3 on a rank-4 trivial bundle
 over 2,000 points and ``check_orthogonality`` with sym:4 on a 3-plane in
-R^7, five times each.  Seeds, run length and repeats are fixed, so that
+R^7, five times each.  Two fixed per-call costs are timed warm, after
+one untimed call, five times each: one in-process ``cli.main`` call of
+``check frontier`` on ``fixtures/line.json`` and ``foliation_bundle``
+on the 441-point grid of the cloud and orbits workloads.  Seeds, run
+length and repeats are fixed, so that
 any two snapshots compare like with like.  Each measurement runs in a fresh process that imports svb from
 the checkout's ``src``, so a snapshot of an older commit only needs its
 checkout; ``--checkout`` defaults to the one holding this script.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import statistics
@@ -100,8 +106,10 @@ def scaled_timings(checkout):
     import numpy as np
 
     import svb
+    import svb.cli
     from svb.bundle import apply_functor_to_bundle, trivial_bundle
-    from svb.fixtures import cantor_stratification
+    from svb.fixtures import axis_scaling_fields_plane, cantor_stratification
+    from svb.foliation import VectorFieldSet, foliation_bundle
     from svb.functors import SymPower, check_orthogonality
     from svb.grassmann import Subspace
     from svb.strata import (Stratification, Stratum, check_frontier,
@@ -133,6 +141,24 @@ def scaled_timings(checkout):
     cases["sym4_orthogonality_r7"] = (
         {"rank": 3, "ambient": 7},
         lambda: check_orthogonality(SymPower(4), plane))
+    line = os.path.join(checkout, "fixtures", "line.json")
+
+    def frontier_cli():
+        with contextlib.redirect_stdout(io.StringIO()):
+            return svb.cli.main(["check", "frontier", "--stratification",
+                                 line, "--no-timestamp"])
+
+    axis = np.arange(-10, 11) * 0.1  # the workloads' grid, origin exact
+    grid = VectorFieldSet(2, axis_scaling_fields_plane(0.1).fields,
+                          [[x, y] for x in axis for y in axis])
+    warm = {"cli_main_frontier_line": ({"verb": "check frontier"},
+                                       frontier_cli),
+            "foliation_bundle_grid441": (
+                {"points": 441, "fields": 2},
+                lambda: foliation_bundle(grid, r_cc=0.12))}
+    for _, call in warm.values():
+        call()
+    cases.update(warm)
     out = {}
     for name, (size, call) in cases.items():
         times = []

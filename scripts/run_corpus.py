@@ -9,7 +9,9 @@ expected to exit 2; anything off-script trips the final exit code.
 ``--dump DIR`` also writes each run's report to ``DIR/report<NN>.<format>``
 and the artifacts of the producing verbs into DIR, so two checkouts can
 be diffed for byte-identical output.  The reports name DIR as ``<dump>``
-so that the tree does not depend on where it was written.
+so that the tree does not depend on where it was written;
+``tests/golden/corpus`` holds the JSON tree that the test suite compares
+against.
 """
 
 import argparse
@@ -71,12 +73,12 @@ def plan(tmp):
     ]
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--dump", metavar="DIR",
                         help="write every report and artifact into DIR")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     surprises = 0
     if args.dump:

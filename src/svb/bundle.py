@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .config import TAIL_LEN, TOL_CHECK
-from .functors import LinearFunctor, apply_to_map, dim_map
+from .functors import LinearFunctor, apply_to_map, dim_map, sized_dim
 from .grassmann import (
     Subspace,
     SubspaceSequence,
@@ -267,12 +267,13 @@ def apply_functor_to_bundle(f: LinearFunctor, b: SampledStratifiedBundle
     One ``apply_to_map`` call maps the stacked bases of each stratum.
     As in ``apply_to_subspace``, every image basis is audited by its
     :class:`Subspace` at the verdict tolerance.  Raises
-    :class:`InvalidBundleError` when ``b`` fails validation.
+    :class:`InvalidBundleError` when ``b`` fails validation, and
+    ValueError when F builds a space above ``functors.MAX_DIM``.
     """
+    ambient = sized_dim(f, b.fiber_ambient)
     validation = validate_bundle(b)
     if not validation.passed:
         raise InvalidBundleError(validation)
-    ambient = dim_map(f, b.fiber_ambient)
     new_fibers = {}
     for keys, bases in fiber_stacks(b):
         for key, image in zip(keys, apply_to_map(f, bases)):

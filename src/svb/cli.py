@@ -1,5 +1,10 @@
 """Batch front door: load JSON scenes, run checks, emit reports.
 
+Every verb is registered once, in ``build_parser``: its subparser and
+flags together with its handler ``run(args, cfg, add)``, which records
+checks through ``add`` and returns the artifacts it produced.  The
+parser is built once per process; ``main`` calls ``args.run``.
+
 Exit codes: 0 when every check passes, 2 when any check fails, 3 when
 some check is inconclusive and none fails, 1 on input errors (unreadable
 files, schema violations, bad flags or tolerance values).
@@ -13,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import functools
 import re
 import sys
 
@@ -72,81 +78,6 @@ def _output_flags(parser: argparse.ArgumentParser) -> None:
                         help="omit the timestamp for byte-stable reports")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="svb",
-        description="checks and constructions on sampled stratified "
-                    "vector bundles")
-    parser.add_argument("--version", action="version",
-                        version=f"svb {__version__}")
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    check = commands.add_parser("check", help="run a verification")
-    check_sub = check.add_subparsers(dest="subcommand", required=True)
-
-    frontier = check_sub.add_parser("frontier")
-    frontier.add_argument("--stratification", required=True)
-    _tolerance_flags(frontier)
-    _output_flags(frontier)
-
-    whitney = check_sub.add_parser("whitney-a")
-    whitney.add_argument("--bundle", required=True)
-    whitney.add_argument("--scenario")
-    whitney.add_argument("--auto-sequence", metavar="radial:S[i],count",
-                         help="generate the scenario by radial "
-                              "nearest-neighbour selection toward S[i]")
-    whitney.add_argument("--source-stratum",
-                         help="stratum the auto-generated sequence runs in")
-    _tolerance_flags(whitney)
-    _output_flags(whitney)
-
-    ortho = check_sub.add_parser("orthogonality")
-    ortho.add_argument("--functor", required=True)
-    ortho.add_argument("--subspace")
-    ortho.add_argument("--bundle")
-    _tolerance_flags(ortho)
-    _output_flags(ortho)
-
-    apply_f = commands.add_parser("apply-functor",
-                                  help="apply a functor fibrewise")
-    apply_f.add_argument("--functor", required=True)
-    apply_f.add_argument("--bundle", required=True)
-    _tolerance_flags(apply_f)
-    _output_flags(apply_f)
-
-    monoid = commands.add_parser("monoid")
-    monoid_sub = monoid.add_subparsers(dest="subcommand", required=True)
-    analyze = monoid_sub.add_parser("analyze")
-    analyze.add_argument("--action", required=True)
-    _tolerance_flags(analyze)
-    _output_flags(analyze)
-
-    equiv = commands.add_parser("equivariant")
-    equiv_sub = equiv.add_subparsers(dest="subcommand", required=True)
-    for name in ("tilde", "quotient"):
-        sub = equiv_sub.add_parser(name)
-        sub.add_argument("--group", required=True)
-        sub.add_argument("--bundle", required=True)
-        _tolerance_flags(sub)
-        _output_flags(sub)
-
-    fol = commands.add_parser("foliation")
-    fol_sub = fol.add_subparsers(dest="subcommand", required=True)
-    stratify = fol_sub.add_parser("stratify")
-    stratify.add_argument("--fields", required=True)
-    _tolerance_flags(stratify)
-    _output_flags(stratify)
-    fbundle = fol_sub.add_parser("bundle")
-    fbundle.add_argument("--fields", required=True)
-    fbundle.add_argument("--scenario",
-                         help="optionally check Whitney A via the "
-                              "generating fields as sections")
-    _tolerance_flags(fbundle)
-    _output_flags(fbundle)
-
-    return parser
-
-
 def _config(args: argparse.Namespace) -> Tolerances:
     try:
         return Tolerances.from_env().replace(
@@ -155,11 +86,6 @@ def _config(args: argparse.Namespace) -> Tolerances:
             delta_cover=args.delta_cover, tail_len=args.tail_len)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-
-
-def _verb(args) -> str:
-    sub = getattr(args, "subcommand", None)
-    return f"{args.command} {sub}" if sub else args.command
 
 
 def _auto_scenario(bundle, spec: str, source: str | None
@@ -185,186 +111,241 @@ def _auto_scenario(bundle, spec: str, source: str | None
     return ConvergenceScenario(target, source, x0_index, tuple(ordered))
 
 
-def _run_checks(args, cfg: Tolerances) -> tuple[list[dict], dict]:
-    """Execute the verb; returns (checks, artifacts-written)."""
-    checks: list[dict] = []
-    artifacts: dict[str, str] = {}
-    verb = _verb(args)
-
-    def add(name, verdict, **data):
-        checks.append({"name": name, "verdict": verdict, **data})
-
-    if verb == "check frontier":
-        strat = jsonio.stratification_from_json(
-            jsonio.read_json(args.stratification))
-        report = check_frontier(strat, cfg.eps_touch, cfg.delta_cover)
-        add("frontier", "PASS" if report.passed else "FAIL",
-            eps_touch=report.eps_touch, delta_cover=report.delta_cover,
-            touching_pairs=[list(p) for p in report.touching_pairs],
-            violations=[{"S": v.s, "R": v.r, "reason": v.reason,
-                         "witness": list(v.witness),
-                         "distance": v.distance}
-                        for v in report.violations])
-
-    elif verb == "check whitney-a":
-        bundle = jsonio.bundle_from_json(jsonio.read_json(args.bundle))
-        validation = validate_bundle(bundle)
-        add("validate-bundle", "PASS" if validation.passed else "FAIL",
-            problems=list(validation.problems))
-        if args.scenario:
-            scenario = jsonio.scenario_from_json(jsonio.read_json(args.scenario))
-        elif args.auto_sequence:
-            scenario = _auto_scenario(bundle, args.auto_sequence,
-                                      args.source_stratum)
-        else:
-            raise CliError("check whitney-a needs --scenario or "
-                           "--auto-sequence")
-        try:
-            verdict = whitney_a_check(bundle, scenario, tol=cfg.tol_check,
-                                      tail_len=cfg.tail_len)
-        except (KeyError, ValueError) as exc:
-            raise CliError(f"scenario: {exc}") from None
-        add("whitney-a", verdict.status, residual=verdict.residual,
-            scenario=scenario.to_json())
-
-    elif verb == "check orthogonality":
-        functor = _parse_functor_arg(args.functor)
-        if bool(args.subspace) == bool(args.bundle):
-            raise CliError(
-                "check orthogonality needs exactly one of --subspace or "
-                "--bundle")
-        if args.subspace:
-            w = jsonio.subspace_file_from_json(jsonio.read_json(args.subspace))
-            ok, residual = check_orthogonality(functor, w, cfg.tol_check)
-            add("orthogonality", "PASS" if ok else "FAIL", residual=residual)
-        else:
-            bundle = jsonio.bundle_from_json(jsonio.read_json(args.bundle))
-            residuals = {}
-            for keys, bases in fiber_stacks(bundle):
-                residuals.update(zip(
-                    keys, orthogonality_residuals(functor, bases).tolist()))
-            for key in bundle.point_keys():
-                residual = residuals[key]
-                add(f"orthogonality[{key[0]}:{key[1]}]",
-                    "PASS" if residual <= cfg.tol_check else "FAIL",
-                    residual=residual)
-
-    elif verb == "apply-functor":
-        functor = _parse_functor_arg(args.functor)
-        bundle = jsonio.bundle_from_json(jsonio.read_json(args.bundle))
-        try:
-            image = apply_functor_to_bundle(functor, bundle)
-        except InvalidBundleError as exc:
-            add("validate-input", "FAIL",
-                problems=list(exc.validation.problems))
-        else:
-            add("validate-input", "PASS", problems=[])
-            # Every image fiber passed its Subspace audit, with the rank
-            # and ambient dimension that dim_map gives for its stratum.
-            add("validate-output", "PASS",
-                ranks=dict(sorted(image.stratum_rank.items())),
-                fiber_ambient=image.fiber_ambient)
-            if args.out:
-                jsonio.write_json(jsonio.bundle_to_json(image), args.out)
-                artifacts["bundle"] = args.out
-
-    elif verb == "monoid analyze":
-        action = jsonio.action_from_json(jsonio.read_json(args.action))
-        try:
-            audit = audit_axioms(action, cfg.tol_check)
-            regularity = regularity_check(action, tol=cfg.tol_check,
-                                          step=cfg.step)
-        except ValueError as exc:  # non-finite evaluator value
-            raise CliError(f"action: {exc}") from None
-        add("axioms", "PASS" if audit.passed else "FAIL",
-            identity_violations=[list(v) for v in audit.identity_violations],
-            composition_violations=[list(v) for v in
-                                    audit.composition_violations])
-        add("regularity",
-            "PASS" if regularity.overall == "REGULAR" else "FAIL",
-            classification=regularity.overall,
-            violating_points=[
-                {"index": i,
-                 "point": action.sample_points[i].tolist()}
-                for i in regularity.violating_indices])
-
-    elif verb in ("equivariant tilde", "equivariant quotient"):
-        group = jsonio.group_from_json(jsonio.read_json(args.group))
-        bundle = jsonio.bundle_from_json(jsonio.read_json(args.bundle))
-        try:
-            if verb == "equivariant tilde":
-                result = invariant_subbundle(group, bundle,
-                                             tol=cfg.tol_check, r_cc=cfg.r_cc)
-                add("invariant-subbundle", "PASS",
-                    ranks=dict(sorted(result.stratum_rank.items())))
-            else:
-                result = quotient_bundle(group, bundle, tol=cfg.tol_check,
-                                         r_cc=cfg.r_cc)
-                add("quotient-bundle", "PASS",
-                    ranks=dict(sorted(result.stratum_rank.items())))
-                comparison = tangent_comparison(result)
-                add("tangent-comparison", "PASS",
-                    isomorphic=comparison.isomorphic,
-                    statement=("isomorphic to the stratified tangent"
-                               if comparison.isomorphic else
-                               "NOT isomorphic to the stratified tangent"),
-                    per_stratum=[{"stratum": n, "rank": r, "tangent_rank": d}
-                                 for n, r, d in comparison.per_stratum])
-        except ValueError as exc:
-            add(verb.split()[1], "FAIL", error=str(exc))
-        else:
-            if args.out:
-                jsonio.write_json(jsonio.bundle_to_json(result), args.out)
-                artifacts["bundle"] = args.out
-
-    elif verb == "foliation stratify":
-        vfs = jsonio.fields_from_json(jsonio.read_json(args.fields))
-        strat = stratify_by_rank(vfs, r_cc=cfg.r_cc, tol_rank=cfg.tol_rank)
-        report = check_frontier(strat, cfg.eps_touch, cfg.delta_cover)
-        add("stratify", "PASS",
-            strata=[{"name": s.name, "dim": s.dim, "points": len(s)}
-                    for s in strat.strata])
-        add("frontier-audit", "PASS" if report.passed else "FAIL",
-            violations=[{"S": v.s, "R": v.r, "reason": v.reason}
-                        for v in report.violations])
-        if args.out:
-            jsonio.write_json(jsonio.stratification_to_json(strat), args.out)
-            artifacts["stratification"] = args.out
-
-    elif verb == "foliation bundle":
-        vfs = jsonio.fields_from_json(jsonio.read_json(args.fields))
-        bundle = foliation_bundle(vfs, r_cc=cfg.r_cc, tol_rank=cfg.tol_rank)
-        validation = validate_bundle(bundle)
-        add("validate-bundle", "PASS" if validation.passed else "FAIL",
-            ranks=dict(sorted(bundle.stratum_rank.items())),
-            problems=list(validation.problems))
-        if args.scenario:
-            scenario = jsonio.scenario_from_json(
-                jsonio.read_json(args.scenario))
-            try:
-                verdict = whitney_a_from_sections(
-                    bundle, fields_as_sections(vfs, bundle), scenario,
-                    tol=cfg.tol_check, tail_len=cfg.tail_len)
-            except (KeyError, ValueError) as exc:
-                raise CliError(f"scenario: {exc}") from None
-            add("whitney-a-sections", verdict.status,
-                residual=verdict.residual,
-                section_residuals=list(verdict.section_residuals))
-        if args.out:
-            jsonio.write_json(jsonio.bundle_to_json(bundle), args.out)
-            artifacts["bundle"] = args.out
-
-    else:
-        raise CliError(f"unknown command {verb!r}")
-
-    return checks, artifacts
-
-
 def _parse_functor_arg(text: str):
     try:
         return parse_functor(text)
     except ValueError as exc:
         raise CliError(str(exc)) from None
+
+
+# Handlers: run(args, cfg, add) records checks through add; producing
+# verbs return their artifacts, {"bundle" or "stratification": object},
+# or {} when a check failed.
+
+def _check_frontier(args, cfg, add):
+    strat = jsonio.stratification_from_json(
+        jsonio.read_json(args.stratification))
+    report = check_frontier(strat, cfg.eps_touch, cfg.delta_cover)
+    add("frontier", "PASS" if report.passed else "FAIL",
+        eps_touch=report.eps_touch, delta_cover=report.delta_cover,
+        touching_pairs=[list(p) for p in report.touching_pairs],
+        violations=[{"S": v.s, "R": v.r, "reason": v.reason,
+                     "witness": list(v.witness), "distance": v.distance}
+                    for v in report.violations])
+
+
+def _check_whitney_a(args, cfg, add):
+    bundle = jsonio.bundle_from_json(jsonio.read_json(args.bundle))
+    validation = validate_bundle(bundle)
+    add("validate-bundle", "PASS" if validation.passed else "FAIL",
+        problems=list(validation.problems))
+    if args.scenario:
+        scenario = jsonio.scenario_from_json(jsonio.read_json(args.scenario))
+    elif args.auto_sequence:
+        scenario = _auto_scenario(bundle, args.auto_sequence,
+                                  args.source_stratum)
+    else:
+        raise CliError("check whitney-a needs --scenario or --auto-sequence")
+    try:
+        verdict = whitney_a_check(bundle, scenario, tol=cfg.tol_check,
+                                  tail_len=cfg.tail_len)
+    except (KeyError, ValueError) as exc:
+        raise CliError(f"scenario: {exc}") from None
+    add("whitney-a", verdict.status, residual=verdict.residual,
+        scenario=scenario.to_json())
+
+
+def _check_orthogonality(args, cfg, add):
+    functor = _parse_functor_arg(args.functor)
+    if bool(args.subspace) == bool(args.bundle):
+        raise CliError("check orthogonality needs exactly one of --subspace "
+                       "or --bundle")
+    try:  # also F(R^k) above functors.MAX_DIM, or an image failing its audit
+        if args.subspace:
+            w = jsonio.subspace_file_from_json(jsonio.read_json(args.subspace))
+            ok, residual = check_orthogonality(functor, w, cfg.tol_check)
+            add("orthogonality", "PASS" if ok else "FAIL", residual=residual)
+            return
+        bundle = jsonio.bundle_from_json(jsonio.read_json(args.bundle))
+        residuals = {}
+        for keys, bases in fiber_stacks(bundle):
+            residuals.update(zip(
+                keys, orthogonality_residuals(functor, bases).tolist()))
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+    for key in bundle.point_keys():
+        add(f"orthogonality[{key[0]}:{key[1]}]",
+            "PASS" if residuals[key] <= cfg.tol_check else "FAIL",
+            residual=residuals[key])
+
+
+def _apply_functor(args, cfg, add):
+    functor = _parse_functor_arg(args.functor)
+    bundle = jsonio.bundle_from_json(jsonio.read_json(args.bundle))
+    try:
+        image = apply_functor_to_bundle(functor, bundle)
+    except InvalidBundleError as exc:
+        add("validate-input", "FAIL", problems=list(exc.validation.problems))
+        return {}
+    except ValueError as exc:  # F(R^k) above functors.MAX_DIM
+        raise CliError(str(exc)) from None
+    add("validate-input", "PASS", problems=[])
+    # Every image fiber passed its Subspace audit, with the rank and
+    # ambient dimension that dim_map gives for its stratum.
+    add("validate-output", "PASS",
+        ranks=dict(sorted(image.stratum_rank.items())),
+        fiber_ambient=image.fiber_ambient)
+    return {"bundle": image}
+
+
+def _monoid_analyze(args, cfg, add):
+    action = jsonio.action_from_json(jsonio.read_json(args.action))
+    try:
+        audit = audit_axioms(action, cfg.tol_check)
+        regularity = regularity_check(action, tol=cfg.tol_check,
+                                      step=cfg.step)
+    except ValueError as exc:  # non-finite evaluator value
+        raise CliError(f"action: {exc}") from None
+    add("axioms", "PASS" if audit.passed else "FAIL",
+        identity_violations=[list(v) for v in audit.identity_violations],
+        composition_violations=[list(v) for v in
+                                audit.composition_violations])
+    add("regularity", "PASS" if regularity.overall == "REGULAR" else "FAIL",
+        classification=regularity.overall,
+        violating_points=[{"index": i,
+                           "point": action.sample_points[i].tolist()}
+                          for i in regularity.violating_indices])
+
+
+def _equivariant(args, cfg, add):
+    """``equivariant tilde`` and ``equivariant quotient``."""
+    group = jsonio.group_from_json(jsonio.read_json(args.group))
+    bundle = jsonio.bundle_from_json(jsonio.read_json(args.bundle))
+    name = args.verb.split()[1]
+    tilde = name == "tilde"
+    try:
+        result = (invariant_subbundle if tilde else quotient_bundle)(
+            group, bundle, tol=cfg.tol_check, r_cc=cfg.r_cc)
+        add("invariant-subbundle" if tilde else "quotient-bundle", "PASS",
+            ranks=dict(sorted(result.stratum_rank.items())))
+        if not tilde:
+            comparison = tangent_comparison(result)
+            add("tangent-comparison", "PASS",
+                isomorphic=comparison.isomorphic,
+                statement=("isomorphic to the stratified tangent"
+                           if comparison.isomorphic else
+                           "NOT isomorphic to the stratified tangent"),
+                per_stratum=[{"stratum": n, "rank": r, "tangent_rank": d}
+                             for n, r, d in comparison.per_stratum])
+    except ValueError as exc:
+        add(name, "FAIL", error=str(exc))
+        return {}
+    return {"bundle": result}
+
+
+def _foliation_stratify(args, cfg, add):
+    vfs = jsonio.fields_from_json(jsonio.read_json(args.fields))
+    strat = stratify_by_rank(vfs, r_cc=cfg.r_cc, tol_rank=cfg.tol_rank)
+    report = check_frontier(strat, cfg.eps_touch, cfg.delta_cover)
+    add("stratify", "PASS",
+        strata=[{"name": s.name, "dim": s.dim, "points": len(s)}
+                for s in strat.strata])
+    add("frontier-audit", "PASS" if report.passed else "FAIL",
+        violations=[{"S": v.s, "R": v.r, "reason": v.reason}
+                    for v in report.violations])
+    return {"stratification": strat}
+
+
+def _foliation_bundle(args, cfg, add):
+    vfs = jsonio.fields_from_json(jsonio.read_json(args.fields))
+    bundle = foliation_bundle(vfs, r_cc=cfg.r_cc, tol_rank=cfg.tol_rank)
+    validation = validate_bundle(bundle)
+    add("validate-bundle", "PASS" if validation.passed else "FAIL",
+        ranks=dict(sorted(bundle.stratum_rank.items())),
+        problems=list(validation.problems))
+    if args.scenario:
+        scenario = jsonio.scenario_from_json(jsonio.read_json(args.scenario))
+        try:
+            verdict = whitney_a_from_sections(
+                bundle, fields_as_sections(vfs, bundle), scenario,
+                tol=cfg.tol_check, tail_len=cfg.tail_len)
+        except (KeyError, ValueError) as exc:
+            raise CliError(f"scenario: {exc}") from None
+        add("whitney-a-sections", verdict.status, residual=verdict.residual,
+            section_residuals=list(verdict.section_residuals))
+    return {"bundle": bundle}
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The svb parser, built once per process (``parse_args`` returns a
+    fresh namespace with every default re-applied).  Each verb sets
+    ``run``, ``verb`` and ``producing``: producing verbs write their
+    artifact to ``--out`` and their report to stdout."""
+    parser = _Parser(
+        prog="svb",
+        description="checks and constructions on sampled stratified "
+                    "vector bundles")
+    parser.add_argument("--version", action="version",
+                        version=f"svb {__version__}")
+    commands = parser.add_subparsers(dest="command", required=True)
+    leaves = []
+
+    def verb(group, name, run, producing=False, **kwargs):
+        sub = group.add_parser(name.split()[-1], **kwargs)
+        sub.set_defaults(run=run, verb=name, producing=producing)
+        leaves.append(sub)
+        return sub
+
+    def group(name, **kwargs):
+        return commands.add_parser(name, **kwargs).add_subparsers(
+            dest="subcommand", required=True)
+
+    check = group("check", help="run a verification")
+    verb(check, "check frontier", _check_frontier).add_argument(
+        "--stratification", required=True)
+
+    whitney = verb(check, "check whitney-a", _check_whitney_a)
+    whitney.add_argument("--bundle", required=True)
+    whitney.add_argument("--scenario")
+    whitney.add_argument("--auto-sequence", metavar="radial:S[i],count",
+                         help="generate the scenario by radial "
+                              "nearest-neighbour selection toward S[i]")
+    whitney.add_argument("--source-stratum",
+                         help="stratum the auto-generated sequence runs in")
+
+    ortho = verb(check, "check orthogonality", _check_orthogonality)
+    ortho.add_argument("--functor", required=True)
+    ortho.add_argument("--subspace")
+    ortho.add_argument("--bundle")
+
+    apply_f = verb(commands, "apply-functor", _apply_functor, True,
+                   help="apply a functor fibrewise")
+    apply_f.add_argument("--functor", required=True)
+    apply_f.add_argument("--bundle", required=True)
+
+    verb(group("monoid"), "monoid analyze", _monoid_analyze).add_argument(
+        "--action", required=True)
+
+    equiv = group("equivariant")
+    for name in ("tilde", "quotient"):
+        sub = verb(equiv, f"equivariant {name}", _equivariant, True)
+        sub.add_argument("--group", required=True)
+        sub.add_argument("--bundle", required=True)
+
+    fol = group("foliation")
+    verb(fol, "foliation stratify", _foliation_stratify, True).add_argument(
+        "--fields", required=True)
+    fbundle = verb(fol, "foliation bundle", _foliation_bundle, True)
+    fbundle.add_argument("--fields", required=True)
+    fbundle.add_argument("--scenario",
+                         help="optionally check Whitney A via the "
+                              "generating fields as sections")
+
+    for sub in leaves:
+        _tolerance_flags(sub)
+        _output_flags(sub)
+    return parser
 
 
 def _overall(checks) -> tuple[str, int]:
@@ -389,9 +370,14 @@ def _render_text(report: dict) -> str:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    checks: list[dict] = []
+
+    def add(name, verdict, **data):
+        checks.append({"name": name, "verdict": verdict, **data})
+
     try:
         cfg = _config(args)
-        checks, artifacts = _run_checks(args, cfg)
+        produced = args.run(args, cfg, add)
     except (CliError, jsonio.SchemaError) as exc:
         print(f"svb: error: {exc}", file=sys.stderr)
         return 1
@@ -400,22 +386,25 @@ def main(argv=None) -> int:
     report = {
         "schema": jsonio.SCHEMA,
         "tool": {"name": "svb", "version": __version__},
-        "command": _verb(args),
+        "command": args.verb,
         "config": dataclasses.asdict(cfg),
         "checks": checks,
         "overall": overall,
     }
-    if artifacts:
-        report["artifacts"] = artifacts
+    # A producing verb writes its artifact unless a check failed; its
+    # report always goes to stdout.  Checking verbs report to --out.
+    if args.producing and args.out and overall != "FAIL":
+        for kind, obj in produced.items():  # jsonio.bundle_to_json, ...
+            to_json = getattr(jsonio, f"{kind}_to_json")
+            jsonio.write_json(to_json(obj), args.out)
+        report["artifacts"] = dict.fromkeys(produced, args.out)
     if not args.no_timestamp:
         report["timestamp"] = datetime.datetime.now(
             datetime.timezone.utc).isoformat()
 
     rendered = _render_text(report) if args.format == "text" else \
         jsonio.dumps(report) + "\n"
-    # Checking verbs treat --out as the report destination; producing
-    # verbs already used it for their artifact and report to stdout.
-    if args.out and not artifacts:
+    if args.out and not args.producing:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(rendered)
     else:

@@ -16,12 +16,13 @@ import numpy as np
 
 from .bundle import SampledStratifiedBundle
 from .config import R_CC, TOL_RANK
-from .grassmann import Subspace, span
+from .grassmann import Subspace
 from .strata import Stratification, estimate_cloud_dim, partition_by_label
 
 __all__ = [
     "PolynomialVectorField",
     "VectorFieldSet",
+    "distributions",
     "distribution_at",
     "stratify_by_rank",
     "foliation_bundle",
@@ -51,15 +52,21 @@ class PolynomialVectorField:
         self.terms = parsed
 
     def evaluate(self, x) -> np.ndarray:
+        """The field at x, or at each row of an (n, ambient) array."""
         x = np.asarray(x, dtype=float)
-        out = np.zeros(self.ambient_dim)
+        pts = np.atleast_2d(x)
+        out = np.zeros(pts.shape)
         for powers, vector in self.terms:
-            monomial = 1.0
-            for xi, p in zip(x, powers):
-                if p:
-                    monomial *= xi ** p
-            out += monomial * vector
-        return out
+            monomial = np.ones(len(pts))
+            for column, p in zip(pts.T, powers):
+                if p == 1:
+                    monomial *= column
+                elif p:
+                    # Rounded as the scalar power rounds; numpy's
+                    # vectorised power may differ in the last bit.
+                    monomial *= np.array([xi ** p for xi in column])
+            out += monomial[:, None] * vector
+        return out if x.ndim > 1 else out[0]
 
     def to_json(self) -> dict:
         return {"coeffs": [{"powers": list(p), "vector": v.tolist()}
@@ -86,6 +93,11 @@ class VectorFieldSet:
             raise ValueError("need at least one sample point")
         self.sample_points = pts
 
+    def evaluate(self, points) -> np.ndarray:
+        """Every field at every row of ``points``: (n, fields, ambient)."""
+        return np.stack([f.evaluate(np.atleast_2d(points))
+                         for f in self.fields], axis=1)
+
     def to_json(self) -> dict:
         return {"ambient": self.ambient_dim,
                 "fields": [f.to_json() for f in self.fields],
@@ -99,11 +111,22 @@ class VectorFieldSet:
         return cls(ambient, fields, obj["samples"])
 
 
+def distributions(vfs: VectorFieldSet, points,
+                  tol_rank: float = TOL_RANK) -> list[Subspace]:
+    """The span of the generating fields at each row of ``points``, by
+    one SVD of the stacked field values and ``span``'s rank rule: sigma
+    counts iff sigma > tol_rank * sigma_max, so a sample where every
+    field vanishes gets the zero subspace."""
+    _, sigma, vh = np.linalg.svd(vfs.evaluate(points), full_matrices=False)
+    ranks = (sigma > tol_rank * sigma[:, :1]).sum(axis=1)
+    return [Subspace(vfs.ambient_dim, vh[i, :rank])
+            for i, rank in enumerate(ranks.tolist())]
+
+
 def distribution_at(vfs: VectorFieldSet, x,
                     tol_rank: float = TOL_RANK) -> Subspace:
     """Span of the generating fields at x."""
-    return span([f.evaluate(x) for f in vfs.fields], vfs.ambient_dim,
-                tol_rank=tol_rank)
+    return distributions(vfs, [x], tol_rank)[0]
 
 
 def stratify_by_rank(vfs: VectorFieldSet, r_cc: float = R_CC,
@@ -124,7 +147,7 @@ def foliation_bundle(vfs: VectorFieldSet, r_cc: float = R_CC,
     distribution there.  Strata are cut by that very rank, so each
     stratum's rank is constant by construction."""
     pts = vfs.sample_points
-    dists = [distribution_at(vfs, p, tol_rank=tol_rank) for p in pts]
+    dists = distributions(vfs, pts, tol_rank)
     ranks = [d.dim for d in dists]
     part = partition_by_label(
         pts, ranks, [(f"rank{r}", r) for r in sorted(set(ranks))],
@@ -139,8 +162,7 @@ def fields_as_sections(vfs: VectorFieldSet,
                        bundle: SampledStratifiedBundle):
     """The generating fields read off at the bundle's base points, as
     sections for the section-based Whitney A oracle."""
-    sections = []
-    for f in vfs.fields:
-        sections.append({key: f.evaluate(bundle.point(key))
-                         for key in bundle.point_keys()})
-    return sections
+    values = vfs.evaluate(np.concatenate([s.points
+                                          for s in bundle.base.strata]))
+    keys = bundle.point_keys()
+    return [dict(zip(keys, values[:, j])) for j in range(len(vfs.fields))]

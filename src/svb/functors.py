@@ -44,6 +44,8 @@ __all__ = [
     "Compose",
     "LinearFunctor",
     "dim_map",
+    "sized_dim",
+    "MAX_DIM",
     "apply_to_map",
     "apply_to_subspace",
     "check_orthogonality",
@@ -133,6 +135,32 @@ def dim_map(f: LinearFunctor, k: int) -> int:
     if isinstance(f, Compose):
         return dim_map(f.outer, dim_map(f.inner, k))
     raise TypeError(f"not a functor spec: {f!r}")
+
+
+# Largest space F may build from R^k, intermediates of compose included:
+# one F(P) at this size takes 32 MiB.
+MAX_DIM = 2048
+
+
+def _peak_dim(f: LinearFunctor, k: int) -> int:
+    """Largest dimension among F(R^k) and the spaces built on the way."""
+    if isinstance(f, DirectSum):
+        return max(dim_map(f, k), _peak_dim(f.left, k), _peak_dim(f.right, k))
+    if isinstance(f, Compose):
+        inner = _peak_dim(f.inner, k)
+        return max(inner, _peak_dim(f.outer, dim_map(f.inner, k)))
+    return dim_map(f, k)
+
+
+def sized_dim(f: LinearFunctor, k: int) -> int:
+    """``dim_map(f, k)``, or ValueError when F would build a space above
+    ``MAX_DIM`` from R^k; called before anything is allocated."""
+    peak = _peak_dim(f, k)
+    if peak > MAX_DIM:
+        raise ValueError(
+            f"functor {format_functor(f)} on R^{k} builds a space of "
+            f"dimension {peak}, above the limit {MAX_DIM}")
+    return dim_map(f, k)
 
 
 def _tensor_power_matrix(m: np.ndarray, n: int) -> np.ndarray:
@@ -255,9 +283,10 @@ def apply_to_subspace(f: LinearFunctor, w: Subspace) -> Subspace:
     so the rows of F(B) are already an orthonormal basis of F(W) with
     exactly ``dim_map(f, dim W)`` vectors: no rank decision is needed.
     F(B) inherits the orthonormality defect of B, amplified by the degree
-    of F, so its audit uses the verdict tolerance.
+    of F, so its audit uses the verdict tolerance.  ValueError when F
+    builds a space above ``MAX_DIM`` from the ambient space.
     """
-    return Subspace(dim_map(f, w.ambient_dim), apply_to_map(f, w.basis),
+    return Subspace(sized_dim(f, w.ambient_dim), apply_to_map(f, w.basis),
                     tol_ortho=TOL_CHECK)
 
 
@@ -266,12 +295,12 @@ def orthogonality_residuals(f: LinearFunctor, bases) -> np.ndarray:
     subspace W of a stack ``(count, r, k)`` of orthonormal bases.
 
     P_{F(W)} is F(B)^T F(B); as in ``apply_to_subspace``, every F(B) must
-    pass the orthonormality audit at the verdict tolerance (ValueError
-    otherwise).  The stack goes through in chunks, so memory does not
-    grow with ``count``.
+    pass the orthonormality audit at the verdict tolerance, and F(R^k)
+    must stay within ``MAX_DIM`` (ValueError otherwise).  The stack goes
+    through in chunks, so memory does not grow with ``count``.
     """
     bases = np.asarray(bases, dtype=float)
-    dim = dim_map(f, bases.shape[-1])
+    dim = sized_dim(f, bases.shape[-1])
     residuals = np.zeros(len(bases))
     for part in _chunks(len(bases), dim * dim):
         chunk = bases[part]

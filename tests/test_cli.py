@@ -1,3 +1,6 @@
+import contextlib
+import importlib.util
+import io
 import json
 import os
 
@@ -6,7 +9,7 @@ import pytest
 
 import svb.bundle
 from svb.bundle import SampledStratifiedBundle
-from svb.cli import main
+from svb.cli import build_parser, main
 from svb.fixtures import cone_bundle, line_stratification
 from svb.functors import SymPower, check_orthogonality
 from svb.grassmann import Subspace, span
@@ -53,6 +56,49 @@ class TestParser:
             main(["check", "frontier", "--help"])
         assert exc.value.code == 0
         assert "--tol-check" in capsys.readouterr().out
+
+
+class TestParserReuse:
+    """One parser serves every call of a process; no call leaks into
+    the next."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_usage_error_then_valid_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "frontier"])
+        assert exc.value.code == 1
+        capsys.readouterr()
+        code, out = run(capsys, "check", "frontier",
+                        "--stratification", fx("line.json"))
+        assert code == 0
+        assert json.loads(out)["command"] == "check frontier"
+
+    def test_flag_does_not_leak_into_next_call(self, capsys):
+        args = ("check", "frontier", "--stratification", fx("line.json"))
+        _, first = run(capsys, *args, "--eps-touch", "0.05")
+        _, second = run(capsys, *args)
+        assert json.loads(first)["config"]["eps_touch"] == 0.05
+        assert json.loads(second)["config"]["eps_touch"] is None
+
+    @pytest.mark.parametrize("argv, text", [
+        (["--version"], "svb"),
+        (["check", "frontier", "--help"], "--tol-check"),
+    ], ids=["version", "help"])
+    def test_help_and_version_print_to_current_stdout(self, capsys, argv,
+                                                      text):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert text in capsys.readouterr().out
+        swapped = io.StringIO()
+        with contextlib.redirect_stdout(swapped), \
+                pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert text in swapped.getvalue()
+        assert capsys.readouterr().out == ""
 
 
 class TestExitCodes:
@@ -307,6 +353,53 @@ class TestVerbs:
             assert checks["validate-input"]["problems"][0] == \
                 "fiber over ('S0', 0) has rank 3, stratum 'S0' declares 2"
 
+    @pytest.mark.parametrize("argv", [
+        ["apply-functor", "--functor", "sym:2", "--bundle", "BAD_RANK"],
+        ["equivariant", "tilde", "--group", fx("sign_flip_group.json"),
+         "--bundle", fx("trivial3.json")],
+        ["foliation", "stratify", "--fields", fx("fields_plane_axes.json"),
+         "--r-cc", "0.05", "--eps-touch", "0.5", "--delta-cover", "0.5"],
+    ], ids=["apply-functor", "equivariant-tilde", "foliation-stratify"])
+    def test_failed_producing_verb_reports_to_stdout(self, capsys, tmp_path,
+                                                     argv):
+        obj = read_json(fx("trivial3.json"))
+        obj["ranks"]["S0"] = 2
+        bad_rank = tmp_path / "in.json"
+        bad_rank.write_text(json.dumps(obj))
+        argv = [str(bad_rank) if a == "BAD_RANK" else a for a in argv]
+        out_path = tmp_path / "artifact.json"
+        code, out = run(capsys, *argv, "--out", str(out_path))
+        report = json.loads(out)
+        assert code == 2
+        assert report["overall"] == "FAIL"
+        assert "artifacts" not in report
+        assert not out_path.exists()
+
+    def test_oversized_functor_is_one(self, capsys):
+        code = main(["check", "orthogonality",
+                     "--functor", "compose(tensor:3,tensor:3)",
+                     "--subspace", fx("plane_in_r3.json")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "svb: error: functor compose(tensor:3,tensor:3) on R^3 builds "
+            "a space of dimension 19683, above the limit 2048\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["apply-functor", "--bundle", fx("trivial3.json")],
+        ["check", "orthogonality", "--bundle", fx("trivial3.json")],
+    ], ids=["apply-functor", "orthogonality-bundle"])
+    def test_oversized_functor_on_bundle_is_one(self, capsys, tmp_path,
+                                                argv):
+        out_path = tmp_path / "image.json"
+        code = main(argv + ["--functor", "tensor:7", "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "dimension 2187, above the limit 2048" in captured.err
+        assert not out_path.exists()
+
     def test_orthogonality_on_bundle(self, capsys):
         code, out = run(capsys, "check", "orthogonality",
                         "--functor", "sym:2",
@@ -475,6 +568,21 @@ class TestDeterminism:
         a, b = json.loads(first), json.loads(second)
         a.pop("timestamp"), b.pop("timestamp")
         assert a == b
+
+
+    def test_corpus_dump_matches_golden(self, tmp_path, capsys):
+        repo = os.path.join(os.path.dirname(__file__), "..")
+        spec = importlib.util.spec_from_file_location(
+            "run_corpus", os.path.join(repo, "scripts", "run_corpus.py"))
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert script.main(["--format", "json", "--dump", str(tmp_path)]) == 0
+        golden = os.path.join(os.path.dirname(__file__), "golden", "corpus")
+        names = sorted(os.listdir(golden))
+        assert sorted(os.listdir(tmp_path)) == names
+        for name in names:
+            with open(os.path.join(golden, name), "rb") as fh:
+                assert (tmp_path / name).read_bytes() == fh.read(), name
 
 
 class TestEnvOverrides:

@@ -11,6 +11,7 @@ from svb.foliation import (
     PolynomialVectorField,
     VectorFieldSet,
     distribution_at,
+    distributions,
     fields_as_sections,
     foliation_bundle,
     stratify_by_rank,
@@ -34,6 +35,62 @@ class TestDistributionAt:
         xfy = PolynomialVectorField(2, [{"powers": [1, 0], "vector": [0, 1]}])
         vfs = VectorFieldSet(2, [fx, xfy], [[1.0, 5.0]])
         assert distribution_at(vfs, [1.0, 5.0]).dim == 2
+
+
+def random_fields(rng, ambient, count, max_power=3):
+    fields = [PolynomialVectorField(ambient, [
+        {"powers": rng.integers(0, max_power + 1, ambient).tolist(),
+         "vector": rng.normal(size=ambient).tolist()}
+        for _ in range(int(rng.integers(1, 4)))]) for _ in range(count)]
+    points = 2.0 * rng.normal(size=(40, ambient))
+    points[::5] = 0.0  # where every non-constant term vanishes
+    return VectorFieldSet(ambient, fields, points)
+
+
+class TestStackedDistributions:
+    """One stacked SVD gives bit for bit the per-sample ``span``."""
+
+    def test_stacked_equals_per_sample_span(self):
+        rng = np.random.default_rng(3)
+        for ambient, count in [(1, 1), (2, 1), (2, 3), (3, 2), (4, 4)]:
+            vfs = random_fields(rng, ambient, count)
+            stacked = distributions(vfs, vfs.sample_points)
+            for p, w in zip(vfs.sample_points, stacked):
+                ref = span([f.evaluate(p) for f in vfs.fields], ambient)
+                assert np.array_equal(w.basis, ref.basis)
+                assert np.array_equal(w.projection, ref.projection)
+
+    def test_vectorised_evaluation_is_per_point_evaluation(self):
+        rng = np.random.default_rng(4)
+        vfs = random_fields(rng, 3, 2, max_power=4)
+        values = vfs.evaluate(vfs.sample_points)
+        assert values.shape == (40, 2, 3)
+        for i, p in enumerate(vfs.sample_points):
+            for j, f in enumerate(vfs.fields):
+                scalar = np.zeros(3)
+                for powers, vector in f.terms:
+                    monomial = 1.0
+                    for xi, power in zip(p, powers):
+                        if power:
+                            monomial *= xi ** power
+                    scalar += monomial * vector
+                assert np.array_equal(values[i, j], scalar)
+                assert np.array_equal(f.evaluate(p), scalar)
+
+    def test_vanishing_fields_give_zero_subspace(self):
+        vfs = line_scaling_fields()
+        ranks = [w.dim for w in distributions(vfs, [[0.0], [1.0], [-2.0]])]
+        assert ranks == [0, 1, 1]
+
+    def test_sections_read_the_stacked_values(self):
+        vfs = axis_scaling_fields_plane()
+        b = foliation_bundle(vfs, r_cc=0.3)
+        sections = fields_as_sections(vfs, b)
+        assert len(sections) == len(vfs.fields)
+        for f, section in zip(vfs.fields, sections):
+            assert list(section) == b.point_keys()
+            for key, value in section.items():
+                assert np.array_equal(value, f.evaluate(b.point(key)))
 
 
 class TestStratifyByRank:

@@ -19,8 +19,10 @@ from svb.functors import (
     apply_to_map,
     apply_to_subspace,
     check_orthogonality,
+    MAX_DIM,
     dim_map,
     orthogonality_residuals,
+    sized_dim,
     format_functor,
     functor_from_json,
     functor_to_json,
@@ -68,6 +70,51 @@ class TestDimMap:
     @pytest.mark.parametrize("f", PRIMITIVES + COMPOSITES)
     def test_k_zero_is_defined(self, f):
         assert dim_map(f, 0) >= 0
+
+
+class TestSizeGuard:
+    """Spaces above MAX_DIM are refused before anything is allocated."""
+
+    @pytest.mark.parametrize("spec, k, peak", [
+        ("tensor:11", 2, 2048),
+        ("tensor:7", 3, 2187),
+        ("compose(const:1,tensor:7)", 3, 2187),  # small image, big inner
+        ("sum(id,compose(const:1,sym:7))", 8, 3432),
+        ("compose(tensor:3,tensor:3)", 3, 19683),
+    ])
+    def test_peak_dimension_against_the_bound(self, spec, k, peak):
+        f = parse_functor(spec)
+        if peak <= MAX_DIM:
+            assert sized_dim(f, k) == dim_map(f, k)
+        else:
+            with pytest.raises(ValueError, match=f"dimension {peak}, above "
+                                                 f"the limit {MAX_DIM}"):
+                sized_dim(f, k)
+
+    def test_entry_points_refuse_before_allocating(self):
+        f = parse_functor("compose(tensor:3,tensor:3)")
+        w = Subspace(3, np.eye(3)[:2])
+        tracemalloc.start()
+        try:
+            for call in (lambda: orthogonality_residuals(f, w.basis[None]),
+                         lambda: check_orthogonality(f, w),
+                         lambda: apply_to_subspace(f, w)):
+                with pytest.raises(ValueError, match="above the limit"):
+                    call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_bundle_refused_before_validation(self):
+        from svb.bundle import apply_functor_to_bundle, trivial_bundle
+        from svb.fixtures import line_stratification
+        bundle = trivial_bundle(line_stratification(), 3)
+        with pytest.raises(ValueError, match="dimension 2187"):
+            apply_functor_to_bundle(TensorPower(7), bundle)
+
+    def test_largest_corpus_image_is_far_inside(self):
+        assert sized_dim(SymPower(4), 7) == 210
 
 
 class TestApplyToMap:
