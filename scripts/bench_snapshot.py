@@ -11,8 +11,10 @@ benchmark's inputs hide: ``check_frontier`` and
 ``local_finiteness_report`` on the Cantor stratifications of levels 6-9,
 the construction of a 3,200-point ``Stratification`` (32 clusters in
 R^3), ``apply_functor_to_bundle`` with sym:3 on a rank-4 trivial bundle
-over 2,000 points and ``check_orthogonality`` with sym:4 on a 3-plane in
-R^7, five times each.  Two fixed per-call costs are timed warm, after
+over 2,000 points, reading that bundle's file (``bundle_from_json`` of
+``read_json``) and checking it in process with ``check orthogonality
+--bundle --functor wedge:2``, and ``check_orthogonality`` with sym:4 on a
+3-plane in R^7, five times each.  Two fixed per-call costs are timed warm, after
 one untimed call, five times each: one in-process ``cli.main`` call of
 ``check frontier`` on ``fixtures/line.json`` and ``foliation_bundle``
 on the 441-point grid of the cloud and orbits workloads.  Seeds, run
@@ -30,6 +32,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from time import perf_counter
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -112,6 +115,8 @@ def scaled_timings(checkout):
     from svb.foliation import VectorFieldSet, foliation_bundle
     from svb.functors import SymPower, check_orthogonality
     from svb.grassmann import Subspace
+    from svb.jsonio import bundle_from_json, bundle_to_json, read_json, \
+        write_json
     from svb.strata import (Stratification, Stratum, check_frontier,
                             local_finiteness_report)
 
@@ -134,9 +139,22 @@ def scaled_timings(checkout):
     rng = np.random.default_rng(0)
     bundle = trivial_bundle(Stratification(
         [Stratum("bulk", 2, rng.uniform(-1.0, 1.0, (2000, 2)))]), 4)
+    size = {"points": 2000, "rank": 4, "fiber_ambient": 4}
     cases["sym3_apply_2000"] = (
-        {"points": 2000, "rank": 4, "fiber_ambient": 4},
-        lambda: apply_functor_to_bundle(SymPower(3), bundle))
+        size, lambda: apply_functor_to_bundle(SymPower(3), bundle))
+    scratch = tempfile.mkdtemp()
+    bundle_path = os.path.join(scratch, "bundle2000.json")
+    write_json(bundle_to_json(bundle), bundle_path)
+
+    def orthogonality_cli():
+        with contextlib.redirect_stdout(io.StringIO()):
+            return svb.cli.main(["check", "orthogonality", "--functor",
+                                 "wedge:2", "--bundle", bundle_path,
+                                 "--no-timestamp"])
+
+    cases["bundle_read_2000"] = (
+        size, lambda: bundle_from_json(read_json(bundle_path)))
+    cases["orthogonality_bundle_cli_2000"] = (size, orthogonality_cli)
     plane = Subspace(7, np.linalg.qr(rng.normal(size=(7, 3)))[0].T)
     cases["sym4_orthogonality_r7"] = (
         {"rank": 3, "ambient": 7},
@@ -168,6 +186,8 @@ def scaled_timings(checkout):
             times.append(perf_counter() - start)
         out[name] = {"median_s": statistics.median(times),
                      "min_s": min(times), "repeats": REPEATS, "size": size}
+    os.remove(bundle_path)
+    os.rmdir(scratch)
     return out
 
 

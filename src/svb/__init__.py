@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 from .config import Tolerances
 from .grassmann import (
     Subspace,
-    SubspaceSequence,
     apply_linear_map,
     gap_distance,
     intersection,
@@ -28,7 +27,6 @@ from .grassmann import (
 __all__ = [
     "Tolerances",
     "Subspace",
-    "SubspaceSequence",
     "span",
     "gap_distance",
     "is_contained",

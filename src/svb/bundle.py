@@ -16,13 +16,13 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .config import TAIL_LEN, TOL_CHECK
+from .config import TAIL_LEN, TOL_CHECK, TOL_ORTHO
 from .functors import LinearFunctor, apply_to_map, dim_map, sized_dim
 from .grassmann import (
     Subspace,
-    SubspaceSequence,
     apply_linear_map,
     containment_residual,
+    orthonormal_rows,
     sequence_limit,
     span,
 )
@@ -36,9 +36,9 @@ __all__ = [
     "BundleValidation",
     "InvalidBundleError",
     "WhitneyVerdict",
-    "MorphismValidation",
+    "failing_fibers",
+    "stack_fibers",
     "validate_bundle",
-    "fiber_stacks",
     "whitney_a_check",
     "whitney_a_from_sections",
     "apply_functor_to_bundle",
@@ -54,17 +54,76 @@ FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 
+def failing_fibers(stacks: Mapping[str, np.ndarray],
+                   tol_ortho: float = TOL_ORTHO) -> list[PointKey]:
+    """The fibers, stack by stack in point order, whose bases fail the
+    orthonormality audit of ``Subspace``: one call per stack."""
+    return [(name, int(i)) for name, stack in stacks.items()
+            for i in np.flatnonzero(~orthonormal_rows(stack, tol_ortho))]
+
+
+def stack_fibers(base: Stratification, fiber_ambient: int,
+                 keys: Sequence[PointKey], bases) -> dict[str, np.ndarray]:
+    """Stack ``bases[p]``, the basis over ``keys[p]``, stratum by stratum
+    in point order; KeyError at a point without a fiber, ValueError at a
+    fiber outside R^fiber_ambient or of another rank than the first."""
+    where = {(str(s), int(i)): p for p, (s, i) in enumerate(keys)}
+    stacks = {}
+    for s in base.strata:
+        rows = []
+        for key in ((s.name, i) for i in range(len(s))):
+            if key not in where:
+                raise KeyError(f"missing fiber over point {key}")
+            rows.append(basis := bases[where[key]])
+            if basis.shape[1] != fiber_ambient:
+                raise ValueError(
+                    f"fiber over {key} has ambient {basis.shape[1]}, "
+                    f"bundle declares {fiber_ambient}")
+            if len(basis) != len(rows[0]):
+                raise ValueError(
+                    f"fiber over {key} has rank {len(basis)}, the fiber "
+                    f"over {(s.name, 0)} has rank {len(rows[0])}")
+        stacks[s.name] = np.stack(rows)
+    return stacks
+
+
 class SampledStratifiedBundle:
-    """Fibers over every sample point of a stratified base."""
+    """Fibers over every sample point of a stratified base, held as one
+    read-only basis stack ``stacks[name]``, ``(n_i, r_i, k)`` in point
+    order, per stratum: one rank per stratum and one R^k by shape.  The
+    constructor stacks audited :class:`Subspace` objects."""
 
     def __init__(self, base: Stratification, fiber_ambient: int,
                  fibers: Mapping[PointKey, Subspace],
                  stratum_rank: Mapping[str, int]):
-        if fiber_ambient < 0:
-            raise ValueError("fiber_ambient must be nonnegative")
+        self._hold(base, fiber_ambient, stack_fibers(
+            base, fiber_ambient, list(fibers),
+            [w.basis for w in fibers.values()]), stratum_rank)
+
+    @classmethod
+    def from_stacks(cls, base: Stratification, fiber_ambient: int,
+                    stacks: Mapping[str, np.ndarray],
+                    stratum_rank: Optional[Mapping[str, int]] = None,
+                    tol_ortho: Optional[float] = TOL_ORTHO
+                    ) -> "SampledStratifiedBundle":
+        """The bundle of the basis stacks ``stacks[name]``, held as they
+        are and made read-only.  Each stack is audited once at
+        ``tol_ortho``; None skips the audit for bases that passed it
+        already.  Declared ranks default to the stack ranks."""
+        if tol_ortho is not None and failing_fibers(stacks, tol_ortho):
+            raise ValueError("basis is not orthonormal within tolerance")
+        b = cls.__new__(cls)
+        b._hold(base, fiber_ambient, stacks, stratum_rank)
+        return b
+
+    def _hold(self, base, fiber_ambient, stacks, stratum_rank) -> None:
         self.base = base
         self.fiber_ambient = int(fiber_ambient)
-        self.fibers = {(str(s), int(i)): f for (s, i), f in fibers.items()}
+        self.stacks = {s.name: stacks[s.name] for s in base.strata}
+        for stack in self.stacks.values():
+            stack.flags.writeable = False
+        if stratum_rank is None:
+            stratum_rank = {n: st.shape[1] for n, st in self.stacks.items()}
         self.stratum_rank = {str(k): int(v) for k, v in stratum_rank.items()}
 
     def point_keys(self) -> list[PointKey]:
@@ -78,12 +137,9 @@ class SampledStratifiedBundle:
         return stratum.points[i]
 
     def fiber(self, key: PointKey) -> Subspace:
-        name, i = key
+        """A :class:`Subspace` view of the basis over ``key``."""
         self.point(key)  # range check
-        try:
-            return self.fibers[(name, i)]
-        except KeyError:
-            raise KeyError(f"missing fiber over point {key}") from None
+        return Subspace.view(self.stacks[key[0]][key[1]])
 
     def __repr__(self):
         return (f"SampledStratifiedBundle(base={self.base.names}, "
@@ -92,10 +148,11 @@ class SampledStratifiedBundle:
 
 def trivial_bundle(base: Stratification, fiber_dim: int) -> SampledStratifiedBundle:
     """The product bundle base x R^fiber_dim."""
-    full = Subspace.full(fiber_dim)
-    fibers = {(s.name, i): full for s in base.strata for i in range(len(s))}
-    ranks = {s.name: fiber_dim for s in base.strata}
-    return SampledStratifiedBundle(base, fiber_dim, fibers, ranks)
+    eye = np.eye(fiber_dim)
+    return SampledStratifiedBundle.from_stacks(
+        base, fiber_dim,
+        {s.name: np.broadcast_to(eye, (len(s), fiber_dim, fiber_dim))
+         for s in base.strata}, tol_ortho=None)
 
 
 @dataclass(frozen=True)
@@ -118,14 +175,11 @@ class ConvergenceScenario:
                 "x0_index": self.x0_index,
                 "sequence_indices": list(self.sequence_indices)}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "ConvergenceScenario":
-        return cls(obj["S"], obj["R"], int(obj["x0_index"]),
-                   tuple(obj["sequence_indices"]))
-
 
 @dataclass(frozen=True)
 class BundleValidation:
+    """What ``validate_bundle`` or ``validate_morphism`` found."""
+
     passed: bool
     problems: tuple[str, ...]
 
@@ -134,25 +188,17 @@ class BundleValidation:
 
 
 def validate_bundle(b: SampledStratifiedBundle) -> BundleValidation:
-    """Audit fiber ambient and per-stratum rank constancy; raises KeyError
-    if a base point has no fiber at all.  Orthonormality is decided once,
-    by the constructor of each fiber's immutable :class:`Subspace`."""
+    """Compare each stratum's declared rank with the rank of its fiber
+    stack.  Ambient dimension and constant rank per stratum hold by
+    shape; orthonormality was audited when the stacks were built."""
     problems: list[str] = []
-    for key in b.point_keys():
-        fiber = b.fiber(key)  # raises on missing fiber
-        name, _ = key
-        if fiber.ambient_dim != b.fiber_ambient:
-            problems.append(
-                f"fiber over {key} has ambient {fiber.ambient_dim}, "
-                f"bundle declares {b.fiber_ambient}")
-            continue
+    for name, stack in b.stacks.items():
         expected = b.stratum_rank.get(name)
         if expected is None:
             problems.append(f"stratum {name!r} has no declared rank")
-        elif fiber.dim != expected:
-            problems.append(
-                f"fiber over {key} has rank {fiber.dim}, "
-                f"stratum {name!r} declares {expected}")
+        elif stack.shape[1] != expected:
+            problems.append(f"stratum {name!r} declares rank {expected}, "
+                            f"its fibers have rank {stack.shape[1]}")
     return BundleValidation(passed=not problems, problems=tuple(problems))
 
 
@@ -184,8 +230,8 @@ def whitney_a_check(b: SampledStratifiedBundle, sc: ConvergenceScenario,
     if any(a < bb - 1e-12 for a, bb in zip(tail, tail[1:])):
         raise ValueError(
             "scenario tail does not approach the limit point monotonically")
-    seq = SubspaceSequence([b.fiber(k) for k in seq_keys])
-    limit = sequence_limit(seq, tol=tol, tail_len=tail_len)
+    limit = sequence_limit([b.fiber(k) for k in seq_keys[-tail_len:]],
+                           tol=tol, tail_len=tail_len)
     if limit is None:
         return WhitneyVerdict(INCONCLUSIVE)
     ok, residual = containment_residual(b.fiber(x0_key), limit, tol)
@@ -242,44 +288,25 @@ class InvalidBundleError(ValueError):
         self.validation = validation
 
 
-def fiber_stacks(b: SampledStratifiedBundle
-                 ) -> list[tuple[list[PointKey], np.ndarray]]:
-    """The fiber bases stacked stratum by stratum: one ``(keys, bases)``
-    pair per stratum, ``bases`` of shape ``(len(keys), rank, ambient)``
-    with the point keys in index order.  A stratum whose fibers differ
-    in shape (a bundle that fails validation) gives one pair per shape."""
-    out = []
-    for s in b.base.strata:
-        groups: dict[tuple[int, ...], tuple[list, list]] = {}
-        for i in range(len(s)):
-            basis = b.fiber((s.name, i)).basis
-            keys, bases = groups.setdefault(basis.shape, ([], []))
-            keys.append((s.name, i))
-            bases.append(basis)
-        out.extend((keys, np.stack(bases)) for keys, bases in groups.values())
-    return out
-
-
 def apply_functor_to_bundle(f: LinearFunctor, b: SampledStratifiedBundle
                             ) -> SampledStratifiedBundle:
     """Apply a functor fibrewise: same base, fibers F(A_x), ranks F(rank).
 
-    One ``apply_to_map`` call maps the stacked bases of each stratum.
-    As in ``apply_to_subspace``, every image basis is audited by its
-    :class:`Subspace` at the verdict tolerance.  Raises
-    :class:`InvalidBundleError` when ``b`` fails validation, and
-    ValueError when F builds a space above ``functors.MAX_DIM``.
+    One ``apply_to_map`` call maps the basis stack of each stratum.  As
+    in ``apply_to_subspace``, the image stacks are audited at the
+    verdict tolerance.  Raises :class:`InvalidBundleError` when ``b``
+    fails validation, and ValueError when F builds a space above
+    ``functors.MAX_DIM``.
     """
     ambient = sized_dim(f, b.fiber_ambient)
     validation = validate_bundle(b)
     if not validation.passed:
         raise InvalidBundleError(validation)
-    new_fibers = {}
-    for keys, bases in fiber_stacks(b):
-        for key, image in zip(keys, apply_to_map(f, bases)):
-            new_fibers[key] = Subspace(ambient, image, tol_ortho=TOL_CHECK)
-    new_ranks = {name: dim_map(f, r) for name, r in b.stratum_rank.items()}
-    return SampledStratifiedBundle(b.base, ambient, new_fibers, new_ranks)
+    return SampledStratifiedBundle.from_stacks(
+        b.base, ambient,
+        {name: apply_to_map(f, stack) for name, stack in b.stacks.items()},
+        {name: dim_map(f, r) for name, r in b.stratum_rank.items()},
+        tol_ortho=TOL_CHECK)
 
 
 class BundleMorphism:
@@ -304,17 +331,8 @@ class BundleMorphism:
             self.fiber_maps[(str(key[0]), int(key[1]))] = m
 
 
-@dataclass(frozen=True)
-class MorphismValidation:
-    passed: bool
-    problems: tuple[str, ...]
-
-    def __bool__(self):
-        return self.passed
-
-
 def validate_morphism(m: BundleMorphism,
-                      tol: float = TOL_CHECK) -> MorphismValidation:
+                      tol: float = TOL_CHECK) -> BundleValidation:
     problems: list[str] = []
     stratum_image: dict[str, str] = {}
     for key in m.source.point_keys():
@@ -340,7 +358,7 @@ def validate_morphism(m: BundleMorphism,
             problems.append(
                 f"fiber image at {key} leaves the target fiber "
                 f"(residual {residual:.3e})")
-    return MorphismValidation(passed=not problems, problems=tuple(problems))
+    return BundleValidation(passed=not problems, problems=tuple(problems))
 
 
 def apply_functor_to_morphism(f: LinearFunctor, m: BundleMorphism,

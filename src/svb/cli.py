@@ -29,7 +29,6 @@ from .bundle import (
     ConvergenceScenario,
     InvalidBundleError,
     apply_functor_to_bundle,
-    fiber_stacks,
     validate_bundle,
     whitney_a_check,
     whitney_a_from_sections,
@@ -167,16 +166,14 @@ def _check_orthogonality(args, cfg, add):
             add("orthogonality", "PASS" if ok else "FAIL", residual=residual)
             return
         bundle = jsonio.bundle_from_json(jsonio.read_json(args.bundle))
-        residuals = {}
-        for keys, bases in fiber_stacks(bundle):
-            residuals.update(zip(
-                keys, orthogonality_residuals(functor, bases).tolist()))
+        residuals = np.concatenate([orthogonality_residuals(functor, stack)
+                                    for stack in bundle.stacks.values()])
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    for key in bundle.point_keys():
-        add(f"orthogonality[{key[0]}:{key[1]}]",
-            "PASS" if residuals[key] <= cfg.tol_check else "FAIL",
-            residual=residuals[key])
+    for (name, i), residual in zip(bundle.point_keys(), residuals.tolist()):
+        add(f"orthogonality[{name}:{i}]",
+            "PASS" if residual <= cfg.tol_check else "FAIL",
+            residual=residual)
 
 
 def _apply_functor(args, cfg, add):
@@ -190,8 +187,8 @@ def _apply_functor(args, cfg, add):
     except ValueError as exc:  # F(R^k) above functors.MAX_DIM
         raise CliError(str(exc)) from None
     add("validate-input", "PASS", problems=[])
-    # Every image fiber passed its Subspace audit, with the rank and
-    # ambient dimension that dim_map gives for its stratum.
+    # Every image stack passed its audit, with the rank and ambient
+    # dimension that dim_map gives for its stratum.
     add("validate-output", "PASS",
         ranks=dict(sorted(image.stratum_rank.items())),
         fiber_ambient=image.fiber_ambient)

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bundle import SampledStratifiedBundle
+from .bundle import SampledStratifiedBundle, stack_fibers
 from .config import R_CC, TOL_CHECK
 from .grassmann import Subspace, intersection, span
 from .strata import (
@@ -115,10 +115,6 @@ class FiniteGroupAction:
         if self.fiber_elements is not None:
             out["fiber_elements"] = self.fiber_elements.tolist()
         return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FiniteGroupAction":
-        return cls(obj["n"], obj["elements"], obj.get("fiber_elements"))
 
 
 def _raise_first(bad, message: str) -> None:
@@ -288,23 +284,12 @@ def _equivariance_gaps(g: FiniteGroupAction, b: SampledStratifiedBundle,
     """``[i, p]``: gap between the image under element ``i`` of the fiber
     over ``keys[p]``, of projection M P M^T, and the fiber over the image
     point."""
-    proj = np.stack([b.fiber(key).projection for key in keys])
+    # Per fiber, as Subspace does: a stacked product may round otherwise.
+    proj = np.stack([basis.T @ basis for stack in b.stacks.values()
+                     for basis in stack])
     return np.stack([np.linalg.norm(m @ proj @ m.T - proj[perm], 2,
                                     axis=(1, 2))
                      for m, perm in zip(g.fiber_elements, perms)])
-
-
-def _constant_ranks(base: Stratification, fibers, message: str) -> dict:
-    """Fiber rank per stratum; raises ``message.format(ranks=, name=)``
-    at the first stratum where it varies."""
-    ranks = {}
-    for stratum in base.strata:
-        dims = {fibers[(stratum.name, i)].dim for i in range(len(stratum))}
-        if len(dims) != 1:
-            raise ValueError(message.format(ranks=sorted(dims),
-                                            name=stratum.name))
-        ranks[stratum.name] = dims.pop()
-    return ranks
 
 
 def invariant_subbundle(g: FiniteGroupAction, b: SampledStratifiedBundle,
@@ -315,8 +300,9 @@ def invariant_subbundle(g: FiniteGroupAction, b: SampledStratifiedBundle,
 
     Requires a fiber action, an orbit-saturated base sample set, and
     equivariance: the fiber matrices must carry the fiber over x onto the
-    fiber over g.x within ``tol``.  Per-stratum rank constancy of the
-    result is verified and violations raise.
+    fiber over g.x within ``tol``.  Invariant fibers that differ in rank
+    over one orbit-type stratum (sampling or equivariance is off) raise
+    ValueError; each stratum's rank is that of its stack.
     """
     keys, pts, _ = _equivariant_samples(
         g, b, tol, "building the invariant subbundle",
@@ -327,16 +313,13 @@ def invariant_subbundle(g: FiniteGroupAction, b: SampledStratifiedBundle,
     partition = _partition_by_stabilizer(g, pts, stabs, r_cc)
     invariant = {stab: fixed_subspace(g, stab, use_fiber=True)
                  for stab in dict.fromkeys(stabs)}
-    new_fibers = {partition.point_to_key[p]: intersection(
-        b.fiber(key), invariant[stab], tol=tol)
-        for p, (key, stab) in enumerate(zip(keys, stabs))}
-
-    ranks = _constant_ranks(
-        partition.stratification, new_fibers,
-        "invariant fibers have non-constant rank {ranks} on stratum "
-        "{name!r}; sampling or equivariance is off")
-    return SampledStratifiedBundle(partition.stratification, b.fiber_ambient,
-                                   new_fibers, ranks)
+    bases = [intersection(b.fiber(key), invariant[stab], tol=tol).basis
+             for key, stab in zip(keys, stabs)]
+    base = partition.stratification
+    new_keys = [partition.point_to_key[p] for p in range(len(pts))]
+    return SampledStratifiedBundle.from_stacks(
+        base, b.fiber_ambient,
+        stack_fibers(base, b.fiber_ambient, new_keys, bases), tol_ortho=None)
 
 
 def quotient_bundle(g: FiniteGroupAction, tilde: SampledStratifiedBundle,
@@ -365,15 +348,13 @@ def quotient_bundle(g: FiniteGroupAction, tilde: SampledStratifiedBundle,
          for s in partition.stratification.strata],
         closure_order=[(f"{a}/G", f"{b}/G")
                        for a, b in partition.stratification.closure_order])
-    new_fibers = {}
-    for local, rep in enumerate(reps):
-        name, j = partition.point_to_key[local]
-        new_fibers[(f"{name}/G", j)] = tilde.fiber(keys[rep])
-    ranks = _constant_ranks(
-        renamed, new_fibers,
-        "quotient fibers have non-constant rank {ranks} on stratum {name!r}")
-    return SampledStratifiedBundle(renamed, tilde.fiber_ambient, new_fibers,
-                                   ranks)
+    new_keys = [(f"{name}/G", j) for name, j in
+                (partition.point_to_key[p] for p in range(len(reps)))]
+    bases = [tilde.stacks[keys[rep][0]][keys[rep][1]] for rep in reps]
+    return SampledStratifiedBundle.from_stacks(
+        renamed, tilde.fiber_ambient,
+        stack_fibers(renamed, tilde.fiber_ambient, new_keys, bases),
+        tol_ortho=None)
 
 
 @dataclass(frozen=True)

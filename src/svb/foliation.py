@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bundle import SampledStratifiedBundle
+from .bundle import SampledStratifiedBundle, stack_fibers
 from .config import R_CC, TOL_RANK
 from .grassmann import Subspace
 from .strata import Stratification, estimate_cloud_dim, partition_by_label
@@ -22,7 +22,6 @@ from .strata import Stratification, estimate_cloud_dim, partition_by_label
 __all__ = [
     "PolynomialVectorField",
     "VectorFieldSet",
-    "distributions",
     "distribution_at",
     "stratify_by_rank",
     "foliation_bundle",
@@ -111,22 +110,19 @@ class VectorFieldSet:
         return cls(ambient, fields, obj["samples"])
 
 
-def distributions(vfs: VectorFieldSet, points,
-                  tol_rank: float = TOL_RANK) -> list[Subspace]:
-    """The span of the generating fields at each row of ``points``, by
-    one SVD of the stacked field values and ``span``'s rank rule: sigma
-    counts iff sigma > tol_rank * sigma_max, so a sample where every
-    field vanishes gets the zero subspace."""
+def _distribution_rows(vfs: VectorFieldSet, points, tol_rank: float):
+    """``vh, ranks``: ``vh[i, :ranks[i]]`` spans the fields at
+    ``points[i]``, by one SVD of the stacked field values and the rank
+    rule of ``span`` (sigma counts iff sigma > tol_rank * sigma_max)."""
     _, sigma, vh = np.linalg.svd(vfs.evaluate(points), full_matrices=False)
-    ranks = (sigma > tol_rank * sigma[:, :1]).sum(axis=1)
-    return [Subspace(vfs.ambient_dim, vh[i, :rank])
-            for i, rank in enumerate(ranks.tolist())]
+    return vh, (sigma > tol_rank * sigma[:, :1]).sum(axis=1).tolist()
 
 
 def distribution_at(vfs: VectorFieldSet, x,
                     tol_rank: float = TOL_RANK) -> Subspace:
     """Span of the generating fields at x."""
-    return distributions(vfs, [x], tol_rank)[0]
+    vh, (rank,) = _distribution_rows(vfs, [x], tol_rank)
+    return Subspace(vfs.ambient_dim, vh[0, :rank])
 
 
 def stratify_by_rank(vfs: VectorFieldSet, r_cc: float = R_CC,
@@ -147,15 +143,16 @@ def foliation_bundle(vfs: VectorFieldSet, r_cc: float = R_CC,
     distribution there.  Strata are cut by that very rank, so each
     stratum's rank is constant by construction."""
     pts = vfs.sample_points
-    dists = distributions(vfs, pts, tol_rank)
-    ranks = [d.dim for d in dists]
+    vh, ranks = _distribution_rows(vfs, pts, tol_rank)
     part = partition_by_label(
         pts, ranks, [(f"rank{r}", r) for r in sorted(set(ranks))],
         dim=lambda rank, cloud: estimate_cloud_dim(cloud),
         below=lambda low, high: low < high, r_cc=r_cc)
-    fibers = {part.point_to_key[i]: d for i, d in enumerate(dists)}
-    return SampledStratifiedBundle(part.stratification, vfs.ambient_dim,
-                                   fibers, dict(part.label_of_stratum))
+    keys = [part.point_to_key[i] for i in range(len(pts))]
+    return SampledStratifiedBundle.from_stacks(
+        part.stratification, vfs.ambient_dim, stack_fibers(
+            part.stratification, vfs.ambient_dim, keys,
+            [vh[i, :rank] for i, rank in enumerate(ranks)]))
 
 
 def fields_as_sections(vfs: VectorFieldSet,

@@ -79,31 +79,38 @@ class DirectSum:
     right: "LinearFunctor"
 
 
-@dataclass(frozen=True)
-class TensorPower:
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("tensor power requires n >= 1")
+# Largest degrees: sym:n sums n! terms per entry on any space (sym:9 on
+# R^1 takes about 6 s); tensor:n above log2(MAX_DIM) exceeds MAX_DIM on
+# every R^k, k >= 2, and wedge:n shares that bound.
+MAX_SYM_DEGREE = 8
+MAX_POWER_DEGREE = 11
 
 
 @dataclass(frozen=True)
-class WedgePower:
+class _Power:
+    """A degree-n power, 1 <= n <= ``max_n``, written ``op:n``."""
+
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("wedge power requires n >= 1")
+        if not 1 <= self.n <= self.max_n:
+            raise ValueError(f"{self.kind} power degree {self.n} is outside "
+                             f"1..{self.max_n}")
 
 
 @dataclass(frozen=True)
-class SymPower:
-    n: int
+class TensorPower(_Power):
+    op, kind, max_n = "tensor", "tensor", MAX_POWER_DEGREE
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("symmetric power requires n >= 1")
+
+@dataclass(frozen=True)
+class WedgePower(_Power):
+    op, kind, max_n = "wedge", "wedge", MAX_POWER_DEGREE
+
+
+@dataclass(frozen=True)
+class SymPower(_Power):
+    op, kind, max_n = "sym", "symmetric", MAX_SYM_DEGREE
 
 
 @dataclass(frozen=True)
@@ -326,7 +333,7 @@ def check_orthogonality(f: LinearFunctor, w: Subspace,
 #   "wedge:2", "sym:3", "id", "const:1",
 #   "compose(wedge:2,sum(id,const:1))".
 
-_POWER_OPS = {"wedge": WedgePower, "tensor": TensorPower, "sym": SymPower}
+_POWER_OPS = {cls.op: cls for cls in (WedgePower, TensorPower, SymPower)}
 
 
 def functor_to_json(f: LinearFunctor) -> dict:
@@ -334,12 +341,8 @@ def functor_to_json(f: LinearFunctor) -> dict:
         return {"op": "id"}
     if isinstance(f, ConstantSum):
         return {"op": "const", "n": f.dim}
-    if isinstance(f, TensorPower):
-        return {"op": "tensor", "n": f.n}
-    if isinstance(f, WedgePower):
-        return {"op": "wedge", "n": f.n}
-    if isinstance(f, SymPower):
-        return {"op": "sym", "n": f.n}
+    if isinstance(f, _Power):
+        return {"op": f.op, "n": f.n}
     if isinstance(f, DirectSum):
         return {"op": "sum",
                 "args": [functor_to_json(f.left), functor_to_json(f.right)]}
@@ -372,12 +375,8 @@ def format_functor(f: LinearFunctor) -> str:
         return "id"
     if isinstance(f, ConstantSum):
         return f"const:{f.dim}"
-    if isinstance(f, TensorPower):
-        return f"tensor:{f.n}"
-    if isinstance(f, WedgePower):
-        return f"wedge:{f.n}"
-    if isinstance(f, SymPower):
-        return f"sym:{f.n}"
+    if isinstance(f, _Power):
+        return f"{f.op}:{f.n}"
     if isinstance(f, DirectSum):
         return f"sum({format_functor(f.left)},{format_functor(f.right)})"
     if isinstance(f, Compose):

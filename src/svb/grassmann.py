@@ -18,7 +18,7 @@ from .config import TOL_CHECK, TOL_ORTHO, TOL_RANK
 
 __all__ = [
     "Subspace",
-    "SubspaceSequence",
+    "as_basis",
     "span",
     "gap_distance",
     "is_contained",
@@ -47,6 +47,23 @@ def orthonormal_rows(bases, tol: float = TOL_ORTHO) -> np.ndarray:
             <= max(tol, 1e-12)).all(axis=(-2, -1))
 
 
+def as_basis(ambient_dim: int, basis) -> np.ndarray:
+    """``basis`` as a ``(dim, ambient_dim)`` float array, with the shape
+    checks of :class:`Subspace`; an empty basis is the zero subspace's."""
+    ambient_dim = int(ambient_dim)
+    if ambient_dim < 0:
+        raise ValueError("ambient_dim must be nonnegative")
+    basis = np.atleast_2d(np.asarray(basis, dtype=float))
+    if basis.size == 0:
+        basis = basis.reshape(0, ambient_dim)
+    if basis.shape[1] != ambient_dim:
+        raise ValueError(
+            f"basis vectors have length {basis.shape[1]}, expected {ambient_dim}")
+    if basis.shape[0] > ambient_dim:
+        raise ValueError("more basis vectors than ambient dimensions")
+    return basis
+
+
 class Subspace:
     """A subspace of R^n held as an orthonormal basis.
 
@@ -61,24 +78,25 @@ class Subspace:
     __slots__ = ("ambient_dim", "basis", "projection")
 
     def __init__(self, ambient_dim: int, basis, *, tol_ortho: float = TOL_ORTHO):
-        ambient_dim = int(ambient_dim)
-        if ambient_dim < 0:
-            raise ValueError("ambient_dim must be nonnegative")
-        basis = np.atleast_2d(np.asarray(basis, dtype=float))
-        if basis.size == 0:
-            basis = basis.reshape(0, ambient_dim)
-        if basis.shape[1] != ambient_dim:
-            raise ValueError(
-                f"basis vectors have length {basis.shape[1]}, expected {ambient_dim}")
-        if basis.shape[0] > ambient_dim:
-            raise ValueError("more basis vectors than ambient dimensions")
+        basis = as_basis(ambient_dim, basis)
         if not orthonormal_rows(basis, tol_ortho):
             raise ValueError("basis is not orthonormal within tolerance")
         basis = basis.copy()
         basis.flags.writeable = False
+        self._hold(basis)
+
+    @classmethod
+    def view(cls, basis: np.ndarray) -> "Subspace":
+        """The subspace on ``basis`` as it is: a read-only, audited
+        ``(dim, ambient)`` array such as one fiber of a bundle's stack."""
+        w = object.__new__(cls)
+        w._hold(basis)
+        return w
+
+    def _hold(self, basis: np.ndarray) -> None:
         projection = basis.T @ basis
         projection.flags.writeable = False
-        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "ambient_dim", basis.shape[1])
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "projection", projection)
 
@@ -107,43 +125,8 @@ class Subspace:
     def to_json(self) -> dict:
         return {"ambient": self.ambient_dim, "basis": self.basis.tolist()}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "Subspace":
-        return cls(obj["ambient"], obj["basis"])
-
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
-
-
-class SubspaceSequence:
-    """A nonempty list of equal-rank subspaces of one ambient space."""
-
-    __slots__ = ("items",)
-
-    def __init__(self, items: Sequence[Subspace]):
-        items = tuple(items)
-        if not items:
-            raise ValueError("sequence must be nonempty")
-        ambient = items[0].ambient_dim
-        rank = items[0].dim
-        for w in items[1:]:
-            if w.ambient_dim != ambient:
-                raise ValueError("mixed ambient dimensions in sequence")
-            if w.dim != rank:
-                raise ValueError("sequence does not have constant rank")
-        object.__setattr__(self, "items", items)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SubspaceSequence is immutable")
-
-    def __len__(self):
-        return len(self.items)
-
-    def __iter__(self):
-        return iter(self.items)
-
-    def __getitem__(self, i):
-        return self.items[i]
 
 
 def span(vectors, ambient_dim: int, tol_rank: float = TOL_RANK,
@@ -198,24 +181,29 @@ def containment_residual(w: Subspace, v: Subspace,
     return residual <= tol, residual
 
 
-def sequence_limit(seq: SubspaceSequence, tol: float = TOL_CHECK,
+def sequence_limit(seq: Sequence[Subspace], tol: float = TOL_CHECK,
                    tail_len: int = 5) -> Optional[Subspace]:
     """Cauchy-tail limit of a subspace sequence, or None if there is none.
 
     The last ``tail_len`` projections must be pairwise within ``tol`` in
-    the gap metric; the limit is then the final tail item, which already
-    has the sequence rank.  Returns None when the tail is not Cauchy.
+    the gap metric, all pairs taken as one batched operator norm; the
+    limit is then the final tail item, which already has the sequence
+    rank.  Returns None when the tail is not Cauchy.
     """
     if tail_len < 1:
         raise ValueError("tail_len must be at least 1")
     if tail_len > len(seq):
         raise ValueError(
             f"tail_len {tail_len} exceeds sequence length {len(seq)}")
-    tail = seq.items[-tail_len:]
-    for i in range(len(tail)):
-        for j in range(i + 1, len(tail)):
-            if gap_distance(tail[i], tail[j]) > tol:
-                return None
+    tail = seq[-tail_len:]
+    if len({w.ambient_dim for w in tail}) > 1:
+        raise ValueError("mixed ambient dimensions in sequence")
+    proj = np.stack([w.projection for w in tail])
+    i, j = np.triu_indices(len(tail), 1)
+    if i.size and proj.shape[-1]:
+        gaps = np.linalg.norm(proj[i] - proj[j], 2, axis=(-2, -1))
+        if (gaps > tol).any():
+            return None
     return tail[-1]
 
 

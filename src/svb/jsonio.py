@@ -13,10 +13,11 @@ from typing import Any
 
 import numpy as np
 
-from .bundle import ConvergenceScenario, SampledStratifiedBundle
+from .bundle import (ConvergenceScenario, SampledStratifiedBundle,
+                     failing_fibers)
 from .equivariant import FiniteGroupAction
 from .foliation import VectorFieldSet
-from .grassmann import Subspace
+from .grassmann import Subspace, as_basis
 from .monoid import MonoidActionSample
 from .strata import Stratification, Stratum
 
@@ -242,7 +243,7 @@ def stratification_from_json(obj, path="$") -> Stratification:
 def subspace_from_json(obj, path="$") -> Subspace:
     ambient = _expect(obj, "ambient", int, path)
     basis = _expect(obj, "basis", list, path)
-    arr = _matrix(basis, f"{path}.basis") if basis else np.zeros((0, ambient))
+    arr = _matrix(basis, f"{path}.basis") if basis else []
     try:
         return Subspace(ambient, arr)
     except ValueError as exc:
@@ -259,10 +260,9 @@ def subspace_file_from_json(obj, path="$") -> Subspace:
 def bundle_to_json(b: SampledStratifiedBundle) -> dict:
     base = stratification_to_json(b.base)
     del base["schema"]
-    fibers = []
-    for key in b.point_keys():
-        fibers.append({"point_index": [key[0], key[1]],
-                       "basis": b.fiber(key).basis.tolist()})
+    fibers = [{"point_index": [name, i], "basis": basis}
+              for name, stack in b.stacks.items()
+              for i, basis in enumerate(stack.tolist())]
     return {
         "schema": SCHEMA,
         "base": base,
@@ -273,40 +273,60 @@ def bundle_to_json(b: SampledStratifiedBundle) -> dict:
 
 
 def bundle_from_json(obj, path="$") -> SampledStratifiedBundle:
+    """One basis stack per stratum, audited once, from fiber entries in
+    any order; an error names the lowest offending ``$.fibers[i]``."""
     _check_schema(obj, path)
     base_obj = dict(_expect(obj, "base", dict, path))
     base_obj.setdefault("schema", SCHEMA)
     base = stratification_from_json(base_obj, f"{path}.base")
-    fiber_ambient = _expect(obj, "fiber_ambient", int, path)
+    k = _expect(obj, "fiber_ambient", int, path)
     sizes = {s.name: len(s) for s in base.strata}
-    fibers = {}
+    # Slots of stacks[name] not read yet hold rows of I: they pass the audit.
+    stacks, entry, error = {}, {}, None
     for i, item in enumerate(_expect(obj, "fibers", list, path)):
         fpath = f"{path}.fibers[{i}]"
-        idx = _expect(item, "point_index", list, fpath)
-        if len(idx) != 2 or not isinstance(idx[1], int):
-            raise SchemaError(f"{fpath}.point_index: expected [stratum, i]")
-        key = (str(idx[0]), idx[1])
-        if not 0 <= key[1] < sizes.get(key[0], 0):
-            raise SchemaError(f"{fpath}.point_index: no sample point {key}")
-        if key in fibers:
-            raise SchemaError(f"{fpath}.point_index: repeated fiber over "
-                              f"point {key}")
-        basis = _expect(item, "basis", list, fpath)
-        arr = _matrix(basis, f"{fpath}.basis") if basis else \
-            np.zeros((0, fiber_ambient))
         try:
-            fibers[key] = Subspace(fiber_ambient, arr)
-        except ValueError as exc:
-            raise SchemaError(f"{fpath}.basis: {exc}") from None
-    for s in base.strata:
-        for i in range(len(s)):
-            if (s.name, i) not in fibers:
-                raise SchemaError(f"{path}.fibers: missing fiber over point "
-                                  f"{(s.name, i)}")
+            idx = _expect(item, "point_index", list, fpath)
+            if len(idx) != 2 or not isinstance(idx[1], int):
+                raise SchemaError(f"{fpath}.point_index: expected [stratum, i]")
+            key = name, j = (str(idx[0]), idx[1])
+            if not 0 <= j < sizes.get(name, 0):
+                raise SchemaError(f"{fpath}.point_index: no sample point {key}")
+            if key in entry:
+                raise SchemaError(f"{fpath}.point_index: repeated fiber over "
+                                  f"point {key}")
+            basis = _expect(item, "basis", list, fpath)
+            basis = _matrix(basis, f"{fpath}.basis") if basis else []
+            try:
+                basis = as_basis(k, basis)
+            except ValueError as exc:
+                raise SchemaError(f"{fpath}.basis: {exc}") from None
+            if name not in stacks:
+                stacks[name] = np.tile(np.eye(*basis.shape),
+                                       (sizes[name], 1, 1))
+            elif len(basis) != stacks[name].shape[1]:
+                raise SchemaError(
+                    f"{fpath}.basis: rank {len(basis)}, but an earlier fiber "
+                    f"over stratum {name!r} has rank {stacks[name].shape[1]}")
+        except SchemaError as exc:
+            error = exc  # raised once the entries before it pass the audit
+            break
+        stacks[name][j] = basis
+        entry[key] = i
+    bad = failing_fibers(stacks)
+    if bad:
+        raise SchemaError(f"{path}.fibers[{min(map(entry.get, bad))}].basis: "
+                          "basis is not orthonormal within tolerance")
+    if error is not None:
+        raise error
+    for key in ((s.name, j) for s in base.strata for j in range(len(s))):
+        if key not in entry:
+            raise SchemaError(f"{path}.fibers: missing fiber over point {key}")
     ranks_obj = _expect(obj, "ranks", dict, path)
-    ranks = {str(k): _expect(ranks_obj, k, int, f"{path}.ranks")
-             for k in ranks_obj}
-    return SampledStratifiedBundle(base, fiber_ambient, fibers, ranks)
+    ranks = {str(r): _expect(ranks_obj, r, int, f"{path}.ranks")
+             for r in ranks_obj}
+    return SampledStratifiedBundle.from_stacks(base, k, stacks, ranks,
+                                               tol_ortho=None)
 
 
 # -- scenario ---------------------------------------------------------------

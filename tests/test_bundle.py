@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from svb.bundle import (
     apply_functor_to_bundle,
     apply_functor_to_morphism,
     compose_morphisms,
-    fiber_stacks,
+    failing_fibers,
     trivial_bundle,
     validate_bundle,
     validate_morphism,
@@ -58,29 +60,35 @@ class TestValidateBundle:
 
     def test_rank_violation_names_the_point(self):
         b = trivial_bundle(line_stratification(), 2)
-        broken_fibers = dict(b.fibers)
-        broken_fibers[("S+", 3)] = span([(1.0, 0.0)], 2)
-        broken = SampledStratifiedBundle(b.base, 2, broken_fibers,
-                                         b.stratum_rank)
-        report = validate_bundle(broken)
-        assert not report.passed
-        assert any("('S+', 3)" in p for p in report.problems)
+        fibers = {key: b.fiber(key) for key in b.point_keys()}
+        fibers[("S+", 3)] = span([(1.0, 0.0)], 2)
+        with pytest.raises(ValueError, match=re.escape(
+                "fiber over ('S+', 3) has rank 1, the fiber over ('S+', 0) "
+                "has rank 2")):
+            SampledStratifiedBundle(b.base, 2, fibers, b.stratum_rank)
 
     def test_missing_fiber_raises(self):
         b = trivial_bundle(line_stratification(), 2)
-        fibers = dict(b.fibers)
+        fibers = {key: b.fiber(key) for key in b.point_keys()}
         del fibers[("S0", 0)]
-        broken = SampledStratifiedBundle(b.base, 2, fibers, b.stratum_rank)
         with pytest.raises(KeyError, match="missing fiber"):
-            validate_bundle(broken)
+            SampledStratifiedBundle(b.base, 2, fibers, b.stratum_rank)
 
-    def test_wrong_ambient_reported(self):
+    def test_wrong_ambient_raises(self):
         b = trivial_bundle(line_stratification(), 2)
-        fibers = dict(b.fibers)
+        fibers = {key: b.fiber(key) for key in b.point_keys()}
         fibers[("S0", 0)] = span([(1.0, 0.0, 0.0)], 3)
-        report = validate_bundle(SampledStratifiedBundle(b.base, 2, fibers,
-                                                         b.stratum_rank))
-        assert not report.passed
+        with pytest.raises(ValueError, match="ambient 3, bundle declares 2"):
+            SampledStratifiedBundle(b.base, 2, fibers, b.stratum_rank)
+
+    def test_declared_rank_compared_per_stratum(self):
+        b = step_rank_bundle()
+        report = validate_bundle(SampledStratifiedBundle(
+            b.base, 3, {key: b.fiber(key) for key in b.point_keys()},
+            {"S0": 1, "S+": 1}))
+        assert report.problems == (
+            "stratum 'S+' declares rank 1, its fibers have rank 2",
+            "stratum 'S-' has no declared rank")
 
 
 class TestWhitneyACheck:
@@ -106,7 +114,7 @@ class TestWhitneyACheck:
 
     def test_alternating_fibers_inconclusive(self):
         b = cone_bundle("pass")
-        fibers = dict(b.fibers)
+        fibers = {key: b.fiber(key) for key in b.point_keys()}
         stratum = b.base.stratum("S+")
         for i in range(len(stratum)):
             fibers[("S+", i)] = span([(1.0, 0.0)], 2) if i % 2 else \
@@ -200,9 +208,9 @@ class TestApplyFunctorToBundle:
 
     def test_invalid_bundle_rejected(self):
         b = trivial_bundle(line_stratification(), 2)
-        fibers = dict(b.fibers)
-        fibers[("S+", 0)] = span([(1.0, 0.0)], 2)
-        broken = SampledStratifiedBundle(b.base, 2, fibers, b.stratum_rank)
+        broken = SampledStratifiedBundle(
+            b.base, 2, {key: b.fiber(key) for key in b.point_keys()},
+            dict(b.stratum_rank, **{"S+": 1}))
         with pytest.raises(ValueError, match="validation") as caught:
             apply_functor_to_bundle(WedgePower(2), broken)
         assert isinstance(caught.value, InvalidBundleError)
@@ -235,22 +243,47 @@ class TestStratumStacks:
     @pytest.mark.parametrize("make", BUNDLES.values(), ids=BUNDLES.keys())
     def test_one_stack_per_stratum_in_point_order(self, make):
         b = make()
-        stacks = fiber_stacks(b)
-        assert len(stacks) == len(b.base.strata)
-        assert [k for keys, _ in stacks for k in keys] == b.point_keys()
-        for keys, bases in stacks:
-            for key, basis in zip(keys, bases):
-                assert np.array_equal(basis, b.fiber(key).basis)
+        assert list(b.stacks) == b.base.names
+        for s in b.base.strata:
+            stack = b.stacks[s.name]
+            assert stack.shape == (len(s), b.stratum_rank[s.name],
+                                   b.fiber_ambient)
+            assert not stack.flags.writeable
+            for i, basis in enumerate(stack):
+                assert np.array_equal(basis, b.fiber((s.name, i)).basis)
 
-    def test_mixed_ranks_split_a_stratum(self):
+    @pytest.mark.parametrize("make", BUNDLES.values(), ids=BUNDLES.keys())
+    def test_fiber_view_equals_subspace(self, make):
+        b = make()
+        for key in b.point_keys():
+            view = b.fiber(key)
+            w = Subspace(b.fiber_ambient, view.basis)
+            assert view.ambient_dim == w.ambient_dim
+            assert np.array_equal(view.basis, w.basis)
+            assert np.array_equal(view.projection, w.projection)
+
+    @pytest.mark.parametrize("n, rank, ambient", [(100, 6, 15),
+                                                  (50, 10, 35)])
+    def test_projection_formed_per_fiber(self, n, rank, ambient):
+        # A stacked product may round differently from k = 15 on; each
+        # view forms its projection from its own basis, as Subspace does.
+        rng = np.random.default_rng(ambient)
+        stack = np.linalg.qr(rng.standard_normal((n, ambient, rank)))[0]
+        base = Stratification([Stratum("bulk", 2, rng.uniform(size=(n, 2)))])
+        b = SampledStratifiedBundle.from_stacks(
+            base, ambient, {"bulk": stack.swapaxes(1, 2).copy()})
+        assert b.stratum_rank == {"bulk": rank}
+        for key in b.point_keys():
+            w = Subspace(ambient, b.stacks["bulk"][key[1]])
+            assert np.array_equal(b.fiber(key).projection, w.projection)
+
+    def test_from_stacks_audits_each_stack(self):
         b = trivial_bundle(line_stratification(), 2)
-        fibers = dict(b.fibers)
-        fibers[("S+", 1)] = span([(1.0, 0.0)], 2)
-        stacks = fiber_stacks(SampledStratifiedBundle(b.base, 2, fibers,
-                                                      b.stratum_rank))
-        ranks = {tuple(keys): bases.shape[1] for keys, bases in stacks}
-        assert ranks[(("S+", 1),)] == 1
-        assert len(stacks) == len(b.base.strata) + 1
+        stacks = {name: stack.copy() for name, stack in b.stacks.items()}
+        stacks["S-"][3] *= 1 + 5.5e-11
+        with pytest.raises(ValueError, match="not orthonormal"):
+            SampledStratifiedBundle.from_stacks(b.base, 2, stacks)
+        assert failing_fibers(stacks) == [("S-", 3)]
 
     @pytest.mark.parametrize("make", BUNDLES.values(), ids=BUNDLES.keys())
     @pytest.mark.parametrize("f", FUNCTORS, ids=repr)
@@ -268,10 +301,11 @@ class TestStratumStacks:
     @pytest.mark.parametrize("f", FUNCTORS, ids=repr)
     def test_residuals_equal_per_fiber_check(self, make, f):
         b = make()
-        for keys, bases in fiber_stacks(b):
-            residuals = orthogonality_residuals(f, bases)
+        for s in b.base.strata:
+            residuals = orthogonality_residuals(f, b.stacks[s.name])
             assert residuals.tolist() == [
-                check_orthogonality(f, b.fiber(key))[1] for key in keys]
+                check_orthogonality(f, b.fiber((s.name, i)))[1]
+                for i in range(len(s))]
 
 
 class TestFunctorPreservesWhitney:

@@ -119,7 +119,7 @@ class TestExitCodes:
 
     def test_inconclusive_is_three(self, capsys, tmp_path):
         b = cone_bundle("pass", depth=12)
-        fibers = dict(b.fibers)
+        fibers = {key: b.fiber(key) for key in b.point_keys()}
         stratum = b.base.stratum("S+")
         for i in range(len(stratum)):
             fibers[("S+", i)] = span([(1.0, 0.0)], 2) if i % 2 else \
@@ -350,8 +350,8 @@ class TestVerbs:
                 {"S0": 6, "S+": 6, "S-": 6}
         else:
             assert code == 2
-            assert checks["validate-input"]["problems"][0] == \
-                "fiber over ('S0', 0) has rank 3, stratum 'S0' declares 2"
+            assert checks["validate-input"]["problems"] == \
+                ["stratum 'S0' declares rank 2, its fibers have rank 3"]
 
     @pytest.mark.parametrize("argv", [
         ["apply-functor", "--functor", "sym:2", "--bundle", "BAD_RANK"],
@@ -410,20 +410,19 @@ class TestVerbs:
         assert all(c["verdict"] == "PASS" for c in report["checks"])
 
     def test_orthogonality_on_bundle_of_mixed_ranks(self, capsys, tmp_path):
-        # A stratum whose fibers differ in rank is checked fiber by fiber,
-        # in point order, with the residual of the per-subspace check.
+        # A stratum whose fibers differ in rank is rejected at read.
         obj = read_json(fx("trivial3.json"))
         obj["fibers"][4]["basis"] = [[0.0, 0.6, 0.8]]
         path = tmp_path / "mixed.json"
         path.write_text(json.dumps(obj))
-        code, out = run(capsys, "check", "orthogonality", "--functor",
-                        "sym:3", "--bundle", str(path))
-        assert code == 0
-        bundle = bundle_from_json(obj)
-        assert [(c["name"], c["residual"]) for c in json.loads(out)["checks"]] \
-            == [(f"orthogonality[{s}:{i}]",
-                 check_orthogonality(SymPower(3), bundle.fiber((s, i)))[1])
-                for s, i in bundle.point_keys()]
+        code = main(["check", "orthogonality", "--functor", "sym:3",
+                     "--bundle", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "svb: error: $.fibers[4].basis: rank 1, but an earlier fiber "
+            "over stratum 'S+' has rank 3\n")
 
     def test_orthogonality_needs_one_input(self, capsys):
         code = main(["check", "orthogonality", "--functor", "wedge:2"])
@@ -500,18 +499,52 @@ class TestVerbs:
         produced = bundle_from_json(read_json(str(bundle_path)))
         assert sorted(produced.stratum_rank.values()) == [0, 1, 1]
 
-    @staticmethod
-    def _gram_defect_bundle(tmp_path, rank):
-        """Constant fibers whose basis has Gram defect 9e-11, just inside
-        the orthonormality tolerance of Subspace."""
+    # File positions of two fibers over the middle stratum S+ (S0 holds
+    # one point and comes first).
+    INSIDE, OUTSIDE = ("S+", 4), ("S+", 12)
+
+    @classmethod
+    def _gram_defect_bundle(cls, tmp_path, rank, outside=False):
+        """Exact constant fibers, except that the basis over INSIDE has
+        Gram defect 9e-11, just inside the orthonormality tolerance 1e-10,
+        and with ``outside`` the one over OUTSIDE has 1.1e-10."""
         base = line_stratification()
-        w = Subspace(3, np.eye(3)[:rank] * (1 + 4.5e-11))
-        fibers = {(s.name, i): w for s in base.strata for i in range(len(s))}
+        fibers = {(s.name, i): Subspace(3, np.eye(3)[:rank])
+                  for s in base.strata for i in range(len(s))}
+        fibers[cls.INSIDE] = Subspace(3, np.eye(3)[:rank] * (1 + 4.5e-11))
+        obj = bundle_to_json(SampledStratifiedBundle(
+            base, 3, fibers, {s.name: rank for s in base.strata}))
+        if outside:
+            obj["fibers"][1 + cls.OUTSIDE[1]]["basis"] = \
+                (np.eye(3)[:rank] * (1 + 5.5e-11)).tolist()
         path = tmp_path / f"rank{rank}.json"
-        write_json(bundle_to_json(SampledStratifiedBundle(
-            base, 3, fibers, {s.name: rank for s in base.strata})),
-            str(path))
+        write_json(obj, str(path))
         return str(path)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_reader_accepts_gram_defect_inside_tolerance(self, tmp_path,
+                                                         rank):
+        bundle = bundle_from_json(read_json(
+            self._gram_defect_bundle(tmp_path, rank)))
+        assert np.array_equal(bundle.fiber(self.INSIDE).basis,
+                              np.eye(3)[:rank] * (1 + 4.5e-11))
+
+    @pytest.mark.parametrize("argv", [
+        ["apply-functor", "--functor", "sym:3"],
+        ["check", "orthogonality", "--functor", "wedge:2"],
+        ["check", "whitney-a", "--auto-sequence", "radial:S0[0],10",
+         "--source-stratum", "S+"],
+    ], ids=["apply-functor", "orthogonality", "whitney-a"])
+    def test_reader_rejects_gram_defect_beyond_tolerance(self, capsys,
+                                                         tmp_path, argv):
+        code = main(argv + ["--bundle", self._gram_defect_bundle(
+            tmp_path, 2, outside=True)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"svb: error: $.fibers[{1 + self.OUTSIDE[1]}].basis: basis is "
+            "not orthonormal within tolerance\n")
 
     def test_apply_functor_accepts_gram_defect_at_tolerance(self, capsys,
                                                             tmp_path):

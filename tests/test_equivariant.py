@@ -231,9 +231,10 @@ class TestInvariantSubbundle:
     def test_non_equivariant_bundle_rejected(self):
         g = sign_flip_group()
         b = sign_flip_tangent_bundle()
-        fibers = dict(b.fibers)
-        fibers[("S+", 0)] = Subspace.zero(1)
-        ranks = dict(b.stratum_rank)
+        # S+ keeps zero fibers, which x -> -x carries onto nothing in S-.
+        fibers = {key: Subspace.zero(1) if key[0] == "S+" else b.fiber(key)
+                  for key in b.point_keys()}
+        ranks = dict(b.stratum_rank, **{"S+": 0})
         broken = SampledStratifiedBundle(b.base, 1, fibers, ranks)
         with pytest.raises(ValueError, match="equivariant"):
             invariant_subbundle(g, broken)

@@ -11,7 +11,6 @@ from svb.foliation import (
     PolynomialVectorField,
     VectorFieldSet,
     distribution_at,
-    distributions,
     fields_as_sections,
     foliation_bundle,
     stratify_by_rank,
@@ -54,11 +53,15 @@ class TestStackedDistributions:
         rng = np.random.default_rng(3)
         for ambient, count in [(1, 1), (2, 1), (2, 3), (3, 2), (4, 4)]:
             vfs = random_fields(rng, ambient, count)
-            stacked = distributions(vfs, vfs.sample_points)
-            for p, w in zip(vfs.sample_points, stacked):
+            bundle = foliation_bundle(vfs)
+            keys = bundle.point_keys()
+            order = np.concatenate([s.points for s in bundle.base.strata])
+            for p in vfs.sample_points:
+                key = keys[int(np.flatnonzero((order == p).all(axis=1))[0])]
                 ref = span([f.evaluate(p) for f in vfs.fields], ambient)
-                assert np.array_equal(w.basis, ref.basis)
-                assert np.array_equal(w.projection, ref.projection)
+                for w in (bundle.fiber(key), distribution_at(vfs, p)):
+                    assert np.array_equal(w.basis, ref.basis)
+                    assert np.array_equal(w.projection, ref.projection)
 
     def test_vectorised_evaluation_is_per_point_evaluation(self):
         rng = np.random.default_rng(4)
@@ -79,7 +82,7 @@ class TestStackedDistributions:
 
     def test_vanishing_fields_give_zero_subspace(self):
         vfs = line_scaling_fields()
-        ranks = [w.dim for w in distributions(vfs, [[0.0], [1.0], [-2.0]])]
+        ranks = [distribution_at(vfs, p).dim for p in ([0.0], [1.0], [-2.0])]
         assert ranks == [0, 1, 1]
 
     def test_sections_read_the_stacked_values(self):

@@ -1,5 +1,7 @@
 import itertools
 import math
+import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -327,6 +329,47 @@ class TestParsing:
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):
             parse_functor(text)
+
+
+DEGREE_BEYOND_BOUND = [
+    ("sym:9", "symmetric power degree 9 is outside 1..8"),
+    ("tensor:12", "tensor power degree 12 is outside 1..11"),
+    ("tensor:1000000", "tensor power degree 1000000 is outside 1..11"),
+]
+
+
+class TestDegreeBound:
+    """Degrees are bounded when the functor is built, before any
+    dimension is computed or any permutation summed."""
+
+    @pytest.mark.parametrize("spec, message", DEGREE_BEYOND_BOUND,
+                             ids=[s for s, _ in DEGREE_BEYOND_BOUND])
+    def test_parse_functor_refuses(self, spec, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_functor(spec)
+
+    @pytest.mark.parametrize("spec, message", DEGREE_BEYOND_BOUND,
+                             ids=[s for s, _ in DEGREE_BEYOND_BOUND])
+    def test_cli_exits_one(self, capsys, spec, message):
+        from svb.cli import main
+        fixture = os.path.join(os.path.dirname(__file__), "..", "fixtures",
+                               "plane_in_r3.json")
+        code = main(["check", "orthogonality", "--functor", spec,
+                     "--subspace", fixture])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"svb: error: {message}\n"
+
+    @pytest.mark.parametrize("cls, largest", [
+        (SymPower, svb.functors.MAX_SYM_DEGREE),
+        (TensorPower, svb.functors.MAX_POWER_DEGREE),
+        (WedgePower, svb.functors.MAX_POWER_DEGREE)])
+    def test_largest_degree_accepted(self, cls, largest):
+        assert cls(largest).n == largest
+        with pytest.raises(ValueError, match="outside"):
+            cls(largest + 1)
+        assert functor_from_json({"op": cls.op, "n": largest}) == cls(largest)
 
 
 def _tensor_power(m, n):

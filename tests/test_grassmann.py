@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from svb.grassmann import (
     Subspace,
-    SubspaceSequence,
     apply_linear_map,
     containment_residual,
     gap_distance,
@@ -140,13 +139,13 @@ class TestIsContained:
 
 class TestSequenceLimit:
     def test_constant_sequence(self):
-        seq = SubspaceSequence([line(1, 0)] * 10)
+        seq = [line(1, 0)] * 10
         limit = sequence_limit(seq, tol=1e-12, tail_len=5)
         assert limit is not None
         assert gap_distance(limit, line(1, 0)) == 0.0
 
     def test_converging_lines(self):
-        seq = SubspaceSequence([line(1.0, 1.0 / k) for k in range(1, 51)])
+        seq = [line(1.0, 1.0 / k) for k in range(1, 51)]
         limit = sequence_limit(seq, tol=1e-2, tail_len=5)
         assert limit is not None
         # Oracle: the recovered subspace is the final line of the sequence;
@@ -161,18 +160,29 @@ class TestSequenceLimit:
         assert gap_distance(limit, line(1, 0)) < 2.5e-2
 
     def test_alternating_has_no_limit(self):
-        seq = SubspaceSequence([line(1, 0), line(0, 1)] * 5)
+        seq = [line(1, 0), line(0, 1)] * 5
         assert sequence_limit(seq, tol=0.5, tail_len=4) is None
 
     def test_tail_longer_than_sequence(self):
-        seq = SubspaceSequence([line(1, 0)] * 3)
+        seq = [line(1, 0)] * 3
         with pytest.raises(ValueError):
             sequence_limit(seq, tol=1e-6, tail_len=4)
 
     def test_rank_is_forced(self):
-        seq = SubspaceSequence([line(1.0, 1e-9)] * 6)
+        seq = [line(1.0, 1e-9)] * 6
         limit = sequence_limit(seq, tol=1e-6, tail_len=6)
         assert limit.dim == 1
+
+    def test_threshold_is_the_largest_pairwise_gap(self):
+        seq = [line(1.0, t) for t in (0.9, 0.3, 0.1, 0.2, 0.15)]
+        tail = seq[-4:]
+        worst = max(gap_distance(a, b) for a in tail for b in tail)
+        assert sequence_limit(seq, tol=worst, tail_len=4) is seq[-1]
+        assert sequence_limit(seq, tol=worst * (1 - 1e-9), tail_len=4) is None
+
+    def test_mixed_ambient_rejected(self):
+        with pytest.raises(ValueError, match="mixed ambient"):
+            sequence_limit([line(1, 0), line(1, 0, 0)], tail_len=2)
 
 
 class TestApplyLinearMap:

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from svb.fixtures import (
     rotation_group,
     sign_flip_group,
 )
-from svb.grassmann import gap_distance
+from svb.grassmann import Subspace, gap_distance
 from svb.jsonio import (
     SCHEMA,
     SchemaError,
@@ -31,6 +32,7 @@ from svb.jsonio import (
     scenario_to_json,
     stratification_from_json,
     stratification_to_json,
+    subspace_from_json,
     write_json,
 )
 from svb.monoid import MonoidActionSample
@@ -53,6 +55,27 @@ class TestRoundTrips:
         assert again.stratum_rank == b.stratum_rank
         for key in b.point_keys():
             assert gap_distance(again.fiber(key), b.fiber(key)) == 0.0
+
+    def test_shuffled_rank0_bundle_file(self, tmp_path):
+        # Fiber entries in a seeded random order across the strata of
+        # cone_rank0, whose origin stratum has rank 0.
+        canonical = os.path.join(FIXTURES, "cone_rank0.json")
+        obj = read_json(canonical)
+        order = np.random.default_rng(9).permutation(len(obj["fibers"]))
+        obj["fibers"] = [obj["fibers"][i] for i in order]
+        assert [f["point_index"] for f in obj["fibers"]] != \
+            [f["point_index"] for f in read_json(canonical)["fibers"]]
+        b = bundle_from_json(obj)
+        assert b.stacks["S0"].shape == (1, 0, 2)
+        for item in obj["fibers"]:
+            key = tuple(item["point_index"])
+            w = Subspace(2, item["basis"])
+            assert np.array_equal(b.fiber(key).basis, w.basis)
+            assert np.array_equal(b.fiber(key).projection, w.projection)
+        out = tmp_path / "again.json"
+        write_json(bundle_to_json(b), str(out))
+        with open(canonical, "rb") as fh:
+            assert out.read_bytes() == fh.read()
 
     def test_scenario(self):
         sc = cone_scenario(8)
@@ -114,6 +137,24 @@ class TestSchemaErrors:
         obj["fibers"][0]["basis"] = [[1.0, 1.0]]
         with pytest.raises(SchemaError, match="orthonormal"):
             bundle_from_json(obj)
+
+    @pytest.mark.parametrize("first, second, where", [
+        (3, 7, "$.fibers[3].basis: basis is not orthonormal"),
+        (7, 3, "$.fibers[3].basis: non-finite value"),
+    ], ids=["audit-first", "structure-first"])
+    def test_lowest_offending_entry_named(self, first, second, where):
+        # One entry fails the stacked audit, another a per-entry check:
+        # the error names whichever comes first in the file.
+        obj = bundle_to_json(cone_bundle("pass", depth=4))
+        obj["fibers"][first]["basis"] = [[1.0, 1.0]]
+        obj["fibers"][second]["basis"] = [[float("nan"), 0.0]]
+        with pytest.raises(SchemaError, match=f"^{re.escape(where)}"):
+            bundle_from_json(obj)
+
+    def test_negative_subspace_ambient_rejected(self):
+        with pytest.raises(SchemaError,
+                           match=r"^\$: ambient_dim must be nonnegative$"):
+            subspace_from_json({"ambient": -1, "basis": []})
 
     def test_action_unknown_kind(self):
         obj = action_to_json(MonoidActionSample.builtin("scalar", 1, [[1.0]]))
