@@ -13,14 +13,17 @@ the construction of a 3,200-point ``Stratification`` (32 clusters in
 R^3), ``apply_functor_to_bundle`` with sym:3 on a rank-4 trivial bundle
 over 2,000 points, reading that bundle's file (``bundle_from_json`` of
 ``read_json``) and checking it in process with ``check orthogonality
---bundle --functor wedge:2``, and ``check_orthogonality`` with sym:4 on a
-3-plane in R^7, five times each.  Two fixed per-call costs are timed warm, after
-one untimed call, five times each: one in-process ``cli.main`` call of
-``check frontier`` on ``fixtures/line.json`` and ``foliation_bundle``
-on the 441-point grid of the cloud and orbits workloads.  Seeds, run
-length and repeats are fixed, so that
-any two snapshots compare like with like.  Each measurement runs in a fresh process that imports svb from
-the checkout's ``src``, so a snapshot of an older commit only needs its
+--bundle --functor wedge:2``, ``check_orthogonality`` with sym:4 on a
+3-plane in R^7, and ``audit_axioms`` plus ``regularity_check`` on the
+scalar action (``bundle_scalar_action``, 300 samples in R^4) of a
+rank-2 trivial bundle over 100 points of the plane, five times each.
+Two fixed per-call costs are timed warm, after one untimed call, five
+times each: one in-process ``cli.main`` call of ``check frontier`` on
+``fixtures/line.json`` and ``foliation_bundle`` on the 441-point grid
+of the cloud and orbits workloads.  Seeds, run length and repeats are
+fixed, so that any two snapshots compare like with like.  Each
+measurement runs in a fresh process that imports svb from the
+checkout's ``src``, so a snapshot of an older commit only needs its
 checkout; ``--checkout`` defaults to the one holding this script.
 """
 
@@ -111,12 +114,14 @@ def scaled_timings(checkout):
     import svb
     import svb.cli
     from svb.bundle import apply_functor_to_bundle, trivial_bundle
-    from svb.fixtures import axis_scaling_fields_plane, cantor_stratification
+    from svb.fixtures import (axis_scaling_fields_plane, bundle_scalar_action,
+                              cantor_stratification)
     from svb.foliation import VectorFieldSet, foliation_bundle
     from svb.functors import SymPower, check_orthogonality
     from svb.grassmann import Subspace
     from svb.jsonio import bundle_from_json, bundle_to_json, read_json, \
         write_json
+    from svb.monoid import audit_axioms, regularity_check
     from svb.strata import (Stratification, Stratum, check_frontier,
                             local_finiteness_report)
 
@@ -159,6 +164,12 @@ def scaled_timings(checkout):
     cases["sym4_orthogonality_r7"] = (
         {"rank": 3, "ambient": 7},
         lambda: check_orthogonality(SymPower(4), plane))
+    action, _, _ = bundle_scalar_action(trivial_bundle(Stratification(
+        [Stratum("bulk", 2, rng.uniform(-1.0, 1.0, (100, 2)))]), 2))
+    cases["monoid_audits_300"] = (
+        {"samples": len(action.sample_points), "ambient": action.ambient_dim,
+         "t_grid": len(action.t_grid)},
+        lambda: (audit_axioms(action), regularity_check(action)))
     line = os.path.join(checkout, "fixtures", "line.json")
 
     def frontier_cli():

@@ -5,7 +5,10 @@ The distribution at a point is the span of the generating fields there;
 the base is stratified by distribution rank (split into connected
 components), and the resulting bundle uses the generating fields as
 global sections, which is what makes its Whitney A checks succeed.
-Leaves are never integrated; only the tangent data is built.
+Leaves are never integrated; only the tangent data is built.  A
+polynomial map is a term table, read by ``parse_terms`` and evaluated
+over a stack of points by ``evaluate_terms``; polynomial monoid actions
+use the same two.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from .grassmann import Subspace
 from .strata import Stratification, estimate_cloud_dim, partition_by_label
 
 __all__ = [
+    "parse_terms",
+    "evaluate_terms",
     "PolynomialVectorField",
     "VectorFieldSet",
     "distribution_at",
@@ -29,6 +34,40 @@ __all__ = [
 ]
 
 
+def parse_terms(terms, n_vars: int, out_dim: int):
+    """Validated ``(powers, vector)`` pairs: ``n_vars`` nonnegative
+    exponents and a vector of length ``out_dim`` per term."""
+    parsed = []
+    for powers, vector in terms:
+        powers = tuple(int(p) for p in powers)
+        vector = np.asarray(vector, dtype=float)
+        if len(powers) != n_vars:
+            raise ValueError(f"term powers {powers} need {n_vars} exponents")
+        if any(p < 0 for p in powers):
+            raise ValueError("negative exponents are not allowed")
+        if vector.shape != (out_dim,):
+            raise ValueError("term vector has the wrong length")
+        parsed.append((powers, vector))
+    return parsed
+
+
+def evaluate_terms(terms, pts, out_dim: int) -> np.ndarray:
+    """The map at each row of the ``(n, n_vars)`` array ``pts``: each
+    monomial multiplies the variables in order, then its vector."""
+    out = np.zeros((len(pts), out_dim))
+    for powers, vector in terms:
+        monomial = np.ones(len(pts))
+        for column, p in zip(pts.T, powers):
+            if p == 1:
+                monomial *= column
+            elif p:
+                # Rounded as the scalar power rounds; numpy's
+                # vectorised power may differ in the last bit.
+                monomial *= np.array([xi ** p for xi in column])
+        out += monomial[:, None] * vector
+    return out
+
+
 class PolynomialVectorField:
     """A vector field with polynomial coefficients, stored as a list of
     terms: exponent multi-index over the coordinates plus a coefficient
@@ -36,40 +75,14 @@ class PolynomialVectorField:
 
     def __init__(self, ambient_dim: int, terms):
         self.ambient_dim = int(ambient_dim)
-        parsed = []
-        for term in terms:
-            powers = tuple(int(p) for p in term["powers"])
-            vector = np.asarray(term["vector"], dtype=float)
-            if len(powers) != self.ambient_dim:
-                raise ValueError(
-                    f"term powers {powers} need {self.ambient_dim} exponents")
-            if any(p < 0 for p in powers):
-                raise ValueError("negative exponents are not allowed")
-            if vector.shape != (self.ambient_dim,):
-                raise ValueError("term vector has the wrong length")
-            parsed.append((powers, vector))
-        self.terms = parsed
+        self.terms = parse_terms(((t["powers"], t["vector"]) for t in terms),
+                                 self.ambient_dim, self.ambient_dim)
 
     def evaluate(self, x) -> np.ndarray:
         """The field at x, or at each row of an (n, ambient) array."""
         x = np.asarray(x, dtype=float)
-        pts = np.atleast_2d(x)
-        out = np.zeros(pts.shape)
-        for powers, vector in self.terms:
-            monomial = np.ones(len(pts))
-            for column, p in zip(pts.T, powers):
-                if p == 1:
-                    monomial *= column
-                elif p:
-                    # Rounded as the scalar power rounds; numpy's
-                    # vectorised power may differ in the last bit.
-                    monomial *= np.array([xi ** p for xi in column])
-            out += monomial[:, None] * vector
+        out = evaluate_terms(self.terms, np.atleast_2d(x), self.ambient_dim)
         return out if x.ndim > 1 else out[0]
-
-    def to_json(self) -> dict:
-        return {"coeffs": [{"powers": list(p), "vector": v.tolist()}
-                           for p, v in self.terms]}
 
 
 class VectorFieldSet:
@@ -96,18 +109,6 @@ class VectorFieldSet:
         """Every field at every row of ``points``: (n, fields, ambient)."""
         return np.stack([f.evaluate(np.atleast_2d(points))
                          for f in self.fields], axis=1)
-
-    def to_json(self) -> dict:
-        return {"ambient": self.ambient_dim,
-                "fields": [f.to_json() for f in self.fields],
-                "samples": self.sample_points.tolist()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "VectorFieldSet":
-        ambient = int(obj["ambient"])
-        fields = [PolynomialVectorField(ambient, f["coeffs"])
-                  for f in obj["fields"]]
-        return cls(ambient, fields, obj["samples"])
 
 
 def _distribution_rows(vfs: VectorFieldSet, points, tol_rank: float):

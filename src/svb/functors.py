@@ -413,10 +413,14 @@ def parse_functor(text: str) -> LinearFunctor:
         return Identity()
     simple = re.fullmatch(r"(wedge|tensor|sym|const)\s*:\s*(\d+)", text)
     if simple:
-        name, number = simple.group(1), int(simple.group(2))
-        if name == "const":
-            return ConstantSum(number)
-        return _POWER_OPS[name](number)
+        name, digits = simple.group(1), simple.group(2).lstrip("0") or "0"
+        power = _POWER_OPS.get(name)
+        if len(digits) > 9:  # beyond every bound, and perhaps beyond int()
+            what = (f"{power.kind} power degree" if power
+                    else "constant summand dimension")
+            bound = f"1..{power.max_n}" if power else f"0..{MAX_DIM}"
+            raise ValueError(f"{what} of {len(digits)} digits is outside {bound}")
+        return power(int(digits)) if power else ConstantSum(int(digits))
     call = re.fullmatch(r"(sum|compose)\s*\((.*)\)", text, flags=re.DOTALL)
     if call:
         name, body = call.group(1), call.group(2)

@@ -16,7 +16,7 @@ import numpy as np
 from .bundle import (ConvergenceScenario, SampledStratifiedBundle,
                      failing_fibers)
 from .equivariant import FiniteGroupAction
-from .foliation import VectorFieldSet
+from .foliation import PolynomialVectorField, VectorFieldSet
 from .grassmann import Subspace, as_basis
 from .monoid import MonoidActionSample
 from .strata import Stratification, Stratum
@@ -85,16 +85,17 @@ def dumps(obj: Any) -> str:
 
 
 _encode_str = json.encoder.encode_basestring_ascii
+# NaN and infinity are not JSON: writing one raises ValueError.
 if json.encoder.c_make_encoder is not None:
     # The compact one-shot C encoder that json.dumps builds on each call.
     _c_encoder = json.encoder.c_make_encoder(
         None, json.JSONEncoder().default, _encode_str, None, ": ", ", ",
-        False, False, True)
+        False, False, False)
 
     def _compact(obj) -> str:
         return "".join(_c_encoder(obj, 0))
 else:
-    _compact = json.JSONEncoder().encode
+    _compact = json.JSONEncoder(allow_nan=False).encode
 _CONTAINERS = (list, tuple, dict)
 _LEAF_TYPES = frozenset((str, int, float, bool, type(None)))
 
@@ -408,15 +409,16 @@ def action_from_json(obj, path="$") -> MonoidActionSample:
 
 
 def fields_to_json(vfs: VectorFieldSet) -> dict:
-    out = {"schema": SCHEMA}
-    out.update(vfs.to_json())
-    return out
+    return {"schema": SCHEMA, "ambient": vfs.ambient_dim,
+            "fields": [{"coeffs": [{"powers": list(p), "vector": v.tolist()}
+                                   for p, v in f.terms]} for f in vfs.fields],
+            "samples": vfs.sample_points.tolist()}
 
 
 def fields_from_json(obj, path="$") -> VectorFieldSet:
     _check_schema(obj, path)
-    _expect(obj, "ambient", int, path)
-    _matrix(_expect(obj, "samples", list, path), f"{path}.samples")
+    ambient = _expect(obj, "ambient", int, path)
+    samples = _matrix(_expect(obj, "samples", list, path), f"{path}.samples")
     for i, item in enumerate(_expect(obj, "fields", list, path)):
         fpath = f"{path}.fields[{i}]"
         for j, term in enumerate(_expect(item, "coeffs", list, fpath)):
@@ -425,6 +427,8 @@ def fields_from_json(obj, path="$") -> VectorFieldSet:
             _matrix(_expect(term, "vector", list, tpath), f"{tpath}.vector",
                     ndim=1)
     try:
-        return VectorFieldSet.from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
+        return VectorFieldSet(ambient, [
+            PolynomialVectorField(ambient, item["coeffs"])
+            for item in obj["fields"]], samples)
+    except (TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: {exc}") from None

@@ -10,6 +10,8 @@ recovered as spans of phi over h_0-clusters.
 
 Evaluators are restricted to named built-ins and polynomial coefficient
 tables so that action files are reproducible across implementations.
+Both are evaluated on whole (n, m) stacks of points, a table as the
+term table of a vector field over the variables (t, e).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import CLUSTER_RADIUS, STEP, TOL_CHECK
+from .foliation import evaluate_terms, parse_terms
 from .grassmann import Subspace, span
 
 _EPS = float(np.finfo(float).eps)
@@ -56,7 +59,7 @@ def _builtin_translate(t, e):
 
 def _builtin_scale_last(t, e):
     out = e.copy()
-    out[-1] = t * out[-1]
+    out[:, -1] = t * out[:, -1]
     return out
 
 
@@ -64,6 +67,7 @@ def _builtin_identity(t, e):
     return e.copy()
 
 
+# Each maps a time and an (n, m) stack of points to the (n, m) images.
 BUILTIN_ACTIONS: dict[str, Callable[[float, np.ndarray], np.ndarray]] = {
     "scalar": _builtin_scalar,
     "square_scale": _builtin_square_scale,
@@ -73,48 +77,13 @@ BUILTIN_ACTIONS: dict[str, Callable[[float, np.ndarray], np.ndarray]] = {
 }
 
 
-def _polynomial_evaluator(ambient: int, coeffs):
-    """coeffs: one term list per output coordinate; a term has ``powers``
-    (exponents of t, e_1, ..., e_m) and a scalar ``coef``."""
-    table = []
-    for coord_terms in coeffs:
-        terms = []
-        for term in coord_terms:
-            powers = tuple(int(p) for p in term["powers"])
-            if len(powers) != ambient + 1:
-                raise ValueError(
-                    f"term powers {powers} should list t and {ambient} coordinates")
-            if any(p < 0 for p in powers):
-                raise ValueError("negative exponents are not allowed")
-            terms.append((powers, float(term["coef"])))
-        table.append(terms)
-    if len(table) != ambient:
-        raise ValueError(
-            f"expected coefficient lists for {ambient} output coordinates")
-
-    def evaluate(t, e):
-        out = np.zeros(ambient)
-        for coord, terms in enumerate(table):
-            acc = 0.0
-            for powers, coef in terms:
-                value = coef * t ** powers[0]
-                for x, p in zip(e, powers[1:]):
-                    if p:
-                        value *= x ** p
-                acc += value
-            out[coord] = acc
-        return out
-
-    return evaluate
-
-
 class MonoidActionSample:
     """A scaling-monoid action evaluated on samples x a time grid."""
 
     def __init__(self, ambient_dim: int, descriptor: dict,
                  sample_points, t_grid: Sequence[float]):
-        self.ambient_dim = int(ambient_dim)
-        if self.ambient_dim < 1:
+        self.ambient_dim = m = int(ambient_dim)
+        if m < 1:
             raise ValueError("ambient_dim must be positive")
         self.descriptor = dict(descriptor)
         kind = self.descriptor.get("kind")
@@ -124,12 +93,21 @@ class MonoidActionSample:
                 raise ValueError(f"unknown builtin action {name!r}")
             self._evaluator = BUILTIN_ACTIONS[name]
         elif kind == "polynomial":
-            self._evaluator = _polynomial_evaluator(
-                self.ambient_dim, self.descriptor["coeffs"])
+            # Coordinate j's term (powers, c) is the term (powers, c e_j).
+            coeffs = self.descriptor["coeffs"]
+            if len(coeffs) != m:
+                raise ValueError(
+                    f"expected coefficient lists for {m} output coordinates")
+            terms = parse_terms(
+                ((term["powers"], float(term["coef"]) * np.eye(m)[j])
+                 for j, coord_terms in enumerate(coeffs)
+                 for term in coord_terms), m + 1, m)
+            self._evaluator = lambda t, e: evaluate_terms(
+                terms, np.column_stack([np.full(len(e), t), e]), m)
         else:
             raise ValueError("action kind must be 'builtin' or 'polynomial'")
         pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
-        if pts.shape[1] != self.ambient_dim:
+        if pts.shape[1] != m:
             raise ValueError("sample points have the wrong ambient dimension")
         if pts.shape[0] == 0:
             raise ValueError("need at least one sample point")
@@ -152,13 +130,25 @@ class MonoidActionSample:
                    sample_points, t_grid)
 
     def evaluate(self, t: float, e) -> np.ndarray:
-        value = np.asarray(
-            self._evaluator(float(t), np.asarray(e, dtype=float)), dtype=float)
-        if value.shape != (self.ambient_dim,):
-            raise ValueError("evaluator returned a wrongly shaped vector")
-        if not np.all(np.isfinite(value)):
+        """h_t(e) for one point e, or for each row of an (n, m) stack."""
+        e = np.asarray(e, dtype=float)
+        if e.ndim not in (1, 2) or e.shape[-1] != self.ambient_dim:
+            raise ValueError("expected a point or an (n, m) stack of points")
+        value = self._evaluator(float(t), np.atleast_2d(e))
+        if not np.isfinite(value).all():
             raise ValueError(f"evaluator returned a non-finite value at t={t}")
-        return value
+        return value if e.ndim == 2 else value[0]
+
+
+def _norms(rows) -> np.ndarray:
+    """Row norms, each rounded as ``np.linalg.norm(row)`` rounds it: one
+    BLAS dot per row (``norm(rows, axis=1)`` differs in the last bit on
+    some rows).  Reports hold no infinity, so an overflow is an error."""
+    rows = np.ascontiguousarray(rows)
+    norms = np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+    if not np.isfinite(norms).all():
+        raise ValueError("non-finite residual: a norm overflows")
+    return norms
 
 
 @dataclass(frozen=True)
@@ -172,53 +162,52 @@ class MonoidAudit:
 
 
 def audit_axioms(a: MonoidActionSample, tol: float = TOL_CHECK) -> MonoidAudit:
-    """Check h_1 = id and h_t h_s = h_ts on the grid and samples."""
-    identity_violations = []
-    for i, e in enumerate(a.sample_points):
-        residual = float(np.linalg.norm(a.evaluate(1.0, e) - e))
-        if residual > tol:
-            identity_violations.append((i, residual))
-    composition_violations = []
-    for t in a.t_grid:
-        for s in a.t_grid:
-            for i, e in enumerate(a.sample_points):
-                lhs = a.evaluate(t, a.evaluate(s, e))
-                rhs = a.evaluate(t * s, e)
-                residual = float(np.linalg.norm(lhs - rhs))
-                if residual > tol:
-                    composition_violations.append((t, s, i, residual))
+    """Check h_1 = id and h_t h_s = h_ts on the grid and samples, one
+    evaluation of the whole sample stack per map."""
+    pts = a.sample_points
+    pairs = [(t, s) for t in a.t_grid for s in a.t_grid]
+    residuals = _norms(np.concatenate([a.evaluate(1.0, pts) - pts] + [
+        a.evaluate(t, a.evaluate(s, pts)) - a.evaluate(t * s, pts)
+        for t, s in pairs])).reshape(1 + len(pairs), len(pts))
+    # Row-major order: the identity first, then (t, s, i) in grid order.
+    found = [(k, int(i), float(residuals[k, i]))
+             for k, i in zip(*np.nonzero(residuals > tol))]
     return MonoidAudit(
-        passed=not identity_violations and not composition_violations,
-        identity_violations=tuple(identity_violations),
-        composition_violations=tuple(composition_violations))
+        passed=not found,
+        identity_violations=tuple((i, r) for k, i, r in found if k == 0),
+        composition_violations=tuple((*pairs[k - 1], i, r)
+                                     for k, i, r in found if k))
 
 
-def vertical_derivative(a: MonoidActionSample, e, step: float = STEP
-                        ) -> tuple[np.ndarray, float]:
-    """Richardson-refined central difference of t -> h_t(e) at t = 0.
+def vertical_derivative(a: MonoidActionSample, e, step: float = STEP):
+    """Richardson-refined central difference of t -> h_t(e) at t = 0,
+    at one point e or at each row of an (n, m) stack e.
 
-    Returns the refined derivative and an error estimate: the classical
-    |D(h/2) - D(h)| / 3 bound on the leading truncation term plus the
-    rounding it leaves out.  If each evaluation is off by at most delta,
-    the refined quotient is off by at most 3 delta / h; delta is taken as
-    2 eps times the largest sampled magnitude (at least two units in the
-    last place), per component.  A component whose four samples are
-    bitwise equal has an exact zero quotient and gets no rounding term,
-    so actions that do not move e (the identity) keep a zero estimate.
+    Returns the refined derivative and an error estimate (per row): the
+    classical |D(h/2) - D(h)| / 3 bound on the leading truncation term
+    plus the rounding it leaves out.  If each evaluation is off by at
+    most delta, the refined quotient is off by at most 3 delta / h;
+    delta is taken as 2 eps times the largest sampled magnitude (at
+    least two units in the last place), per component.  A component
+    whose four samples are bitwise equal has an exact zero quotient and
+    gets no rounding term, so actions that do not move e (the identity)
+    keep a zero estimate.
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    e = np.asarray(e, dtype=float)
-    samples = np.array([a.evaluate(t, e) for t in
+    pts = np.atleast_2d(np.asarray(e, dtype=float))
+    samples = np.array([a.evaluate(t, pts) for t in
                         (step, -step, step / 2.0, -step / 2.0)])
     coarse = (samples[0] - samples[1]) / (2.0 * step)
     fine = (samples[2] - samples[3]) / step
     refined = (4.0 * fine - coarse) / 3.0
-    truncation = float(np.linalg.norm(fine - coarse)) / 3.0
+    truncation = _norms(fine - coarse) / 3.0
     moving = (samples != samples[0]).any(axis=0)
-    largest = np.abs(samples).max(axis=0)[moving]
-    rounding = 3.0 * 2.0 * _EPS * float(np.sqrt(largest @ largest)) / step
-    return refined, truncation + rounding
+    largest = np.where(moving, np.abs(samples).max(axis=0), 0.0)
+    rounding = 3.0 * 2.0 * _EPS * _norms(largest) / step
+    error = truncation + rounding
+    return (refined, error) if np.ndim(e) == 2 else \
+        (refined[0], float(error[0]))
 
 
 @dataclass(frozen=True)
@@ -239,25 +228,28 @@ class RegularityReport:
         return self.overall == REGULAR
 
 
+def _classify(a: MonoidActionSample, tol: float, step: float):
+    """The regularity report, and the derivatives and h_0-images it read."""
+    pts = a.sample_points
+    phis, _ = vertical_derivative(a, pts, step)
+    images = a.evaluate(0.0, pts)
+    phi_norms = _norms(phis)
+    fixed_distances = _norms(pts - images)
+    consistent = (phi_norms <= tol) == (fixed_distances <= tol)
+    points = tuple(PointClassification(i, float(p), float(d), bool(c))
+                   for i, (p, d, c) in enumerate(zip(
+                       phi_norms, fixed_distances, consistent)))
+    violations = tuple(np.flatnonzero(~consistent).tolist())
+    report = RegularityReport(overall=NOT_REGULAR if violations else REGULAR,
+                              points=points, violating_indices=violations)
+    return report, phis, images
+
+
 def regularity_check(a: MonoidActionSample, tol: float = TOL_CHECK,
                      step: float = STEP) -> RegularityReport:
     """Regularity surrogate on samples: the vertical derivative vanishes
     iff the point is fixed by h_0."""
-    points = []
-    violations = []
-    for i, e in enumerate(a.sample_points):
-        phi, _ = vertical_derivative(a, e, step)
-        fixed_distance = float(np.linalg.norm(e - a.evaluate(0.0, e)))
-        phi_zero = float(np.linalg.norm(phi)) <= tol
-        fixed = fixed_distance <= tol
-        consistent = phi_zero == fixed
-        points.append(PointClassification(i, float(np.linalg.norm(phi)),
-                                          fixed_distance, consistent))
-        if not consistent:
-            violations.append(i)
-    overall = REGULAR if not violations else NOT_REGULAR
-    return RegularityReport(overall=overall, points=tuple(points),
-                            violating_indices=tuple(violations))
+    return _classify(a, tol, step)[0]
 
 
 @dataclass(frozen=True)
@@ -279,7 +271,7 @@ def reconstruct_bundle(a: MonoidActionSample, base_samples,
                        ) -> VerticalFragment:
     """Recover fibers of a regular action: over each base point, the span
     of the vertical derivatives of the samples its h_0-image clusters to."""
-    report = regularity_check(a, tol=tol, step=step)
+    report, phis, images = _classify(a, tol, step)
     if not report:
         raise ValueError(
             "action is not regular; offending sample indices: "
@@ -287,8 +279,6 @@ def reconstruct_bundle(a: MonoidActionSample, base_samples,
     base = np.atleast_2d(np.asarray(base_samples, dtype=float))
     if base.shape[1] != a.ambient_dim:
         raise ValueError("base samples have the wrong ambient dimension")
-    images = np.array([a.evaluate(0.0, e) for e in a.sample_points])
-    phis = [vertical_derivative(a, e, step)[0] for e in a.sample_points]
     fibers = []
     for b in base:
         dists = np.linalg.norm(images - b, axis=1)

@@ -304,6 +304,21 @@ class TestNonFiniteInput:
         assert "svb: error: action: evaluator returned a non-finite value" \
             in captured.err
 
+    def test_overflowing_residual_is_one(self, capsys, tmp_path):
+        # Every value is finite, but each composition residual (about
+        # 1e200) overflows when its norm squares it.
+        bad = tmp_path / "big.json"
+        bad.write_text(json.dumps({
+            "schema": "svb/1", "ambient": 1, "kind": "polynomial",
+            "samples": [[1.0]], "t_grid": [-1.0, 0.0, 1.0, 2.0],
+            "coeffs": [[{"powers": [1, 0], "coef": 1e200}]]}))
+        code = main(["monoid", "analyze", "--action", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("svb: error: action: non-finite "
+                                       "residual")
+
 
 class TestVerbs:
     def test_frontier_pass(self, capsys):

@@ -16,6 +16,7 @@ from svb.foliation import (
     stratify_by_rank,
 )
 from svb.grassmann import gap_distance, span
+from svb.jsonio import fields_from_json, fields_to_json
 from svb.strata import check_frontier
 
 
@@ -190,7 +191,7 @@ class TestProperties:
 class TestJsonRoundTrip:
     def test_vector_field_set(self):
         vfs = axis_scaling_fields_plane()
-        again = VectorFieldSet.from_json(vfs.to_json())
+        again = fields_from_json(fields_to_json(vfs))
         np.testing.assert_array_equal(vfs.sample_points, again.sample_points)
         for p in vfs.sample_points[:5]:
             assert gap_distance(distribution_at(vfs, p),

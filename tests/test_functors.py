@@ -335,7 +335,21 @@ DEGREE_BEYOND_BOUND = [
     ("sym:9", "symmetric power degree 9 is outside 1..8"),
     ("tensor:12", "tensor power degree 12 is outside 1..11"),
     ("tensor:1000000", "tensor power degree 1000000 is outside 1..11"),
+    # Longer than int() converts: refused before the conversion.
+    ("tensor:" + "9" * 5000, "tensor power degree of 5000 digits is "
+     "outside 1..11"),
+    ("wedge:" + "9" * 5000, "wedge power degree of 5000 digits is "
+     "outside 1..11"),
+    ("sym:" + "9" * 5000, "symmetric power degree of 5000 digits is "
+     "outside 1..8"),
+    ("const:" + "9" * 5000, "constant summand dimension of 5000 digits is "
+     "outside 0..2048"),
+    ("tensor:" + "0" * 5000 + "12", "tensor power degree 12 is outside "
+     "1..11"),
 ]
+DEGREE_IDS = [spec if len(spec) < 20 else
+              f"{spec.split(':')[0]}:{len(spec.split(':')[1])}-digits"
+              for spec, _ in DEGREE_BEYOND_BOUND]
 
 
 class TestDegreeBound:
@@ -343,13 +357,13 @@ class TestDegreeBound:
     dimension is computed or any permutation summed."""
 
     @pytest.mark.parametrize("spec, message", DEGREE_BEYOND_BOUND,
-                             ids=[s for s, _ in DEGREE_BEYOND_BOUND])
+                             ids=DEGREE_IDS)
     def test_parse_functor_refuses(self, spec, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_functor(spec)
 
     @pytest.mark.parametrize("spec, message", DEGREE_BEYOND_BOUND,
-                             ids=[s for s, _ in DEGREE_BEYOND_BOUND])
+                             ids=DEGREE_IDS)
     def test_cli_exits_one(self, capsys, spec, message):
         from svb.cli import main
         fixture = os.path.join(os.path.dirname(__file__), "..", "fixtures",

@@ -202,12 +202,21 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 class TestWriter:
-    """``dumps`` is the standard library's indented encoder, byte for
-    byte."""
+    """``dumps`` is the standard library's indented encoder without NaN
+    and infinity, byte for byte, and raises where it raises."""
 
     @staticmethod
     def _stdlib(obj):
-        return json.dumps(obj, indent=2, sort_keys=True)
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+
+    def _same_as_stdlib(self, obj):
+        try:
+            expected = self._stdlib(obj)
+        except ValueError:
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                dumps(obj)
+        else:
+            assert dumps(obj) == expected
 
     @pytest.mark.parametrize("name", sorted(os.listdir(FIXTURES)))
     def test_fixture(self, name):
@@ -232,7 +241,7 @@ class TestWriter:
             "matrix-string", "matrix-deeper", "matrix-empty-object",
             "matrix-object", "tuples", "sorted-keys", "non-string-keys"])
     def test_edge_cases(self, obj):
-        assert dumps(obj) == self._stdlib(obj)
+        self._same_as_stdlib(obj)
 
     scalars = (st.none() | st.booleans() | st.integers()
                | st.integers(min_value=-10 ** 30, max_value=10 ** 30)
@@ -254,7 +263,17 @@ class TestWriter:
     @settings(max_examples=300, deadline=None)
     @given(obj=documents)
     def test_generated_documents(self, obj):
-        assert dumps(obj) == self._stdlib(obj)
+        self._same_as_stdlib(obj)
+
+    @pytest.mark.parametrize("value", [float("inf"), -float("inf"),
+                                       float("nan")])
+    def test_non_finite_values_raise(self, value, tmp_path):
+        with pytest.raises(ValueError):
+            dumps({"r": value})
+        with pytest.raises(ValueError):
+            dumps({"r": [[1.0, value]]})
+        with pytest.raises(ValueError):
+            write_json({"r": [value]}, str(tmp_path / "r.json"))
 
     def test_unserializable_raises_like_stdlib(self):
         for obj in ([object()], {"k": {1, 2}}, {(1, 2): 3}):

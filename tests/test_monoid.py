@@ -205,3 +205,112 @@ def test_error_estimate_covers_rounding(seed):
     for e in samples:
         phi, estimate = vertical_derivative(a, e)
         assert estimate >= float(np.linalg.norm(phi - exact(e)))
+
+
+def _reference_audit(a, tol):
+    """audit_axioms point by point, as a loop over the samples."""
+    identity, composition = [], []
+    for i, e in enumerate(a.sample_points):
+        residual = float(np.linalg.norm(a.evaluate(1.0, e) - e))
+        if residual > tol:
+            identity.append((i, residual))
+    for t in a.t_grid:
+        for s in a.t_grid:
+            for i, e in enumerate(a.sample_points):
+                lhs = a.evaluate(t, a.evaluate(s, e))
+                residual = float(np.linalg.norm(lhs - a.evaluate(t * s, e)))
+                if residual > tol:
+                    composition.append((t, s, i, residual))
+    return tuple(identity), tuple(composition)
+
+
+def _reference_regularity(a, tol):
+    """regularity_check point by point: (index, |phi|, distance to the
+    h_0-image, consistent) per sample."""
+    rows = []
+    for i, e in enumerate(a.sample_points):
+        phi, _ = vertical_derivative(a, e)
+        phi_norm = float(np.linalg.norm(phi))
+        fixed = float(np.linalg.norm(e - a.evaluate(0.0, e)))
+        rows.append((i, phi_norm, fixed, (phi_norm <= tol) == (fixed <= tol)))
+    return tuple(rows)
+
+
+def _stack_matches_points(a, tol):
+    rows = a.sample_points
+    for t in a.t_grid + [0.3, -1.7]:
+        assert np.array_equal(a.evaluate(t, rows),
+                              np.array([a.evaluate(t, e) for e in rows]))
+    phis, errors = vertical_derivative(a, rows)
+    per_point = [vertical_derivative(a, e) for e in rows]
+    assert np.array_equal(phis, np.array([phi for phi, _ in per_point]))
+    assert np.array_equal(errors, np.array([err for _, err in per_point]))
+    assert all(isinstance(err, float) for _, err in per_point)
+    audit = audit_axioms(a, tol)
+    assert (audit.identity_violations, audit.composition_violations) == \
+        _reference_audit(a, tol)
+    report = regularity_check(a, tol=tol)
+    reference = _reference_regularity(a, tol)
+    assert tuple((p.index, p.phi_norm, p.fixed_distance, p.consistent)
+                 for p in report.points) == reference
+    assert report.violating_indices == tuple(
+        i for i, _, _, consistent in reference if not consistent)
+
+
+class TestStacksMatchPoints:
+    """The stacked audits agree bit for bit with point-by-point loops."""
+
+    @pytest.mark.parametrize("name", ["scalar", "square_scale", "translate",
+                                      "scale_last", "identity"])
+    @pytest.mark.parametrize("samples", [R1_SAMPLES, R2_SAMPLES],
+                             ids=["R1", "R2"])
+    def test_builtins(self, name, samples):
+        _stack_matches_points(action(name, samples), 1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), ambient=st.integers(1, 3))
+    def test_random_polynomials(self, seed, ambient):
+        rng = np.random.default_rng(seed)
+        coeffs, _ = _random_polynomial_action(rng, ambient, top_degree=3)
+        samples = rng.uniform(-1.0, 1.0, size=(7, ambient))
+        samples[0] = 0.0
+        a = MonoidActionSample.polynomial(coeffs, ambient, samples)
+        _stack_matches_points(a, 1e-6)
+
+    def test_reconstruction_reads_each_derivative_once(self, monkeypatch):
+        import svb.monoid
+        calls = []
+        original = svb.monoid.vertical_derivative
+        monkeypatch.setattr(svb.monoid, "vertical_derivative",
+                            lambda *args: calls.append(1) or original(*args))
+        reconstruct_bundle(action("scalar", R2_SAMPLES), [[0.0, 0.0]],
+                           cluster_radius=1e-9)
+        assert len(calls) == 1
+
+
+def test_one_stack_evaluation_per_map(monkeypatch):
+    a = action("scalar", R2_SAMPLES)
+    shapes = []
+    original = a._evaluator
+    monkeypatch.setattr(a, "_evaluator",
+                        lambda t, e: shapes.append(e.shape) or original(t, e))
+    audit_axioms(a)
+    assert shapes == [R2_SAMPLES.shape] * (1 + 3 * len(a.t_grid) ** 2)
+
+
+class TestNonFiniteResiduals:
+    def test_overflowing_residual_is_an_error(self):
+        # Every value is finite, but |h_t h_s(e) - h_ts(e)| ~ 1e200
+        # overflows when squared.
+        a = MonoidActionSample.polynomial(
+            [[{"powers": [1, 0], "coef": 1e200}]], 1, [[1.0]],
+            t_grid=(-1.0, 0.0, 1.0, 2.0))
+        with pytest.raises(ValueError, match="non-finite residual"):
+            audit_axioms(a)
+
+    def test_stack_shape_is_checked(self):
+        a = action("scalar", R2_SAMPLES)
+        for bad in ([1.0, 2.0, 3.0], np.zeros((2, 3)), np.zeros((1, 2, 2)),
+                    1.0):
+            with pytest.raises(ValueError, match="stack of points"):
+                a.evaluate(0.5, bad)
