@@ -17,10 +17,12 @@ over 2,000 points, reading that bundle's file (``bundle_from_json`` of
 3-plane in R^7, and ``audit_axioms`` plus ``regularity_check`` on the
 scalar action (``bundle_scalar_action``, 300 samples in R^4) of a
 rank-2 trivial bundle over 100 points of the plane, five times each.
-Two fixed per-call costs are timed warm, after one untimed call, five
-times each: one in-process ``cli.main`` call of ``check frontier`` on
-``fixtures/line.json`` and ``foliation_bundle`` on the 441-point grid
-of the cloud and orbits workloads.  Seeds, run length and repeats are
+``invariant_subbundle`` of ``rotation_group(12)`` on its tangent bundle
+over 200 rings (``ring_tangent_bundle``, 2,401 points) is timed five
+times as well.  Two fixed per-call costs are timed warm, after one
+untimed call, five times each: one in-process ``cli.main`` call of
+``check frontier`` on ``fixtures/line.json`` and ``foliation_bundle``
+on the 441-point grid of the cloud and orbits workloads.  Seeds, run length and repeats are
 fixed, so that any two snapshots compare like with like.  Each
 measurement runs in a fresh process that imports svb from the
 checkout's ``src``, so a snapshot of an older commit only needs its
@@ -114,8 +116,10 @@ def scaled_timings(checkout):
     import svb
     import svb.cli
     from svb.bundle import apply_functor_to_bundle, trivial_bundle
+    from svb.equivariant import invariant_subbundle
     from svb.fixtures import (axis_scaling_fields_plane, bundle_scalar_action,
-                              cantor_stratification)
+                              cantor_stratification, ring_tangent_bundle,
+                              rotation_group)
     from svb.foliation import VectorFieldSet, foliation_bundle
     from svb.functors import SymPower, check_orthogonality
     from svb.grassmann import Subspace
@@ -170,6 +174,11 @@ def scaled_timings(checkout):
         {"samples": len(action.sample_points), "ambient": action.ambient_dim,
          "t_grid": len(action.t_grid)},
         lambda: (audit_axioms(action), regularity_check(action)))
+    rotations = rotation_group(12)
+    ring = ring_tangent_bundle(12, np.linspace(0.2, 1.0, 200).tolist())
+    cases["equivariant_tilde_ring2401"] = (
+        {"points": 2401, "order": 12, "fiber_ambient": 2},
+        lambda: invariant_subbundle(rotations, ring, r_cc=0.25))
     line = os.path.join(checkout, "fixtures", "line.json")
 
     def frontier_cli():

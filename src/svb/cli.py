@@ -95,8 +95,9 @@ def _auto_scenario(bundle, spec: str, source: str | None
             f"--auto-sequence {spec!r} does not match radial:S[i],count")
     if not source:
         raise CliError("--auto-sequence needs --source-stratum")
-    target, x0_index, count = match.group(1), int(match.group(2)), \
-        int(match.group(3))
+    target = match.group(1)
+    x0_index = _auto_sequence_number(match.group(2), "index")
+    count = _auto_sequence_number(match.group(3), "count")
     try:
         x0 = bundle.base.stratum(target).points[x0_index]
         cloud = bundle.base.stratum(source).points
@@ -108,6 +109,14 @@ def _auto_scenario(bundle, spec: str, source: str | None
     nearest = np.argsort(dists, kind="stable")[:count]
     ordered = [int(i) for i in nearest[::-1]]  # approach x0 from afar
     return ConvergenceScenario(target, source, x0_index, tuple(ordered))
+
+
+def _auto_sequence_number(digits: str, what: str) -> int:
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > 9:  # beyond every sample count, and perhaps beyond int()
+        raise CliError(f"auto-sequence {what} of {len(digits)} digits is out "
+                       "of range")
+    return int(digits)
 
 
 def _parse_functor_arg(text: str):

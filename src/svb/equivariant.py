@@ -1,13 +1,18 @@
 """Finite orthogonal group actions on sampled spaces and bundles.
 
-A group is a finite stack of orthogonal matrices closed under products;
-everything downstream is brute force over the multiplication table:
-stabilizers, conjugacy classes of subgroups, orbit-type stratifications,
-and fixed subspaces via averaging.  ``invariant_subbundle`` shrinks an
-equivariant bundle to the stabilizer-invariant part of each fiber and
+A group is a finite stack of orthogonal matrices closed under products,
+with its multiplication table.  Sample points are handled per
+stabilizer class, not one at a time: one ``(order, n)`` table records
+which elements fix which points, each distinct column is one stabilizer,
+checked once for closure under the table, and conjugacy labels, fixed
+subspaces by averaging and orbit-type strata follow per class.
+``invariant_subbundle`` shrinks an equivariant bundle to the
+stabilizer-invariant part of each fiber, one intersection stack per
+(class, stratum) sharing the class's fixed space, and
 ``quotient_bundle`` pushes the result down to one fiber per orbit.  The
 equivariance audit needs no rank decision: an orthogonal fiber matrix M
-carries the fiber with projection P onto the one with projection M P M^T.
+carries the fiber with projection P onto the one with projection
+M P M^T, for every element and fiber in one batched norm.
 
 Infinite rotation groups are not first class; the plane-rotation action
 on R^2 ships as a closed-form fixture (``circle_action_on_plane_report``)
@@ -23,7 +28,7 @@ import numpy as np
 
 from .bundle import SampledStratifiedBundle, stack_fibers
 from .config import R_CC, TOL_CHECK
-from .grassmann import Subspace, intersection, span
+from .grassmann import Subspace, intersections, span
 from .strata import (
     LabelPartition,
     Stratification,
@@ -150,14 +155,34 @@ class OrbitTypeLabel:
 
 def stabilizer(g: FiniteGroupAction, x, tol: float = TOL_CHECK
                ) -> tuple[int, ...]:
-    """Indices of the elements fixing x, verified subgroup-closed."""
-    x = np.asarray(x, dtype=float)
-    members = np.flatnonzero(np.linalg.norm(g.elements @ x - x, axis=1) <= tol)
-    if not np.isin(g.table[np.ix_(members, members)], members).all():
-        raise ValueError(
-            f"stabilizer of {x.tolist()} is not closed under the group "
-            "table; the tolerance is too loose or too tight")
-    return tuple(members.tolist())
+    """Indices of the elements fixing x, verified subgroup-closed: the
+    one-point case of the stabilizer table."""
+    classes, _ = _stabilizer_table(g, np.asarray(x, dtype=float)[None], tol)
+    return classes[0]
+
+
+def _stabilizer_table(g: FiniteGroupAction, pts: np.ndarray, tol: float
+                      ) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The distinct stabilizers of the rows of ``pts``, in order of first
+    appearance, and the position in that list of each point's.
+
+    Element i fixes point p when ``|g_i p - p| <= tol``.  Each distinct
+    stabilizer is checked for closure under the group table once, at the
+    first point that has it, so a failure names the first such point.
+    """
+    fixes = np.linalg.norm(g.elements @ pts.T - pts.T, axis=1) <= tol
+    _, first, inverse = np.unique(fixes.T, axis=0, return_index=True,
+                                  return_inverse=True)
+    by_appearance = np.argsort(first)
+    classes = []
+    for p in first[by_appearance].tolist():
+        members = np.flatnonzero(fixes[:, p])
+        if not np.isin(g.table[np.ix_(members, members)], members).all():
+            raise ValueError(
+                f"stabilizer of {pts[p].tolist()} is not closed under the "
+                "group table; the tolerance is too loose or too tight")
+        classes.append(tuple(members.tolist()))
+    return classes, np.argsort(by_appearance)[inverse.reshape(-1)]
 
 
 def conjugacy_label(g: FiniteGroupAction, subgroup) -> OrbitTypeLabel:
@@ -196,15 +221,17 @@ def orbit_type_partition(g: FiniteGroupAction, points, r_cc: float = R_CC,
     come within ``r_cc``); audit it with ``check_frontier``.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return _partition_by_stabilizer(g, pts, [stabilizer(g, p, tol)
-                                             for p in pts], r_cc)
+    return _partition_by_stabilizer(g, pts, *_stabilizer_table(g, pts, tol),
+                                    r_cc)
 
 
-def _partition_by_stabilizer(g: FiniteGroupAction, pts: np.ndarray, stabs,
+def _partition_by_stabilizer(g: FiniteGroupAction, pts: np.ndarray,
+                             classes, of_point: np.ndarray,
                              r_cc: float) -> LabelPartition:
-    """``orbit_type_partition`` for points whose stabilizers are known."""
-    label_of = {stab: conjugacy_label(g, stab) for stab in dict.fromkeys(stabs)}
-    labels = [label_of[stab] for stab in stabs]
+    """``orbit_type_partition`` for points whose stabilizer table is
+    known: point p has stabilizer ``classes[of_point[p]]``."""
+    label_of = [conjugacy_label(g, stab) for stab in classes]
+    labels = [label_of[c] for c in of_point.tolist()]
     distinct = sorted(set(labels), key=lambda lab: (-len(lab), lab.indices))
     dims = {label: fixed_subspace(g, label.indices).dim for label in distinct}
     return partition_by_label(
@@ -225,8 +252,8 @@ def _class_properly_contains(g: FiniteGroupAction, big: OrbitTypeLabel,
 
 
 def _point_permutations(g: FiniteGroupAction, pts: np.ndarray,
-                        tol: float) -> list[np.ndarray]:
-    """For each group element, the induced permutation of the sample set;
+                        tol: float) -> np.ndarray:
+    """``[i, p]``: the sample point that element i carries point p to;
     raises if the set is not orbit saturated."""
     n = len(pts)
     # Each image is matched to its nearest sample point within tol, ties
@@ -237,8 +264,8 @@ def _point_permutations(g: FiniteGroupAction, pts: np.ndarray,
         order = np.lexsort((j, d, i))
         nearest = order[np.unique(i[order], return_index=True)[1]]
         match[i[nearest]] = j[nearest]
-    perms = []
-    for i, perm in enumerate(match.reshape(g.order, n)):
+    perms = match.reshape(g.order, n)
+    for i, perm in enumerate(perms):
         off = np.flatnonzero(perm < 0)
         if off.size:
             raise ValueError(
@@ -248,7 +275,6 @@ def _point_permutations(g: FiniteGroupAction, pts: np.ndarray,
             raise ValueError(
                 f"element {i} collapses distinct sample points; the matching "
                 "tolerance is coarser than the sample spacing")
-        perms.append(perm)
     return perms
 
 
@@ -287,9 +313,9 @@ def _equivariance_gaps(g: FiniteGroupAction, b: SampledStratifiedBundle,
     # Per fiber, as Subspace does: a stacked product may round otherwise.
     proj = np.stack([basis.T @ basis for stack in b.stacks.values()
                      for basis in stack])
-    return np.stack([np.linalg.norm(m @ proj @ m.T - proj[perm], 2,
-                                    axis=(1, 2))
-                     for m, perm in zip(g.fiber_elements, perms)])
+    fibs = g.fiber_elements[:, None]
+    return np.linalg.norm(fibs @ proj @ fibs.swapaxes(2, 3) - proj[perms], 2,
+                          axis=(2, 3))
 
 
 def invariant_subbundle(g: FiniteGroupAction, b: SampledStratifiedBundle,
@@ -300,21 +326,32 @@ def invariant_subbundle(g: FiniteGroupAction, b: SampledStratifiedBundle,
 
     Requires a fiber action, an orbit-saturated base sample set, and
     equivariance: the fiber matrices must carry the fiber over x onto the
-    fiber over g.x within ``tol``.  Invariant fibers that differ in rank
-    over one orbit-type stratum (sampling or equivariance is off) raise
-    ValueError; each stratum's rank is that of its stack.
+    fiber over g.x within ``tol``.  Because of equivariance every fiber
+    over one stabilizer class shares the class's fixed space, so the
+    fibers of each (class, base stratum) are intersected with it as one
+    stack (:func:`grassmann.intersections`).  Invariant fibers that
+    differ in rank over one orbit-type stratum (sampling or equivariance
+    is off) raise ValueError; each stratum's rank is that of its stack.
     """
-    keys, pts, _ = _equivariant_samples(
+    _, pts, _ = _equivariant_samples(
         g, b, tol, "building the invariant subbundle",
         "bundle is not equivariant: element {i} maps the fiber over {key} "
         "with gap {gap:.3e}")
 
-    stabs = [stabilizer(g, p, tol) for p in pts]
-    partition = _partition_by_stabilizer(g, pts, stabs, r_cc)
-    invariant = {stab: fixed_subspace(g, stab, use_fiber=True)
-                 for stab in dict.fromkeys(stabs)}
-    bases = [intersection(b.fiber(key), invariant[stab], tol=tol).basis
-             for key, stab in zip(keys, stabs)]
+    classes, of_point = _stabilizer_table(g, pts, tol)
+    partition = _partition_by_stabilizer(g, pts, classes, of_point, r_cc)
+    invariant = [fixed_subspace(g, stab, use_fiber=True) for stab in classes]
+    bases = [None] * len(pts)
+    start = 0
+    for stack in b.stacks.values():
+        stop = start + len(stack)
+        here = of_point[start:stop]
+        for c in np.unique(here).tolist():
+            rows = np.flatnonzero(here == c)
+            for p, basis in zip((start + rows).tolist(),
+                                intersections(stack[rows], invariant[c], tol)):
+                bases[p] = basis
+        start = stop
     base = partition.stratification
     new_keys = [partition.point_to_key[p] for p in range(len(pts))]
     return SampledStratifiedBundle.from_stacks(

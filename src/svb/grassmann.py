@@ -25,6 +25,7 @@ __all__ = [
     "sequence_limit",
     "apply_linear_map",
     "intersection",
+    "intersections",
     "opnorm",
     "orthonormal_rows",
 ]
@@ -147,12 +148,18 @@ def span(vectors, ambient_dim: int, tol_rank: float = TOL_RANK,
     if mat.shape[1] != ambient_dim:
         raise ValueError(
             f"vectors have length {mat.shape[1]}, expected {ambient_dim}")
-    _, sigma, vh = np.linalg.svd(mat, full_matrices=False)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return Subspace.zero(ambient_dim)
-    cutoff = max(tol_rank * sigma[0], tol_abs)
-    rank = int(np.sum(sigma > cutoff))
+    vh, rank = _span_rank(mat, tol_rank, tol_abs)
     return Subspace(ambient_dim, vh[:rank])
+
+
+def _span_rank(mats: np.ndarray, tol_rank: float, tol_abs: float):
+    """Right singular vectors of each row set in a stack ``(..., m, k)``
+    and its rank by the rule of :func:`span`: sigma counts iff
+    ``sigma > max(tol_rank * sigma_max, tol_abs)``, so an all-zero set
+    has rank 0."""
+    _, sigma, vh = np.linalg.svd(mats, full_matrices=False)
+    cutoff = np.maximum(tol_rank * sigma[..., :1], tol_abs)
+    return vh, (sigma > cutoff).sum(axis=-1)
 
 
 def gap_distance(a: Subspace, b: Subspace) -> float:
@@ -219,22 +226,52 @@ def apply_linear_map(m, w: Subspace, tol_rank: float = TOL_RANK) -> Subspace:
 
 
 def intersection(a: Subspace, b: Subspace, tol: float = TOL_CHECK) -> Subspace:
-    """Intersection of two subspaces of the same ambient space.
+    """Intersection of two subspaces of the same ambient space: the
+    one-basis case of :func:`intersections`."""
+    return Subspace.view(intersections(a.basis[None], b, tol)[0])
+
+
+def intersections(bases, b: Subspace, tol: float = TOL_CHECK
+                  ) -> list[np.ndarray]:
+    """Intersection with B of the subspace on each basis of a stack
+    ``(m, r, k)``, as a list of m read-only orthonormal bases.
 
     A vector of A lies in the intersection iff projecting it to B leaves
     it unchanged, so the intersection is spanned by the null directions
-    of (I - P_b) restricted to A's basis.
+    of (I - P_b) restricted to A's basis: the left singular vectors of
+    ``A (I - P_b)`` whose singular values are at most ``tol``.  One SVD
+    stack finds them for every basis; the bases are then grouped by how
+    many there are, each group is orthonormalized by one stacked SVD
+    under the rank rule of :func:`span`, and each resulting rank gets
+    one orthonormality audit.
     """
-    if a.ambient_dim != b.ambient_dim:
+    bases = np.asarray(bases, dtype=float)
+    m, r, k = bases.shape
+    if k != b.ambient_dim:
         raise ValueError("intersection requires equal ambient dimensions")
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(a.ambient_dim)
+    zero = np.zeros((0, k))
+    zero.flags.writeable = False
+    out = [zero] * m
+    if m == 0 or r == 0 or b.dim == 0:
+        return out
     # Rows of `defect` are the components of A's basis vectors outside B;
     # combinations of A-basis vectors killed on the left lie inside B.
-    defect = a.basis @ (np.eye(a.ambient_dim) - b.projection)
+    defect = bases @ (np.eye(k) - b.projection)
     u, sigma, _ = np.linalg.svd(defect, full_matrices=True)
-    sigma = np.concatenate([sigma, np.zeros(a.dim - sigma.size)])
-    coeffs = u[:, sigma <= tol].T
-    if coeffs.size == 0:
-        return Subspace.zero(a.ambient_dim)
-    return span(coeffs @ a.basis, a.ambient_dim)
+    sigma = np.concatenate([sigma, np.zeros((m, r - sigma.shape[1]))], axis=1)
+    # Singular values come in decreasing order, so the kept ones trail.
+    kept = (sigma <= tol).sum(axis=1)
+    for count in np.unique(kept[kept > 0]).tolist():
+        rows = np.flatnonzero(kept == count)
+        # Contiguous before the transpose, as one point's u[:, kept].T is.
+        coeffs = np.ascontiguousarray(u[rows, :, r - count:]).swapaxes(1, 2)
+        vh, rank = _span_rank(coeffs @ bases[rows], TOL_RANK, 0.0)
+        for dim in np.unique(rank).tolist():
+            picked = rank == dim
+            stack = vh[picked, :dim]
+            if not orthonormal_rows(stack).all():
+                raise ValueError("basis is not orthonormal within tolerance")
+            stack.flags.writeable = False
+            for p, basis in zip(rows[picked].tolist(), stack):
+                out[p] = basis
+    return out

@@ -60,6 +60,8 @@ def read_json(path: str) -> Any:
         raise SchemaError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from None
+    except ValueError as exc:  # e.g. an integer beyond int()'s digit limit
+        raise SchemaError(f"{path}: unreadable JSON: {exc}") from None
 
 
 def write_json(obj: Any, path: str) -> None:

@@ -319,6 +319,30 @@ class TestNonFiniteInput:
         assert captured.err.startswith("svb: error: action: non-finite "
                                        "residual")
 
+    def test_over_long_integer_in_file_is_one(self, capsys, tmp_path):
+        # json.load refuses integers of more than 4,300 digits with a
+        # plain ValueError, not a JSONDecodeError.
+        obj = read_json(fx("line.json"))
+        obj["ambient"] = "AMBIENT"
+        bad = tmp_path / "long.json"
+        bad.write_text(json.dumps(obj).replace('"AMBIENT"', "1" * 5000))
+        code = main(["check", "frontier", "--stratification", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"svb: error: {bad}: unreadable JSON: Exceeds the limit")
+
+    def test_over_long_auto_sequence_index_is_one(self, capsys):
+        code = main(["check", "whitney-a", "--bundle", fx("cone_pass.json"),
+                     "--source-stratum", "S+", "--auto-sequence",
+                     f"radial:S0[{'1' * 5000}],3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == ("svb: error: auto-sequence index of 5000 "
+                                "digits is out of range\n")
+
 
 class TestVerbs:
     def test_frontier_pass(self, capsys):

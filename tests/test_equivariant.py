@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from svb import strata
-from svb.bundle import SampledStratifiedBundle, trivial_bundle
+from svb.bundle import SampledStratifiedBundle, stack_fibers, trivial_bundle
 from svb.config import TOL_CHECK
 from svb.equivariant import (
     FiniteGroupAction,
     _equivariance_gaps,
     _point_permutations,
+    _stabilizer_table,
     circle_action_on_plane_report,
     conjugacy_label,
     fixed_subspace,
@@ -28,7 +29,13 @@ from svb.fixtures import (
     sign_flip_group,
     sign_flip_tangent_bundle,
 )
-from svb.grassmann import Subspace, apply_linear_map, gap_distance, span
+from svb.grassmann import (
+    Subspace,
+    apply_linear_map,
+    gap_distance,
+    intersection,
+    span,
+)
 from svb.strata import Stratification, Stratum, check_frontier
 
 
@@ -117,6 +124,34 @@ class TestStabilizer:
         g = dihedral_square_group()
         with pytest.raises(ValueError, match="not closed"):
             stabilizer(g, [1.0, 0.1], tol=1.5)
+
+    def test_non_closed_names_first_point(self):
+        # Both moved points have non-closed candidate sets at tol 1.5;
+        # the one of (0.1, -1.0) sorts first as a table column, but the
+        # per-point loop meets (1.0, 0.1) first.
+        g = dihedral_square_group()
+        pts = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.1], [0.1, -1.0]])
+        with pytest.raises(ValueError) as reference:
+            for p in pts:
+                stabilizer(g, p, tol=1.5)
+        assert "[1.0, 0.1]" in str(reference.value)
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(reference.value))}$"):
+            orbit_type_partition(g, pts, tol=1.5)
+
+
+class TestStabilizerThreshold:
+    # The reflection (x, y) -> (x, -y) moves (1, e) by 2e, so it fixes
+    # the point within TOL_CHECK iff e <= TOL_CHECK / 2.
+    @pytest.mark.parametrize("offset, expected", [
+        (TOL_CHECK / 4, (0, 1)), (TOL_CHECK, (0,))],
+        ids=["below", "above"])
+    def test_reflection_membership_flips_at_tolerance(self, offset, expected):
+        g = axis_reflection_group()
+        assert stabilizer(g, [1.0, offset]) == expected
+        pts = np.array([[0.5, 0.0], [1.0, offset], [0.3, 0.7]])
+        classes, of_point = _stabilizer_table(g, pts, TOL_CHECK)
+        assert [classes[c] for c in of_point] == [(0, 1), expected, (0,)]
 
 
 class TestFixedSubspace:
@@ -238,6 +273,81 @@ class TestInvariantSubbundle:
         broken = SampledStratifiedBundle(b.base, 1, fibers, ranks)
         with pytest.raises(ValueError, match="equivariant"):
             invariant_subbundle(g, broken)
+
+
+def reference_gaps(g, b, perms):
+    """The equivariance gaps one group element at a time."""
+    proj = np.stack([basis.T @ basis for stack in b.stacks.values()
+                     for basis in stack])
+    return np.stack([np.linalg.norm(m @ proj @ m.T - proj[perm], 2,
+                                    axis=(1, 2))
+                     for m, perm in zip(g.fiber_elements, perms)])
+
+
+class TestStackedRoute:
+    """The per-class route against the per-point loop it replaces."""
+
+    CASES = {
+        "ring8": lambda: (rotation_group(8),
+                          ring_tangent_bundle(8, (0.3, 0.6, 1.0)), 1.0),
+        "ring12": lambda: (rotation_group(12),
+                           ring_tangent_bundle(12, (0.25, 0.5, 0.75)), 1.0),
+        "sign-flip": lambda: (sign_flip_group(), sign_flip_tangent_bundle(),
+                              0.06),
+        "dihedral-grid": lambda: (
+            dihedral_square_group(with_tangent_action=True),
+            trivial_bundle(Stratification(
+                [Stratum("plane", 2, grid_points(step=0.25))]), 2), 0.4),
+        "trivial": lambda: (
+            FiniteGroupAction(1, [np.eye(1)], fiber_elements=[np.eye(2)]),
+            trivial_bundle(line_stratification(), 2), 0.06),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_matches_per_point_loop(self, name):
+        g, b, r_cc = self.CASES[name]()
+        keys = b.point_keys()
+        pts = np.array([b.point(key) for key in keys])
+        stabs = [stabilizer(g, p) for p in pts]
+        classes, of_point = _stabilizer_table(g, pts, TOL_CHECK)
+        assert [classes[c] for c in of_point] == stabs
+
+        perms = _point_permutations(g, pts, TOL_CHECK)
+        gaps = _equivariance_gaps(g, b, keys, perms)
+        assert np.array_equal(gaps, reference_gaps(g, b, perms))
+
+        tilde = invariant_subbundle(g, b, r_cc=r_cc)
+        partition = orbit_type_partition(g, pts, r_cc=r_cc)
+        assert tilde.base.names == partition.stratification.names
+        bases = [intersection(b.fiber(key),
+                              fixed_subspace(g, stab, use_fiber=True)).basis
+                 for key, stab in zip(keys, stabs)]
+        reference = stack_fibers(
+            partition.stratification, b.fiber_ambient,
+            [partition.point_to_key[p] for p in range(len(pts))], bases)
+        assert tilde.stacks.keys() == reference.keys()
+        for stratum, stack in reference.items():
+            assert np.array_equal(tilde.stacks[stratum], stack)
+
+    def test_dihedral_grid_mixes_kept_counts(self):
+        g, b, r_cc = self.CASES["dihedral-grid"]()
+        tilde = invariant_subbundle(g, b, r_cc=r_cc)
+        assert set(tilde.stratum_rank.values()) == {0, 1, 2}
+
+    def test_non_equivariant_message_names_reference_entry(self):
+        # The tilt breaks equivariance for several elements and points;
+        # the first offending (element, point) in the per-element loop is
+        # the one named.
+        g, b = rotation_group(8), radial_line_bundle(tilt=0.3)
+        keys = b.point_keys()
+        perms = _point_permutations(
+            g, np.array([b.point(key) for key in keys]), TOL_CHECK)
+        gaps = reference_gaps(g, b, perms)
+        i, p = np.argwhere(gaps > TOL_CHECK)[0]
+        message = (f"bundle is not equivariant: element {i} maps the fiber "
+                   f"over {keys[p]} with gap {gaps[i, p]:.3e}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            invariant_subbundle(g, b, r_cc=1.0)
 
 
 def Stratification_no_mirror():

@@ -9,6 +9,7 @@ from svb.grassmann import (
     containment_residual,
     gap_distance,
     intersection,
+    intersections,
     is_contained,
     sequence_limit,
     span,
@@ -221,6 +222,56 @@ class TestIntersection:
         w = line(1, 1, 0)
         v = span([(1, 0, 0), (0, 1, 0)], 3)
         assert gap_distance(intersection(w, v), w) <= 1e-10
+
+
+def reference_intersection(a: Subspace, b: Subspace, tol=1e-8) -> np.ndarray:
+    """One basis at a time: the null directions of A (I - P_b),
+    orthonormalized by span."""
+    if a.dim == 0 or b.dim == 0:
+        return np.zeros((0, a.ambient_dim))
+    defect = a.basis @ (np.eye(a.ambient_dim) - b.projection)
+    u, sigma, _ = np.linalg.svd(defect, full_matrices=True)
+    sigma = np.concatenate([sigma, np.zeros(a.dim - sigma.size)])
+    coeffs = u[:, sigma <= tol].T
+    if coeffs.size == 0:
+        return np.zeros((0, a.ambient_dim))
+    return span(coeffs @ a.basis, a.ambient_dim).basis
+
+
+class TestIntersectionStack:
+    @pytest.mark.parametrize("ambient, rank, other", [
+        (3, 2, 2), (4, 2, 3), (5, 3, 2), (4, 1, 1), (3, 3, 2), (4, 2, 0)])
+    def test_matches_one_basis_at_a_time(self, ambient, rank, other):
+        # Each basis is built to share 0..min(rank, other) directions
+        # with B (at least rank + other - ambient are forced), so the
+        # stack mixes intersection dimensions.
+        rng = np.random.default_rng(ambient * 100 + rank * 10 + other)
+        b = random_subspace(rng, ambient, other)
+        stack = []
+        for i in range(24):
+            shared = i % (min(rank, other) + 1)
+            inside = rng.standard_normal((shared, other)) @ b.basis
+            rest = rng.standard_normal((rank - shared, ambient))
+            stack.append(span(np.vstack([inside, rest]), ambient).basis)
+        stack = np.stack(stack)
+        out = intersections(stack, b)
+        assert len(out) == len(stack)
+        for basis, row in zip(out, stack):
+            reference = reference_intersection(Subspace.view(row), b)
+            assert np.array_equal(basis, reference)
+            assert np.array_equal(intersection(Subspace.view(row), b).basis,
+                                  reference)
+            assert not basis.flags.writeable
+        dims = {len(basis) for basis in out}
+        assert dims == set(range(max(rank + other - ambient, 0),
+                                 min(rank, other) + 1))
+
+    def test_empty_stack(self):
+        assert intersections(np.zeros((0, 2, 3)), line(1, 0, 0)) == []
+
+    def test_ambient_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="equal ambient"):
+            intersections(np.eye(3)[None, :2], line(1, 0))
 
 
 dims = st.integers(min_value=1, max_value=8)
