@@ -14,7 +14,8 @@ R^3), ``apply_functor_to_bundle`` with sym:3 on a rank-4 trivial bundle
 over 2,000 points, reading that bundle's file (``bundle_from_json`` of
 ``read_json``) and checking it in process with ``check orthogonality
 --bundle --functor wedge:2``, ``check_orthogonality`` with sym:4 on a
-3-plane in R^7, and ``audit_axioms`` plus ``regularity_check`` on the
+3-plane in R^7, ``apply_to_map`` with sym:6 on 150 random 2 x 4
+matrices, and ``audit_axioms`` plus ``regularity_check`` on the
 scalar action (``bundle_scalar_action``, 300 samples in R^4) of a
 rank-2 trivial bundle over 100 points of the plane, five times each.
 ``invariant_subbundle`` of ``rotation_group(12)`` on its tangent bundle
@@ -121,7 +122,7 @@ def scaled_timings(checkout):
                               cantor_stratification, ring_tangent_bundle,
                               rotation_group)
     from svb.foliation import VectorFieldSet, foliation_bundle
-    from svb.functors import SymPower, check_orthogonality
+    from svb.functors import SymPower, apply_to_map, check_orthogonality
     from svb.grassmann import Subspace
     from svb.jsonio import bundle_from_json, bundle_to_json, read_json, \
         write_json
@@ -168,6 +169,10 @@ def scaled_timings(checkout):
     cases["sym4_orthogonality_r7"] = (
         {"rank": 3, "ambient": 7},
         lambda: check_orthogonality(SymPower(4), plane))
+    maps = np.random.default_rng(0).normal(size=(150, 2, 4))
+    cases["sym6_apply_150"] = (
+        {"matrices": 150, "shape": [2, 4], "degree": 6},
+        lambda: apply_to_map(SymPower(6), maps))
     action, _, _ = bundle_scalar_action(trivial_bundle(Stratification(
         [Stratum("bulk", 2, rng.uniform(-1.0, 1.0, (100, 2)))]), 2))
     cases["monoid_audits_300"] = (

@@ -18,14 +18,17 @@ orthogonal projection, onto the image subspace:
 * wedge power: strictly increasing index tuples, entries of F(m) are the
   n x n minors of m (orthonormal under the determinant inner product);
 * symmetric power: weakly increasing index tuples normalized by the
-  square roots of multiplicity factorials, entries are scaled permanents.
+  square roots of multiplicity factorials, entries are scaled permanents,
+  each expanded along its last row into permanents of one degree less.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Union
 
@@ -79,38 +82,36 @@ class DirectSum:
     right: "LinearFunctor"
 
 
-# Largest degrees: sym:n sums n! terms per entry on any space (sym:9 on
-# R^1 takes about 6 s); tensor:n above log2(MAX_DIM) exceeds MAX_DIM on
-# every R^k, k >= 2, and wedge:n shares that bound.
-MAX_SYM_DEGREE = 8
+# Largest degree of every power: tensor:n above log2(MAX_DIM) exceeds
+# MAX_DIM on every R^k, k >= 2, and wedge:n and sym:n share that bound.
 MAX_POWER_DEGREE = 11
 
 
 @dataclass(frozen=True)
 class _Power:
-    """A degree-n power, 1 <= n <= ``max_n``, written ``op:n``."""
+    """A degree-n power, 1 <= n <= ``MAX_POWER_DEGREE``, written ``op:n``."""
 
     n: int
 
     def __post_init__(self):
-        if not 1 <= self.n <= self.max_n:
+        if not 1 <= self.n <= MAX_POWER_DEGREE:
             raise ValueError(f"{self.kind} power degree {self.n} is outside "
-                             f"1..{self.max_n}")
+                             f"1..{MAX_POWER_DEGREE}")
 
 
 @dataclass(frozen=True)
 class TensorPower(_Power):
-    op, kind, max_n = "tensor", "tensor", MAX_POWER_DEGREE
+    op, kind = "tensor", "tensor"
 
 
 @dataclass(frozen=True)
 class WedgePower(_Power):
-    op, kind, max_n = "wedge", "wedge", MAX_POWER_DEGREE
+    op, kind = "wedge", "wedge"
 
 
 @dataclass(frozen=True)
 class SymPower(_Power):
-    op, kind, max_n = "sym", "symmetric", MAX_SYM_DEGREE
+    op, kind = "sym", "symmetric"
 
 
 @dataclass(frozen=True)
@@ -181,13 +182,17 @@ def _tensor_power_matrix(m: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _index_tuples(combos, k: int, j: int, n: int):
-    """The index tuples ``combos(range(k), n)`` labelling the rows of F(m)
-    and ``combos(range(j), n)`` labelling its columns, as (count, n)
-    arrays."""
-    rows = np.array(list(combos(range(k), n)), dtype=np.intp).reshape(-1, n)
-    cols = np.array(list(combos(range(j), n)), dtype=np.intp).reshape(-1, n)
-    return rows, cols
+@functools.cache
+def _index_tuples(combos, k: int, n: int):
+    """Read-only: the tuples ``combos(range(k), n)`` as a (count, n) array,
+    and one whose entry (t, b) is the row of ``combos(range(k), n - 1)``
+    holding tuple t with position b removed."""
+    tuples = list(combos(range(k), n))
+    index = {t: i for i, t in enumerate(combos(range(k), n - 1))}
+    drop = [[index[t[:b] + t[b + 1:]] for b in range(n)] for t in tuples]
+    out = np.array([tuples, drop], dtype=np.intp).reshape(2, -1, n)
+    out.flags.writeable = False
+    return out
 
 
 # Working memory, in matrix entries, above which a stack is processed in
@@ -203,56 +208,52 @@ def _chunks(count: int, work: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, count, step)]
 
 
-def _by_chunks(kernel, m: np.ndarray, ri, ci, n: int) -> np.ndarray:
+def _by_chunks(kernel, m: np.ndarray, ri, ci, per_entry: int) -> np.ndarray:
     """The (..., R, C) stack of ``kernel`` applied chunk by chunk to the
-    stack ``m`` (..., k, j); a kernel gathers n^2 entries of m per entry
-    of its result."""
+    stack ``m`` (..., k, j); a kernel needs ``per_entry`` entries of
+    working memory per entry of its result."""
     *lead, k, j = m.shape
     out = np.zeros((math.prod(lead), len(ri), len(ci)))
     if out.size:
         stack = m.reshape(len(out), k, j)
-        for part in _chunks(len(out), n * n * out[0].size):
+        for part in _chunks(len(out), per_entry * out[0].size):
             out[part] = kernel(stack[part])
     return out.reshape(*lead, len(ri), len(ci))
 
 
 def _wedge_power_matrix(m: np.ndarray, n: int) -> np.ndarray:
-    ri, ci = _index_tuples(itertools.combinations, *m.shape[-2:], n)
+    ri, ci = (_index_tuples(itertools.combinations, size, n)[0]
+              for size in m.shape[-2:])
     # Entry (r, c) is the n x n minor of m on rows ri[r], columns ci[c].
     return _by_chunks(lambda s: np.linalg.det(
-        s[:, ri[:, None, :, None], ci[None, :, None, :]]), m, ri, ci, n)
-
-
-def _multiplicity_factorial(index_tuple) -> float:
-    out = 1.0
-    run = 1
-    for a, b in zip(index_tuple, index_tuple[1:]):
-        run = run + 1 if a == b else 1
-        out *= run
-    return out
+        s[:, ri[:, None, :, None], ci[None, :, None, :]]), m, ri, ci, n * n)
 
 
 def _sym_power_matrix(m: np.ndarray, n: int) -> np.ndarray:
-    ri, ci = _index_tuples(itertools.combinations_with_replacement,
-                           *m.shape[-2:], n)
-    weights = np.outer(
-        np.sqrt([_multiplicity_factorial(t) for t in ri.tolist()]),
-        np.sqrt([_multiplicity_factorial(t) for t in ci.tolist()]))
+    levels = [[_index_tuples(itertools.combinations_with_replacement,
+                             size, p) for size in m.shape[-2:]]
+              for p in range(1, n + 1)]
+    (ri, _), (ci, _) = levels[-1]
+    # The square roots of the multiplicity factorials of each tuple.
+    weights = np.outer(*(np.sqrt([
+        math.prod(map(math.factorial, Counter(t).values()))
+        for t in tuples.tolist()]) for tuples in (ri, ci)))
 
     def permanents(s):
-        # factor[a][b][:, r, c] = s[:, ri[r, a], ci[c, b]]: every entry a
-        # permanent term can take, gathered once per (position, column).
-        factor = [[s[:, ri[:, None, a], ci[None, :, b]] for b in range(n)]
-                  for a in range(n)]
-        perm = np.zeros(factor[0][0].shape)
-        for sigma in itertools.permutations(range(n)):
-            term = factor[0][sigma[0]]
-            for a in range(1, n):
-                term = term * factor[a][sigma[a]]
-            perm += term
+        # Degree p: perm[:, R, C] is the sum over positions b of
+        # s[R_p, C_b] times the permanent of degree p - 1 on R∖R_p, C∖C_b.
+        perm = np.ones((len(s), 1, 1))
+        for (rows, rdrop), (cols, cdrop) in levels:
+            last = np.take(s, rows[:, -1], axis=1)
+            below = np.take(perm, rdrop[:, -1], axis=1)
+            perm = np.zeros((len(s), len(rows), len(cols)))
+            for b in range(rows.shape[1]):
+                perm += (np.take(last, cols[:, b], axis=2)
+                         * np.take(below, cdrop[:, b], axis=2))
         return perm / weights
 
-    return _by_chunks(permanents, m, ri, ci, n)
+    # The accumulator, two gathered factors and their product.
+    return _by_chunks(permanents, m, ri, ci, 4)
 
 
 def apply_to_map(f: LinearFunctor, m) -> np.ndarray:
@@ -418,7 +419,7 @@ def parse_functor(text: str) -> LinearFunctor:
         if len(digits) > 9:  # beyond every bound, and perhaps beyond int()
             what = (f"{power.kind} power degree" if power
                     else "constant summand dimension")
-            bound = f"1..{power.max_n}" if power else f"0..{MAX_DIM}"
+            bound = f"1..{MAX_POWER_DEGREE}" if power else f"0..{MAX_DIM}"
             raise ValueError(f"{what} of {len(digits)} digits is outside {bound}")
         return power(int(digits)) if power else ConstantSum(int(digits))
     call = re.fullmatch(r"(sum|compose)\s*\((.*)\)", text, flags=re.DOTALL)

@@ -108,7 +108,9 @@ class Stratification:
                     f"expected R^{ambient}")
         self.ambient_dim = ambient
         self.strata = strata
-        self._cloud, self._owner = _stack(strata)
+        self._cloud = np.concatenate([st.points for st in strata])
+        self._owner = np.repeat(np.arange(len(strata)),
+                                [len(st) for st in strata])
         self._by_name = {s.name: s for s in strata}
         order = {(str(a), str(b)) for a, b in closure_order}
         for a, b in order:
@@ -177,12 +179,6 @@ def _transitive_closure(names, pairs) -> frozenset:
                 reach[a] |= extra
                 changed = True
     return frozenset((a, b) for a, bs in reach.items() for b in bs)
-
-
-def _stack(strata):
-    """All sample points in stratum order, and each row's stratum index."""
-    return (np.concatenate([st.points for st in strata]),
-            np.repeat(np.arange(len(strata)), [len(st) for st in strata]))
 
 
 def near_pairs(a: np.ndarray, b: np.ndarray, r: float):
@@ -290,40 +286,49 @@ def partition_by_label(points, labels: Sequence[Hashable],
                        r_cc: float) -> LabelPartition:
     """Group labelled points into strata.
 
-    ``classes`` lists ``(prefix, label)`` for every distinct label, in
-    the order the strata are emitted; each label class is split into
-    single-linkage components at radius ``r_cc``, named
-    ``{prefix}_c{c}``, with dimension ``dim(label, cloud)``.  A stratum
-    is declared in the closure of another when ``below(its label, the
-    other's label)`` holds and the two clouds come within ``r_cc``;
-    audit the result with ``check_frontier``.
+    ``classes`` lists ``(prefix, label)`` for every label, in the order
+    the strata are emitted; each label class is split into single-linkage
+    components at radius ``r_cc``, named ``{prefix}_c{c}``, with
+    dimension ``dim(label, cloud)``.  A stratum is declared in the
+    closure of another when ``below(its label, the other's label)`` holds
+    and the two clouds come within ``r_cc``; audit the result with
+    ``check_frontier``.  One ``near_pairs`` pass decides both; memory
+    grows with the cross-label pairs, held until components are known.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if not r_cc > 0:
+        raise ValueError("radius must be positive")
     labels = tuple(labels)
-    strata = []
-    point_to_key: dict[int, tuple[str, int]] = {}
-    label_of_stratum = {}
-    for prefix, label in classes:
-        member_idx = [i for i, lab in enumerate(labels) if lab == label]
-        components = single_linkage_components(pts[member_idx], r_cc)
-        for c, component in enumerate(components):
+    code = {label: c for c, (_, label) in enumerate(classes)}
+    coded = np.array([code[lab] for lab in labels], dtype=np.intp)
+    cross = []  # cross-label pairs, kept until their components are known
+
+    def same_label(pairs):
+        for i, j, _ in pairs:
+            same = coded[i] == coded[j]
+            cross.append((i[~same], j[~same]))
+            yield i[same], j[same]
+
+    by_class = [[] for _ in classes]
+    for local in graph_components(len(pts),
+                                  same_label(near_pairs(pts, pts, r_cc))):
+        by_class[coded[local[0]]].append(local)
+    strata, owner = [], np.zeros(len(pts), dtype=np.intp)
+    point_to_key, label_of_stratum = {}, {}
+    for (prefix, label), components in zip(classes, by_class):
+        for c, local in enumerate(components):
             name = f"{prefix}_c{c}"
-            local = [member_idx[i] for i in component]
+            owner[local] = len(strata)
             strata.append(Stratum(name, dim(label, pts[local]), pts[local]))
             label_of_stratum[name] = label
-            for j, global_index in enumerate(local):
-                point_to_key[global_index] = (name, j)
+            point_to_key.update((g, (name, j)) for j, g in enumerate(local))
 
-    cloud, owner = _stack(strata)
-    near = set()
-    for i, j, _ in near_pairs(cloud, cloud, r_cc):
-        near.update(np.unique(owner[i] * len(strata) + owner[j]).tolist())
-    closure = []
-    for pair in sorted(near):
-        low, high = divmod(pair, len(strata))
-        low, high = strata[low].name, strata[high].name
-        if below(label_of_stratum[low], label_of_stratum[high]):
-            closure.append((low, high))
+    near = {(a, a) for a in range(len(strata))}  # each cloud meets itself
+    for i, j in cross:
+        near.update(zip(*np.unique([owner[i], owner[j]], axis=1).tolist()))
+    names = [st.name for st in strata]
+    closure = [(names[a], names[b]) for a, b in sorted(near) if below(
+        label_of_stratum[names[a]], label_of_stratum[names[b]])]
     return LabelPartition(Stratification(strata, closure_order=closure),
                           labels, point_to_key, label_of_stratum)
 

@@ -3,6 +3,7 @@ import math
 import os
 import re
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -332,7 +333,7 @@ class TestParsing:
 
 
 DEGREE_BEYOND_BOUND = [
-    ("sym:9", "symmetric power degree 9 is outside 1..8"),
+    ("sym:12", "symmetric power degree 12 is outside 1..11"),
     ("tensor:12", "tensor power degree 12 is outside 1..11"),
     ("tensor:1000000", "tensor power degree 1000000 is outside 1..11"),
     # Longer than int() converts: refused before the conversion.
@@ -341,7 +342,7 @@ DEGREE_BEYOND_BOUND = [
     ("wedge:" + "9" * 5000, "wedge power degree of 5000 digits is "
      "outside 1..11"),
     ("sym:" + "9" * 5000, "symmetric power degree of 5000 digits is "
-     "outside 1..8"),
+     "outside 1..11"),
     ("const:" + "9" * 5000, "constant summand dimension of 5000 digits is "
      "outside 0..2048"),
     ("tensor:" + "0" * 5000 + "12", "tensor power degree 12 is outside "
@@ -354,7 +355,7 @@ DEGREE_IDS = [spec if len(spec) < 20 else
 
 class TestDegreeBound:
     """Degrees are bounded when the functor is built, before any
-    dimension is computed or any permutation summed."""
+    dimension is computed."""
 
     @pytest.mark.parametrize("spec, message", DEGREE_BEYOND_BOUND,
                              ids=DEGREE_IDS)
@@ -376,7 +377,7 @@ class TestDegreeBound:
         assert captured.err == f"svb: error: {message}\n"
 
     @pytest.mark.parametrize("cls, largest", [
-        (SymPower, svb.functors.MAX_SYM_DEGREE),
+        (SymPower, svb.functors.MAX_POWER_DEGREE),
         (TensorPower, svb.functors.MAX_POWER_DEGREE),
         (WedgePower, svb.functors.MAX_POWER_DEGREE)])
     def test_largest_degree_accepted(self, cls, largest):
@@ -469,6 +470,82 @@ class TestPowerMatricesAgainstTensorCompression:
             a = _wedge_isometry(k, n)
             np.testing.assert_allclose(a.T @ a, np.eye(a.shape[1]),
                                        atol=1e-12)
+
+
+def _ryser_permanent(m, rows, cols):
+    """Exact permanent of the integer matrix ``m[rows][:, cols]`` by
+    Ryser's formula, in Python ints; column subsets are grouped by how
+    many copies of each repeated column they take, and the row sums of a
+    repeated row are raised to its multiplicity."""
+    row_mult, col_mult = Counter(rows), Counter(cols)
+    distinct = sorted(col_mult)
+    total = 0
+    for take in itertools.product(*(range(col_mult[c] + 1)
+                                    for c in distinct)):
+        ways = math.prod(math.comb(col_mult[c], t)
+                         for c, t in zip(distinct, take))
+        sums = math.prod(sum(t * int(m[a, c]) for c, t in zip(distinct, take))
+                         ** mu for a, mu in row_mult.items())
+        total += (-1) ** sum(take) * ways * sums
+    return (-1) ** len(rows) * total
+
+
+def _multiplicity_factorial(index):
+    return math.prod(math.factorial(mu) for mu in Counter(index).values())
+
+
+def _sym_power_by_permutations(m, n):
+    """Sym^n of a stack by the definition: every entry sums all n!
+    products of a permanent, from a zero accumulator, then divides by the
+    square roots of the multiplicity factorials."""
+    ri, ci = (np.array(list(itertools.combinations_with_replacement(
+        range(size), n))) for size in m.shape[-2:])
+    weights = np.outer(
+        np.sqrt([float(_multiplicity_factorial(t)) for t in ri.tolist()]),
+        np.sqrt([float(_multiplicity_factorial(t)) for t in ci.tolist()]))
+    perm = np.zeros((len(m), len(ri), len(ci)))
+    for sigma in itertools.permutations(range(n)):
+        term = m[:, ri[:, None, 0], ci[None, :, sigma[0]]]
+        for a in range(1, n):
+            term = term * m[:, ri[:, None, a], ci[None, :, sigma[a]]]
+        perm += term
+    return perm / weights
+
+
+class TestSymPowerReferences:
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("n", range(1, svb.functors.MAX_POWER_DEGREE + 1))
+    def test_exact_integer_permanents(self, shape, n):
+        m = np.random.default_rng(n * 10 + shape[1]).integers(-2, 3, shape)
+        rows, cols = (list(itertools.combinations_with_replacement(
+            range(size), n)) for size in shape)
+        exact = np.array([[_ryser_permanent(m, r, c) / math.sqrt(
+            _multiplicity_factorial(r) * _multiplicity_factorial(c))
+            for c in cols] for r in rows])
+        np.testing.assert_allclose(apply_to_map(SymPower(n), m), exact,
+                                   rtol=1e-12, atol=0)
+
+    def test_ryser_against_permutation_sum(self):
+        m = np.random.default_rng(3).integers(-2, 3, (3, 4))
+        for rows, cols in [((0, 1, 2), (0, 1, 3)), ((1, 1, 2), (0, 3, 3)),
+                           ((0, 0, 0, 2), (1, 1, 2, 2))]:
+            brute = sum(math.prod(int(m[r, cols[b]])
+                                  for r, b in zip(rows, sigma))
+                        for sigma in itertools.permutations(range(len(rows))))
+            assert _ryser_permanent(m, rows, cols) == brute
+
+    @pytest.mark.parametrize("shape", [(40, 2, 2), (40, 3, 4), (40, 4, 3)])
+    def test_sym2_bitwise_equal_to_permutation_sum(self, shape):
+        # Exact zeros of both signs make products of either sign of zero;
+        # the sign of every zero in the result must agree as well.
+        rng = np.random.default_rng(shape[1] * 7 + shape[2])
+        m = rng.standard_normal(shape)
+        m[rng.random(shape) < 0.3] = 0.0
+        m[rng.random(shape) < 0.3] = -0.0
+        expected = _sym_power_by_permutations(m, 2)
+        assert (expected == 0).any()
+        assert np.array_equal(apply_to_map(SymPower(2), m).view(np.int64),
+                              expected.view(np.int64))
 
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)

@@ -5,15 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import svb.equivariant
+import svb.foliation
 from svb import strata
 from svb.equivariant import orbit_type_partition
 from svb.fixtures import (
+    axis_scaling_fields_plane,
     cantor_stratification,
     cone_stratification,
     dihedral_square_group,
     line_stratification,
     local_line_stratification,
+    ring_tangent_bundle,
+    rotation_group,
 )
+from svb.foliation import foliation_bundle
 from svb.strata import (
     Stratification,
     Stratum,
@@ -23,6 +29,7 @@ from svb.strata import (
     graph_components,
     local_finiteness_report,
     near_pairs,
+    partition_by_label,
     single_linkage_components,
 )
 
@@ -407,3 +414,94 @@ class TestGraphComponents:
             seen |= members
             expected.append(sorted(members))
         assert single_linkage_components(pts, radius) == expected
+
+
+def _partition_per_class(points, labels, classes, dim, below, r_cc):
+    """``partition_by_label`` by the per-class route: single linkage on
+    each label class's own cloud, then a second neighbour pass over the
+    stacked strata for the closure pairs."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    labels = tuple(labels)
+    found, point_to_key, label_of_stratum = [], {}, {}
+    for prefix, label in classes:
+        member_idx = [i for i, lab in enumerate(labels) if lab == label]
+        for c, component in enumerate(
+                single_linkage_components(pts[member_idx], r_cc)):
+            name = f"{prefix}_c{c}"
+            local = [member_idx[i] for i in component]
+            found.append(Stratum(name, dim(label, pts[local]), pts[local]))
+            label_of_stratum[name] = label
+            for j, global_index in enumerate(local):
+                point_to_key[global_index] = (name, j)
+    cloud = np.concatenate([st.points for st in found])
+    owner = np.repeat(np.arange(len(found)), [len(st) for st in found])
+    near = set()
+    for i, j, _ in near_pairs(cloud, cloud, r_cc):
+        near.update(zip(owner[i].tolist(), owner[j].tolist()))
+    closure = [(found[a].name, found[b].name) for a, b in sorted(near)
+               if below(label_of_stratum[found[a].name],
+                        label_of_stratum[found[b].name])]
+    return found, closure, point_to_key, label_of_stratum
+
+
+def _ring_points(order, radii):
+    base = ring_tangent_bundle(order, radii).base
+    return np.concatenate([st.points for st in base.strata])
+
+
+class TestPartitionByLabel:
+    CASES = {
+        "rot8-ring": lambda: orbit_type_partition(
+            rotation_group(8), _ring_points(8, (0.5, 1.0)), r_cc=0.6),
+        "rot12-rings": lambda: orbit_type_partition(
+            rotation_group(12), _ring_points(12, np.linspace(0.2, 1.0, 40)),
+            r_cc=0.25),
+        "rot16-sparse": lambda: orbit_type_partition(
+            rotation_group(16), _ring_points(16, (0.3, 0.9)), r_cc=0.35),
+        "dihedral-grid": lambda: orbit_type_partition(
+            dihedral_square_group(), np.array(
+                [[x, y] for x in np.arange(-1, 1.01, 0.25)
+                 for y in np.arange(-1, 1.01, 0.25)]), r_cc=0.3),
+        "foliation-grid": lambda: foliation_bundle(
+            axis_scaling_fields_plane(0.1), r_cc=0.12),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_one_neighbour_pass_matches_per_class_route(self, case,
+                                                        monkeypatch):
+        calls, compared = [], []
+
+        def counted(*args):
+            calls.append(args)
+            return near_pairs(*args)
+
+        def compare(*args, **kwargs):
+            del calls[:]
+            part = partition_by_label(*args, **kwargs)
+            assert len(calls) == 1
+            found, closure, point_to_key, label_of_stratum = \
+                _partition_per_class(*args, **kwargs)
+            got = part.stratification
+            assert got.names == [st.name for st in found]
+            for mine, theirs in zip(got.strata, found):
+                assert mine.dim == theirs.dim
+                assert np.array_equal(mine.points, theirs.points)
+            assert got.closure_order == frozenset(closure)
+            assert part.point_to_key == point_to_key
+            assert list(part.point_to_key) == list(point_to_key)
+            assert part.label_of_stratum == label_of_stratum
+            compared.append(len(found))
+            return part
+
+        monkeypatch.setattr(strata, "near_pairs", counted)
+        for module in (svb.equivariant, svb.foliation):
+            monkeypatch.setattr(module, "partition_by_label", compare)
+        self.CASES[case]()
+        assert compared and compared[0] > 1
+
+    @pytest.mark.parametrize("r_cc", [0.0, -1.0, np.nan])
+    def test_radius_must_be_positive(self, r_cc):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            partition_by_label(np.zeros((2, 1)), ["a", "a"], [("s", "a")],
+                               dim=lambda label, cloud: 0,
+                               below=lambda low, high: False, r_cc=r_cc)
