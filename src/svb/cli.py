@@ -136,10 +136,10 @@ def _check_frontier(args, cfg, add):
     report = check_frontier(strat, cfg.eps_touch, cfg.delta_cover)
     add("frontier", "PASS" if report.passed else "FAIL",
         eps_touch=report.eps_touch, delta_cover=report.delta_cover,
-        touching_pairs=[list(p) for p in report.touching_pairs],
-        violations=[{"S": v.s, "R": v.r, "reason": v.reason,
-                     "witness": list(v.witness), "distance": v.distance}
-                    for v in report.violations])
+        touching_pairs=list(map(list, zip(*report.pair_names()))),
+        violations=[{"S": a, "R": b, "reason": reason, "witness": witness,
+                     "distance": d} for a, b, reason, witness, d
+                    in zip(*report.violation_columns())])
 
 
 def _check_whitney_a(args, cfg, add):
@@ -257,8 +257,8 @@ def _foliation_stratify(args, cfg, add):
         strata=[{"name": s.name, "dim": s.dim, "points": len(s)}
                 for s in strat.strata])
     add("frontier-audit", "PASS" if report.passed else "FAIL",
-        violations=[{"S": v.s, "R": v.r, "reason": v.reason}
-                    for v in report.violations])
+        violations=[{"S": a, "R": b, "reason": reason} for a, b, reason, *_
+                    in zip(*report.violation_columns())])
     return {"stratification": strat}
 
 

@@ -15,10 +15,16 @@ radius-bounded grid query, ``near_pairs``.  It yields its pairs in
 chunks of bounded size and its callers reduce each chunk at once, so
 whatever the radius, memory grows linearly with the number of points
 plus the stratum pairs a result names.
+
+A ``FrontierReport`` keeps its touching pairs as parallel arrays
+(source, target, reason code, witness row, distance), sorted once by
+name; renderers read those columns directly, and the Python tuples
+``touching_pairs`` and ``violations`` are built only when asked for.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Hashable, Iterable, Optional, Sequence
@@ -33,6 +39,7 @@ __all__ = [
     "Stratification",
     "FrontierViolation",
     "FrontierReport",
+    "REASONS",
     "LocalFinitenessReport",
     "LabelPartition",
     "check_frontier",
@@ -121,9 +128,6 @@ class Stratification:
                 raise ValueError(f"closure order contains reflexive pair ({a},{a})")
         self.closure_order = frozenset(order)
         self._closure_reachable = _transitive_closure(names, order)
-        for name in names:
-            if (name, name) in self._closure_reachable:
-                raise ValueError("closure order contains a cycle")
         self._check_disjoint()
 
     def _check_disjoint(self):
@@ -155,6 +159,17 @@ class Stratification:
         """Declared (transitively) that s lies in the closure of r."""
         return (s, r) in self._closure_reachable
 
+    @functools.cached_property
+    def _closure_keys(self) -> np.ndarray:
+        """The reachable pairs as sorted keys ``s * n + r`` of stratum
+        indices, followed by n * n, above every key."""
+        index = {name: k for k, name in enumerate(self.names)}
+        n = len(index)
+        keys = np.fromiter(
+            (index[a] * n + index[b] for a, b in self._closure_reachable),
+            dtype=np.int64, count=len(self._closure_reachable))
+        return np.append(np.sort(keys), n * n)
+
     def diameter(self) -> float:
         spread = self._cloud.max(axis=0) - self._cloud.min(axis=0)
         return float(np.linalg.norm(spread))
@@ -165,19 +180,27 @@ class Stratification:
 
 
 def _transitive_closure(names, pairs) -> frozenset:
-    reach = {n: set() for n in names}
+    """Every pair joined by a chain of declared pairs, from one pass in
+    reverse topological order: a stratum reaches each of its successors
+    and everything they reach."""
+    successors, waiting = {}, {}  # waiting: predecessors not yet sorted
     for a, b in pairs:
-        reach[a].add(b)
-    changed = True
-    while changed:
-        changed = False
-        for a in names:
-            extra = set()
-            for b in reach[a]:
-                extra |= reach[b] - reach[a]
-            if extra:
-                reach[a] |= extra
-                changed = True
+        successors.setdefault(a, []).append(b)
+        waiting[b] = waiting.get(b, 0) + 1
+    order = [n for n in names if n not in waiting]
+    for a in order:  # Kahn's sort: order grows as it is read
+        for b in successors.get(a, ()):
+            waiting[b] -= 1
+            if not waiting[b]:
+                order.append(b)
+    if len(order) < len(names):
+        raise ValueError("closure order contains a cycle")
+    reach = {}
+    for a in reversed(order):
+        if a in successors:
+            reach[a] = above = set(successors[a])
+            for b in successors[a]:
+                above.update(reach.get(b, ()))
     return frozenset((a, b) for a, bs in reach.items() for b in bs)
 
 
@@ -186,10 +209,15 @@ def near_pairs(a: np.ndarray, b: np.ndarray, r: float):
     with ``d = |a[i] - b[j]| <= r``, in chunks of consecutive rows of
     ``a``: a chunk holds all pairs of its rows.
 
-    Candidates come from a uniform grid on the first three coordinates
+    Candidates come from a uniform grid on the first g = 3 coordinates
     (all of them in lower ambient dimension) with cells at least ``r``
     wide.  A coordinate projection never increases a distance, so the
-    3^g cells around a row's cell hold all its neighbours.  Rows with a
+    3^g cells around a row's cell hold all its neighbours.  Cell keys
+    weigh the last grid coordinate 1, so the three cells a row reaches
+    along it are the consecutive keys ``k - 1 .. k + 1``: one run of the
+    sorted keys, found by two binary searches.  That makes 3^(g-1) runs
+    per row; a row's candidates follow cell by cell, the last grid
+    coordinate fastest, each cell in the order of ``b``.  Rows with a
     non-finite grid coordinate have no pairs."""
     if not r >= 0:
         return
@@ -206,7 +234,7 @@ def near_pairs(a: np.ndarray, b: np.ndarray, r: float):
     # 2^-500: closer coordinates may square to an underflow, and the
     # distance formula, not the grid, has to decide those pairs.
     cell = max(r * (1 + 2.0 ** -20), extent / _CELLS, 2.0 ** -500)
-    weights = (_CELLS + 3) ** np.arange(g)
+    weights = (_CELLS + 3) ** np.arange(g)[::-1]
 
     def keys(x):
         return (np.floor((x[:, :g] - lo) / cell).astype(np.int64) + 1) @ weights
@@ -214,10 +242,15 @@ def near_pairs(a: np.ndarray, b: np.ndarray, r: float):
     kb = keys(b[rows_b])
     order = np.argsort(kb, kind="stable")
     kb, cands = kb[order], rows_b[order]
-    near = keys(a[rows_a])[:, None] + np.array(
-        list(product((-1, 0, 1), repeat=g)), dtype=np.int64) @ weights
+    runs = np.array(list(product((-1, 0, 1), repeat=g - 1)),
+                    dtype=np.int64).reshape(3 ** (g - 1), g - 1)
+    near = keys(a[rows_a])[:, None] + runs @ weights[:-1]
+    near -= 1
     starts = np.searchsorted(kb, near, side="left")
-    counts = np.searchsorted(kb, near, side="right") - starts
+    near += 2
+    counts = np.searchsorted(kb, near, side="right")
+    del near
+    counts -= starts
     per_row = counts.sum(axis=1)
     reach = np.cumsum(per_row)
     q0 = 0
@@ -355,16 +388,68 @@ class FrontierViolation:
     distance: float
 
 
-@dataclass(frozen=True)
+# The violation reasons by code; code -1 marks a sound touching pair.
+REASONS = ("undeclared", "not_covered")
+
+
+@dataclass(frozen=True, eq=False)
 class FrontierReport:
+    """The touching pairs of ``check_frontier`` as parallel arrays, one
+    row per pair, sorted by source name and then target name.
+
+    ``source`` and ``target`` index ``names``; ``reason`` holds -1 for a
+    sound pair, else the index of its reason in ``REASONS``; ``witness``
+    is the source point farthest from the target cloud and ``distance``
+    its distance to that cloud.  ``touching_pairs`` and ``violations``
+    are the same rows as tuples of names and of ``FrontierViolation``,
+    built on first use.  Reports compare by value.
+    """
+
     passed: bool
     eps_touch: float
     delta_cover: float
-    violations: tuple[FrontierViolation, ...]
-    touching_pairs: tuple[tuple[str, str], ...]
+    names: tuple[str, ...] = field(repr=False)
+    source: np.ndarray = field(repr=False)
+    target: np.ndarray = field(repr=False)
+    reason: np.ndarray = field(repr=False)
+    witness: np.ndarray = field(repr=False)
+    distance: np.ndarray = field(repr=False)
 
     def __bool__(self):
         return self.passed
+
+    def __eq__(self, other):
+        if not isinstance(other, FrontierReport):
+            return NotImplemented
+        return self._value() == other._value()
+
+    def _value(self):
+        return (self.passed, self.eps_touch, self.delta_cover,
+                self.violations, self.touching_pairs)
+
+    def pair_names(self, rows=slice(None)) -> tuple[list, list]:
+        """Source and target names of the given rows, as two lists."""
+        names = np.array(self.names, dtype=object)
+        return (names[self.source[rows]].tolist(),
+                names[self.target[rows]].tolist())
+
+    def violation_columns(self) -> tuple[list, ...]:
+        """S, R, reason, witness row and distance of every violation,
+        one list per column, in report order."""
+        bad = np.flatnonzero(self.reason >= 0)
+        return (*self.pair_names(bad),
+                np.array(REASONS, dtype=object)[self.reason[bad]].tolist(),
+                self.witness[bad].tolist(), self.distance[bad].tolist())
+
+    @functools.cached_property
+    def touching_pairs(self) -> tuple[tuple[str, str], ...]:
+        return tuple(zip(*self.pair_names()))
+
+    @functools.cached_property
+    def violations(self) -> tuple[FrontierViolation, ...]:
+        return tuple(FrontierViolation(a, b, reason, tuple(witness), d)
+                     for a, b, reason, witness, d
+                     in zip(*self.violation_columns()))
 
 
 def check_frontier(s: Stratification, eps_touch: Optional[float] = None,
@@ -408,38 +493,30 @@ def check_frontier(s: Stratification, eps_touch: Optional[float] = None,
     for i, j, d in near_pairs(s._cloud, s._cloud, eps_touch):
         upto = owner[i[-1]] if i.size else 0
         other = owner[i] != owner[j]
-        i, target, d = i[other], owner[j[other]], d[other]
-        key = i * n + target
-        order = np.lexsort((d, key))
-        nearest = order[np.unique(key[order], return_index=True)[1]]
-        i, target = i[nearest], target[nearest]
+        key = i[other] * n + owner[j[other]]
+        order = np.argsort(key, kind="stable")
+        runs = _run_starts(key[order])
+        # Each (source point, target) once, at its nearest distance.
+        i, target = np.divmod(key[order[runs]], n)
         pending = _farthest_per_pair(*map(np.concatenate, zip(pending, (
             owner[i] * n + target, np.ones(i.size, dtype=np.int64),
-            d[nearest], i))))
+            np.minimum.reduceat(d[other][order], runs), i))))
         pending = settle(upto)
     settle(n)
     pair, _, reach, worst = map(np.concatenate, zip(*kept))
+    closure = s._closure_keys
+    reason = np.where(closure[closure.searchsorted(pair)] == pair,
+                      np.where(reach > delta_cover, 1, -1), 0)
     source, target = np.divmod(pair, n)
     names = s.names
-    violations = []
-    touching = []
-    for a, b, distance, witness in zip(
-            source.tolist(), target.tolist(), reach.tolist(),
-            s._cloud[worst].tolist()):
-        a, b, witness = names[a], names[b], tuple(witness)
-        touching.append((a, b))
-        if not s.in_closure(a, b):
-            violations.append(FrontierViolation(a, b, "undeclared",
-                                                witness, distance))
-        elif distance > delta_cover:
-            violations.append(FrontierViolation(a, b, "not_covered",
-                                                witness, distance))
-    violations.sort(key=lambda v: (v.s, v.r))
-    touching.sort()
-    return FrontierReport(passed=not violations, eps_touch=eps_touch,
-                          delta_cover=delta_cover,
-                          violations=tuple(violations),
-                          touching_pairs=tuple(touching))
+    rank = np.empty(n, dtype=np.int64)  # place of each name in str order
+    rank[sorted(range(n), key=names.__getitem__)] = np.arange(n)
+    order = np.lexsort((rank[target], rank[source]))
+    return FrontierReport(
+        passed=not (reason >= 0).any(), eps_touch=eps_touch,
+        delta_cover=delta_cover, names=tuple(names), source=source[order],
+        target=target[order], reason=reason[order].astype(np.int8),
+        witness=s._cloud[worst[order]], distance=reach[order])
 
 
 def _farthest_per_pair(pair, count, reach, point):
@@ -447,8 +524,16 @@ def _farthest_per_pair(pair, count, reach, point):
     largest reach is kept with the lowest point attaining it."""
     order = np.lexsort((point, -reach, pair))
     pair, count, reach, point = (x[order] for x in (pair, count, reach, point))
-    runs = np.flatnonzero(np.diff(pair, prepend=-1))
+    runs = _run_starts(pair)
     return pair[runs], np.add.reduceat(count, runs), reach[runs], point[runs]
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Index of the first entry of each run of equal sorted keys."""
+    first = np.empty(keys.shape, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return np.flatnonzero(first)
 
 
 def filtration(s: Stratification) -> list[set[str]]:

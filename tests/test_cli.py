@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 
 import svb.bundle
+import svb.strata
 from svb.bundle import SampledStratifiedBundle
 from svb.cli import build_parser, main
 from svb.fixtures import cone_bundle, line_stratification
 from svb.functors import SymPower, check_orthogonality
 from svb.grassmann import Subspace, span
-from svb.jsonio import bundle_from_json, bundle_to_json, read_json, write_json
+from svb.jsonio import (bundle_from_json, bundle_to_json, read_json,
+                        stratification_from_json, write_json)
+from svb.strata import check_frontier
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -351,6 +354,48 @@ class TestVerbs:
                         "--eps-touch", "0.05", "--delta-cover", "0.05")
         assert code == 0
         assert json.loads(out)["overall"] == "PASS"
+
+    @pytest.mark.parametrize("flags", [(), ("--eps-touch", "0.02",
+                                            "--delta-cover", "0.001")],
+                             ids=["default", "not-covered"])
+    def test_frontier_renders_without_violation_objects(self, capsys,
+                                                        monkeypatch, flags):
+        made, real = [], svb.strata.FrontierViolation
+
+        def counted(*args):
+            made.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(svb.strata, "FrontierViolation", counted)
+        path = fx("cantor_level6.json")
+        code, out = run(capsys, "check", "frontier", "--stratification",
+                        path, "--no-timestamp", *flags)
+        assert code == 2 and made == []
+        check = json.loads(out)["checks"][0]
+        # The violations as built one pair at a time from the touching
+        # pairs, the declared order and the cover distance.
+        strat = stratification_from_json(read_json(path))
+        report = check_frontier(strat, check["eps_touch"],
+                                check["delta_cover"])
+        expected = []
+        for (a, b), witness, d in zip(report.touching_pairs,
+                                      report.witness.tolist(),
+                                      report.distance.tolist()):
+            if not strat.in_closure(a, b):
+                expected.append(real(a, b, "undeclared", tuple(witness), d))
+            elif d > report.delta_cover:
+                expected.append(real(a, b, "not_covered", tuple(witness), d))
+        expected.sort(key=lambda v: (v.s, v.r))
+        assert made == []
+        assert report.violations == tuple(expected)
+        assert len(made) == len(expected) > 1000
+        assert check["violations"] == [
+            {"S": v.s, "R": v.r, "reason": v.reason,
+             "witness": list(v.witness), "distance": v.distance}
+            for v in expected]
+        assert check["touching_pairs"] == [list(p)
+                                           for p in report.touching_pairs]
+        assert report.touching_pairs == tuple(sorted(report.touching_pairs))
 
     def test_apply_functor_round_trip(self, capsys, tmp_path):
         out_path = tmp_path / "wedged.json"

@@ -201,6 +201,16 @@ def test_written_files_end_with_newline(tmp_path):
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
+def _record_lists(values, keys):
+    """Lists of dicts sharing one key set, and lists of dicts whose key
+    sets may differ."""
+    shared = st.lists(keys, min_size=1, max_size=4, unique=True).flatmap(
+        lambda names: st.lists(st.fixed_dictionaries(
+            dict.fromkeys(names, values)), min_size=1, max_size=5))
+    return shared | st.lists(st.dictionaries(keys, values, max_size=4),
+                             max_size=5)
+
+
 class TestWriter:
     """``dumps`` is the standard library's indented encoder without NaN
     and infinity, byte for byte, and raises where it raises."""
@@ -235,11 +245,49 @@ class TestWriter:
         (1, (2.0, "t")), {"b": 1, "a": [1, 2], "c": {"e": None, "d": 1}},
         [{1: "int", 2.5: "float", -0.0: "zero"}, {None: "null"},
          {True: "t", False: "f"}, {float("nan"): "nan"}],
+        [{"S": "pt001", "R": "gap1_00", "reason": "undeclared",
+          "witness": [0.25, -0.0], "distance": 1e-300},
+         {"S": "pt002", "R": "gap1_00", "reason": "not_covered",
+          "witness": [1, True], "distance": 2}],
+        [{"name": "a", "dim": 1, "points": 3}, {"name": "b", "dim": None,
+                                                "points": False}],
+        [{"a": 1, "b": 2}, {"a": 1, "c": 2}], [{"a": 1}, {"a": 1, "b": 2}],
+        [{"a": 1, "b": 2}, {"a": 1}],
+        [{"%s": 1, "100%": [1, "%d"], "%%": "%"},
+         {"%s": 2, "100%": [3], "%%": "%s"}],
+        [{1: "x", 2.5: [1]}, {1: "y", 2.5: [2, 3]}],
+        [{"a": [[1]]}, {"a": [2]}], [{"a": [1]}, {"a": [[2]]}],
+        [{"a": [1, [2]]}, {"a": [3]}], [{"a": [1]}, {"a": [2, {}]}],
+        [{"a": {"b": 1}}, {"a": {"b": 2}}], [{"a": 1}, {"a": {"b": 2}}],
+        [{"a": [1]}, {"a": (2, 3)}], [{"a": 1}, {"a": [2]}],
+        [{"a": []}, {"a": [1]}], [{"a": [1]}, {"a": []}], [{}, {}],
+        [{"a": {}}, {"a": {}}], [{"a": [float("nan")]}, {"a": [1.0]}],
+        [{"a": "x, y", "b": ["q"]}, {"a": "z", "b": ["w"]}],
+        [{"a": "x", "b": ["], [", "q"]}, {"a": "z", "b": ["w"]}],
+        [{"a": "x", "b": ['"', "[", "]"]}, {"a": "{", "b": ["}", "[]"]}],
+        [["a", "b"], ["c", "d"]], [["a, b", "c"], ["d"]],
+        [["[", "]"], ["x"]], [["], [", 1], [2]], [["{", 1], [2]],
+        [["[]"], ["y"]], [["a", {}], ["b"]], [["a", {"k": 1}], ["b"]],
+        [["a", {"k": 1, "l": [2]}], ["b"]], [['"', "\\"], ["\u00e9"]],
     ], ids=["non-finite", "bools-ints", "separator-in-string", "strings",
             "empty-containers", "empty-values", "nested", "scalar",
             "negative-zero", "matrix", "matrix-mixed", "matrix-empty-row",
             "matrix-string", "matrix-deeper", "matrix-empty-object",
-            "matrix-object", "tuples", "sorted-keys", "non-string-keys"])
+            "matrix-object", "tuples", "sorted-keys", "non-string-keys",
+            "records-shared", "records-scalars", "records-mixed-keys",
+            "records-fewer-keys", "records-more-keys", "records-percent-keys",
+            "records-non-string-keys", "records-nested-first",
+            "records-nested-later", "records-nested-in-row",
+            "records-object-in-row", "records-object-values",
+            "records-object-later", "records-tuple-later",
+            "records-list-later", "records-empty-first",
+            "records-empty-later", "records-empty", "records-empty-objects",
+            "records-non-finite", "records-separator-in-scalar",
+            "records-separator-in-row", "records-brackets-in-strings",
+            "rows-strings", "rows-separator", "rows-brackets",
+            "rows-row-separator", "rows-brace", "rows-empty-list-string",
+            "rows-empty-object", "rows-object", "rows-object-two-keys",
+            "rows-escapes"])
     def test_edge_cases(self, obj):
         self._same_as_stdlib(obj)
 
@@ -248,16 +296,23 @@ class TestWriter:
                | st.floats(allow_nan=True, allow_infinity=True)
                | st.sampled_from([-0.0, 1e-300, 5e-324, 1.7976931348623157e308])
                | st.text()
-               | st.sampled_from([", ", "a, b", "[1, 2]", '"x", "y"', "], ["])
+               | st.sampled_from([", ", "a, b", "[1, 2]", '"x", "y"', "], [",
+                                 "[]", "{", "}", "%s", "%"])
                | st.text(alphabet=st.sampled_from(
                    [",", " ", "[", "]", "{", "}", '"', "\\", ":", "\n",
                     "\u00e9", "\u4e2d", "\U0001f600", "a"])))
+    keys = st.text(alphabet=st.sampled_from(["a", "b", "%", "s", '"', ","]),
+                   max_size=3)
+    rows = st.lists(st.lists(scalars, min_size=1, max_size=4), min_size=1,
+                    max_size=5)
     documents = st.recursive(
-        scalars,
-        lambda inner: (st.lists(inner, max_size=6)
-                       | st.tuples(inner, inner)
-                       | st.dictionaries(st.text(max_size=5), inner,
-                                         max_size=5)),
+        scalars | rows,
+        lambda inner, scalars=scalars, keys=keys: (
+            st.lists(inner, max_size=6)
+            | st.tuples(inner, inner)
+            | st.dictionaries(st.text(max_size=5), inner, max_size=5)
+            | _record_lists(inner | st.lists(scalars, min_size=1, max_size=4),
+                            keys)),
         max_leaves=40)
 
     @settings(max_examples=300, deadline=None)

@@ -1,4 +1,6 @@
+import time
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -77,6 +79,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match="unknown"):
             Stratification([a], closure_order=[("a", "ghost")])
 
+    def test_cycle_through_a_chain_rejected(self):
+        cloud = [Stratum(name, 0, [[float(k)]])
+                 for k, name in enumerate("abcd")]
+        with pytest.raises(ValueError, match="closure order contains a cycle"):
+            Stratification(cloud, closure_order=[
+                ("a", "b"), ("b", "c"), ("c", "d"), ("d", "b")])
+
     def test_transitive_queries(self):
         a = Stratum("a", 0, [[0.0]])
         b = Stratum("b", 1, [[1.0]])
@@ -84,6 +93,90 @@ class TestConstruction:
         s = Stratification([a, b, c], closure_order=[("a", "b"), ("b", "c")])
         assert s.in_closure("a", "c")
         assert not s.in_closure("c", "a")
+
+
+def _fixpoint_closure(names, pairs) -> frozenset:
+    """The transitive closure by iterating to a fixpoint."""
+    reach = {n: set() for n in names}
+    for a, b in pairs:
+        reach[a].add(b)
+    changed = True
+    while changed:
+        changed = False
+        for a in names:
+            extra = set()
+            for b in reach[a]:
+                extra |= reach[b] - reach[a]
+            if extra:
+                reach[a] |= extra
+                changed = True
+    return frozenset((a, b) for a, bs in reach.items() for b in bs)
+
+
+class TestTransitiveClosure:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 14).flatmap(lambda n: st.tuples(
+        st.permutations(range(n)),
+        st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                .filter(lambda e: e[0] < e[1]), max_size=3 * n))))
+    def test_matches_fixpoint_on_dags(self, case):
+        rank, edges = case
+        names = [f"s{k}" for k in range(len(rank))]
+        # Edges run up a random ranking of the names: an acyclic order.
+        pairs = {(names[rank[a]], names[rank[b]]) for a, b in edges}
+        assert strata._transitive_closure(names, pairs) == \
+            _fixpoint_closure(names, pairs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.sets(st.tuples(
+        st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda e: e[0] != e[1]), max_size=2 * n).map(lambda e: (n, e))))
+    def test_cycle_raised_where_the_fixpoint_reaches_itself(self, case):
+        n, edges = case
+        names = [f"s{k}" for k in range(n)]
+        pairs = {(names[a], names[b]) for a, b in edges}
+        reach = _fixpoint_closure(names, pairs)
+        if any((name, name) in reach for name in names):
+            with pytest.raises(ValueError,
+                               match="closure order contains a cycle"):
+                strata._transitive_closure(names, pairs)
+        else:
+            assert strata._transitive_closure(names, pairs) == reach
+
+    def test_long_chain(self):
+        n = 800
+        chain = [Stratum(f"s{k:03d}", 0, [[float(k)]]) for k in range(n)]
+        start = time.perf_counter()
+        s = Stratification(chain, closure_order=[
+            (f"s{k:03d}", f"s{k + 1:03d}") for k in range(n - 1)])
+        assert time.perf_counter() - start < 2.0
+        assert len(s._closure_reachable) == n * (n - 1) // 2
+        assert s.in_closure("s000", "s799")
+        assert not s.in_closure("s799", "s000")
+
+
+def _dense_frontier(s, eps, delta):
+    """Touching pairs and violations of ``check_frontier`` from the full
+    distance matrix of each stratum pair, one ``FrontierViolation`` at a
+    time."""
+    touching, violations = [], []
+    for a in s.strata:
+        for b in s.strata:
+            d = np.sqrt(((a.points[:, None] - b.points[None]) ** 2)
+                        .sum(-1)).min(axis=1)
+            if a is b or (d > eps).any():
+                continue
+            touching.append((a.name, b.name))
+            w = int(np.argmax(d))
+            reason = ("undeclared" if not s.in_closure(a.name, b.name)
+                      else "not_covered" if d[w] > delta else None)
+            if reason:
+                violations.append(strata.FrontierViolation(
+                    a.name, b.name, reason, tuple(a.points[w]),
+                    float(d[w])))
+    touching.sort()
+    violations.sort(key=lambda v: (v.s, v.r))
+    return tuple(touching), tuple(violations)
 
 
 class TestCheckFrontier:
@@ -127,24 +220,50 @@ class TestCheckFrontier:
             closure_order=[(f"t{a}", f"t{b}") for a in range(6)
                            for b in range(a + 2, 6)])
         for eps in (0.05, 0.15, 0.3, 2.0):
-            touching, violations = [], []
-            for a in s.strata:
-                for b in s.strata:
-                    d = np.sqrt(((a.points[:, None] - b.points[None]) ** 2)
-                                .sum(-1)).min(axis=1)
-                    if a is b or (d > eps).any():
-                        continue
-                    touching.append((a.name, b.name))
-                    w = int(np.argmax(d))
-                    reason = ("undeclared" if not s.in_closure(a.name, b.name)
-                              else "not_covered" if d[w] > eps / 2 else None)
-                    if reason:
-                        violations.append(strata.FrontierViolation(
-                            a.name, b.name, reason, tuple(a.points[w]),
-                            float(d[w])))
+            touching, violations = _dense_frontier(s, eps, eps / 2)
             report = check_frontier(s, eps, eps / 2)
-            assert report.touching_pairs == tuple(touching)
-            assert report.violations == tuple(violations)
+            assert report.touching_pairs == touching
+            assert report.violations == violations
+
+    def test_rows_sorted_by_name_not_by_index(self):
+        # Index order, numpy's and Python's string order all differ here.
+        names = ["z", "a", "Z", "\u00e9", "aa", "_", "a\u00e9", "a_"]
+        pts = np.unique(np.random.default_rng(9).random((48, 2)).round(2),
+                        axis=0)
+        label = np.arange(len(pts)) % len(names)
+        s = Stratification(
+            [Stratum(name, 0, pts[label == k]) for k, name in enumerate(names)],
+            closure_order=[("z", "a"), ("a", "\u00e9"), ("_", "a_")])
+        for eps in (0.35, 2.0):  # sound pairs at 2.0 only
+            report = check_frontier(s, eps, eps / 3)
+            assert (report.touching_pairs, report.violations) == \
+                _dense_frontier(s, eps, eps / 3)
+            assert report.touching_pairs
+            assert report.passed == (not report.violations)
+            assert report.names == tuple(names)
+            assert [(report.names[a], report.names[b]) for a, b in zip(
+                report.source.tolist(), report.target.tolist())] == \
+                list(report.touching_pairs)
+
+    def test_report_arrays_and_lazy_tuples(self):
+        s = Stratification(line_stratification().strata,
+                           closure_order=[("S0", "S-")])
+        report = check_frontier(s, 0.05, 0.01)
+        assert report.source.dtype == report.target.dtype == np.int64
+        assert report.reason.tolist() == [0, 1]  # S0-S+ undeclared, S0-S- far
+        assert report.witness.shape == (2, 1)
+        assert report.distance.dtype == float
+        assert report.violations is report.violations
+        assert report.touching_pairs is report.touching_pairs
+        assert [v.reason for v in report.violations] == list(strata.REASONS)
+        assert report == check_frontier(s, 0.05, 0.01)
+        assert report != check_frontier(s, 0.05, 0.05)
+
+    def test_empty_report(self):
+        report = check_frontier(single_stratum(), 0.05, 0.05)
+        assert report.passed and report.touching_pairs == ()
+        assert report.violations == ()
+        assert report.source.shape == (0,) and report.witness.shape == (0, 1)
 
     @pytest.mark.parametrize("eps, delta", [(np.nan, 0.05), (0.05, np.nan)])
     def test_nan_thresholds_rejected(self, eps, delta):
@@ -262,6 +381,49 @@ def _pairs(a, b, r):
                   for i, j, d in zip(*chunk))
 
 
+def _near_pairs_by_cell(a, b, r):
+    """``near_pairs`` with one pair of binary searches per row and cell
+    of the 3^g around it, cell keys weighing the first grid coordinate
+    1: the reference for the order of its pairs and chunks."""
+    if not r >= 0:
+        return
+    g = min(a.shape[1], 3)
+    rows_a = np.flatnonzero(np.isfinite(a[:, :g]).all(axis=1))
+    rows_b = np.flatnonzero(np.isfinite(b[:, :g]).all(axis=1))
+    if not (rows_a.size and rows_b.size):
+        return
+    grid = np.concatenate([a[rows_a, :g], b[rows_b, :g]])
+    lo = grid.min(axis=0)
+    extent = float((grid.max(axis=0) - lo).max(initial=0.0))
+    cell = max(r * (1 + 2.0 ** -20), extent / strata._CELLS, 2.0 ** -500)
+    weights = (strata._CELLS + 3) ** np.arange(g)
+
+    def keys(x):
+        return (np.floor((x[:, :g] - lo) / cell).astype(np.int64) + 1) @ weights
+
+    kb = keys(b[rows_b])
+    order = np.argsort(kb, kind="stable")
+    kb, cands = kb[order], rows_b[order]
+    near = keys(a[rows_a])[:, None] + np.array(
+        list(product((-1, 0, 1), repeat=g)), dtype=np.int64) @ weights
+    starts = np.searchsorted(kb, near, side="left")
+    counts = np.searchsorted(kb, near, side="right") - starts
+    per_row = counts.sum(axis=1)
+    reach = np.cumsum(per_row)
+    q0 = 0
+    while q0 < len(rows_a):
+        q1 = max(q0 + 1, int(np.searchsorted(
+            reach, reach[q0] - per_row[q0] + strata._CHUNK, side="right")))
+        c, s = counts[q0:q1].ravel(), starts[q0:q1].ravel()
+        run = np.cumsum(c) - c
+        j = cands[np.arange(c.sum()) + np.repeat(s - run, c)]
+        i = np.repeat(rows_a[q0:q1], per_row[q0:q1])
+        d = np.sqrt(((a[i] - b[j]) ** 2).sum(-1))
+        keep = d <= r
+        yield i[keep], j[keep], d[keep]
+        q0 = q1
+
+
 def _brute_pairs(a, b, r):
     d = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(-1))
     return sorted((int(i), int(j), float(d[i, j]))
@@ -308,6 +470,51 @@ class TestDistanceKernel:
     def test_grid_misses_no_pair(self, n, dim, r, seed):
         pts = np.random.default_rng(seed).random((n, dim)).round(1)
         assert _pairs(pts, pts, r) == _brute_pairs(pts, pts, r)
+
+    @staticmethod
+    def _order_cases(dim):
+        rng = np.random.default_rng(100 + dim)
+        a = rng.random((120, dim)).round(1)  # many duplicate rows
+        b = rng.random((70, dim))
+        r = 0.1
+        # Pairs at exactly r along one axis, on cell boundaries.
+        edge = np.zeros((6, dim))
+        edge[:, 0] = np.arange(6) * r
+        yield a, a, r
+        yield a, b, 0.25
+        yield b, a, 0.25
+        yield a, a, 0.0
+        yield np.concatenate([edge, edge]), edge, r
+        yield edge, edge, np.sqrt(2) * r
+
+    @pytest.mark.parametrize("chunk", [1, 3, strata._CHUNK])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_same_chunks_as_one_search_per_cell(self, monkeypatch, dim,
+                                                chunk):
+        monkeypatch.setattr(strata, "_CHUNK", chunk)
+        for a, b, r in self._order_cases(dim):
+            got = list(near_pairs(a, b, r))
+            want = list(_near_pairs_by_cell(a, b, r))
+            assert len(got) == len(want)
+            for mine, theirs in zip(got, want):
+                for x, y in zip(mine, theirs):
+                    assert x.dtype == y.dtype
+                    assert np.array_equal(x, y)
+        assert any(i.size for i, _, _ in got)
+
+    def test_memory_per_row_at_scale(self):
+        n = 100_000
+        pts = np.random.default_rng(12).random((n, 3))
+        found = 0
+        tracemalloc.start()
+        try:
+            for i, _, _ in near_pairs(pts, pts, 0.2 * n ** (-1 / 3)):
+                found += i.size
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found > n  # every row meets itself, some meet others
+        assert peak < 700 * n
 
     def test_small_chunks_match_one_chunk(self, monkeypatch):
         monkeypatch.setattr(strata, "_CHUNK", 1 << 60)
