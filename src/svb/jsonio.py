@@ -181,14 +181,16 @@ def _scalar_rows(text: str, rows: list) -> bool:
 
 
 def _records(rows: list, inner: str):
-    """The items of a list of dicts sharing one key set, whose values
-    are scalars or nonempty lists of scalars, encoded one key at a time:
-    one compact encoding per key, split into one cell per record, and
-    one ``%`` template per record.  None for any other list of dicts;
-    a nested or empty value in the first record says so at once."""
+    """The items of a list of dicts sharing one set of string keys, whose
+    values are scalars or nonempty lists of scalars, encoded one key at a
+    time: one compact encoding per key, split into one cell per record,
+    and one ``%`` template per record.  None for any other list of
+    dicts; a nested or empty value in the first record says so at once."""
     first = rows[0]
-    for value in first.values():
+    for key, value in first.items():
         kind = type(value)
+        if type(key) is not str:  # 1, 1.0 and True find each other
+            return None
         if kind is list:
             if not value or type(value[0]) not in _LEAF_TYPES:
                 return None

@@ -256,6 +256,7 @@ class TestWriter:
         [{"%s": 1, "100%": [1, "%d"], "%%": "%"},
          {"%s": 2, "100%": [3], "%%": "%s"}],
         [{1: "x", 2.5: [1]}, {1: "y", 2.5: [2, 3]}],
+        [{1: "a"}, {1.0: "b"}, {True: "c"}],
         [{"a": [[1]]}, {"a": [2]}], [{"a": [1]}, {"a": [[2]]}],
         [{"a": [1, [2]]}, {"a": [3]}], [{"a": [1]}, {"a": [2, {}]}],
         [{"a": {"b": 1}}, {"a": {"b": 2}}], [{"a": 1}, {"a": {"b": 2}}],
@@ -276,7 +277,8 @@ class TestWriter:
             "matrix-object", "tuples", "sorted-keys", "non-string-keys",
             "records-shared", "records-scalars", "records-mixed-keys",
             "records-fewer-keys", "records-more-keys", "records-percent-keys",
-            "records-non-string-keys", "records-nested-first",
+            "records-non-string-keys", "records-equal-number-keys",
+            "records-nested-first",
             "records-nested-later", "records-nested-in-row",
             "records-object-in-row", "records-object-values",
             "records-object-later", "records-tuple-later",
