@@ -204,11 +204,11 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 def _record_lists(values, keys):
     """Lists of dicts sharing one key set, and lists of dicts whose key
     sets may differ."""
-    shared = st.lists(keys, min_size=1, max_size=4, unique=True).flatmap(
+    shared = st.lists(keys, min_size=1, max_size=3, unique=True).flatmap(
         lambda names: st.lists(st.fixed_dictionaries(
-            dict.fromkeys(names, values)), min_size=1, max_size=5))
-    return shared | st.lists(st.dictionaries(keys, values, max_size=4),
-                             max_size=5)
+            dict.fromkeys(names, values)), min_size=1, max_size=4))
+    return shared | st.lists(st.dictionaries(keys, values, max_size=3),
+                             max_size=4)
 
 
 class TestWriter:
