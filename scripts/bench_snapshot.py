@@ -2,19 +2,15 @@
 """Record a performance snapshot of an svb checkout as ``BENCH_<n>.json``.
 
     python3 scripts/bench_snapshot.py --out BENCH_1.json [--checkout DIR]
-    python3 scripts/bench_snapshot.py --out BENCH_2.json \
-        --against PARENT_CHECKOUT [--checkout DIR]
 
 Runs the checkout's ``perfbench/run.py`` for every workload over seeds
-1-3, 20 s each, and stores, per workload, the median and interquartile
-range of each end-to-end metric together with the run context (commit,
-numpy, BLAS and its threads, nproc).  It also times kernels at the sizes
-the benchmark's inputs hide: ``check_frontier`` and
+1-3, 20 s each, and stores, per workload, the median and interquartile range of each
+end-to-end metric together with the run context (commit, numpy, BLAS
+and its threads, nproc).  It also times kernels at the sizes the
+benchmark's inputs hide: ``check_frontier`` and
 ``local_finiteness_report`` on the Cantor stratifications of levels 6-9,
 the construction of a 3,200-point ``Stratification`` (32 clusters in
-R^3) and ``check_frontier`` on it at eps 0.05, ``near_pairs`` on 100,000
-uniform points of the unit cube at radius 0.2 n^(-1/3),
-``apply_functor_to_bundle`` with sym:3 on a rank-4 trivial bundle
+R^3), ``apply_functor_to_bundle`` with sym:3 on a rank-4 trivial bundle
 over 2,000 points, reading that bundle's file (``bundle_from_json`` of
 ``read_json``) and checking it in process with ``check orthogonality
 --bundle --functor wedge:2``, ``check_orthogonality`` with sym:4 on a
@@ -27,21 +23,11 @@ over 200 rings (``ring_tangent_bundle``, 2,401 points) is timed five
 times as well.  Two fixed per-call costs are timed warm, after one
 untimed call, five times each: one in-process ``cli.main`` call of
 ``check frontier`` on ``fixtures/line.json`` and ``foliation_bundle``
-on the 441-point grid of the cloud and orbits workloads.  The kernels
-are timed once per seed, after that seed's perfbench runs; a kernel's
-``median_s`` is the median of those rounds.  Seeds, run length and
-repeats are fixed, so that any two snapshots compare like with like.
-Each measurement runs in a fresh process that imports svb from the
+on the 441-point grid of the cloud and orbits workloads.  Seeds, run length and repeats are
+fixed, so that any two snapshots compare like with like.  Each
+measurement runs in a fresh process that imports svb from the
 checkout's ``src``, so a snapshot of an older commit only needs its
 checkout; ``--checkout`` defaults to the one holding this script.
-
-With ``--against`` the parent checkout is measured too, each of its runs
-paired with the same run of ``--checkout``, the side that goes first
-alternating from seed to seed.  The file then holds both snapshots,
-``parent`` and ``change``, and under ``compare`` the median
-change-to-parent ratio of each metric and kernel over the pairs, the
-pairs the change won, and each metric's bound from the checkout's
-``BENCHMARK.json`` (which is only read); these are printed as well.
 """
 
 import argparse
@@ -69,9 +55,6 @@ def parse_args(argv):
     parser.add_argument("--out", required=True, help="snapshot file to write")
     parser.add_argument("--checkout", default=HERE,
                         help="svb checkout to measure (default: this one)")
-    parser.add_argument("--against", metavar="PARENT_CHECKOUT",
-                        help="also measure this checkout, alternating with "
-                             "--checkout, and compare the two")
     parser.add_argument("--scaled", action="store_true",
                         help=argparse.SUPPRESS)  # the child-process mode
     return parser.parse_args(argv)
@@ -145,7 +128,7 @@ def scaled_timings(checkout):
         write_json
     from svb.monoid import audit_axioms, regularity_check
     from svb.strata import (Stratification, Stratum, check_frontier,
-                            local_finiteness_report, near_pairs)
+                            local_finiteness_report)
 
     if os.path.dirname(os.path.abspath(svb.__file__)) != \
             os.path.join(os.path.abspath(src), "svb"):
@@ -163,19 +146,6 @@ def scaled_timings(checkout):
     cases["stratification_3200"] = (
         {"points": 3200, "strata": len(strata)},
         lambda: Stratification(strata))
-    clusters = Stratification(strata)
-    cases["frontier_clusters_3200"] = (
-        {"points": 3200, "strata": len(strata), "eps_touch": 0.05},
-        lambda: check_frontier(clusters, 0.05, 0.05))
-    uniform = np.random.default_rng(0).random((100_000, 3))
-    radius = 0.2 * len(uniform) ** (-1 / 3)
-
-    def uniform_pairs():
-        return sum(i.size for i, _, _ in near_pairs(uniform, uniform, radius))
-
-    cases["near_pairs_uniform_100k"] = (
-        {"points": len(uniform), "ambient": 3, "radius": radius},
-        uniform_pairs)
     rng = np.random.default_rng(0)
     bundle = trivial_bundle(Stratification(
         [Stratum("bulk", 2, rng.uniform(-1.0, 1.0, (2000, 2)))]), 4)
@@ -246,39 +216,23 @@ def scaled_timings(checkout):
     return out
 
 
-def measure(checkouts):
-    """Every workload at every seed, then the scaled kernels, for each
-    checkout in turn; the first checkout to run changes from one seed to
-    the next.  Returns, per checkout, its runs, context and scaled
-    timings (one round per seed)."""
-    sides = {c: {"runs": {w: [] for w in WORKLOADS}, "context": None,
-                 "scaled": []} for c in checkouts}
-    for k, seed in enumerate(SEEDS):
-        order = checkouts[::-1] if k % 2 else checkouts
-        for workload in WORKLOADS:
-            for checkout in order:
-                metrics, ctx = perfbench(checkout, workload, seed)
-                side = sides[checkout]
-                side["context"] = side["context"] or {
-                    key: ctx.get(key) for key in CONTEXT_KEYS}
-                side["runs"][workload].append(
-                    dict(metrics, seed=seed, fail_ratio=ctx["fail_ratio"]))
-                print(f"{checkout} {workload} seed={seed} ops_per_s="
-                      f"{metrics['ops_per_s']:.4g}", file=sys.stderr)
-        for checkout in order:
-            done = subprocess.run(
-                [sys.executable, os.path.abspath(__file__), "--scaled",
-                 "--out", "-", "--checkout", checkout],
-                capture_output=True, text=True, check=True)
-            sides[checkout]["scaled"].append(json.loads(done.stdout))
-    return sides
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    checkout = os.path.abspath(args.checkout)
+    if args.scaled:
+        print(json.dumps(scaled_timings(checkout)))
+        return 0
 
-
-def snapshot(checkout, side):
-    """One checkout's snapshot: per workload the median and interquartile
-    range of each metric, per scaled kernel the median of its rounds."""
     workloads = {}
-    for workload, runs in side["runs"].items():
+    context = None
+    for workload in WORKLOADS:
+        runs = []
+        for seed in SEEDS:
+            metrics, ctx = perfbench(checkout, workload, seed)
+            context = context or {key: ctx.get(key) for key in CONTEXT_KEYS}
+            runs.append(dict(metrics, seed=seed, fail_ratio=ctx["fail_ratio"]))
+            print(f"{workload} seed={seed} ops_per_s="
+                  f"{metrics['ops_per_s']:.4g}", file=sys.stderr)
         summary = {name: spread([run[name] for run in runs])
                    for name in METRICS}
         workloads[workload] = {
@@ -286,80 +240,17 @@ def snapshot(checkout, side):
             "iqr": {name: q for name, (_, q) in summary.items()},
             "fail_ratio": max(run["fail_ratio"] for run in runs),
             "runs": runs}
-    rounds = side["scaled"]
-    scaled = {}
-    for name, first in rounds[0].items():
-        medians = [r[name]["median_s"] for r in rounds]
-        scaled[name] = {"median_s": statistics.median(medians),
-                        "min_s": min(r[name]["min_s"] for r in rounds),
-                        "repeats": REPEATS, "rounds": medians,
-                        "size": first["size"]}
-    return {"context": dict(side["context"], seeds=list(SEEDS),
-                            seconds=SECONDS,
-                            src_modified=src_modified(checkout)),
-            "workloads": workloads, "scaled": scaled}
-
-
-def compare(parent, change, benchmark):
-    """Per workload and end-to-end metric, and per scaled kernel: the
-    median of the change-to-parent ratios of paired runs, the pairs the
-    change won and, for a metric, its bound from ``BENCHMARK.json``."""
-    declared = {m["name"]: m for m in benchmark["end_to_end"]}
-
-    def paired(pairs, better, **extra):
-        ratios = [c / p for p, c in pairs]
-        wins = sum(c < p if better == "lower" else c > p for p, c in pairs)
-        return dict(extra, median_ratio=statistics.median(ratios),
-                    wins=wins, pairs=len(pairs), better=better)
-
-    out = {"workloads": {}, "scaled": {}}
-    for workload in WORKLOADS:
-        before = parent["workloads"][workload]["runs"]
-        after = change["workloads"][workload]["runs"]
-        out["workloads"][workload] = {
-            name: paired([(p[name], c[name]) for p, c in zip(before, after)],
-                         declared[name]["better"],
-                         bound=declared[name]["bound"])
-            for name in METRICS}
-    for name, timing in change["scaled"].items():
-        if name in parent["scaled"]:
-            out["scaled"][name] = paired(
-                list(zip(parent["scaled"][name]["rounds"], timing["rounds"])),
-                "lower")
-    return out
-
-
-def report(comparison):
-    for workload, metrics in comparison["workloads"].items():
-        for name, c in metrics.items():
-            print(f"{workload:8s} {name:12s} ratio {c['median_ratio']:7.3f} "
-                  f"wins {c['wins']}/{c['pairs']} bound {c['bound']} "
-                  f"({c['better']} is better)")
-    for name, c in comparison["scaled"].items():
-        print(f"scaled   {name:32s} ratio {c['median_ratio']:7.3f} "
-              f"wins {c['wins']}/{c['pairs']}")
-
-
-def main(argv=None) -> int:
-    args = parse_args(argv)
-    checkout = os.path.abspath(args.checkout)
-    if args.scaled:
-        print(json.dumps(scaled_timings(checkout)))
-        return 0
-    if args.against is None:
-        out = snapshot(checkout, measure([checkout])[checkout])
-    else:
-        parent = os.path.abspath(args.against)
-        sides = measure([parent, checkout])
-        out = {"parent": snapshot(parent, sides[parent]),
-               "change": snapshot(checkout, sides[checkout])}
-        with open(os.path.join(checkout, "BENCHMARK.json"),
-                  encoding="utf-8") as fh:
-            out["compare"] = compare(out["parent"], out["change"],
-                                     json.load(fh))
-        report(out["compare"])
+    done = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--scaled", "--out",
+         args.out, "--checkout", checkout],
+        capture_output=True, text=True, check=True)
+    snapshot = {"context": dict(context, seeds=list(SEEDS),
+                                seconds=SECONDS,
+                                src_modified=src_modified(checkout)),
+                "workloads": workloads,
+                "scaled": json.loads(done.stdout)}
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(out, fh, indent=2, sort_keys=True)
+        json.dump(snapshot, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return 0
 

@@ -75,12 +75,11 @@ def dumps(obj: Any) -> str:
 
     The standard library's indented encoder is pure Python, one
     generator step per number.  This walk emits containers the same way
-    but hands each list of scalars, and each list of rows of scalars, to
+    but hands each list of scalars, and each list of rows of numbers, to
     the compact C encoder in one call and re-indents its output by
     replacing the separators ``", "`` (and ``"], ["`` between rows).
-    A list of records sharing one key set goes the same way one key at a
-    time.  That is exact when no string in the list contains a
-    separator, which is checked on the encoded text.
+    That is exact when no string in the list contains a separator, which
+    is checked on the encoded text.
     """
     chunks: list[str] = []
     _encode(obj, chunks.append, "\n")
@@ -144,17 +143,15 @@ def _encode(obj, write, newline: str) -> None:
                 return
         elif types == {list}:
             text = _compact(obj)
-            if _scalar_rows(text, obj):
+            # Rows holding neither strings nor lists, none of them empty:
+            # "], [" separates the rows and ", " their entries.
+            if ('"' not in text and "[]" not in text
+                    and text.count("[") == len(obj) + 1):
                 entry = inner + "  "
                 body = (text[2:-2]
                         .replace("], [", f"{inner}],{inner}[{entry}")
                         .replace(", ", "," + entry))
                 write(f"[{inner}[{entry}{body}{inner}]{newline}]")
-                return
-        elif types == {dict}:
-            body = _records(obj, inner)
-            if body is not None:
-                write(f"[{inner}{body}{newline}]")
                 return
         separator = "[" + inner
         for item in obj:
@@ -167,63 +164,6 @@ def _encode(obj, write, newline: str) -> None:
         write(newline + "]")
     else:
         write(_compact(obj))
-
-
-def _scalar_rows(text: str, rows: list) -> bool:
-    """Whether ``text``, the compact encoding of a list of lists, shows
-    nonempty rows of scalars whose strings hold no ", ": then "], ["
-    separates the rows and ", " their entries.  A string holding "[",
-    "[]" or "{" makes it answer no."""
-    return ("[]" not in text and text.count("[") == len(rows) + 1
-            and ('"' not in text or (
-                "{" not in text
-                and text.count(", ") == sum(map(len, rows)) - 1)))
-
-
-def _records(rows: list, inner: str):
-    """The items of a list of dicts sharing one set of string keys, whose
-    values are scalars or nonempty lists of scalars, encoded one key at a
-    time: one compact encoding per key, split into one cell per record,
-    and one ``%`` template per record.  None for any other list of
-    dicts; a nested or empty value in the first record says so at once."""
-    first = rows[0]
-    for key, value in first.items():
-        kind = type(value)
-        if type(key) is not str:  # 1, 1.0 and True find each other
-            return None
-        if kind is list:
-            if not value or type(value[0]) not in _LEAF_TYPES:
-                return None
-        elif kind not in _LEAF_TYPES:
-            return None
-    if not first or set(map(len, rows)) != {len(first)}:
-        return None
-    field, entry = inner + "  ", inner + "    "
-    slots, columns = [], []
-    for key in sorted(first):
-        try:
-            column = [row[key] for row in rows]
-        except KeyError:  # a record with another key set
-            return None
-        text = _compact(column)
-        name = _key(key).replace("%", "%%")
-        if type(first[key]) is list:
-            if set(map(type, column)) != {list} or \
-                    not _scalar_rows(text, column):
-                return None
-            cells = (text[2:-2].replace(", ", "," + entry)
-                     .split(f"],{entry}["))
-            slots.append(f"{name}: [{entry}%s{field}]")
-        else:
-            if not set(map(type, column)) <= _LEAF_TYPES:
-                return None
-            cells = text[1:-1].split(", ")
-            if len(cells) != len(rows):  # a string holds ", "
-                return None
-            slots.append(name + ": %s")
-        columns.append(cells)
-    template = "{" + field + ("," + field).join(slots) + inner + "}"
-    return ("," + inner).join([template % cells for cells in zip(*columns)])
 
 
 def _expect(obj, key, kinds, path):

@@ -128,6 +128,9 @@ class Stratification:
                 raise ValueError(f"closure order contains reflexive pair ({a},{a})")
         self.closure_order = frozenset(order)
         self._closure_reachable = _transitive_closure(names, order)
+        for name in names:
+            if (name, name) in self._closure_reachable:
+                raise ValueError("closure order contains a cycle")
         self._check_disjoint()
 
     def _check_disjoint(self):
@@ -180,27 +183,19 @@ class Stratification:
 
 
 def _transitive_closure(names, pairs) -> frozenset:
-    """Every pair joined by a chain of declared pairs, from one pass in
-    reverse topological order: a stratum reaches each of its successors
-    and everything they reach."""
-    successors, waiting = {}, {}  # waiting: predecessors not yet sorted
+    reach = {n: set() for n in names}
     for a, b in pairs:
-        successors.setdefault(a, []).append(b)
-        waiting[b] = waiting.get(b, 0) + 1
-    order = [n for n in names if n not in waiting]
-    for a in order:  # Kahn's sort: order grows as it is read
-        for b in successors.get(a, ()):
-            waiting[b] -= 1
-            if not waiting[b]:
-                order.append(b)
-    if len(order) < len(names):
-        raise ValueError("closure order contains a cycle")
-    reach = {}
-    for a in reversed(order):
-        if a in successors:
-            reach[a] = above = set(successors[a])
-            for b in successors[a]:
-                above.update(reach.get(b, ()))
+        reach[a].add(b)
+    changed = True
+    while changed:
+        changed = False
+        for a in names:
+            extra = set()
+            for b in reach[a]:
+                extra |= reach[b] - reach[a]
+            if extra:
+                reach[a] |= extra
+                changed = True
     return frozenset((a, b) for a, bs in reach.items() for b in bs)
 
 
@@ -495,7 +490,7 @@ def check_frontier(s: Stratification, eps_touch: Optional[float] = None,
         other = owner[i] != owner[j]
         key = i[other] * n + owner[j[other]]
         order = np.argsort(key, kind="stable")
-        runs = _run_starts(key[order])
+        runs = np.flatnonzero(np.diff(key[order], prepend=-1))
         # Each (source point, target) once, at its nearest distance.
         i, target = np.divmod(key[order[runs]], n)
         pending = _farthest_per_pair(*map(np.concatenate, zip(pending, (
@@ -524,16 +519,8 @@ def _farthest_per_pair(pair, count, reach, point):
     largest reach is kept with the lowest point attaining it."""
     order = np.lexsort((point, -reach, pair))
     pair, count, reach, point = (x[order] for x in (pair, count, reach, point))
-    runs = _run_starts(pair)
+    runs = np.flatnonzero(np.diff(pair, prepend=-1))
     return pair[runs], np.add.reduceat(count, runs), reach[runs], point[runs]
-
-
-def _run_starts(keys: np.ndarray) -> np.ndarray:
-    """Index of the first entry of each run of equal sorted keys."""
-    first = np.empty(keys.shape, dtype=bool)
-    first[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return np.flatnonzero(first)
 
 
 def filtration(s: Stratification) -> list[set[str]]:
