@@ -13,7 +13,6 @@ fields.
 
 __version__ = "0.1.0"
 
-from .config import Tolerances
 from .grassmann import (
     Subspace,
     apply_linear_map,
@@ -25,7 +24,6 @@ from .grassmann import (
 )
 
 __all__ = [
-    "Tolerances",
     "Subspace",
     "span",
     "gap_distance",

@@ -1,13 +1,16 @@
 """Batch front door: load JSON scenes, run checks, emit reports.
 
-Every verb is registered once, in ``build_parser``: its subparser and
-flags together with its handler ``run(args, cfg, add)``, which records
-checks through ``add`` and returns the artifacts it produced.  The
-parser is built once per process; ``main`` calls ``args.run``.
+Every verb is registered once, in ``build_parser``: its subparser, its
+flags, the tolerances its handler reads (from ``TOLERANCES``, and no
+others) and its handler ``run(args, add)``, which records checks through
+``add`` and returns the artifacts it produced.  The parser is built once
+per process; ``main`` checks the tolerance values, calls ``args.run``
+and echoes the verb's tolerances in the report's ``config``.
 
 Exit codes: 0 when every check passes, 2 when any check fails, 3 when
 some check is inconclusive and none fails, 1 on input errors (unreadable
-files, schema violations, bad flags or tolerance values).
+files, schema violations, bad flags or tolerance values) and when
+``--out`` cannot be written.
 
 Reports are deterministic for fixed inputs and configuration; the
 timestamp is the only varying field and ``--no-timestamp`` drops it.
@@ -16,7 +19,6 @@ timestamp is the only varying field and ``--no-timestamp`` drops it.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import datetime
 import functools
 import re
@@ -33,7 +35,7 @@ from .bundle import (
     whitney_a_check,
     whitney_a_from_sections,
 )
-from .config import Tolerances
+from .config import R_CC, STEP, TAIL_LEN, TOL_CHECK, TOL_RANK
 from .equivariant import invariant_subbundle, quotient_bundle, tangent_comparison
 from .foliation import fields_as_sections, foliation_bundle, stratify_by_rank
 from .functors import (check_orthogonality, orthogonality_residuals,
@@ -57,15 +59,28 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _tolerance_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("tolerances")
-    group.add_argument("--tol-rank", type=float, default=None)
-    group.add_argument("--tol-check", type=float, default=None)
-    group.add_argument("--step", type=float, default=None)
-    group.add_argument("--r-cc", type=float, default=None)
-    group.add_argument("--eps-touch", type=float, default=None)
-    group.add_argument("--delta-cover", type=float, default=None)
-    group.add_argument("--tail-len", type=int, default=None)
+# Every tolerance flag: name -> (type, default).  A default of None is
+# scale-relative: check_frontier resolves it to 1e-2 times the cloud
+# diameter.
+TOLERANCES = {
+    "tol_rank": (float, TOL_RANK),
+    "tol_check": (float, TOL_CHECK),
+    "step": (float, STEP),
+    "r_cc": (float, R_CC),
+    "eps_touch": (float, None),
+    "delta_cover": (float, None),
+    "tail_len": (int, TAIL_LEN),
+}
+
+
+def _check_tolerances(args: argparse.Namespace) -> None:
+    for name in args.tolerances:
+        value = getattr(args, name)
+        if name == "tail_len" and value < 1:
+            raise CliError("tail_len must be at least 1")
+        if value is not None and not value > 0:  # NaN fails too
+            when = " when set" if TOLERANCES[name][1] is None else ""
+            raise CliError(f"{name} must be positive{when}")
 
 
 def _output_flags(parser: argparse.ArgumentParser) -> None:
@@ -75,16 +90,6 @@ def _output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp for byte-stable reports")
-
-
-def _config(args: argparse.Namespace) -> Tolerances:
-    try:
-        return Tolerances.from_env().replace(
-            tol_rank=args.tol_rank, tol_check=args.tol_check,
-            step=args.step, r_cc=args.r_cc, eps_touch=args.eps_touch,
-            delta_cover=args.delta_cover, tail_len=args.tail_len)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
 
 
 def _auto_scenario(bundle, spec: str, source: str | None
@@ -126,14 +131,16 @@ def _parse_functor_arg(text: str):
         raise CliError(str(exc)) from None
 
 
-# Handlers: run(args, cfg, add) records checks through add; producing
-# verbs return their artifacts, {"bundle" or "stratification": object},
-# or {} when a check failed.
+# Handlers: run(args, add) records checks through add; producing verbs
+# return their artifacts, {"bundle" or "stratification": object}, or {}
+# when a check failed.  The frontier handlers store the thresholds
+# check_frontier resolved back into args, for the report's config.
 
-def _check_frontier(args, cfg, add):
+def _check_frontier(args, add):
     strat = jsonio.stratification_from_json(
         jsonio.read_json(args.stratification))
-    report = check_frontier(strat, cfg.eps_touch, cfg.delta_cover)
+    report = check_frontier(strat, args.eps_touch, args.delta_cover)
+    args.eps_touch, args.delta_cover = report.eps_touch, report.delta_cover
     add("frontier", "PASS" if report.passed else "FAIL",
         eps_touch=report.eps_touch, delta_cover=report.delta_cover,
         touching_pairs=list(map(list, zip(*report.pair_names()))),
@@ -142,7 +149,7 @@ def _check_frontier(args, cfg, add):
                     in zip(*report.violation_columns())])
 
 
-def _check_whitney_a(args, cfg, add):
+def _check_whitney_a(args, add):
     bundle = jsonio.bundle_from_json(jsonio.read_json(args.bundle))
     validation = validate_bundle(bundle)
     add("validate-bundle", "PASS" if validation.passed else "FAIL",
@@ -155,15 +162,15 @@ def _check_whitney_a(args, cfg, add):
     else:
         raise CliError("check whitney-a needs --scenario or --auto-sequence")
     try:
-        verdict = whitney_a_check(bundle, scenario, tol=cfg.tol_check,
-                                  tail_len=cfg.tail_len)
+        verdict = whitney_a_check(bundle, scenario, tol=args.tol_check,
+                                  tail_len=args.tail_len)
     except (KeyError, ValueError) as exc:
         raise CliError(f"scenario: {exc}") from None
     add("whitney-a", verdict.status, residual=verdict.residual,
         scenario=scenario.to_json())
 
 
-def _check_orthogonality(args, cfg, add):
+def _check_orthogonality(args, add):
     functor = _parse_functor_arg(args.functor)
     if bool(args.subspace) == bool(args.bundle):
         raise CliError("check orthogonality needs exactly one of --subspace "
@@ -171,7 +178,7 @@ def _check_orthogonality(args, cfg, add):
     try:  # also F(R^k) above functors.MAX_DIM, or an image failing its audit
         if args.subspace:
             w = jsonio.subspace_file_from_json(jsonio.read_json(args.subspace))
-            ok, residual = check_orthogonality(functor, w, cfg.tol_check)
+            ok, residual = check_orthogonality(functor, w, args.tol_check)
             add("orthogonality", "PASS" if ok else "FAIL", residual=residual)
             return
         bundle = jsonio.bundle_from_json(jsonio.read_json(args.bundle))
@@ -181,11 +188,11 @@ def _check_orthogonality(args, cfg, add):
         raise CliError(str(exc)) from None
     for (name, i), residual in zip(bundle.point_keys(), residuals.tolist()):
         add(f"orthogonality[{name}:{i}]",
-            "PASS" if residual <= cfg.tol_check else "FAIL",
+            "PASS" if residual <= args.tol_check else "FAIL",
             residual=residual)
 
 
-def _apply_functor(args, cfg, add):
+def _apply_functor(args, add):
     functor = _parse_functor_arg(args.functor)
     bundle = jsonio.bundle_from_json(jsonio.read_json(args.bundle))
     try:
@@ -204,12 +211,12 @@ def _apply_functor(args, cfg, add):
     return {"bundle": image}
 
 
-def _monoid_analyze(args, cfg, add):
+def _monoid_analyze(args, add):
     action = jsonio.action_from_json(jsonio.read_json(args.action))
     try:
-        audit = audit_axioms(action, cfg.tol_check)
-        regularity = regularity_check(action, tol=cfg.tol_check,
-                                      step=cfg.step)
+        audit = audit_axioms(action, args.tol_check)
+        regularity = regularity_check(action, tol=args.tol_check,
+                                      step=args.step)
     except ValueError as exc:  # non-finite evaluator value
         raise CliError(f"action: {exc}") from None
     add("axioms", "PASS" if audit.passed else "FAIL",
@@ -223,7 +230,7 @@ def _monoid_analyze(args, cfg, add):
                           for i in regularity.violating_indices])
 
 
-def _equivariant(args, cfg, add):
+def _equivariant(args, add):
     """``equivariant tilde`` and ``equivariant quotient``."""
     group = jsonio.group_from_json(jsonio.read_json(args.group))
     bundle = jsonio.bundle_from_json(jsonio.read_json(args.bundle))
@@ -231,7 +238,7 @@ def _equivariant(args, cfg, add):
     tilde = name == "tilde"
     try:
         result = (invariant_subbundle if tilde else quotient_bundle)(
-            group, bundle, tol=cfg.tol_check, r_cc=cfg.r_cc)
+            group, bundle, tol=args.tol_check, r_cc=args.r_cc)
         add("invariant-subbundle" if tilde else "quotient-bundle", "PASS",
             ranks=dict(sorted(result.stratum_rank.items())))
         if not tilde:
@@ -249,10 +256,11 @@ def _equivariant(args, cfg, add):
     return {"bundle": result}
 
 
-def _foliation_stratify(args, cfg, add):
+def _foliation_stratify(args, add):
     vfs = jsonio.fields_from_json(jsonio.read_json(args.fields))
-    strat = stratify_by_rank(vfs, r_cc=cfg.r_cc, tol_rank=cfg.tol_rank)
-    report = check_frontier(strat, cfg.eps_touch, cfg.delta_cover)
+    strat = stratify_by_rank(vfs, r_cc=args.r_cc, tol_rank=args.tol_rank)
+    report = check_frontier(strat, args.eps_touch, args.delta_cover)
+    args.eps_touch, args.delta_cover = report.eps_touch, report.delta_cover
     add("stratify", "PASS",
         strata=[{"name": s.name, "dim": s.dim, "points": len(s)}
                 for s in strat.strata])
@@ -262,9 +270,9 @@ def _foliation_stratify(args, cfg, add):
     return {"stratification": strat}
 
 
-def _foliation_bundle(args, cfg, add):
+def _foliation_bundle(args, add):
     vfs = jsonio.fields_from_json(jsonio.read_json(args.fields))
-    bundle = foliation_bundle(vfs, r_cc=cfg.r_cc, tol_rank=cfg.tol_rank)
+    bundle = foliation_bundle(vfs, r_cc=args.r_cc, tol_rank=args.tol_rank)
     validation = validate_bundle(bundle)
     add("validate-bundle", "PASS" if validation.passed else "FAIL",
         ranks=dict(sorted(bundle.stratum_rank.items())),
@@ -274,7 +282,7 @@ def _foliation_bundle(args, cfg, add):
         try:
             verdict = whitney_a_from_sections(
                 bundle, fields_as_sections(vfs, bundle), scenario,
-                tol=cfg.tol_check, tail_len=cfg.tail_len)
+                tol=args.tol_check, tail_len=args.tail_len)
         except (KeyError, ValueError) as exc:
             raise CliError(f"scenario: {exc}") from None
         add("whitney-a-sections", verdict.status, residual=verdict.residual,
@@ -286,8 +294,9 @@ def _foliation_bundle(args, cfg, add):
 def build_parser() -> argparse.ArgumentParser:
     """The svb parser, built once per process (``parse_args`` returns a
     fresh namespace with every default re-applied).  Each verb sets
-    ``run``, ``verb`` and ``producing``: producing verbs write their
-    artifact to ``--out`` and their report to stdout."""
+    ``run``, ``verb``, ``producing`` and ``tolerances``: producing verbs
+    write their artifact to ``--out`` and their report to stdout, and
+    ``tolerances`` names the flags of ``TOLERANCES`` the verb takes."""
     parser = _Parser(
         prog="svb",
         description="checks and constructions on sampled stratified "
@@ -295,12 +304,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"svb {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
-    leaves = []
 
-    def verb(group, name, run, producing=False, **kwargs):
+    def verb(group, name, run, tolerances, producing=False, **kwargs):
         sub = group.add_parser(name.split()[-1], **kwargs)
-        sub.set_defaults(run=run, verb=name, producing=producing)
-        leaves.append(sub)
+        sub.set_defaults(run=run, verb=name, producing=producing,
+                         tolerances=tolerances)
+        flags = sub.add_argument_group("tolerances")
+        for tol in tolerances:
+            kind, default = TOLERANCES[tol]
+            flags.add_argument("--" + tol.replace("_", "-"), type=kind,
+                               default=default)
+        _output_flags(sub)
         return sub
 
     def group(name, **kwargs):
@@ -308,10 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
             dest="subcommand", required=True)
 
     check = group("check", help="run a verification")
-    verb(check, "check frontier", _check_frontier).add_argument(
+    frontier = ("eps_touch", "delta_cover")
+    verb(check, "check frontier", _check_frontier, frontier).add_argument(
         "--stratification", required=True)
 
-    whitney = verb(check, "check whitney-a", _check_whitney_a)
+    whitney = verb(check, "check whitney-a", _check_whitney_a,
+                   ("tol_check", "tail_len"))
     whitney.add_argument("--bundle", required=True)
     whitney.add_argument("--scenario")
     whitney.add_argument("--auto-sequence", metavar="radial:S[i],count",
@@ -320,37 +336,37 @@ def build_parser() -> argparse.ArgumentParser:
     whitney.add_argument("--source-stratum",
                          help="stratum the auto-generated sequence runs in")
 
-    ortho = verb(check, "check orthogonality", _check_orthogonality)
+    ortho = verb(check, "check orthogonality", _check_orthogonality,
+                 ("tol_check",))
     ortho.add_argument("--functor", required=True)
     ortho.add_argument("--subspace")
     ortho.add_argument("--bundle")
 
-    apply_f = verb(commands, "apply-functor", _apply_functor, True,
+    apply_f = verb(commands, "apply-functor", _apply_functor, (), True,
                    help="apply a functor fibrewise")
     apply_f.add_argument("--functor", required=True)
     apply_f.add_argument("--bundle", required=True)
 
-    verb(group("monoid"), "monoid analyze", _monoid_analyze).add_argument(
-        "--action", required=True)
+    verb(group("monoid"), "monoid analyze", _monoid_analyze,
+         ("tol_check", "step")).add_argument("--action", required=True)
 
     equiv = group("equivariant")
     for name in ("tilde", "quotient"):
-        sub = verb(equiv, f"equivariant {name}", _equivariant, True)
+        sub = verb(equiv, f"equivariant {name}", _equivariant,
+                   ("tol_check", "r_cc"), True)
         sub.add_argument("--group", required=True)
         sub.add_argument("--bundle", required=True)
 
     fol = group("foliation")
-    verb(fol, "foliation stratify", _foliation_stratify, True).add_argument(
+    verb(fol, "foliation stratify", _foliation_stratify,
+         ("r_cc", "tol_rank") + frontier, True).add_argument(
         "--fields", required=True)
-    fbundle = verb(fol, "foliation bundle", _foliation_bundle, True)
+    fbundle = verb(fol, "foliation bundle", _foliation_bundle,
+                   ("r_cc", "tol_rank", "tol_check", "tail_len"), True)
     fbundle.add_argument("--fields", required=True)
     fbundle.add_argument("--scenario",
                          help="optionally check Whitney A via the "
                               "generating fields as sections")
-
-    for sub in leaves:
-        _tolerance_flags(sub)
-        _output_flags(sub)
     return parser
 
 
@@ -382,8 +398,8 @@ def main(argv=None) -> int:
         checks.append({"name": name, "verdict": verdict, **data})
 
     try:
-        cfg = _config(args)
-        produced = args.run(args, cfg, add)
+        _check_tolerances(args)
+        produced = args.run(args, add)
     except (CliError, jsonio.SchemaError) as exc:
         print(f"svb: error: {exc}", file=sys.stderr)
         return 1
@@ -393,16 +409,13 @@ def main(argv=None) -> int:
         "schema": jsonio.SCHEMA,
         "tool": {"name": "svb", "version": __version__},
         "command": args.verb,
-        "config": dataclasses.asdict(cfg),
+        "config": {name: getattr(args, name) for name in args.tolerances},
         "checks": checks,
         "overall": overall,
     }
     # A producing verb writes its artifact unless a check failed; its
     # report always goes to stdout.  Checking verbs report to --out.
     if args.producing and args.out and overall != "FAIL":
-        for kind, obj in produced.items():  # jsonio.bundle_to_json, ...
-            to_json = getattr(jsonio, f"{kind}_to_json")
-            jsonio.write_json(to_json(obj), args.out)
         report["artifacts"] = dict.fromkeys(produced, args.out)
     if not args.no_timestamp:
         report["timestamp"] = datetime.datetime.now(
@@ -410,11 +423,20 @@ def main(argv=None) -> int:
 
     rendered = _render_text(report) if args.format == "text" else \
         jsonio.dumps(report) + "\n"
-    if args.out and not args.producing:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
-    else:
-        sys.stdout.write(rendered)
+    try:
+        if "artifacts" in report:
+            for kind, obj in produced.items():  # jsonio.bundle_to_json, ...
+                to_json = getattr(jsonio, f"{kind}_to_json")
+                jsonio.write_json(to_json(obj), args.out)
+        elif args.out and not args.producing:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+            return code
+    except OSError as exc:
+        print(f"svb: error: {args.out}: cannot write: {exc.strerror}",
+              file=sys.stderr)
+        return 1
+    sys.stdout.write(rendered)
     return code
 
 

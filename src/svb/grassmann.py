@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import TOL_CHECK, TOL_ORTHO, TOL_RANK
+from .config import TAIL_LEN, TOL_CHECK, TOL_ORTHO, TOL_RANK
 
 __all__ = [
     "Subspace",
@@ -189,7 +189,7 @@ def containment_residual(w: Subspace, v: Subspace,
 
 
 def sequence_limit(seq: Sequence[Subspace], tol: float = TOL_CHECK,
-                   tail_len: int = 5) -> Optional[Subspace]:
+                   tail_len: int = TAIL_LEN) -> Optional[Subspace]:
     """Cauchy-tail limit of a subspace sequence, or None if there is none.
 
     The last ``tail_len`` projections must be pairwise within ``tol`` in

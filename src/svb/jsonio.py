@@ -56,6 +56,8 @@ def read_json(path: str) -> Any:
             return json.load(fh)
     except FileNotFoundError:
         raise SchemaError(f"{path}: file not found") from None
+    except OSError as exc:  # a directory, no permission, ...
+        raise SchemaError(f"{path}: cannot read: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
@@ -172,7 +174,9 @@ def _expect(obj, key, kinds, path):
     if key not in obj:
         raise SchemaError(f"{path}.{key}: missing")
     value = obj[key]
-    if kinds is not None and not isinstance(value, kinds):
+    # JSON true and false are Python bools, which are ints: never a count.
+    if kinds is not None and (not isinstance(value, kinds)
+                              or isinstance(value, bool)):
         names = kinds.__name__ if isinstance(kinds, type) else \
             "/".join(k.__name__ for k in kinds)
         raise SchemaError(f"{path}.{key}: expected {names}, "
@@ -187,10 +191,19 @@ def _check_schema(obj, path):
 
 
 def _matrix(value, path, ndim=2):
-    """``value`` as a finite float matrix, or a vector when ``ndim`` is 1."""
+    """``value`` as a finite float matrix, or a vector when ``ndim`` is 1.
+
+    Strings and all-boolean arrays are rejected by the dtype numpy infers
+    before the float cast, so float data takes no extra pass.
+    """
     kind = "list of numbers" if ndim == 1 else "list of equal-length rows"
     try:
-        arr = np.asarray(value, dtype=float)
+        arr = np.asarray(value)
+        if arr.dtype.kind == "O":  # integers beyond 64 bits, None, ...
+            numeric = all(type(x) in (int, float) for x in arr.flat)
+        else:
+            numeric = arr.dtype.kind in "fiu"
+        arr = arr.astype(float, copy=False) if numeric else None
     except OverflowError:
         raise SchemaError(f"{path}: number beyond the float range") from None
     except (TypeError, ValueError):
@@ -290,7 +303,7 @@ def bundle_from_json(obj, path="$") -> SampledStratifiedBundle:
         fpath = f"{path}.fibers[{i}]"
         try:
             idx = _expect(item, "point_index", list, fpath)
-            if len(idx) != 2 or not isinstance(idx[1], int):
+            if len(idx) != 2 or type(idx[1]) is not int:
                 raise SchemaError(f"{fpath}.point_index: expected [stratum, i]")
             key = name, j = (str(idx[0]), idx[1])
             if not 0 <= j < sizes.get(name, 0):

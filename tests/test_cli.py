@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import svb.bundle
 import svb.strata
 from svb.bundle import SampledStratifiedBundle
-from svb.cli import build_parser, main
+from svb.cli import TOLERANCES, build_parser, main
 from svb.fixtures import cone_bundle, line_stratification
 from svb.functors import SymPower, check_orthogonality
 from svb.grassmann import Subspace, span
@@ -23,6 +24,35 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 def fx(name):
     return os.path.join(FIXTURES, name)
+
+
+# Each verb, inputs it runs on, and the tolerance flags its handler reads.
+VERB_TOLERANCES = [
+    ("check frontier", ["--stratification", fx("line.json")],
+     {"--eps-touch", "--delta-cover"}),
+    ("check whitney-a", ["--bundle", fx("cone_pass.json"),
+                         "--scenario", fx("cone_scenario.json")],
+     {"--tol-check", "--tail-len"}),
+    ("check orthogonality", ["--functor", "wedge:2",
+                             "--subspace", fx("plane_in_r3.json")],
+     {"--tol-check"}),
+    ("apply-functor", ["--functor", "id", "--bundle", fx("trivial3.json")],
+     set()),
+    ("monoid analyze", ["--action", fx("action_scalar.json")],
+     {"--tol-check", "--step"}),
+    ("equivariant tilde", ["--group", fx("sign_flip_group.json"),
+                           "--bundle", fx("sign_flip_tangent.json")],
+     {"--tol-check", "--r-cc"}),
+    ("equivariant quotient", ["--group", fx("sign_flip_group.json"),
+                              "--bundle", fx("sign_flip_tangent.json")],
+     {"--tol-check", "--r-cc"}),
+    ("foliation stratify", ["--fields", fx("fields_line.json"),
+                            "--r-cc", "0.015"],
+     {"--r-cc", "--tol-rank", "--eps-touch", "--delta-cover"}),
+    ("foliation bundle", ["--fields", fx("fields_line.json"),
+                          "--r-cc", "0.015"],
+     {"--r-cc", "--tol-rank", "--tol-check", "--tail-len"}),
+]
 
 
 def run(capsys, *argv):
@@ -44,11 +74,21 @@ class TestParser:
         assert exc.value.code == 1
         assert "usage" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--tol-ortho", "--cluster-radius"])
-    def test_removed_tolerance_flag_is_usage_error(self, capsys, flag):
+    @pytest.mark.parametrize("argv, flag", [
+        (["check", "frontier", "--stratification", fx("line.json")],
+         "--tol-ortho"),
+        (["check", "frontier", "--stratification", fx("line.json")],
+         "--cluster-radius"),
+        (["check", "frontier", "--stratification", fx("line.json")],
+         "--tol-rank"),
+        (["apply-functor", "--functor", "id", "--bundle",
+          fx("trivial3.json")], "--tol-check"),
+    ], ids=["--tol-ortho", "--cluster-radius", "frontier--tol-rank",
+            "apply-functor--tol-check"])
+    def test_removed_tolerance_flag_is_usage_error(self, capsys, argv, flag):
+        # Removed flags, and flags of other verbs, are no flags at all.
         with pytest.raises(SystemExit) as exc:
-            main(["check", "frontier", "--stratification", fx("line.json"),
-                  flag, "1e-9"])
+            main(argv + [flag, "1e-9"])
         captured = capsys.readouterr()
         assert exc.value.code == 1
         assert captured.out == ""
@@ -58,7 +98,24 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["check", "frontier", "--help"])
         assert exc.value.code == 0
-        assert "--tol-check" in capsys.readouterr().out
+        assert "--eps-touch" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("verb, inputs, flags", VERB_TOLERANCES,
+                             ids=[case[0] for case in VERB_TOLERANCES])
+    def test_verb_takes_the_tolerances_it_reads(self, capsys, verb, inputs,
+                                                flags):
+        # --help lists exactly these tolerance flags, and the report's
+        # config holds exactly their values.
+        with pytest.raises(SystemExit) as exc:
+            main(verb.split() + ["--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        tolerances = {"--" + name.replace("_", "-") for name in TOLERANCES}
+        assert listed & tolerances == flags
+        code, out = run(capsys, *verb.split(), *inputs, "--no-timestamp")
+        assert code == 0
+        assert set(json.loads(out)["config"]) == {
+            flag[2:].replace("-", "_") for flag in flags}
 
 
 class TestParserReuse:
@@ -83,11 +140,11 @@ class TestParserReuse:
         _, first = run(capsys, *args, "--eps-touch", "0.05")
         _, second = run(capsys, *args)
         assert json.loads(first)["config"]["eps_touch"] == 0.05
-        assert json.loads(second)["config"]["eps_touch"] is None
+        assert json.loads(second)["config"]["eps_touch"] == 0.02
 
     @pytest.mark.parametrize("argv, text", [
         (["--version"], "svb"),
-        (["check", "frontier", "--help"], "--tol-check"),
+        (["check", "frontier", "--help"], "--eps-touch"),
     ], ids=["version", "help"])
     def test_help_and_version_print_to_current_stdout(self, capsys, argv,
                                                       text):
@@ -146,6 +203,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 1
         assert "invalid JSON" in err
+
+    def test_unreadable_input_is_one(self, capsys, tmp_path):
+        code = main(["check", "frontier", "--stratification", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"svb: error: {tmp_path}: cannot read: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "frontier", "--stratification", fx("line.json")],
+        ["apply-functor", "--functor", "id", "--bundle", fx("trivial3.json")],
+    ], ids=["report", "artifact"])
+    def test_unwritable_out_is_one(self, capsys, tmp_path, argv):
+        out = tmp_path / "missing" / "r.json"
+        code = main(argv + ["--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"svb: error: {out}: cannot write: ")
 
     def test_unknown_stratum_in_scenario_is_one(self, capsys, tmp_path):
         sc = tmp_path / "sc.json"
@@ -276,8 +352,37 @@ class TestNonFiniteInput:
         ("plane_in_r3.json", ("basis", 1), [0.0, 1.0],
          "$.basis: expected a numeric list of equal-length rows",
          ["check", "orthogonality", "--functor", "wedge:2", "--subspace"]),
+        ("line.json", ("strata", 0, "points", 0, 0), "0.0",
+         "$.strata[0].points: expected a numeric list of equal-length rows",
+         ["check", "frontier", "--stratification"]),
+        ("line.json", ("strata", 0, "points", 0), [False],
+         "$.strata[0].points: expected a numeric list of equal-length rows",
+         ["check", "frontier", "--stratification"]),
+        ("fields_line.json", ("samples", 3, 0), "0.5",
+         "$.samples: expected a numeric list of equal-length rows",
+         ["foliation", "stratify", "--r-cc", "0.015", "--fields"]),
+        ("line.json", ("ambient",), True, "$.ambient: expected int, got bool",
+         ["check", "frontier", "--stratification"]),
+        ("line.json", ("strata", 1, "dim"), True,
+         "$.strata[1].dim: expected int, got bool",
+         ["check", "frontier", "--stratification"]),
+        ("ring_tangent.json", ("fiber_ambient",), True,
+         "$.fiber_ambient: expected int, got bool",
+         ["equivariant", "tilde", "--group", fx("rotation8_group.json"),
+          "--bundle"]),
+        ("ring_tangent.json", ("fibers", 5, "point_index", 1), True,
+         "$.fibers[5].point_index: expected [stratum, i]",
+         ["equivariant", "tilde", "--group", fx("rotation8_group.json"),
+          "--bundle"]),
+        ("cone_scenario.json", ("x0_index",), False,
+         "$.x0_index: expected int, got bool",
+         ["check", "whitney-a", "--bundle", fx("cone_pass.json"),
+          "--scenario"]),
     ], ids=["point-overflow", "coef-overflow", "basis-overflow",
-            "bundle-basis-ragged", "subspace-basis-ragged"])
+            "bundle-basis-ragged", "subspace-basis-ragged", "point-string",
+            "points-boolean", "sample-string", "ambient-boolean",
+            "dim-boolean", "fiber-ambient-boolean", "point-index-boolean",
+            "x0-index-boolean"])
     def test_unrepresentable_reader_input_is_one(self, capsys, tmp_path,
                                                  fixture, entry, value,
                                                  message, argv):
@@ -703,34 +808,24 @@ class TestDeterminism:
 
 
 class TestEnvOverrides:
-    def test_env_sets_tolerance(self, capsys, monkeypatch):
-        monkeypatch.setenv("SVB_TOL_CHECK", "1e-3")
-        code, out = run(capsys, "check", "whitney-a",
-                        "--bundle", fx("cone_pass.json"),
-                        "--scenario", fx("cone_scenario.json"))
-        assert code == 0
-        assert json.loads(out)["config"]["tol_check"] == 1e-3
+    """Tolerances come from flags only; a bad value is an input error."""
 
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("SVB_TOL_CHECK", "1e-3")
-        code, out = run(capsys, "check", "whitney-a",
-                        "--bundle", fx("cone_pass.json"),
-                        "--scenario", fx("cone_scenario.json"),
-                        "--tol-check", "1e-7")
-        assert json.loads(out)["config"]["tol_check"] == 1e-7
+    WHITNEY = ["check", "whitney-a", "--bundle", fx("cone_pass.json"),
+               "--scenario", fx("cone_scenario.json")]
 
-    @pytest.mark.parametrize("env, flags, message", [
-        ({}, ["--tol-check", "-1"], "tol_check must be positive"),
-        ({}, ["--tol-check", "nan"], "tol_check must be positive"),
-        ({"SVB_TAIL_LEN": "abc"}, [], "SVB_TAIL_LEN: expected int, got 'abc'"),
-        ({"SVB_R_CC": "0"}, [], "r_cc must be positive"),
-    ], ids=["flag-negative", "flag-nan", "env-unparsable", "env-zero"])
-    def test_bad_tolerance_is_one(self, capsys, monkeypatch, env, flags,
-                                  message):
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
-        code = main(["check", "frontier", "--stratification", fx("line.json")]
-                    + flags)
+    @pytest.mark.parametrize("argv, message", [
+        (WHITNEY + ["--tol-check", "-1"], "tol_check must be positive"),
+        (WHITNEY + ["--tol-check", "nan"], "tol_check must be positive"),
+        (WHITNEY + ["--tail-len", "0"], "tail_len must be at least 1"),
+        (["equivariant", "tilde", "--group", fx("sign_flip_group.json"),
+          "--bundle", fx("sign_flip_tangent.json"), "--r-cc", "0"],
+         "r_cc must be positive"),
+        (["check", "frontier", "--stratification", fx("line.json"),
+          "--delta-cover", "-0.5"], "delta_cover must be positive when set"),
+    ], ids=["flag-negative", "flag-nan", "tail-len-zero", "r-cc-zero",
+            "delta-cover-negative"])
+    def test_bad_tolerance_is_one(self, capsys, argv, message):
+        code = main(argv)
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
