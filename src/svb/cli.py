@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import functools
+import math
 import re
 import sys
 
@@ -81,6 +82,8 @@ def _check_tolerances(args: argparse.Namespace) -> None:
         if value is not None and not value > 0:  # NaN fails too
             when = " when set" if TOLERANCES[name][1] is None else ""
             raise CliError(f"{name} must be positive{when}")
+        if value == math.inf:
+            raise CliError(f"{name} must be finite")
 
 
 def _output_flags(parser: argparse.ArgumentParser) -> None:

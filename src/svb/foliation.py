@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bundle import SampledStratifiedBundle, stack_fibers
+from .bundle import SampledStratifiedBundle
 from .config import R_CC, TOL_RANK
 from .grassmann import Subspace
 from .strata import Stratification, estimate_cloud_dim, partition_by_label
@@ -149,11 +149,14 @@ def foliation_bundle(vfs: VectorFieldSet, r_cc: float = R_CC,
         pts, ranks, [(f"rank{r}", r) for r in sorted(set(ranks))],
         dim=lambda rank, cloud: estimate_cloud_dim(cloud),
         below=lambda low, high: low < high, r_cc=r_cc)
-    keys = [part.point_to_key[i] for i in range(len(pts))]
+    base = part.stratification
+    # point_to_key lists the samples stratum by stratum, in point order.
+    order = np.fromiter(part.point_to_key, dtype=np.intp, count=len(pts))
+    ends = np.cumsum([len(s) for s in base.strata])[:-1]
     return SampledStratifiedBundle.from_stacks(
-        part.stratification, vfs.ambient_dim, stack_fibers(
-            part.stratification, vfs.ambient_dim, keys,
-            [vh[i, :rank] for i, rank in enumerate(ranks)]))
+        base, vfs.ambient_dim,
+        {s.name: vh[members, :ranks[members[0]]]
+         for s, members in zip(base.strata, np.split(order, ends))})
 
 
 def fields_as_sections(vfs: VectorFieldSet,

@@ -81,7 +81,9 @@ def dumps(obj: Any) -> str:
     the compact C encoder in one call and re-indents its output by
     replacing the separators ``", "`` (and ``"], ["`` between rows).
     That is exact when no string in the list contains a separator, which
-    is checked on the encoded text.
+    is checked on the encoded text.  Lists of records that share one set
+    of string keys, and lists of string rows, are written column by
+    column instead (``_records``, ``_string_rows``).
     """
     chunks: list[str] = []
     _encode(obj, chunks.append, "\n")
@@ -101,7 +103,8 @@ if json.encoder.c_make_encoder is not None:
 else:
     _compact = json.JSONEncoder(allow_nan=False).encode
 _CONTAINERS = (list, tuple, dict)
-_LEAF_TYPES = frozenset((str, int, float, bool, type(None)))
+_NUMBER_TYPES = frozenset((int, float, bool, type(None)))
+_LEAF_TYPES = _NUMBER_TYPES | {str}
 
 
 def _key(key) -> str:
@@ -143,6 +146,16 @@ def _encode(obj, write, newline: str) -> None:
                 body = text[1:-1].replace(", ", "," + inner)
                 write(f"[{inner}{body}{newline}]")
                 return
+        elif types == {dict}:
+            records = _records(obj, inner)
+            if records is not None:
+                write(f"[{inner}" + f",{inner}".join(records) + f"{newline}]")
+                return
+        elif types == {list} and obj[0] and type(obj[0][0]) is str:
+            rows = _string_rows(obj, inner)
+            if rows is not None:
+                write(f"[{inner}" + f",{inner}".join(rows) + f"{newline}]")
+                return
         elif types == {list}:
             text = _compact(obj)
             # Rows holding neither strings nor lists, none of them empty:
@@ -166,6 +179,65 @@ def _encode(obj, write, newline: str) -> None:
         write(newline + "]")
     else:
         write(_compact(obj))
+
+
+def _records(obj, inner):
+    """The dicts of ``obj``, rendered at indentation ``inner`` column by
+    column, or None.  They must share one set of string keys, and each
+    key's column must hold only numbers, only strings or only nonempty
+    rows of numbers; the first record decides whether to try."""
+    first = obj[0]
+    if not first or not all(
+            type(key) is str and (type(value) in _LEAF_TYPES or (
+                type(value) is list and value
+                and type(value[0]) in _NUMBER_TYPES))
+            for key, value in first.items()):
+        return None
+    keys = first.keys()
+    if not all(record.keys() == keys for record in obj):
+        return None
+    field = inner + "  "
+    entry = field + "  "
+    parts, columns = [], []
+    for key in sorted(keys):
+        column = [record[key] for record in obj]
+        kinds = set(map(type, column))
+        if kinds <= _NUMBER_TYPES:
+            # Numbers hold no ", ": the compact text splits into them.
+            columns.append(_compact(column)[1:-1].split(", "))
+            value = "%s"
+        elif kinds == {str}:
+            columns.append(list(map(_encode_str, column)))
+            value = "%s"
+        elif kinds == {list}:
+            text = _compact(column)
+            # As for a matrix in _encode: rows of numbers only, nonempty.
+            if ('"' in text or "[]" in text
+                    or text.count("[") != len(column) + 1):
+                return None
+            columns.append(text[2:-2].replace(", ", "," + entry)
+                           .split("]," + entry + "["))
+            value = f"[{entry}%s{field}]"
+        else:
+            return None
+        parts.append(_encode_str(key).replace("%", "%%") + ": " + value)
+    template = "{" + field + ("," + field).join(parts) + inner + "}"
+    return [template % values for values in zip(*columns)]
+
+
+def _string_rows(obj, inner):
+    """The rows of strings of ``obj``, all of one nonzero length,
+    rendered at indentation ``inner``, or None."""
+    width = len(obj[0])
+    if any(len(row) != width for row in obj):
+        return None
+    flat = [item for row in obj for item in row]
+    if set(map(type, flat)) != {str}:
+        return None
+    entry = inner + "  "
+    template = "[" + entry + ("," + entry).join(["%s"] * width) + inner + "]"
+    encoded = iter(map(_encode_str, flat))
+    return [template % row for row in zip(*[encoded] * width)]
 
 
 def _expect(obj, key, kinds, path):
@@ -228,30 +300,70 @@ def stratification_to_json(s: Stratification) -> dict:
 
 
 def stratification_from_json(obj, path="$") -> Stratification:
+    """The strata as read-only row slices of one cloud, parsed by one
+    ``_matrix`` call over every stratum's rows.  Only when that cloud
+    does not stand for the strata one by one (a parse error, a width
+    other than ``ambient``, a stratum that may hold only booleans) are
+    the strata parsed one at a time, which names the lowest offending
+    ``$.strata[i]``."""
     _check_schema(obj, path)
     ambient = _expect(obj, "ambient", int, path)
     raw_strata = _expect(obj, "strata", list, path)
-    strata = []
-    for i, item in enumerate(raw_strata):
-        spath = f"{path}.strata[{i}]"
-        name = _expect(item, "name", str, spath)
-        dim = _expect(item, "dim", int, spath)
-        points = _matrix(_expect(item, "points", list, spath),
-                         f"{spath}.points")
-        if points.shape[1] != ambient:
-            raise SchemaError(
-                f"{spath}.points: rows of length {points.shape[1]}, "
-                f"ambient is {ambient}")
-        strata.append(Stratum(name, dim, points))
+    names, dims, sizes, rows = [], [], [], []
+    for item in raw_strata:
+        # Anything unusual leaves the loop early for the per-stratum route.
+        if type(item) is not dict:
+            break
+        name, dim = item.get("name"), item.get("dim")
+        points = item.get("points")
+        if not (type(name) is str and type(dim) is int and dim >= 0
+                and type(points) is list and points
+                and type(first := points[0]) is list and first
+                and type(first[0]) is not bool):
+            break
+        names.append(name)
+        dims.append(dim)
+        sizes.append(len(points))
+        rows += points
+    cloud = None
+    if len(sizes) == len(raw_strata) and rows:
+        try:
+            cloud = _matrix(rows, path)
+        except SchemaError:
+            pass
+    if cloud is not None and cloud.shape[1] != ambient:
+        cloud = None
+    if cloud is None:
+        strata = [_stratum(item, ambient, f"{path}.strata[{i}]")
+                  for i, item in enumerate(raw_strata)]
     closure = []
     for i, pair in enumerate(obj.get("closure", [])):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise SchemaError(f"{path}.closure[{i}]: expected a name pair")
         closure.append((pair[0], pair[1]))
     try:
-        return Stratification(strata, closure_order=closure)
+        if cloud is None:
+            return Stratification(strata, closure_order=closure)
+        return Stratification.from_cloud(cloud, names, dims, sizes, closure)
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from None
+
+
+def _stratum(item, ambient, path) -> Stratum:
+    """One stratum, checked field by field in the order of the checks
+    of ``Stratum``."""
+    name = _expect(item, "name", str, path)
+    dim = _expect(item, "dim", int, path)
+    points = _matrix(_expect(item, "points", list, path), f"{path}.points")
+    if points.shape[1] != ambient:
+        raise SchemaError(
+            f"{path}.points: rows of length {points.shape[1]}, "
+            f"ambient is {ambient}")
+    if not points.size:
+        raise SchemaError(f"{path}.points: empty point cloud")
+    if dim < 0:
+        raise SchemaError(f"{path}.dim: negative dimension {dim}")
+    return Stratum(name, dim, points)
 
 
 # -- subspace / bundle ------------------------------------------------------
@@ -359,6 +471,10 @@ def scenario_from_json(obj, path="$") -> ConvergenceScenario:
     source = _expect(obj, "R", str, path)
     x0 = _expect(obj, "x0_index", int, path)
     seq = _expect(obj, "sequence_indices", list, path)
+    for k, index in enumerate(seq):
+        if type(index) is not int:
+            raise SchemaError(f"{path}.sequence_indices[{k}]: expected int, "
+                              f"got {type(index).__name__}")
     try:
         return ConvergenceScenario(target, source, x0, tuple(seq))
     except (TypeError, ValueError) as exc:

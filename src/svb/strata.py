@@ -61,6 +61,13 @@ _CHUNK = 1 << 17
 _CELLS = 1 << 20
 
 
+def _check_stratum(name, dim, size) -> None:
+    if size == 0:
+        raise ValueError(f"stratum {name!r} has an empty point cloud")
+    if dim < 0:
+        raise ValueError(f"stratum {name!r} has negative dimension")
+
+
 @dataclass(frozen=True)
 class Stratum:
     """A named stratum sampled by a nonempty point cloud in R^m."""
@@ -71,16 +78,24 @@ class Stratum:
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if pts.size == 0:
-            raise ValueError(f"stratum {self.name!r} has an empty point cloud")
-        if self.dim < 0:
-            raise ValueError(f"stratum {self.name!r} has negative dimension")
+        _check_stratum(self.name, self.dim, pts.size)
         if not np.isfinite(pts).all():
             raise ValueError(
                 f"stratum {self.name!r} has a non-finite sample point")
         pts = pts.copy()
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
+
+    @classmethod
+    def _of_rows(cls, name: str, dim: int, rows: np.ndarray) -> "Stratum":
+        """The stratum over ``rows``, finite and read-only already, held
+        as they are."""
+        _check_stratum(name, dim, rows.size)
+        stratum = object.__new__(cls)
+        object.__setattr__(stratum, "name", name)
+        object.__setattr__(stratum, "dim", dim)
+        object.__setattr__(stratum, "points", rows)
+        return stratum
 
     @property
     def ambient_dim(self) -> int:
@@ -101,24 +116,52 @@ class Stratification:
 
     def __init__(self, strata: Sequence[Stratum],
                  closure_order: Iterable[tuple[str, str]] = ()):
-        strata = list(strata)
+        self._hold(list(strata), closure_order)
+
+    @classmethod
+    def from_cloud(cls, cloud: np.ndarray, names: Sequence[str],
+                   dims: Sequence[int], sizes: Sequence[int],
+                   closure_order: Iterable[tuple[str, str]] = ()
+                   ) -> "Stratification":
+        """The stratification whose k-th stratum, named ``names[k]`` with
+        dimension ``dims[k]``, holds the next ``sizes[k]`` rows of the
+        finite ``(N, m)`` float array ``cloud``.  The cloud is held as
+        it is and made read-only; strata are row slices of it."""
+        if not len(names) == len(dims) == len(sizes) or \
+                sum(sizes) != len(cloud):
+            raise ValueError("names, dims and sizes must describe the "
+                             "cloud's rows stratum by stratum")
+        cloud.flags.writeable = False
+        ends = np.cumsum(sizes).tolist()
+        strata = [Stratum._of_rows(name, dim, cloud[end - size:end])
+                  for name, dim, size, end in zip(names, dims, sizes, ends)]
+        s = cls.__new__(cls)
+        s._hold(strata, closure_order, cloud, sizes)
+        return s
+
+    def _hold(self, strata, closure_order, cloud=None, sizes=None) -> None:
+        """Validate and hold ``strata``; their points are consecutive
+        rows of ``cloud``, ``sizes`` rows each, or else get stacked."""
         if not strata:
             raise ValueError("a stratification needs at least one stratum")
-        ambient = strata[0].ambient_dim
         names = [s.name for s in strata]
         if len(set(names)) != len(names):
             raise ValueError("stratum names must be unique")
-        for s in strata:
-            if s.ambient_dim != ambient:
-                raise ValueError(
-                    f"stratum {s.name!r} lives in R^{s.ambient_dim}, "
-                    f"expected R^{ambient}")
-        self.ambient_dim = ambient
+        if cloud is None:
+            ambient = strata[0].ambient_dim
+            for st in strata:
+                if st.ambient_dim != ambient:
+                    raise ValueError(
+                        f"stratum {st.name!r} lives in R^{st.ambient_dim}, "
+                        f"expected R^{ambient}")
+            cloud = np.concatenate([st.points for st in strata])
+            cloud.flags.writeable = False
+            sizes = [len(st) for st in strata]
+        self.ambient_dim = cloud.shape[1]
         self.strata = strata
-        self._cloud = np.concatenate([st.points for st in strata])
-        self._owner = np.repeat(np.arange(len(strata)),
-                                [len(st) for st in strata])
-        self._by_name = {s.name: s for s in strata}
+        self._cloud = cloud
+        self._owner = np.repeat(np.arange(len(strata)), sizes)
+        self._by_name = dict(zip(names, strata))
         order = {(str(a), str(b)) for a, b in closure_order}
         for a, b in order:
             for end in (a, b):
@@ -303,7 +346,8 @@ class LabelPartition:
 
     stratification: Stratification
     labels: tuple                               # one per input point
-    point_to_key: dict = field(repr=False)      # input index -> (stratum, i)
+    # input index -> (stratum, i), stratum by stratum in point order
+    point_to_key: dict = field(repr=False)
     label_of_stratum: dict = field(repr=False)  # stratum name -> label
 
 
@@ -326,6 +370,8 @@ def partition_by_label(points, labels: Sequence[Hashable],
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if not r_cc > 0:
         raise ValueError("radius must be positive")
+    if not np.isfinite(pts).all():
+        raise ValueError("sample points must be finite")
     labels = tuple(labels)
     code = {label: c for c, (_, label) in enumerate(classes)}
     coded = np.array([code[lab] for lab in labels], dtype=np.intp)
@@ -341,24 +387,31 @@ def partition_by_label(points, labels: Sequence[Hashable],
     for local in graph_components(len(pts),
                                   same_label(near_pairs(pts, pts, r_cc))):
         by_class[coded[local[0]]].append(local)
-    strata, owner = [], np.zeros(len(pts), dtype=np.intp)
+    # The strata's rows, stratum by stratum, as one cloud.
+    members = [local for components in by_class for local in components]
+    cloud = pts[np.concatenate(members)]
+    names, dims, owner = [], [], np.zeros(len(pts), dtype=np.intp)
     point_to_key, label_of_stratum = {}, {}
+    start = 0
     for (prefix, label), components in zip(classes, by_class):
         for c, local in enumerate(components):
             name = f"{prefix}_c{c}"
-            owner[local] = len(strata)
-            strata.append(Stratum(name, dim(label, pts[local]), pts[local]))
+            owner[local] = len(names)
+            names.append(name)
+            dims.append(dim(label, cloud[start:start + len(local)]))
+            start += len(local)
             label_of_stratum[name] = label
             point_to_key.update((g, (name, j)) for j, g in enumerate(local))
 
-    near = {(a, a) for a in range(len(strata))}  # each cloud meets itself
+    near = {(a, a) for a in range(len(names))}  # each cloud meets itself
     for i, j in cross:
         near.update(zip(*np.unique([owner[i], owner[j]], axis=1).tolist()))
-    names = [st.name for st in strata]
     closure = [(names[a], names[b]) for a, b in sorted(near) if below(
         label_of_stratum[names[a]], label_of_stratum[names[b]])]
-    return LabelPartition(Stratification(strata, closure_order=closure),
-                          labels, point_to_key, label_of_stratum)
+    return LabelPartition(
+        Stratification.from_cloud(cloud, names, dims,
+                                  list(map(len, members)), closure),
+        labels, point_to_key, label_of_stratum)
 
 
 def estimate_cloud_dim(points: np.ndarray, tol_rank: float = TOL_RANK) -> int:

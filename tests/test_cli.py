@@ -378,11 +378,35 @@ class TestNonFiniteInput:
          "$.x0_index: expected int, got bool",
          ["check", "whitney-a", "--bundle", fx("cone_pass.json"),
           "--scenario"]),
+        ("line.json", ("strata", 0, "dim"), -1,
+         "$.strata[0].dim: negative dimension -1",
+         ["check", "frontier", "--stratification"]),
+        ("line.json", ("strata", 1, "points"), [[True], [False], [True]],
+         "$.strata[1].points: expected a numeric list of equal-length rows",
+         ["check", "frontier", "--stratification"]),
+        ("cone_scenario.json", ("sequence_indices", 0), True,
+         "$.sequence_indices[0]: expected int, got bool",
+         ["check", "whitney-a", "--bundle", fx("cone_pass.json"),
+          "--scenario"]),
+        ("cone_scenario.json", ("sequence_indices", 1), "0",
+         "$.sequence_indices[1]: expected int, got str",
+         ["check", "whitney-a", "--bundle", fx("cone_pass.json"),
+          "--scenario"]),
+        ("cone_scenario.json", ("sequence_indices", 2), 0.0,
+         "$.sequence_indices[2]: expected int, got float",
+         ["check", "whitney-a", "--bundle", fx("cone_pass.json"),
+          "--scenario"]),
+        ("cone_scenario.json", ("sequence_indices", 0), 0.7,
+         "$.sequence_indices[0]: expected int, got float",
+         ["check", "whitney-a", "--bundle", fx("cone_pass.json"),
+          "--scenario"]),
     ], ids=["point-overflow", "coef-overflow", "basis-overflow",
             "bundle-basis-ragged", "subspace-basis-ragged", "point-string",
             "points-boolean", "sample-string", "ambient-boolean",
             "dim-boolean", "fiber-ambient-boolean", "point-index-boolean",
-            "x0-index-boolean"])
+            "x0-index-boolean", "dim-negative", "stratum-boolean-rows",
+            "sequence-index-boolean", "sequence-index-string",
+            "sequence-index-float", "sequence-index-fraction"])
     def test_unrepresentable_reader_input_is_one(self, capsys, tmp_path,
                                                  fixture, entry, value,
                                                  message, argv):
@@ -807,6 +831,25 @@ class TestDeterminism:
                 assert (tmp_path / name).read_bytes() == fh.read(), name
 
 
+class TestFrontierReportLayout:
+    """Reports holding frontier violations, written by column, read as
+    the standard library's indented, key-sorted JSON."""
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "frontier", "--stratification", fx("cantor_level6.json")],
+        ["check", "frontier", "--stratification", fx("cantor_level6.json"),
+         "--eps-touch", "1e-4", "--delta-cover", "1e-5"],
+        ["foliation", "stratify", "--fields", fx("fields_plane_axes.json"),
+         "--r-cc", "0.05", "--eps-touch", "0.5", "--delta-cover", "0.5"],
+    ], ids=["cantor6", "cantor6-tight", "foliation-stratify"])
+    def test_stdout_is_stdlib_layout(self, capsys, argv):
+        code = main(argv + ["--no-timestamp"])
+        out = capsys.readouterr().out
+        assert code in (0, 2)
+        assert out == json.dumps(json.loads(out), indent=2,
+                                 sort_keys=True) + "\n"
+
+
 class TestEnvOverrides:
     """Tolerances come from flags only; a bad value is an input error."""
 
@@ -822,8 +865,12 @@ class TestEnvOverrides:
          "r_cc must be positive"),
         (["check", "frontier", "--stratification", fx("line.json"),
           "--delta-cover", "-0.5"], "delta_cover must be positive when set"),
+        (WHITNEY + ["--tol-check", "inf", "--format", "text"],
+         "tol_check must be finite"),
+        (["check", "frontier", "--stratification", fx("line.json"),
+          "--eps-touch", "inf"], "eps_touch must be finite"),
     ], ids=["flag-negative", "flag-nan", "tail-len-zero", "r-cc-zero",
-            "delta-cover-negative"])
+            "delta-cover-negative", "flag-inf", "flag-inf-eps-touch"])
     def test_bad_tolerance_is_one(self, capsys, argv, message):
         code = main(argv)
         captured = capsys.readouterr()

@@ -1,6 +1,7 @@
 import numpy as np
 
-from svb.bundle import validate_bundle, whitney_a_from_sections
+from svb.bundle import stack_fibers, validate_bundle, whitney_a_from_sections
+from svb.config import TOL_RANK
 from svb.fixtures import (
     axis_scaling_fields_plane,
     constant_field_plane,
@@ -10,6 +11,7 @@ from svb.fixtures import (
 from svb.foliation import (
     PolynomialVectorField,
     VectorFieldSet,
+    _distribution_rows,
     distribution_at,
     fields_as_sections,
     foliation_bundle,
@@ -17,7 +19,7 @@ from svb.foliation import (
 )
 from svb.grassmann import gap_distance, span
 from svb.jsonio import fields_from_json, fields_to_json
-from svb.strata import check_frontier
+from svb.strata import check_frontier, partition_by_label
 
 
 class TestDistributionAt:
@@ -163,6 +165,26 @@ class TestFoliationBundle:
     def test_plane_bundle_validates(self):
         b = foliation_bundle(axis_scaling_fields_plane(), r_cc=0.3)
         assert validate_bundle(b).passed
+
+    def test_stacks_are_the_per_point_bases(self):
+        # Each stratum's stack gathers the distribution rows of its
+        # points; stacking them one point at a time gives the same bits.
+        vfs = axis_scaling_fields_plane(0.1)
+        b = foliation_bundle(vfs, r_cc=0.12)
+        vh, ranks = _distribution_rows(vfs, vfs.sample_points, TOL_RANK)
+        part = partition_by_label(
+            vfs.sample_points, ranks,
+            [(f"rank{r}", r) for r in sorted(set(ranks))],
+            dim=lambda rank, cloud: 0, below=lambda low, high: low < high,
+            r_cc=0.12)
+        keys = [part.point_to_key[i] for i in range(len(ranks))]
+        expected = stack_fibers(b.base, 2, keys, [
+            vh[i, :rank] for i, rank in enumerate(ranks)])
+        assert len(ranks) == 441 and len(b.stacks) > 1
+        assert list(b.stacks) == list(expected)
+        for name, stack in b.stacks.items():
+            assert stack.dtype == expected[name].dtype
+            assert stack.tobytes() == expected[name].tobytes()
 
 
 class TestProperties:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from svb import jsonio
 from svb.fixtures import (
     cone_bundle,
     cone_scenario,
@@ -36,6 +37,7 @@ from svb.jsonio import (
     write_json,
 )
 from svb.monoid import MonoidActionSample
+from svb.strata import Stratification
 
 
 class TestRoundTrips:
@@ -47,6 +49,21 @@ class TestRoundTrips:
         for a, b in zip(s.strata, again.strata):
             np.testing.assert_array_equal(a.points, b.points)
             assert a.dim == b.dim
+
+    def test_strata_are_read_only_views_of_one_cloud(self):
+        s = stratification_from_json(read_json(os.path.join(FIXTURES,
+                                                            "line.json")))
+        cloud = np.concatenate([st.points for st in s.strata])
+        start = 0
+        for st in s.strata:
+            assert not st.points.flags.writeable
+            assert st.points.base is not None
+            assert st.points.base is s.strata[0].points.base
+            np.testing.assert_array_equal(st.points,
+                                          cloud[start:start + len(st)])
+            start += len(st)
+        with pytest.raises(ValueError, match="read-only"):
+            s.strata[1].points[0, 0] = 5.0
 
     def test_bundle(self):
         b = cone_bundle("pass", depth=8)
@@ -126,6 +143,42 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError, match="strata\\[0\\]"):
             stratification_from_json(obj)
 
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_boolean_stratum_among_float_strata(self, i):
+        obj = stratification_to_json(line_stratification())
+        obj["strata"][i]["points"] = [[k % 2 == 0]
+                                      for k in range(len(
+                                          obj["strata"][i]["points"]))]
+        with pytest.raises(SchemaError, match=re.escape(
+                f"$.strata[{i}].points: expected a numeric list")):
+            stratification_from_json(obj)
+
+    @pytest.mark.parametrize("edit, where", [
+        (lambda strata: strata[2].update(points=[[False]]),
+         "$.strata[1].dim: expected int"),
+        (lambda strata: strata[0].update(points=[[False]]),
+         "$.strata[0].points: expected a numeric list"),
+        (lambda strata: strata[0].update(points=[[0.0, 1.0]]),
+         "$.strata[0].points: rows of length 2, ambient is 1"),
+        (lambda strata: strata[2].update(dim=-2),
+         "$.strata[1].dim: expected int"),
+    ], ids=["boolean-later", "boolean-first", "width-first", "negative-later"])
+    def test_lowest_offending_stratum_named(self, edit, where):
+        obj = stratification_to_json(line_stratification())
+        obj["strata"][1]["dim"] = "1"
+        edit(obj["strata"])
+        with pytest.raises(SchemaError, match=f"^{re.escape(where)}"):
+            stratification_from_json(obj)
+
+    def test_empty_point_rows_rejected(self):
+        obj = stratification_to_json(line_stratification())
+        obj["ambient"] = 0
+        for stratum in obj["strata"]:
+            stratum["points"] = [[]]
+        with pytest.raises(SchemaError, match=re.escape(
+                "$.strata[0].points: empty point cloud")):
+            stratification_from_json(obj)
+
     def test_bundle_bad_point_index(self):
         obj = bundle_to_json(cone_bundle("pass", depth=4))
         obj["fibers"][0]["point_index"] = ["S+"]
@@ -188,6 +241,62 @@ class TestSchemaErrors:
         bad.write_text("{\n  \"schema\": }\n")
         with pytest.raises(SchemaError, match="line 2"):
             read_json(str(bad))
+
+
+def _read_per_stratum(obj):
+    """``stratification_from_json`` with every stratum parsed and checked
+    on its own, as the one-parse reader falls back to."""
+    try:
+        strata = [jsonio._stratum(item, obj["ambient"], f"$.strata[{i}]")
+                  for i, item in enumerate(obj["strata"])]
+        return Stratification(strata)
+    except ValueError as exc:
+        if isinstance(exc, SchemaError):
+            raise
+        raise SchemaError(f"$: {exc}") from None
+
+
+def _outcome(read, obj):
+    try:
+        s = read(obj)
+    except SchemaError as exc:
+        return str(exc)
+    return ([(st.name, st.dim, st.points.dtype, st.points.tobytes())
+             for st in s.strata], s.ambient_dim)
+
+
+class TestOneParseReader:
+    """The one-parse reader agrees with the per-stratum route on every
+    input: the same strata, bit for bit, or the same error."""
+
+    entries = (st.floats(-4, 4, allow_nan=False) | st.integers(-3, 3)
+               | st.booleans()
+               | st.sampled_from([None, "0.5", 2 ** 70, 10 ** 400,
+                                  float("nan"), float("inf")]))
+    pairs = st.lists(st.floats(-4, 4, allow_nan=False) | st.integers(-3, 3),
+                     min_size=2, max_size=2)
+    flags = st.lists(st.booleans(), min_size=2, max_size=2)
+    points = (st.lists(pairs, min_size=1, max_size=4)
+              | st.lists(pairs, min_size=1, max_size=4)
+              | st.lists(flags, min_size=1, max_size=3)
+              | st.lists(pairs | flags, min_size=1, max_size=3)
+              | st.lists(st.lists(entries, max_size=3), max_size=3)
+              | entries)
+    strata = st.lists(st.fixed_dictionaries({
+        "dim": st.integers(0, 2) | st.sampled_from([-1, True]),
+        "points": points}), max_size=4)
+
+    @settings(max_examples=400, deadline=None)
+    @given(strata=strata, ambient=st.sampled_from([2, 2, 2, 1, 0]),
+           names=st.sampled_from(["unique", "unique", "repeated", "missing"]))
+    def test_same_as_per_stratum_route(self, strata, ambient, names):
+        for k, item in enumerate(strata):
+            item["name"] = f"s{k}"
+        if strata and names != "unique":
+            strata[-1]["name"] = "s0" if names == "repeated" else None
+        obj = {"schema": SCHEMA, "ambient": ambient, "strata": strata}
+        assert _outcome(stratification_from_json, obj) == \
+            _outcome(_read_per_stratum, obj)
 
 
 def test_written_files_end_with_newline(tmp_path):

@@ -78,6 +78,34 @@ class TestConstruction:
         with pytest.raises(ValueError, match="unknown"):
             Stratification([a], closure_order=[("a", "ghost")])
 
+    def test_from_cloud_holds_row_slices(self):
+        s = line_stratification()
+        cloud = np.concatenate([st.points for st in s.strata])
+        again = Stratification.from_cloud(
+            cloud, s.names, [st.dim for st in s.strata],
+            [len(st) for st in s.strata], s.closure_order)
+        assert again.names == s.names
+        assert again.closure_order == s.closure_order
+        assert not cloud.flags.writeable
+        for mine, theirs in zip(again.strata, s.strata):
+            assert (mine.name, mine.dim) == (theirs.name, theirs.dim)
+            np.testing.assert_array_equal(mine.points, theirs.points)
+            assert np.shares_memory(mine.points, cloud)
+        assert check_frontier(again) == check_frontier(s)
+
+    @pytest.mark.parametrize("names, dims, sizes, match", [
+        (["a", "b"], [0, 0], [2, 0], "'b' has an empty point cloud"),
+        (["a", "b"], [0, -1], [1, 1], "'b' has negative dimension"),
+        (["a", "a"], [0, 0], [1, 1], "names must be unique"),
+        (["a", "b"], [0, 0], [1, 2], "describe the cloud's rows"),
+        (["a"], [0, 0], [2], "describe the cloud's rows"),
+        ([], [], [], "describe the cloud's rows"),
+    ], ids=["empty", "negative-dim", "duplicate", "sizes", "lengths", "none"])
+    def test_from_cloud_rejects(self, names, dims, sizes, match):
+        with pytest.raises(ValueError, match=match):
+            Stratification.from_cloud(np.array([[0.0], [1.0]]), names, dims,
+                                      sizes)
+
     def test_transitive_queries(self):
         a = Stratum("a", 0, [[0.0]])
         b = Stratum("b", 1, [[1.0]])
