@@ -149,14 +149,10 @@ def foliation_bundle(vfs: VectorFieldSet, r_cc: float = R_CC,
         pts, ranks, [(f"rank{r}", r) for r in sorted(set(ranks))],
         dim=lambda rank, cloud: estimate_cloud_dim(cloud),
         below=lambda low, high: low < high, r_cc=r_cc)
-    base = part.stratification
-    # point_to_key lists the samples stratum by stratum, in point order.
-    order = np.fromiter(part.point_to_key, dtype=np.intp, count=len(pts))
-    ends = np.cumsum([len(s) for s in base.strata])[:-1]
     return SampledStratifiedBundle.from_stacks(
-        base, vfs.ambient_dim,
-        {s.name: vh[members, :ranks[members[0]]]
-         for s, members in zip(base.strata, np.split(order, ends))})
+        part.stratification, vfs.ambient_dim,
+        {s.name: vh[local, :ranks[local[0]]]
+         for s, local in zip(part.stratification.strata, part.members)})
 
 
 def fields_as_sections(vfs: VectorFieldSet,

@@ -82,8 +82,7 @@ def dumps(obj: Any) -> str:
     replacing the separators ``", "`` (and ``"], ["`` between rows).
     That is exact when no string in the list contains a separator, which
     is checked on the encoded text.  Lists of records that share one set
-    of string keys, and lists of string rows, are written column by
-    column instead (``_records``, ``_string_rows``).
+    of string keys are written column by column instead (``_records``).
     """
     chunks: list[str] = []
     _encode(obj, chunks.append, "\n")
@@ -150,11 +149,6 @@ def _encode(obj, write, newline: str) -> None:
             records = _records(obj, inner)
             if records is not None:
                 write(f"[{inner}" + f",{inner}".join(records) + f"{newline}]")
-                return
-        elif types == {list} and obj[0] and type(obj[0][0]) is str:
-            rows = _string_rows(obj, inner)
-            if rows is not None:
-                write(f"[{inner}" + f",{inner}".join(rows) + f"{newline}]")
                 return
         elif types == {list}:
             text = _compact(obj)
@@ -223,21 +217,6 @@ def _records(obj, inner):
         parts.append(_encode_str(key).replace("%", "%%") + ": " + value)
     template = "{" + field + ("," + field).join(parts) + inner + "}"
     return [template % values for values in zip(*columns)]
-
-
-def _string_rows(obj, inner):
-    """The rows of strings of ``obj``, all of one nonzero length,
-    rendered at indentation ``inner``, or None."""
-    width = len(obj[0])
-    if any(len(row) != width for row in obj):
-        return None
-    flat = [item for row in obj for item in row]
-    if set(map(type, flat)) != {str}:
-        return None
-    entry = inner + "  "
-    template = "[" + entry + ("," + entry).join(["%s"] * width) + inner + "]"
-    encoded = iter(map(_encode_str, flat))
-    return [template % row for row in zip(*[encoded] * width)]
 
 
 def _expect(obj, key, kinds, path):
@@ -336,15 +315,18 @@ def stratification_from_json(obj, path="$") -> Stratification:
     if cloud is None:
         strata = [_stratum(item, ambient, f"{path}.strata[{i}]")
                   for i, item in enumerate(raw_strata)]
+    else:
+        cloud.flags.writeable = False
+        ends = np.cumsum(sizes).tolist()
+        strata = [Stratum._of_rows(name, dim, cloud[end - size:end])
+                  for name, dim, size, end in zip(names, dims, sizes, ends)]
     closure = []
     for i, pair in enumerate(obj.get("closure", [])):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise SchemaError(f"{path}.closure[{i}]: expected a name pair")
         closure.append((pair[0], pair[1]))
     try:
-        if cloud is None:
-            return Stratification(strata, closure_order=closure)
-        return Stratification.from_cloud(cloud, names, dims, sizes, closure)
+        return Stratification(strata, closure_order=closure)
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from None
 

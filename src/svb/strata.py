@@ -116,52 +116,24 @@ class Stratification:
 
     def __init__(self, strata: Sequence[Stratum],
                  closure_order: Iterable[tuple[str, str]] = ()):
-        self._hold(list(strata), closure_order)
-
-    @classmethod
-    def from_cloud(cls, cloud: np.ndarray, names: Sequence[str],
-                   dims: Sequence[int], sizes: Sequence[int],
-                   closure_order: Iterable[tuple[str, str]] = ()
-                   ) -> "Stratification":
-        """The stratification whose k-th stratum, named ``names[k]`` with
-        dimension ``dims[k]``, holds the next ``sizes[k]`` rows of the
-        finite ``(N, m)`` float array ``cloud``.  The cloud is held as
-        it is and made read-only; strata are row slices of it."""
-        if not len(names) == len(dims) == len(sizes) or \
-                sum(sizes) != len(cloud):
-            raise ValueError("names, dims and sizes must describe the "
-                             "cloud's rows stratum by stratum")
-        cloud.flags.writeable = False
-        ends = np.cumsum(sizes).tolist()
-        strata = [Stratum._of_rows(name, dim, cloud[end - size:end])
-                  for name, dim, size, end in zip(names, dims, sizes, ends)]
-        s = cls.__new__(cls)
-        s._hold(strata, closure_order, cloud, sizes)
-        return s
-
-    def _hold(self, strata, closure_order, cloud=None, sizes=None) -> None:
-        """Validate and hold ``strata``; their points are consecutive
-        rows of ``cloud``, ``sizes`` rows each, or else get stacked."""
+        strata = list(strata)
         if not strata:
             raise ValueError("a stratification needs at least one stratum")
+        ambient = strata[0].ambient_dim
         names = [s.name for s in strata]
         if len(set(names)) != len(names):
             raise ValueError("stratum names must be unique")
-        if cloud is None:
-            ambient = strata[0].ambient_dim
-            for st in strata:
-                if st.ambient_dim != ambient:
-                    raise ValueError(
-                        f"stratum {st.name!r} lives in R^{st.ambient_dim}, "
-                        f"expected R^{ambient}")
-            cloud = np.concatenate([st.points for st in strata])
-            cloud.flags.writeable = False
-            sizes = [len(st) for st in strata]
-        self.ambient_dim = cloud.shape[1]
+        for s in strata:
+            if s.ambient_dim != ambient:
+                raise ValueError(
+                    f"stratum {s.name!r} lives in R^{s.ambient_dim}, "
+                    f"expected R^{ambient}")
+        self.ambient_dim = ambient
         self.strata = strata
-        self._cloud = cloud
-        self._owner = np.repeat(np.arange(len(strata)), sizes)
-        self._by_name = dict(zip(names, strata))
+        self._cloud = np.concatenate([st.points for st in strata])
+        self._owner = np.repeat(np.arange(len(strata)),
+                                [len(st) for st in strata])
+        self._by_name = {s.name: s for s in strata}
         order = {(str(a), str(b)) for a, b in closure_order}
         for a, b in order:
             for end in (a, b):
@@ -346,9 +318,10 @@ class LabelPartition:
 
     stratification: Stratification
     labels: tuple                               # one per input point
-    # input index -> (stratum, i), stratum by stratum in point order
-    point_to_key: dict = field(repr=False)
+    point_to_key: dict = field(repr=False)      # input index -> (stratum, i)
     label_of_stratum: dict = field(repr=False)  # stratum name -> label
+    # the input indices of each stratum's points, stratum by stratum
+    members: list = field(repr=False, compare=False)
 
 
 def partition_by_label(points, labels: Sequence[Hashable],
@@ -387,31 +360,31 @@ def partition_by_label(points, labels: Sequence[Hashable],
     for local in graph_components(len(pts),
                                   same_label(near_pairs(pts, pts, r_cc))):
         by_class[coded[local[0]]].append(local)
-    # The strata's rows, stratum by stratum, as one cloud.
+    # The strata hold read-only row slices of one cloud, stratum by stratum.
     members = [local for components in by_class for local in components]
-    cloud = pts[np.concatenate(members)]
-    names, dims, owner = [], [], np.zeros(len(pts), dtype=np.intp)
+    cloud = pts[np.concatenate([np.empty(0, np.intp), *members])]
+    cloud.flags.writeable = False
+    strata, owner = [], np.zeros(len(pts), dtype=np.intp)
     point_to_key, label_of_stratum = {}, {}
     start = 0
     for (prefix, label), components in zip(classes, by_class):
         for c, local in enumerate(components):
             name = f"{prefix}_c{c}"
-            owner[local] = len(names)
-            names.append(name)
-            dims.append(dim(label, cloud[start:start + len(local)]))
+            owner[local] = len(strata)
+            rows = cloud[start:start + len(local)]
             start += len(local)
+            strata.append(Stratum._of_rows(name, dim(label, rows), rows))
             label_of_stratum[name] = label
             point_to_key.update((g, (name, j)) for j, g in enumerate(local))
 
-    near = {(a, a) for a in range(len(names))}  # each cloud meets itself
+    near = {(a, a) for a in range(len(strata))}  # each cloud meets itself
     for i, j in cross:
         near.update(zip(*np.unique([owner[i], owner[j]], axis=1).tolist()))
+    names = [st.name for st in strata]
     closure = [(names[a], names[b]) for a, b in sorted(near) if below(
         label_of_stratum[names[a]], label_of_stratum[names[b]])]
-    return LabelPartition(
-        Stratification.from_cloud(cloud, names, dims,
-                                  list(map(len, members)), closure),
-        labels, point_to_key, label_of_stratum)
+    return LabelPartition(Stratification(strata, closure_order=closure),
+                          labels, point_to_key, label_of_stratum, members)
 
 
 def estimate_cloud_dim(points: np.ndarray, tol_rank: float = TOL_RANK) -> int:

@@ -78,34 +78,6 @@ class TestConstruction:
         with pytest.raises(ValueError, match="unknown"):
             Stratification([a], closure_order=[("a", "ghost")])
 
-    def test_from_cloud_holds_row_slices(self):
-        s = line_stratification()
-        cloud = np.concatenate([st.points for st in s.strata])
-        again = Stratification.from_cloud(
-            cloud, s.names, [st.dim for st in s.strata],
-            [len(st) for st in s.strata], s.closure_order)
-        assert again.names == s.names
-        assert again.closure_order == s.closure_order
-        assert not cloud.flags.writeable
-        for mine, theirs in zip(again.strata, s.strata):
-            assert (mine.name, mine.dim) == (theirs.name, theirs.dim)
-            np.testing.assert_array_equal(mine.points, theirs.points)
-            assert np.shares_memory(mine.points, cloud)
-        assert check_frontier(again) == check_frontier(s)
-
-    @pytest.mark.parametrize("names, dims, sizes, match", [
-        (["a", "b"], [0, 0], [2, 0], "'b' has an empty point cloud"),
-        (["a", "b"], [0, -1], [1, 1], "'b' has negative dimension"),
-        (["a", "a"], [0, 0], [1, 1], "names must be unique"),
-        (["a", "b"], [0, 0], [1, 2], "describe the cloud's rows"),
-        (["a"], [0, 0], [2], "describe the cloud's rows"),
-        ([], [], [], "describe the cloud's rows"),
-    ], ids=["empty", "negative-dim", "duplicate", "sizes", "lengths", "none"])
-    def test_from_cloud_rejects(self, names, dims, sizes, match):
-        with pytest.raises(ValueError, match=match):
-            Stratification.from_cloud(np.array([[0.0], [1.0]]), names, dims,
-                                      sizes)
-
     def test_transitive_queries(self):
         a = Stratum("a", 0, [[0.0]])
         b = Stratum("b", 1, [[1.0]])
@@ -665,6 +637,35 @@ class TestPartitionByLabel:
             monkeypatch.setattr(module, "partition_by_label", compare)
         self.CASES[case]()
         assert compared and compared[0] > 1
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_strata_are_read_only_slices_at_members(self, case, monkeypatch):
+        # Each stratum holds a read-only row slice of one cloud, and its
+        # rows are the input points that ``members`` names.
+        seen = []
+
+        def record(points, *args, **kwargs):
+            part = partition_by_label(points, *args, **kwargs)
+            seen.append((np.asarray(points, dtype=float), part))
+            return part
+
+        for module in (svb.equivariant, svb.foliation):
+            monkeypatch.setattr(module, "partition_by_label", record)
+        self.CASES[case]()
+        assert seen
+        for pts, part in seen:
+            found = part.stratification.strata
+            assert len(part.members) == len(found)
+            for mine, local in zip(found, part.members):
+                assert not mine.points.flags.writeable
+                assert mine.points.base is found[0].points.base
+                assert np.array_equal(mine.points, pts[local])
+
+    def test_no_points_is_no_stratification(self):
+        with pytest.raises(ValueError, match="at least one stratum"):
+            partition_by_label(np.zeros((0, 1)), [], [("s", "a")],
+                               dim=lambda label, cloud: 0,
+                               below=lambda low, high: False, r_cc=1.0)
 
     @pytest.mark.parametrize("r_cc", [0.0, -1.0, np.nan])
     def test_radius_must_be_positive(self, r_cc):
