@@ -37,7 +37,6 @@ __all__ = [
     "InvalidBundleError",
     "WhitneyVerdict",
     "failing_fibers",
-    "stack_fibers",
     "validate_bundle",
     "whitney_a_check",
     "whitney_a_from_sections",
@@ -62,43 +61,35 @@ def failing_fibers(stacks: Mapping[str, np.ndarray],
             for i in np.flatnonzero(~orthonormal_rows(stack, tol_ortho))]
 
 
-def stack_fibers(base: Stratification, fiber_ambient: int,
-                 keys: Sequence[PointKey], bases) -> dict[str, np.ndarray]:
-    """Stack ``bases[p]``, the basis over ``keys[p]``, stratum by stratum
-    in point order; KeyError at a point without a fiber, ValueError at a
-    fiber outside R^fiber_ambient or of another rank than the first."""
-    where = {(str(s), int(i)): p for p, (s, i) in enumerate(keys)}
-    stacks = {}
-    for s in base.strata:
-        rows = []
-        for key in ((s.name, i) for i in range(len(s))):
-            if key not in where:
-                raise KeyError(f"missing fiber over point {key}")
-            rows.append(basis := bases[where[key]])
-            if basis.shape[1] != fiber_ambient:
-                raise ValueError(
-                    f"fiber over {key} has ambient {basis.shape[1]}, "
-                    f"bundle declares {fiber_ambient}")
-            if len(basis) != len(rows[0]):
-                raise ValueError(
-                    f"fiber over {key} has rank {len(basis)}, the fiber "
-                    f"over {(s.name, 0)} has rank {len(rows[0])}")
-        stacks[s.name] = np.stack(rows)
-    return stacks
-
-
 class SampledStratifiedBundle:
     """Fibers over every sample point of a stratified base, held as one
     read-only basis stack ``stacks[name]``, ``(n_i, r_i, k)`` in point
     order, per stratum: one rank per stratum and one R^k by shape.  The
-    constructor stacks audited :class:`Subspace` objects."""
+    constructor stacks audited :class:`Subspace` objects, keyed by point:
+    KeyError at a point without a fiber, ValueError at a fiber outside
+    R^fiber_ambient or of another rank than its stratum's first."""
 
     def __init__(self, base: Stratification, fiber_ambient: int,
                  fibers: Mapping[PointKey, Subspace],
                  stratum_rank: Mapping[str, int]):
-        self._hold(base, fiber_ambient, stack_fibers(
-            base, fiber_ambient, list(fibers),
-            [w.basis for w in fibers.values()]), stratum_rank)
+        bases = {(str(s), int(i)): w.basis for (s, i), w in fibers.items()}
+        stacks = {}
+        for s in base.strata:
+            rows = []
+            for key in ((s.name, i) for i in range(len(s))):
+                if key not in bases:
+                    raise KeyError(f"missing fiber over point {key}")
+                rows.append(basis := bases[key])
+                if basis.shape[1] != fiber_ambient:
+                    raise ValueError(
+                        f"fiber over {key} has ambient {basis.shape[1]}, "
+                        f"bundle declares {fiber_ambient}")
+                if len(basis) != len(rows[0]):
+                    raise ValueError(
+                        f"fiber over {key} has rank {len(basis)}, the fiber "
+                        f"over {(s.name, 0)} has rank {len(rows[0])}")
+            stacks[s.name] = np.stack(rows)
+        self._hold(base, fiber_ambient, stacks, stratum_rank)
 
     @classmethod
     def from_stacks(cls, base: Stratification, fiber_ambient: int,
@@ -239,38 +230,49 @@ def whitney_a_check(b: SampledStratifiedBundle, sc: ConvergenceScenario,
 
 
 def whitney_a_from_sections(b: SampledStratifiedBundle,
-                            sections: Sequence[Mapping[PointKey, np.ndarray]],
+                            sections: Sequence[Mapping[str, np.ndarray]],
                             sc: ConvergenceScenario,
                             tol: float = TOL_CHECK,
                             tail_len: int = TAIL_LEN) -> WhitneyVerdict:
     """Section-based Whitney A oracle.
 
-    Requires sections that take values in the fibers and span the fiber
-    over the limit point.  Along the scenario tail the sections must
-    stay asymptotically inside the limit subspace; the verdict is the
+    A section maps each stratum to the ``(n_i, k)`` stack of its values,
+    aligned with ``b.stacks``.  Requires sections that take values in the
+    fibers (one batched residual per stack) and span the fiber over the
+    limit point.  Along the scenario tail the sections must stay
+    asymptotically inside the limit subspace; the verdict is the
     containment test of ``whitney_a_check`` with the per-section tail
     residuals attached.
     """
     verdict = whitney_a_check(b, sc, tol=tol, tail_len=tail_len)
+    empty = np.empty((0, b.fiber_ambient))
     for j, section in enumerate(sections):
-        for key in b.point_keys():
-            if key not in section:
-                raise ValueError(f"section {j} undefined at point {key}")
-            if not b.fiber(key).contains_vector(section[key], tol):
+        for name, stack in b.stacks.items():
+            v = np.asarray(section.get(name, empty), dtype=float)[:len(stack)]
+            fibers = stack[:len(v)]
+            # |v - P v| at each defined point; a NaN residual fails too.
+            residual = np.linalg.norm(
+                v - (fibers.swapaxes(1, 2) @ (fibers @ v[..., None]))[..., 0],
+                axis=1)
+            if (off := np.flatnonzero(~(residual <= tol))).size:
+                raise ValueError(f"section {j} leaves the fiber at point "
+                                 f"{(name, int(off[0]))}")
+            if len(v) < len(stack):
                 raise ValueError(
-                    f"section {j} leaves the fiber at point {key}")
-    x0_key = (sc.target_stratum, sc.x0_index)
-    spanned = span([np.asarray(sec[x0_key], dtype=float) for sec in sections],
+                    f"section {j} undefined at point {(name, len(v))}")
+    spanned = span([np.asarray(sec[sc.target_stratum][sc.x0_index],
+                               dtype=float) for sec in sections],
                    b.fiber_ambient)
-    if spanned.dim != b.fiber(x0_key).dim:
+    if spanned.dim != b.stacks[sc.target_stratum].shape[1]:
         raise ValueError(
             "section values at the limit point do not span its fiber")
     if verdict.limit is None:
         return verdict
-    final_key = (sc.source_stratum, sc.sequence_indices[-1])
+    final = sc.sequence_indices[-1]
     section_residuals = tuple(
         float(np.linalg.norm(v - verdict.limit.project(v)))
-        for v in (np.asarray(sec[final_key], dtype=float) for sec in sections))
+        for v in (np.asarray(sec[sc.source_stratum][final], dtype=float)
+                  for sec in sections))
     passed = verdict.status == PASS and all(r <= tol
                                             for r in section_residuals)
     return WhitneyVerdict(PASS if passed else FAIL, residual=verdict.residual,

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bundle import SampledStratifiedBundle, stack_fibers
+from .bundle import SampledStratifiedBundle
 from .config import R_CC, TOL_CHECK
 from .grassmann import Subspace, intersections, span
 from .strata import (
@@ -280,7 +280,7 @@ def _point_permutations(g: FiniteGroupAction, pts: np.ndarray,
 
 def _equivariant_samples(g: FiniteGroupAction, b: SampledStratifiedBundle,
                          tol: float, task: str, message: str):
-    """Sample keys, points and each element's permutation of the points,
+    """The base's stacked points and each element's permutation of them,
     once ``g`` is shown to carry a fiber action on ``b``'s spaces that is
     equivariant: ``message.format(i=, key=, gap=)`` is raised at the first
     fiber (elements in order, then points) that element ``i`` carries
@@ -294,21 +294,21 @@ def _equivariant_samples(g: FiniteGroupAction, b: SampledStratifiedBundle,
     if k != b.fiber_ambient:
         raise ValueError(f"fiber elements are {k} x {k}, but the bundle "
                          f"fibers lie in R^{b.fiber_ambient}")
-    keys = b.point_keys()
-    pts = np.array([b.point(key) for key in keys])
+    pts = b.base._cloud
     perms = _point_permutations(g, pts, tol)
-    gaps = _equivariance_gaps(g, b, keys, perms)
+    gaps = _equivariance_gaps(g, b, perms)
     off = np.argwhere(gaps > tol)
     if off.size:
         i, p = off[0]
-        raise ValueError(message.format(i=i, key=keys[p], gap=gaps[i, p]))
-    return keys, pts, perms
+        raise ValueError(message.format(i=i, key=b.point_keys()[p],
+                                        gap=gaps[i, p]))
+    return pts, perms
 
 
 def _equivariance_gaps(g: FiniteGroupAction, b: SampledStratifiedBundle,
-                       keys, perms) -> np.ndarray:
+                       perms) -> np.ndarray:
     """``[i, p]``: gap between the image under element ``i`` of the fiber
-    over ``keys[p]``, of projection M P M^T, and the fiber over the image
+    over point ``p``, of projection M P M^T, and the fiber over the image
     point."""
     # Per fiber, as Subspace does: a stacked product may round otherwise.
     proj = np.stack([basis.T @ basis for stack in b.stacks.values()
@@ -316,6 +316,21 @@ def _equivariance_gaps(g: FiniteGroupAction, b: SampledStratifiedBundle,
     fibs = g.fiber_elements[:, None]
     return np.linalg.norm(fibs @ proj @ fibs.swapaxes(2, 3) - proj[perms], 2,
                           axis=(2, 3))
+
+
+def _gather_stacks(base: Stratification, members,
+                   bases: Sequence[np.ndarray]) -> dict[str, np.ndarray]:
+    """Each stratum's stack of the ``bases[p]`` of its ``members`` p, in
+    order; ValueError at its first point of another rank than its first."""
+    stacks = {}
+    for s, local in zip(base.strata, members):
+        ranks = [len(bases[p]) for p in local]
+        if j := next((j for j, r in enumerate(ranks) if r != ranks[0]), 0):
+            raise ValueError(
+                f"fiber over {(s.name, j)} has rank {ranks[j]}, the fiber "
+                f"over {(s.name, 0)} has rank {ranks[0]}")
+        stacks[s.name] = np.stack([bases[p] for p in local])
+    return stacks
 
 
 def invariant_subbundle(g: FiniteGroupAction, b: SampledStratifiedBundle,
@@ -333,7 +348,7 @@ def invariant_subbundle(g: FiniteGroupAction, b: SampledStratifiedBundle,
     differ in rank over one orbit-type stratum (sampling or equivariance
     is off) raise ValueError; each stratum's rank is that of its stack.
     """
-    _, pts, _ = _equivariant_samples(
+    pts, _ = _equivariant_samples(
         g, b, tol, "building the invariant subbundle",
         "bundle is not equivariant: element {i} maps the fiber over {key} "
         "with gap {gap:.3e}")
@@ -353,10 +368,9 @@ def invariant_subbundle(g: FiniteGroupAction, b: SampledStratifiedBundle,
                 bases[p] = basis
         start = stop
     base = partition.stratification
-    new_keys = [partition.point_to_key[p] for p in range(len(pts))]
     return SampledStratifiedBundle.from_stacks(
-        base, b.fiber_ambient,
-        stack_fibers(base, b.fiber_ambient, new_keys, bases), tol_ortho=None)
+        base, b.fiber_ambient, _gather_stacks(base, partition.members, bases),
+        tol_ortho=None)
 
 
 def quotient_bundle(g: FiniteGroupAction, tilde: SampledStratifiedBundle,
@@ -369,7 +383,7 @@ def quotient_bundle(g: FiniteGroupAction, tilde: SampledStratifiedBundle,
     within ``tol`` across every orbit, so the representative fiber is
     well defined.
     """
-    keys, pts, perms = _equivariant_samples(
+    pts, perms = _equivariant_samples(
         g, tilde, tol, "quotient",
         "representative fiber mismatch across an orbit: element {i} at "
         "{key} has gap {gap:.3e}")
@@ -385,12 +399,10 @@ def quotient_bundle(g: FiniteGroupAction, tilde: SampledStratifiedBundle,
          for s in partition.stratification.strata],
         closure_order=[(f"{a}/G", f"{b}/G")
                        for a, b in partition.stratification.closure_order])
-    new_keys = [(f"{name}/G", j) for name, j in
-                (partition.point_to_key[p] for p in range(len(reps)))]
-    bases = [tilde.stacks[keys[rep][0]][keys[rep][1]] for rep in reps]
+    bases = [basis for stack in tilde.stacks.values() for basis in stack]
     return SampledStratifiedBundle.from_stacks(
         renamed, tilde.fiber_ambient,
-        stack_fibers(renamed, tilde.fiber_ambient, new_keys, bases),
+        _gather_stacks(renamed, partition.members, [bases[p] for p in reps]),
         tol_ortho=None)
 
 

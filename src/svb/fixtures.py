@@ -183,19 +183,15 @@ def cone_scenario(depth: int = 40) -> ConvergenceScenario:
 
 
 def cone_sections(b: SampledStratifiedBundle):
-    """One spanning section of a cone bundle: x -> (1, x) away from the
-    origin and the origin fiber's own basis vector at the origin.  For
-    the rank-0 variant this degenerates to the zero section."""
+    """One spanning section of a cone bundle, as ``{stratum: (n_i, 2)
+    array}`` aligned with ``b.stacks``: x -> (1, x) away from the origin
+    and the origin fiber's own basis vector at the origin.  For the
+    rank-0 variant this degenerates to the zero section."""
     if b.stratum_rank["S0"] == 0:
-        return [{key: np.zeros(2) for key in b.point_keys()}]
-    section = {}
-    for key in b.point_keys():
-        if key[0] == "S0":
-            section[key] = b.fiber(key).basis[0].copy()
-        else:
-            (x,) = b.point(key)
-            section[key] = np.array([1.0, float(x)])
-    return [section]
+        return [{s.name: np.zeros((len(s), 2)) for s in b.base.strata}]
+    return [{s.name: b.stacks["S0"][:, 0].copy() if s.name == "S0"
+             else np.column_stack([np.ones(len(s)), s.points[:, 0]])
+             for s in b.base.strata}]
 
 
 def step_rank_bundle() -> SampledStratifiedBundle:
@@ -231,22 +227,15 @@ def bundle_scalar_action(b: SampledStratifiedBundle):
             powers[0] = 1  # fiber coordinates scale with t
         coeffs.append([{"powers": powers, "coef": 1.0}])
 
-    samples = []
-    base_points = []
-    expected = []
-    for key in b.point_keys():
-        x = b.point(key)
-        fiber = b.fiber(key)
-        zero_section = np.concatenate([x, np.zeros(k)])
-        samples.append(zero_section)
-        base_points.append(zero_section)
-        for v in fiber.basis:
-            samples.append(np.concatenate([x, v]))
-        if fiber.dim:
-            embedded = np.hstack([np.zeros((fiber.dim, m)), fiber.basis])
-            expected.append(span(embedded, total))
-        else:
-            expected.append(Subspace.zero(total))
+    samples, base_points, expected = [], [], []
+    for s in b.base.strata:
+        for x, basis in zip(s.points, b.stacks[s.name]):
+            zero_section = np.concatenate([x, np.zeros(k)])
+            samples += [zero_section, *(np.concatenate([x, v]) for v in basis)]
+            base_points.append(zero_section)
+            # A rank-0 fiber spans the zero subspace.
+            expected.append(span(np.hstack([np.zeros((len(basis), m)), basis]),
+                                 total))
     action = MonoidActionSample.polynomial(coeffs, total, np.array(samples))
     return action, np.array(base_points), expected
 

@@ -158,8 +158,8 @@ def foliation_bundle(vfs: VectorFieldSet, r_cc: float = R_CC,
 def fields_as_sections(vfs: VectorFieldSet,
                        bundle: SampledStratifiedBundle):
     """The generating fields read off at the bundle's base points, as
-    sections for the section-based Whitney A oracle."""
-    values = vfs.evaluate(np.concatenate([s.points
-                                          for s in bundle.base.strata]))
-    keys = bundle.point_keys()
-    return [dict(zip(keys, values[:, j])) for j in range(len(vfs.fields))]
+    sections for the section-based Whitney A oracle: per field, one
+    ``(n_i, k)`` value array per stratum, aligned with ``bundle.stacks``."""
+    values = {s.name: vfs.evaluate(s.points) for s in bundle.base.strata}
+    return [{name: v[:, j] for name, v in values.items()}
+            for j in range(len(vfs.fields))]

@@ -119,10 +119,6 @@ class Subspace:
     def project(self, vector) -> np.ndarray:
         return self.projection @ np.asarray(vector, dtype=float)
 
-    def contains_vector(self, vector, tol: float = TOL_CHECK) -> bool:
-        v = np.asarray(vector, dtype=float)
-        return float(np.linalg.norm(v - self.project(v))) <= tol
-
     def to_json(self) -> dict:
         return {"ambient": self.ambient_dim, "basis": self.basis.tolist()}
 

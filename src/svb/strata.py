@@ -318,10 +318,8 @@ class LabelPartition:
 
     stratification: Stratification
     labels: tuple                               # one per input point
-    point_to_key: dict = field(repr=False)      # input index -> (stratum, i)
+    members: list = field(repr=False)           # input indices per stratum
     label_of_stratum: dict = field(repr=False)  # stratum name -> label
-    # the input indices of each stratum's points, stratum by stratum
-    members: list = field(repr=False, compare=False)
 
 
 def partition_by_label(points, labels: Sequence[Hashable],
@@ -339,6 +337,8 @@ def partition_by_label(points, labels: Sequence[Hashable],
     and the two clouds come within ``r_cc``; audit the result with
     ``check_frontier``.  One ``near_pairs`` pass decides both; memory
     grows with the cross-label pairs, held until components are known.
+    ``members`` is the point map: point i of the s-th stratum is input
+    point ``members[s][i]``, each stratum's members ascending.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if not r_cc > 0:
@@ -365,7 +365,7 @@ def partition_by_label(points, labels: Sequence[Hashable],
     cloud = pts[np.concatenate([np.empty(0, np.intp), *members])]
     cloud.flags.writeable = False
     strata, owner = [], np.zeros(len(pts), dtype=np.intp)
-    point_to_key, label_of_stratum = {}, {}
+    label_of_stratum = {}
     start = 0
     for (prefix, label), components in zip(classes, by_class):
         for c, local in enumerate(components):
@@ -375,7 +375,6 @@ def partition_by_label(points, labels: Sequence[Hashable],
             start += len(local)
             strata.append(Stratum._of_rows(name, dim(label, rows), rows))
             label_of_stratum[name] = label
-            point_to_key.update((g, (name, j)) for j, g in enumerate(local))
 
     near = {(a, a) for a in range(len(strata))}  # each cloud meets itself
     for i, j in cross:
@@ -384,7 +383,7 @@ def partition_by_label(points, labels: Sequence[Hashable],
     closure = [(names[a], names[b]) for a, b in sorted(near) if below(
         label_of_stratum[names[a]], label_of_stratum[names[b]])]
     return LabelPartition(Stratification(strata, closure_order=closure),
-                          labels, point_to_key, label_of_stratum, members)
+                          labels, members, label_of_stratum)
 
 
 def estimate_cloud_dim(points: np.ndarray, tol_rank: float = TOL_RANK) -> int:

@@ -160,23 +160,55 @@ class TestWhitneyFromSections:
 
     def test_section_outside_fiber_raises(self):
         b = cone_bundle("pass")
+        for value in ([0.0, 1.0], [np.nan, 0.0]):
+            section = cone_sections(b)[0]
+            section["S+"][0] = value
+            with pytest.raises(ValueError, match="leaves the fiber"):
+                whitney_a_from_sections(b, [section], cone_scenario())
+
+    @pytest.mark.parametrize("key", [("S0", 0), ("S+", 0), ("S+", 3),
+                                     ("S+", 40), ("S-", 7)])
+    def test_fiber_residual_threshold(self, key):
+        # Every value pushed off its fiber along the fiber's normal by
+        # half the tolerance passes; one pushed by twice the tolerance
+        # is named.
+        b, tol = cone_bundle("pass"), 1e-8
         section = cone_sections(b)[0]
-        section[("S+", 0)] = np.array([0.0, 1.0])
-        with pytest.raises(ValueError, match="leaves the fiber"):
-            whitney_a_from_sections(b, [section], cone_scenario())
+        for name, stack in b.stacks.items():
+            normal = stack[:, 0] @ np.array([[0.0, 1.0], [-1.0, 0.0]])
+            section[name] = section[name] + 0.5 * tol * normal
+        verdict = whitney_a_from_sections(b, [section], cone_scenario(),
+                                          tol=tol, tail_len=5)
+        assert verdict.status == "PASS"
+        name, i = key
+        section[name][i] += 1.5 * tol * (
+            b.stacks[name][i, 0] @ np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        with pytest.raises(ValueError, match=re.escape(
+                f"section 0 leaves the fiber at point {key}")):
+            whitney_a_from_sections(b, [section], cone_scenario(),
+                                    tol=tol, tail_len=5)
 
     def test_non_spanning_sections_raise(self):
         b = cone_bundle("pass")
-        zero = {key: np.zeros(2) for key in b.point_keys()}
+        zero = {s.name: np.zeros((len(s), 2)) for s in b.base.strata}
         with pytest.raises(ValueError, match="span"):
             whitney_a_from_sections(b, [zero], cone_scenario())
 
     def test_partial_section_raises(self):
+        # A short stack is undefined at its first absent point, a
+        # missing one at the stratum's first point.
         b = cone_bundle("pass")
-        section = cone_sections(b)[0]
-        del section[("S-", 2)]
-        with pytest.raises(ValueError, match="undefined"):
-            whitney_a_from_sections(b, [section], cone_scenario())
+        for stratum, kept, undefined_at in [("S-", 2, ("S-", 2)),
+                                            ("S-", None, ("S-", 0)),
+                                            ("S0", 0, ("S0", 0))]:
+            section = cone_sections(b)[0]
+            if kept is None:
+                del section[stratum]
+            else:
+                section[stratum] = section[stratum][:kept]
+            with pytest.raises(ValueError, match=re.escape(
+                    f"section 0 undefined at point {undefined_at}")):
+                whitney_a_from_sections(b, [section], cone_scenario())
 
 
 class TestApplyFunctorToBundle:

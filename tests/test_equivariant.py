@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from svb import strata
-from svb.bundle import SampledStratifiedBundle, stack_fibers, trivial_bundle
+from svb.bundle import SampledStratifiedBundle, trivial_bundle
 from svb.config import TOL_CHECK
 from svb.equivariant import (
     FiniteGroupAction,
@@ -28,6 +28,7 @@ from svb.fixtures import (
     rotation_group,
     sign_flip_group,
     sign_flip_tangent_bundle,
+    step_rank_bundle,
 )
 from svb.grassmann import (
     Subspace,
@@ -252,6 +253,17 @@ class TestInvariantSubbundle:
         for key in tilde.point_keys():
             assert tilde.fiber(key).dim == 2
 
+    def test_mixed_rank_orbit_type_stratum_rejected(self):
+        # Every point has the trivial group's one orbit type, so the
+        # partition merges the line's strata, of ranks 1 and 2, into one.
+        g = FiniteGroupAction(1, [np.eye(1)], fiber_elements=[np.eye(3)])
+        for build, name in ((invariant_subbundle, "type0_c0"),
+                            (quotient_bundle, "type0_c0/G")):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"fiber over ('{name}', 1) has rank 2, the fiber over "
+                    f"('{name}', 0) has rank 1")):
+                build(g, step_rank_bundle(), r_cc=0.3)
+
     def test_requires_fiber_action(self):
         g = axis_reflection_group()
         with pytest.raises(ValueError, match="fiber action"):
@@ -313,7 +325,7 @@ class TestStackedRoute:
         assert [classes[c] for c in of_point] == stabs
 
         perms = _point_permutations(g, pts, TOL_CHECK)
-        gaps = _equivariance_gaps(g, b, keys, perms)
+        gaps = _equivariance_gaps(g, b, perms)
         assert np.array_equal(gaps, reference_gaps(g, b, perms))
 
         tilde = invariant_subbundle(g, b, r_cc=r_cc)
@@ -322,9 +334,9 @@ class TestStackedRoute:
         bases = [intersection(b.fiber(key),
                               fixed_subspace(g, stab, use_fiber=True)).basis
                  for key, stab in zip(keys, stabs)]
-        reference = stack_fibers(
-            partition.stratification, b.fiber_ambient,
-            [partition.point_to_key[p] for p in range(len(pts))], bases)
+        reference = {s.name: np.stack([bases[p] for p in local])
+                     for s, local in zip(partition.stratification.strata,
+                                         partition.members)}
         assert tilde.stacks.keys() == reference.keys()
         for stratum, stack in reference.items():
             assert np.array_equal(tilde.stacks[stratum], stack)
@@ -441,7 +453,7 @@ class TestAuditReference:
         keys = b.point_keys()
         perms = _point_permutations(
             g, np.array([b.point(key) for key in keys]), TOL_CHECK)
-        gaps = _equivariance_gaps(g, b, keys, perms)
+        gaps = _equivariance_gaps(g, b, perms)
         reference = np.array([
             [gap_distance(apply_linear_map(g.fiber_elements[i], b.fiber(key)),
                           b.fiber(keys[perm[p]]))

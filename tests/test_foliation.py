@@ -1,6 +1,6 @@
 import numpy as np
 
-from svb.bundle import stack_fibers, validate_bundle, whitney_a_from_sections
+from svb.bundle import validate_bundle, whitney_a_from_sections
 from svb.config import TOL_RANK
 from svb.fixtures import (
     axis_scaling_fields_plane,
@@ -93,10 +93,13 @@ class TestStackedDistributions:
         b = foliation_bundle(vfs, r_cc=0.3)
         sections = fields_as_sections(vfs, b)
         assert len(sections) == len(vfs.fields)
-        for f, section in zip(vfs.fields, sections):
-            assert list(section) == b.point_keys()
-            for key, value in section.items():
-                assert np.array_equal(value, f.evaluate(b.point(key)))
+        for j, (f, section) in enumerate(zip(vfs.fields, sections)):
+            assert list(section) == list(b.stacks)
+            for s in b.base.strata:
+                assert section[s.name].shape == (len(s), 2)
+                for value, p in zip(section[s.name], s.points):
+                    assert np.array_equal(value, f.evaluate(p))
+                    assert np.array_equal(value, vfs.evaluate(p)[0, j])
 
 
 class TestStratifyByRank:
@@ -177,9 +180,9 @@ class TestFoliationBundle:
             [(f"rank{r}", r) for r in sorted(set(ranks))],
             dim=lambda rank, cloud: 0, below=lambda low, high: low < high,
             r_cc=0.12)
-        keys = [part.point_to_key[i] for i in range(len(ranks))]
-        expected = stack_fibers(b.base, 2, keys, [
-            vh[i, :rank] for i, rank in enumerate(ranks)])
+        expected = {s.name: np.stack([vh[p, :ranks[p]] for p in local])
+                    for s, local in zip(part.stratification.strata,
+                                        part.members)}
         assert len(ranks) == 441 and len(b.stacks) > 1
         assert list(b.stacks) == list(expected)
         for name, stack in b.stacks.items():

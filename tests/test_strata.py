@@ -303,7 +303,7 @@ def _kernel_results():
         [(s.name, s.dim, s.points.tolist())
          for s in part.stratification.strata],
         part.stratification.closure_order,
-        part.labels, part.point_to_key, part.label_of_stratum,
+        part.labels, part.members, part.label_of_stratum,
     )
 
 
@@ -561,7 +561,7 @@ def _partition_per_class(points, labels, classes, dim, below, r_cc):
     stacked strata for the closure pairs."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     labels = tuple(labels)
-    found, point_to_key, label_of_stratum = [], {}, {}
+    found, members, label_of_stratum = [], [], {}
     for prefix, label in classes:
         member_idx = [i for i, lab in enumerate(labels) if lab == label]
         for c, component in enumerate(
@@ -570,8 +570,7 @@ def _partition_per_class(points, labels, classes, dim, below, r_cc):
             local = [member_idx[i] for i in component]
             found.append(Stratum(name, dim(label, pts[local]), pts[local]))
             label_of_stratum[name] = label
-            for j, global_index in enumerate(local):
-                point_to_key[global_index] = (name, j)
+            members.append(local)
     cloud = np.concatenate([st.points for st in found])
     owner = np.repeat(np.arange(len(found)), [len(st) for st in found])
     near = set()
@@ -580,7 +579,7 @@ def _partition_per_class(points, labels, classes, dim, below, r_cc):
     closure = [(found[a].name, found[b].name) for a, b in sorted(near)
                if below(label_of_stratum[found[a].name],
                         label_of_stratum[found[b].name])]
-    return found, closure, point_to_key, label_of_stratum
+    return found, closure, members, label_of_stratum
 
 
 def _ring_points(order, radii):
@@ -618,7 +617,7 @@ class TestPartitionByLabel:
             del calls[:]
             part = partition_by_label(*args, **kwargs)
             assert len(calls) == 1
-            found, closure, point_to_key, label_of_stratum = \
+            found, closure, members, label_of_stratum = \
                 _partition_per_class(*args, **kwargs)
             got = part.stratification
             assert got.names == [st.name for st in found]
@@ -626,8 +625,7 @@ class TestPartitionByLabel:
                 assert mine.dim == theirs.dim
                 assert np.array_equal(mine.points, theirs.points)
             assert got.closure_order == frozenset(closure)
-            assert part.point_to_key == point_to_key
-            assert list(part.point_to_key) == list(point_to_key)
+            assert part.members == members
             assert part.label_of_stratum == label_of_stratum
             compared.append(len(found))
             return part
