@@ -20,7 +20,8 @@ scalar action (``bundle_scalar_action``, 300 samples in R^4) of a
 rank-2 trivial bundle over 100 points of the plane, five times each.
 ``invariant_subbundle`` of ``rotation_group(12)`` on its tangent bundle
 over 200 rings (``ring_tangent_bundle``, 2,401 points) is timed five
-times as well.  Two fixed per-call costs are timed warm, after one
+times as well, and so is reading the file of its result (fibers of
+ranks 0 and 2).  Two fixed per-call costs are timed warm, after one
 untimed call, five times each: one in-process ``cli.main`` call of
 ``check frontier`` on ``fixtures/line.json`` and ``foliation_bundle``
 on the 441-point grid of the cloud and orbits workloads.  Seeds, run length and repeats are
@@ -184,6 +185,12 @@ def scaled_timings(checkout):
     cases["equivariant_tilde_ring2401"] = (
         {"points": 2401, "order": 12, "fiber_ambient": 2},
         lambda: invariant_subbundle(rotations, ring, r_cc=0.25))
+    tilde_path = os.path.join(scratch, "tilde2401.json")
+    write_json(bundle_to_json(invariant_subbundle(rotations, ring,
+                                                  r_cc=0.25)), tilde_path)
+    cases["bundle_read_tilde2401"] = (
+        {"points": 2401, "ranks": [0, 2], "fiber_ambient": 2},
+        lambda: bundle_from_json(read_json(tilde_path)))
     line = os.path.join(checkout, "fixtures", "line.json")
 
     def frontier_cli():
@@ -212,6 +219,7 @@ def scaled_timings(checkout):
         out[name] = {"median_s": statistics.median(times),
                      "min_s": min(times), "repeats": REPEATS, "size": size}
     os.remove(bundle_path)
+    os.remove(tilde_path)
     os.rmdir(scratch)
     return out
 

@@ -237,9 +237,11 @@ def whitney_a_from_sections(b: SampledStratifiedBundle,
     """Section-based Whitney A oracle.
 
     A section maps each stratum to the ``(n_i, k)`` stack of its values,
-    aligned with ``b.stacks``.  Requires sections that take values in the
-    fibers (one batched residual per stack) and span the fiber over the
-    limit point.  Along the scenario tail the sections must stay
+    aligned with ``b.stacks``: a stack of more rows or another width is
+    rejected, a short or missing one is undefined at its first absent
+    point.  Requires sections that take values in the fibers (one
+    batched residual per stack) and span the fiber over the limit
+    point.  Along the scenario tail the sections must stay
     asymptotically inside the limit subspace; the verdict is the
     containment test of ``whitney_a_check`` with the per-section tail
     residuals attached.
@@ -248,7 +250,12 @@ def whitney_a_from_sections(b: SampledStratifiedBundle,
     empty = np.empty((0, b.fiber_ambient))
     for j, section in enumerate(sections):
         for name, stack in b.stacks.items():
-            v = np.asarray(section.get(name, empty), dtype=float)[:len(stack)]
+            v = np.asarray(section.get(name, empty), dtype=float)
+            if (v.ndim != 2 or v.shape[1] != b.fiber_ambient
+                    or len(v) > len(stack)):
+                raise ValueError(
+                    f"section {j} over stratum {name!r} has shape {v.shape}, "
+                    f"expected ({len(stack)}, {b.fiber_ambient})")
             fibers = stack[:len(v)]
             # |v - P v| at each defined point; a NaN residual fails too.
             residual = np.linalg.norm(

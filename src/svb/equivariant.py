@@ -12,7 +12,10 @@ stabilizer-invariant part of each fiber, one intersection stack per
 ``quotient_bundle`` pushes the result down to one fiber per orbit.  The
 equivariance audit needs no rank decision: an orthogonal fiber matrix M
 carries the fiber with projection P onto the one with projection
-M P M^T, for every element and fiber in one batched norm.
+M P M^T.  The difference M P M^T - Q is symmetric, so its spectral norm
+is its largest |eigenvalue|: the audit of every element and fiber is
+one batched symmetric eigenvalue solve, and so is the orthogonality
+check of the group's matrices.
 
 Infinite rotation groups are not first class; the plane-rotation action
 on R^2 ships as a closed-form fixture (``circle_action_on_plane_report``)
@@ -136,10 +139,18 @@ def _orthogonal_stack(mats, size: int, what: str,
     then at the first that is not orthogonal."""
     _raise_first([m.shape != (size, size) for m in mats], shape_error)
     mats = np.stack(mats)
-    defect = np.linalg.norm(mats @ mats.transpose(0, 2, 1) - np.eye(size), 2,
-                            axis=(1, 2))
-    _raise_first(defect > _TOL_GROUP, f"{what} {{}} is not orthogonal")
+    defect = _symmetric_norm(mats @ mats.transpose(0, 2, 1) - np.eye(size))
+    _raise_first(~(defect <= _TOL_GROUP), f"{what} {{}} is not orthogonal")
     return mats
+
+
+def _symmetric_norm(mats: np.ndarray) -> np.ndarray:
+    """The spectral norm of each matrix of a stack ``(..., m, m)`` that is
+    symmetric by construction: its largest |eigenvalue|, from one batched
+    ``eigvalsh`` that reads the lower triangle.  NaN where an entry is
+    not finite."""
+    norms = np.abs(np.linalg.eigvalsh(mats)).max(axis=-1, initial=0.0)
+    return np.where(np.isfinite(mats).all(axis=(-2, -1)), norms, np.nan)
 
 
 @dataclass(frozen=True)
@@ -314,8 +325,7 @@ def _equivariance_gaps(g: FiniteGroupAction, b: SampledStratifiedBundle,
     proj = np.stack([basis.T @ basis for stack in b.stacks.values()
                      for basis in stack])
     fibs = g.fiber_elements[:, None]
-    return np.linalg.norm(fibs @ proj @ fibs.swapaxes(2, 3) - proj[perms], 2,
-                          axis=(2, 3))
+    return _symmetric_norm(fibs @ proj @ fibs.swapaxes(2, 3) - proj[perms])
 
 
 def _gather_stacks(base: Stratification, members,

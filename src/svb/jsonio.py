@@ -3,7 +3,11 @@
 Every file carries a top-level ``"schema": "svb/1"`` key next to its
 payload.  Loaders validate shapes eagerly and raise :class:`SchemaError`
 with a JSON-path-style location so the CLI can surface parse problems
-with exit code 1.
+with exit code 1.  Point clouds and fiber bases are parsed as one array
+per file: the rows of all strata, and the basis rows of all fiber
+entries.  Only a file that fails that parse is read again stratum by
+stratum or entry by entry, which is the one route that raises, so that
+an error names the first offending item.
 """
 
 from __future__ import annotations
@@ -384,16 +388,88 @@ def bundle_to_json(b: SampledStratifiedBundle) -> dict:
 
 def bundle_from_json(obj, path="$") -> SampledStratifiedBundle:
     """One basis stack per stratum, audited once, from fiber entries in
-    any order; an error names the lowest offending ``$.fibers[i]``."""
+    any order.  The bases of all entries are parsed by one ``_matrix``
+    call and each stack is one gather of its rows in point order
+    (``_stacked_fibers``).  Only a file that this parse does not read
+    whole is read again entry by entry, which names the lowest offending
+    ``$.fibers[i]``."""
     _check_schema(obj, path)
     base_obj = dict(_expect(obj, "base", dict, path))
     base_obj.setdefault("schema", SCHEMA)
     base = stratification_from_json(base_obj, f"{path}.base")
     k = _expect(obj, "fiber_ambient", int, path)
+    fibers = _expect(obj, "fibers", list, path)
+    stacks = _stacked_fibers(base, k, fibers, path)
+    if stacks is None:
+        stacks = _fibers_per_entry(base, k, fibers, path)
+    ranks_obj = _expect(obj, "ranks", dict, path)
+    ranks = {str(r): _expect(ranks_obj, r, int, f"{path}.ranks")
+             for r in ranks_obj}
+    return SampledStratifiedBundle.from_stacks(base, k, stacks, ranks,
+                                               tol_ortho=None)
+
+
+def _stacked_fibers(base, k, fibers, path):
+    """The audited stacks of ``fibers`` from one parse of all their basis
+    rows, or None when the entries do not stand for exactly one fiber
+    over each point, of one rank per stratum, with bases that parse whole
+    into rows of length ``k`` and pass the audit (which also rejects more
+    than ``k`` rows).  A basis whose first entry is a boolean may be
+    all-boolean, which only its own parse rejects."""
+    if k < 0:  # as_basis rejects it even for a rank-0 basis
+        return None
+    where, total = {}, 0
+    for s in base.strata:
+        where[s.name] = (total, len(s))
+        total += len(s)
+    if len(fibers) != total:
+        return None
+    slots, ranks, rows = [], [], []
+    for item in fibers:
+        # Anything unusual leaves for the entry-by-entry route.
+        if type(item) is not dict:
+            return None
+        index, basis = item.get("point_index"), item.get("basis")
+        if not (type(index) is list and len(index) == 2
+                and type(index[0]) is str and (at := where.get(index[0]))
+                and type(j := index[1]) is int and 0 <= j < at[1]
+                and type(basis) is list):
+            return None
+        if basis and not (type(first := basis[0]) is list and first
+                          and type(first[0]) is not bool):
+            return None
+        slots.append(at[0] + j)
+        ranks.append(len(basis))
+        rows += basis
+    ranks = np.array(ranks)
+    entry = np.full(total, -1)
+    entry[slots] = np.arange(total)
+    if (entry < 0).any():  # a point hit twice leaves another one unhit
+        return None
+    firsts, sizes = zip(*where.values())
+    point_rank = ranks[entry]
+    if (point_rank != np.repeat(point_rank[list(firsts)], sizes)).any():
+        return None
+    try:
+        cloud = _matrix(rows, path) if rows else np.empty((0, k))
+    except SchemaError:
+        return None
+    if cloud.shape[1] != k:
+        return None
+    first_row = (np.cumsum(ranks) - ranks)[entry]
+    stacks = {name: cloud[first_row[a:a + n, None] + np.arange(point_rank[a])]
+              for name, (a, n) in where.items()}
+    return None if failing_fibers(stacks) else stacks
+
+
+def _fibers_per_entry(base, k, fibers, path) -> dict[str, np.ndarray]:
+    """The stacks of ``fibers`` read one entry at a time.  The first
+    entry that breaks the schema is raised once the entries before it
+    pass the audit; else the first point without a fiber is."""
     sizes = {s.name: len(s) for s in base.strata}
     # Slots of stacks[name] not read yet hold rows of I: they pass the audit.
     stacks, entry, error = {}, {}, None
-    for i, item in enumerate(_expect(obj, "fibers", list, path)):
+    for i, item in enumerate(fibers):
         fpath = f"{path}.fibers[{i}]"
         try:
             idx = _expect(item, "point_index", list, fpath)
@@ -432,11 +508,7 @@ def bundle_from_json(obj, path="$") -> SampledStratifiedBundle:
     for key in ((s.name, j) for s in base.strata for j in range(len(s))):
         if key not in entry:
             raise SchemaError(f"{path}.fibers: missing fiber over point {key}")
-    ranks_obj = _expect(obj, "ranks", dict, path)
-    ranks = {str(r): _expect(ranks_obj, r, int, f"{path}.ranks")
-             for r in ranks_obj}
-    return SampledStratifiedBundle.from_stacks(base, k, stacks, ranks,
-                                               tol_ortho=None)
+    return stacks
 
 
 # -- scenario ---------------------------------------------------------------

@@ -149,13 +149,28 @@ class Stratification:
         self._check_disjoint()
 
     def _check_disjoint(self):
-        # Sorted by coordinates, then by stratum, equal rows of distinct
-        # strata sit next to each other; the lowest such pair of strata
-        # is the first pair that shares a point.
-        order = np.lexsort((self._owner, *self._cloud.T))
-        rows, owner = self._cloud[order], self._owner[order]
-        shared = np.flatnonzero((rows[1:] == rows[:-1]).all(axis=1)
-                                & (owner[1:] != owner[:-1]))
+        # Equal rows tie on their first coordinate, so only rows in runs
+        # of ties are sorted by every coordinate.  Both sorts are stable
+        # and the cloud lists the strata in order, so equal rows keep
+        # stratum order: equal rows of distinct strata sit next to each
+        # other, and the lowest such pair is the first pair that shares
+        # a point.
+        columns = self._cloud.T
+        order = np.argsort(columns[0], kind="stable")
+        first = columns[0][order]
+        tie = first[1:] == first[:-1]
+        if not tie.any():
+            return
+        in_run = np.append(tie, False)
+        in_run[1:] |= tie
+        order = order[in_run]
+        order = order[np.lexsort([column[order] for column in columns])]
+        owner = self._owner[order]
+        shared = owner[1:] != owner[:-1]
+        for column in columns:
+            sorted_column = column[order]
+            shared &= sorted_column[1:] == sorted_column[:-1]
+        shared = np.flatnonzero(shared)
         if shared.size:
             low, high = owner[shared], owner[shared + 1]
             k = np.lexsort((high, low))[0]

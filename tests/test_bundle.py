@@ -210,6 +210,24 @@ class TestWhitneyFromSections:
                     f"section 0 undefined at point {undefined_at}")):
                 whitney_a_from_sections(b, [section], cone_scenario())
 
+    @pytest.mark.parametrize("stratum, stack, shape", [
+        ("S+", lambda v: np.vstack([v, [0.0, 5.0]]), "(42, 2)"),
+        ("S-", lambda v: np.column_stack([v, np.zeros(len(v))]), "(41, 3)"),
+        ("S0", lambda v: v[0], "(2,)"),
+    ], ids=["extra-row", "wrong-width", "one-dimensional"])
+    def test_misshapen_stack_rejected(self, stratum, stack, shape):
+        # The extra row is named although the rows before it pass; the
+        # wrong width is named before any matrix product sees it.
+        b = cone_bundle("pass")
+        section = cone_sections(b)[0]
+        assert len(section[stratum]) == len(b.base.stratum(stratum))
+        section[stratum] = stack(section[stratum])
+        n = len(b.base.stratum(stratum))
+        with pytest.raises(ValueError, match=re.escape(
+                f"section 0 over stratum {stratum!r} has shape {shape}, "
+                f"expected ({n}, 2)")):
+            whitney_a_from_sections(b, [section], cone_scenario())
+
 
 class TestApplyFunctorToBundle:
     def test_wedge_on_trivial_r3(self):

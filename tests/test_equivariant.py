@@ -7,10 +7,12 @@ from svb import strata
 from svb.bundle import SampledStratifiedBundle, trivial_bundle
 from svb.config import TOL_CHECK
 from svb.equivariant import (
+    _TOL_GROUP,
     FiniteGroupAction,
     _equivariance_gaps,
     _point_permutations,
     _stabilizer_table,
+    _symmetric_norm,
     circle_action_on_plane_report,
     conjugacy_label,
     fixed_subspace,
@@ -423,6 +425,46 @@ class TestEquivarianceThreshold:
         assert set(out.stratum_rank.values()) == {1}
 
 
+def z_rotation_group(order=6):
+    """The ``order`` rotations of R^3 about the z-axis, acting on fibers
+    in R^3 by the same matrices."""
+    mats = []
+    for k in range(order):
+        c, s = np.cos(2.0 * np.pi * k / order), np.sin(2.0 * np.pi * k / order)
+        mats.append(np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]))
+    return FiniteGroupAction(3, mats, fiber_elements=mats)
+
+
+def z_axis_bundle(order=6, tilt=0.0, tilted=2):
+    """Fibers in R^3 of ranks 0, 1, 2 and 1 over the origin, two points
+    of the z-axis, a unit ring and a raised ring of radius 0.5, each ring
+    ``order`` points: nothing, the z-axis, the plane of the tangent and
+    the z-axis, and the radial line.  Equivariant under
+    ``z_rotation_group(order)`` until the plane over ring point
+    ``tilted`` is turned by ``tilt`` about its tangent."""
+    angles = 2.0 * np.pi * np.arange(order) / order
+    radial = np.column_stack([np.cos(angles), np.sin(angles),
+                              np.zeros(order)])
+    tangent = np.column_stack([-np.sin(angles), np.cos(angles),
+                               np.zeros(order)])
+    up = np.array([0.0, 0.0, 1.0])
+    turn = np.where(np.arange(order) == tilted, tilt, 0.0)[:, None]
+    base = Stratification([
+        Stratum("origin", 0, [[0.0, 0.0, 0.0]]),
+        Stratum("axis", 1, [[0.0, 0.0, -1.0], [0.0, 0.0, 0.5]]),
+        Stratum("ring", 1, radial),
+        Stratum("raised", 1, 0.5 * radial + 0.5 * up)])
+    planes = np.stack([tangent, up * np.cos(turn) + radial * np.sin(turn)],
+                      axis=1)
+    fibers = {("origin", 0): Subspace.zero(3),
+              ("axis", 0): span([up], 3), ("axis", 1): span([up], 3)}
+    for k in range(order):
+        fibers[("ring", k)] = span(planes[k], 3)
+        fibers[("raised", k)] = span(radial[k:k + 1], 3)
+    return SampledStratifiedBundle(base, 3, fibers, {
+        "origin": 0, "axis": 1, "ring": 2, "raised": 1})
+
+
 @pytest.fixture(scope="module")
 def equivariance_inputs():
     """(group, bundle) pairs: rotation rings, the dihedral grid, their
@@ -438,13 +480,14 @@ def equivariance_inputs():
         cases[f"{name}-tilde"] = (g, invariant_subbundle(g, b, r_cc=r_cc))
     cases["radial-tilted"] = (rotation_group(8),
                               radial_line_bundle(tilt=0.3))
+    cases["z-axis-tilted"] = (z_rotation_group(), z_axis_bundle(tilt=0.3))
     return cases
 
 
 class TestAuditReference:
     @pytest.mark.parametrize("name", ["ring8", "ring8-tilde", "ring12",
                                       "ring12-tilde", "grid", "grid-tilde",
-                                      "radial-tilted"])
+                                      "radial-tilted", "z-axis-tilted"])
     def test_conjugated_projections_match_image_spans(
             self, equivariance_inputs, name):
         # Reference: span the image of each basis under the fiber matrix,
@@ -461,6 +504,87 @@ class TestAuditReference:
             for i, perm in enumerate(perms)])
         assert gaps.shape == (g.order, len(keys))
         assert np.abs(gaps - reference).max() <= 1e-12
+
+    def test_z_axis_bundle_mixes_ranks_and_gaps(self, equivariance_inputs):
+        g, b = equivariance_inputs["z-axis-tilted"]
+        assert b.stratum_rank == {"origin": 0, "axis": 1, "ring": 2,
+                                  "raised": 1}
+        perms = _point_permutations(g, b.base._cloud, TOL_CHECK)
+        gaps = _equivariance_gaps(g, b, perms)
+        # Only fibers moved onto or off the tilted plane have a gap.
+        ring = slice(3, 9)
+        assert (gaps[:, ring] > 0.1).sum() == 2 * (g.order - 1)
+        assert gaps[:, :3].max() <= 1e-12 and gaps[:, 9:].max() <= 1e-12
+        untilted = z_axis_bundle()
+        assert _equivariance_gaps(g, untilted, perms).max() <= 1e-12
+
+
+def _stretched(m, defect, axis):
+    """``m`` stretched along the unit vector ``axis`` so that its
+    orthogonality defect ``||M M^T - I||_2`` is ``defect``."""
+    u = np.asarray(axis, dtype=float)
+    stretch = np.sqrt(1.0 + defect) - 1.0
+    return (np.eye(len(u)) + stretch * np.outer(u, u)) @ m
+
+
+class TestOrthogonalityThreshold:
+    # Element 3 of the eighth-turn rotations is stretched along (0.6,
+    # 0.8).  At half the tolerance its products still match the table
+    # within _TOL_GROUP; at twice the tolerance it is rejected first.
+    @pytest.mark.parametrize("fiber", [False, True],
+                             ids=["element", "fiber-element"])
+    def test_defect_flips_at_tolerance(self, fiber):
+        g = rotation_group(8)
+        for factor in (0.5, 2.0):
+            mats = [m.copy() for m in g.elements]
+            fibers = [m.copy() for m in g.fiber_elements]
+            stretched = fibers if fiber else mats
+            stretched[3] = _stretched(stretched[3], factor * _TOL_GROUP,
+                                      (0.6, 0.8))
+            defect = np.linalg.norm(stretched[3] @ stretched[3].T - np.eye(2),
+                                    2)
+            assert defect == pytest.approx(factor * _TOL_GROUP, rel=1e-6)
+            if factor < 1.0:
+                out = FiniteGroupAction(2, mats, fiber_elements=fibers)
+                assert np.array_equal(out.table, g.table)
+            else:
+                with pytest.raises(ValueError, match=(
+                        f"^{'fiber ' if fiber else ''}element 3 is not "
+                        "orthogonal$")):
+                    FiniteGroupAction(2, mats, fiber_elements=fibers)
+
+    @pytest.mark.parametrize("fiber", [False, True],
+                             ids=["element", "fiber-element"])
+    def test_non_finite_matrix_is_not_orthogonal(self, fiber):
+        mats = [np.eye(2), np.diag([1.0, -1.0])]
+        fibers = [[[1.0]], [[-1.0]]]
+        if fiber:
+            fibers[1] = [[np.nan]]
+        else:
+            mats[1] = np.diag([np.nan, -1.0])
+        with pytest.raises(ValueError, match=(
+                f"^{'fiber ' if fiber else ''}element 1 is not orthogonal$")):
+            FiniteGroupAction(2, mats, fiber_elements=fibers)
+
+
+class TestSymmetricNorm:
+    def test_matches_spectral_norm(self):
+        rng = np.random.default_rng(5)
+        for size in (1, 2, 3, 7):
+            a = rng.normal(size=(40, size, size))
+            sym = a + a.swapaxes(1, 2)
+            assert np.allclose(_symmetric_norm(sym),
+                               np.linalg.norm(sym, 2, axis=(1, 2)),
+                               rtol=1e-12, atol=0.0)
+
+    def test_empty_and_non_finite(self):
+        assert np.array_equal(_symmetric_norm(np.zeros((3, 0, 0))),
+                              np.zeros(3))
+        # LAPACK may read a NaN on the diagonal as 0.
+        out = _symmetric_norm(np.array([[[np.nan, 0.0], [0.0, 1.0]],
+                                        [[np.inf, 0.0], [0.0, 1.0]],
+                                        [[2.0, 0.0], [0.0, -3.0]]]))
+        assert np.isnan(out[:2]).all() and out[2] == 3.0
 
 
 class TestQuotientBundle:

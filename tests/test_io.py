@@ -2,6 +2,7 @@ import importlib.util
 import json
 import os
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -297,6 +298,173 @@ class TestOneParseReader:
         obj = {"schema": SCHEMA, "ambient": ambient, "strata": strata}
         assert _outcome(stratification_from_json, obj) == \
             _outcome(_read_per_stratum, obj)
+
+
+def _bundle_outcome(obj):
+    try:
+        b = bundle_from_json(obj)
+    except SchemaError as exc:
+        return str(exc)
+    return ([(name, stack.shape, stack.dtype, stack.tobytes())
+             for name, stack in b.stacks.items()], b.stratum_rank)
+
+
+_NAN = float("nan")
+# Orthonormal bases in R^2 by rank, floats and integers.
+_BASES = {0: [[]],
+          1: [[[1.0, 0.0]], [[0.6, -0.8]], [[0, 1]], [[-1, 0.0]]],
+          2: [[[0.6, 0.8], [-0.8, 0.6]], [[1, 0], [0, 1]], [[0.0, 1], [1, 0]]]}
+# Bases the per-entry route may reject: wrong widths or ranks, ragged or
+# empty rows, non-numbers, NaN, and non-orthonormal rows.
+_ODD_BASES = [[[1.0]], [[1.0, 0.0, 0.0]], [[1.0, 0.0], [0.0]],
+              [[1, 0], [0, 1], [0, 0]], [[]], [[], []], [1.0, 0.0],
+              [[[1.0, 0.0]]], [[1.0, None]], [["1", 0]], "basis", None,
+              [[_NAN, 0.0]], [[2 ** 70, 0]], [[1.0, 1.0]],
+              [[0.6, 0.8], [0.6, 0.8]], [[1.0 + 1e-6, 0.0]]]
+
+
+def _edit_index(value):
+    def edit(fibers, i, j):
+        fibers[i]["point_index"] = value
+    return edit
+
+
+def _repeat_index(fibers, i, j):
+    fibers[i]["point_index"] = fibers[j].get("point_index")
+
+
+def _drop_entry(fibers, i, j):
+    del fibers[i]
+
+
+def _drop_key(key):
+    def edit(fibers, i, j):
+        fibers[i].pop(key, None)
+    return edit
+
+
+def _odd_basis(basis):
+    def edit(fibers, i, j):
+        fibers[i]["basis"] = basis
+    return edit
+
+
+def _boolean_basis(fibers, i, j):
+    # All-boolean: [[0, 1]] becomes the orthonormal [[False, True]].
+    basis = fibers[i].get("basis")
+    if isinstance(basis, list) and all(isinstance(row, list) for row in basis):
+        fibers[i]["basis"] = [[x != 0 for x in row] for row in basis]
+
+
+def _boolean_first(fibers, i, j):
+    # Only the first entry: [[True, 0.0]] parses as floats.
+    basis = fibers[i].get("basis")
+    if isinstance(basis, list) and basis and isinstance(basis[0], list) \
+            and basis[0]:
+        fibers[i]["basis"] = [[bool(basis[0][0])] + basis[0][1:]] + basis[1:]
+
+
+_EDITS = {
+    "entry": [_repeat_index, _drop_entry, _drop_key("basis"),
+              _drop_key("point_index")],
+    "index": [_edit_index(value) for value in (
+        ["a", 2], ["c", -1], ["a", -9], ["a", True], ["b", 0.0], ["z", 0],
+        [0, 0], [["a"], 0], ["a"], ["a", 0, 0], "a0", None)],
+    "basis": [_odd_basis(basis) for basis in _ODD_BASES],
+    "boolean": [_boolean_basis, _boolean_first],
+}
+_ALL_EDITS = [edit for kind in sorted(_EDITS) for edit in _EDITS[kind]]
+
+
+class TestOneParseBundleReader:
+    """The one-parse bundle reader agrees with the per-entry route on
+    every input: the same stacks and ranks, bit for bit, or the same
+    error."""
+
+    SIZES = {"a": 2, "b": 1, "c": 3}
+
+    @classmethod
+    def _file(cls, ambient, ranks, bases):
+        """A bundle over three strata of 2, 1 and 3 points on the line,
+        with the fiber entries ``bases`` in point order."""
+        points = iter(range(100))
+        base = {"ambient": 1, "strata": [
+            {"name": name, "dim": 0,
+             "points": [[float(next(points))] for _ in range(n)]}
+            for name, n in cls.SIZES.items()]}
+        keys = [[name, j] for name, n in cls.SIZES.items() for j in range(n)]
+        return {"schema": SCHEMA, "base": base, "fiber_ambient": ambient,
+                "fibers": [{"point_index": key, "basis": basis}
+                           for key, basis in zip(keys, bases)],
+                "ranks": ranks}
+
+    @staticmethod
+    def _per_entry(obj):
+        with mock.patch.object(jsonio, "_stacked_fibers",
+                               lambda *args: None):
+            return _bundle_outcome(obj)
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_same_as_per_entry_route(self, data):
+        ranks = {name: data.draw(st.integers(0, 2)) for name in self.SIZES}
+        obj = self._file(
+            data.draw(st.sampled_from([2, 2, 2, 2, 1, 0, -1])), ranks,
+            [data.draw(st.sampled_from(_BASES[ranks[name]]))
+             for name, n in self.SIZES.items() for _ in range(n)])
+        fibers = obj["fibers"]
+        for _ in range(data.draw(st.integers(0, 2))):
+            if not fibers:
+                break
+            at = st.integers(0, len(fibers) - 1)
+            kind = data.draw(st.sampled_from(sorted(_EDITS)))
+            data.draw(st.sampled_from(_EDITS[kind]))(
+                fibers, data.draw(at), data.draw(at))
+        if fibers and data.draw(st.integers(0, 9)) == 0:
+            fibers[-1] = [fibers[-1]]  # an entry that is not an object
+        obj["fibers"] = data.draw(st.permutations(fibers))
+        assert _bundle_outcome(obj) == self._per_entry(obj)
+
+    @pytest.mark.parametrize("edit", range(len(_ALL_EDITS)))
+    @pytest.mark.parametrize("at", [(0, 1), (5, 2)])
+    def test_each_edit_of_a_readable_file(self, edit, at):
+        # Integer bases of ranks 1, 0 and 2: each boolean edit leaves an
+        # orthonormal basis, so only the parse can tell.
+        obj = self._file(2, {"a": 1, "b": 0, "c": 2},
+                         [[[0, 1]], [[-1, 0]], []]
+                         + [[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                            [[0.6, 0.8], [-0.8, 0.6]]])
+        assert not isinstance(_bundle_outcome(obj), str)
+        _ALL_EDITS[edit](obj["fibers"], *at)
+        assert _bundle_outcome(obj) == self._per_entry(obj)
+
+    @pytest.mark.parametrize("ambient", [-1, 0, 2])
+    def test_rank0_files(self, ambient):
+        obj = self._file(ambient, {"a": 0, "b": 0, "c": 0}, [[]] * 6)
+        assert _bundle_outcome(obj) == self._per_entry(obj)
+
+    @pytest.mark.parametrize("name", ["cone_pass.json", "cone_rank0.json",
+                                      "ring_tangent.json", "step_rank.json"])
+    def test_bundle_files_take_one_parse(self, name):
+        obj = read_json(os.path.join(FIXTURES, name))
+        base = stratification_from_json(dict(obj["base"], schema=SCHEMA))
+        stacks = jsonio._stacked_fibers(base, obj["fiber_ambient"],
+                                        obj["fibers"], "$")
+        assert stacks is not None
+        assert _bundle_outcome(obj) == self._per_entry(obj)
+
+    @pytest.mark.parametrize("first, second, where", [
+        (3, 7, "$.fibers[3].basis: basis is not orthonormal"),
+        (7, 3, "$.fibers[3].point_index: repeated fiber over point"),
+    ], ids=["audit-first", "structure-first"])
+    def test_audit_and_structure_errors_in_file_order(self, first, second,
+                                                      where):
+        obj = bundle_to_json(cone_bundle("pass", depth=4))
+        obj["fibers"][first]["basis"] = [[1.0, 1.0]]
+        obj["fibers"][second]["point_index"] = obj["fibers"][0]["point_index"]
+        with pytest.raises(SchemaError, match=f"^{re.escape(where)}"):
+            bundle_from_json(obj)
+        assert self._per_entry(obj).startswith(where)
 
 
 def test_written_files_end_with_newline(tmp_path):

@@ -1,5 +1,5 @@
 import tracemalloc
-from itertools import product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -109,6 +109,63 @@ def _dense_frontier(s, eps, delta):
     touching.sort()
     violations.sort(key=lambda v: (v.s, v.r))
     return tuple(touching), tuple(violations)
+
+
+def _lowest_shared_pair(strata):
+    """The first pair of strata, in list order, that share a point."""
+    clouds = [set(map(tuple, s.points.tolist())) for s in strata]
+    return next(((strata[i].name, strata[j].name)
+                 for i, j in combinations(range(len(strata)), 2)
+                 if clouds[i] & clouds[j]), None)
+
+
+def _disjointness_error(strata):
+    try:
+        Stratification(strata)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestDisjointness:
+    """The pair named is the lowest pair of strata, in list order, that
+    share a sample point; points repeated within one stratum are fine."""
+
+    @staticmethod
+    def _message(pair):
+        return f"strata {pair[0]!r} and {pair[1]!r} share a sample point"
+
+    def test_several_shared_pairs_in_every_order(self):
+        # a-c, b-d and c-d share points; every shared point ties on its
+        # first coordinate with a point it does not equal.
+        strata = [Stratum("a", 0, [[0.0, 1.0], [5.0, 5.0], [6.0, 1.0]]),
+                  Stratum("b", 0, [[2.0, 0.0], [3.0, -1.0], [5.0, -5.0]]),
+                  Stratum("c", 0, [[4.0, 4.0], [5.0, 5.0], [6.0, 0.0],
+                                   [4.0, 4.0]]),
+                  Stratum("d", 0, [[6.0, 0.0], [3.0, -1.0], [3.0, 1.0]])]
+        named = set()
+        for order in permutations(strata):
+            pair = _lowest_shared_pair(order)
+            assert _disjointness_error(list(order)) == self._message(pair)
+            named.add(frozenset(pair))
+        assert len(named) == 3
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_grid_rows_where_every_first_coordinate_ties(self, seed):
+        # The 441-point grid, one stratum per row: each x is shared by
+        # all 21 strata, and a repeat within a row is not shared.
+        axis = np.arange(-10, 11) * 0.1
+        rows = [[[x, y] for x in axis] for y in axis]
+        rows[seed].append(rows[seed][3])
+        assert _disjointness_error(
+            [Stratum(f"y{k:02d}", 1, r) for k, r in enumerate(rows)]) is None
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            source, target = rng.choice(len(rows), 2, replace=False)
+            rows[target].append(rows[source][rng.integers(len(axis))])
+        strata = [Stratum(f"y{k:02d}", 1, r) for k, r in enumerate(rows)]
+        assert _disjointness_error(strata) == self._message(
+            _lowest_shared_pair(strata))
 
 
 class TestCheckFrontier:
