@@ -20,12 +20,14 @@ scalar action (``bundle_scalar_action``, 300 samples in R^4) of a
 rank-2 trivial bundle over 100 points of the plane, five times each.
 ``invariant_subbundle`` of ``rotation_group(12)`` on its tangent bundle
 over 200 rings (``ring_tangent_bundle``, 2,401 points) is timed five
-times as well, and so is reading the file of its result (fibers of
-ranks 0 and 2).  Two fixed per-call costs are timed warm, after one
-untimed call, five times each: one in-process ``cli.main`` call of
-``check frontier`` on ``fixtures/line.json`` and ``foliation_bundle``
-on the 441-point grid of the cloud and orbits workloads.  Seeds, run length and repeats are
-fixed, so that any two snapshots compare like with like.  Each
+times as well, and so are ``partition_by_label`` alone on that ring's
+points and orbit types at ``r_cc`` 0.25 and reading the file of the
+tilde bundle (fibers of ranks 0 and 2).  Two fixed per-call costs are
+timed warm, after one untimed call, five times each: one in-process
+``cli.main`` call of ``check frontier`` on ``fixtures/line.json`` and
+``foliation_bundle`` on the 441-point grid of the cloud and orbits
+workloads.  Seeds, run length and repeats are fixed, so that any two
+snapshots compare like with like.  Each
 measurement runs in a fresh process that imports svb from the
 checkout's ``src``, so a snapshot of an older commit only needs its
 checkout; ``--checkout`` defaults to the one holding this script.
@@ -118,7 +120,7 @@ def scaled_timings(checkout):
     import svb
     import svb.cli
     from svb.bundle import apply_functor_to_bundle, trivial_bundle
-    from svb.equivariant import invariant_subbundle
+    from svb.equivariant import invariant_subbundle, orbit_type_partition
     from svb.fixtures import (axis_scaling_fields_plane, bundle_scalar_action,
                               cantor_stratification, ring_tangent_bundle,
                               rotation_group)
@@ -129,7 +131,7 @@ def scaled_timings(checkout):
         write_json
     from svb.monoid import audit_axioms, regularity_check
     from svb.strata import (Stratification, Stratum, check_frontier,
-                            local_finiteness_report)
+                            local_finiteness_report, partition_by_label)
 
     if os.path.dirname(os.path.abspath(svb.__file__)) != \
             os.path.join(os.path.abspath(src), "svb"):
@@ -185,6 +187,21 @@ def scaled_timings(checkout):
     cases["equivariant_tilde_ring2401"] = (
         {"points": 2401, "order": 12, "fiber_ambient": 2},
         lambda: invariant_subbundle(rotations, ring, r_cc=0.25))
+    # The orbit-type partition of the ring, redone by partition_by_label
+    # alone: the two orbit types (the whole group at the centre, the
+    # trivial group elsewhere) nest by size, so `below` compares sizes.
+    ring_points = np.concatenate([st.points for st in ring.base.strata])
+    part = orbit_type_partition(rotations, ring_points, r_cc=0.25)
+    classes = {name.rsplit("_c", 1)[0]: label
+               for name, label in part.label_of_stratum.items()}
+    dims = {part.label_of_stratum[st.name]: st.dim
+            for st in part.stratification.strata}
+    cases["partition_ring2401"] = (
+        {"points": 2401, "labels": len(classes), "r_cc": 0.25},
+        lambda: partition_by_label(
+            ring_points, part.labels, list(classes.items()),
+            dim=lambda label, cloud: dims[label],
+            below=lambda low, high: len(low) > len(high), r_cc=0.25))
     tilde_path = os.path.join(scratch, "tilde2401.json")
     write_json(bundle_to_json(invariant_subbundle(rotations, ring,
                                                   r_cc=0.25)), tilde_path)

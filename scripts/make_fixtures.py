@@ -4,9 +4,13 @@
 Everything is produced from svb.fixtures, so the files stay in sync with
 the in-memory fixtures the tests use.  Run from the repository root:
 
-    python3 scripts/make_fixtures.py
+    python3 scripts/make_fixtures.py [DIR]
+
+DIR defaults to the committed fixtures/; another directory receives a
+fresh copy of the corpus, for comparing against the committed one.
 """
 
+import argparse
 import os
 import sys
 
@@ -29,6 +33,13 @@ from svb.monoid import MonoidActionSample
 
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+
+def parse_args(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("dir", nargs="?", default=FIXTURES,
+                        help="output directory (default: fixtures/)")
+    return parser.parse_args(argv)
 
 
 def main(root: str = FIXTURES) -> None:
@@ -104,4 +115,4 @@ def main(root: str = FIXTURES) -> None:
 
 
 if __name__ == "__main__":
-    main()
+    main(parse_args().dir)

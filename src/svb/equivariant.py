@@ -43,7 +43,6 @@ from .strata import (
 
 __all__ = [
     "FiniteGroupAction",
-    "OrbitTypeLabel",
     "stabilizer",
     "conjugacy_label",
     "fixed_subspace",
@@ -153,17 +152,6 @@ def _symmetric_norm(mats: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(mats).all(axis=(-2, -1)), norms, np.nan)
 
 
-@dataclass(frozen=True)
-class OrbitTypeLabel:
-    """Conjugacy class of a stabilizer, keyed by its lexicographically
-    minimal conjugate's sorted element indices."""
-
-    indices: tuple[int, ...]
-
-    def __len__(self):
-        return len(self.indices)
-
-
 def stabilizer(g: FiniteGroupAction, x, tol: float = TOL_CHECK
                ) -> tuple[int, ...]:
     """Indices of the elements fixing x, verified subgroup-closed: the
@@ -196,10 +184,11 @@ def _stabilizer_table(g: FiniteGroupAction, pts: np.ndarray, tol: float
     return classes, np.argsort(by_appearance)[inverse.reshape(-1)]
 
 
-def conjugacy_label(g: FiniteGroupAction, subgroup) -> OrbitTypeLabel:
+def conjugacy_label(g: FiniteGroupAction, subgroup) -> tuple[int, ...]:
+    """The orbit type of a stabilizer: the sorted element indices of its
+    lexicographically least conjugate."""
     # Conjugating by the identity gives the sorted subgroup itself.
-    return OrbitTypeLabel(min(g.conjugate_subgroup(subgroup, t)
-                              for t in range(g.order)))
+    return min(g.conjugate_subgroup(subgroup, t) for t in range(g.order))
 
 
 def fixed_subspace(g: FiniteGroupAction, subgroup, use_fiber: bool = False,
@@ -243,8 +232,8 @@ def _partition_by_stabilizer(g: FiniteGroupAction, pts: np.ndarray,
     known: point p has stabilizer ``classes[of_point[p]]``."""
     label_of = [conjugacy_label(g, stab) for stab in classes]
     labels = [label_of[c] for c in of_point.tolist()]
-    distinct = sorted(set(labels), key=lambda lab: (-len(lab), lab.indices))
-    dims = {label: fixed_subspace(g, label.indices).dim for label in distinct}
+    distinct = sorted(set(labels), key=lambda lab: (-len(lab), lab))
+    dims = {label: fixed_subspace(g, label).dim for label in distinct}
     return partition_by_label(
         pts, labels, [(f"type{t}", label) for t, label in enumerate(distinct)],
         dim=lambda label, cloud: dims[label],
@@ -252,13 +241,13 @@ def _partition_by_stabilizer(g: FiniteGroupAction, pts: np.ndarray,
         r_cc=r_cc)
 
 
-def _class_properly_contains(g: FiniteGroupAction, big: OrbitTypeLabel,
-                             small: OrbitTypeLabel) -> bool:
+def _class_properly_contains(g: FiniteGroupAction, big: tuple[int, ...],
+                             small: tuple[int, ...]) -> bool:
     """True when some conjugate of `small` is a proper subgroup of `big`."""
     if len(small) >= len(big):
         return False
-    big_set = set(big.indices)
-    return any(set(g.conjugate_subgroup(small.indices, t)) <= big_set
+    big_set = set(big)
+    return any(set(g.conjugate_subgroup(small, t)) <= big_set
                for t in range(g.order))
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bundle import SampledStratifiedBundle
 from .config import R_CC, TOL_RANK
-from .grassmann import Subspace
+from .grassmann import Subspace, _span_rank
 from .strata import Stratification, estimate_cloud_dim, partition_by_label
 
 __all__ = [
@@ -113,10 +113,10 @@ class VectorFieldSet:
 
 def _distribution_rows(vfs: VectorFieldSet, points, tol_rank: float):
     """``vh, ranks``: ``vh[i, :ranks[i]]`` spans the fields at
-    ``points[i]``, by one SVD of the stacked field values and the rank
-    rule of ``span`` (sigma counts iff sigma > tol_rank * sigma_max)."""
-    _, sigma, vh = np.linalg.svd(vfs.evaluate(points), full_matrices=False)
-    return vh, (sigma > tol_rank * sigma[:, :1]).sum(axis=1).tolist()
+    ``points[i]``, from one SVD stack of the field values under the rank
+    rule of ``span``."""
+    vh, ranks = _span_rank(vfs.evaluate(points), tol_rank, 0.0)
+    return vh, ranks.tolist()
 
 
 def distribution_at(vfs: VectorFieldSet, x,

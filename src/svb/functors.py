@@ -54,8 +54,6 @@ __all__ = [
     "check_orthogonality",
     "orthogonality_residuals",
     "parse_functor",
-    "functor_to_json",
-    "functor_from_json",
     "format_functor",
 ]
 
@@ -330,44 +328,11 @@ def check_orthogonality(f: LinearFunctor, w: Subspace,
 
 
 # ---------------------------------------------------------------------------
-# Serialization: JSON tree and the CLI shorthand grammar, e.g.
+# Serialization: the CLI shorthand grammar, e.g.
 #   "wedge:2", "sym:3", "id", "const:1",
 #   "compose(wedge:2,sum(id,const:1))".
 
 _POWER_OPS = {cls.op: cls for cls in (WedgePower, TensorPower, SymPower)}
-
-
-def functor_to_json(f: LinearFunctor) -> dict:
-    if isinstance(f, Identity):
-        return {"op": "id"}
-    if isinstance(f, ConstantSum):
-        return {"op": "const", "n": f.dim}
-    if isinstance(f, _Power):
-        return {"op": f.op, "n": f.n}
-    if isinstance(f, DirectSum):
-        return {"op": "sum",
-                "args": [functor_to_json(f.left), functor_to_json(f.right)]}
-    if isinstance(f, Compose):
-        return {"op": "compose",
-                "args": [functor_to_json(f.outer), functor_to_json(f.inner)]}
-    raise TypeError(f"not a functor spec: {f!r}")
-
-
-def functor_from_json(obj: dict) -> LinearFunctor:
-    op = obj.get("op")
-    if op == "id":
-        return Identity()
-    if op == "const":
-        return ConstantSum(int(obj["n"]))
-    if op in _POWER_OPS:
-        return _POWER_OPS[op](int(obj["n"]))
-    if op == "sum":
-        left, right = obj["args"]
-        return DirectSum(functor_from_json(left), functor_from_json(right))
-    if op == "compose":
-        outer, inner = obj["args"]
-        return Compose(functor_from_json(outer), functor_from_json(inner))
-    raise ValueError(f"unknown functor op: {op!r}")
 
 
 def format_functor(f: LinearFunctor) -> str:

@@ -239,6 +239,16 @@ def _expect(obj, key, kinds, path):
     return value
 
 
+def _ints(obj, key, path) -> list:
+    """``obj[key]``, a list of JSON integers: not floats, not booleans."""
+    values = _expect(obj, key, list, path)
+    for k, value in enumerate(values):
+        if type(value) is not int:
+            raise SchemaError(f"{path}.{key}[{k}]: expected int, "
+                              f"got {type(value).__name__}")
+    return values
+
+
 def _check_schema(obj, path):
     tag = _expect(obj, "schema", str, path)
     if tag != SCHEMA:
@@ -325,7 +335,8 @@ def stratification_from_json(obj, path="$") -> Stratification:
         strata = [Stratum._of_rows(name, dim, cloud[end - size:end])
                   for name, dim, size, end in zip(names, dims, sizes, ends)]
     closure = []
-    for i, pair in enumerate(obj.get("closure", [])):
+    pairs = _expect(obj, "closure", list, path) if "closure" in obj else []
+    for i, pair in enumerate(pairs):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise SchemaError(f"{path}.closure[{i}]: expected a name pair")
         closure.append((pair[0], pair[1]))
@@ -524,11 +535,7 @@ def scenario_from_json(obj, path="$") -> ConvergenceScenario:
     target = _expect(obj, "S", str, path)
     source = _expect(obj, "R", str, path)
     x0 = _expect(obj, "x0_index", int, path)
-    seq = _expect(obj, "sequence_indices", list, path)
-    for k, index in enumerate(seq):
-        if type(index) is not int:
-            raise SchemaError(f"{path}.sequence_indices[{k}]: expected int, "
-                              f"got {type(index).__name__}")
+    seq = _ints(obj, "sequence_indices", path)
     try:
         return ConvergenceScenario(target, source, x0, tuple(seq))
     except (TypeError, ValueError) as exc:
@@ -543,14 +550,18 @@ def group_to_json(g: FiniteGroupAction) -> dict:
     return out
 
 
+def _matrices(obj, key, path) -> list[np.ndarray]:
+    return [_matrix(m, f"{path}.{key}[{i}]")
+            for i, m in enumerate(_expect(obj, key, list, path))]
+
+
 def group_from_json(obj, path="$") -> FiniteGroupAction:
     _check_schema(obj, path)
     n = _expect(obj, "n", int, path)
-    elements = _expect(obj, "elements", list, path)
-    fiber = obj.get("fiber_elements")
-    for key, mats in (("elements", elements), ("fiber_elements", fiber or [])):
-        for i, m in enumerate(mats):
-            _matrix(m, f"{path}.{key}[{i}]")
+    elements = _matrices(obj, "elements", path)
+    # A missing or null fiber_elements means no fiber action.
+    fiber = (None if obj.get("fiber_elements") is None
+             else _matrices(obj, "fiber_elements", path))
     try:
         return FiniteGroupAction(n, elements, fiber_elements=fiber)
     except ValueError as exc:
@@ -581,7 +592,7 @@ def action_from_json(obj, path="$") -> MonoidActionSample:
                 raise SchemaError(f"{path}.coeffs[{i}]: expected a list")
             for j, term in enumerate(coord_terms):
                 tpath = f"{path}.coeffs[{i}][{j}]"
-                _expect(term, "powers", list, tpath)
+                _ints(term, "powers", tpath)
                 _matrix([_expect(term, "coef", (int, float), tpath)],
                         f"{tpath}.coef", ndim=1)
         descriptor["coeffs"] = coeffs
@@ -608,7 +619,7 @@ def fields_from_json(obj, path="$") -> VectorFieldSet:
         fpath = f"{path}.fields[{i}]"
         for j, term in enumerate(_expect(item, "coeffs", list, fpath)):
             tpath = f"{fpath}.coeffs[{j}]"
-            _expect(term, "powers", list, tpath)
+            _ints(term, "powers", tpath)
             _matrix(_expect(term, "vector", list, tpath), f"{tpath}.vector",
                     ndim=1)
     try:

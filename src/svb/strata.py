@@ -300,6 +300,8 @@ def single_linkage_components(points: np.ndarray,
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if not radius > 0:
         raise ValueError("radius must be positive")
+    if not np.isfinite(pts).all():
+        raise ValueError("sample points must be finite")
     return graph_components(len(pts), ((i, j) for i, j, _
                                        in near_pairs(pts, pts, radius)))
 

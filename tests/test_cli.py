@@ -400,13 +400,37 @@ class TestNonFiniteInput:
          "$.sequence_indices[0]: expected int, got float",
          ["check", "whitney-a", "--bundle", fx("cone_pass.json"),
           "--scenario"]),
+        ("line.json", ("closure",), 5, "$.closure: expected list, got int",
+         ["check", "frontier", "--stratification"]),
+        ("line.json", ("closure",), None,
+         "$.closure: expected list, got NoneType",
+         ["check", "frontier", "--stratification"]),
+        ("rotation8_group.json", ("fiber_elements",), 5,
+         "$.fiber_elements: expected list, got int",
+         ["equivariant", "tilde", "--bundle", fx("ring_tangent.json"),
+          "--group"]),
+        ("fields_line.json", ("fields", 0, "coeffs", 0, "powers", 0), 1.5,
+         "$.fields[0].coeffs[0].powers[0]: expected int, got float",
+         ["foliation", "stratify", "--r-cc", "0.015", "--fields"]),
+        ("fields_line.json", ("fields", 0, "coeffs", 0, "powers", 0), True,
+         "$.fields[0].coeffs[0].powers[0]: expected int, got bool",
+         ["foliation", "stratify", "--r-cc", "0.015", "--fields"]),
+        ("action_cone_scalar.json", ("coeffs", 1, 0, "powers", 2), 1.0,
+         "$.coeffs[1][0].powers[2]: expected int, got float",
+         ["monoid", "analyze", "--action"]),
+        ("action_cone_scalar.json", ("coeffs", 1, 0, "powers", 2), True,
+         "$.coeffs[1][0].powers[2]: expected int, got bool",
+         ["monoid", "analyze", "--action"]),
     ], ids=["point-overflow", "coef-overflow", "basis-overflow",
             "bundle-basis-ragged", "subspace-basis-ragged", "point-string",
             "points-boolean", "sample-string", "ambient-boolean",
             "dim-boolean", "fiber-ambient-boolean", "point-index-boolean",
             "x0-index-boolean", "dim-negative", "stratum-boolean-rows",
             "sequence-index-boolean", "sequence-index-string",
-            "sequence-index-float", "sequence-index-fraction"])
+            "sequence-index-float", "sequence-index-fraction",
+            "closure-int", "closure-null", "fiber-elements-int",
+            "field-power-fraction", "field-power-boolean",
+            "action-power-float", "action-power-boolean"])
     def test_unrepresentable_reader_input_is_one(self, capsys, tmp_path,
                                                  fixture, entry, value,
                                                  message, argv):

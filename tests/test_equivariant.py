@@ -220,7 +220,7 @@ class TestOrbitTypePartition:
         part = orbit_type_partition(g, grid_points(step=0.5), r_cc=0.55)
         for stratum in part.stratification.strata:
             label = part.label_of_stratum[stratum.name]
-            assert stratum.dim == fixed_subspace(g, label.indices).dim
+            assert stratum.dim == fixed_subspace(g, label).dim
 
     def test_declared_closure_survives_audit(self):
         # The finer grid keeps every stratum spatially extended, so the

@@ -2,6 +2,9 @@ import importlib.util
 import json
 import os
 import re
+import shutil
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -220,6 +223,28 @@ class TestSchemaErrors:
         obj = group_to_json(sign_flip_group())
         obj["elements"] = obj["elements"][1:]
         with pytest.raises(SchemaError, match="identity"):
+            group_from_json(obj)
+
+    def test_group_null_fiber_elements_is_no_fiber_action(self):
+        obj = group_to_json(rotation_group(8))
+        obj["fiber_elements"] = None
+        g = group_from_json(obj)
+        assert g.fiber_elements is None
+        np.testing.assert_array_equal(g.elements, rotation_group(8).elements)
+
+    @pytest.mark.parametrize("edits, where", [
+        ({"n": 2.0, "elements": 5, "fiber_elements": 5}, "$.n: expected int"),
+        ({"elements": 5, "fiber_elements": 5}, "$.elements: expected list"),
+        ({"elements": [[[1.0, 0.0], [0.0, "1"]]], "fiber_elements": [[1.0]]},
+         "$.elements[0]: expected a numeric list"),
+        ({"fiber_elements": [[[1.0, 0.0]], [1.0]]},
+         "$.fiber_elements[1]: expected a numeric list"),
+        ({"fiber_elements": 5}, "$.fiber_elements: expected list, got int"),
+    ], ids=["n", "elements", "element", "fiber-element", "fiber-elements"])
+    def test_group_errors_in_field_order(self, edits, where):
+        obj = group_to_json(rotation_group(8))
+        obj.update(edits)
+        with pytest.raises(SchemaError, match=f"^{re.escape(where)}"):
             group_from_json(obj)
 
     def test_fields_missing_key(self):
@@ -623,16 +648,55 @@ class TestWriter:
         assert path.read_text() == dumps(obj) + "\n"
 
 
+REPO = os.path.join(os.path.dirname(__file__), "..")
+
+
+def _assert_committed_corpus(directory):
+    committed = os.path.join(REPO, "fixtures")
+    names = sorted(os.listdir(committed))
+    assert sorted(os.listdir(directory)) == names
+    for name in names:
+        with open(os.path.join(committed, name), "rb") as fh:
+            assert (directory / name).read_bytes() == fh.read(), name
+
+
 def test_make_fixtures_reproduces_committed_corpus(tmp_path):
-    repo = os.path.join(os.path.dirname(__file__), "..")
     spec = importlib.util.spec_from_file_location(
-        "make_fixtures", os.path.join(repo, "scripts", "make_fixtures.py"))
+        "make_fixtures", os.path.join(REPO, "scripts", "make_fixtures.py"))
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     script.main(str(tmp_path))
-    committed = os.path.join(repo, "fixtures")
-    names = sorted(os.listdir(committed))
-    assert sorted(os.listdir(tmp_path)) == names
-    for name in names:
-        with open(os.path.join(committed, name), "rb") as fh:
-            assert (tmp_path / name).read_bytes() == fh.read(), name
+    _assert_committed_corpus(tmp_path)
+
+
+class TestMakeFixturesCommandLine:
+    """The script run as a program, from a copy whose default output
+    directory is ``tmp_path/fixtures``, so that the committed corpus is
+    never written."""
+
+    @pytest.fixture
+    def script(self, tmp_path):
+        os.mkdir(tmp_path / "scripts")
+        os.symlink(os.path.abspath(os.path.join(REPO, "src")), tmp_path / "src")
+        shutil.copy(os.path.join(REPO, "scripts", "make_fixtures.py"),
+                    tmp_path / "scripts")
+        return lambda *argv: subprocess.run(
+            [sys.executable, str(tmp_path / "scripts" / "make_fixtures.py"),
+             *argv], capture_output=True, text=True, cwd=tmp_path)
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0), (["--bogus"], 2), (["out", "extra"], 2)],
+        ids=["help", "unknown-flag", "extra-argument"])
+    def test_usage_writes_nothing(self, tmp_path, script, argv, code):
+        done = script(*argv)
+        assert done.returncode == code
+        assert "usage: make_fixtures.py" in done.stdout + done.stderr
+        assert "wrote" not in done.stdout
+        assert not (tmp_path / "fixtures").exists()
+        assert not (tmp_path / "out").exists()
+
+    def test_regenerates_into_named_directory(self, tmp_path, script):
+        done = script(str(tmp_path / "out"))
+        assert done.returncode == 0, done.stderr
+        assert not (tmp_path / "fixtures").exists()
+        _assert_committed_corpus(tmp_path / "out")

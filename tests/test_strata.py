@@ -328,6 +328,14 @@ class TestLocalFiniteness:
         with pytest.raises(ValueError, match="radius must be positive"):
             single_linkage_components(np.zeros((2, 1)), np.nan)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_single_linkage_rejects_non_finite_points(self, bad):
+        # A non-finite row used to come back as a singleton component.
+        for pts in ([[0.0], [bad], [0.01]], [[bad], [bad]]):
+            with pytest.raises(ValueError,
+                               match="sample points must be finite"):
+                single_linkage_components(np.array(pts), 0.05)
+
 
 class TestCloudDim:
     def test_singleton(self):
