@@ -14,7 +14,8 @@ R^3), ``apply_functor_to_bundle`` with sym:3 on a rank-4 trivial bundle
 over 2,000 points, reading that bundle's file (``bundle_from_json`` of
 ``read_json``) and checking it in process with ``check orthogonality
 --bundle --functor wedge:2``, ``check_orthogonality`` with sym:4 on a
-3-plane in R^7, ``apply_to_map`` with sym:6 on 150 random 2 x 4
+3-plane in R^7, ``orthogonality_residuals`` with sym:2 on 150 random
+2-planes in R^5, ``apply_to_map`` with sym:6 on 150 random 2 x 4
 matrices, and ``audit_axioms`` plus ``regularity_check`` on the
 scalar action (``bundle_scalar_action``, 300 samples in R^4) of a
 rank-2 trivial bundle over 100 points of the plane, five times each.
@@ -22,11 +23,13 @@ rank-2 trivial bundle over 100 points of the plane, five times each.
 over 200 rings (``ring_tangent_bundle``, 2,401 points) is timed five
 times as well, and so are ``partition_by_label`` alone on that ring's
 points and orbit types at ``r_cc`` 0.25 and reading the file of the
-tilde bundle (fibers of ranks 0 and 2).  Two fixed per-call costs are
-timed warm, after one untimed call, five times each: one in-process
-``cli.main`` call of ``check frontier`` on ``fixtures/line.json`` and
-``foliation_bundle`` on the 441-point grid of the cloud and orbits
-workloads.  Seeds, run length and repeats are fixed, so that any two
+tilde bundle (fibers of ranks 0 and 2).  Three calls are timed warm,
+each right after one untimed call of its own, five times each: one
+in-process ``cli.main`` call of ``check frontier`` on
+``fixtures/line.json``, ``foliation_bundle`` on the 441-point grid of
+the cloud and orbits workloads, and the sym:4 ``check_orthogonality``
+again, whose first timing above includes filling its index and weight
+tables.  Seeds, run length and repeats are fixed, so that any two
 snapshots compare like with like.  Each
 measurement runs in a fresh process that imports svb from the
 checkout's ``src``, so a snapshot of an older commit only needs its
@@ -125,7 +128,8 @@ def scaled_timings(checkout):
                               cantor_stratification, ring_tangent_bundle,
                               rotation_group)
     from svb.foliation import VectorFieldSet, foliation_bundle
-    from svb.functors import SymPower, apply_to_map, check_orthogonality
+    from svb.functors import (SymPower, apply_to_map, check_orthogonality,
+                              orthogonality_residuals)
     from svb.grassmann import Subspace
     from svb.jsonio import bundle_from_json, bundle_to_json, read_json, \
         write_json
@@ -172,6 +176,11 @@ def scaled_timings(checkout):
     cases["sym4_orthogonality_r7"] = (
         {"rank": 3, "ambient": 7},
         lambda: check_orthogonality(SymPower(4), plane))
+    planes = np.linalg.qr(np.random.default_rng(0).normal(
+        size=(150, 5, 2)))[0].swapaxes(1, 2)
+    cases["sym2_orthogonality_150"] = (
+        {"planes": 150, "rank": 2, "ambient": 5},
+        lambda: orthogonality_residuals(SymPower(2), planes))
     maps = np.random.default_rng(0).normal(size=(150, 2, 4))
     cases["sym6_apply_150"] = (
         {"matrices": 150, "shape": [2, 4], "degree": 6},
@@ -222,12 +231,14 @@ def scaled_timings(checkout):
                                        frontier_cli),
             "foliation_bundle_grid441": (
                 {"points": 441, "fields": 2},
-                lambda: foliation_bundle(grid, r_cc=0.12))}
-    for _, call in warm.values():
-        call()
+                lambda: foliation_bundle(grid, r_cc=0.12)),
+            # Timed cold above: its first call fills the sym:4 tables.
+            "sym4_orthogonality_r7_warm": cases["sym4_orthogonality_r7"]}
     cases.update(warm)
     out = {}
     for name, (size, call) in cases.items():
+        if name in warm:
+            call()
         times = []
         for _ in range(REPEATS):
             start = perf_counter()

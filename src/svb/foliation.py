@@ -23,6 +23,7 @@ from .grassmann import Subspace, _span_rank
 from .strata import Stratification, estimate_cloud_dim, partition_by_label
 
 __all__ = [
+    "parse_powers",
     "parse_terms",
     "evaluate_terms",
     "PolynomialVectorField",
@@ -34,19 +35,36 @@ __all__ = [
 ]
 
 
+def parse_powers(powers, n_vars: int) -> tuple[int, ...]:
+    """``n_vars`` nonnegative integer exponents as a tuple; bool, float
+    and str are not integers.  A ValueError names the entry at fault,
+    ``powers`` or ``powers[b]``, first."""
+    if len(powers) != n_vars:
+        raise ValueError(f"powers: expected {n_vars} exponents, "
+                         f"got {len(powers)}")
+    for b, p in enumerate(powers):
+        if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
+            raise ValueError(f"powers[{b}]: expected int, "
+                             f"got {type(p).__name__}")
+        if p < 0:
+            raise ValueError(f"powers[{b}]: negative exponent {p}")
+    return tuple(int(p) for p in powers)
+
+
 def parse_terms(terms, n_vars: int, out_dim: int):
-    """Validated ``(powers, vector)`` pairs: ``n_vars`` nonnegative
-    exponents and a vector of length ``out_dim`` per term."""
+    """Validated ``(powers, vector)`` pairs: exponents by
+    ``parse_powers`` and a vector of length ``out_dim`` per term.  A
+    ValueError names the term by its position t, ``term t ...``."""
     parsed = []
-    for powers, vector in terms:
-        powers = tuple(int(p) for p in powers)
+    for t, (powers, vector) in enumerate(terms):
+        try:
+            powers = parse_powers(powers, n_vars)
+        except ValueError as exc:
+            raise ValueError(f"term {t} {exc}") from None
         vector = np.asarray(vector, dtype=float)
-        if len(powers) != n_vars:
-            raise ValueError(f"term powers {powers} need {n_vars} exponents")
-        if any(p < 0 for p in powers):
-            raise ValueError("negative exponents are not allowed")
         if vector.shape != (out_dim,):
-            raise ValueError("term vector has the wrong length")
+            raise ValueError(f"term {t} vector: expected {out_dim} entries, "
+                             f"got shape {vector.shape}")
         parsed.append((powers, vector))
     return parsed
 

@@ -35,7 +35,7 @@ from typing import Union
 import numpy as np
 
 from .config import TOL_CHECK
-from .grassmann import Subspace, orthonormal_rows
+from .grassmann import Subspace, opnorms, orthonormal_rows
 
 __all__ = [
     "Identity",
@@ -193,6 +193,17 @@ def _index_tuples(combos, k: int, n: int):
     return out
 
 
+@functools.cache
+def _sym_weights(k: int, n: int) -> np.ndarray:
+    """Read-only: the square roots of the multiplicity factorials of each
+    tuple of ``combinations_with_replacement(range(k), n)``."""
+    tuples = _index_tuples(itertools.combinations_with_replacement, k, n)[0]
+    out = np.sqrt([math.prod(map(math.factorial, Counter(t).values()))
+                   for t in tuples.tolist()])
+    out.flags.writeable = False
+    return out
+
+
 # Working memory, in matrix entries, above which a stack is processed in
 # chunks; one matrix at a time needs no more than the per-matrix route.
 _CHUNK = 1 << 20
@@ -232,10 +243,7 @@ def _sym_power_matrix(m: np.ndarray, n: int) -> np.ndarray:
                              size, p) for size in m.shape[-2:]]
               for p in range(1, n + 1)]
     (ri, _), (ci, _) = levels[-1]
-    # The square roots of the multiplicity factorials of each tuple.
-    weights = np.outer(*(np.sqrt([
-        math.prod(map(math.factorial, Counter(t).values()))
-        for t in tuples.tolist()]) for tuples in (ri, ci)))
+    weights = np.outer(*(_sym_weights(size, n) for size in m.shape[-2:]))
 
     def permanents(s):
         # Degree p: perm[:, R, C] is the sum over positions b of
@@ -297,8 +305,9 @@ def apply_to_subspace(f: LinearFunctor, w: Subspace) -> Subspace:
 
 
 def orthogonality_residuals(f: LinearFunctor, bases) -> np.ndarray:
-    """Residuals of F(P_W) = P_{F(W)} in the operator norm, one per
-    subspace W of a stack ``(count, r, k)`` of orthonormal bases.
+    """Residuals of F(P_W) = P_{F(W)} in the operator norm, taken by
+    ``grassmann.opnorms``, one per subspace W of a stack ``(count, r, k)``
+    of orthonormal bases.
 
     P_{F(W)} is F(B)^T F(B); as in ``apply_to_subspace``, every F(B) must
     pass the orthonormality audit at the verdict tolerance, and F(R^k)
@@ -316,7 +325,7 @@ def orthogonality_residuals(f: LinearFunctor, bases) -> np.ndarray:
         if dim:
             defect = (apply_to_map(f, chunk.swapaxes(-1, -2) @ chunk)
                       - images.swapaxes(-1, -2) @ images)
-            residuals[part] = np.linalg.norm(defect, 2, axis=(-2, -1))
+            residuals[part] = opnorms(defect)
     return residuals
 
 

@@ -27,6 +27,7 @@ __all__ = [
     "intersection",
     "intersections",
     "opnorm",
+    "opnorms",
     "orthonormal_rows",
 ]
 
@@ -37,6 +38,34 @@ def opnorm(a) -> float:
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2))
+
+
+def opnorms(mats) -> np.ndarray:
+    """Operator (spectral) norm of each matrix of a stack ``(..., m, n)``.
+
+    Each matrix is scaled by its largest |entry|, so that its Gram
+    matrix can neither underflow nor overflow; the norm is the square
+    root of the top eigenvalue of the smaller of its two Gram matrices,
+    from one batched ``eigvalsh``.  Every entry enters the lower triangle
+    that ``eigvalsh`` reads, so no symmetry is assumed.  0 for an empty
+    or all-zero matrix, NaN where an entry is not finite.
+    """
+    mats = np.asarray(mats, dtype=float)
+    if 0 in mats.shape[-2:]:
+        return np.zeros(mats.shape[:-2])
+    scale = np.abs(mats).max(axis=(-2, -1))
+    finite = np.isfinite(scale)
+    safe = np.where(finite & (scale > 0), scale, 1.0)
+    unit = mats / safe[..., None, None]
+    # A matrix with a non-finite entry is replaced by zeros, which
+    # eigvalsh accepts; its norm is set to NaN below.
+    unit[~finite] = 0.0
+    adjoint = unit.swapaxes(-1, -2)
+    wide = mats.shape[-2] <= mats.shape[-1]
+    gram = unit @ adjoint if wide else adjoint @ unit
+    top = np.linalg.eigvalsh(gram)[..., -1]
+    return np.where(finite, np.where(scale > 0, np.sqrt(top) * safe, 0.0),
+                    np.nan)
 
 
 def orthonormal_rows(bases, tol: float = TOL_ORTHO) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 from .bundle import (ConvergenceScenario, SampledStratifiedBundle,
                      failing_fibers)
 from .equivariant import FiniteGroupAction
-from .foliation import PolynomialVectorField, VectorFieldSet
+from .foliation import PolynomialVectorField, VectorFieldSet, parse_powers
 from .grassmann import Subspace, as_basis
 from .monoid import MonoidActionSample
 from .strata import Stratification, Stratum
@@ -247,6 +247,16 @@ def _ints(obj, key, path) -> list:
             raise SchemaError(f"{path}.{key}[{k}]: expected int, "
                               f"got {type(value).__name__}")
     return values
+
+
+def _powers(term, n_vars, path) -> None:
+    """The checks of ``foliation.parse_powers`` on ``term["powers"]``,
+    each error naming its JSON path."""
+    powers = _ints(term, "powers", path)
+    try:
+        parse_powers(powers, n_vars)
+    except ValueError as exc:
+        raise SchemaError(f"{path}.{exc}") from None
 
 
 def _check_schema(obj, path):
@@ -592,7 +602,7 @@ def action_from_json(obj, path="$") -> MonoidActionSample:
                 raise SchemaError(f"{path}.coeffs[{i}]: expected a list")
             for j, term in enumerate(coord_terms):
                 tpath = f"{path}.coeffs[{i}][{j}]"
-                _ints(term, "powers", tpath)
+                _powers(term, ambient + 1, tpath)
                 _matrix([_expect(term, "coef", (int, float), tpath)],
                         f"{tpath}.coef", ndim=1)
         descriptor["coeffs"] = coeffs
@@ -619,9 +629,12 @@ def fields_from_json(obj, path="$") -> VectorFieldSet:
         fpath = f"{path}.fields[{i}]"
         for j, term in enumerate(_expect(item, "coeffs", list, fpath)):
             tpath = f"{fpath}.coeffs[{j}]"
-            _ints(term, "powers", tpath)
-            _matrix(_expect(term, "vector", list, tpath), f"{tpath}.vector",
-                    ndim=1)
+            _powers(term, ambient, tpath)
+            vector = _matrix(_expect(term, "vector", list, tpath),
+                             f"{tpath}.vector", ndim=1)
+            if len(vector) != ambient:
+                raise SchemaError(f"{tpath}.vector: expected {ambient} "
+                                  f"entries, got {len(vector)}")
     try:
         return VectorFieldSet(ambient, [
             PolynomialVectorField(ambient, item["coeffs"])

@@ -393,12 +393,16 @@ def partition_by_label(points, labels: Sequence[Hashable],
             strata.append(Stratum._of_rows(name, dim(label, rows), rows))
             label_of_stratum[name] = label
 
-    near = {(a, a) for a in range(len(strata))}  # each cloud meets itself
-    for i, j in cross:
-        near.update(zip(*np.unique([owner[i], owner[j]], axis=1).tolist()))
+    # Stratum pair (a, b) as the key a * n + b, so that sorted keys are
+    # sorted pairs; each cloud meets itself.
+    n = len(strata)
+    keys = np.unique(np.concatenate([np.arange(n) * (n + 1)] + [
+        owner[i] * n + owner[j] for i, j in cross]))
     names = [st.name for st in strata]
-    closure = [(names[a], names[b]) for a, b in sorted(near) if below(
-        label_of_stratum[names[a]], label_of_stratum[names[b]])]
+    closure = [(names[a], names[b])
+               for a, b in zip(*(part.tolist() for part in divmod(keys, n)))
+               if below(label_of_stratum[names[a]],
+                        label_of_stratum[names[b]])]
     return LabelPartition(Stratification(strata, closure_order=closure),
                           labels, members, label_of_stratum)
 

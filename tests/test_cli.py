@@ -421,6 +421,21 @@ class TestNonFiniteInput:
         ("action_cone_scalar.json", ("coeffs", 1, 0, "powers", 2), True,
          "$.coeffs[1][0].powers[2]: expected int, got bool",
          ["monoid", "analyze", "--action"]),
+        ("fields_line.json", ("fields", 0, "coeffs", 0, "powers", 0), -1,
+         "$.fields[0].coeffs[0].powers[0]: negative exponent -1",
+         ["foliation", "stratify", "--r-cc", "0.015", "--fields"]),
+        ("fields_line.json", ("fields", 0, "coeffs", 0, "powers"), [1, 0],
+         "$.fields[0].coeffs[0].powers: expected 1 exponents, got 2",
+         ["foliation", "stratify", "--r-cc", "0.015", "--fields"]),
+        ("fields_line.json", ("fields", 0, "coeffs", 0, "vector"),
+         [1.0, 2.0], "$.fields[0].coeffs[0].vector: expected 1 entries, "
+         "got 2", ["foliation", "stratify", "--r-cc", "0.015", "--fields"]),
+        ("action_cone_scalar.json", ("coeffs", 1, 0, "powers", 2), -1,
+         "$.coeffs[1][0].powers[2]: negative exponent -1",
+         ["monoid", "analyze", "--action"]),
+        ("action_cone_scalar.json", ("coeffs", 1, 0, "powers"), [1, 0, 1],
+         "$.coeffs[1][0].powers: expected 4 exponents, got 3",
+         ["monoid", "analyze", "--action"]),
     ], ids=["point-overflow", "coef-overflow", "basis-overflow",
             "bundle-basis-ragged", "subspace-basis-ragged", "point-string",
             "points-boolean", "sample-string", "ambient-boolean",
@@ -430,7 +445,10 @@ class TestNonFiniteInput:
             "sequence-index-float", "sequence-index-fraction",
             "closure-int", "closure-null", "fiber-elements-int",
             "field-power-fraction", "field-power-boolean",
-            "action-power-float", "action-power-boolean"])
+            "action-power-float", "action-power-boolean",
+            "field-power-negative", "field-power-count",
+            "field-vector-length", "action-power-negative",
+            "action-power-count"])
     def test_unrepresentable_reader_input_is_one(self, capsys, tmp_path,
                                                  fixture, entry, value,
                                                  message, argv):

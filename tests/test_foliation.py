@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from svb.bundle import validate_bundle, whitney_a_from_sections
 from svb.config import TOL_RANK
@@ -19,6 +20,7 @@ from svb.foliation import (
 )
 from svb.grassmann import gap_distance, span
 from svb.jsonio import fields_from_json, fields_to_json
+from svb.monoid import MonoidActionSample
 from svb.strata import check_frontier, partition_by_label
 
 
@@ -211,6 +213,56 @@ class TestProperties:
             verdict = whitney_a_from_sections(b, fields_as_sections(vfs, b),
                                               sc, tol=1e-9, tail_len=4)
             assert verdict.status == "PASS"
+
+
+class TestTermValidation:
+    """In-memory terms are checked, not coerced: an exponent is an
+    integer, never a bool, float or str."""
+
+    @staticmethod
+    def field(powers, vector=(1.0,)):
+        return PolynomialVectorField(
+            len(vector), [{"powers": powers, "vector": list(vector)}])
+
+    @staticmethod
+    def action(powers):
+        # One coordinate of R^1; a term has an exponent for t and for e.
+        return MonoidActionSample.polynomial(
+            [[{"powers": powers, "coef": 1.0}]], 1, [[1.0]])
+
+    @pytest.mark.parametrize("exponent, kind", [
+        (1.5, "float"), (True, "bool"), ("2", "str")])
+    def test_non_integer_exponent_rejected(self, exponent, kind):
+        message = f"term 0 powers\\[0\\]: expected int, got {kind}"
+        with pytest.raises(ValueError, match=message):
+            self.field([exponent])
+        with pytest.raises(ValueError, match=message):
+            self.action([exponent, 1])
+
+    @pytest.mark.parametrize("make, powers, message", [
+        ("field", [1, 0], r"term 0 powers: expected 1 exponents, got 2"),
+        ("field", [-1], r"term 0 powers\[0\]: negative exponent -1"),
+        ("action", [1], r"term 0 powers: expected 2 exponents, got 1"),
+        ("action", [1, -2], r"term 0 powers\[1\]: negative exponent -2"),
+    ], ids=["field-count", "field-negative", "action-count",
+            "action-negative"])
+    def test_exponent_count_and_sign(self, make, powers, message):
+        with pytest.raises(ValueError, match=message):
+            getattr(self, make)(powers)
+
+    def test_vector_length(self):
+        with pytest.raises(ValueError, match=r"term 0 vector: expected 2 "
+                           r"entries, got shape \(3,\)"):
+            PolynomialVectorField(2, [{"powers": [0, 1],
+                                       "vector": [1.0, 0.0, 0.0]}])
+
+    def test_numpy_integer_exponents_accepted(self):
+        field = self.field([np.int64(2)])
+        assert field.terms[0][0] == (2,)
+        assert type(field.terms[0][0][0]) is int
+        np.testing.assert_array_equal(field.evaluate([[3.0]]), [[9.0]])
+        assert self.action(list(np.array([1, 1]))).evaluate(
+            2.0, np.array([[3.0]])).tolist() == [[6.0]]
 
 
 class TestJsonRoundTrip:

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import re
@@ -11,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import svb.functors
+from svb.bundle import SampledStratifiedBundle
+from svb.cli import main
 from svb.functors import (
     Compose,
     ConstantSum,
@@ -30,6 +33,8 @@ from svb.functors import (
     parse_functor,
 )
 from svb.grassmann import Subspace, gap_distance, opnorm, span
+from svb.jsonio import bundle_to_json, write_json
+from svb.strata import Stratification, Stratum
 
 PRIMITIVES = [WedgePower(1), WedgePower(2), WedgePower(3),
               SymPower(1), SymPower(2), SymPower(3),
@@ -238,10 +243,47 @@ class TestStackedMaps:
         assert residuals.tolist() == [check_orthogonality(f, w)[1]
                                       for w in fibers]
         # The per-subspace formula: F(P_W) against the projection of the
-        # audited image subspace.
-        assert residuals.tolist() == [
+        # audited image subspace, in the SVD norm, which the Gram
+        # eigenvalue matches to rounding.
+        np.testing.assert_allclose(residuals, [
             opnorm(apply_to_map(f, w.projection)
-                   - apply_to_subspace(f, w).projection) for w in fibers]
+                   - apply_to_subspace(f, w).projection) for w in fibers],
+            rtol=1e-14, atol=0)
+
+
+class TestOrthogonalityThreshold:
+    """A verdict is ``residual <= tol``, in the stacked route of
+    ``check orthogonality --bundle`` and in ``check_orthogonality``.
+    F(B^T B) = F(B)^T F(B) holds exactly for every B, so a residual is
+    rounding: tilting one coordinate plane of a stack by 0.3 rad gives it
+    the largest residual, and the tolerance is put on each side of it."""
+
+    @pytest.mark.parametrize("f", [WedgePower(2), SymPower(3)],
+                             ids=format_functor)
+    def test_verdict_flips_at_the_residual(self, f, tmp_path, capsys):
+        flat = np.eye(4)[:2]
+        tilted = np.array([[np.cos(0.3), 0.0, np.sin(0.3), 0.0],
+                           [0.0, 1.0, 0.0, 0.0]])
+        bases = np.stack([flat, flat, tilted, flat])
+        residuals = orthogonality_residuals(f, bases)
+        r = residuals[2]
+        assert r > np.delete(residuals, 2).max()
+        bundle = SampledStratifiedBundle(
+            Stratification([Stratum("S", 1, np.arange(4.0)[:, None])]), 4,
+            {("S", i): Subspace(4, b) for i, b in enumerate(bases)},
+            {"S": 2})
+        path = str(tmp_path / "bundle.json")
+        write_json(bundle_to_json(bundle), path)
+        for tol, ok in ((r, True), (np.nextafter(r, 0.0), False)):
+            assert check_orthogonality(f, Subspace(4, tilted), tol) == (ok, r)
+            code = main(["check", "orthogonality", "--functor",
+                         format_functor(f), "--bundle", path,
+                         "--tol-check", repr(float(tol))])
+            checks = json.loads(capsys.readouterr().out)["checks"]
+            assert [c["residual"] for c in checks] == residuals.tolist()
+            assert [c["verdict"] for c in checks] == [
+                "PASS", "PASS", "PASS" if ok else "FAIL", "PASS"]
+            assert code == (0 if ok else 2)
 
 
 class TestApplyToSubspace:

@@ -11,6 +11,7 @@ from svb.grassmann import (
     intersection,
     intersections,
     is_contained,
+    opnorms,
     sequence_limit,
     span,
 )
@@ -29,6 +30,51 @@ def random_subspace(rng, ambient, dim):
 def random_orthogonal(rng, n):
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.sign(np.diag(r))
+
+
+class TestOpnorms:
+    """The Gram eigenvalue route against numpy's SVD norm."""
+
+    @staticmethod
+    def reference(mats):
+        return np.linalg.norm(mats, 2, axis=(-2, -1))
+
+    @pytest.mark.parametrize("shape", [(1, 210, 210), (150, 15, 15),
+                                       (20, 30, 5), (20, 5, 30), (6, 1, 1)],
+                             ids=["210", "150x15", "tall", "wide", "1x1"])
+    @pytest.mark.parametrize("scale", [1.0, 1e-200, 1e150, 1e160])
+    def test_random_stacks(self, shape, scale):
+        mats = scale * np.random.default_rng(sum(shape)).standard_normal(shape)
+        np.testing.assert_allclose(opnorms(mats), self.reference(mats),
+                                   rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-200, 1e150, 1e160])
+    def test_no_symmetry_assumed(self, scale):
+        # Strictly upper triangular and skew matrices: the lower triangle
+        # alone would read 0 and a wrong norm.
+        rng = np.random.default_rng(4)
+        mats = scale * rng.standard_normal((40, 6, 6))
+        for stack in (np.triu(mats, 1), mats - mats.swapaxes(-1, -2)):
+            np.testing.assert_allclose(opnorms(stack), self.reference(stack),
+                                       rtol=1e-14, atol=0)
+
+    def test_empty_and_zero(self):
+        assert opnorms(np.zeros((0, 0))) == 0.0
+        assert opnorms(np.zeros((3, 0, 0))).tolist() == [0.0] * 3
+        assert opnorms(np.zeros((2, 4, 0))).tolist() == [0.0] * 2
+        assert opnorms(np.zeros((0, 3, 3))).shape == (0,)
+        zeros = opnorms(np.zeros((2, 3, 5)))
+        assert zeros.tolist() == [0.0, 0.0]
+        assert not np.signbit(zeros).any()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_is_nan(self, bad):
+        mats = np.ones((3, 2, 4))
+        mats[1, 1, 2] = bad
+        out = opnorms(mats)
+        assert np.isnan(out[1])
+        np.testing.assert_allclose(out[[0, 2]], self.reference(mats[[0, 2]]),
+                                   rtol=1e-14)
 
 
 class TestSubspace:
