@@ -23,7 +23,11 @@ rank-2 trivial bundle over 100 points of the plane, five times each.
 over 200 rings (``ring_tangent_bundle``, 2,401 points) is timed five
 times as well, and so are ``partition_by_label`` alone on that ring's
 points and orbit types at ``r_cc`` 0.25 and reading the file of the
-tilde bundle (fibers of ranks 0 and 2).  Three calls are timed warm,
+tilde bundle (fibers of ranks 0 and 2).  Writing bundle files
+(``write_json`` of ``bundle_to_json``) is timed five times on that tilde
+bundle and on the wedge:2 image of 150 random 2-planes in R^5, and so
+is building ``FiniteGroupAction`` of ``rotation_group(48)`` with its
+fiber action (the product table).  Three calls are timed warm,
 each right after one untimed call of its own, five times each: one
 in-process ``cli.main`` call of ``check frontier`` on
 ``fixtures/line.json``, ``foliation_bundle`` on the 441-point grid of
@@ -122,14 +126,16 @@ def scaled_timings(checkout):
 
     import svb
     import svb.cli
-    from svb.bundle import apply_functor_to_bundle, trivial_bundle
-    from svb.equivariant import invariant_subbundle, orbit_type_partition
+    from svb.bundle import (SampledStratifiedBundle, apply_functor_to_bundle,
+                            trivial_bundle)
+    from svb.equivariant import (FiniteGroupAction, invariant_subbundle,
+                                 orbit_type_partition)
     from svb.fixtures import (axis_scaling_fields_plane, bundle_scalar_action,
                               cantor_stratification, ring_tangent_bundle,
                               rotation_group)
     from svb.foliation import VectorFieldSet, foliation_bundle
-    from svb.functors import (SymPower, apply_to_map, check_orthogonality,
-                              orthogonality_residuals)
+    from svb.functors import (SymPower, WedgePower, apply_to_map,
+                              check_orthogonality, orthogonality_residuals)
     from svb.grassmann import Subspace
     from svb.jsonio import bundle_from_json, bundle_to_json, read_json, \
         write_json
@@ -181,6 +187,15 @@ def scaled_timings(checkout):
     cases["sym2_orthogonality_150"] = (
         {"planes": 150, "rank": 2, "ambient": 5},
         lambda: orthogonality_residuals(SymPower(2), planes))
+    cloud = np.random.default_rng(0).uniform(-1.0, 1.0, (150, 2))
+    image = apply_functor_to_bundle(
+        WedgePower(2), SampledStratifiedBundle.from_stacks(
+            Stratification([Stratum("bulk", 2, cloud)]), 5,
+            {"bulk": planes}))
+    image_path = os.path.join(scratch, "wedge2_image150.json")
+    cases["write_wedge2_image_150"] = (
+        {"points": 150, "rank": 1, "fiber_ambient": 10},
+        lambda: write_json(bundle_to_json(image), image_path))
     maps = np.random.default_rng(0).normal(size=(150, 2, 4))
     cases["sym6_apply_150"] = (
         {"matrices": 150, "shape": [2, 4], "degree": 6},
@@ -212,11 +227,19 @@ def scaled_timings(checkout):
             dim=lambda label, cloud: dims[label],
             below=lambda low, high: len(low) > len(high), r_cc=0.25))
     tilde_path = os.path.join(scratch, "tilde2401.json")
-    write_json(bundle_to_json(invariant_subbundle(rotations, ring,
-                                                  r_cc=0.25)), tilde_path)
+    tilde = invariant_subbundle(rotations, ring, r_cc=0.25)
+    write_json(bundle_to_json(tilde), tilde_path)
     cases["bundle_read_tilde2401"] = (
         {"points": 2401, "ranks": [0, 2], "fiber_ambient": 2},
         lambda: bundle_from_json(read_json(tilde_path)))
+    cases["write_tilde_ring2401"] = (
+        {"points": 2401, "ranks": [0, 2], "fiber_ambient": 2},
+        lambda: write_json(bundle_to_json(tilde), tilde_path))
+    rot48 = rotation_group(48)
+    cases["group_table_rot48"] = (
+        {"order": 48, "n": 2, "fiber_n": 2},
+        lambda: FiniteGroupAction(2, rot48.elements,
+                                  fiber_elements=rot48.fiber_elements))
     line = os.path.join(checkout, "fixtures", "line.json")
 
     def frontier_cli():
@@ -246,8 +269,8 @@ def scaled_timings(checkout):
             times.append(perf_counter() - start)
         out[name] = {"median_s": statistics.median(times),
                      "min_s": min(times), "repeats": REPEATS, "size": size}
-    os.remove(bundle_path)
-    os.remove(tilde_path)
+    for path in (bundle_path, image_path, tilde_path):
+        os.remove(path)
     os.rmdir(scratch)
     return out
 

@@ -37,7 +37,8 @@ from .bundle import (
     whitney_a_from_sections,
 )
 from .config import R_CC, STEP, TAIL_LEN, TOL_CHECK, TOL_RANK
-from .equivariant import invariant_subbundle, quotient_bundle, tangent_comparison
+from .equivariant import (StrataNotInvariantError, invariant_subbundle,
+                          quotient_bundle, tangent_comparison)
 from .foliation import fields_as_sections, foliation_bundle, stratify_by_rank
 from .functors import (check_orthogonality, orthogonality_residuals,
                        parse_functor)
@@ -178,7 +179,7 @@ def _check_orthogonality(args, add):
     if bool(args.subspace) == bool(args.bundle):
         raise CliError("check orthogonality needs exactly one of --subspace "
                        "or --bundle")
-    try:  # also F(R^k) above functors.MAX_DIM, or an image failing its audit
+    try:  # also F(R^k) above functors.MAX_DIM
         if args.subspace:
             w = jsonio.subspace_file_from_json(jsonio.read_json(args.subspace))
             ok, residual = check_orthogonality(functor, w, args.tol_check)
@@ -253,6 +254,8 @@ def _equivariant(args, add):
                            "NOT isomorphic to the stratified tangent"),
                 per_stratum=[{"stratum": n, "rank": r, "tangent_rank": d}
                              for n, r, d in comparison.per_stratum])
+    except StrataNotInvariantError as exc:  # the input's own declaration
+        raise CliError(str(exc)) from None
     except ValueError as exc:
         add(name, "FAIL", error=str(exc))
         return {}

@@ -43,6 +43,7 @@ from .strata import (
 
 __all__ = [
     "FiniteGroupAction",
+    "StrataNotInvariantError",
     "stabilizer",
     "conjugacy_label",
     "fixed_subspace",
@@ -57,6 +58,11 @@ __all__ = [
 
 
 _TOL_GROUP = 1e-9  # bound on orthogonality defects, matches, fiber table
+_BLOCK = 1 << 20   # entries of one block of the product-table search
+
+
+class StrataNotInvariantError(ValueError):
+    """A group element carries a base stratum into more than one."""
 
 
 class FiniteGroupAction:
@@ -78,13 +84,19 @@ class FiniteGroupAction:
         self.identity_index = int(identity.argmax())
         order = len(mats)
         self.table = np.zeros((order, order), dtype=int)
-        for i in range(order):
-            # matches[j, k]: the product of elements i and j is element k.
-            matches = np.abs((mats[i] @ mats)[:, None] - mats).max(
-                axis=(2, 3)) <= _TOL_GROUP
-            _raise_first(matches.sum(axis=1) != 1,
-                         f"product of elements {i} and {{}} is not in the group")
-            self.table[i] = matches.argmax(axis=1)
+        # Rows i of the table in blocks whose difference arrays stay
+        # within _BLOCK entries.
+        step = max(1, _BLOCK // max(1, order * order * self.n * self.n))
+        for start in range(0, order, step):
+            # matches[i, j, k]: the product of elements start + i and j is
+            # element k.
+            matches = np.abs((mats[start:start + step, None] @ mats)[
+                :, :, None] - mats).max(axis=(3, 4)) <= _TOL_GROUP
+            off = np.argwhere(matches.sum(axis=2) != 1)
+            if off.size:
+                raise ValueError(f"product of elements {start + off[0][0]} "
+                                 f"and {off[0][1]} is not in the group")
+            self.table[start:start + step] = matches.argmax(axis=2)
         inverses = self.table == self.identity_index
         _raise_first(inverses.sum(axis=1) != 1,
                      "element {} has no unique inverse")
@@ -226,10 +238,13 @@ def orbit_type_partition(g: FiniteGroupAction, points, r_cc: float = R_CC,
 
 
 def _partition_by_stabilizer(g: FiniteGroupAction, pts: np.ndarray,
-                             classes, of_point: np.ndarray,
-                             r_cc: float) -> LabelPartition:
+                             classes, of_point: np.ndarray, r_cc: float,
+                             within=None) -> LabelPartition:
     """``orbit_type_partition`` for points whose stabilizer table is
-    known: point p has stabilizer ``classes[of_point[p]]``."""
+    known: point p has stabilizer ``classes[of_point[p]]``.  Points are
+    labelled by (``within[p]``, orbit type), so the strata refine the
+    partition ``within`` gives; the names stay ``type{t}_c{j}``, j
+    counting the components of type t by smallest member."""
     label_of = [conjugacy_label(g, stab) for stab in classes]
     labels = [label_of[c] for c in of_point.tolist()]
     distinct = sorted(set(labels), key=lambda lab: (-len(lab), lab))
@@ -238,7 +253,7 @@ def _partition_by_stabilizer(g: FiniteGroupAction, pts: np.ndarray,
         pts, labels, [(f"type{t}", label) for t, label in enumerate(distinct)],
         dim=lambda label, cloud: dims[label],
         below=lambda low, high: _class_properly_contains(g, low, high),
-        r_cc=r_cc)
+        r_cc=r_cc, **({} if within is None else {"within": within}))
 
 
 def _class_properly_contains(g: FiniteGroupAction, big: tuple[int, ...],
@@ -265,23 +280,50 @@ def _point_permutations(g: FiniteGroupAction, pts: np.ndarray,
         nearest = order[np.unique(i[order], return_index=True)[1]]
         match[i[nearest]] = j[nearest]
     perms = match.reshape(g.order, n)
-    for i, perm in enumerate(perms):
-        off = np.flatnonzero(perm < 0)
-        if off.size:
+    # Sorted rows: an image off the sample set leads its row with -1,
+    # two images on one sample point are equal neighbours.
+    ordered = np.sort(perms, axis=1)
+    off = ordered[:, 0] < 0
+    bad = off | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    if bad.any():
+        i = int(bad.argmax())
+        if off[i]:
             raise ValueError(
-                f"sample set is not orbit saturated: element {i} moves "
-                f"point {pts[off[0]].tolist()} off the sample set")
-        if len(set(perm.tolist())) != n:
-            raise ValueError(
-                f"element {i} collapses distinct sample points; the matching "
-                "tolerance is coarser than the sample spacing")
+                f"sample set is not orbit saturated: element {i} moves point "
+                f"{pts[np.argmax(perms[i] < 0)].tolist()} off the sample set")
+        raise ValueError(
+            f"element {i} collapses distinct sample points; the matching "
+            "tolerance is coarser than the sample spacing")
     return perms
+
+
+def _stratum_orbits(base: Stratification, perms: np.ndarray) -> np.ndarray:
+    """Each stratum's orbit under the group, as the smallest stratum
+    index in it, for the permutations ``perms`` of the stacked points.
+    The strata must be permuted by the group:
+    :class:`StrataNotInvariantError` at the first element (then point)
+    that carries a stratum into more than one."""
+    owner = base._owner
+    first = np.searchsorted(owner, np.arange(len(base.strata)))
+    moved = owner[perms]
+    onto = moved[:, first]  # [i, s]: the stratum element i carries s into
+    off = np.argwhere(moved != onto[:, owner])
+    if off.size:
+        i, p = off[0]
+        names = [base.strata[s].name for s in (owner[p], onto[i, owner[p]],
+                                              moved[i, p])]
+        raise StrataNotInvariantError(
+            "strata are not invariant under the group: element {} carries "
+            "stratum {!r} into both {!r} and {!r}".format(i, *names))
+    # The elements form a group, so the orbit of s is column s of onto.
+    return onto.min(axis=0)
 
 
 def _equivariant_samples(g: FiniteGroupAction, b: SampledStratifiedBundle,
                          tol: float, task: str, message: str):
-    """The base's stacked points and each element's permutation of them,
-    once ``g`` is shown to carry a fiber action on ``b``'s spaces that is
+    """The base's stacked points, each element's permutation of them and
+    the ``_stratum_orbits`` of the base, once ``g`` is shown to permute
+    the strata and to carry a fiber action on ``b``'s spaces that is
     equivariant: ``message.format(i=, key=, gap=)`` is raised at the first
     fiber (elements in order, then points) that element ``i`` carries
     farther than ``tol`` from the fiber over the image point."""
@@ -296,13 +338,14 @@ def _equivariant_samples(g: FiniteGroupAction, b: SampledStratifiedBundle,
                          f"fibers lie in R^{b.fiber_ambient}")
     pts = b.base._cloud
     perms = _point_permutations(g, pts, tol)
+    orbit = _stratum_orbits(b.base, perms)
     gaps = _equivariance_gaps(g, b, perms)
     off = np.argwhere(gaps > tol)
     if off.size:
         i, p = off[0]
         raise ValueError(message.format(i=i, key=b.point_keys()[p],
                                         gap=gaps[i, p]))
-    return pts, perms
+    return pts, perms, orbit
 
 
 def _equivariance_gaps(g: FiniteGroupAction, b: SampledStratifiedBundle,
@@ -310,9 +353,8 @@ def _equivariance_gaps(g: FiniteGroupAction, b: SampledStratifiedBundle,
     """``[i, p]``: gap between the image under element ``i`` of the fiber
     over point ``p``, of projection M P M^T, and the fiber over the image
     point."""
-    # Per fiber, as Subspace does: a stacked product may round otherwise.
-    proj = np.stack([basis.T @ basis for stack in b.stacks.values()
-                     for basis in stack])
+    proj = np.concatenate([stack.swapaxes(1, 2) @ stack
+                           for stack in b.stacks.values()])
     fibs = g.fiber_elements[:, None]
     return _symmetric_norm(fibs @ proj @ fibs.swapaxes(2, 3) - proj[perms])
 
@@ -336,24 +378,27 @@ def invariant_subbundle(g: FiniteGroupAction, b: SampledStratifiedBundle,
                         tol: float = TOL_CHECK,
                         r_cc: float = R_CC) -> SampledStratifiedBundle:
     """Shrink each fiber to its stabilizer-invariant part and restratify
-    the base by orbit type.
+    the base by orbit type within each base stratum.
 
-    Requires a fiber action, an orbit-saturated base sample set, and
-    equivariance: the fiber matrices must carry the fiber over x onto the
-    fiber over g.x within ``tol``.  Because of equivariance every fiber
-    over one stabilizer class shares the class's fixed space, so the
-    fibers of each (class, base stratum) are intersected with it as one
-    stack (:func:`grassmann.intersections`).  Invariant fibers that
+    Requires a fiber action, an orbit-saturated base sample set whose
+    strata the group permutes, and equivariance: the fiber matrices must
+    carry the fiber over x onto the fiber over g.x within ``tol``.
+    Because of equivariance every fiber over one stabilizer class shares
+    the class's fixed space, so the fibers of each (class, base stratum)
+    are intersected with it as one stack (:func:`grassmann.intersections`),
+    or kept as they are where it is the whole fiber space.  Each
+    orbit-type stratum lies in one base stratum.  Invariant fibers that
     differ in rank over one orbit-type stratum (sampling or equivariance
     is off) raise ValueError; each stratum's rank is that of its stack.
     """
-    pts, _ = _equivariant_samples(
+    pts, _, _ = _equivariant_samples(
         g, b, tol, "building the invariant subbundle",
         "bundle is not equivariant: element {i} maps the fiber over {key} "
         "with gap {gap:.3e}")
 
     classes, of_point = _stabilizer_table(g, pts, tol)
-    partition = _partition_by_stabilizer(g, pts, classes, of_point, r_cc)
+    partition = _partition_by_stabilizer(g, pts, classes, of_point, r_cc,
+                                         b.base._owner)
     invariant = [fixed_subspace(g, stab, use_fiber=True) for stab in classes]
     bases = [None] * len(pts)
     start = 0
@@ -362,8 +407,9 @@ def invariant_subbundle(g: FiniteGroupAction, b: SampledStratifiedBundle,
         here = of_point[start:stop]
         for c in np.unique(here).tolist():
             rows = np.flatnonzero(here == c)
-            for p, basis in zip((start + rows).tolist(),
-                                intersections(stack[rows], invariant[c], tol)):
+            found = (stack[rows] if invariant[c].dim == b.fiber_ambient
+                     else intersections(stack[rows], invariant[c], tol))
+            for p, basis in zip((start + rows).tolist(), found):
                 bases[p] = basis
         start = stop
     base = partition.stratification
@@ -380,9 +426,10 @@ def quotient_bundle(g: FiniteGroupAction, tilde: SampledStratifiedBundle,
 
     The fiber action must carry the fiber over x onto the fiber over g.x
     within ``tol`` across every orbit, so the representative fiber is
-    well defined.
+    well defined.  The group must permute the strata of ``tilde``; the
+    quotient strata are cut by orbit type within each orbit of them.
     """
-    pts, perms = _equivariant_samples(
+    pts, perms, orbit = _equivariant_samples(
         g, tilde, tol, "quotient",
         "representative fiber mismatch across an orbit: element {i} at "
         "{key} has gap {gap:.3e}")
@@ -392,7 +439,10 @@ def quotient_bundle(g: FiniteGroupAction, tilde: SampledStratifiedBundle,
     reps = sorted(min(members, key=lambda p: tuple(pts[p]))
                   for members in orbits)
 
-    partition = orbit_type_partition(g, pts[reps], r_cc=r_cc, tol=tol)
+    at = pts[reps]
+    partition = _partition_by_stabilizer(
+        g, at, *_stabilizer_table(g, at, tol), r_cc,
+        orbit[tilde.base._owner[reps]])
     renamed = Stratification(
         [Stratum(f"{s.name}/G", s.dim, s.points)
          for s in partition.stratification.strata],

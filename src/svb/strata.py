@@ -343,17 +343,21 @@ def partition_by_label(points, labels: Sequence[Hashable],
                        classes: Sequence[tuple[str, Hashable]],
                        dim: Callable[[Hashable, np.ndarray], int],
                        below: Callable[[Hashable, Hashable], bool],
-                       r_cc: float) -> LabelPartition:
+                       r_cc: float, within=None) -> LabelPartition:
     """Group labelled points into strata.
 
     ``classes`` lists ``(prefix, label)`` for every label, in the order
     the strata are emitted; each label class is split into single-linkage
-    components at radius ``r_cc``, named ``{prefix}_c{c}``, with
-    dimension ``dim(label, cloud)``.  A stratum is declared in the
+    components at radius ``r_cc``, named ``{prefix}_c{c}`` with c
+    counting the class's components by smallest member, with
+    dimension ``dim(label, cloud)``.  ``within``, one nonnegative integer
+    per point, refines the split: no component joins points of two
+    values, so the strata refine the partition it gives.  A stratum is declared in the
     closure of another when ``below(its label, the other's label)`` holds
     and the two clouds come within ``r_cc``; audit the result with
     ``check_frontier``.  One ``near_pairs`` pass decides both; memory
-    grows with the cross-label pairs, held until components are known.
+    grows with the pairs across labels or ``within`` values, held until
+    components are known.
     ``members`` is the point map: point i of the s-th stratum is input
     point ``members[s][i]``, each stratum's members ascending.
     """
@@ -365,11 +369,15 @@ def partition_by_label(points, labels: Sequence[Hashable],
     labels = tuple(labels)
     code = {label: c for c, (_, label) in enumerate(classes)}
     coded = np.array([code[lab] for lab in labels], dtype=np.intp)
-    cross = []  # cross-label pairs, kept until their components are known
+    key = coded
+    if within is not None and len(key):
+        within = np.asarray(within, dtype=np.intp)
+        key = coded * (int(within.max()) + 1) + within
+    cross = []  # cross-key pairs, kept until their components are known
 
     def same_label(pairs):
         for i, j, _ in pairs:
-            same = coded[i] == coded[j]
+            same = key[i] == key[j]
             cross.append((i[~same], j[~same]))
             yield i[same], j[same]
 

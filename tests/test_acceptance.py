@@ -41,6 +41,7 @@ from svb.functors import (
     apply_to_map,
     check_orthogonality,
     dim_map,
+    parse_functor,
 )
 from svb.bundle import apply_functor_to_bundle
 from svb.grassmann import Subspace, gap_distance, opnorm, span
@@ -55,6 +56,11 @@ from svb.strata import local_finiteness_report
 PRIMITIVES = [factory(n)
               for factory in (WedgePower, SymPower, TensorPower)
               for n in (1, 2, 3)]
+
+COMPOSITES = [parse_functor(spec) for spec in (
+    "sum(id,const:1)", "compose(wedge:2,sum(id,const:1))",
+    "sum(wedge:2,sym:2)", "compose(sym:2,wedge:2)",
+    "compose(wedge:2,tensor:2)")]
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -106,7 +112,21 @@ def test_criterion_2_functoriality_suite():
         worst = max(worst, residual, identity_residual)
         assert residual <= 1e-9
         assert identity_residual <= 1e-9
-    announce(2, f"500 random pairs, worst residual {worst:.2e}")
+    # F is a *-functor, F(A^T) = F(A)^T: the orthogonality residual rests
+    # on it.  Every primitive and the composites, on k x j matrices.
+    rng = np.random.default_rng(20240803)
+    worst_adjoint = 0.0
+    for case in range(500):
+        functor = (PRIMITIVES + COMPOSITES)[case % (len(PRIMITIVES)
+                                                    + len(COMPOSITES))]
+        k, j = (int(rng.integers(1, 6)) for _ in range(2))
+        a = rng.standard_normal((k, j))
+        adjoint = np.abs(apply_to_map(functor, a.T)
+                         - apply_to_map(functor, a).T).max(initial=0.0)
+        worst_adjoint = max(worst_adjoint, adjoint)
+        assert adjoint <= 1e-9, (functor, k, j, adjoint)
+    announce(2, f"500 random pairs, worst residual {worst:.2e}; "
+                f"500 transposes, worst |F(A^T) - F(A)^T| {worst_adjoint:.2e}")
 
 
 def test_criterion_3_whitney_fixture_verdicts():

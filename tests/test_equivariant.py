@@ -9,7 +9,9 @@ from svb.config import TOL_CHECK
 from svb.equivariant import (
     _TOL_GROUP,
     FiniteGroupAction,
+    StrataNotInvariantError,
     _equivariance_gaps,
+    _partition_by_stabilizer,
     _point_permutations,
     _stabilizer_table,
     _symmetric_norm,
@@ -39,6 +41,8 @@ from svb.grassmann import (
     intersection,
     span,
 )
+from svb.cli import main
+from svb.jsonio import bundle_to_json, group_to_json, write_json
 from svb.strata import Stratification, Stratum, check_frontier
 
 
@@ -101,6 +105,24 @@ class TestGroupConstruction:
         with pytest.raises(ValueError,
                            match="^the identity matrix is missing"):
             FiniteGroupAction(2, [rot[1], rot[2]])
+
+    @pytest.mark.parametrize("block", [1, 40, 1 << 20])
+    def test_table_blocks_agree(self, block, monkeypatch):
+        # One row per block, a few rows per block, or the whole table.
+        import svb.equivariant
+        elements = rotation_group(12).elements
+        whole = FiniteGroupAction(2, elements).table
+        monkeypatch.setattr(svb.equivariant, "_BLOCK", block)
+        assert np.array_equal(FiniteGroupAction(2, elements).table, whole)
+        # The first product outside {1, r, r^3} is r r, the half turn; in
+        # {1, r^2, r} it is r^2 r = r^3, at (1, 2).
+        rot = rotation_group(4, with_tangent_action=False).elements
+        with pytest.raises(ValueError, match="^product of elements 1 and 1 "
+                                             "is not in the group$"):
+            FiniteGroupAction(2, [rot[0], rot[1], rot[3]])
+        with pytest.raises(ValueError, match="^product of elements 1 and 2 "
+                                             "is not in the group$"):
+            FiniteGroupAction(2, [rot[0], rot[2], rot[1]])
 
     def test_inverses_found(self):
         g = dihedral_square_group()
@@ -256,15 +278,69 @@ class TestInvariantSubbundle:
             assert tilde.fiber(key).dim == 2
 
     def test_mixed_rank_orbit_type_stratum_rejected(self):
-        # Every point has the trivial group's one orbit type, so the
-        # partition merges the line's strata, of ranks 1 and 2, into one.
+        # The trivial group gives every point one orbit type; orbit types
+        # refine the input strata, so the line's strata of ranks 1 and 2
+        # stay apart.  The rank error needs fibers of one input stratum
+        # whose invariant parts differ in rank: on the x-axis, fixed by
+        # the reflection, the invariant part of e1 is e1, that of e2 is 0.
+        g = FiniteGroupAction(2, [np.eye(2), np.diag([1.0, -1.0])],
+                              fiber_elements=[np.eye(2), np.diag([1.0, -1.0])])
+        base = Stratification([Stratum(
+            "axis", 1, [[0.1 * i, 0.0] for i in range(6)])])
+        b = SampledStratifiedBundle(
+            base, 2, {("axis", i): Subspace(2, np.eye(2)[[i // 3]])
+                      for i in range(6)}, {"axis": 1})
+        with pytest.raises(ValueError, match=re.escape(
+                "fiber over ('type0_c0', 3) has rank 0, the fiber over "
+                "('type0_c0', 0) has rank 1")):
+            invariant_subbundle(g, b, r_cc=0.15)
+
+    def test_trivial_group_returns_the_bundle(self):
         g = FiniteGroupAction(1, [np.eye(1)], fiber_elements=[np.eye(3)])
-        for build, name in ((invariant_subbundle, "type0_c0"),
-                            (quotient_bundle, "type0_c0/G")):
-            with pytest.raises(ValueError, match=re.escape(
-                    f"fiber over ('{name}', 1) has rank 2, the fiber over "
-                    f"('{name}', 0) has rank 1")):
-                build(g, step_rank_bundle(), r_cc=0.3)
+        b = step_rank_bundle()
+        tilde = invariant_subbundle(g, b, r_cc=0.3)
+        quotient = quotient_bundle(g, tilde, r_cc=0.3)
+        assert quotient_bundle(g, b, r_cc=0.3).stacks.keys() == \
+            quotient.stacks.keys()
+        for out, suffix in ((tilde, ""), (quotient, "/G")):
+            names = [f"type0_c{j}{suffix}" for j in range(3)]
+            assert out.base.names == names
+            for name, source in zip(names, ("S0", "S+", "S-")):
+                assert np.array_equal(out.base.stratum(name).points,
+                                      b.base.stratum(source).points)
+                assert np.array_equal(out.stacks[name], b.stacks[source])
+            assert out.stratum_rank == dict(zip(names, (1, 2, 2)))
+
+    def test_strata_must_be_permuted_by_the_group(self, tmp_path, capsys):
+        # x -> -x carries A = {0.05, 0.1} onto B = {-0.05} and C = {-0.1}.
+        g = sign_flip_group()
+        base = Stratification([Stratum("A", 1, [[0.05], [0.1]]),
+                               Stratum("B", 0, [[-0.05]]),
+                               Stratum("C", 0, [[-0.1]])])
+        b = trivial_bundle(base, 1)
+        message = ("strata are not invariant under the group: element 1 "
+                   "carries stratum 'A' into both 'B' and 'C'")
+        for build in (invariant_subbundle, quotient_bundle):
+            with pytest.raises(StrataNotInvariantError,
+                               match=f"^{re.escape(message)}$"):
+                build(g, b, r_cc=0.06)
+        group, bundle = str(tmp_path / "g.json"), str(tmp_path / "b.json")
+        write_json(group_to_json(g), group)
+        write_json(bundle_to_json(b), bundle)
+        for verb in ("tilde", "quotient"):
+            code = main(["equivariant", verb, "--group", group,
+                         "--bundle", bundle, "--r-cc", "0.06"])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.out == ""
+            assert captured.err == f"svb: error: {message}\n"
+
+    def test_permuted_strata_pass(self):
+        # x -> -x swaps S+ and S-, which is a G-invariant stratification.
+        tilde = invariant_subbundle(sign_flip_group(),
+                                    sign_flip_tangent_bundle(), r_cc=0.3)
+        assert tilde.base.names == ["type0_c0", "type1_c0", "type1_c1"]
+        assert [len(s) for s in tilde.base.strata] == [1, 20, 20]
 
     def test_requires_fiber_action(self):
         g = axis_reflection_group()
@@ -331,7 +407,9 @@ class TestStackedRoute:
         assert np.array_equal(gaps, reference_gaps(g, b, perms))
 
         tilde = invariant_subbundle(g, b, r_cc=r_cc)
-        partition = orbit_type_partition(g, pts, r_cc=r_cc)
+        # Orbit types within each input stratum.
+        partition = _partition_by_stabilizer(g, pts, classes, of_point, r_cc,
+                                             b.base._owner)
         assert tilde.base.names == partition.stratification.names
         bases = [intersection(b.fiber(key),
                               fixed_subspace(g, stab, use_fiber=True)).basis
@@ -379,6 +457,18 @@ class TestPointPermutations:
         pts = np.array([[0.5, 0.0], [1.0, 0.5], [2.0, 0.3], [1.0, -0.5]])
         with pytest.raises(ValueError, match=r"point \[2.0, 0.3\] off"):
             _point_permutations(g, pts, 1e-8)
+
+    def test_first_element_and_off_sample_first(self):
+        # Under x -> -x with matching radius 0.06, -0.1 lands on -0.05,
+        # the image of 0.05 (a collapse), and -0.3 on nothing.
+        g = sign_flip_group()
+        with pytest.raises(ValueError, match="^element 1 collapses"):
+            _point_permutations(g, np.array([[0.0], [0.05], [-0.05], [0.1]]),
+                                0.06)
+        with pytest.raises(ValueError, match=r"^sample set is not orbit "
+                           r"saturated: element 1 moves point \[0.3\] off"):
+            _point_permutations(g, np.array(
+                [[0.0], [0.05], [-0.05], [0.1], [0.3]]), 0.06)
 
     def test_permutation_matches_images(self, monkeypatch):
         monkeypatch.setattr(strata, "_CHUNK", 2)

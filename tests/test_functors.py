@@ -226,6 +226,23 @@ class TestStackedMaps:
         assert (residuals <= 1e-12).all()
         assert peak < 48 * 2 ** 20, peak
 
+    def test_memory_bounded_by_composite_intermediates(self):
+        # compose(const:1,tensor:5) maps each plane in R^3 to a 1 x 1
+        # image through a 32 x 243 tensor image; sized by the image
+        # alone, one chunk would hold that for all 400 planes (190 MiB).
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.standard_normal((400, 3, 2)))
+        tracemalloc.start()
+        try:
+            residuals = orthogonality_residuals(
+                parse_functor("compose(const:1,tensor:5)"),
+                q.swapaxes(-1, -2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(residuals, np.zeros(400))
+        assert peak < 32 * 2 ** 20, peak
+
     def test_zero_size_image(self):
         # wedge:3 of R^2 is R^0: every image is a 0 x 0 matrix.
         out = apply_to_map(WedgePower(3), np.ones((5, 2, 2)))
@@ -242,40 +259,80 @@ class TestStackedMaps:
             f, np.stack([w.basis for w in fibers]))
         assert residuals.tolist() == [check_orthogonality(f, w)[1]
                                       for w in fibers]
-        # The per-subspace formula: F(P_W) against the projection of the
-        # audited image subspace, in the SVD norm, which the Gram
-        # eigenvalue matches to rounding.
+        # The true-projector formula: F(P_W) against F(B)^+ F(B), the
+        # projection onto F(W), in the SVD norm.  On orthonormal bases
+        # both sides are rounding, so they agree in absolute terms.
         np.testing.assert_allclose(residuals, [
             opnorm(apply_to_map(f, w.projection)
-                   - apply_to_subspace(f, w).projection) for w in fibers],
-            rtol=1e-14, atol=0)
+                   - np.linalg.pinv(fb := apply_to_map(f, w.basis)) @ fb)
+            for w in fibers], rtol=0, atol=1e-14)
+
+
+class TestTrueProjector:
+    """The residual ||F(B) F(B)^T - I|| is the defect of F(P_W) against
+    the projection F(B)^+ F(B) onto F(W), for any basis B whose image
+    has full row rank."""
+
+    @staticmethod
+    def _pinv_residual(f, basis):
+        image = apply_to_map(f, basis)
+        return opnorm(apply_to_map(f, basis.T @ basis)
+                      - np.linalg.pinv(image) @ image)
+
+    @pytest.mark.parametrize("f", PRIMITIVES + COMPOSITES + [SymPower(4)],
+                             ids=format_functor)
+    def test_matches_pinv_on_perturbed_bases(self, f):
+        rng = np.random.default_rng(21)
+        q, _ = np.linalg.qr(rng.standard_normal((20, 5, 3)))
+        bases = q.swapaxes(1, 2) + 1e-4 * rng.standard_normal((20, 3, 5))
+        residuals = orthogonality_residuals(f, bases)
+        reference = [self._pinv_residual(f, b) for b in bases]
+        assert residuals.min() > 1e-6  # the perturbation, not rounding
+        np.testing.assert_allclose(residuals, reference, rtol=1e-11, atol=0)
+
+    @pytest.mark.parametrize("f", [WedgePower(2), SymPower(3), TensorPower(2)],
+                             ids=format_functor)
+    def test_rank_deficient_image_reads_at_least_one(self, f):
+        # Two equal rows: F(B) loses rank, so G has a zero eigenvalue.
+        basis = np.array([[[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]])
+        assert orthogonality_residuals(f, basis)[0] >= 1.0
 
 
 class TestOrthogonalityThreshold:
     """A verdict is ``residual <= tol``, in the stacked route of
-    ``check orthogonality --bundle`` and in ``check_orthogonality``.
-    F(B^T B) = F(B)^T F(B) holds exactly for every B, so a residual is
-    rounding: tilting one coordinate plane of a stack by 0.3 rad gives it
-    the largest residual, and the tolerance is put on each side of it."""
+    ``check orthogonality --bundle`` and in the per-subspace route of
+    ``check_orthogonality`` and ``check orthogonality --subspace``.
+    Scaling the first row of a coordinate plane by 1 + eps, inside the
+    orthonormality audit, scales the rows of F(B) by (1 + eps)^a, a up
+    to the degree n, so the residual is (1 + eps)^(2n) - 1, about 2n eps;
+    the tolerance is put on each side of it, and FAIL exits 2."""
 
-    @pytest.mark.parametrize("f", [WedgePower(2), SymPower(3)],
-                             ids=format_functor)
-    def test_verdict_flips_at_the_residual(self, f, tmp_path, capsys):
+    EPS = 4e-11
+
+    @pytest.mark.parametrize("f, degree", [(WedgePower(2), 1),
+                                           (SymPower(3), 3)],
+                             ids=["wedge:2", "sym:3"])
+    def test_verdict_flips_at_the_residual(self, f, degree, tmp_path,
+                                           capsys):
         flat = np.eye(4)[:2]
-        tilted = np.array([[np.cos(0.3), 0.0, np.sin(0.3), 0.0],
-                           [0.0, 1.0, 0.0, 0.0]])
-        bases = np.stack([flat, flat, tilted, flat])
+        perturbed = flat * [[1.0 + self.EPS], [1.0]]
+        bases = np.stack([flat, flat, perturbed, flat])
         residuals = orthogonality_residuals(f, bases)
         r = residuals[2]
-        assert r > np.delete(residuals, 2).max()
+        assert np.delete(residuals, 2).max() <= 1e-15
+        np.testing.assert_allclose(r, 2 * degree * self.EPS, rtol=1e-4)
         bundle = SampledStratifiedBundle(
             Stratification([Stratum("S", 1, np.arange(4.0)[:, None])]), 4,
             {("S", i): Subspace(4, b) for i, b in enumerate(bases)},
             {"S": 2})
         path = str(tmp_path / "bundle.json")
         write_json(bundle_to_json(bundle), path)
+        subspace = str(tmp_path / "subspace.json")
+        write_json({"ambient": 4, "basis": perturbed.tolist(),
+                    "schema": "svb/1"}, subspace)
         for tol, ok in ((r, True), (np.nextafter(r, 0.0), False)):
-            assert check_orthogonality(f, Subspace(4, tilted), tol) == (ok, r)
+            assert check_orthogonality(f, Subspace(4, perturbed), tol) == (
+                ok, r)
             code = main(["check", "orthogonality", "--functor",
                          format_functor(f), "--bundle", path,
                          "--tol-check", repr(float(tol))])
@@ -283,6 +340,13 @@ class TestOrthogonalityThreshold:
             assert [c["residual"] for c in checks] == residuals.tolist()
             assert [c["verdict"] for c in checks] == [
                 "PASS", "PASS", "PASS" if ok else "FAIL", "PASS"]
+            assert code == (0 if ok else 2)
+            code = main(["check", "orthogonality", "--functor",
+                         format_functor(f), "--subspace", subspace,
+                         "--tol-check", repr(float(tol))])
+            checks = json.loads(capsys.readouterr().out)["checks"]
+            assert [(c["verdict"], c["residual"]) for c in checks] == [
+                ("PASS" if ok else "FAIL", r)]
             assert code == (0 if ok else 2)
 
 
