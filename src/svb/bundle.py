@@ -6,7 +6,7 @@ declared constant rank per base stratum.  The Whitney A condition is
 checked along user-declared convergence scenarios: the limit of the
 fibers over the sequence, when the projection tail is Cauchy, must
 contain the fiber at the limit point.  Covariant orthogonalizable
-functors act fibrewise on bundles and pointwise on morphism matrices.
+functors act fibrewise on bundles.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .config import TAIL_LEN, TOL_CHECK, TOL_ORTHO
-from .functors import LinearFunctor, apply_to_map, dim_map, sized_dim
+from .functors import LinearFunctor, _map_in_chunks, dim_map, sized_dim
 from .grassmann import (
     Subspace,
-    apply_linear_map,
     containment_residual,
     orthonormal_rows,
     sequence_limit,
@@ -32,7 +31,6 @@ __all__ = [
     "PointKey",
     "SampledStratifiedBundle",
     "ConvergenceScenario",
-    "BundleMorphism",
     "BundleValidation",
     "InvalidBundleError",
     "WhitneyVerdict",
@@ -41,8 +39,6 @@ __all__ = [
     "whitney_a_check",
     "whitney_a_from_sections",
     "apply_functor_to_bundle",
-    "apply_functor_to_morphism",
-    "compose_morphisms",
     "trivial_bundle",
 ]
 
@@ -169,7 +165,7 @@ class ConvergenceScenario:
 
 @dataclass(frozen=True)
 class BundleValidation:
-    """What ``validate_bundle`` or ``validate_morphism`` found."""
+    """What ``validate_bundle`` found."""
 
     passed: bool
     problems: tuple[str, ...]
@@ -301,11 +297,9 @@ def apply_functor_to_bundle(f: LinearFunctor, b: SampledStratifiedBundle
                             ) -> SampledStratifiedBundle:
     """Apply a functor fibrewise: same base, fibers F(A_x), ranks F(rank).
 
-    One ``apply_to_map`` call maps the basis stack of each stratum.  As
-    in ``apply_to_subspace``, the image stacks are audited at the
-    verdict tolerance.  Raises :class:`InvalidBundleError` when ``b``
-    fails validation, and ValueError when F builds a space above
-    ``functors.MAX_DIM``.
+    Each stratum's stack is mapped by ``_map_in_chunks`` and audited at
+    the verdict tolerance.  Raises :class:`InvalidBundleError` when ``b``
+    fails validation, ValueError when F builds a space above ``MAX_DIM``.
     """
     ambient = sized_dim(f, b.fiber_ambient)
     validation = validate_bundle(b)
@@ -313,87 +307,7 @@ def apply_functor_to_bundle(f: LinearFunctor, b: SampledStratifiedBundle
         raise InvalidBundleError(validation)
     return SampledStratifiedBundle.from_stacks(
         b.base, ambient,
-        {name: apply_to_map(f, stack) for name, stack in b.stacks.items()},
+        {name: _map_in_chunks(f, stack) for name, stack in b.stacks.items()},
         {name: dim_map(f, r) for name, r in b.stratum_rank.items()},
         tol_ortho=TOL_CHECK)
 
-
-class BundleMorphism:
-    """A stratum-respecting map of bundles: a base-point map plus one
-    fiber matrix per source point, carrying fibers into fibers."""
-
-    def __init__(self, source: SampledStratifiedBundle,
-                 target: SampledStratifiedBundle,
-                 base_map: Mapping[PointKey, PointKey],
-                 fiber_maps: Mapping[PointKey, np.ndarray]):
-        self.source = source
-        self.target = target
-        self.base_map = {(str(s), int(i)): (str(t), int(j))
-                         for (s, i), (t, j) in base_map.items()}
-        self.fiber_maps = {}
-        for key, m in fiber_maps.items():
-            m = np.atleast_2d(np.asarray(m, dtype=float))
-            expected = (target.fiber_ambient, source.fiber_ambient)
-            if m.shape != expected:
-                raise ValueError(
-                    f"fiber map at {key} has shape {m.shape}, expected {expected}")
-            self.fiber_maps[(str(key[0]), int(key[1]))] = m
-
-
-def validate_morphism(m: BundleMorphism,
-                      tol: float = TOL_CHECK) -> BundleValidation:
-    problems: list[str] = []
-    stratum_image: dict[str, str] = {}
-    for key in m.source.point_keys():
-        if key not in m.base_map:
-            problems.append(f"base map undefined at {key}")
-            continue
-        if key not in m.fiber_maps:
-            problems.append(f"fiber map undefined at {key}")
-            continue
-        image = m.base_map[key]
-        try:
-            m.target.point(image)
-        except KeyError:
-            problems.append(f"base map sends {key} to unknown point {image}")
-            continue
-        seen = stratum_image.setdefault(key[0], image[0])
-        if seen != image[0]:
-            problems.append(
-                f"stratum {key[0]!r} maps into both {seen!r} and {image[0]!r}")
-        pushed = apply_linear_map(m.fiber_maps[key], m.source.fiber(key))
-        ok, residual = containment_residual(pushed, m.target.fiber(image), tol)
-        if not ok:
-            problems.append(
-                f"fiber image at {key} leaves the target fiber "
-                f"(residual {residual:.3e})")
-    return BundleValidation(passed=not problems, problems=tuple(problems))
-
-
-def apply_functor_to_morphism(f: LinearFunctor, m: BundleMorphism,
-                              tol: float = TOL_CHECK) -> BundleMorphism:
-    """Apply a functor to a morphism pointwise; the result must validate
-    against the functor images of the two bundles (anything else is an
-    internal error, not a data error)."""
-    new_source = apply_functor_to_bundle(f, m.source)
-    new_target = apply_functor_to_bundle(f, m.target)
-    new_maps = {key: apply_to_map(f, mat) for key, mat in m.fiber_maps.items()}
-    out = BundleMorphism(new_source, new_target, m.base_map, new_maps)
-    validation = validate_morphism(out, tol=tol)
-    if not validation.passed:
-        raise RuntimeError(
-            "functor image of a valid morphism failed validation: "
-            + "; ".join(validation.problems))
-    return out
-
-
-def compose_morphisms(outer: BundleMorphism,
-                      inner: BundleMorphism) -> BundleMorphism:
-    if (inner.target.base is not outer.source.base
-            or inner.target.fiber_ambient != outer.source.fiber_ambient):
-        raise ValueError("morphisms are not composable")
-    base = {key: outer.base_map[inner.base_map[key]]
-            for key in inner.base_map}
-    fibers = {key: outer.fiber_maps[inner.base_map[key]] @ inner.fiber_maps[key]
-              for key in inner.fiber_maps}
-    return BundleMorphism(inner.source, outer.target, base, fibers)

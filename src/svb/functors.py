@@ -291,6 +291,20 @@ def apply_to_map(f: LinearFunctor, m) -> np.ndarray:
     raise TypeError(f"not a functor spec: {f!r}")
 
 
+def _map_in_chunks(f: LinearFunctor, stack: np.ndarray) -> np.ndarray:
+    """``apply_to_map(f, stack)`` on a basis stack ``(n, r, k)``, in the
+    chunks of ``orthogonality_residuals`` when one does not cover it, so
+    that a composite's intermediates do not grow with ``n``."""
+    _, r, k = stack.shape
+    parts = _chunks(len(stack), _peak_dim(f, r) * _peak_dim(f, k))
+    if len(parts) <= 1:
+        return apply_to_map(f, stack)
+    out = np.empty((len(stack), dim_map(f, r), dim_map(f, k)))
+    for part in parts:
+        out[part] = apply_to_map(f, stack[part])
+    return out
+
+
 def apply_to_subspace(f: LinearFunctor, w: Subspace) -> Subspace:
     """F(W) inside F(R^N), spanned by the rows of F(B).
 

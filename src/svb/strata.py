@@ -43,7 +43,6 @@ __all__ = [
     "LocalFinitenessReport",
     "LabelPartition",
     "check_frontier",
-    "filtration",
     "local_finiteness_report",
     "estimate_cloud_dim",
     "single_linkage_components",
@@ -575,13 +574,6 @@ def _farthest_per_pair(pair, count, reach, point):
     pair, count, reach, point = (x[order] for x in (pair, count, reach, point))
     runs = np.flatnonzero(np.diff(pair, prepend=-1))
     return pair[runs], np.add.reduceat(count, runs), reach[runs], point[runs]
-
-
-def filtration(s: Stratification) -> list[set[str]]:
-    """Skeleta by dimension: entry i is the set of strata of dim <= i."""
-    top = max(st.dim for st in s.strata)
-    return [{st.name for st in s.strata if st.dim <= i}
-            for i in range(top + 1)]
 
 
 @dataclass(frozen=True)

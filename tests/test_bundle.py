@@ -4,21 +4,16 @@ import numpy as np
 import pytest
 
 from svb.bundle import (
-    BundleMorphism,
     ConvergenceScenario,
     InvalidBundleError,
     SampledStratifiedBundle,
     apply_functor_to_bundle,
-    apply_functor_to_morphism,
-    compose_morphisms,
     failing_fibers,
     trivial_bundle,
     validate_bundle,
-    validate_morphism,
     whitney_a_check,
     whitney_a_from_sections,
 )
-from svb.grassmann import apply_linear_map
 from svb.strata import check_frontier
 from svb.fixtures import (
     cone_bundle,
@@ -43,7 +38,7 @@ from svb.functors import (
     orthogonality_residuals,
 )
 from svb.strata import Stratification, Stratum
-from svb.grassmann import Subspace, gap_distance, opnorm, span
+from svb.grassmann import Subspace, gap_distance, span
 
 PRIMITIVES = [WedgePower(1), WedgePower(2), WedgePower(3),
               SymPower(1), SymPower(2), SymPower(3),
@@ -382,113 +377,3 @@ class TestFunctorPreservesWhitney:
         assert before.violations == after.violations
         verdict = whitney_a_check(fb, cone_scenario(), tol=1e-7)
         assert verdict.limit is not None
-
-
-def inclusion_fixture():
-    base = line_stratification()
-    source_fibers = {}
-    line = span([(1.0, 0.0)], 2)
-    for s in base.strata:
-        for i in range(len(s)):
-            source_fibers[(s.name, i)] = line
-    source = SampledStratifiedBundle(base, 2, source_fibers,
-                                     {n: 1 for n in base.names})
-    target = trivial_bundle(base, 2)
-    keys = source.point_keys()
-    base_map = {k: k for k in keys}
-    fiber_maps = {k: np.eye(2) for k in keys}
-    return BundleMorphism(source, target, base_map, fiber_maps)
-
-
-class TestMorphisms:
-    def test_identity_morphism_validates(self):
-        m = inclusion_fixture()
-        assert validate_morphism(m).passed
-
-    def test_escaping_fiber_detected(self):
-        base = line_stratification()
-        source = trivial_bundle(base, 2)
-        narrow_fibers = {k: span([(1.0, 0.0)], 2) for k in source.point_keys()}
-        narrow = SampledStratifiedBundle(base, 2, narrow_fibers,
-                                         {n: 1 for n in base.names})
-        m = BundleMorphism(source, narrow,
-                           {k: k for k in source.point_keys()},
-                           {k: np.eye(2) for k in source.point_keys()})
-        report = validate_morphism(m)
-        assert not report.passed
-
-    def test_identity_maps_to_identity(self):
-        m = inclusion_fixture()
-        out = apply_functor_to_morphism(TensorPower(2), m)
-        for key, mat in out.fiber_maps.items():
-            np.testing.assert_allclose(mat, np.eye(4), atol=1e-12)
-
-    def test_zero_morphism_maps_to_zero(self):
-        base = line_stratification()
-        source = trivial_bundle(base, 2)
-        zero_fibers = {k: Subspace.zero(2) for k in source.point_keys()}
-        target = SampledStratifiedBundle(base, 2, zero_fibers,
-                                         {n: 0 for n in base.names})
-        m = BundleMorphism(source, target,
-                           {k: k for k in source.point_keys()},
-                           {k: np.zeros((2, 2)) for k in source.point_keys()})
-        for f in (TensorPower(2), WedgePower(2), SymPower(3)):
-            out = apply_functor_to_morphism(f, m)
-            for mat in out.fiber_maps.values():
-                assert np.allclose(mat, 0.0)
-
-    def test_inclusion_under_tensor_square(self):
-        m = inclusion_fixture()
-        out = apply_functor_to_morphism(TensorPower(2), m)
-        # Oracle: Kronecker square of the identity inclusion carries
-        # span{e1 (x) e1}, the first tensor basis vector.
-        key = ("S+", 0)
-        pushed = out.source.fiber(key)
-        expected = np.zeros(4)
-        expected[0] = 1.0
-        assert gap_distance(pushed, span([expected], 4)) <= 1e-10
-        np.testing.assert_allclose(out.fiber_maps[key],
-                                   np.kron(np.eye(2), np.eye(2)), atol=1e-12)
-
-    def test_overlap_compatibility_round_trip(self):
-        # Two trivializations of one bundle, modeled as separate files
-        # plus declared overlap morphisms: embed the cone bundle's R^2
-        # fibers into R^3 and project back; the composite must validate
-        # and act as the identity on every fiber.
-        narrow = cone_bundle("pass", depth=8)
-        embed = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        wide_fibers = {key: apply_linear_map(embed, narrow.fiber(key))
-                       for key in narrow.point_keys()}
-        wide = SampledStratifiedBundle(narrow.base, 3, wide_fibers,
-                                       narrow.stratum_rank)
-        keys = narrow.point_keys()
-        up = BundleMorphism(narrow, wide, {k: k for k in keys},
-                            {k: embed for k in keys})
-        down = BundleMorphism(wide, narrow, {k: k for k in keys},
-                              {k: embed.T for k in keys})
-        assert validate_morphism(up).passed
-        assert validate_morphism(down).passed
-        round_trip = compose_morphisms(down, up)
-        assert validate_morphism(round_trip).passed
-        for key in keys:
-            np.testing.assert_allclose(round_trip.fiber_maps[key], np.eye(2),
-                                       atol=1e-12)
-
-    def test_functor_respects_composition(self):
-        base = line_stratification()
-        keys = trivial_bundle(base, 2).point_keys()
-        a = trivial_bundle(base, 2)
-        b = trivial_bundle(base, 3)
-        c = trivial_bundle(base, 2)
-        rng = np.random.default_rng(11)
-        m1 = BundleMorphism(a, b, {k: k for k in keys},
-                            {k: rng.standard_normal((3, 2)) for k in keys})
-        m2 = BundleMorphism(b, c, {k: k for k in keys},
-                            {k: rng.standard_normal((2, 3)) for k in keys})
-        composed = compose_morphisms(m2, m1)
-        for f in PRIMITIVES:
-            lhs = apply_functor_to_morphism(f, composed)
-            rhs = compose_morphisms(apply_functor_to_morphism(f, m2),
-                                    apply_functor_to_morphism(f, m1))
-            for key in keys:
-                assert opnorm(lhs.fiber_maps[key] - rhs.fiber_maps[key]) <= 1e-9

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import svb.functors
-from svb.bundle import SampledStratifiedBundle
+from svb.bundle import SampledStratifiedBundle, apply_functor_to_bundle
 from svb.cli import main
 from svb.functors import (
     Compose,
@@ -157,10 +157,15 @@ class TestApplyToMap:
         np.testing.assert_allclose(out, np.eye(2))
 
     def test_rectangular_shapes(self):
-        m = np.arange(12, dtype=float).reshape(3, 4)
-        for f in PRIMITIVES + COMPOSITES:
-            out = apply_to_map(f, m)
-            assert out.shape == (dim_map(f, 3), dim_map(f, 4))
+        # The zero matrix, square and rectangular, maps to zero under
+        # every primitive: F(0) = 0.
+        for m in (np.arange(12, dtype=float).reshape(3, 4),
+                  np.zeros((3, 3)), np.zeros((3, 4))):
+            for f in PRIMITIVES + COMPOSITES:
+                out = apply_to_map(f, m)
+                assert out.shape == (dim_map(f, 3), dim_map(f, m.shape[1]))
+                if f in PRIMITIVES and not m.any():
+                    assert not out.any(), format_functor(f)
 
 
 STACKED = [Identity(), ConstantSum(2), DirectSum(Identity(), ConstantSum(1)),
@@ -205,11 +210,17 @@ class TestStackedMaps:
                           for _ in range(7)])
         whole = apply_to_map(f, stack)
         residuals = orthogonality_residuals(f, bases)
+        images = apply_to_map(f, bases)
+        bundle = SampledStratifiedBundle.from_stacks(
+            Stratification([Stratum("S", 1, np.arange(7.0)[:, None])]), 4,
+            {"S": bases})
         for chunk in (1, 200):  # one matrix, or a few, per chunk
             monkeypatch.setattr(svb.functors, "_CHUNK", chunk)
             assert np.array_equal(apply_to_map(f, stack), whole)
             assert np.array_equal(orthogonality_residuals(f, bases),
                                   residuals)
+            assert np.array_equal(
+                apply_functor_to_bundle(f, bundle).stacks["S"], images)
 
     def test_memory_bounded_as_the_stack_grows(self):
         # 1,000 planes in R^7 under sym:3: all n^2 gathered factors of
@@ -241,6 +252,24 @@ class TestStackedMaps:
         finally:
             tracemalloc.stop()
         assert np.array_equal(residuals, np.zeros(400))
+        assert peak < 32 * 2 ** 20, peak
+
+    def test_bundle_memory_bounded_by_composite_intermediates(self):
+        # The same functor on a bundle of 1,000 planes in R^3: mapped in
+        # one apply_to_map call, the tensor images alone take 59 MiB.
+        f = parse_functor("compose(const:1,tensor:5)")
+        rng = np.random.default_rng(4)
+        q, _ = np.linalg.qr(rng.standard_normal((1000, 3, 2)))
+        bundle = SampledStratifiedBundle.from_stacks(
+            Stratification([Stratum("S", 1, np.arange(1000.0)[:, None])]),
+            3, {"S": q.swapaxes(-1, -2)})
+        tracemalloc.start()
+        try:
+            image = apply_functor_to_bundle(f, bundle)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(image.stacks["S"], np.ones((1000, 1, 1)))
         assert peak < 32 * 2 ** 20, peak
 
     def test_zero_size_image(self):

@@ -1,11 +1,15 @@
 """The traced benchmark run (``perfbench/run.py --trace 1``) wraps svb
-functions and constructors by name; every name it lists must exist."""
+functions and constructors by name; every name it lists must exist, and
+so must every name an svb module exports."""
 
 import importlib
 import importlib.util
 import os
+import pkgutil
 
 import pytest
+
+import svb
 
 SPANS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "spans.py")
 
@@ -25,6 +29,14 @@ def test_wrapped_functions_exist(module):
     home = importlib.import_module(f"svb.{module}")
     for name in SPAN_MODULE.FUNCTIONS[module]:
         assert callable(getattr(home, name, None)), f"svb.{module}.{name}"
+
+
+@pytest.mark.parametrize("module", ["svb"] + sorted(
+    f"svb.{m.name}" for m in pkgutil.iter_modules(svb.__path__)))
+def test_exported_names_exist(module):
+    home = importlib.import_module(module)
+    for name in getattr(home, "__all__", ()):
+        assert hasattr(home, name), f"{module}.{name}"
 
 
 @pytest.mark.parametrize("module", sorted(SPAN_MODULE.CLASSES))

@@ -26,7 +26,6 @@ from svb.strata import (
     Stratum,
     check_frontier,
     estimate_cloud_dim,
-    filtration,
     graph_components,
     local_finiteness_report,
     near_pairs,
@@ -269,31 +268,6 @@ def test_frontier_monotone_in_delta(delta, bigger):
     second = check_frontier(s, eps_touch=0.05, delta_cover=delta * bigger)
     if first.passed:
         assert second.passed
-
-
-class TestFiltration:
-    def test_line_dims(self):
-        s = line_stratification()
-        assert filtration(s) == [{"S0"}, {"S0", "S+", "S-"}]
-
-    def test_top_dimensional_only(self):
-        a = Stratum("a", 2, [[0.0, 0.0]])
-        b = Stratum("b", 2, [[1.0, 0.0]])
-        s = Stratification([a, b])
-        assert filtration(s) == [set(), set(), {"a", "b"}]
-
-    def test_cone_fixture(self):
-        s = cone_stratification()
-        skeleta = filtration(s)
-        assert skeleta[0] == {"vertex"}
-        assert skeleta[1] == {"vertex", "arc+", "arc-"}
-
-    def test_idempotent_and_order_independent(self):
-        s = line_stratification()
-        reordered = Stratification(list(reversed(s.strata)),
-                                   closure_order=s.closure_order)
-        assert filtration(s) == filtration(reordered)
-        assert filtration(s) == filtration(s)
 
 
 class TestLocalFiniteness:
