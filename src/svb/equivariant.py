@@ -31,7 +31,7 @@ import numpy as np
 
 from .bundle import SampledStratifiedBundle
 from .config import R_CC, TOL_CHECK
-from .grassmann import Subspace, intersections, span
+from .grassmann import Subspace, _distinct, intersections, span
 from .strata import (
     LabelPartition,
     Stratification,
@@ -84,19 +84,33 @@ class FiniteGroupAction:
         self.identity_index = int(identity.argmax())
         order = len(mats)
         self.table = np.zeros((order, order), dtype=int)
-        # Rows i of the table in blocks whose difference arrays stay
-        # within _BLOCK entries.
+        # Rows i of the table in blocks whose (product, element) pairs,
+        # n * n entries each, stay within _BLOCK.  For orthogonal A and B,
+        # <A, B>_F = n - |A - B|_F^2 / 2: a match (every entry within
+        # _TOL_GROUP) has <A, B>_F > n - 1/2, and below that some entry
+        # differs by 1/n or more.  So the exact entry test runs on the
+        # pairs above n - 1/2 alone.
+        flat = mats.reshape(order, -1)
         step = max(1, _BLOCK // max(1, order * order * self.n * self.n))
         for start in range(0, order, step):
-            # matches[i, j, k]: the product of elements start + i and j is
-            # element k.
-            matches = np.abs((mats[start:start + step, None] @ mats)[
-                :, :, None] - mats).max(axis=(3, 4)) <= _TOL_GROUP
-            off = np.argwhere(matches.sum(axis=2) != 1)
+            # Row q of prods: the product of elements start + q // order
+            # and q % order.
+            prods = (mats[start:start + step, None] @ mats).reshape(
+                -1, flat.shape[1])
+            q, k = np.divmod(np.flatnonzero(prods @ flat.T > self.n - 0.5),
+                             order)
+            # The largest entry gap of each candidate, one entry at a time.
+            gap = np.zeros(q.size)
+            for a, b in zip(prods.T, flat.T):
+                np.maximum(gap, np.abs(a[q] - b[k]), out=gap)
+            match = gap <= _TOL_GROUP
+            q, k = q[match], k[match]
+            off = np.flatnonzero(np.bincount(q, minlength=len(prods)) != 1)
             if off.size:
-                raise ValueError(f"product of elements {start + off[0][0]} "
-                                 f"and {off[0][1]} is not in the group")
-            self.table[start:start + step] = matches.argmax(axis=2)
+                i, j = divmod(int(off[0]), order)
+                raise ValueError(f"product of elements {start + i} "
+                                 f"and {j} is not in the group")
+            self.table[start:start + step] = k.reshape(-1, order)
         inverses = self.table == self.identity_index
         _raise_first(inverses.sum(axis=1) != 1,
                      "element {} has no unique inverse")
@@ -110,8 +124,12 @@ class FiniteGroupAction:
                 raise ValueError("fiber_elements must match the element list")
             fibs = _orthogonal_stack(fibs, fibs[0].shape[0], "fiber element",
                                      "fiber element {} is not square")
-            residual = np.linalg.norm(fibs[:, None] @ fibs - fibs[self.table],
-                                      2, axis=(2, 3))
+            # The Frobenius norm bounds the spectral norm, which is taken
+            # only where the bound exceeds the tolerance.
+            diff = fibs[:, None] @ fibs - fibs[self.table]
+            residual = np.sqrt((diff * diff).sum(axis=(2, 3)))
+            loose = residual > _TOL_GROUP
+            residual[loose] = np.linalg.norm(diff[loose], 2, axis=(1, 2))
             _raise_first(residual > _TOL_GROUP, "fiber elements do not follow "
                          "the multiplication table at ({}, {})")
             self.fiber_elements = fibs
@@ -277,7 +295,7 @@ def _point_permutations(g: FiniteGroupAction, pts: np.ndarray,
     images = np.concatenate([pts @ m.T for m in g.elements])
     for i, j, d in near_pairs(images, pts, tol):
         order = np.lexsort((j, d, i))
-        nearest = order[np.unique(i[order], return_index=True)[1]]
+        nearest = order[np.flatnonzero(np.diff(i[order], prepend=-1))]
         match[i[nearest]] = j[nearest]
     perms = match.reshape(g.order, n)
     # Sorted rows: an image off the sample set leads its row with -1,
@@ -405,7 +423,7 @@ def invariant_subbundle(g: FiniteGroupAction, b: SampledStratifiedBundle,
     for stack in b.stacks.values():
         stop = start + len(stack)
         here = of_point[start:stop]
-        for c in np.unique(here).tolist():
+        for c in _distinct(here).tolist():
             rows = np.flatnonzero(here == c)
             found = (stack[rows] if invariant[c].dim == b.fiber_ambient
                      else intersections(stack[rows], invariant[c], tol))

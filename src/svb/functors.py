@@ -172,9 +172,11 @@ def sized_dim(f: LinearFunctor, k: int) -> int:
 
 def _tensor_power_matrix(m: np.ndarray, n: int) -> np.ndarray:
     # Iterated Kronecker product of each matrix of the stack, entries
-    # multiplied in kron's (a*b)*c order.
+    # multiplied in kron's (a*b)*c order.  Products keep the memory order
+    # of their operands, so a stack in C order lets every reshape be a
+    # view.
     *lead, k, j = m.shape
-    out = m
+    out = m = np.ascontiguousarray(m)
     for p in range(1, n):
         out = (out[..., :, None, :, None] * m[..., None, :, None, :]
                ).reshape(*lead, k ** (p + 1), j ** (p + 1))

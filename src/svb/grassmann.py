@@ -68,6 +68,16 @@ def opnorms(mats) -> np.ndarray:
                     np.nan)
 
 
+def _distinct(a) -> np.ndarray:
+    """The distinct values of an integer array, ascending and flat, as
+    ``np.unique`` gives them: one sort and a test of neighbours, without
+    the hash path and the ``numpy.ma`` import of ``np.unique``."""
+    a = np.sort(a, axis=None)
+    keep = np.ones(a.size, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 def orthonormal_rows(bases, tol: float = TOL_ORTHO) -> np.ndarray:
     """Whether the rows of each basis in a stack ``(..., r, k)`` are
     orthonormal: every Gram entry within ``max(tol, 1e-12)`` of the
@@ -286,12 +296,12 @@ def intersections(bases, b: Subspace, tol: float = TOL_CHECK
     sigma = np.concatenate([sigma, np.zeros((m, r - sigma.shape[1]))], axis=1)
     # Singular values come in decreasing order, so the kept ones trail.
     kept = (sigma <= tol).sum(axis=1)
-    for count in np.unique(kept[kept > 0]).tolist():
+    for count in _distinct(kept[kept > 0]).tolist():
         rows = np.flatnonzero(kept == count)
         # Contiguous before the transpose, as one point's u[:, kept].T is.
         coeffs = np.ascontiguousarray(u[rows, :, r - count:]).swapaxes(1, 2)
         vh, rank = _span_rank(coeffs @ bases[rows], TOL_RANK, 0.0)
-        for dim in np.unique(rank).tolist():
+        for dim in _distinct(rank).tolist():
             picked = rank == dim
             stack = vh[picked, :dim]
             if not orthonormal_rows(stack).all():

@@ -32,7 +32,7 @@ from typing import Callable, Hashable, Iterable, Optional, Sequence
 import numpy as np
 
 from .config import MAX_LOCAL_STRATA, TOL_RANK
-from .grassmann import span
+from .grassmann import _distinct, span
 
 __all__ = [
     "Stratum",
@@ -403,7 +403,7 @@ def partition_by_label(points, labels: Sequence[Hashable],
     # Stratum pair (a, b) as the key a * n + b, so that sorted keys are
     # sorted pairs; each cloud meets itself.
     n = len(strata)
-    keys = np.unique(np.concatenate([np.arange(n) * (n + 1)] + [
+    keys = _distinct(np.concatenate([np.arange(n) * (n + 1)] + [
         owner[i] * n + owner[j] for i, j in cross]))
     names = [st.name for st in strata]
     closure = [(names[a], names[b])
@@ -598,19 +598,18 @@ def local_finiteness_report(s: Stratification, radius: float,
     if not radius > 0:
         raise ValueError("radius must be positive")
     n, owner = len(s.strata), s._owner
+    # A chunk of near_pairs holds every pair of its rows, so no
+    # (point, stratum) key of one chunk comes up in another.
     near = np.zeros(len(owner), dtype=int)
     for i, j, _ in near_pairs(s._cloud, s._cloud, radius):
-        near += np.bincount(np.unique(i * n + owner[j]) // n,
+        near += np.bincount(_distinct(i * n + owner[j]) // n,
                             minlength=len(owner))
-    cuts = np.cumsum([len(st) for st in s.strata])[:-1]
-    counts = []
-    flagged = []
-    for home, near_home in zip(s.strata, np.split(near, cuts)):
-        for i, c in enumerate(near_home.tolist()):
-            counts.append((home.name, i, c))
-            if c > threshold:
-                flagged.append((home.name, i, c))
-    max_count = max(c for _, _, c in counts)
+    local = np.arange(len(owner)) - np.searchsorted(owner, owner)
+    counts = tuple(zip(np.array(s.names, dtype=object)[owner].tolist(),
+                       local.tolist(), near.tolist()))
+    flagged = tuple(counts[p]
+                    for p in np.flatnonzero(near > threshold).tolist())
     return LocalFinitenessReport(passed=not flagged, radius=radius,
-                                 max_count=max_count, threshold=threshold,
-                                 counts=tuple(counts), flagged=tuple(flagged))
+                                 max_count=int(near.max()),
+                                 threshold=threshold, counts=counts,
+                                 flagged=flagged)

@@ -4,6 +4,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -871,6 +873,32 @@ class TestDeterminism:
         for name in names:
             with open(os.path.join(golden, name), "rb") as fh:
                 assert (tmp_path / name).read_bytes() == fh.read(), name
+
+
+# Runs every call of scripts/run_corpus.py's plan in this interpreter and
+# exits naming the first one after which numpy.ma has been imported.
+NO_MASKED_ARRAYS = """
+import contextlib, importlib.util, io, sys
+spec = importlib.util.spec_from_file_location("run_corpus", sys.argv[1])
+corpus = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(corpus)
+for k, (_, argv) in enumerate(corpus.plan(sys.argv[2])):
+    with contextlib.redirect_stdout(io.StringIO()):
+        corpus.cli_main(argv + ["--no-timestamp"])
+    if "numpy.ma" in sys.modules:
+        sys.exit(f"numpy.ma imported by {k} {' '.join(argv[:2])}")
+"""
+
+
+def test_corpus_does_not_import_numpy_ma(tmp_path):
+    # numpy's hash-based unique imports numpy.ma on its first call, some
+    # 15 ms of a fresh process.
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                          "run_corpus.py")
+    done = subprocess.run(
+        [sys.executable, "-c", NO_MASKED_ARRAYS, script, str(tmp_path)],
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 class TestFrontierReportLayout:

@@ -1,4 +1,5 @@
 import re
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -54,6 +55,96 @@ def trivial_group(n=2):
 def grid_points(step=0.5, extent=1.0):
     axis = np.arange(-extent, extent + step / 2, step)
     return np.array([[x, y] for x in axis for y in axis])
+
+
+def _table_by_differences(elements):
+    """The product table from the max |entry| of every (product, element)
+    difference, or the message of the first error the constructor raises
+    on the table."""
+    mats = np.stack(elements)
+    matches = np.abs((mats[:, None] @ mats)[:, :, None] - mats).max(
+        axis=(3, 4)) <= _TOL_GROUP
+    off = np.argwhere(matches.sum(axis=2) != 1)
+    if off.size:
+        return "product of elements {} and {} is not in the group".format(
+            *off[0])
+    table = matches.argmax(axis=2)
+    identity = np.abs(mats - np.eye(len(mats[0]))).max(axis=(1, 2))
+    inverses = table == identity.argmin()
+    bad = np.flatnonzero(inverses.sum(axis=1) != 1)
+    if bad.size:
+        return f"element {bad[0]} has no unique inverse"
+    return table
+
+
+def _turned(m, factor):
+    """The plane rotation ``m`` turned on until its largest entry has
+    moved by about ``factor * _TOL_GROUP``."""
+    c, s = m[0, 0], m[1, 0]
+    theta = np.arctan2(s, c) + factor * _TOL_GROUP / max(abs(c), abs(s))
+    return np.array([[np.cos(theta), -np.sin(theta)],
+                     [np.sin(theta), np.cos(theta)]])
+
+
+def _signed_permutations():
+    """The 48 signed permutation matrices of R^3."""
+    eye = np.eye(3)
+    return [np.diag(signs) @ eye[list(p)] for p in permutations(range(3))
+            for signs in product((1.0, -1.0), repeat=3)]
+
+
+def _near_groups():
+    rot8 = list(rotation_group(8, with_tangent_action=False).elements)
+    rot12 = list(rotation_group(12, with_tangent_action=False).elements)
+    cases = {
+        "rot8": rot8, "rot12": rot12,
+        "rot48": list(rotation_group(48, with_tangent_action=False).elements),
+        "dihedral": list(dihedral_square_group().elements),
+        "signed-perm3": _signed_permutations(),
+        "not-closed": rot8[:3],
+        "not-closed-12": [rot12[k] for k in (0, 2, 3, 6, 9)],
+        "duplicate": rot8 + [rot8[3].copy()],
+        "duplicate-identity-free": [rot8[0], rot8[4], rot8[4].copy()],
+    }
+    for factor in (0.5, 2.0):
+        for k in (1, 3):
+            cases[f"turned-{k}-by-{factor}"] = [
+                _turned(m, factor) if j == k else m for j, m in enumerate(rot8)]
+        cases[f"turned-12-by-{factor}"] = [
+            _turned(m, factor) if j == 5 else m for j, m in enumerate(rot12)]
+    return cases
+
+
+class TestGroupTableReference:
+    """The candidate search by Frobenius inner products against every
+    (product, element) difference: the same table or the same error.
+    No near-group was found that reaches the inverse error past the
+    table's own check; the reference carries it all the same."""
+
+    @pytest.mark.parametrize("block", [1, 40, 1 << 20])
+    @pytest.mark.parametrize("name", list(_near_groups()))
+    def test_same_table_or_error(self, name, block, monkeypatch):
+        import svb.equivariant
+        monkeypatch.setattr(svb.equivariant, "_BLOCK", block)
+        elements = _near_groups()[name]
+        expected = _table_by_differences(elements)
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+                FiniteGroupAction(len(elements[0]), elements)
+        else:
+            g = FiniteGroupAction(len(elements[0]), elements)
+            assert np.array_equal(g.table, expected)
+
+    def test_turn_within_tolerance_is_kept(self):
+        # Turned by 0.3 tolerance, element 1 and its square stay within
+        # the tolerance of the group; turned by 2, it leaves the group.
+        rot8 = rotation_group(8, with_tangent_action=False).elements
+        turned = [_turned(m, 0.3) if j == 1 else m for j, m in enumerate(rot8)]
+        assert np.array_equal(FiniteGroupAction(2, turned).table,
+                              FiniteGroupAction(2, rot8).table)
+        with pytest.raises(ValueError, match="^product of elements 1 and 1 "
+                                             "is not in the group$"):
+            FiniteGroupAction(2, _near_groups()["turned-1-by-2.0"])
 
 
 class TestGroupConstruction:
@@ -470,12 +561,68 @@ class TestPointPermutations:
             _point_permutations(g, np.array(
                 [[0.0], [0.05], [-0.05], [0.1], [0.3]]), 0.06)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_as_unique_route_with_ties(self, seed, monkeypatch):
+        # Integer grids with holes: an image off the sample set often
+        # lies at distance exactly 1 or sqrt(2) from several samples.
+        monkeypatch.setattr(strata, "_CHUNK", 5)
+        rng = np.random.default_rng(seed)
+        g = dihedral_square_group()
+        grid = np.array(list(product(range(-2, 3), repeat=2)), dtype=float)
+        for holes in (0, 1, 3):
+            pts = np.delete(grid, rng.choice(len(grid), holes,
+                                             replace=False), axis=0)
+            pts = pts[rng.permutation(len(pts))]
+            for tol in (0.5, 1.0, 1.5):
+                expected = _unique_route(g, pts, tol)
+                try:
+                    perms = _point_permutations(g, pts, tol)
+                except ValueError as err:
+                    assert str(err) == expected
+                else:
+                    assert np.array_equal(perms, expected)
+
+    def test_ties_go_to_the_lowest_index(self):
+        # Under x -> -x, the images of 1 and -1.5 lie halfway between two
+        # samples; the lower index wins, and only that choice makes a
+        # permutation.
+        g = sign_flip_group()
+        pts = np.array([[-0.5], [2.0], [-1.5], [1.0]])
+        perms = _point_permutations(g, pts, 0.6)
+        assert perms.tolist() == [[0, 1, 2, 3], [3, 2, 1, 0]]
+        assert np.array_equal(perms, _unique_route(g, pts, 0.6))
+        with pytest.raises(ValueError, match="^element 1 collapses"):
+            _point_permutations(g, pts[::-1], 0.6)
+
     def test_permutation_matches_images(self, monkeypatch):
         monkeypatch.setattr(strata, "_CHUNK", 2)
         g = dihedral_square_group()
         pts = grid_points(step=0.5)
         for m, perm in zip(g.elements, _point_permutations(g, pts, 1e-8)):
             assert np.allclose(pts[perm], pts @ m.T)
+
+
+def _unique_route(g, pts, tol):
+    """``_point_permutations`` with each image's nearest sample picked
+    through ``np.unique(..., return_index=True)``; a failure gives its
+    message instead."""
+    n = len(pts)
+    match = np.full(g.order * n, -1)
+    images = np.concatenate([pts @ m.T for m in g.elements])
+    for i, j, d in strata.near_pairs(images, pts, tol):
+        order = np.lexsort((j, d, i))
+        nearest = order[np.unique(i[order], return_index=True)[1]]
+        match[i[nearest]] = j[nearest]
+    perms = match.reshape(g.order, n)
+    for i, perm in enumerate(perms):
+        if (perm < 0).any():
+            return ("sample set is not orbit saturated: element "
+                    f"{i} moves point {pts[np.argmax(perm < 0)].tolist()} "
+                    "off the sample set")
+        if len(set(perm.tolist())) < n:
+            return (f"element {i} collapses distinct sample points; the "
+                    "matching tolerance is coarser than the sample spacing")
+    return perms
 
 
 def radial_line_bundle(order=8, tilt=0.0, tilted=3):

@@ -237,6 +237,23 @@ class TestStackedMaps:
         assert (residuals <= 1e-12).all()
         assert peak < 48 * 2 ** 20, peak
 
+    def test_transposed_stack_peaks_as_a_contiguous_one(self):
+        # The transposed QR factors of planes, as bases are often made:
+        # tensor:5 of such a stack must not copy at every degree.
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.standard_normal((134, 3, 2)))
+        swapped = q.swapaxes(-1, -2)
+        images, peaks = [], []
+        for stack in (swapped, np.ascontiguousarray(swapped)):
+            tracemalloc.start()
+            try:
+                images.append(apply_to_map(TensorPower(5), stack))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert np.array_equal(*images)
+        assert peaks[0] < 1.1 * peaks[1], peaks
+
     def test_memory_bounded_by_composite_intermediates(self):
         # compose(const:1,tensor:5) maps each plane in R^3 to a 1 x 1
         # image through a 32 x 243 tensor image; sized by the image

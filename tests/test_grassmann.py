@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from svb.grassmann import (
     Subspace,
+    _distinct,
     apply_linear_map,
     containment_residual,
     gap_distance,
@@ -75,6 +76,30 @@ class TestOpnorms:
         assert np.isnan(out[1])
         np.testing.assert_allclose(out[[0, 2]], self.reference(mats[[0, 2]]),
                                    rtol=1e-14)
+
+
+class TestDistinct:
+    """One sort and a run test against numpy's unique."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-3, 3),
+                              st.integers(-2 ** 63, 2 ** 63 - 1)),
+                    max_size=40))
+    def test_equals_np_unique(self, values):
+        a = np.array(values, dtype=np.int64)
+        got = _distinct(a)
+        assert got.dtype == a.dtype
+        assert np.array_equal(got, np.unique(a))
+
+    @pytest.mark.parametrize("values", [[], [7], [-5], [2, 2, 2], [-1, 0, -1],
+                                        [[3, -2], [3, 9]]],
+                             ids=["empty", "one", "negative", "repeated",
+                                  "mixed-sign", "two-d"])
+    def test_edge_cases(self, values):
+        a = np.array(values, dtype=np.intp)
+        got = _distinct(a)
+        assert got.dtype == a.dtype and got.ndim == 1
+        assert np.array_equal(got, np.unique(a))
 
 
 class TestSubspace:

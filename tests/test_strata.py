@@ -311,6 +311,49 @@ class TestLocalFiniteness:
                 single_linkage_components(np.array(pts), 0.05)
 
 
+def _dense_local_finiteness(s, radius, threshold):
+    """``local_finiteness_report`` from the full distance matrix, with the
+    distance formula of ``near_pairs``."""
+    cloud = np.concatenate([st.points for st in s.strata])
+    owner = np.repeat(np.arange(len(s.strata)), [len(st) for st in s.strata])
+    d = np.sqrt(((cloud[:, None] - cloud[None]) ** 2).sum(-1))
+    rows = iter(d)
+    counts = tuple((st.name, i, len(set(owner[next(rows) <= radius].tolist())))
+                   for st in s.strata for i in range(len(st)))
+    flagged = tuple(c for c in counts if c[2] > threshold)
+    return counts, flagged, max(c for _, _, c in counts), not flagged
+
+
+class TestLocalFinitenessReference:
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_matches_dense_reference(self, monkeypatch, chunk):
+        # Rows on a 0.02 grid, so that many distances tie with the radius.
+        monkeypatch.setattr(strata, "_CHUNK", chunk)
+        rng = np.random.default_rng(12)
+        for trial in range(3):
+            pts = np.unique((rng.random((90, 2)) * 50).round() / 50, axis=0)
+            label = rng.integers(0, 6, len(pts))
+            s = Stratification([Stratum(f"s{k}", 0, pts[label == k])
+                                for k in range(6) if (label == k).any()])
+            for radius in (0.02, 0.1, 0.3, 3.0):
+                report = local_finiteness_report(s, radius, threshold=3)
+                assert (report.counts, report.flagged, report.max_count,
+                        report.passed) == _dense_local_finiteness(s, radius, 3)
+
+    def test_count_at_threshold_passes(self):
+        # Point 0 of "a" sees all three strata within 0.1, the others two.
+        s = Stratification([Stratum("a", 0, [[0.0]]),
+                            Stratum("b", 0, [[0.05], [0.3]]),
+                            Stratum("c", 0, [[-0.08], [0.35]])])
+        at = local_finiteness_report(s, 0.1, threshold=3)
+        assert at.passed and at.flagged == () and at.max_count == 3
+        below = local_finiteness_report(s, 0.1, threshold=2)
+        assert not below.passed
+        assert below.flagged == (("a", 0, 3),)
+        assert below.counts == at.counts == (
+            ("a", 0, 3), ("b", 0, 2), ("b", 1, 2), ("c", 0, 2), ("c", 1, 2))
+
+
 class TestCloudDim:
     def test_singleton(self):
         assert estimate_cloud_dim(np.array([[3.0, 4.0]])) == 0
