@@ -19,6 +19,9 @@ over 2,000 points, reading that bundle's file (``bundle_from_json`` of
 matrices, and ``audit_axioms`` plus ``regularity_check`` on the
 scalar action (``bundle_scalar_action``, 300 samples in R^4) of a
 rank-2 trivial bundle over 100 points of the plane, five times each.
+``audit_axioms`` alone is timed on 20,000 uniform samples in R^3 with
+the default time grid, for the builtin ``scalar`` action and for the
+same action as a polynomial table, one call of each per timing.
 ``invariant_subbundle`` of ``rotation_group(12)`` on its tangent bundle
 over 200 rings (``ring_tangent_bundle``, 2,401 points) is timed five
 times as well, and so are ``partition_by_label`` alone on that ring's
@@ -139,7 +142,7 @@ def scaled_timings(checkout):
     from svb.grassmann import Subspace
     from svb.jsonio import bundle_from_json, bundle_to_json, read_json, \
         write_json
-    from svb.monoid import audit_axioms, regularity_check
+    from svb.monoid import MonoidActionSample, audit_axioms, regularity_check
     from svb.strata import (Stratification, Stratum, check_frontier,
                             local_finiteness_report, partition_by_label)
 
@@ -206,6 +209,15 @@ def scaled_timings(checkout):
         {"samples": len(action.sample_points), "ambient": action.ambient_dim,
          "t_grid": len(action.t_grid)},
         lambda: (audit_axioms(action), regularity_check(action)))
+    cloud = np.random.default_rng(0).uniform(-1.0, 1.0, (20_000, 3))
+    scalar = MonoidActionSample.builtin("scalar", 3, cloud)
+    table = MonoidActionSample.polynomial(
+        [[{"powers": [1] + [int(c == j) for c in range(3)], "coef": 1.0}]
+         for j in range(3)], 3, cloud)
+    cases["monoid_audits_20000"] = (
+        {"samples": 20_000, "ambient": 3, "t_grid": len(scalar.t_grid),
+         "actions": ["builtin scalar", "polynomial t e"]},
+        lambda: (audit_axioms(scalar), audit_axioms(table)))
     rotations = rotation_group(12)
     ring = ring_tangent_bundle(12, np.linspace(0.2, 1.0, 200).tolist())
     cases["equivariant_tilde_ring2401"] = (

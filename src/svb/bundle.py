@@ -211,13 +211,18 @@ def whitney_a_check(b: SampledStratifiedBundle, sc: ConvergenceScenario,
     """
     x0_key = (sc.target_stratum, sc.x0_index)
     x0 = b.point(x0_key)
-    seq_keys = [(sc.source_stratum, i) for i in sc.sequence_indices]
-    dists = [float(np.linalg.norm(b.point(k) - x0)) for k in seq_keys]
-    tail = dists[-tail_len:]
+    # Only the tail is read; every index is still range checked.
+    size = len(b.base.stratum(sc.source_stratum))
+    for i in sc.sequence_indices:
+        if not 0 <= i < size:
+            b.point((sc.source_stratum, i))
+    tail_keys = [(sc.source_stratum, i)
+                 for i in sc.sequence_indices[-tail_len:]]
+    tail = [float(np.linalg.norm(b.point(k) - x0)) for k in tail_keys]
     if any(a < bb - 1e-12 for a, bb in zip(tail, tail[1:])):
         raise ValueError(
             "scenario tail does not approach the limit point monotonically")
-    limit = sequence_limit([b.fiber(k) for k in seq_keys[-tail_len:]],
+    limit = sequence_limit([b.fiber(k) for k in tail_keys],
                            tol=tol, tail_len=tail_len)
     if limit is None:
         return WhitneyVerdict(INCONCLUSIVE)

@@ -176,7 +176,9 @@ def span(vectors, ambient_dim: int, tol_rank: float = TOL_RANK,
     projections, where real singular values are 1 and anything tiny is
     rounding noise).
     """
-    mat = np.asarray(list(vectors), dtype=float)
+    if not isinstance(vectors, np.ndarray):  # an iterable of rows
+        vectors = list(vectors)
+    mat = np.asarray(vectors, dtype=float)
     if mat.size == 0:
         return Subspace.zero(ambient_dim)
     mat = np.atleast_2d(mat)

@@ -10,12 +10,15 @@ recovered as spans of phi over h_0-clusters.
 
 Evaluators are restricted to named built-ins and polynomial coefficient
 tables so that action files are reproducible across implementations.
-Both are evaluated on whole (n, m) stacks of points, a table as the
-term table of a vector field over the variables (t, e).
+Both map an array of points row by row, with one time per row, a table
+as the term table of a vector field over the variables (t, e).  So an
+audit stacks the (time, point) rows of many maps into one call, bit for
+bit as one call per time and point would give.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -59,7 +62,7 @@ def _builtin_translate(t, e):
 
 def _builtin_scale_last(t, e):
     out = e.copy()
-    out[:, -1] = t * out[:, -1]
+    out[..., -1] = t[..., 0] * out[..., -1]
     return out
 
 
@@ -67,8 +70,11 @@ def _builtin_identity(t, e):
     return e.copy()
 
 
-# Each maps a time and an (n, m) stack of points to the (n, m) images.
-BUILTIN_ACTIONS: dict[str, Callable[[float, np.ndarray], np.ndarray]] = {
+# Each maps an array of times t, shape (..., 1), and points e, shape
+# (..., m), to the images of e: one time per row, and t broadcasts
+# against the leading axes of e, so a block of rows may share a time.
+BUILTIN_ACTIONS: dict[str, Callable[[np.ndarray, np.ndarray],
+                                    np.ndarray]] = {
     "scalar": _builtin_scalar,
     "square_scale": _builtin_square_scale,
     "translate": _builtin_translate,
@@ -102,8 +108,14 @@ class MonoidActionSample:
                 ((term["powers"], float(term["coef"]) * np.eye(m)[j])
                  for j, coord_terms in enumerate(coeffs)
                  for term in coord_terms), m + 1, m)
-            self._evaluator = lambda t, e: evaluate_terms(
-                terms, np.column_stack([np.full(len(e), t), e]), m)
+
+            def evaluator(t, e):
+                rows = np.concatenate(
+                    [np.broadcast_to(t, (*e.shape[:-1], 1)), e], axis=-1)
+                return evaluate_terms(terms, rows.reshape(-1, m + 1),
+                                      m).reshape(e.shape)
+
+            self._evaluator = evaluator
         else:
             raise ValueError("action kind must be 'builtin' or 'polynomial'")
         pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
@@ -132,23 +144,62 @@ class MonoidActionSample:
     def evaluate(self, t: float, e) -> np.ndarray:
         """h_t(e) for one point e, or for each row of an (n, m) stack."""
         e = np.asarray(e, dtype=float)
+        values = self._blocks([float(t)], self._stack(e)[None])
+        if not np.isfinite(values).all():
+            raise _non_finite(t)
+        return values[0] if e.ndim == 2 else values[0, 0]
+
+    def _stack(self, e: np.ndarray) -> np.ndarray:
+        """A point or an (n, m) stack of points, as a stack."""
         if e.ndim not in (1, 2) or e.shape[-1] != self.ambient_dim:
             raise ValueError("expected a point or an (n, m) stack of points")
-        value = self._evaluator(float(t), np.atleast_2d(e))
-        if not np.isfinite(value).all():
-            raise ValueError(f"evaluator returned a non-finite value at t={t}")
-        return value if e.ndim == 2 else value[0]
+        return np.atleast_2d(e)
+
+    def _blocks(self, times, rows: np.ndarray) -> np.ndarray:
+        """h_{times[j]} of block j of the (b, n, m) array ``rows``, for
+        every j in one evaluator call."""
+        return self._evaluator(np.asarray(times, dtype=float)[:, None, None],
+                               rows)
 
 
-def _norms(rows) -> np.ndarray:
+def _first_non_finite(blocks: np.ndarray) -> int:
+    """The index of the first block holding a non-finite value, or the
+    number of blocks."""
+    finite = np.isfinite(blocks)
+    if finite.all():
+        return len(blocks)
+    return int(np.argmin(finite.reshape(len(blocks), -1).all(axis=1)))
+
+
+def _non_finite(t) -> ValueError:
+    return ValueError(f"evaluator returned a non-finite value at t={t}")
+
+
+def _check_positive(name: str, value) -> None:
+    """A tolerance or step must be a positive finite number; a NaN would
+    pass every threshold and an infinite step would read zeros."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a positive finite number, "
+                         f"got {value!r}")
+
+
+def _row_norms(rows) -> np.ndarray:
     """Row norms, each rounded as ``np.linalg.norm(row)`` rounds it: one
     BLAS dot per row (``norm(rows, axis=1)`` differs in the last bit on
-    some rows).  Reports hold no infinity, so an overflow is an error."""
+    some rows)."""
     rows = np.ascontiguousarray(rows)
-    norms = np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+
+
+def _finite(norms: np.ndarray) -> np.ndarray:
+    """Reports hold no infinity, so an overflowing norm is an error."""
     if not np.isfinite(norms).all():
         raise ValueError("non-finite residual: a norm overflows")
     return norms
+
+
+def _norms(rows) -> np.ndarray:
+    return _finite(_row_norms(rows))
 
 
 @dataclass(frozen=True)
@@ -162,16 +213,37 @@ class MonoidAudit:
 
 
 def audit_axioms(a: MonoidActionSample, tol: float = TOL_CHECK) -> MonoidAudit:
-    """Check h_1 = id and h_t h_s = h_ts on the grid and samples, one
-    evaluation of the whole sample stack per map."""
+    """Check h_1 = id and h_t h_s = h_ts on the grid and samples.
+
+    For a grid of g times this makes 2 + 2g evaluator calls: h_1, then
+    h_s for every s over the stacked (s, point) rows, then per outer
+    time t the maps h_t of those rows and h_ts.  Residuals are bit for
+    bit those of one call per time and point.  A non-finite value
+    raises, naming the first map that a loop over the identity and then
+    the pairs (t, s), each as h_s, h_t h_s and h_ts, would reach."""
+    _check_positive("tol", tol)
     pts = a.sample_points
-    pairs = [(t, s) for t in a.t_grid for s in a.t_grid]
-    residuals = _norms(np.concatenate([a.evaluate(1.0, pts) - pts] + [
-        a.evaluate(t, a.evaluate(s, pts)) - a.evaluate(t * s, pts)
-        for t, s in pairs])).reshape(1 + len(pairs), len(pts))
+    grid = a.t_grid
+    g, (n, m) = len(grid), pts.shape
+    stack = np.broadcast_to(pts, (g, n, m))
+    norms = [_row_norms(a.evaluate(1.0, pts) - pts)]
+    inner = a._blocks(grid, stack)
+    # Only the blocks before the first non-finite h_s are composed.
+    kept = _first_non_finite(inner)
+    for t in grid:
+        outer = a._blocks([t] * kept, inner[:kept])
+        direct = a._blocks([t * s for s in grid[:kept]], stack[:kept])
+        j_outer, j_direct = _first_non_finite(outer), _first_non_finite(direct)
+        if (j := min(j_outer, j_direct)) < g:
+            raise _non_finite(grid[j] if j == kept else
+                              t if j == j_outer else t * grid[j])
+        norms.append(_row_norms((outer - direct).reshape(-1, m)))
+    pairs = [(t, s) for t in grid for s in grid]
+    residuals = _finite(np.concatenate(norms)).reshape(1 + len(pairs), n)
     # Row-major order: the identity first, then (t, s, i) in grid order.
-    found = [(k, int(i), float(residuals[k, i]))
-             for k, i in zip(*np.nonzero(residuals > tol))]
+    rows, cols = np.nonzero(residuals > tol)
+    found = list(zip(rows.tolist(), cols.tolist(),
+                     residuals[rows, cols].tolist()))
     return MonoidAudit(
         passed=not found,
         identity_violations=tuple((i, r) for k, i, r in found if k == 0),
@@ -193,11 +265,12 @@ def vertical_derivative(a: MonoidActionSample, e, step: float = STEP):
     gets no rounding term, so actions that do not move e (the identity)
     keep a zero estimate.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    pts = np.atleast_2d(np.asarray(e, dtype=float))
-    samples = np.array([a.evaluate(t, pts) for t in
-                        (step, -step, step / 2.0, -step / 2.0)])
+    _check_positive("step", step)
+    pts = a._stack(np.asarray(e, dtype=float))
+    offsets = (step, -step, step / 2.0, -step / 2.0)
+    samples = a._blocks(offsets, np.broadcast_to(pts, (4, *pts.shape)))
+    if (j := _first_non_finite(samples)) < len(offsets):
+        raise _non_finite(offsets[j])
     coarse = (samples[0] - samples[1]) / (2.0 * step)
     fine = (samples[2] - samples[3]) / step
     refined = (4.0 * fine - coarse) / 3.0
@@ -230,6 +303,7 @@ class RegularityReport:
 
 def _classify(a: MonoidActionSample, tol: float, step: float):
     """The regularity report, and the derivatives and h_0-images it read."""
+    _check_positive("tol", tol)
     pts = a.sample_points
     phis, _ = vertical_derivative(a, pts, step)
     images = a.evaluate(0.0, pts)
@@ -271,6 +345,7 @@ def reconstruct_bundle(a: MonoidActionSample, base_samples,
                        ) -> VerticalFragment:
     """Recover fibers of a regular action: over each base point, the span
     of the vertical derivatives of the samples its h_0-image clusters to."""
+    _check_positive("cluster_radius", cluster_radius)
     report, phis, images = _classify(a, tol, step)
     if not report:
         raise ValueError(

@@ -1,3 +1,4 @@
+import os
 import re
 
 import numpy as np
@@ -14,6 +15,7 @@ from svb.bundle import (
     whitney_a_check,
     whitney_a_from_sections,
 )
+from svb.config import TAIL_LEN
 from svb.strata import check_frontier
 from svb.fixtures import (
     cone_bundle,
@@ -38,8 +40,16 @@ from svb.functors import (
     orthogonality_residuals,
 )
 from svb.strata import Stratification, Stratum
-from svb.grassmann import Subspace, gap_distance, span
+from svb.grassmann import (
+    Subspace,
+    containment_residual,
+    gap_distance,
+    sequence_limit,
+    span,
+)
+from svb.jsonio import bundle_from_json, read_json, scenario_from_json
 
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 PRIMITIVES = [WedgePower(1), WedgePower(2), WedgePower(3),
               SymPower(1), SymPower(2), SymPower(3),
               TensorPower(1), TensorPower(2), TensorPower(3)]
@@ -130,6 +140,53 @@ class TestWhitneyACheck:
         sc = ConvergenceScenario("S0", "S+", 0, (40, 39, 1, 38))
         with pytest.raises(ValueError, match="monotonically"):
             whitney_a_check(cone_bundle("pass"), sc, tail_len=4)
+
+
+def _parent_whitney(b, sc, tol, tail_len):
+    """whitney_a_check with the distance of every scenario point."""
+    x0 = b.point((sc.target_stratum, sc.x0_index))
+    keys = [(sc.source_stratum, i) for i in sc.sequence_indices]
+    tail = [float(np.linalg.norm(b.point(k) - x0)) for k in keys][-tail_len:]
+    assert all(a >= bb - 1e-12 for a, bb in zip(tail, tail[1:]))
+    limit = sequence_limit([b.fiber(k) for k in keys[-tail_len:]],
+                           tol=tol, tail_len=tail_len)
+    if limit is None:
+        return "INCONCLUSIVE", None, None
+    ok, residual = containment_residual(
+        b.fiber((sc.target_stratum, sc.x0_index)), limit, tol)
+    return ("PASS" if ok else "FAIL"), residual, limit.basis
+
+
+class TestWhitneyTail:
+    """Only the tail points of a scenario are read."""
+
+    @pytest.mark.parametrize("variant", ["pass", "fail", "rank0"])
+    def test_cone_fixtures(self, variant, monkeypatch):
+        b = bundle_from_json(read_json(
+            os.path.join(FIXTURES, f"cone_{variant}.json")))
+        sc = scenario_from_json(read_json(
+            os.path.join(FIXTURES, "cone_scenario.json")))
+        assert len(sc.sequence_indices) == 41
+        status, residual, basis = _parent_whitney(b, sc, 1e-8, TAIL_LEN)
+        read = []
+        point = b.point
+        monkeypatch.setattr(b, "point", lambda key: read.append(key) or
+                            point(key))
+        verdict = whitney_a_check(b, sc, tol=1e-8, tail_len=TAIL_LEN)
+        assert (verdict.status, verdict.residual) == (status, residual)
+        assert np.array_equal(verdict.limit.basis, basis)
+        tail = {(sc.source_stratum, i)
+                for i in sc.sequence_indices[-TAIL_LEN:]}
+        assert set(read) == tail | {(sc.target_stratum, sc.x0_index)}
+        assert len(set(read)) == TAIL_LEN + 1
+
+    def test_indices_before_the_tail_are_range_checked(self):
+        sc = ConvergenceScenario("S0", "S+", 0, (99999, 1, 2, 3, 4, 5, 6))
+        with pytest.raises(KeyError, match="index 99999 out of range"):
+            whitney_a_check(cone_bundle("pass"), sc, tail_len=4)
+        sc = ConvergenceScenario("S0", "S+", 0, (-1,) + tuple(range(1, 41)))
+        with pytest.raises(KeyError, match="index -1 out of range"):
+            whitney_a_check(cone_bundle("pass"), sc)
 
 
 class TestWhitneyFromSections:

@@ -1,3 +1,7 @@
+import os
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +9,10 @@ from hypothesis import strategies as st
 
 from svb.fixtures import bundle_scalar_action, cone_bundle, step_rank_bundle
 from svb.grassmann import gap_distance, span
+from svb.jsonio import action_from_json, read_json
 from svb.monoid import (
     MonoidActionSample,
+    _norms,
     audit_axioms,
     reconstruct_bundle,
     regularity_check,
@@ -16,6 +22,11 @@ from svb.monoid import (
 R2_SAMPLES = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 4.0], [-1.0, 0.5],
                        [0.0, 0.0]])
 R1_SAMPLES = np.array([[1.0], [-0.5], [2.0], [0.0]])
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+
+def load_action(name):
+    return action_from_json(read_json(os.path.join(FIXTURES, name)))
 
 
 def action(name, samples):
@@ -288,14 +299,243 @@ class TestStacksMatchPoints:
         assert len(calls) == 1
 
 
+def _row_times(t, e):
+    """The time of each row of an evaluator call, in row order."""
+    return np.broadcast_to(t, (*e.shape[:-1], 1)).ravel()
+
+
 def test_one_stack_evaluation_per_map(monkeypatch):
+    # 2 + 2g calls: h_1, h_s over the g stacked (s, point) blocks, then
+    # per outer time t the maps h_t of those rows and h_ts.
     a = action("scalar", R2_SAMPLES)
-    shapes = []
+    calls = []
     original = a._evaluator
-    monkeypatch.setattr(a, "_evaluator",
-                        lambda t, e: shapes.append(e.shape) or original(t, e))
+    monkeypatch.setattr(a, "_evaluator", lambda t, e: calls.append(
+        _row_times(t, e).copy()) or original(t, e))
     audit_axioms(a)
-    assert shapes == [R2_SAMPLES.shape] * (1 + 3 * len(a.t_grid) ** 2)
+    grid, n = np.array(a.t_grid), len(R2_SAMPLES)
+    assert len(calls) == 2 + 2 * len(grid)
+    assert np.array_equal(calls[0], np.ones(n))
+    assert np.array_equal(calls[1], np.repeat(grid, n))
+    for j, t in enumerate(grid):
+        assert np.array_equal(calls[2 + 2 * j], np.full(len(grid) * n, t))
+        assert np.array_equal(calls[3 + 2 * j], np.repeat(t * grid, n))
+
+
+def _parent_audit(a, tol):
+    """audit_axioms as one evaluation of the sample stack per map, the
+    identity first and then h_t(h_s(e)) - h_ts(e) per pair (t, s): the
+    residual table and both violation tuples."""
+    pts = a.sample_points
+    pairs = [(t, s) for t in a.t_grid for s in a.t_grid]
+    residuals = _norms(np.concatenate([a.evaluate(1.0, pts) - pts] + [
+        a.evaluate(t, a.evaluate(s, pts)) - a.evaluate(t * s, pts)
+        for t, s in pairs])).reshape(1 + len(pairs), len(pts))
+    found = [(k, int(i), float(residuals[k, i]))
+             for k, i in zip(*np.nonzero(residuals > tol))]
+    return residuals, (tuple((i, r) for k, i, r in found if k == 0),
+                       tuple((*pairs[k - 1], i, r) for k, i, r in found if k))
+
+
+_TINY = float(np.nextafter(0.0, 1.0))  # every nonzero residual violates
+
+
+def _matches_parent(a):
+    for tol in (_TINY, 1e-9):
+        residuals, reference = _parent_audit(a, tol)
+        audit = audit_axioms(a, tol)
+        found = (audit.identity_violations, audit.composition_violations)
+        assert found == reference
+        # Violations list residuals in the table's row-major order.
+        assert np.array_equal([v[-1] for v in found[0] + found[1]],
+                              residuals[residuals > tol])
+
+
+GRIDS = [(-1.0, -0.5, 0.0, 0.5, 1.0, 2.0),
+         (1.0, -3.0, 0.25, 0.0, -3.0, 1.0, 0.75, -0.125),
+         (0.0, 1.0), (2.0, -1.0, 1.0, 0.0, 2.0)]
+
+
+class TestBatchedAuditMatchesParent:
+    """The 2 + 2g call audit reproduces, bit for bit, one evaluation of
+    the sample stack per map, on grids with negative and repeated times."""
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("name", ["scalar", "square_scale", "translate",
+                                      "scale_last", "identity"])
+    def test_builtins(self, name, grid):
+        for samples in (R1_SAMPLES, R2_SAMPLES):
+            _matches_parent(MonoidActionSample.builtin(
+                name, samples.shape[1], samples, t_grid=grid))
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_bundle_scalar_action(self, grid):
+        for make in (lambda: cone_bundle("pass", depth=12), step_rank_bundle):
+            act, _, _ = bundle_scalar_action(make())
+            _matches_parent(MonoidActionSample(
+                act.ambient_dim, act.descriptor, act.sample_points, grid))
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), ambient=st.integers(1, 3),
+           grid=st.sampled_from(GRIDS))
+    def test_random_polynomials(self, seed, ambient, grid):
+        rng = np.random.default_rng(seed)
+        coeffs, _ = _random_polynomial_action(rng, ambient, top_degree=3)
+        samples = rng.uniform(-1.0, 1.0, size=(5, ambient))
+        _matches_parent(MonoidActionSample.polynomial(
+            coeffs, ambient, samples, t_grid=grid))
+
+
+def _poisoned(poison, grid=(-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)):
+    """Scalar multiplication of the point 3 on the line, except that the
+    evaluator returns NaN at each (time, input) pair of ``poison``.  The
+    input 3 s is h_s(3), so (t, 3 s) poisons h_t h_s, and (tau, 3)
+    poisons h_tau wherever it is read: as h_s if tau is in the grid, or
+    else as h_ts."""
+    a = MonoidActionSample.builtin("scalar", 1, [[3.0]], t_grid=grid)
+    original = a._evaluator
+    calls = []
+
+    def evaluator(t, e):
+        times = _row_times(t, e).reshape(e.shape[:-1])
+        calls.append(times)
+        out = original(t, e)
+        for time, value in poison:
+            out[(times == time) & (e[..., 0] == value)] = np.nan
+        return out
+
+    a._evaluator = evaluator
+    return a, calls
+
+
+class TestNonFiniteBlocks:
+    """A non-finite value names the time that one evaluation per map, in
+    the order identity, then per (t, s): h_s, h_t h_s, h_ts, reaches
+    first; no later outer time is evaluated."""
+
+    @pytest.mark.parametrize("poison, named, outer, grid", [
+        ([(1.0, 3.0)], 1.0, None, GRIDS[0]),        # the identity
+        ([(-0.5, 3.0)], -0.5, -1.0, GRIDS[0]),      # h_s at (-1, -0.5)
+        ([(2.0, 1.5)], 2.0, 2.0, GRIDS[0]),         # h_t h_s at (2, 0.5)
+        ([(-0.25, 3.0)], -0.25, -0.5, GRIDS[0]),    # h_ts at (-0.5, 0.5)
+        # A later h_s and an earlier composition: the composition first.
+        ([(2.0, 3.0), (-1.0, 1.5)], -1.0, -1.0, GRIDS[0]),
+        # An earlier h_s and a later composition: the h_s first.
+        ([(0.5, 3.0), (-1.0, 6.0)], 0.5, -1.0, GRIDS[0]),
+        # Within the outer time 3: h_9 at (3, 3) before h_3 h_5 at (3, 5),
+        # and the other way round.
+        ([(9.0, 3.0), (3.0, 15.0)], 9.0, 3.0, (0.0, 1.0, 3.0, 5.0)),
+        ([(15.0, 3.0), (3.0, 9.0)], 3.0, 3.0, (0.0, 1.0, 3.0, 5.0)),
+    ])
+    def test_names_the_first_map_reached(self, poison, named, outer, grid):
+        a, calls = _poisoned(poison, grid)
+        with pytest.raises(ValueError) as parent:
+            _parent_audit(a, 1e-9)
+        calls.clear()
+        with pytest.raises(ValueError, match="non-finite value") as batched:
+            audit_axioms(a, 1e-9)
+        assert str(batched.value) == str(parent.value) == \
+            f"evaluator returned a non-finite value at t={named}"
+        # h_1, the stacked h_s, then two calls per outer time reached.
+        reached = 0 if outer is None else a.t_grid.index(outer) + 1
+        assert len(calls) == (1 if outer is None else 2 + 2 * reached)
+
+    def test_overflowing_evaluator(self):
+        # h_t(e) = t e^2 on e = 1e100: h_1 and every h_s are finite, and
+        # h_0(h_1(e)) = 0 * inf is the first NaN.
+        a = MonoidActionSample.polynomial(
+            [[{"powers": [1, 2], "coef": 1.0}]], 1, [[1e100]],
+            t_grid=(2.0, 0.0, 1.0))
+        with pytest.raises(ValueError) as parent:
+            _parent_audit(a, 1e-9)
+        with pytest.raises(ValueError) as batched:
+            audit_axioms(a, 1e-9)
+        assert str(batched.value) == str(parent.value)
+
+    @pytest.mark.parametrize("poisoned_offset", [0, 1, 2, 3])
+    def test_vertical_derivative_names_the_first_offset(self,
+                                                        poisoned_offset):
+        offsets = (1e-4, -1e-4, 5e-5, -5e-5)
+        a, _ = _poisoned([(offsets[poisoned_offset], 3.0),
+                          (offsets[3], 3.0)])
+        with pytest.raises(ValueError, match=re.escape(
+                f"at t={offsets[poisoned_offset]}")):
+            vertical_derivative(a, [3.0], step=1e-4)
+
+
+class TestToleranceValidation:
+    """tol and step must be positive finite numbers: a NaN passes every
+    threshold and an infinite step reads zeros."""
+
+    BAD = [float("nan"), float("inf"), 0.0, -1e-8]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_audit_axioms(self, bad):
+        a = load_action("action_translate.json")
+        with pytest.raises(ValueError, match="tol must be a positive finite"):
+            audit_axioms(a, bad)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_regularity_check(self, bad):
+        a = load_action("action_square_scale.json")
+        with pytest.raises(ValueError, match="tol must be a positive finite"):
+            regularity_check(a, tol=bad)
+        with pytest.raises(ValueError,
+                           match="step must be a positive finite"):
+            regularity_check(a, step=bad)
+        with pytest.raises(ValueError, match="tol must be a positive finite"):
+            reconstruct_bundle(a, [[0.0]], tol=bad)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_cluster_radius(self, bad):
+        # A NaN or negative radius clustered nothing: rank-0 fibers.
+        with pytest.raises(ValueError,
+                           match="cluster_radius must be a positive finite"):
+            reconstruct_bundle(action("scalar", R2_SAMPLES), [[0.0, 0.0]],
+                               cluster_radius=bad)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_vertical_derivative(self, bad):
+        a = action("identity", R2_SAMPLES)
+        with pytest.raises(ValueError,
+                           match="step must be a positive finite"):
+            vertical_derivative(a, R2_SAMPLES, step=bad)
+
+    def test_smallest_positive_values_work(self):
+        assert not audit_axioms(load_action("action_translate.json"), _TINY)
+        assert audit_axioms(load_action("action_scalar.json"), _TINY)
+        report = regularity_check(load_action("action_square_scale.json"),
+                                  tol=_TINY)
+        assert report.overall == "NOT_REGULAR"
+        phi, err = vertical_derivative(action("identity", R2_SAMPLES),
+                                       R2_SAMPLES, step=_TINY)
+        assert not phi.any() and not err.any()
+        phi, _ = vertical_derivative(action("scalar", R1_SAMPLES),
+                                     R1_SAMPLES, step=1e-300)
+        np.testing.assert_allclose(phi, R1_SAMPLES, rtol=1e-12)
+        frag = reconstruct_bundle(action("scalar", R2_SAMPLES), [[0.0, 0.0]],
+                                  cluster_radius=_TINY)
+        assert frag.ranks == (2,)
+
+
+def test_audit_memory_at_scale():
+    """20,000 samples in R^3 on the default grid of g = 6 times: the
+    peak stays within 1.25 x 2 (1 + g^2) n m 8 bytes (about 42 MiB),
+    the peak of concatenating one residual stack per map."""
+    rng = np.random.default_rng(0)
+    samples = rng.uniform(-1.0, 1.0, size=(20_000, 3))
+    scalar = [[{"powers": [1] + [int(c == j) for c in range(3)],
+                "coef": 1.0}] for j in range(3)]
+    for a in (action("scalar", samples),
+              MonoidActionSample.polynomial(scalar, 3, samples)):
+        bound = 1.25 * 2 * (1 + len(a.t_grid) ** 2) * samples.size * 8
+        tracemalloc.start()
+        try:
+            assert audit_axioms(a, 1e-12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 class TestNonFiniteResiduals:

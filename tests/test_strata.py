@@ -21,6 +21,7 @@ from svb.fixtures import (
     rotation_group,
 )
 from svb.foliation import foliation_bundle
+from svb.grassmann import span
 from svb.strata import (
     Stratification,
     Stratum,
@@ -366,6 +367,38 @@ class TestCloudDim:
         rng = np.random.default_rng(0)
         pts = rng.standard_normal((25, 2))
         assert estimate_cloud_dim(pts) == 2
+
+
+def _cloud_with_sigmas(sigmas, n=20, ambient=3, seed=0):
+    """n points whose centered matrix has the singular values sigmas,
+    shifted away from the origin."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((n, len(sigmas)))
+    u -= u.mean(axis=0)
+    u = np.linalg.qr(u)[0]
+    v = np.linalg.qr(rng.standard_normal((ambient, len(sigmas))))[0]
+    return 0.3 + (u * sigmas) @ v.T
+
+
+def _span_route_dim(pts, tol_rank):
+    """The dimension as the span of the centered rows reads it."""
+    scale = float(np.abs(pts).max())
+    return span(pts - pts.mean(axis=0), pts.shape[1], tol_rank=tol_rank,
+                tol_abs=1e-9 * max(scale, 1.0)).dim
+
+
+class TestCloudDimThreshold:
+    """The cloud dimension flips on the right side of the relative and
+    of the absolute cutoff, as the span of the centered rows reads it."""
+
+    @pytest.mark.parametrize("cutoff, tol_rank", [(1e-8, 1e-8),
+                                                  (1e-9, 1e-12)])
+    @pytest.mark.parametrize("side, dim", [(1.001, 2), (0.999, 1)])
+    def test_both_sides(self, cutoff, tol_rank, side, dim):
+        pts = _cloud_with_sigmas([1.0, side * cutoff])
+        assert estimate_cloud_dim(pts, tol_rank) == dim
+        assert _span_route_dim(pts, tol_rank) == dim
+        assert type(estimate_cloud_dim(pts, tol_rank)) is int
 
 
 def _kernel_results():
