@@ -10,7 +10,10 @@ and its threads, nproc).  It also times kernels at the sizes the
 benchmark's inputs hide: ``check_frontier`` and
 ``local_finiteness_report`` on the Cantor stratifications of levels 6-9,
 the construction of a 3,200-point ``Stratification`` (32 clusters in
-R^3), ``apply_functor_to_bundle`` with sym:3 on a rank-4 trivial bundle
+R^3) and ``check_frontier`` on it at ``eps_touch = delta_cover = 0.05``,
+every chunk of ``near_pairs`` on 100,000 seeded uniform points of the
+unit cube in R^3 at the radius that gives about ten neighbours per
+point, ``apply_functor_to_bundle`` with sym:3 on a rank-4 trivial bundle
 over 2,000 points, reading that bundle's file (``bundle_from_json`` of
 ``read_json``) and checking it in process with ``check orthogonality
 --bundle --functor wedge:2``, ``check_orthogonality`` with sym:4 on a
@@ -144,7 +147,8 @@ def scaled_timings(checkout):
         write_json
     from svb.monoid import MonoidActionSample, audit_axioms, regularity_check
     from svb.strata import (Stratification, Stratum, check_frontier,
-                            local_finiteness_report, partition_by_label)
+                            local_finiteness_report, near_pairs,
+                            partition_by_label)
 
     if os.path.dirname(os.path.abspath(svb.__file__)) != \
             os.path.join(os.path.abspath(src), "svb"):
@@ -162,6 +166,16 @@ def scaled_timings(checkout):
     cases["stratification_3200"] = (
         {"points": 3200, "strata": len(strata)},
         lambda: Stratification(strata))
+    clusters = Stratification(strata)
+    cases["frontier_clusters3200"] = (
+        {"points": 3200, "strata": len(strata), "eps_touch": 0.05},
+        lambda: check_frontier(clusters, 0.05, 0.05))
+    uniform = np.random.default_rng(0).random((100_000, 3))
+    radius = (10 / (len(uniform) * 4 / 3 * np.pi)) ** (1 / 3)
+    cases["near_pairs_uniform100k"] = (
+        {"points": 100_000, "ambient": 3, "radius": radius},
+        lambda: sum(i.size for i, _, _ in near_pairs(uniform, uniform,
+                                                     radius)))
     rng = np.random.default_rng(0)
     bundle = trivial_bundle(Stratification(
         [Stratum("bulk", 2, rng.uniform(-1.0, 1.0, (2000, 2)))]), 4)

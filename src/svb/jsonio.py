@@ -347,7 +347,8 @@ def stratification_from_json(obj, path="$") -> Stratification:
     closure = []
     pairs = _expect(obj, "closure", list, path) if "closure" in obj else []
     for i, pair in enumerate(pairs):
-        if not (isinstance(pair, list) and len(pair) == 2):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and type(pair[0]) is str and type(pair[1]) is str):
             raise SchemaError(f"{path}.closure[{i}]: expected a name pair")
         closure.append((pair[0], pair[1]))
     try:

@@ -11,10 +11,18 @@ finiteness.
 Strata share a sample point when two rows are equal, which one sort
 decides.  Every other cloud distance is needed only up to a known radius
 (``eps_touch``, ``radius``, ``r_cc``), so all of them come from one
-radius-bounded grid query, ``near_pairs``.  It yields its pairs in
-chunks of bounded size and its callers reduce each chunk at once, so
-whatever the radius, memory grows linearly with the number of points
-plus the stratum pairs a result names.
+radius-bounded grid index, ``_Grid``: ``check_frontier`` queries it
+directly and every other caller through ``near_pairs``.  It yields its
+pairs in chunks of bounded size and its callers reduce each chunk at
+once, so whatever the radius, memory grows linearly with the number of
+points plus the stratum pairs a result names.
+
+``check_frontier`` queries its grid twice.  A stratum that touches
+another must do so with its first sample in particular, so the first
+query takes one sample per stratum: it settles the one-sample strata
+and names the live ones, whose first sample meets another stratum.
+Only the samples of live strata are searched in full, which on
+well-separated strata is a small part of the cloud.
 
 A ``FrontierReport`` keeps its touching pairs as parallel arrays
 (source, target, reason code, witness row, distance), sorted once by
@@ -229,66 +237,151 @@ def _transitive_closure(names, pairs) -> frozenset:
 
 
 def near_pairs(a: np.ndarray, b: np.ndarray, r: float):
-    """Yield index and distance arrays ``(i, j, d)`` holding every pair
-    with ``d = |a[i] - b[j]| <= r``, in chunks of consecutive rows of
-    ``a``: a chunk holds all pairs of its rows.
+    """Index and distance arrays ``(i, j, d)`` holding every pair with
+    ``d = |a[i] - b[j]| <= r``, in chunks of consecutive rows of ``a``:
+    a chunk holds all pairs of its rows.
 
-    Candidates come from a uniform grid on the first g = 3 coordinates
-    (all of them in lower ambient dimension) with cells at least ``r``
-    wide.  A coordinate projection never increases a distance, so the
-    3^g cells around a row's cell hold all its neighbours.  Cell keys
-    weigh the last grid coordinate 1, so the three cells a row reaches
-    along it are the consecutive keys ``k - 1 .. k + 1``: one run of the
-    sorted keys, found by two binary searches.  That makes 3^(g-1) runs
-    per row; a row's candidates follow cell by cell, the last grid
-    coordinate fastest, each cell in the order of ``b``.  Rows with a
-    non-finite grid coordinate have no pairs."""
+    The pairs come from a ``_Grid`` over ``b`` whose box also holds
+    ``a``, so a point of ``a`` outside ``b``'s own box still has its
+    cell keys in range and its pairs exact.  A self-join (``a is b``)
+    takes ``b``'s sorted keys as its needles.  Rows with a non-finite
+    grid coordinate have no pairs.  ``check_frontier`` queries its grid
+    directly, once for one sample per stratum and once for the strata
+    that sample leaves live."""
     if not r >= 0:
-        return
-    g = min(a.shape[1], 3)
-    rows_a = np.flatnonzero(np.isfinite(a[:, :g]).all(axis=1))
-    rows_b = np.flatnonzero(np.isfinite(b[:, :g]).all(axis=1))
-    if not (rows_a.size and rows_b.size):
-        return
-    grid = np.concatenate([a[rows_a, :g], b[rows_b, :g]])
-    lo = grid.min(axis=0)
-    extent = float((grid.max(axis=0) - lo).max(initial=0.0))
-    # The slightly wider cell keeps pairs at exactly d == r clear of
-    # rounding in the floor division.  Cells are never narrower than
-    # 2^-500: closer coordinates may square to an underflow, and the
-    # distance formula, not the grid, has to decide those pairs.
-    cell = max(r * (1 + 2.0 ** -20), extent / _CELLS, 2.0 ** -500)
-    weights = (_CELLS + 3) ** np.arange(g)[::-1]
+        return iter(())
+    grid = _Grid(b, r, None if a is b else a)
+    if not grid.rows.size:
+        return iter(())
+    return grid.near(grid.rows) if a is b else grid.near_points(a)
 
-    def keys(x):
-        return (np.floor((x[:, :g] - lo) / cell).astype(np.int64) + 1) @ weights
 
-    kb = keys(b[rows_b])
-    order = np.argsort(kb, kind="stable")
-    kb, cands = kb[order], rows_b[order]
-    runs = np.array(list(product((-1, 0, 1), repeat=g - 1)),
-                    dtype=np.int64).reshape(3 ** (g - 1), g - 1)
-    near = keys(a[rows_a])[:, None] + runs @ weights[:-1]
-    near -= 1
-    starts = np.searchsorted(kb, near, side="left")
-    near += 2
-    counts = np.searchsorted(kb, near, side="right")
-    del near
-    counts -= starts
-    per_row = counts.sum(axis=1)
-    reach = np.cumsum(per_row)
-    q0 = 0
-    while q0 < len(rows_a):
-        q1 = max(q0 + 1, int(np.searchsorted(
-            reach, reach[q0] - per_row[q0] + _CHUNK, side="right")))
-        c, s = counts[q0:q1].ravel(), starts[q0:q1].ravel()
-        run = np.cumsum(c) - c
-        j = cands[np.arange(c.sum()) + np.repeat(s - run, c)]
-        i = np.repeat(rows_a[q0:q1], per_row[q0:q1])
-        d = np.sqrt(((a[i] - b[j]) ** 2).sum(-1))
-        keep = d <= r
-        yield i[keep], j[keep], d[keep]
-        q0 = q1
+def _finite_rows(x: np.ndarray) -> np.ndarray:
+    """Rows of ``x`` whose grid coordinates are all finite."""
+    return np.flatnonzero(np.isfinite(x[:, :3]).all(axis=1))
+
+
+class _Grid:
+    """A radius query index: the rows of ``b`` with finite grid
+    coordinates, by cell of a uniform grid.
+
+    The grid lies on the first g = 3 coordinates (all of them in lower
+    ambient dimension) with cells at least ``r`` wide, and its box holds
+    ``b`` and, when given, the points ``a`` it will be queried with.  A
+    coordinate projection never increases a distance, so the 3^g cells
+    around a query's cell hold all its neighbours.  Cell keys weigh the
+    last grid coordinate 1, so the three cells a query reaches along it
+    are the consecutive keys ``k - 1 .. k + 1``: one run of the sorted
+    keys of ``b``, found by two binary searches.  That makes 3^(g-1) runs
+    per query row.  The searches take their needles in ascending key
+    order, run by run, which lets each search start where the last one
+    ended; the results then go back to query row order.  A row's
+    candidates follow cell by cell, the last grid coordinate fastest,
+    each cell in the order of ``b``, and chunks hold consecutive query
+    rows."""
+
+    def __init__(self, b: np.ndarray, r: float, a=None):
+        self.b, self.r = b, r
+        g = min(b.shape[1], 3)
+        self.rows = _finite_rows(b)
+        box = grid_b = b[self.rows, :g]
+        if a is not None:
+            box = np.concatenate([a[_finite_rows(a), :g], grid_b])
+        if not len(box):
+            return
+        self.lo = lo = box.min(axis=0)
+        extent = float((box.max(axis=0) - lo).max(initial=0.0))
+        # The slightly wider cell keeps pairs at exactly d == r clear of
+        # rounding in the floor division.  Cells are never narrower than
+        # 2^-500: closer coordinates may square to an underflow, and the
+        # distance formula, not the grid, has to decide those pairs.
+        self.cell = max(r * (1 + 2.0 ** -20), extent / _CELLS, 2.0 ** -500)
+        self.weights = (_CELLS + 3) ** np.arange(g)[::-1]
+        kb = self.keys(grid_b)
+        order = np.argsort(kb, kind="stable")
+        self.kb, self.cands = kb[order], self.rows[order]
+        self.offsets = _offsets(g)
+
+    def keys(self, x: np.ndarray) -> np.ndarray:
+        g = len(self.weights)
+        return (np.floor((x[:, :g] - self.lo) / self.cell).astype(np.int64)
+                + 1) @ self.weights
+
+    def near(self, rows: np.ndarray):
+        """The pairs of the rows ``rows`` of ``b``, ascending, each with
+        finite grid coordinates."""
+        pos = self.rank[rows]
+        if len(rows) == len(self.rows):  # all of them: the needles are kb
+            return self._pairs(self.b, rows, self.kb, pos)
+        order = np.argsort(pos)
+        return self._pairs(self.b, rows, self.kb[pos[order]], _inverse(order))
+
+    def near_points(self, a: np.ndarray):
+        """The pairs of the points ``a``, which lie in the grid's box."""
+        rows = _finite_rows(a)
+        ka = self.keys(a[rows])
+        order = np.argsort(ka)
+        return self._pairs(a, rows, ka[order], _inverse(order))
+
+    @functools.cached_property
+    def rank(self) -> np.ndarray:
+        """The place in key order of each row of ``b`` with finite grid
+        coordinates."""
+        rank = np.empty(len(self.b), dtype=np.intp)
+        rank[self.cands] = np.arange(len(self.cands))
+        return rank
+
+    def _pairs(self, a, rows_a, needles, where):
+        """Chunks of the pairs of ``a[rows_a]``, whose keys are
+        ``needles[where]`` with ``needles`` ascending."""
+        near = self.offsets[:, None] + needles
+        near -= 1
+        starts = self.kb.searchsorted(near, side="left")
+        near += 2
+        counts = self.kb.searchsorted(near, side="right")
+        del near
+        counts -= starts
+        starts, counts = starts.T, counts.T
+        per_row = counts.sum(axis=1)[where]
+        reach = per_row.cumsum()
+        b, r, cands = self.b, self.r, self.cands
+        q0 = 0
+        while q0 < len(rows_a):
+            q1 = max(q0 + 1, int(reach.searchsorted(
+                reach[q0] - per_row[q0] + _CHUNK, side="right")))
+            w = where[q0:q1]
+            c, s = counts[w].ravel(), starts[w].ravel()
+            run = c.cumsum() - c
+            j = cands[np.arange(c.sum()) + (s - run).repeat(c)]
+            i = rows_a[q0:q1].repeat(per_row[q0:q1])
+            d = np.sqrt(((a[i] - b[j]) ** 2).sum(-1))
+            keep = d <= r
+            yield i[keep], j[keep], d[keep]
+            q0 = q1
+
+
+@functools.cache
+def _offsets(g: int) -> np.ndarray:
+    """The key offsets of the 3^(g-1) runs of cells around a cell."""
+    steps = np.array(list(product((-1, 0, 1), repeat=g - 1)),
+                     dtype=np.int64).reshape(3 ** (g - 1), g - 1)
+    offsets = steps @ (_CELLS + 3) ** np.arange(g - 1, 0, -1)
+    offsets.flags.writeable = False
+    return offsets
+
+
+def _runs(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal values of the sorted ``keys`` starts."""
+    new = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return new.nonzero()[0]
+
+
+def _inverse(order: np.ndarray) -> np.ndarray:
+    """The inverse of the permutation ``order``."""
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(len(order))
+    return inverse
 
 
 def single_linkage_components(points: np.ndarray,
@@ -510,48 +603,51 @@ def check_frontier(s: Stratification, eps_touch: Optional[float] = None,
     the closure of R" through the declared order, so the conservative
     all-points trigger is used).  Every frontier pair must be declared
     and covered within ``delta_cover``; both thresholds default to 1e-2
-    times the cloud diameter.
+    times the cloud diameter, which is computed only for a default.
+
+    The first sample of each stratum gates the search, exactly: if S
+    touches R, that sample in particular lies within ``eps_touch`` of R.
+    One query of one sample per stratum settles every one-sample stratum
+    (it touches exactly the strata near its only point) and finds the
+    live strata, those with more samples whose first sample meets
+    another stratum.  Only the samples of live strata are then searched
+    in full.  Both queries use one grid over the cloud, and the report is
+    the one a search of every sample gives.
     """
-    scale = s.diameter()
-    if eps_touch is None:
-        eps_touch = 1e-2 * scale if scale > 0 else 1e-2
-    if delta_cover is None:
-        delta_cover = 1e-2 * scale if scale > 0 else 1e-2
+    if eps_touch is None or delta_cover is None:
+        scale = s.diameter()
+        default = 1e-2 * scale if scale > 0 else 1e-2
+        eps_touch = default if eps_touch is None else eps_touch
+        delta_cover = default if delta_cover is None else delta_cover
     if not (eps_touch > 0 and delta_cover > 0):
         raise ValueError("eps_touch and delta_cover must be positive")
 
-    # Per stratum pair, keyed source * n + target: how many source points
-    # come within eps_touch of the target, the largest of their nearest
-    # distances and the first source point at it.  Chunks arrive in row
-    # order and strata are contiguous rows, so the pairs of every source
-    # before the stratum of a chunk's last row are complete: the touching
-    # ones (all source points near the target) are kept, the rest dropped.
     n, owner = len(s.strata), s._owner
     size = np.bincount(owner, minlength=n)
-    empty = np.zeros(0, dtype=np.int64)
-    pending = (empty, empty, np.zeros(0), empty)
+    first = np.cumsum(size) - size
+    grid = _Grid(s._cloud, eps_touch)
+    # First query, one sample per stratum.  A chunk holds every pair of
+    # its rows, so each pair of a one-sample source comes up once, and
+    # its nearest distance with it.  A stratum with more samples is live
+    # once its first sample meets another stratum.
+    live = np.zeros(n, dtype=bool)
     kept = []
-
-    def settle(upto):
-        source = pending[0] // n
-        full = (source < upto) & (pending[1] == size[source])
-        kept.append(tuple(x[full] for x in pending))
-        return tuple(x[source >= upto] for x in pending)
-
-    for i, j, d in near_pairs(s._cloud, s._cloud, eps_touch):
-        upto = owner[i[-1]] if i.size else 0
-        other = owner[i] != owner[j]
-        key = i[other] * n + owner[j[other]]
+    for i, j, d in grid.near(first):
+        source, target = owner[i], owner[j]
+        other = source != target
+        one = size[source] == 1
+        live[source[other & ~one]] = True
+        one &= other
+        key = source[one] * n + target[one]
         order = np.argsort(key, kind="stable")
-        runs = np.flatnonzero(np.diff(key[order], prepend=-1))
-        # Each (source point, target) once, at its nearest distance.
-        i, target = np.divmod(key[order[runs]], n)
-        pending = _farthest_per_pair(*map(np.concatenate, zip(pending, (
-            owner[i] * n + target, np.ones(i.size, dtype=np.int64),
-            np.minimum.reduceat(d[other][order], runs), i))))
-        pending = settle(upto)
-    settle(n)
-    pair, _, reach, worst = map(np.concatenate, zip(*kept))
+        runs = _runs(key[order])
+        pair = key[order[runs]]
+        kept.append((pair, np.minimum.reduceat(d[one][order], runs),
+                     first[pair // n]))
+    rows = live[owner]
+    if rows.any():
+        kept += _settled(s, grid, size, np.flatnonzero(rows))
+    pair, reach, worst = map(np.concatenate, zip(*kept))
     closure = s._closure_keys
     reason = np.where(closure[closure.searchsorted(pair)] == pair,
                       np.where(reach > delta_cover, 1, -1), 0)
@@ -567,12 +663,50 @@ def check_frontier(s: Stratification, eps_touch: Optional[float] = None,
         witness=s._cloud[worst[order]], distance=reach[order])
 
 
+def _settled(s, grid, size, rows) -> list:
+    """The touching pairs of the strata of ``rows``, every row of each,
+    as (pair, reach, worst) parts.
+
+    Per stratum pair, keyed source * n + target: how many source points
+    come within eps_touch of the target, the largest of their nearest
+    distances and the first source point at it.  Chunks arrive in row
+    order and strata are contiguous rows, so the pairs of every source
+    before the stratum of a chunk's last row are complete: the touching
+    ones (all source points near the target) are kept, the rest
+    dropped."""
+    n, owner = len(s.strata), s._owner
+    empty = np.zeros(0, dtype=np.int64)
+    pending = (empty, empty, np.zeros(0), empty)
+    kept = []
+
+    def settle(upto):
+        source = pending[0] // n
+        full = (source < upto) & (pending[1] == size[source])
+        kept.append((pending[0][full], pending[2][full], pending[3][full]))
+        return tuple(x[source >= upto] for x in pending)
+
+    for i, j, d in grid.near(rows):
+        upto = owner[i[-1]]
+        other = owner[i] != owner[j]
+        key = i[other] * n + owner[j[other]]
+        order = np.argsort(key, kind="stable")
+        runs = _runs(key[order])
+        # Each (source point, target) once, at its nearest distance.
+        i, target = np.divmod(key[order[runs]], n)
+        pending = _farthest_per_pair(*map(np.concatenate, zip(pending, (
+            owner[i] * n + target, np.ones(i.size, dtype=np.int64),
+            np.minimum.reduceat(d[other][order], runs), i))))
+        pending = settle(upto)
+    settle(n)
+    return kept
+
+
 def _farthest_per_pair(pair, count, reach, point):
     """Merge rows sharing a pair key: their counts add up, and the
     largest reach is kept with the lowest point attaining it."""
     order = np.lexsort((point, -reach, pair))
     pair, count, reach, point = (x[order] for x in (pair, count, reach, point))
-    runs = np.flatnonzero(np.diff(pair, prepend=-1))
+    runs = _runs(pair)
     return pair[runs], np.add.reduceat(count, runs), reach[runs], point[runs]
 
 

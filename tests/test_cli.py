@@ -225,6 +225,20 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith(f"svb: error: {out}: cannot write: ")
 
+    @pytest.mark.parametrize("bad", [1, True, None, ["S+"]],
+                             ids=["int", "bool", "null", "list"])
+    def test_closure_name_not_a_string_is_one(self, capsys, tmp_path, bad):
+        obj = read_json(fx("line.json"))
+        obj["closure"][0][1] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        code = main(["check", "frontier", "--stratification", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "svb: error: $.closure[0]: expected a name pair" in \
+            captured.err
+
     def test_unknown_stratum_in_scenario_is_one(self, capsys, tmp_path):
         sc = tmp_path / "sc.json"
         write_json({"schema": "svb/1", "S": "ghost", "R": "S+",

@@ -183,6 +183,26 @@ class TestSchemaErrors:
                 "$.strata[0].points: empty point cloud")):
             stratification_from_json(obj)
 
+    @pytest.mark.parametrize("bad", [1, True, None, ["1"]],
+                             ids=["int", "bool", "null", "list"])
+    @pytest.mark.parametrize("end", [0, 1])
+    @pytest.mark.parametrize("in_bundle", [False, True],
+                             ids=["stratification", "bundle-base"])
+    def test_closure_names_must_be_strings(self, bad, end, in_bundle):
+        # A stratum named "1" would make str(1) a valid name.
+        if in_bundle:
+            obj = bundle_to_json(cone_bundle("pass", depth=4))
+            base, path, read = obj["base"], "$.base", bundle_from_json
+        else:
+            obj = base = stratification_to_json(line_stratification())
+            path, read = "$", stratification_from_json
+        base["strata"][1]["name"] = "1"
+        base["closure"] = [["S0", "1"], ["S0", "S-"]]
+        base["closure"][1][end] = bad
+        with pytest.raises(SchemaError, match=f"^{re.escape(path)}"
+                           r"\.closure\[1\]: expected a name pair$"):
+            read(obj)
+
     def test_bundle_bad_point_index(self):
         obj = bundle_to_json(cone_bundle("pass", depth=4))
         obj["fibers"][0]["point_index"] = ["S+"]

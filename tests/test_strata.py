@@ -254,6 +254,24 @@ class TestCheckFrontier:
         assert report.violations == ()
         assert report.source.shape == (0,) and report.witness.shape == (0, 1)
 
+    @pytest.mark.parametrize("eps, delta", [(0.05, 0.04), (None, 0.04),
+                                            (0.05, None), (None, None)])
+    def test_diameter_only_for_a_default(self, monkeypatch, eps, delta):
+        s = line_stratification()
+        default = 1e-2 * s.diameter()
+        calls = []
+        diameter = Stratification.diameter
+
+        def counted(self):
+            calls.append(self)
+            return diameter(self)
+
+        monkeypatch.setattr(Stratification, "diameter", counted)
+        report = check_frontier(s, eps, delta)
+        assert len(calls) == (eps is None or delta is None)
+        assert report.eps_touch == (default if eps is None else eps)
+        assert report.delta_cover == (default if delta is None else delta)
+
     @pytest.mark.parametrize("eps, delta", [(np.nan, 0.05), (0.05, np.nan)])
     def test_nan_thresholds_rejected(self, eps, delta):
         with pytest.raises(ValueError, match="must be positive"):
@@ -353,6 +371,131 @@ class TestLocalFinitenessReference:
         assert below.flagged == (("a", 0, 3),)
         assert below.counts == at.counts == (
             ("a", 0, 3), ("b", 0, 2), ("b", 1, 2), ("c", 0, 2), ("c", 1, 2))
+
+
+def _dense_frontier_arrays(s, eps, delta):
+    """``passed`` and the arrays of ``check_frontier`` from the full
+    distance matrix of the cloud, with the distance formula of
+    ``near_pairs``: every sample of every stratum searched."""
+    cloud = np.concatenate([st.points for st in s.strata])
+    owner = np.repeat(np.arange(len(s.strata)), [len(st) for st in s.strata])
+    d = np.sqrt(((cloud[:, None] - cloud[None]) ** 2).sum(-1))
+    rows = []
+    for a, b in permutations(range(len(s.strata)), 2):
+        points = np.flatnonzero(owner == a)
+        near = d[points][:, owner == b].min(axis=1)
+        if (near <= eps).all():
+            w = int(np.argmax(near))
+            reason = (-1 if near[w] <= delta else 1) \
+                if s.in_closure(s.names[a], s.names[b]) else 0
+            rows.append((s.names[a], s.names[b], a, b, reason,
+                         points[w], near[w]))
+    rows.sort()
+    _, _, source, target, reason, worst, distance = (
+        np.array(column) for column in zip(*rows)) if rows else [
+        np.zeros(0, dtype=int)] * 7
+    return (not (reason >= 0).any(), source, target, reason.astype(np.int8),
+            cloud[worst], distance.astype(float))
+
+
+def _assert_report_is(report, want):
+    """``report`` has the verdict and arrays ``want`` of
+    ``_dense_frontier_arrays``, dtypes included."""
+    assert report.passed == want[0]
+    for mine, theirs in zip((report.source, report.target, report.reason,
+                             report.witness, report.distance), want[1:]):
+        assert mine.dtype == theirs.dtype
+        assert np.array_equal(mine, theirs)
+
+
+def _mixed_stratification(rng, dim, singles, groups, n=90):
+    """Points on a 0.05 grid, so that many distances tie with eps: the
+    first ``singles`` as one-sample strata, the rest dealt among
+    ``groups`` strata; pairs declared between a random half of the
+    index-ordered strata pairs."""
+    pts = np.unique((rng.random((n, dim)) * 20).round() / 20, axis=0)
+    pts = pts[rng.permutation(len(pts))]
+    label = np.r_[np.arange(singles),
+                  singles + rng.integers(0, groups, len(pts) - singles)]
+    found = [Stratum(f"s{k:02d}", 0, pts[label == k])
+             for k in range(singles + groups) if (label == k).any()]
+    return Stratification(found, closure_order=[
+        (a.name, b.name) for a, b in combinations(found, 2)
+        if rng.random() < 0.5])
+
+
+class TestFrontierGate:
+    """The first sample of each stratum gates the full search: the
+    report equals the one every sample gives, on both sides of the
+    gate's threshold, and strata whose first sample meets no other
+    stratum are not searched again."""
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_matches_brute_force(self, monkeypatch, chunk):
+        monkeypatch.setattr(strata, "_CHUNK", chunk)
+        rng = np.random.default_rng(21)
+        for trial in range(6):
+            s = _mixed_stratification(rng, 1 + trial % 3, singles=8,
+                                      groups=3 + 7 * trial)
+            assert {len(st) for st in s.strata} - {1}
+            for eps in (0.05, 0.1, 0.25, 0.5, 2.0):
+                _assert_report_is(check_frontier(s, eps, eps / 2),
+                                  _dense_frontier_arrays(s, eps, eps / 2))
+
+    @pytest.mark.parametrize("side, touches", [(1 - 1e-9, True),
+                                               (1 + 1e-9, False)])
+    @pytest.mark.parametrize("rest", [[0.25, 0.5], [0.25, 5.0], []],
+                             ids=["rest-near", "rest-far", "one-sample"])
+    def test_first_sample_at_the_threshold(self, side, touches, rest):
+        eps = 0.1
+        first = eps * side
+        s = Stratification([
+            Stratum("R", 0, [[0.0], [-1.0]]),
+            Stratum("S", 0, [[first]] + [[eps * x] for x in rest])],
+            closure_order=[("S", "R")])
+        report = check_frontier(s, eps, eps)
+        expected = touches and max(rest, default=0) <= 1
+        assert report.touching_pairs == ((("S", "R"),) if expected else ())
+        if expected:
+            assert report.distance.tolist() == [first]
+            assert report.witness.tolist() == [[first]]
+        _assert_report_is(report, _dense_frontier_arrays(s, eps, eps))
+
+    @staticmethod
+    def _clusters_with_probe(near_first):
+        """Eight clusters 1 apart, 40 samples within 0.2 of each centre,
+        and a one-sample probe 0.01 from the host's first or last
+        sample."""
+        rng = np.random.default_rng(3)
+        found = []
+        for c, centre in enumerate(product((0.0, 1.0), repeat=3)):
+            offsets = rng.normal(size=(40, 3))
+            offsets *= 0.2 * rng.random((40, 1)) / np.linalg.norm(
+                offsets, axis=1, keepdims=True)
+            found.append(Stratum(f"cl{c}", 3, np.array(centre) + offsets))
+        host = found[5].points
+        anchor = host[0] if near_first else host[-1]
+        probe = anchor + [0.01, 0.0, 0.0]
+        assert near_first or np.linalg.norm(host[0] - probe) > 0.05
+        return Stratification(found + [Stratum("probe", 0, [probe])])
+
+    @pytest.mark.parametrize("near_first, searched", [(False, []),
+                                                      (True, [40])])
+    def test_only_live_strata_searched(self, monkeypatch, near_first,
+                                       searched):
+        rows = []
+        near = strata._Grid.near
+
+        def counted(grid, query):
+            rows.append(len(query))
+            return near(grid, query)
+
+        monkeypatch.setattr(strata._Grid, "near", counted)
+        s = self._clusters_with_probe(near_first)
+        report = check_frontier(s, 0.05, 0.05)
+        assert rows == [len(s.strata)] + searched
+        assert report.touching_pairs == (("probe", "cl5"),)
+        assert report.violations[0].reason == "undeclared"
 
 
 class TestCloudDim:
@@ -533,6 +676,8 @@ class TestDistanceKernel:
         yield a, a, 0.0
         yield np.concatenate([edge, edge]), edge, r
         yield edge, edge, np.sqrt(2) * r
+        # Queries beyond b's own box, one of them by far.
+        yield np.concatenate([b + 0.9, b[:5] - 1e6, a]), b, 0.25
 
     @pytest.mark.parametrize("chunk", [1, 3, strata._CHUNK])
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
