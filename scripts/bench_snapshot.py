@@ -11,6 +11,9 @@ benchmark's inputs hide: ``check_frontier`` and
 ``local_finiteness_report`` on the Cantor stratifications of levels 6-9,
 the construction of a 3,200-point ``Stratification`` (32 clusters in
 R^3) and ``check_frontier`` on it at ``eps_touch = delta_cover = 0.05``,
+``check_frontier`` at that threshold on the 40 x 40 grid of spacing 0.01
+cut in row-major order into 400 four-sample strata (every stratum live,
+8,002 touching pairs),
 every chunk of ``near_pairs`` on 100,000 seeded uniform points of the
 unit cube in R^3 at the radius that gives about ten neighbours per
 point, ``apply_functor_to_bundle`` with sym:3 on a rank-4 trivial bundle
@@ -170,6 +173,13 @@ def scaled_timings(checkout):
     cases["frontier_clusters3200"] = (
         {"points": 3200, "strata": len(strata), "eps_touch": 0.05},
         lambda: check_frontier(clusters, 0.05, 0.05))
+    grid = np.stack(np.meshgrid(np.arange(40), np.arange(40), indexing="ij"),
+                    axis=-1).reshape(-1, 2) * 0.01
+    grid400x4 = Stratification([Stratum(f"g{k:03d}", 0, grid[4 * k:4 * k + 4])
+                                for k in range(400)])
+    cases["frontier_grid400x4"] = (
+        {"points": 1600, "strata": 400, "eps_touch": 0.05},
+        lambda: check_frontier(grid400x4, 0.05, 0.05))
     uniform = np.random.default_rng(0).random((100_000, 3))
     radius = (10 / (len(uniform) * 4 / 3 * np.pi)) ** (1 / 3)
     cases["near_pairs_uniform100k"] = (

@@ -176,7 +176,8 @@ class BundleValidation:
 
 def validate_bundle(b: SampledStratifiedBundle) -> BundleValidation:
     """Compare each stratum's declared rank with the rank of its fiber
-    stack.  Ambient dimension and constant rank per stratum hold by
+    stack, and report a rank declared for a stratum the base does not
+    have.  Ambient dimension and constant rank per stratum hold by
     shape; orthonormality was audited when the stacks were built."""
     problems: list[str] = []
     for name, stack in b.stacks.items():
@@ -186,6 +187,9 @@ def validate_bundle(b: SampledStratifiedBundle) -> BundleValidation:
         elif stack.shape[1] != expected:
             problems.append(f"stratum {name!r} declares rank {expected}, "
                             f"its fibers have rank {stack.shape[1]}")
+    for name in b.stratum_rank:
+        if name not in b.stacks:
+            problems.append(f"rank declared for unknown stratum {name!r}")
     return BundleValidation(passed=not problems, problems=tuple(problems))
 
 

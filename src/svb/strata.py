@@ -19,9 +19,9 @@ points plus the stratum pairs a result names.
 
 ``check_frontier`` queries its grid twice.  A stratum that touches
 another must do so with its first sample in particular, so the first
-query takes one sample per stratum: it settles the one-sample strata
-and names the live ones, whose first sample meets another stratum.
-Only the samples of live strata are searched in full, which on
+query takes one sample per stratum, and the pairs a chunk of it meets
+are the candidates.  The second query covers only the other samples of
+the strata whose first sample met another stratum, which on
 well-separated strata is a small part of the cloud.
 
 A ``FrontierReport`` keeps its touching pairs as parallel arrays
@@ -246,8 +246,9 @@ def near_pairs(a: np.ndarray, b: np.ndarray, r: float):
     cell keys in range and its pairs exact.  A self-join (``a is b``)
     takes ``b``'s sorted keys as its needles.  Rows with a non-finite
     grid coordinate have no pairs.  ``check_frontier`` queries its grid
-    directly, once for one sample per stratum and once for the strata
-    that sample leaves live."""
+    directly: once with one sample per stratum, whose pairs are its
+    candidates, and once per chunk of those with the other samples of
+    the candidates' sources."""
     if not r >= 0:
         return iter(())
     grid = _Grid(b, r, None if a is b else a)
@@ -356,7 +357,9 @@ class _Grid:
             i = rows_a[q0:q1].repeat(per_row[q0:q1])
             d = np.sqrt(((a[i] - b[j]) ** 2).sum(-1))
             keep = d <= r
-            yield i[keep], j[keep], d[keep]
+            # Only the kept pairs stay alive while the consumer runs.
+            i, j, d = i[keep], j[keep], d[keep]
+            yield i, j, d
             q0 = q1
 
 
@@ -607,12 +610,14 @@ def check_frontier(s: Stratification, eps_touch: Optional[float] = None,
 
     The first sample of each stratum gates the search, exactly: if S
     touches R, that sample in particular lies within ``eps_touch`` of R.
-    One query of one sample per stratum settles every one-sample stratum
-    (it touches exactly the strata near its only point) and finds the
-    live strata, those with more samples whose first sample meets
-    another stratum.  Only the samples of live strata are then searched
-    in full.  Both queries use one grid over the cloud, and the report is
-    the one a search of every sample gives.
+    So the pairs a chunk of first samples meets are the candidates, each
+    counting one source sample near its target, with that sample's
+    nearest distance as reach and its row as witness.  One more query,
+    over the other samples of those candidates' sources, adds to the
+    counts and keeps each pair's largest reach at its lowest row; a pair
+    touches once its count reaches its source's size.  Both queries use
+    one grid over the cloud, memory holds one chunk of candidates at a
+    time, and the report is the one a search of every sample gives.
     """
     if eps_touch is None or delta_cover is None:
         scale = s.diameter()
@@ -626,27 +631,37 @@ def check_frontier(s: Stratification, eps_touch: Optional[float] = None,
     size = np.bincount(owner, minlength=n)
     first = np.cumsum(size) - size
     grid = _Grid(s._cloud, eps_touch)
-    # First query, one sample per stratum.  A chunk holds every pair of
-    # its rows, so each pair of a one-sample source comes up once, and
-    # its nearest distance with it.  A stratum with more samples is live
-    # once its first sample meets another stratum.
-    live = np.zeros(n, dtype=bool)
     kept = []
-    for i, j, d in grid.near(first):
-        source, target = owner[i], owner[j]
-        other = source != target
-        one = size[source] == 1
-        live[source[other & ~one]] = True
-        one &= other
-        key = source[one] * n + target[one]
-        order = np.argsort(key, kind="stable")
-        runs = _runs(key[order])
-        pair = key[order[runs]]
-        kept.append((pair, np.minimum.reduceat(d[one][order], runs),
-                     first[pair // n]))
-    rows = live[owner]
-    if rows.any():
-        kept += _settled(s, grid, size, np.flatnonzero(rows))
+    for chunk in grid.near(first):
+        # The pairs these first samples meet are the candidates, keyed
+        # source * n + target and ascending: count 1, reach and witness
+        # the first sample's.
+        witness, target, reach = _nearest(owner, n, *chunk)
+        source = owner[witness]
+        pair = source * n + target
+        count = np.ones(pair.size, dtype=np.int64)
+        # One more query over the other samples of those sources.
+        source = source[_runs(source)]
+        rest = size[source] - 1
+        rows = np.arange(rest.sum()) + np.repeat(
+            first[source] + 1 - (rest.cumsum() - rest), rest)
+        for more in grid.near(rows) if rows.size else ():
+            row, target, d = _nearest(owner, n, *more)
+            key = owner[row] * n + target
+            at = pair.searchsorted(key)
+            hit = pair[np.minimum(at, pair.size - 1)] == key
+            at, row, d = at[hit], row[hit], d[hit]
+            count += np.bincount(at, minlength=pair.size)
+            # Per pair, the largest reach at its lowest row; rows ascend,
+            # so a strictly larger one replaces an earlier witness.
+            order = np.lexsort((-d, at))
+            best = order[_runs(at[order])]
+            at, row, d = at[best], row[best], d[best]
+            farther = d > reach[at]
+            reach[at[farther]] = d[farther]
+            witness[at[farther]] = row[farther]
+        touch = count == size[pair // n]
+        kept.append((pair[touch], reach[touch], witness[touch]))
     pair, reach, worst = map(np.concatenate, zip(*kept))
     closure = s._closure_keys
     reason = np.where(closure[closure.searchsorted(pair)] == pair,
@@ -663,51 +678,17 @@ def check_frontier(s: Stratification, eps_touch: Optional[float] = None,
         witness=s._cloud[worst[order]], distance=reach[order])
 
 
-def _settled(s, grid, size, rows) -> list:
-    """The touching pairs of the strata of ``rows``, every row of each,
-    as (pair, reach, worst) parts.
-
-    Per stratum pair, keyed source * n + target: how many source points
-    come within eps_touch of the target, the largest of their nearest
-    distances and the first source point at it.  Chunks arrive in row
-    order and strata are contiguous rows, so the pairs of every source
-    before the stratum of a chunk's last row are complete: the touching
-    ones (all source points near the target) are kept, the rest
-    dropped."""
-    n, owner = len(s.strata), s._owner
-    empty = np.zeros(0, dtype=np.int64)
-    pending = (empty, empty, np.zeros(0), empty)
-    kept = []
-
-    def settle(upto):
-        source = pending[0] // n
-        full = (source < upto) & (pending[1] == size[source])
-        kept.append((pending[0][full], pending[2][full], pending[3][full]))
-        return tuple(x[source >= upto] for x in pending)
-
-    for i, j, d in grid.near(rows):
-        upto = owner[i[-1]]
-        other = owner[i] != owner[j]
-        key = i[other] * n + owner[j[other]]
-        order = np.argsort(key, kind="stable")
-        runs = _runs(key[order])
-        # Each (source point, target) once, at its nearest distance.
-        i, target = np.divmod(key[order[runs]], n)
-        pending = _farthest_per_pair(*map(np.concatenate, zip(pending, (
-            owner[i] * n + target, np.ones(i.size, dtype=np.int64),
-            np.minimum.reduceat(d[other][order], runs), i))))
-        pending = settle(upto)
-    settle(n)
-    return kept
-
-
-def _farthest_per_pair(pair, count, reach, point):
-    """Merge rows sharing a pair key: their counts add up, and the
-    largest reach is kept with the lowest point attaining it."""
-    order = np.lexsort((point, -reach, pair))
-    pair, count, reach, point = (x[order] for x in (pair, count, reach, point))
-    runs = _runs(pair)
-    return pair[runs], np.add.reduceat(count, runs), reach[runs], point[runs]
+def _nearest(owner, n, i, j, d):
+    """Each (row, other stratum) of a chunk of pairs once, with the
+    row's nearest distance to that stratum, as arrays (row, stratum,
+    distance) ascending by row and then stratum.  A chunk holds every
+    pair of its rows, so no (row, stratum) comes up in another."""
+    other = owner[i] != owner[j]
+    key = i[other] * n + owner[j[other]]
+    order = np.argsort(key, kind="stable")
+    runs = _runs(key[order])
+    row, stratum = np.divmod(key[order[runs]], n)
+    return row, stratum, np.minimum.reduceat(d[other][order], runs)
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,15 @@ class TestValidateBundle:
             "stratum 'S+' declares rank 1, its fibers have rank 2",
             "stratum 'S-' has no declared rank")
 
+    def test_rank_for_unknown_stratum_reported(self):
+        b = trivial_bundle(line_stratification(), 2)
+        report = validate_bundle(SampledStratifiedBundle.from_stacks(
+            b.base, 2, b.stacks, dict(b.stratum_rank, ghost=7),
+            tol_ortho=None))
+        assert not report.passed
+        assert report.problems == (
+            "rank declared for unknown stratum 'ghost'",)
+
 
 class TestWhitneyACheck:
     def test_pass_fixture(self):

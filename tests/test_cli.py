@@ -646,6 +646,32 @@ class TestVerbs:
         assert "artifacts" not in report
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("argv, check", [
+        (["apply-functor", "--functor", "wedge:2", "--bundle",
+          fx("trivial3.json"), "--out", "ARTIFACT"], "validate-input"),
+        (["check", "whitney-a", "--bundle", fx("cone_pass.json"),
+          "--scenario", fx("cone_scenario.json")], "validate-bundle"),
+    ], ids=["apply-functor", "whitney-a"])
+    def test_rank_for_unknown_stratum_fails(self, capsys, tmp_path, argv,
+                                            check):
+        bundle = argv.index("--bundle") + 1
+        obj = read_json(argv[bundle])
+        obj["ranks"]["ghost"] = 7
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(obj))
+        argv[bundle] = str(path)
+        out_path = tmp_path / "artifact.json"
+        argv = [str(out_path) if a == "ARTIFACT" else a for a in argv]
+        code, out = run(capsys, *argv)
+        report = json.loads(out)
+        checks = {c["name"]: c for c in report["checks"]}
+        assert code == 2
+        assert checks[check]["verdict"] == "FAIL"
+        assert checks[check]["problems"] == [
+            "rank declared for unknown stratum 'ghost'"]
+        assert "artifacts" not in report
+        assert not out_path.exists()
+
     def test_oversized_functor_is_one(self, capsys):
         code = main(["check", "orthogonality",
                      "--functor", "compose(tensor:3,tensor:3)",

@@ -427,8 +427,8 @@ def _mixed_stratification(rng, dim, singles, groups, n=90):
 class TestFrontierGate:
     """The first sample of each stratum gates the full search: the
     report equals the one every sample gives, on both sides of the
-    gate's threshold, and strata whose first sample meets no other
-    stratum are not searched again."""
+    gate's threshold.  Strata whose first sample meets no other stratum
+    are not searched again, and no first sample is searched twice."""
 
     @pytest.mark.parametrize("chunk", [1, 3, 64])
     def test_matches_brute_force(self, monkeypatch, chunk):
@@ -480,7 +480,7 @@ class TestFrontierGate:
         return Stratification(found + [Stratum("probe", 0, [probe])])
 
     @pytest.mark.parametrize("near_first, searched", [(False, []),
-                                                      (True, [40])])
+                                                      (True, [39])])
     def test_only_live_strata_searched(self, monkeypatch, near_first,
                                        searched):
         rows = []
@@ -782,6 +782,24 @@ class TestDistanceKernel:
         assert report.passed and report.touching_pairs == ()
         assert finiteness.max_count == 1000
         assert peak < 64 * 2 ** 20
+
+    def test_frontier_memory_follows_the_chunk(self, monkeypatch):
+        # The strata above at a 32x smaller chunk: 999,000 candidate
+        # pairs, of which the audit holds one chunk's at a time.
+        monkeypatch.setattr(strata, "_CHUNK", 1 << 12)
+        shared = np.random.default_rng(5).random(2000)
+        s = Stratification([
+            Stratum(f"s{k}", 0, np.r_[shared[k::1000], 3.0 + 2.0 * k,
+                                      ].reshape(-1, 1))
+            for k in range(1000)])
+        tracemalloc.start()
+        try:
+            report = check_frontier(s, 1.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed and report.touching_pairs == ()
+        assert peak < 8 * 2 ** 20
 
 
 class TestGraphComponents:
