@@ -30,7 +30,8 @@ the default time grid, for the builtin ``scalar`` action and for the
 same action as a polynomial table, one call of each per timing.
 ``invariant_subbundle`` of ``rotation_group(12)`` on its tangent bundle
 over 200 rings (``ring_tangent_bundle``, 2,401 points) is timed five
-times as well, and so are ``partition_by_label`` alone on that ring's
+times as well, and so are ``quotient_bundle`` of that group on the
+resulting tilde bundle, ``partition_by_label`` alone on that ring's
 points and orbit types at ``r_cc`` 0.25 and reading the file of the
 tilde bundle (fibers of ranks 0 and 2).  Writing bundle files
 (``write_json`` of ``bundle_to_json``) is timed five times on that tilde
@@ -138,7 +139,7 @@ def scaled_timings(checkout):
     from svb.bundle import (SampledStratifiedBundle, apply_functor_to_bundle,
                             trivial_bundle)
     from svb.equivariant import (FiniteGroupAction, invariant_subbundle,
-                                 orbit_type_partition)
+                                 orbit_type_partition, quotient_bundle)
     from svb.fixtures import (axis_scaling_fields_plane, bundle_scalar_action,
                               cantor_stratification, ring_tangent_bundle,
                               rotation_group)
@@ -265,6 +266,9 @@ def scaled_timings(checkout):
     tilde_path = os.path.join(scratch, "tilde2401.json")
     tilde = invariant_subbundle(rotations, ring, r_cc=0.25)
     write_json(bundle_to_json(tilde), tilde_path)
+    cases["equivariant_quotient_ring2401"] = (
+        {"points": 2401, "order": 12, "fiber_ambient": 2},
+        lambda: quotient_bundle(rotations, tilde, r_cc=0.25))
     cases["bundle_read_tilde2401"] = (
         {"points": 2401, "ranks": [0, 2], "fiber_ambient": 2},
         lambda: bundle_from_json(read_json(tilde_path)))

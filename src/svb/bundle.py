@@ -261,11 +261,8 @@ def whitney_a_from_sections(b: SampledStratifiedBundle,
                 raise ValueError(
                     f"section {j} over stratum {name!r} has shape {v.shape}, "
                     f"expected ({len(stack)}, {b.fiber_ambient})")
-            fibers = stack[:len(v)]
-            # |v - P v| at each defined point; a NaN residual fails too.
-            residual = np.linalg.norm(
-                v - (fibers.swapaxes(1, 2) @ (fibers @ v[..., None]))[..., 0],
-                axis=1)
+            # A NaN residual fails too.
+            residual = _off_fiber(stack[:len(v)], v)
             if (off := np.flatnonzero(~(residual <= tol))).size:
                 raise ValueError(f"section {j} leaves the fiber at point "
                                  f"{(name, int(off[0]))}")
@@ -281,15 +278,23 @@ def whitney_a_from_sections(b: SampledStratifiedBundle,
     if verdict.limit is None:
         return verdict
     final = sc.sequence_indices[-1]
-    section_residuals = tuple(
-        float(np.linalg.norm(v - verdict.limit.project(v)))
-        for v in (np.asarray(sec[sc.source_stratum][final], dtype=float)
-                  for sec in sections))
+    section_residuals = tuple(_off_fiber(verdict.limit.basis, np.array(
+        [sec[sc.source_stratum][final] for sec in sections],
+        dtype=float)).tolist())
     passed = verdict.status == PASS and all(r <= tol
                                             for r in section_residuals)
     return WhitneyVerdict(PASS if passed else FAIL, residual=verdict.residual,
                           limit=verdict.limit,
                           section_residuals=section_residuals)
+
+
+def _off_fiber(bases: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``|v - B^T (B v)|``: the distance of each vector of ``v`` to the
+    span of the orthonormal rows of its basis B, broadcast over the
+    leading axes of the stack ``bases``."""
+    return np.linalg.norm(
+        v - (bases.swapaxes(-1, -2) @ (bases @ v[..., None]))[..., 0],
+        axis=-1)
 
 
 class InvalidBundleError(ValueError):

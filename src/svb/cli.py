@@ -264,7 +264,10 @@ def _equivariant(args, add):
 
 def _foliation_stratify(args, add):
     vfs = jsonio.fields_from_json(jsonio.read_json(args.fields))
-    strat = stratify_by_rank(vfs, r_cc=args.r_cc, tol_rank=args.tol_rank)
+    try:
+        strat = stratify_by_rank(vfs, r_cc=args.r_cc, tol_rank=args.tol_rank)
+    except ValueError as exc:  # non-finite field value
+        raise CliError(f"fields: {exc}") from None
     report = check_frontier(strat, args.eps_touch, args.delta_cover)
     args.eps_touch, args.delta_cover = report.eps_touch, report.delta_cover
     add("stratify", "PASS",
@@ -278,7 +281,10 @@ def _foliation_stratify(args, add):
 
 def _foliation_bundle(args, add):
     vfs = jsonio.fields_from_json(jsonio.read_json(args.fields))
-    bundle = foliation_bundle(vfs, r_cc=args.r_cc, tol_rank=args.tol_rank)
+    try:
+        bundle = foliation_bundle(vfs, r_cc=args.r_cc, tol_rank=args.tol_rank)
+    except ValueError as exc:  # non-finite field value
+        raise CliError(f"fields: {exc}") from None
     validation = validate_bundle(bundle)
     add("validate-bundle", "PASS" if validation.passed else "FAIL",
         ranks=dict(sorted(bundle.stratum_rank.items())),

@@ -36,7 +36,7 @@ from .strata import (
     LabelPartition,
     Stratification,
     Stratum,
-    graph_components,
+    _inverse,
     near_pairs,
     partition_by_label,
 )
@@ -436,6 +436,15 @@ def invariant_subbundle(g: FiniteGroupAction, b: SampledStratifiedBundle,
         tol_ortho=None)
 
 
+def _orbit_representatives(pts: np.ndarray, perms: np.ndarray
+                           ) -> np.ndarray:
+    """The lexicographically least point of each orbit, the lowest index
+    among equal ones, as ascending indices.  The elements form a group,
+    so the orbit of point p is column p of the permutations ``perms``."""
+    order = np.lexsort(pts.T[::-1])
+    return _distinct(order[_inverse(order)[perms].min(axis=0)])
+
+
 def quotient_bundle(g: FiniteGroupAction, tilde: SampledStratifiedBundle,
                     tol: float = TOL_CHECK,
                     r_cc: float = R_CC) -> SampledStratifiedBundle:
@@ -452,11 +461,7 @@ def quotient_bundle(g: FiniteGroupAction, tilde: SampledStratifiedBundle,
         "representative fiber mismatch across an orbit: element {i} at "
         "{key} has gap {gap:.3e}")
 
-    orbits = graph_components(len(pts),
-                              [(np.arange(len(pts)), perm) for perm in perms])
-    reps = sorted(min(members, key=lambda p: tuple(pts[p]))
-                  for members in orbits)
-
+    reps = _orbit_representatives(pts, perms).tolist()
     at = pts[reps]
     partition = _partition_by_stabilizer(
         g, at, *_stabilizer_table(g, at, tol), r_cc,

@@ -42,63 +42,49 @@ __all__ = [
 ]
 
 
+def _branches(plus, minus, names=("S0", "S+", "S-")) -> Stratification:
+    """A 0-dimensional stratum at the origin in the closure of two
+    1-dimensional branches, sampled by the rows of ``plus`` and
+    ``minus``."""
+    point, up, down = names
+    return Stratification(
+        [Stratum(point, 0, np.zeros((1, plus.shape[1]))),
+         Stratum(up, 1, plus), Stratum(down, 1, minus)],
+        closure_order=[(point, up), (point, down)])
+
+
+def _steps(spacing: float) -> np.ndarray:
+    """``spacing``, 2 ``spacing``, ... up to 1."""
+    return np.arange(spacing, 1.0 + spacing / 2, spacing)
+
+
 def line_stratification(spacing: float = 0.05) -> Stratification:
     """The interval [-1, 1] split into {0}, the positive and the negative
     open half, sampled on a grid reaching ``spacing`` from the origin."""
-    pos = np.arange(spacing, 1.0 + spacing / 2, spacing).reshape(-1, 1)
-    return Stratification(
-        [
-            Stratum("S0", 0, np.array([[0.0]])),
-            Stratum("S+", 1, pos),
-            Stratum("S-", 1, -pos),
-        ],
-        closure_order=[("S0", "S+"), ("S0", "S-")],
-    )
+    pos = _steps(spacing)[:, None]
+    return _branches(pos, -pos)
 
 
 def local_line_stratification() -> Stratification:
     """Line fixture with asymmetric sampling: the negative half stays
     0.15 away from the origin, so a 0.1 ball around any sample meets at
     most two strata."""
-    pos = np.arange(0.05, 1.0001, 0.05).reshape(-1, 1)
-    neg = -np.arange(0.15, 1.0001, 0.05).reshape(-1, 1)
-    return Stratification(
-        [
-            Stratum("S0", 0, np.array([[0.0]])),
-            Stratum("S+", 1, pos),
-            Stratum("S-", 1, neg),
-        ],
-        closure_order=[("S0", "S+"), ("S0", "S-")],
-    )
+    return _branches(np.arange(0.05, 1.0001, 0.05)[:, None],
+                     -np.arange(0.15, 1.0001, 0.05)[:, None])
 
 
 def dyadic_line_stratification(depth: int = 40) -> Stratification:
     """Line fixture whose halves are sampled on the dyadic sequence
     2^0, 2^-1, ..., 2^-depth; the deep tail makes limit fibers sharp."""
-    pts = (2.0 ** -np.arange(0, depth + 1)).reshape(-1, 1)
-    return Stratification(
-        [
-            Stratum("S0", 0, np.array([[0.0]])),
-            Stratum("S+", 1, pts),
-            Stratum("S-", 1, -pts),
-        ],
-        closure_order=[("S0", "S+"), ("S0", "S-")],
-    )
+    pts = (2.0 ** -np.arange(0, depth + 1))[:, None]
+    return _branches(pts, -pts)
 
 
 def cone_stratification(spacing: float = 0.05) -> Stratification:
     """A vertex and the two open branches of y = |x| in the plane."""
-    xs = np.arange(spacing, 1.0 + spacing / 2, spacing)
-    plus = np.column_stack([xs, xs])
-    minus = np.column_stack([-xs, xs])
-    return Stratification(
-        [
-            Stratum("vertex", 0, np.array([[0.0, 0.0]])),
-            Stratum("arc+", 1, plus),
-            Stratum("arc-", 1, minus),
-        ],
-        closure_order=[("vertex", "arc+"), ("vertex", "arc-")],
-    )
+    xs = _steps(spacing)
+    return _branches(np.column_stack([xs, xs]), np.column_stack([-xs, xs]),
+                     ("vertex", "arc+", "arc-"))
 
 
 def _cantor_intervals(level: int) -> list[tuple[float, float]]:
@@ -119,29 +105,20 @@ def cantor_stratification(level: int) -> Stratification:
     removed up to ``level``, each sampled at three interior points."""
     if level < 1:
         raise ValueError("level must be at least 1")
-    strata: list[Stratum] = []
     endpoints = sorted({e for a, b in _cantor_intervals(level) for e in (a, b)})
-    for i, e in enumerate(endpoints):
-        strata.append(Stratum(f"pt{i:03d}", 0, np.array([[e]])))
+    strata = [Stratum(f"pt{i:03d}", 0, np.array([[e]]))
+              for i, e in enumerate(endpoints)]
     point_index = {e: f"pt{i:03d}" for i, e in enumerate(endpoints)}
-
+    # Stage s removes the middle third of each interval of stage s - 1.
+    gaps = [(stage, a + (b - a) / 3.0, b - (b - a) / 3.0)
+            for stage in range(1, level + 1)
+            for a, b in _cantor_intervals(stage - 1)]
     closure = []
-    intervals = [(0.0, 1.0)]
-    gap_id = 0
-    for stage in range(1, level + 1):
-        nxt = []
-        for a, b in intervals:
-            third = (b - a) / 3.0
-            left, right = a + third, b - third
-            samples = left + (right - left) * np.array([0.25, 0.5, 0.75])
-            name = f"gap{stage}_{gap_id:02d}"
-            gap_id += 1
-            strata.append(Stratum(name, 1, samples.reshape(-1, 1)))
-            for endpoint in (left, right):
-                closure.append((point_index[endpoint], name))
-            nxt.append((a, left))
-            nxt.append((right, b))
-        intervals = nxt
+    for gap_id, (stage, left, right) in enumerate(gaps):
+        samples = left + (right - left) * np.array([0.25, 0.5, 0.75])
+        name = f"gap{stage}_{gap_id:02d}"
+        strata.append(Stratum(name, 1, samples.reshape(-1, 1)))
+        closure += [(point_index[left], name), (point_index[right], name)]
     return Stratification(strata, closure_order=closure)
 
 
@@ -315,23 +292,25 @@ def line_scaling_fields(power: int = 1,
     return VectorFieldSet(1, [field], samples)
 
 
+def _on_plane_grid(fields, step: float) -> VectorFieldSet:
+    """``fields`` read on the square grid of ``step`` over [-1, 1]^2."""
+    axis = np.arange(-1.0, 1.0 + step / 2, step)
+    return VectorFieldSet(2, fields, [[x, y] for x in axis for y in axis])
+
+
 def constant_field_plane(step: float = 0.25) -> VectorFieldSet:
     """The constant field d/dx on a plane grid: one rank-1 stratum."""
-    field = PolynomialVectorField(2, [{"powers": [0, 0],
-                                       "vector": [1.0, 0.0]}])
-    axis = np.arange(-1.0, 1.0 + step / 2, step)
-    samples = np.array([[x, y] for x in axis for y in axis])
-    return VectorFieldSet(2, [field], samples)
+    return _on_plane_grid([PolynomialVectorField(
+        2, [{"powers": [0, 0], "vector": [1.0, 0.0]}])], step)
 
 
 def axis_scaling_fields_plane(step: float = 0.25) -> VectorFieldSet:
     """{x d/dx, y d/dy} on a plane grid: rank 0 at the origin, rank 1 on
     the punctured axes, rank 2 elsewhere."""
-    fx = PolynomialVectorField(2, [{"powers": [1, 0], "vector": [1.0, 0.0]}])
-    fy = PolynomialVectorField(2, [{"powers": [0, 1], "vector": [0.0, 1.0]}])
-    axis = np.arange(-1.0, 1.0 + step / 2, step)
-    samples = np.array([[x, y] for x in axis for y in axis])
-    return VectorFieldSet(2, [fx, fy], samples)
+    return _on_plane_grid([
+        PolynomialVectorField(2, [{"powers": [1, 0], "vector": [1.0, 0.0]}]),
+        PolynomialVectorField(2, [{"powers": [0, 1], "vector": [0.0, 1.0]}])],
+        step)
 
 
 def line_foliation_scenario(bundle: SampledStratifiedBundle

@@ -20,7 +20,8 @@ import numpy as np
 from .bundle import SampledStratifiedBundle
 from .config import R_CC, TOL_RANK
 from .grassmann import Subspace, _span_rank
-from .strata import Stratification, estimate_cloud_dim, partition_by_label
+from .strata import (Stratification, _first_far, estimate_cloud_dim,
+                     partition_by_label)
 
 __all__ = [
     "parse_powers",
@@ -121,6 +122,9 @@ class VectorFieldSet:
             raise ValueError("sample points have the wrong ambient dimension")
         if pts.shape[0] == 0:
             raise ValueError("need at least one sample point")
+        if (far := _first_far(pts)) >= 0:
+            raise ValueError(f"sample point {far} has a coordinate that is "
+                             "not finite or beyond ±2^500")
         self.sample_points = pts
 
     def evaluate(self, points) -> np.ndarray:
@@ -132,8 +136,16 @@ class VectorFieldSet:
 def _distribution_rows(vfs: VectorFieldSet, points, tol_rank: float):
     """``vh, ranks``: ``vh[i, :ranks[i]]`` spans the fields at
     ``points[i]``, from one SVD stack of the field values under the rank
-    rule of ``span``."""
-    vh, ranks = _span_rank(vfs.evaluate(points), tol_rank, 0.0)
+    rule of ``span``.  ValueError at the first point, then field, whose
+    value is not finite."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    values = vfs.evaluate(points)
+    bad = np.argwhere(~np.isfinite(values).all(axis=2))
+    if bad.size:
+        p, f = bad[0]
+        raise ValueError(f"field {f} takes a non-finite value at sample "
+                         f"{p}, {points[p].tolist()}")
+    vh, ranks = _span_rank(values, tol_rank, 0.0)
     return vh, ranks.tolist()
 
 

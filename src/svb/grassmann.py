@@ -155,9 +155,6 @@ class Subspace:
     def full(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, np.eye(ambient_dim))
 
-    def project(self, vector) -> np.ndarray:
-        return self.projection @ np.asarray(vector, dtype=float)
-
     def to_json(self) -> dict:
         return {"ambient": self.ambient_dim, "basis": self.basis.tolist()}
 

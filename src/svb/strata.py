@@ -48,6 +48,7 @@ __all__ = [
     "FrontierViolation",
     "FrontierReport",
     "REASONS",
+    "MAX_COORD",
     "LocalFinitenessReport",
     "LabelPartition",
     "check_frontier",
@@ -66,6 +67,20 @@ _CHUNK = 1 << 17
 # Grid cells per coordinate at most, so that cell keys fit in int64
 # however small the radius is against the cloud's extent.
 _CELLS = 1 << 20
+
+# Bound on the absolute value of every sample coordinate.  Within it the
+# grid box, every cell key and every squared distance of m < 2^21
+# coordinates stay finite (m * 2^1002 < 2^1023); from about 1.3e154 on,
+# a squared difference overflows to inf.
+MAX_COORD = 2.0 ** 500
+
+
+def _first_far(pts: np.ndarray) -> int:
+    """The first row of ``pts`` with a coordinate that is not finite or
+    lies beyond ``MAX_COORD`` in absolute value, or -1."""
+    if np.abs(pts).max(initial=0.0) <= MAX_COORD:  # NaN fails
+        return -1
+    return int(np.argmax(~(np.abs(pts) <= MAX_COORD))) // pts.shape[1]
 
 
 def _check_stratum(name, dim, size) -> None:
@@ -140,6 +155,9 @@ class Stratification:
         self._cloud = np.concatenate([st.points for st in strata])
         self._owner = np.repeat(np.arange(len(strata)),
                                 [len(st) for st in strata])
+        if (far := _first_far(self._cloud)) >= 0:
+            raise ValueError(f"stratum {strata[self._owner[far]].name!r} has "
+                             "a sample coordinate beyond ±2^500")
         self._by_name = {s.name: s for s in strata}
         order = {(str(a), str(b)) for a, b in closure_order}
         for a, b in order:
@@ -245,10 +263,13 @@ def near_pairs(a: np.ndarray, b: np.ndarray, r: float):
     ``a``, so a point of ``a`` outside ``b``'s own box still has its
     cell keys in range and its pairs exact.  A self-join (``a is b``)
     takes ``b``'s sorted keys as its needles.  Rows with a non-finite
-    grid coordinate have no pairs.  ``check_frontier`` queries its grid
-    directly: once with one sample per stratum, whose pairs are its
-    candidates, and once per chunk of those with the other samples of
-    the candidates' sources."""
+    grid coordinate have no pairs.  Distances are exact for coordinates
+    within ±``MAX_COORD`` = ±2^500, the bound ``Stratification``,
+    ``VectorFieldSet`` and the partition routines hold samples to;
+    farther out a squared distance may overflow to inf.
+    ``check_frontier`` queries its grid directly: once with one sample
+    per stratum, whose pairs are its candidates, and once per chunk of
+    those with the other samples of the candidates' sources."""
     if not r >= 0:
         return iter(())
     grid = _Grid(b, r, None if a is b else a)
@@ -392,13 +413,20 @@ def single_linkage_components(points: np.ndarray,
     """Split a cloud into connected components of the radius graph
     (single linkage).  Components come out sorted by their smallest
     member index, members sorted ascending."""
+    pts = _cloud(points, radius)
+    return graph_components(len(pts), ((i, j) for i, j, _
+                                       in near_pairs(pts, pts, radius)))
+
+
+def _cloud(points, radius: float) -> np.ndarray:
+    """``points`` as a float array of rows, once ``radius`` is positive
+    and every coordinate finite and within ±``MAX_COORD``."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if not radius > 0:
         raise ValueError("radius must be positive")
-    if not np.isfinite(pts).all():
-        raise ValueError("sample points must be finite")
-    return graph_components(len(pts), ((i, j) for i, j, _
-                                       in near_pairs(pts, pts, radius)))
+    if _first_far(pts) >= 0:
+        raise ValueError("sample points must be finite and within ±2^500")
+    return pts
 
 
 def graph_components(n: int, edges) -> list[list[int]]:
@@ -456,11 +484,7 @@ def partition_by_label(points, labels: Sequence[Hashable],
     ``members`` is the point map: point i of the s-th stratum is input
     point ``members[s][i]``, each stratum's members ascending.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if not r_cc > 0:
-        raise ValueError("radius must be positive")
-    if not np.isfinite(pts).all():
-        raise ValueError("sample points must be finite")
+    pts = _cloud(points, r_cc)
     labels = tuple(labels)
     code = {label: c for c, (_, label) in enumerate(classes)}
     coded = np.array([code[lab] for lab in labels], dtype=np.intp)

@@ -509,6 +509,63 @@ class TestNonFiniteInput:
         assert captured.err.startswith("svb: error: action: non-finite "
                                        "residual")
 
+    @staticmethod
+    def three_points(tmp_path, x):
+        """Three one-point strata in R^1, at -x, 0 and x."""
+        path = tmp_path / "three.json"
+        path.write_text(json.dumps({
+            "schema": "svb/1", "ambient": 1, "closure": [],
+            "strata": [{"name": name, "dim": 0, "points": [[p]]}
+                       for name, p in zip("abc", (-x, 0.0, x))]}))
+        return str(path)
+
+    @pytest.mark.parametrize("thresholds", [
+        [], ["--eps-touch", "1e200", "--delta-cover", "1e200"]],
+        ids=["default", "explicit"])
+    def test_coordinates_beyond_the_bound_are_one(self, capsys, tmp_path,
+                                                   thresholds):
+        # The squared distances of this cloud overflow to inf.
+        code = main(["check", "frontier", "--stratification",
+                     self.three_points(tmp_path, 1e200)] + thresholds)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == ("svb: error: $: stratum 'a' has a sample "
+                                "coordinate beyond ±2^500\n")
+
+    def test_wide_cloud_within_the_bound_fails(self, capsys, tmp_path):
+        code, out = run(capsys, "check", "frontier", "--stratification",
+                        self.three_points(tmp_path, 1e150),
+                        "--eps-touch", "1e150", "--delta-cover", "1e150")
+        assert code == 2
+        (check,) = json.loads(out)["checks"]
+        assert [(v["S"], v["R"], v["reason"]) for v in check["violations"]] \
+            == [("a", "b", "undeclared"), ("b", "a", "undeclared"),
+                ("b", "c", "undeclared"), ("c", "b", "undeclared")]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # x^400 overflows
+    @pytest.mark.parametrize("verb", ["stratify", "bundle"])
+    @pytest.mark.parametrize("ambient", [1, 2])
+    def test_non_finite_field_value_is_one(self, capsys, tmp_path, verb,
+                                           ambient):
+        pad = [0] * (ambient - 1)
+        fields = tmp_path / "fields.json"
+        fields.write_text(json.dumps({
+            "schema": "svb/1", "ambient": ambient,
+            "fields": [{"coeffs": [{"powers": [400] + pad,
+                                    "vector": [1.0] + pad}]}],
+            "samples": [[x] + pad for x in (-10.0, 0.0, 0.5, 10.0)]}))
+        out = tmp_path / "out.json"
+        code = main(["foliation", verb, "--fields", str(fields),
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "svb: error: fields: field 0 takes a non-finite value at "
+            f"sample 0, {[-10.0] + [0.0] * (ambient - 1)}\n")
+        assert not out.exists()
+
     def test_over_long_integer_in_file_is_one(self, capsys, tmp_path):
         # json.load refuses integers of more than 4,300 digits with a
         # plain ValueError, not a JSONDecodeError.

@@ -4,7 +4,7 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
-from svb import strata
+from svb import equivariant, strata
 from svb.bundle import SampledStratifiedBundle, trivial_bundle
 from svb.config import TOL_CHECK
 from svb.equivariant import (
@@ -43,7 +43,7 @@ from svb.grassmann import (
     span,
 )
 from svb.cli import main
-from svb.jsonio import bundle_to_json, group_to_json, write_json
+from svb.jsonio import bundle_to_json, dumps, group_to_json, write_json
 from svb.strata import Stratification, Stratum, check_frontier
 
 
@@ -877,6 +877,76 @@ class TestQuotientBundle:
         # Orbit sizes 1 (origin), 4 (axes), 4 (diagonals), 8 (generic):
         # 81 grid points collapse to 15 representatives.
         assert sum(len(s) for s in quot.base.strata) == 15
+
+
+def union_find_representatives(pts, perms):
+    """The reference rule for quotient representatives: the orbits as
+    components of the graph that joins each point to its images, each
+    represented by its lexicographically least member."""
+    orbits = strata.graph_components(
+        len(pts), [(np.arange(len(pts)), perm) for perm in perms])
+    return np.array(sorted(min(members, key=lambda p: tuple(pts[p]))
+                           for members in orbits))
+
+
+def seeded_ring(order, seed=0):
+    """The rotation group of ``order`` and the tilde of its tangent
+    bundle on rings of 10 seeded radii."""
+    g = rotation_group(order)
+    radii = np.random.default_rng(seed).uniform(0.1, 1.0, 10).tolist()
+    return g, invariant_subbundle(g, ring_tangent_bundle(order, radii),
+                                  r_cc=0.25)
+
+
+def quotient_inputs():
+    """(group, tilde, r_cc) of every quotient compared with the
+    reference rule."""
+    cases = {f"rot{order}": (*seeded_ring(order), 0.25)
+             for order in (8, 12, 16, 48)}
+    g = rotation_group(12)
+    ring = ring_tangent_bundle(12, np.linspace(0.2, 1.0, 200).tolist())
+    cases["ring2401"] = (g, invariant_subbundle(g, ring, r_cc=0.25), 0.25)
+    g = dihedral_square_group(with_tangent_action=True)
+    grid = trivial_bundle(Stratification([Stratum("plane", 2,
+                                                  grid_points(0.25))]), 2)
+    cases["dihedral"] = (g, invariant_subbundle(g, grid, r_cc=0.4), 0.4)
+    g = sign_flip_group()
+    cases["sign_flip"] = (
+        g, invariant_subbundle(g, sign_flip_tangent_bundle(), r_cc=0.06), 0.06)
+    return cases
+
+
+class TestQuotientRepresentatives:
+    """``quotient_bundle`` reads each orbit off a column of the
+    permutation table; its output bytes must equal those of the union
+    find and per-orbit lexicographic ``min`` it replaced."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        return quotient_inputs()
+
+    @pytest.mark.parametrize("case", ["rot8", "rot12", "rot16", "rot48",
+                                      "ring2401", "dihedral", "sign_flip"])
+    def test_same_bytes_as_union_find(self, inputs, case, monkeypatch):
+        g, tilde, r_cc = inputs[case]
+        pts = tilde.base._cloud
+        perms = _point_permutations(g, pts, TOL_CHECK)
+        reps = equivariant._orbit_representatives(pts, perms)
+        assert np.array_equal(reps, union_find_representatives(pts, perms))
+        got = dumps(bundle_to_json(quotient_bundle(g, tilde, r_cc=r_cc)))
+        monkeypatch.setattr(equivariant, "_orbit_representatives",
+                            union_find_representatives)
+        want = dumps(bundle_to_json(quotient_bundle(g, tilde, r_cc=r_cc)))
+        assert got == want
+
+    def test_ties_go_to_the_lowest_index(self):
+        # Orbits {0, 3}, whose points tie on their first coordinate, and
+        # {1, 2}, whose points are equal.
+        pts = np.array([[0.0, 2.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.5]])
+        perms = np.array([[0, 1, 2, 3], [3, 2, 1, 0]])
+        reps = equivariant._orbit_representatives(pts, perms)
+        assert reps.tolist() == [1, 3]
+        assert np.array_equal(reps, union_find_representatives(pts, perms))
 
 
 class TestOrbitInvariants:

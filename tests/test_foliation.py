@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,55 @@ class TestProperties:
             verdict = whitney_a_from_sections(b, fields_as_sections(vfs, b),
                                               sc, tol=1e-9, tail_len=4)
             assert verdict.status == "PASS"
+
+
+def power_400_fields(ambient):
+    """x^400 d/dx on the line or the plane: its value overflows to inf
+    at x = ±10, the first sample."""
+    field = PolynomialVectorField(ambient, [
+        {"powers": [400] + [0] * (ambient - 1),
+         "vector": [1.0] + [0.0] * (ambient - 1)}])
+    xs = [-10.0, 0.0, 0.5, 10.0]
+    return VectorFieldSet(ambient, [field],
+                          [[x] + [0.0] * (ambient - 1) for x in xs])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # x^400 overflows
+class TestNonFiniteFieldValues:
+    @pytest.mark.parametrize("ambient", [1, 2])
+    @pytest.mark.parametrize("build", [stratify_by_rank, foliation_bundle])
+    def test_verbs_name_the_first_sample(self, ambient, build):
+        vfs = power_400_fields(ambient)
+        point = [-10.0] + [0.0] * (ambient - 1)
+        with pytest.raises(ValueError, match=re.escape(
+                f"field 0 takes a non-finite value at sample 0, {point}")):
+            build(vfs)
+
+    def test_first_sample_then_first_field(self):
+        # Field 1 overflows at both samples, field 0 only at the second.
+        f0 = PolynomialVectorField(1, [{"powers": [400], "vector": [1.0]}])
+        f1 = PolynomialVectorField(1, [{"powers": [0], "vector": [np.inf]}])
+        vfs = VectorFieldSet(1, [f0, f1], [[0.5], [10.0]])
+        with pytest.raises(ValueError, match=re.escape(
+                "field 1 takes a non-finite value at sample 0, [0.5]")):
+            _distribution_rows(vfs, vfs.sample_points, TOL_RANK)
+        with pytest.raises(ValueError, match=re.escape(
+                "field 0 takes a non-finite value at sample 0, [10.0]")):
+            distribution_at(VectorFieldSet(1, [f0], [[0.0]]), [10.0])
+
+    def test_nan_value(self):
+        field = PolynomialVectorField(1, [{"powers": [0], "vector": [np.nan]}])
+        with pytest.raises(ValueError, match="non-finite value at sample 0"):
+            foliation_bundle(VectorFieldSet(1, [field], [[0.0], [1.0]]))
+
+    def test_sample_coordinates_are_bounded(self):
+        field = PolynomialVectorField(1, [{"powers": [0], "vector": [1.0]}])
+        VectorFieldSet(1, [field], [[0.0], [2.0 ** 500]])
+        for bad in (np.nextafter(2.0 ** 500, np.inf), np.nan, -np.inf):
+            with pytest.raises(ValueError, match=re.escape(
+                    "sample point 1 has a coordinate that is not finite or "
+                    "beyond ±2^500")):
+                VectorFieldSet(1, [field], [[0.0], [bad]])
 
 
 class TestTermValidation:

@@ -345,6 +345,60 @@ class TestOneParseReader:
             _outcome(_read_per_stratum, obj)
 
 
+class TestCoordinateBound:
+    """Files with a sample coordinate beyond ±2^500 are refused by every
+    reader that builds a stratification or a field set."""
+
+    EDGE = 2.0 ** 500
+    BEYOND = float(np.nextafter(2.0 ** 500, np.inf))
+
+    def stratification(self, x, first=0.0):
+        # A boolean first coordinate sends the reader down the
+        # per-stratum route.
+        return {"schema": SCHEMA, "ambient": 2, "strata": [
+            {"name": "a", "dim": 0, "points": [[0.0, 0.0]]},
+            {"name": "b", "dim": 0, "points": [[first, 1.0], [0.5, x]]}]}
+
+    @pytest.mark.parametrize("first", [0.0, True], ids=["one-parse",
+                                                        "per-stratum"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_stratification(self, first, sign):
+        s = stratification_from_json(
+            self.stratification(sign * self.EDGE, first))
+        assert s.stratum("b").points[1, 1] == sign * self.EDGE
+        with pytest.raises(SchemaError, match=re.escape(
+                "$: stratum 'b' has a sample coordinate beyond ±2^500")):
+            stratification_from_json(
+                self.stratification(sign * self.BEYOND, first))
+
+    def test_bundle_base(self):
+        def bundle(x):
+            return {"schema": SCHEMA, "base": self.stratification(x),
+                    "fiber_ambient": 1, "ranks": {"a": 0, "b": 0},
+                    "fibers": [{"point_index": [name, i], "basis": []}
+                               for name, i in (("a", 0), ("b", 0),
+                                               ("b", 1))]}
+
+        assert bundle_from_json(bundle(self.EDGE)).base.diameter() > 0
+        with pytest.raises(SchemaError, match=re.escape(
+                "$.base: stratum 'b' has a sample coordinate beyond "
+                "±2^500")):
+            bundle_from_json(bundle(self.BEYOND))
+
+    def test_field_samples(self):
+        def fields(x):
+            return {"schema": SCHEMA, "ambient": 1, "samples": [[0.0], [x]],
+                    "fields": [{"coeffs": [{"powers": [0],
+                                            "vector": [1.0]}]}]}
+
+        assert fields_from_json(fields(-self.EDGE)).sample_points[1, 0] == \
+            -self.EDGE
+        with pytest.raises(SchemaError, match=re.escape(
+                "$: sample point 1 has a coordinate that is not finite or "
+                "beyond ±2^500")):
+            fields_from_json(fields(-self.BEYOND))
+
+
 def _bundle_outcome(obj):
     try:
         b = bundle_from_json(obj)

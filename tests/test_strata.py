@@ -23,6 +23,7 @@ from svb.fixtures import (
 from svb.foliation import foliation_bundle
 from svb.grassmann import span
 from svb.strata import (
+    MAX_COORD,
     Stratification,
     Stratum,
     check_frontier,
@@ -85,6 +86,63 @@ class TestConstruction:
         s = Stratification([a, b, c], closure_order=[("a", "b"), ("b", "c")])
         assert s.in_closure("a", "c")
         assert not s.in_closure("c", "a")
+
+
+EDGE = 2.0 ** 500  # the largest accepted |coordinate|
+BEYOND = np.nextafter(EDGE, np.inf)
+
+
+class TestCoordinateBound:
+    """Sample coordinates are held to ±2^500: within that bound every
+    squared distance stays finite, beyond about 1.3e154 it overflows."""
+
+    def test_the_bound(self):
+        assert MAX_COORD == EDGE
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_stratification(self, sign):
+        Stratification([Stratum("a", 0, [[0.0, 0.0]]),
+                        Stratum("b", 0, [[1.0, 0.0], [0.0, sign * EDGE]])])
+        with pytest.raises(ValueError, match=r"^stratum 'b' has a sample "
+                           r"coordinate beyond ±2\^500$"):
+            Stratification([Stratum("a", 0, [[0.0, 0.0]]),
+                            Stratum("b", 0, [[1.0, 0.0], [0.0, sign * BEYOND]])])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_partition_routines(self, sign):
+        ok = np.array([[0.0], [sign * EDGE]])
+        assert single_linkage_components(ok, 0.5) == [[0], [1]]
+        partition_by_label(ok, ["a", "a"], [("s", "a")],
+                           dim=lambda label, cloud: 0,
+                           below=lambda low, high: False, r_cc=0.5)
+        far = np.array([[0.0], [sign * BEYOND]])
+        message = r"^sample points must be finite and within ±2\^500$"
+        with pytest.raises(ValueError, match=message):
+            single_linkage_components(far, 0.5)
+        with pytest.raises(ValueError, match=message):
+            partition_by_label(far, ["a", "a"], [("s", "a")],
+                               dim=lambda label, cloud: 0,
+                               below=lambda low, high: False, r_cc=0.5)
+
+    def test_distances_at_the_bound_are_finite(self):
+        # Opposite corners of the box in R^3: the largest distance.
+        s = Stratification([Stratum("a", 0, [[-EDGE] * 3]),
+                            Stratum("b", 0, [[EDGE] * 3])])
+        assert s.diameter() == np.sqrt(3.0) * 2.0 ** 501
+        (i, j, d), = near_pairs(s._cloud, s._cloud, 2.0 ** 503)
+        assert np.isfinite(d).all() and d.max() == s.diameter()
+        report = check_frontier(s, 2.0 ** 503, 2.0 ** 503)
+        assert report.touching_pairs == (("a", "b"), ("b", "a"))
+
+    def test_wide_cloud_still_fails(self):
+        # At ±1e150 the middle stratum meets both others within eps.
+        s = Stratification([Stratum(name, 0, [[x]]) for name, x
+                            in zip("abc", (-1e150, 0.0, 1e150))])
+        report = check_frontier(s, 1e150, 1e150)
+        assert not report.passed
+        assert [(v.s, v.r, v.reason) for v in report.violations] == [
+            ("a", "b", "undeclared"), ("b", "a", "undeclared"),
+            ("b", "c", "undeclared"), ("c", "b", "undeclared")]
 
 
 def _dense_frontier(s, eps, delta):
