@@ -37,7 +37,9 @@ tilde bundle (fibers of ranks 0 and 2).  Writing bundle files
 (``write_json`` of ``bundle_to_json``) is timed five times on that tilde
 bundle and on the wedge:2 image of 150 random 2-planes in R^5, and so
 is building ``FiniteGroupAction`` of ``rotation_group(48)`` with its
-fiber action (the product table).  Three calls are timed warm,
+fiber action (the product table), and ``orbit_type_partition`` under the
+48 signed permutations of R^3 on the grid {-1, -0.5, 0, 0.5, 1}^3 at
+``r_cc`` 0.6 (79 strata, 118 closure pairs).  Three calls are timed warm,
 each right after one untimed call of its own, five times each: one
 in-process ``cli.main`` call of ``check frontier`` on
 ``fixtures/line.json``, ``foliation_bundle`` on the 441-point grid of
@@ -53,6 +55,7 @@ checkout; ``--checkout`` defaults to the one holding this script.
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import statistics
@@ -280,6 +283,16 @@ def scaled_timings(checkout):
         {"order": 48, "n": 2, "fiber_n": 2},
         lambda: FiniteGroupAction(2, rot48.elements,
                                   fiber_elements=rot48.fiber_elements))
+    eye = np.eye(3)
+    signed = FiniteGroupAction(3, [
+        np.diag(signs) @ eye[list(perm)]
+        for perm in itertools.permutations(range(3))
+        for signs in itertools.product((1.0, -1.0), repeat=3)])
+    cube = np.array(list(itertools.product((-1.0, -0.5, 0.0, 0.5, 1.0),
+                                           repeat=3)))
+    cases["orbit_types_cube125"] = (
+        {"points": 125, "order": 48, "r_cc": 0.6},
+        lambda: orbit_type_partition(signed, cube, r_cc=0.6))
     line = os.path.join(checkout, "fixtures", "line.json")
 
     def frontier_cli():

@@ -3,9 +3,11 @@
 A group is a finite stack of orthogonal matrices closed under products,
 with its multiplication table.  Sample points are handled per
 stabilizer class, not one at a time: one ``(order, n)`` table records
-which elements fix which points, each distinct column is one stabilizer,
-checked once for closure under the table, and conjugacy labels, fixed
-subspaces by averaging and orbit-type strata follow per class.
+which elements fix which points, each distinct column (one stable sort
+finds them) is one stabilizer, checked once for closure under the
+table, and conjugacy labels, fixed subspaces by averaging and
+orbit-type strata follow per class.  The conjugates t H t^-1 of a
+subgroup, for every t at once, are one gather in the group table.
 ``invariant_subbundle`` shrinks an equivariant bundle to the
 stabilizer-invariant part of each fiber, one intersection stack per
 (class, stratum) sharing the class's fixed space, and
@@ -13,9 +15,12 @@ stabilizer-invariant part of each fiber, one intersection stack per
 equivariance audit needs no rank decision: an orthogonal fiber matrix M
 carries the fiber with projection P onto the one with projection
 M P M^T.  The difference M P M^T - Q is symmetric, so its spectral norm
-is its largest |eigenvalue|: the audit of every element and fiber is
-one batched symmetric eigenvalue solve, and so is the orthogonality
-check of the group's matrices.
+is its largest |eigenvalue|.  Each audit only compares spectral norms
+with a tolerance, and the Frobenius norm bounds the spectral norm: the
+equivariance audit, the orthogonality and table checks of the group's
+matrices and the idempotence test of a fixed-space average take the
+Frobenius norms of their whole stack first, and a batched eigenvalue
+solve (or SVD) only where that bound exceeds the tolerance.
 
 Infinite rotation groups are not first class; the plane-rotation action
 on R^2 ships as a closed-form fixture (``circle_action_on_plane_report``)
@@ -124,12 +129,8 @@ class FiniteGroupAction:
                 raise ValueError("fiber_elements must match the element list")
             fibs = _orthogonal_stack(fibs, fibs[0].shape[0], "fiber element",
                                      "fiber element {} is not square")
-            # The Frobenius norm bounds the spectral norm, which is taken
-            # only where the bound exceeds the tolerance.
-            diff = fibs[:, None] @ fibs - fibs[self.table]
-            residual = np.sqrt((diff * diff).sum(axis=(2, 3)))
-            loose = residual > _TOL_GROUP
-            residual[loose] = np.linalg.norm(diff[loose], 2, axis=(1, 2))
+            residual = _spectral_norms(
+                fibs[:, None] @ fibs - fibs[self.table], _TOL_GROUP, _svd_norm)
             _raise_first(residual > _TOL_GROUP, "fiber elements do not follow "
                          "the multiplication table at ({}, {})")
             self.fiber_elements = fibs
@@ -143,9 +144,7 @@ class FiniteGroupAction:
 
     def conjugate_subgroup(self, subgroup, t: int) -> tuple[int, ...]:
         """Index set of t H t^-1."""
-        t_inv = int(self.inverse[t])
-        return tuple(sorted(self.multiply(self.multiply(t, h), t_inv)
-                            for h in subgroup))
+        return tuple(_conjugates(self, subgroup)[t].tolist())
 
     def to_json(self) -> dict:
         out = {"n": self.n, "elements": self.elements.tolist()}
@@ -168,9 +167,29 @@ def _orthogonal_stack(mats, size: int, what: str,
     then at the first that is not orthogonal."""
     _raise_first([m.shape != (size, size) for m in mats], shape_error)
     mats = np.stack(mats)
-    defect = _symmetric_norm(mats @ mats.transpose(0, 2, 1) - np.eye(size))
+    defect = _spectral_norms(mats @ mats.transpose(0, 2, 1) - np.eye(size),
+                             _TOL_GROUP, _symmetric_norm)
     _raise_first(~(defect <= _TOL_GROUP), f"{what} {{}} is not orthogonal")
     return mats
+
+
+def _spectral_norms(stack: np.ndarray, tol: float, norm) -> np.ndarray:
+    """For a stack ``(..., m, m)`` whose spectral norms are only compared
+    with ``tol``: each matrix's Frobenius norm, which bounds its spectral
+    norm, and ``norm`` of the matrix where that bound is not within
+    ``tol`` (NaN included).  A test ``<= tol`` or ``> tol`` reads the
+    same verdict as on the spectral norms themselves."""
+    bounds = np.sqrt((stack * stack).sum(axis=(-2, -1)))
+    loose = ~(bounds <= tol)
+    if loose.any():
+        bounds[loose] = norm(stack[loose])
+    return bounds
+
+
+def _svd_norm(mats: np.ndarray) -> np.ndarray:
+    """The spectral norm of each matrix of a stack ``(..., m, m)``: its
+    largest singular value."""
+    return np.linalg.norm(mats, 2, axis=(-2, -1))
 
 
 def _symmetric_norm(mats: np.ndarray) -> np.ndarray:
@@ -200,8 +219,13 @@ def _stabilizer_table(g: FiniteGroupAction, pts: np.ndarray, tol: float
     first point that has it, so a failure names the first such point.
     """
     fixes = np.linalg.norm(g.elements @ pts.T - pts.T, axis=1) <= tol
-    _, first, inverse = np.unique(fixes.T, axis=0, return_index=True,
-                                  return_inverse=True)
+    # A stable sort of the points by their columns of ``fixes``: each run
+    # of equal columns is one stabilizer, led by the first point with it.
+    order = np.lexsort(fixes)
+    run = np.ones(len(order), dtype=bool)
+    np.not_equal(fixes[:, order[1:]], fixes[:, order[:-1]]).any(
+        axis=0, out=run[1:])
+    first = order[run]
     by_appearance = np.argsort(first)
     classes = []
     for p in first[by_appearance].tolist():
@@ -211,14 +235,23 @@ def _stabilizer_table(g: FiniteGroupAction, pts: np.ndarray, tol: float
                 f"stabilizer of {pts[p].tolist()} is not closed under the "
                 "group table; the tolerance is too loose or too tight")
         classes.append(tuple(members.tolist()))
-    return classes, np.argsort(by_appearance)[inverse.reshape(-1)]
+    of_point = np.empty(len(order), dtype=np.intp)
+    of_point[order] = _inverse(by_appearance)[np.cumsum(run) - 1]
+    return classes, of_point
+
+
+def _conjugates(g: FiniteGroupAction, subgroup) -> np.ndarray:
+    """``[t]``: the sorted element indices of t H t^-1, for every element
+    t, gathered from the group table."""
+    h = np.asarray(subgroup, dtype=np.intp)
+    return np.sort(g.table[g.table[:, h], g.inverse[:, None]], axis=1)
 
 
 def conjugacy_label(g: FiniteGroupAction, subgroup) -> tuple[int, ...]:
     """The orbit type of a stabilizer: the sorted element indices of its
     lexicographically least conjugate."""
     # Conjugating by the identity gives the sorted subgroup itself.
-    return min(g.conjugate_subgroup(subgroup, t) for t in range(g.order))
+    return min(map(tuple, _conjugates(g, subgroup).tolist()))
 
 
 def fixed_subspace(g: FiniteGroupAction, subgroup, use_fiber: bool = False,
@@ -233,7 +266,8 @@ def fixed_subspace(g: FiniteGroupAction, subgroup, use_fiber: bool = False,
     if mats is None:
         raise ValueError("group carries no fiber action")
     avg = sum(mats[i] for i in subgroup) / len(subgroup)
-    if np.linalg.norm(avg @ avg - avg, 2) > max(tol, 1e-9):
+    cap = max(tol, 1e-9)
+    if _spectral_norms((avg @ avg - avg)[None], cap, _svd_norm)[0] > cap:
         raise ValueError(
             "averaging did not produce an idempotent; the index set is not "
             "closed under multiplication")
@@ -279,9 +313,9 @@ def _class_properly_contains(g: FiniteGroupAction, big: tuple[int, ...],
     """True when some conjugate of `small` is a proper subgroup of `big`."""
     if len(small) >= len(big):
         return False
-    big_set = set(big)
-    return any(set(g.conjugate_subgroup(small, t)) <= big_set
-               for t in range(g.order))
+    member = np.zeros(g.order, dtype=bool)
+    member[list(big)] = True
+    return bool(member[_conjugates(g, small)].all(axis=1).any())
 
 
 def _point_permutations(g: FiniteGroupAction, pts: np.ndarray,
@@ -357,7 +391,8 @@ def _equivariant_samples(g: FiniteGroupAction, b: SampledStratifiedBundle,
     pts = b.base._cloud
     perms = _point_permutations(g, pts, tol)
     orbit = _stratum_orbits(b.base, perms)
-    gaps = _equivariance_gaps(g, b, perms)
+    gaps = _spectral_norms(_equivariance_defects(g, b, perms), tol,
+                           _symmetric_norm)
     off = np.argwhere(gaps > tol)
     if off.size:
         i, p = off[0]
@@ -366,15 +401,22 @@ def _equivariant_samples(g: FiniteGroupAction, b: SampledStratifiedBundle,
     return pts, perms, orbit
 
 
-def _equivariance_gaps(g: FiniteGroupAction, b: SampledStratifiedBundle,
-                       perms) -> np.ndarray:
-    """``[i, p]``: gap between the image under element ``i`` of the fiber
-    over point ``p``, of projection M P M^T, and the fiber over the image
-    point."""
+def _equivariance_defects(g: FiniteGroupAction, b: SampledStratifiedBundle,
+                          perms) -> np.ndarray:
+    """``[i, p]``: M P M^T - Q for the projection P of the fiber over
+    point ``p``, the matrix M of element ``i`` and the projection Q of
+    the fiber over the image point; symmetric."""
     proj = np.concatenate([stack.swapaxes(1, 2) @ stack
                            for stack in b.stacks.values()])
     fibs = g.fiber_elements[:, None]
-    return _symmetric_norm(fibs @ proj @ fibs.swapaxes(2, 3) - proj[perms])
+    return fibs @ proj @ fibs.swapaxes(2, 3) - proj[perms]
+
+
+def _equivariance_gaps(g: FiniteGroupAction, b: SampledStratifiedBundle,
+                       perms) -> np.ndarray:
+    """``[i, p]``: gap between the image under element ``i`` of the fiber
+    over point ``p`` and the fiber over the image point."""
+    return _symmetric_norm(_equivariance_defects(g, b, perms))
 
 
 def _gather_stacks(base: Stratification, members,

@@ -72,18 +72,21 @@ def parse_terms(terms, n_vars: int, out_dim: int):
 
 def evaluate_terms(terms, pts, out_dim: int) -> np.ndarray:
     """The map at each row of the ``(n, n_vars)`` array ``pts``: each
-    monomial multiplies the variables in order, then its vector."""
+    monomial multiplies the variables in order, then its vector.  A value
+    that overflows is left as inf or NaN, without a numpy warning: the
+    callers check the values and name the first non-finite one."""
     out = np.zeros((len(pts), out_dim))
-    for powers, vector in terms:
-        monomial = np.ones(len(pts))
-        for column, p in zip(pts.T, powers):
-            if p == 1:
-                monomial *= column
-            elif p:
-                # Rounded as the scalar power rounds; numpy's
-                # vectorised power may differ in the last bit.
-                monomial *= np.array([xi ** p for xi in column])
-        out += monomial[:, None] * vector
+    with np.errstate(over="ignore", invalid="ignore"):
+        for powers, vector in terms:
+            monomial = np.ones(len(pts))
+            for column, p in zip(pts.T, powers):
+                if p == 1:
+                    monomial *= column
+                elif p:
+                    # Rounded as the scalar power rounds; numpy's
+                    # vectorised power may differ in the last bit.
+                    monomial *= np.array([xi ** p for xi in column])
+            out += monomial[:, None] * vector
     return out
 
 

@@ -29,6 +29,9 @@ from .foliation import evaluate_terms, parse_terms
 from .grassmann import Subspace, span
 
 _EPS = float(np.finfo(float).eps)
+# Evaluations and residuals may overflow; the non-finite checks below
+# report that as an error, so numpy is kept from warning about it too.
+_QUIET = np.errstate(over="ignore", invalid="ignore")
 
 __all__ = [
     "MonoidActionSample",
@@ -155,6 +158,7 @@ class MonoidActionSample:
             raise ValueError("expected a point or an (n, m) stack of points")
         return np.atleast_2d(e)
 
+    @_QUIET
     def _blocks(self, times, rows: np.ndarray) -> np.ndarray:
         """h_{times[j]} of block j of the (b, n, m) array ``rows``, for
         every j in one evaluator call."""
@@ -212,6 +216,7 @@ class MonoidAudit:
         return self.passed
 
 
+@_QUIET
 def audit_axioms(a: MonoidActionSample, tol: float = TOL_CHECK) -> MonoidAudit:
     """Check h_1 = id and h_t h_s = h_ts on the grid and samples.
 
@@ -251,6 +256,7 @@ def audit_axioms(a: MonoidActionSample, tol: float = TOL_CHECK) -> MonoidAudit:
                                      for k, i, r in found if k))
 
 
+@_QUIET
 def vertical_derivative(a: MonoidActionSample, e, step: float = STEP):
     """Richardson-refined central difference of t -> h_t(e) at t = 0,
     at one point e or at each row of an (n, m) stack e.
@@ -301,6 +307,7 @@ class RegularityReport:
         return self.overall == REGULAR
 
 
+@_QUIET
 def _classify(a: MonoidActionSample, tol: float, step: float):
     """The regularity report, and the derivatives and h_0-images it read."""
     _check_positive("tol", tol)

@@ -543,7 +543,6 @@ class TestNonFiniteInput:
             == [("a", "b", "undeclared"), ("b", "a", "undeclared"),
                 ("b", "c", "undeclared"), ("c", "b", "undeclared")]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # x^400 overflows
     @pytest.mark.parametrize("verb", ["stratify", "bundle"])
     @pytest.mark.parametrize("ambient", [1, 2])
     def test_non_finite_field_value_is_one(self, capsys, tmp_path, verb,
@@ -565,6 +564,46 @@ class TestNonFiniteInput:
             "svb: error: fields: field 0 takes a non-finite value at "
             f"sample 0, {[-10.0] + [0.0] * (ambient - 1)}\n")
         assert not out.exists()
+
+    OVERFLOWING = {
+        "fields": {"schema": "svb/1", "ambient": 1,
+                   "fields": [{"coeffs": [{"powers": [400],
+                                           "vector": [1.0]}]}],
+                   "samples": [[-10.0], [0.0], [10.0]]},
+        "action": {"schema": "svb/1", "ambient": 1, "kind": "polynomial",
+                   "samples": [[10.0]], "t_grid": [-1.0, 0.0, 1.0, 2.0],
+                   "coeffs": [[{"powers": [0, 400], "coef": 1.0}]]},
+        "builtin": {"schema": "svb/1", "ambient": 1, "kind": "builtin",
+                    "name": "scalar", "samples": [[1e308]],
+                    "t_grid": [-1.0, 0.0, 1.0, 2.0]},
+    }
+
+    @pytest.mark.parametrize("kind, argv, error", [
+        ("fields", ["foliation", "stratify", "--fields"], "fields: field 0 "
+         "takes a non-finite value at sample 0, [-10.0]"),
+        ("fields", ["foliation", "bundle", "--fields"], "fields: field 0 "
+         "takes a non-finite value at sample 0, [-10.0]"),
+        ("action", ["monoid", "analyze", "--action"], "action: evaluator "
+         "returned a non-finite value at t=1.0"),
+        ("builtin", ["monoid", "analyze", "--action"], "action: evaluator "
+         "returned a non-finite value at t=2.0"),
+    ], ids=["foliation-stratify", "foliation-bundle", "monoid-analyze",
+            "monoid-analyze-builtin"])
+    def test_overflow_prints_one_line(self, tmp_path, kind, argv, error):
+        # x^400 overflows at x = 10, and so does 2 x at x = 1e308; numpy
+        # must not warn on stderr ahead of the error line, so the CLI runs
+        # in a process of its own.
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(self.OVERFLOWING[kind]))
+        src = os.path.dirname(os.path.dirname(svb.bundle.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from svb.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", *argv, str(path)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == f"svb: error: {error}\n"
 
     def test_over_long_integer_in_file_is_one(self, capsys, tmp_path):
         # json.load refuses integers of more than 4,300 digits with a

@@ -11,6 +11,9 @@ from svb.equivariant import (
     _TOL_GROUP,
     FiniteGroupAction,
     StrataNotInvariantError,
+    _class_properly_contains,
+    _conjugates,
+    _equivariance_defects,
     _equivariance_gaps,
     _partition_by_stabilizer,
     _point_permutations,
@@ -270,6 +273,118 @@ class TestStabilizerThreshold:
         assert [classes[c] for c in of_point] == [(0, 1), expected, (0,)]
 
 
+def reference_conjugate(g, subgroup, t):
+    """t H t^-1 one element at a time, through ``multiply``."""
+    t_inv = int(g.inverse[t])
+    return tuple(sorted(g.multiply(g.multiply(t, h), t_inv)
+                        for h in subgroup))
+
+
+def unique_stabilizer_table(g, pts, tol):
+    """The stabilizer table with its distinct columns found by
+    ``np.unique(axis=0)`` (no closure check)."""
+    fixes = np.linalg.norm(g.elements @ pts.T - pts.T, axis=1) <= tol
+    _, first, inverse = np.unique(fixes.T, axis=0, return_index=True,
+                                  return_inverse=True)
+    by_appearance = np.argsort(first)
+    classes = [tuple(np.flatnonzero(fixes[:, p]).tolist())
+               for p in first[by_appearance]]
+    return classes, np.argsort(by_appearance)[inverse.reshape(-1)]
+
+
+def cyclic_subgroups(g):
+    """The subgroup generated by each element, as sorted index tuples."""
+    out = set()
+    for a in range(g.order):
+        members, power = {g.identity_index}, a
+        while power != g.identity_index:
+            members.add(power)
+            power = g.multiply(power, a)
+        out.add(tuple(sorted(members)))
+    return out
+
+
+def ring_cloud(order, radii=(0.3, 0.7, 1.0)):
+    """The origin and an ``order``-point ring at each radius."""
+    angles = 2.0 * np.pi * np.arange(order) / order
+    return np.array([[0.0, 0.0]] + [[r * np.cos(a), r * np.sin(a)]
+                                    for r in radii for a in angles])
+
+
+def cube_grid():
+    axis = (-1.0, -0.5, 0.0, 0.5, 1.0)
+    return np.array(list(product(axis, repeat=3)))
+
+
+def table_cases():
+    """(group, clouds): rotation groups of order 1-16 on rings, the
+    dihedral square on a grid and the 48 signed permutations of R^3 on
+    the 5^3 grid, each with one-point clouds and clouds where many
+    points share a stabilizer."""
+    rng = np.random.default_rng(3)
+    cases = {}
+    for order in range(1, 17):
+        ring = ring_cloud(order)
+        cases[f"rot{order}"] = (
+            rotation_group(order, with_tangent_action=False),
+            [ring, ring[:1], ring[1:2], ring[1:], np.repeat(ring, 3, axis=0)])
+    grid = grid_points(step=0.5)
+    cases["dihedral"] = (dihedral_square_group(), [
+        grid, grid[rng.permutation(len(grid))], grid[12:13], grid[:1],
+        np.repeat(grid[[0, 12, 6]], 20, axis=0)])
+    cube = cube_grid()
+    cases["signed-perm3"] = (
+        FiniteGroupAction(3, _signed_permutations()),
+        [cube, cube[rng.permutation(len(cube))], cube[62:63], cube[:1],
+         np.concatenate([cube, cube[::-1], cube[rng.integers(0, 125, 300)]])])
+    return cases
+
+
+class TestGroupTableRoutes:
+    """Conjugates gathered from the group table and the stabilizer table
+    by one sort, against the per-element loop and ``np.unique(axis=0)``
+    they replace."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return table_cases()
+
+    @pytest.mark.parametrize("name", list(table_cases()))
+    def test_same_as_references(self, cases, name):
+        g, clouds = cases[name]
+        subgroups = cyclic_subgroups(g) | {tuple(range(g.order))}
+        for pts in clouds:
+            classes, of_point = _stabilizer_table(g, pts, TOL_CHECK)
+            want_classes, want_of_point = unique_stabilizer_table(
+                g, pts, TOL_CHECK)
+            assert classes == want_classes
+            assert np.array_equal(of_point, want_of_point)
+            assert [classes[c] for c in of_point] == [
+                stabilizer(g, p) for p in pts]
+            subgroups.update(classes)
+        conjugates = {}
+        for sub in sorted(subgroups):
+            want = [reference_conjugate(g, sub, t) for t in range(g.order)]
+            assert [tuple(row) for row in _conjugates(g, sub).tolist()] \
+                == want
+            assert [g.conjugate_subgroup(sub, t)
+                    for t in range(g.order)] == want
+            assert conjugacy_label(g, sub) == min(want)
+            conjugates[sub] = want
+        for big in conjugates:
+            for small, want in conjugates.items():
+                expected = len(small) < len(big) and any(
+                    set(c) <= set(big) for c in want)
+                assert _class_properly_contains(g, big, small) is expected
+
+    def test_cube_grid_partition(self, cases):
+        # 79 strata and 118 declared closure pairs on the 5^3 grid.
+        g, (cube, *_) = cases["signed-perm3"]
+        part = orbit_type_partition(g, cube, r_cc=0.6)
+        assert len(part.stratification.strata) == 79
+        assert len(part.stratification.closure_order) == 118
+
+
 class TestFixedSubspace:
     def test_reflection_fixes_first_axis(self):
         g = axis_reflection_group()
@@ -292,6 +407,25 @@ class TestFixedSubspace:
         g = dihedral_square_group()
         with pytest.raises(ValueError, match="idempotent"):
             fixed_subspace(g, (0, 1))  # identity + quarter rotation
+
+    # For the identity and the quarter rotation R, the average A = (I + R)
+    # / 2 has A A - A = -I / 2: spectral norm 0.5, Frobenius norm 0.707.
+    def test_idempotence_screen_accepts_below_spectral(self, monkeypatch):
+        g = dihedral_square_group()
+        avg = (g.elements[0] + g.elements[1]) / 2
+        assert np.array_equal(avg @ avg - avg, -np.eye(2) / 2)
+        tol = 0.5 / 0.9
+        assert np.sqrt(0.5) > tol
+        got = fixed_subspace(g, (0, 1), tol=tol).basis
+        monkeypatch.setattr(equivariant, "_spectral_norms",
+                            lambda stack, tol, norm: norm(stack))
+        assert np.array_equal(fixed_subspace(g, (0, 1), tol=tol).basis, got)
+
+    def test_idempotence_screen_rejects_above_spectral(self):
+        with pytest.raises(ValueError, match="^averaging did not produce an "
+                           "idempotent; the index set is not closed under "
+                           "multiplication$"):
+            fixed_subspace(dihedral_square_group(), (0, 1), tol=0.5 / 1.1)
 
 
 class TestOrbitTypePartition:
@@ -661,6 +795,43 @@ class TestEquivarianceThreshold:
         out = build(rotation_group(8), b, r_cc=1.0)
         assert set(out.stratum_rank.values()) == {1}
 
+    # Tilting a line by theta makes a defect of eigenvalues +-sin(theta):
+    # spectral norm sin(theta), Frobenius norm sqrt(2) sin(theta).
+    @pytest.mark.parametrize("build", [c[0] for c in CASES],
+                             ids=["invariant", "quotient"])
+    def test_frobenius_above_spectral_below_accepted(self, build,
+                                                     monkeypatch):
+        g = rotation_group(8)
+        b = radial_line_bundle(tilt=np.arcsin(0.9 * TOL_CHECK))
+        perms = _point_permutations(g, b.base._cloud, TOL_CHECK)
+        defects = _equivariance_defects(g, b, perms)
+        frobenius = np.sqrt((defects ** 2).sum(axis=(2, 3)))
+        assert frobenius.max() > TOL_CHECK
+        assert _equivariance_gaps(g, b, perms).max() <= TOL_CHECK
+        got = dumps(bundle_to_json(build(g, b, r_cc=1.0)))
+        monkeypatch.setattr(equivariant, "_spectral_norms",
+                            lambda stack, tol, norm: norm(stack))
+        assert dumps(bundle_to_json(build(g, b, r_cc=1.0))) == got
+
+    @pytest.mark.parametrize("build, message", [
+        (invariant_subbundle, "bundle is not equivariant: element {i} maps "
+         "the fiber over {key} with gap {gap:.3e}"),
+        (quotient_bundle, "representative fiber mismatch across an orbit: "
+         "element {i} at {key} has gap {gap:.3e}"),
+    ], ids=["invariant", "quotient"])
+    def test_just_above_names_the_exact_gap(self, build, message):
+        # The message is built from the exact gaps, one solve for each
+        # element and fiber.
+        g = rotation_group(8)
+        b = radial_line_bundle(tilt=np.arcsin(1.1 * TOL_CHECK))
+        gaps = _equivariance_gaps(
+            g, b, _point_permutations(g, b.base._cloud, TOL_CHECK))
+        i, p = np.argwhere(gaps > TOL_CHECK)[0]
+        want = message.format(i=i, key=b.point_keys()[p], gap=gaps[i, p])
+        assert want.endswith("gap 1.100e-08")
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            build(g, b, r_cc=1.0)
+
 
 def z_rotation_group(order=6):
     """The ``order`` rotations of R^3 about the z-axis, acting on fibers
@@ -784,6 +955,34 @@ class TestOrthogonalityThreshold:
             if factor < 1.0:
                 out = FiniteGroupAction(2, mats, fiber_elements=fibers)
                 assert np.array_equal(out.table, g.table)
+            else:
+                with pytest.raises(ValueError, match=(
+                        f"^{'fiber ' if fiber else ''}element 3 is not "
+                        "orthogonal$")):
+                    FiniteGroupAction(2, mats, fiber_elements=fibers)
+
+    # Stretched along two orthogonal axes, element 3 has M M^T - I of
+    # two equal eigenvalues: its Frobenius norm is sqrt(2) times its
+    # spectral norm, so at 0.9 tolerance only the spectral norm is within.
+    @pytest.mark.parametrize("fiber", [False, True],
+                             ids=["element", "fiber-element"])
+    def test_two_axis_defect_flips_at_tolerance(self, fiber):
+        g = rotation_group(8)
+        for factor in (0.9, 1.1):
+            mats = [m.copy() for m in g.elements]
+            fibers = [m.copy() for m in g.fiber_elements]
+            stretched = fibers if fiber else mats
+            for axis in ((0.6, 0.8), (-0.8, 0.6)):
+                stretched[3] = _stretched(stretched[3], factor * _TOL_GROUP,
+                                          axis)
+            defect = stretched[3] @ stretched[3].T - np.eye(2)
+            assert np.linalg.norm(defect, 2) == pytest.approx(
+                factor * _TOL_GROUP, rel=1e-6)
+            assert np.linalg.norm(defect) > _TOL_GROUP
+            if factor < 1.0:
+                out = FiniteGroupAction(2, mats, fiber_elements=fibers)
+                assert np.array_equal(out.table, g.table)
+                assert np.array_equal(out.fiber_elements, np.stack(fibers))
             else:
                 with pytest.raises(ValueError, match=(
                         f"^{'fiber ' if fiber else ''}element 3 is not "
