@@ -24,7 +24,9 @@ over 2,000 points, reading that bundle's file (``bundle_from_json`` of
 2-planes in R^5, ``apply_to_map`` with sym:6 on 150 random 2 x 4
 matrices, and ``audit_axioms`` plus ``regularity_check`` on the
 scalar action (``bundle_scalar_action``, 300 samples in R^4) of a
-rank-2 trivial bundle over 100 points of the plane, five times each.
+rank-2 trivial bundle over 100 points of the plane, five times each,
+and ``reconstruct_bundle`` on that action of a rank-2 trivial bundle
+over 400 seeded points of [-1, 1]^2 (1,200 samples), five times.
 ``audit_axioms`` alone is timed on 20,000 uniform samples in R^3 with
 the default time grid, for the builtin ``scalar`` action and for the
 same action as a polynomial table, one call of each per timing.
@@ -152,7 +154,8 @@ def scaled_timings(checkout):
     from svb.grassmann import Subspace
     from svb.jsonio import bundle_from_json, bundle_to_json, read_json, \
         write_json
-    from svb.monoid import MonoidActionSample, audit_axioms, regularity_check
+    from svb.monoid import (MonoidActionSample, audit_axioms,
+                            reconstruct_bundle, regularity_check)
     from svb.strata import (Stratification, Stratum, check_frontier,
                             local_finiteness_report, near_pairs,
                             partition_by_label)
@@ -311,6 +314,15 @@ def scaled_timings(checkout):
             # Timed cold above: its first call fills the sym:4 tables.
             "sym4_orthogonality_r7_warm": cases["sym4_orthogonality_r7"]}
     cases.update(warm)
+    # Timed last: a kernel's allocations can shift the timings of the
+    # kernels after it in this process, and earlier snapshots had none.
+    scaling, base_points, _ = bundle_scalar_action(trivial_bundle(
+        Stratification([Stratum("bulk", 2, np.random.default_rng(0).uniform(
+            -1.0, 1.0, (400, 2)))]), 2))
+    cases["monoid_reconstruct_1200"] = (
+        {"samples": len(scaling.sample_points), "base_points": 400,
+         "ambient": scaling.ambient_dim},
+        lambda: reconstruct_bundle(scaling, base_points))
     out = {}
     for name, (size, call) in cases.items():
         if name in warm:

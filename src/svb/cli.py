@@ -108,10 +108,10 @@ def _auto_scenario(bundle, spec: str, source: str | None
     x0_index = _auto_sequence_number(match.group(2), "index")
     count = _auto_sequence_number(match.group(3), "count")
     try:
-        x0 = bundle.base.stratum(target).points[x0_index]
+        x0 = bundle.point((target, x0_index))
         cloud = bundle.base.stratum(source).points
-    except (KeyError, IndexError) as exc:
-        raise CliError(str(exc)) from None
+    except KeyError as exc:  # whose str() would quote the message
+        raise CliError(exc.args[0]) from None
     if count < 1 or count > len(cloud):
         raise CliError(f"auto-sequence count {count} out of range")
     dists = np.linalg.norm(cloud - x0, axis=1)
@@ -169,7 +169,7 @@ def _check_whitney_a(args, add):
         verdict = whitney_a_check(bundle, scenario, tol=args.tol_check,
                                   tail_len=args.tail_len)
     except (KeyError, ValueError) as exc:
-        raise CliError(f"scenario: {exc}") from None
+        raise CliError(f"scenario: {exc.args[0]}") from None
     add("whitney-a", verdict.status, residual=verdict.residual,
         scenario=scenario.to_json())
 
@@ -296,7 +296,7 @@ def _foliation_bundle(args, add):
                 bundle, fields_as_sections(vfs, bundle), scenario,
                 tol=args.tol_check, tail_len=args.tail_len)
         except (KeyError, ValueError) as exc:
-            raise CliError(f"scenario: {exc}") from None
+            raise CliError(f"scenario: {exc.args[0]}") from None
         add("whitney-a-sections", verdict.status, residual=verdict.residual,
             section_residuals=list(verdict.section_residuals))
     return {"bundle": bundle}

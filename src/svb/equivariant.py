@@ -20,11 +20,13 @@ with a tolerance, and the Frobenius norm bounds the spectral norm: the
 equivariance audit, the orthogonality and table checks of the group's
 matrices and the idempotence test of a fixed-space average take the
 Frobenius norms of their whole stack first, and a batched eigenvalue
-solve (or SVD) only where that bound exceeds the tolerance.
+solve (or ``grassmann.opnorm``, one SVD per matrix) only where that
+bound exceeds the tolerance.
 
 Infinite rotation groups are not first class; the plane-rotation action
 on R^2 ships as a closed-form fixture (``circle_action_on_plane_report``)
-reproducing its quotient rank table.
+reproducing its quotient rank table: no vector but 0 is fixed by every
+rotation, so no rank is computed there.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 
 from .bundle import SampledStratifiedBundle
 from .config import R_CC, TOL_CHECK
-from .grassmann import Subspace, _distinct, intersections, span
+from .grassmann import Subspace, _distinct, _runs, intersections, opnorm, span
 from .strata import (
     LabelPartition,
     Stratification,
@@ -130,7 +132,7 @@ class FiniteGroupAction:
             fibs = _orthogonal_stack(fibs, fibs[0].shape[0], "fiber element",
                                      "fiber element {} is not square")
             residual = _spectral_norms(
-                fibs[:, None] @ fibs - fibs[self.table], _TOL_GROUP, _svd_norm)
+                fibs[:, None] @ fibs - fibs[self.table], _TOL_GROUP, opnorm)
             _raise_first(residual > _TOL_GROUP, "fiber elements do not follow "
                          "the multiplication table at ({}, {})")
             self.fiber_elements = fibs
@@ -184,12 +186,6 @@ def _spectral_norms(stack: np.ndarray, tol: float, norm) -> np.ndarray:
     if loose.any():
         bounds[loose] = norm(stack[loose])
     return bounds
-
-
-def _svd_norm(mats: np.ndarray) -> np.ndarray:
-    """The spectral norm of each matrix of a stack ``(..., m, m)``: its
-    largest singular value."""
-    return np.linalg.norm(mats, 2, axis=(-2, -1))
 
 
 def _symmetric_norm(mats: np.ndarray) -> np.ndarray:
@@ -267,7 +263,7 @@ def fixed_subspace(g: FiniteGroupAction, subgroup, use_fiber: bool = False,
         raise ValueError("group carries no fiber action")
     avg = sum(mats[i] for i in subgroup) / len(subgroup)
     cap = max(tol, 1e-9)
-    if _spectral_norms((avg @ avg - avg)[None], cap, _svd_norm)[0] > cap:
+    if _spectral_norms((avg @ avg - avg)[None], cap, opnorm)[0] > cap:
         raise ValueError(
             "averaging did not produce an idempotent; the index set is not "
             "closed under multiplication")
@@ -329,7 +325,7 @@ def _point_permutations(g: FiniteGroupAction, pts: np.ndarray,
     images = np.concatenate([pts @ m.T for m in g.elements])
     for i, j, d in near_pairs(images, pts, tol):
         order = np.lexsort((j, d, i))
-        nearest = order[np.flatnonzero(np.diff(i[order], prepend=-1))]
+        nearest = order[_runs(i[order])]
         match[i[nearest]] = j[nearest]
     perms = match.reshape(g.order, n)
     # Sorted rows: an image off the sample set leads its row with -1,
@@ -356,9 +352,8 @@ def _stratum_orbits(base: Stratification, perms: np.ndarray) -> np.ndarray:
     :class:`StrataNotInvariantError` at the first element (then point)
     that carries a stratum into more than one."""
     owner = base._owner
-    first = np.searchsorted(owner, np.arange(len(base.strata)))
     moved = owner[perms]
-    onto = moved[:, first]  # [i, s]: the stratum element i carries s into
+    onto = moved[:, base._bounds[:-1]]  # [i, s]: where element i puts s
     off = np.argwhere(moved != onto[:, owner])
     if off.size:
         i, p = off[0]
@@ -461,9 +456,8 @@ def invariant_subbundle(g: FiniteGroupAction, b: SampledStratifiedBundle,
                                          b.base._owner)
     invariant = [fixed_subspace(g, stab, use_fiber=True) for stab in classes]
     bases = [None] * len(pts)
-    start = 0
-    for stack in b.stacks.values():
-        stop = start + len(stack)
+    bounds = b.base._bounds.tolist()
+    for start, stop, stack in zip(bounds, bounds[1:], b.stacks.values()):
         here = of_point[start:stop]
         for c in _distinct(here).tolist():
             rows = np.flatnonzero(here == c)
@@ -471,7 +465,6 @@ def invariant_subbundle(g: FiniteGroupAction, b: SampledStratifiedBundle,
                      else intersections(stack[rows], invariant[c], tol))
             for p, basis in zip((start + rows).tolist(), found):
                 bases[p] = basis
-        start = stop
     base = partition.stratification
     return SampledStratifiedBundle.from_stacks(
         base, b.fiber_ambient, _gather_stacks(base, partition.members, bases),
@@ -550,18 +543,13 @@ def circle_action_on_plane_report() -> CircleActionReport:
 
     Stabilizers are known in closed form (everything at the origin,
     nothing elsewhere), so the invariant fiber at the origin is the fixed
-    space of the whole rotation group, computed as the kernel of
-    R(1 rad) - I, and the fiber elsewhere is all of R^2.  The quotient
+    space of the whole rotation group: the kernel of R(theta) - I, which
+    is 0 because det(R(theta) - I) = 2 - 2 cos(theta) > 0 for theta not a
+    multiple of 2 pi.  The fiber elsewhere is all of R^2.  The quotient
     base is a half line: a point class of dimension 0 and a ray class of
     dimension dim(R^2) - dim(orbit) = 1.
     """
-    theta = 1.0
-    rotation = np.array([[np.cos(theta), -np.sin(theta)],
-                         [np.sin(theta), np.cos(theta)]])
-    defect = rotation - np.eye(2)
-    sigma = np.linalg.svd(defect, compute_uv=False)
-    kernel_dim = int(np.sum(sigma <= 1e-12))
-    origin_rank = kernel_dim              # invariant part of the origin fiber
+    origin_rank = 0                       # no nonzero vector is invariant
     generic_rank = 2                      # trivial stabilizer keeps everything
     origin_dim = 0
     generic_dim = 2 - 1                   # plane minus circle-orbit dimension

@@ -113,6 +113,8 @@ class VectorFieldSet:
     def __init__(self, ambient_dim: int,
                  fields: Sequence[PolynomialVectorField], sample_points):
         self.ambient_dim = int(ambient_dim)
+        if self.ambient_dim < 1:
+            raise ValueError("ambient_dim must be positive")
         fields = list(fields)
         if not fields:
             raise ValueError("need at least one vector field")

@@ -6,6 +6,8 @@ comparisons between subspaces go through their projections: the gap
 metric is the operator norm of the projection difference, containment
 is a one-multiply residual test, and limits of subspace sequences are
 detected by a Cauchy criterion on the tail of the projection sequence.
+Each of these norms is ``opnorm``, which takes one matrix or a stack of
+them, all tail pairs of a sequence at once.
 """
 
 from __future__ import annotations
@@ -32,12 +34,14 @@ __all__ = [
 ]
 
 
-def opnorm(a) -> float:
-    """Operator (spectral) norm, defined as 0 for zero-size matrices."""
+def opnorm(a):
+    """Operator (spectral) norm of a matrix, as a float, or of each matrix
+    of a stack ``(..., m, n)``: the largest singular value, 0 for a
+    zero-size matrix."""
     a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
+    norms = (np.zeros(a.shape[:-2]) if 0 in a.shape[-2:]
+             else np.linalg.norm(a, 2, axis=(-2, -1)))
+    return float(norms) if a.ndim == 2 else norms
 
 
 def opnorms(mats) -> np.ndarray:
@@ -68,14 +72,19 @@ def opnorms(mats) -> np.ndarray:
                     np.nan)
 
 
+def _runs(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal values of the sorted ``keys`` starts."""
+    new = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return new.nonzero()[0]
+
+
 def _distinct(a) -> np.ndarray:
     """The distinct values of an integer array, ascending and flat, as
-    ``np.unique`` gives them: one sort and a test of neighbours, without
+    ``np.unique`` gives them: one sort and the first of each run, without
     the hash path and the ``numpy.ma`` import of ``np.unique``."""
     a = np.sort(a, axis=None)
-    keep = np.ones(a.size, dtype=bool)
-    np.not_equal(a[1:], a[:-1], out=keep[1:])
-    return a[keep]
+    return a[_runs(a)]
 
 
 def orthonormal_rows(bases, tol: float = TOL_ORTHO) -> np.ndarray:
@@ -200,9 +209,7 @@ def gap_distance(a: Subspace, b: Subspace) -> float:
     """Operator-norm distance between projections, ``||P_a - P_b||_2``."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("gap_distance requires equal ambient dimensions")
-    if a.ambient_dim == 0:
-        return 0.0
-    return float(np.linalg.norm(a.projection - b.projection, 2))
+    return opnorm(a.projection - b.projection)
 
 
 def is_contained(w: Subspace, v: Subspace, tol: float = TOL_CHECK) -> bool:
@@ -216,9 +223,7 @@ def containment_residual(w: Subspace, v: Subspace,
     """Containment test plus the residual it was decided on."""
     if w.ambient_dim != v.ambient_dim:
         raise ValueError("containment requires equal ambient dimensions")
-    if w.ambient_dim == 0:
-        return True, 0.0
-    residual = float(np.linalg.norm(v.projection @ w.projection - w.projection, 2))
+    residual = opnorm(v.projection @ w.projection - w.projection)
     return residual <= tol, residual
 
 
@@ -241,11 +246,7 @@ def sequence_limit(seq: Sequence[Subspace], tol: float = TOL_CHECK,
         raise ValueError("mixed ambient dimensions in sequence")
     proj = np.stack([w.projection for w in tail])
     i, j = np.triu_indices(len(tail), 1)
-    if i.size and proj.shape[-1]:
-        gaps = np.linalg.norm(proj[i] - proj[j], 2, axis=(-2, -1))
-        if (gaps > tol).any():
-            return None
-    return tail[-1]
+    return None if (opnorm(proj[i] - proj[j]) > tol).any() else tail[-1]
 
 
 def apply_linear_map(m, w: Subspace, tol_rank: float = TOL_RANK) -> Subspace:

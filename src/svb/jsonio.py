@@ -440,10 +440,9 @@ def _stacked_fibers(base, k, fibers, path):
     all-boolean, which only its own parse rejects."""
     if k < 0:  # as_basis rejects it even for a rank-0 basis
         return None
-    where, total = {}, 0
-    for s in base.strata:
-        where[s.name] = (total, len(s))
-        total += len(s)
+    where = {s.name: (a, len(s))
+             for s, a in zip(base.strata, base._bounds.tolist())}
+    total = len(base._owner)
     if len(fibers) != total:
         return None
     slots, ranks, rows = [], [], []
@@ -468,9 +467,8 @@ def _stacked_fibers(base, k, fibers, path):
     entry[slots] = np.arange(total)
     if (entry < 0).any():  # a point hit twice leaves another one unhit
         return None
-    firsts, sizes = zip(*where.values())
     point_rank = ranks[entry]
-    if (point_rank != np.repeat(point_rank[list(firsts)], sizes)).any():
+    if (point_rank != point_rank[base._bounds[base._owner]]).any():
         return None
     try:
         cloud = _matrix(rows, path) if rows else np.empty((0, k))

@@ -6,7 +6,8 @@ times and a finite set of points.  The audits check the monoid axioms
 phi(e) = d/dt h_t(e) at t = 0 by Richardson-refined central differences,
 and classify regularity: phi vanishes exactly on the fixed set of h_0.
 For regular actions the fibers of the encoded vector bundle are
-recovered as spans of phi over h_0-clusters.
+recovered as spans of phi over h_0-clusters, all found by one
+``near_pairs`` radius query and spanned by one SVD stack per size.
 
 Evaluators are restricted to named built-ins and polynomial coefficient
 tables so that action files are reproducible across implementations.
@@ -24,9 +25,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import CLUSTER_RADIUS, STEP, TOL_CHECK
+from .config import CLUSTER_RADIUS, STEP, TOL_CHECK, TOL_RANK
 from .foliation import evaluate_terms, parse_terms
-from .grassmann import Subspace, span
+from .grassmann import Subspace, _distinct, _runs, _span_rank
+from .strata import near_pairs
 
 _EPS = float(np.finfo(float).eps)
 # Evaluations and residuals may overflow; the non-finite checks below
@@ -351,7 +353,8 @@ def reconstruct_bundle(a: MonoidActionSample, base_samples,
                        cluster_radius: float = CLUSTER_RADIUS
                        ) -> VerticalFragment:
     """Recover fibers of a regular action: over each base point, the span
-    of the vertical derivatives of the samples its h_0-image clusters to."""
+    of the vertical derivatives of the samples its h_0-image clusters to,
+    by one ``near_pairs`` pass and one SVD stack per cluster size."""
     _check_positive("cluster_radius", cluster_radius)
     report, phis, images = _classify(a, tol, step)
     if not report:
@@ -361,11 +364,17 @@ def reconstruct_bundle(a: MonoidActionSample, base_samples,
     base = np.atleast_2d(np.asarray(base_samples, dtype=float))
     if base.shape[1] != a.ambient_dim:
         raise ValueError("base samples have the wrong ambient dimension")
-    fibers = []
-    for b in base:
-        dists = np.linalg.norm(images - b, axis=1)
-        members = [phis[i] for i in np.nonzero(dists <= cluster_radius)[0]]
-        fibers.append(span(members, a.ambient_dim) if members
-                      else Subspace.zero(a.ambient_dim))
+    m, n = a.ambient_dim, len(images)
+    at, member = np.divmod(np.sort(np.concatenate([np.empty(0, np.intp)] + [
+        i * n + j for i, j, _ in near_pairs(base, images, cluster_radius)])), n)
+    starts = _runs(at)
+    size = np.diff(starts, append=len(at))
+    fibers = [Subspace.zero(m)] * len(base)
+    for count in _distinct(size).tolist():
+        first = starts[size == count]
+        vh, rank = _span_rank(phis[member[first[:, None] + np.arange(count)]],
+                              TOL_RANK, 0.0)
+        for p, v, r in zip(at[first].tolist(), vh, rank.tolist()):
+            fibers[p] = Subspace(m, v[:r])
     return VerticalFragment(base_points=base, fibers=tuple(fibers),
                             ranks=tuple(f.dim for f in fibers))

@@ -8,6 +8,10 @@ the requested resolution).  ``local_finiteness_report`` counts how many
 strata crowd each sample point, the finite surrogate for local
 finiteness.
 
+A ``Stratification`` stacks its strata into one cloud, with the stratum
+of each row and the first row of each stratum, which every caller that
+needs a stratum's rows reads.
+
 Strata share a sample point when two rows are equal, which one sort
 decides.  Every other cloud distance is needed only up to a known radius
 (``eps_touch``, ``radius``, ``r_cc``), so all of them come from one
@@ -40,7 +44,7 @@ from typing import Callable, Hashable, Iterable, Optional, Sequence
 import numpy as np
 
 from .config import MAX_LOCAL_STRATA, TOL_RANK
-from .grassmann import _distinct, span
+from .grassmann import _distinct, _runs, span
 
 __all__ = [
     "Stratum",
@@ -153,8 +157,9 @@ class Stratification:
         self.ambient_dim = ambient
         self.strata = strata
         self._cloud = np.concatenate([st.points for st in strata])
-        self._owner = np.repeat(np.arange(len(strata)),
-                                [len(st) for st in strata])
+        sizes = [len(st) for st in strata]
+        self._owner = np.repeat(np.arange(len(strata)), sizes)
+        self._bounds = np.cumsum([0, *sizes])  # s: rows _bounds[s:s + 2]
         if (far := _first_far(self._cloud)) >= 0:
             raise ValueError(f"stratum {strata[self._owner[far]].name!r} has "
                              "a sample coordinate beyond ±2^500")
@@ -394,13 +399,6 @@ def _offsets(g: int) -> np.ndarray:
     return offsets
 
 
-def _runs(keys: np.ndarray) -> np.ndarray:
-    """Where each run of equal values of the sorted ``keys`` starts."""
-    new = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    return new.nonzero()[0]
-
-
 def _inverse(order: np.ndarray) -> np.ndarray:
     """The inverse of the permutation ``order``."""
     inverse = np.empty_like(order)
@@ -426,6 +424,8 @@ def _cloud(points, radius: float) -> np.ndarray:
         raise ValueError("radius must be positive")
     if _first_far(pts) >= 0:
         raise ValueError("sample points must be finite and within ±2^500")
+    if not pts.shape[1]:
+        raise ValueError("sample points need at least one coordinate")
     return pts
 
 
@@ -448,7 +448,7 @@ def graph_components(n: int, edges) -> list[list[int]]:
             while not np.array_equal(root[root], root):
                 root = root[root]
     order = np.argsort(root, kind="stable")
-    cuts = np.flatnonzero(np.diff(root[order])) + 1
+    cuts = _runs(root[order])[1:]
     return [c.tolist() for c in np.split(order, cuts) if c.size]
 
 
@@ -652,8 +652,7 @@ def check_frontier(s: Stratification, eps_touch: Optional[float] = None,
         raise ValueError("eps_touch and delta_cover must be positive")
 
     n, owner = len(s.strata), s._owner
-    size = np.bincount(owner, minlength=n)
-    first = np.cumsum(size) - size
+    first, size = s._bounds[:-1], np.diff(s._bounds)
     grid = _Grid(s._cloud, eps_touch)
     kept = []
     for chunk in grid.near(first):
@@ -743,7 +742,7 @@ def local_finiteness_report(s: Stratification, radius: float,
     for i, j, _ in near_pairs(s._cloud, s._cloud, radius):
         near += np.bincount(_distinct(i * n + owner[j]) // n,
                             minlength=len(owner))
-    local = np.arange(len(owner)) - np.searchsorted(owner, owner)
+    local = np.arange(len(owner)) - s._bounds[owner]
     counts = tuple(zip(np.array(s.names, dtype=object)[owner].tolist(),
                        local.tolist(), near.tolist()))
     flagged = tuple(counts[p]

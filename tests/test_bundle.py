@@ -127,14 +127,8 @@ class TestWhitneyACheck:
         assert verdict.status == "PASS"
 
     def test_alternating_fibers_inconclusive(self):
-        b = cone_bundle("pass")
-        fibers = {key: b.fiber(key) for key in b.point_keys()}
-        stratum = b.base.stratum("S+")
-        for i in range(len(stratum)):
-            fibers[("S+", i)] = span([(1.0, 0.0)], 2) if i % 2 else \
-                span([(0.0, 1.0)], 2)
-        flip = SampledStratifiedBundle(b.base, 2, fibers, b.stratum_rank)
-        verdict = whitney_a_check(flip, cone_scenario(), tol=1e-2, tail_len=4)
+        verdict = whitney_a_check(alternating_cone(), cone_scenario(),
+                                  tol=1e-2, tail_len=4)
         assert verdict.status == "INCONCLUSIVE"
 
     def test_unknown_scenario_points_raise(self):
@@ -149,6 +143,18 @@ class TestWhitneyACheck:
         sc = ConvergenceScenario("S0", "S+", 0, (40, 39, 1, 38))
         with pytest.raises(ValueError, match="monotonically"):
             whitney_a_check(cone_bundle("pass"), sc, tail_len=4)
+
+
+def alternating_cone():
+    """The passing cone with the fibers over S+ alternating between the
+    two axes, so that no fiber sequence toward the origin has a limit."""
+    b = cone_bundle("pass")
+    fibers = {key: b.fiber(key) for key in b.point_keys()}
+    stratum = b.base.stratum("S+")
+    for i in range(len(stratum)):
+        fibers[("S+", i)] = span([(1.0, 0.0)], 2) if i % 2 else \
+            span([(0.0, 1.0)], 2)
+    return SampledStratifiedBundle(b.base, 2, fibers, b.stratum_rank)
 
 
 def _parent_whitney(b, sc, tol, tail_len):
@@ -218,6 +224,23 @@ class TestWhitneyFromSections:
                                           tol=1e-8, tail_len=5)
         assert verdict.status == "FAIL"
         assert verdict.residual == pytest.approx(1.0, abs=1e-6)
+
+    def test_no_limit_is_inconclusive(self):
+        # Sections along the fibers themselves: in the fibers, spanning
+        # the fiber over the origin, with no limit along the tail.
+        b = alternating_cone()
+        sections = [{name: stack[:, 0] for name, stack in b.stacks.items()}]
+        verdict = whitney_a_from_sections(b, sections, cone_scenario(),
+                                          tol=1e-2, tail_len=4)
+        assert verdict.status == "INCONCLUSIVE"
+        assert (verdict.residual, verdict.limit) == (None, None)
+        assert verdict.section_residuals == ()
+        sections[0]["S+"] = sections[0]["S+"] @ np.array([[0.0, 1.0],
+                                                          [1.0, 0.0]])
+        with pytest.raises(ValueError, match=re.escape(
+                "section 0 leaves the fiber at point ('S+', 0)")):
+            whitney_a_from_sections(b, sections, cone_scenario(), tol=1e-2,
+                                    tail_len=4)
 
     def test_section_outside_fiber_raises(self):
         b = cone_bundle("pass")

@@ -630,6 +630,126 @@ class TestNonFiniteInput:
                                 "digits is out of range\n")
 
 
+class TestErrorTexts:
+    """Each input error is one stderr line, the library's message with no
+    quotes around it, and exit 1."""
+
+    @staticmethod
+    def whitney(*argv):
+        return ["check", "whitney-a", "--bundle", fx("cone_pass.json"),
+                *argv]
+
+    @staticmethod
+    def auto(spec, *argv):
+        return TestErrorTexts.whitney("--auto-sequence", spec, *argv)
+
+    @staticmethod
+    def scenario(tmp_path, **edit):
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps(dict(read_json(fx("cone_scenario.json")),
+                                        **edit)))
+        return str(path)
+
+    @staticmethod
+    def one_sample(tmp_path):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(dict(read_json(fx("fields_line.json")),
+                                        samples=[[0.0]])))
+        return str(path)
+
+    @pytest.mark.parametrize("argv, error", [
+        (lambda tmp: TestErrorTexts.whitney(
+            "--scenario", TestErrorTexts.scenario(tmp, x0_index=7)),
+         "scenario: point index 7 out of range for stratum 'S0'"),
+        (lambda tmp: TestErrorTexts.whitney(
+            "--scenario", TestErrorTexts.scenario(tmp, S="ghost")),
+         "scenario: no stratum named 'ghost'"),
+        (lambda tmp: TestErrorTexts.auto("radial:nope[0],3",
+                                         "--source-stratum", "S+"),
+         "no stratum named 'nope'"),
+        (lambda tmp: TestErrorTexts.auto("radial:S0[0],3",
+                                         "--source-stratum", "nope"),
+         "no stratum named 'nope'"),
+        (lambda tmp: TestErrorTexts.auto("radial:S0[4],3",
+                                         "--source-stratum", "S+"),
+         "point index 4 out of range for stratum 'S0'"),
+        (lambda tmp: ["foliation", "bundle", "--fields",
+                      TestErrorTexts.one_sample(tmp), "--scenario",
+                      fx("fol_line_scenario.json")],
+         "scenario: no stratum named 'rank1_c1'"),
+        (lambda tmp: TestErrorTexts.whitney(),
+         "check whitney-a needs --scenario or --auto-sequence"),
+        (lambda tmp: TestErrorTexts.auto("radial:S0[0]",
+                                         "--source-stratum", "S+"),
+         "--auto-sequence 'radial:S0[0]' does not match radial:S[i],count"),
+        (lambda tmp: TestErrorTexts.auto("radial:S0[0],3"),
+         "--auto-sequence needs --source-stratum"),
+        (lambda tmp: TestErrorTexts.auto("radial:S0[0],0",
+                                         "--source-stratum", "S+"),
+         "auto-sequence count 0 out of range"),
+        (lambda tmp: TestErrorTexts.auto("radial:S0[0],42",
+                                         "--source-stratum", "S+"),
+         "auto-sequence count 42 out of range"),
+    ], ids=["x0-index", "scenario-stratum", "auto-target", "auto-source",
+            "auto-index", "sections-stratum", "no-scenario", "auto-spec",
+            "auto-no-source", "auto-count-zero", "auto-count-above"])
+    def test_stderr_line(self, capsys, tmp_path, argv, error):
+        code = main(argv(tmp_path))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"svb: error: {error}\n"
+
+    def test_auto_count_at_source_size_runs(self, capsys):
+        code, out = run(capsys, *self.auto("radial:S0[0],41",
+                                           "--source-stratum", "S+"))
+        assert code == 0
+        whitney = json.loads(out)["checks"][1]
+        assert len(whitney["scenario"]["sequence_indices"]) == 41
+
+    @pytest.mark.parametrize("verb", ["stratify", "bundle"])
+    def test_fields_without_coordinates(self, capsys, tmp_path, verb):
+        path = tmp_path / "fields.json"
+        path.write_text(json.dumps({
+            "schema": "svb/1", "ambient": 0, "samples": [[]],
+            "fields": [{"coeffs": [{"powers": [], "vector": []}]}]}))
+        code = main(["foliation", verb, "--fields", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "svb: error: $: ambient_dim must be positive\n"
+
+
+class TestCheckingReportOut:
+    """A checking verb writes its report to --out instead of stdout."""
+
+    @pytest.mark.parametrize("bundle, code", [("cone_pass.json", 0),
+                                              ("cone_fail.json", 2)],
+                             ids=["pass", "fail"])
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_report_goes_to_the_file(self, capsys, tmp_path, bundle, code,
+                                     fmt):
+        argv = ["check", "whitney-a", "--bundle", fx(bundle), "--scenario",
+                fx("cone_scenario.json"), "--format", fmt, "--no-timestamp"]
+        want_code, want = run(capsys, *argv)
+        out = tmp_path / "report.out"
+        got_code, stdout = run(capsys, *argv, "--out", str(out))
+        assert (want_code, got_code) == (code, code)
+        assert stdout == ""
+        assert out.read_text(encoding="utf-8") == want
+
+    def test_text_residual_line(self, capsys):
+        code, out = run(capsys, "check", "whitney-a",
+                        "--bundle", fx("cone_fail.json"),
+                        "--scenario", fx("cone_scenario.json"),
+                        "--format", "text", "--no-timestamp")
+        assert code == 2
+        assert out == ("command: check whitney-a\n"
+                       "CHECK validate-bundle: PASS\n"
+                       "CHECK whitney-a: FAIL (residual=1.000e+00)\n"
+                       "overall: FAIL\n")
+
+
 class TestVerbs:
     def test_frontier_pass(self, capsys):
         code, out = run(capsys, "check", "frontier",

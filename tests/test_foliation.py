@@ -21,7 +21,7 @@ from svb.foliation import (
     stratify_by_rank,
 )
 from svb.grassmann import gap_distance, span
-from svb.jsonio import fields_from_json, fields_to_json
+from svb.jsonio import SchemaError, fields_from_json, fields_to_json
 from svb.monoid import MonoidActionSample
 from svb.strata import check_frontier, partition_by_label
 
@@ -314,6 +314,37 @@ class TestTermValidation:
         np.testing.assert_array_equal(field.evaluate([[3.0]]), [[9.0]])
         assert self.action(list(np.array([1, 1]))).evaluate(
             2.0, np.array([[3.0]])).tolist() == [[6.0]]
+
+
+class TestVectorFieldSetInput:
+    FIELD = PolynomialVectorField(1, [{"powers": [1], "vector": [1.0]}])
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda f: VectorFieldSet(0, [PolynomialVectorField(
+            0, [{"powers": [], "vector": []}])], [[]]),
+         "ambient_dim must be positive"),
+        (lambda f: VectorFieldSet(-1, [f], [[0.0]]),
+         "ambient_dim must be positive"),
+        (lambda f: VectorFieldSet(1, [], [[0.0]]),
+         "need at least one vector field"),
+        (lambda f: VectorFieldSet(2, [f], [[0.0, 0.0]]),
+         "field ambient dimension mismatch"),
+        (lambda f: VectorFieldSet(1, [f], [[0.0, 1.0]]),
+         "sample points have the wrong ambient dimension"),
+        (lambda f: VectorFieldSet(1, [f], np.zeros((0, 1))),
+         "need at least one sample point"),
+    ], ids=["ambient-zero", "ambient-negative", "no-fields",
+            "field-ambient", "sample-width", "no-samples"])
+    def test_constructor_rejects(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(self.FIELD)
+
+    def test_reader_rejects_ambient_zero(self):
+        obj = {"schema": "svb/1", "ambient": 0, "samples": [[]],
+               "fields": [{"coeffs": [{"powers": [], "vector": []}]}]}
+        with pytest.raises(SchemaError,
+                           match=r"^\$: ambient_dim must be positive$"):
+            fields_from_json(obj)
 
 
 class TestJsonRoundTrip:

@@ -6,12 +6,14 @@ from hypothesis import strategies as st
 from svb.grassmann import (
     Subspace,
     _distinct,
+    _runs,
     apply_linear_map,
     containment_residual,
     gap_distance,
     intersection,
     intersections,
     is_contained,
+    opnorm,
     opnorms,
     sequence_limit,
     span,
@@ -76,6 +78,51 @@ class TestOpnorms:
         assert np.isnan(out[1])
         np.testing.assert_allclose(out[[0, 2]], self.reference(mats[[0, 2]]),
                                    rtol=1e-14)
+
+
+class TestOpnorm:
+    """One SVD norm for a matrix or a stack of them."""
+
+    def test_matrix_is_a_float(self):
+        a = np.random.default_rng(1).standard_normal((4, 6))
+        got = opnorm(a)
+        assert type(got) is float
+        assert got == np.linalg.norm(a, 2)
+        assert opnorm(a.tolist()) == got
+
+    @pytest.mark.parametrize("shape", [(7, 3, 3), (2, 5, 4, 6)])
+    def test_stack_is_per_matrix_bit_for_bit(self, shape):
+        mats = np.random.default_rng(2).standard_normal(shape)
+        got = opnorm(mats)
+        assert got.shape == shape[:-2]
+        want = [np.linalg.norm(m, 2) for m in mats.reshape(-1, *shape[-2:])]
+        assert got.ravel().tolist() == want
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_zero_size_matrix_is_zero(self, shape):
+        got = opnorm(np.zeros(shape))
+        assert type(got) is float and got == 0.0
+
+    def test_zero_size_stacks(self):
+        assert opnorm(np.zeros((4, 0, 0))).tolist() == [0.0] * 4
+        assert opnorm(np.zeros((2, 3, 0))).tolist() == [0.0] * 2
+        assert opnorm(np.zeros((0, 3, 3))).shape == (0,)
+
+    def test_ambient_zero_subspaces(self):
+        zero = Subspace.zero(0)
+        assert gap_distance(zero, zero) == 0.0
+        assert containment_residual(zero, zero, 1e-9) == (True, 0.0)
+        assert sequence_limit([zero] * 3, tail_len=3) is zero
+        assert sequence_limit([line(1, 0)], tail_len=1) is not None
+
+
+class TestRuns:
+    @pytest.mark.parametrize("keys, starts", [
+        ([], []), ([4], [0]), ([1, 1, 1], [0]), ([-2, 0, 0, 3, 3, 3, 9],
+                                                  [0, 1, 3, 6])],
+        ids=["empty", "one", "one-run", "several"])
+    def test_run_starts(self, keys, starts):
+        assert _runs(np.array(keys, dtype=np.int64)).tolist() == starts
 
 
 class TestDistinct:

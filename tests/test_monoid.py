@@ -7,17 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import svb.monoid
+from svb.bundle import trivial_bundle
+from svb.config import CLUSTER_RADIUS
 from svb.fixtures import bundle_scalar_action, cone_bundle, step_rank_bundle
-from svb.grassmann import gap_distance, span
+from svb.grassmann import Subspace, gap_distance, span
 from svb.jsonio import action_from_json, read_json
 from svb.monoid import (
     MonoidActionSample,
+    _classify,
     _norms,
     audit_axioms,
     reconstruct_bundle,
     regularity_check,
     vertical_derivative,
 )
+from svb.strata import Stratification, Stratum
 
 R2_SAMPLES = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 4.0], [-1.0, 0.5],
                        [0.0, 0.0]])
@@ -42,6 +47,27 @@ class TestConstruction:
     def test_unknown_builtin(self):
         with pytest.raises(ValueError, match="builtin"):
             MonoidActionSample.builtin("warp", 1, R1_SAMPLES)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: MonoidActionSample.builtin("scalar", 0, [[]]),
+         "ambient_dim must be positive"),
+        (lambda: MonoidActionSample(1, {"kind": "warp"}, R1_SAMPLES, (0, 1)),
+         "action kind must be 'builtin' or 'polynomial'"),
+        (lambda: MonoidActionSample.polynomial(
+            [[{"powers": [1, 1], "coef": 1.0}]], 2, R2_SAMPLES),
+         "expected coefficient lists for 2 output coordinates"),
+        (lambda: MonoidActionSample.builtin("scalar", 2, R1_SAMPLES),
+         "sample points have the wrong ambient dimension"),
+        (lambda: MonoidActionSample.builtin("scalar", 1, np.zeros((0, 1))),
+         "need at least one sample point"),
+        (lambda: MonoidActionSample.builtin("scalar", 1, R1_SAMPLES,
+                                            t_grid=(0.0, 0.5)),
+         "t_grid must contain both 0 and 1"),
+    ], ids=["ambient-zero", "kind", "coefficient-lists", "sample-width",
+            "no-samples", "no-one"])
+    def test_constructor_rejects(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
 
     def test_polynomial_matches_builtin(self):
         # t * e on R^1 as a coefficient table.
@@ -144,6 +170,68 @@ class TestReconstructBundle:
         with pytest.raises(ValueError, match="not regular"):
             reconstruct_bundle(action("square_scale", R1_SAMPLES),
                                [[0.0]], tol=1e-6)
+
+
+def _scan_fibers(a, base, cluster_radius):
+    """The fibers of ``reconstruct_bundle`` by one norm scan per base
+    point, each cluster spanned on its own."""
+    _, phis, images = _classify(a, 1e-8, 1e-3)
+    fibers = []
+    for b in base:
+        near = np.linalg.norm(images - b, axis=1) <= cluster_radius
+        fibers.append(span(phis[near], a.ambient_dim) if near.any()
+                      else Subspace.zero(a.ambient_dim))
+    return fibers
+
+
+def _scalar_trivial(points, seed=0):
+    rng = np.random.default_rng(seed)
+    return bundle_scalar_action(trivial_bundle(Stratification(
+        [Stratum("bulk", 2, rng.uniform(-1.0, 1.0, (points, 2)))]), 2))
+
+
+class TestClustersByNearPairs:
+    """One ``near_pairs`` pass and one SVD stack per cluster size give the
+    bases a per-point scan gives, bit for bit."""
+
+    @pytest.mark.parametrize("points", [100, 400])
+    @pytest.mark.parametrize("radius, shift", [
+        (CLUSTER_RADIUS, 0.0), (0.05, 0.0), (0.3, 0.0), (0.05, 0.03)],
+        ids=["default", "r0.05", "r0.3", "shifted"])
+    def test_bases_equal_the_scan(self, points, radius, shift):
+        a, base, _ = _scalar_trivial(points)
+        base = np.concatenate([np.asarray(base) + shift,
+                               [[5.0, 5.0, 0.0, 0.0]]])
+        frag = reconstruct_bundle(a, base, tol=1e-8, step=1e-3,
+                                  cluster_radius=radius)
+        want = _scan_fibers(a, base, radius)
+        assert frag.ranks == tuple(w.dim for w in want)
+        assert frag.ranks[-1] == 0
+        for got, w in zip(frag.fibers, want):
+            assert got.basis.shape == w.basis.shape
+            assert got.basis.tobytes() == w.basis.tobytes()
+
+    def test_one_svd_stack_per_cluster_size(self, monkeypatch):
+        a, base, _ = _scalar_trivial(100)
+        radius = 0.3
+        _, _, images = _classify(a, 1e-8, 1e-3)
+        sizes = {int((np.linalg.norm(images - b, axis=1) <= radius).sum())
+                 for b in np.asarray(base)} - {0}
+        assert len(sizes) > 3
+        calls = []
+        stack = svb.monoid._span_rank
+        monkeypatch.setattr(svb.monoid, "_span_rank",
+                            lambda m, *args: calls.append(m.shape[1])
+                            or stack(m, *args))
+        reconstruct_bundle(a, base, tol=1e-8, step=1e-3, cluster_radius=radius)
+        assert sorted(calls) == sorted(sizes)
+
+    def test_base_without_clusters(self):
+        a = action("scalar", R2_SAMPLES)
+        frag = reconstruct_bundle(a, [[9.0, 9.0], [np.nan, 0.0]],
+                                  cluster_radius=1e-9)
+        assert frag.ranks == (0, 0)
+        assert [f.basis.shape for f in frag.fibers] == [(0, 2), (0, 2)]
 
 
 @pytest.mark.parametrize("make", [lambda: cone_bundle("pass", depth=12),

@@ -79,6 +79,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match="unknown"):
             Stratification([a], closure_order=[("a", "ghost")])
 
+    def test_stratum_row_bounds(self):
+        s = Stratification([Stratum("a", 0, [[0.0]]),
+                            Stratum("b", 1, [[1.0], [2.0], [3.0]]),
+                            Stratum("c", 0, [[5.0], [6.0]])])
+        assert s._bounds.tolist() == [0, 1, 4, 6]
+        for k, st in enumerate(s.strata):
+            rows = slice(s._bounds[k], s._bounds[k + 1])
+            assert np.array_equal(s._cloud[rows], st.points)
+            assert (s._owner[rows] == k).all()
+
     def test_transitive_queries(self):
         a = Stratum("a", 0, [[0.0]])
         b = Stratum("b", 1, [[1.0]])
@@ -861,6 +871,21 @@ class TestDistanceKernel:
 
 
 class TestGraphComponents:
+    def test_no_vertices(self):
+        assert graph_components(0, [(np.array([], int), np.array([], int))]
+                                ) == []
+
+    @pytest.mark.parametrize("points", [np.zeros((3, 0)), [[]], []],
+                             ids=["three-rows", "one-row", "empty"])
+    def test_cloud_without_coordinates_rejected(self, points):
+        message = "^sample points need at least one coordinate$"
+        with pytest.raises(ValueError, match=message):
+            single_linkage_components(points, 1.0)
+        with pytest.raises(ValueError, match=message):
+            partition_by_label(points, [0] * len(points), [("s", 0)],
+                               dim=lambda label, cloud: 0,
+                               below=lambda low, high: False, r_cc=1.0)
+
     def test_scrambled_path_is_one_component(self):
         i = np.array([0, 5, 1, 4, 2])
         j = np.array([5, 1, 4, 2, 3])
