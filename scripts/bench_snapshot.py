@@ -1,57 +1,34 @@
 #!/usr/bin/env python3
-"""Record a performance snapshot of an svb checkout as ``BENCH_<n>.json``.
+"""Record a performance snapshot of an svb checkout as ``BENCH_<n>.json``,
+or compare two checkouts run by run.
 
     python3 scripts/bench_snapshot.py --out BENCH_1.json [--checkout DIR]
+    python3 scripts/bench_snapshot.py --out pairs.json --against PARENT
 
-Runs the checkout's ``perfbench/run.py`` for every workload over seeds
-1-3, 20 s each, and stores, per workload, the median and interquartile range of each
-end-to-end metric together with the run context (commit, numpy, BLAS
-and its threads, nproc).  It also times kernels at the sizes the
-benchmark's inputs hide: ``check_frontier`` and
-``local_finiteness_report`` on the Cantor stratifications of levels 6-9,
-the construction of a 3,200-point ``Stratification`` (32 clusters in
-R^3) and ``check_frontier`` on it at ``eps_touch = delta_cover = 0.05``,
-``check_frontier`` at that threshold on the 40 x 40 grid of spacing 0.01
-cut in row-major order into 400 four-sample strata (every stratum live,
-8,002 touching pairs),
-every chunk of ``near_pairs`` on 100,000 seeded uniform points of the
-unit cube in R^3 at the radius that gives about ten neighbours per
-point, ``apply_functor_to_bundle`` with sym:3 on a rank-4 trivial bundle
-over 2,000 points, reading that bundle's file (``bundle_from_json`` of
-``read_json``) and checking it in process with ``check orthogonality
---bundle --functor wedge:2``, ``check_orthogonality`` with sym:4 on a
-3-plane in R^7, ``orthogonality_residuals`` with sym:2 on 150 random
-2-planes in R^5, ``apply_to_map`` with sym:6 on 150 random 2 x 4
-matrices, and ``audit_axioms`` plus ``regularity_check`` on the
-scalar action (``bundle_scalar_action``, 300 samples in R^4) of a
-rank-2 trivial bundle over 100 points of the plane, five times each,
-and ``reconstruct_bundle`` on that action of a rank-2 trivial bundle
-over 400 seeded points of [-1, 1]^2 (1,200 samples), five times.
-``audit_axioms`` alone is timed on 20,000 uniform samples in R^3 with
-the default time grid, for the builtin ``scalar`` action and for the
-same action as a polynomial table, one call of each per timing.
-``invariant_subbundle`` of ``rotation_group(12)`` on its tangent bundle
-over 200 rings (``ring_tangent_bundle``, 2,401 points) is timed five
-times as well, and so are ``quotient_bundle`` of that group on the
-resulting tilde bundle, ``partition_by_label`` alone on that ring's
-points and orbit types at ``r_cc`` 0.25 and reading the file of the
-tilde bundle (fibers of ranks 0 and 2).  Writing bundle files
-(``write_json`` of ``bundle_to_json``) is timed five times on that tilde
-bundle and on the wedge:2 image of 150 random 2-planes in R^5, and so
-is building ``FiniteGroupAction`` of ``rotation_group(48)`` with its
-fiber action (the product table), and ``orbit_type_partition`` under the
-48 signed permutations of R^3 on the grid {-1, -0.5, 0, 0.5, 1}^3 at
-``r_cc`` 0.6 (79 strata, 118 closure pairs).  Three calls are timed warm,
-each right after one untimed call of its own, five times each: one
-in-process ``cli.main`` call of ``check frontier`` on
-``fixtures/line.json``, ``foliation_bundle`` on the 441-point grid of
-the cloud and orbits workloads, and the sym:4 ``check_orthogonality``
-again, whose first timing above includes filling its index and weight
-tables.  Seeds, run length and repeats are fixed, so that any two
-snapshots compare like with like.  Each
-measurement runs in a fresh process that imports svb from the
-checkout's ``src``, so a snapshot of an older commit only needs its
-checkout; ``--checkout`` defaults to the one holding this script.
+A snapshot runs the checkout's ``perfbench/run.py`` for every workload
+over ``SEEDS``, ``SECONDS`` each, and stores per workload the median and
+interquartile range (IQR) of each end-to-end metric and every run, with
+the run context (commit, numpy, BLAS and its threads, nproc).  Under
+``scaled`` it holds the median and minimum seconds of ``REPEATS`` timings
+of each kernel of ``scaled_timings``, run at sizes the workloads hide,
+with its problem size.  Seeds, run length and repeats are fixed, so any
+two snapshots compare like with like.
+
+``--against PARENT`` times no kernels.  For each workload and each of its
+``PAIR_SEEDS`` it runs perfbench once in PARENT and once in the checkout,
+and the side that runs first alternates from seed to seed.  Per workload
+the file holds both sides' runs (``runs``) and, per end-to-end metric of
+``BENCHMARK.json`` (only read), ``metrics``: each side's median and IQR,
+``ratio`` (the checkout's median over PARENT's), ``wins`` (the seeds on
+which the checkout did better, by the metric's ``better``) out of
+``pairs``, the ``bound``, ``beyond_bound`` (the checkout's median is
+worse by more than the bound) and ``resolved`` (the medians differ by
+more than PARENT's IQR).  The context holds each side's, plus the
+``MALLOC_*`` environment that both ran under.
+
+Each measurement runs in a fresh process that imports svb from its
+checkout's ``src``, so an older commit only needs its checkout;
+``--checkout`` defaults to the one holding this script.
 """
 
 import argparse
@@ -73,6 +50,9 @@ CONTEXT_KEYS = ("commit", "numpy", "python", "blas", "nproc", "affinity")
 SEEDS = (1, 2, 3)
 SECONDS = 20.0  # length of each perfbench run
 REPEATS = 5  # timings of each scaled kernel
+# Seeds of the --against pairs, ten where run-to-run spread is widest.
+PAIR_SEEDS = {"corpus": tuple(range(81, 86)), "cloud": tuple(range(81, 86)),
+              "fibers": tuple(range(81, 86)), "orbits": tuple(range(81, 91))}
 
 
 def parse_args(argv):
@@ -80,6 +60,9 @@ def parse_args(argv):
     parser.add_argument("--out", required=True, help="snapshot file to write")
     parser.add_argument("--checkout", default=HERE,
                         help="svb checkout to measure (default: this one)")
+    parser.add_argument("--against", metavar="PARENT",
+                        help="compare with the svb checkout PARENT, "
+                        "alternating the sides seed by seed")
     parser.add_argument("--scaled", action="store_true",
                         help=argparse.SUPPRESS)  # the child-process mode
     return parser.parse_args(argv)
@@ -106,6 +89,84 @@ def perfbench(checkout, workload, seed):
     result = json.loads(lines[-1])
     metrics = {name: result["metrics"][name]["value"] for name in METRICS}
     return metrics, context
+
+
+def pair_order(seeds):
+    """``(seed, sides)`` for each seed, ``sides`` the order in which the
+    two checkouts run it: the parent first on the first seed, and then on
+    every other one."""
+    sides = ("parent", "change")
+    return [(seed, sides if k % 2 == 0 else sides[::-1])
+            for k, seed in enumerate(seeds)]
+
+
+def summarize(runs, end_to_end):
+    """Per metric of ``end_to_end`` (the list in ``BENCHMARK.json``), the
+    comparison of ``runs["change"]`` with ``runs["parent"]``, whose k-th
+    runs share a seed."""
+    out = {}
+    for spec in end_to_end:
+        name, sign = spec["name"], 1 if spec["better"] == "higher" else -1
+        parent = [run[name] for run in runs["parent"]]
+        change = [run[name] for run in runs["change"]]
+        (p_median, p_iqr), (c_median, c_iqr) = spread(parent), spread(change)
+        out[name] = {
+            "parent": {"median": p_median, "iqr": p_iqr},
+            "change": {"median": c_median, "iqr": c_iqr},
+            "ratio": c_median / p_median if p_median else None,
+            "wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+            "pairs": len(parent), "better": spec["better"],
+            "bound": spec["bound"],
+            "beyond_bound": sign * (p_median - c_median)
+            > spec["bound"] * abs(p_median),
+            "resolved": abs(c_median - p_median) > p_iqr}
+    return out
+
+
+def compare(parent, checkout):
+    """Both checkouts' perfbench runs on the seeds of ``PAIR_SEEDS``,
+    with their summary per workload and metric."""
+    with open(os.path.join(checkout, "BENCHMARK.json"),
+              encoding="utf-8") as fh:
+        end_to_end = json.load(fh)["end_to_end"]
+    where = {"parent": parent, "change": checkout}
+    workloads, contexts = {}, {}
+    for workload in WORKLOADS:
+        runs = {"parent": [], "change": []}
+        for seed, sides in pair_order(PAIR_SEEDS[workload]):
+            for side in sides:
+                metrics, ctx = perfbench(where[side], workload, seed)
+                contexts.setdefault(side, dict(
+                    {key: ctx.get(key) for key in CONTEXT_KEYS},
+                    checkout=where[side],
+                    src_modified=src_modified(where[side])))
+                runs[side].append(dict(metrics, seed=seed,
+                                       first=side == sides[0],
+                                       fail_ratio=ctx["fail_ratio"]))
+                print(f"{workload} seed={seed} {side} ops_per_s="
+                      f"{metrics['ops_per_s']:.4g}", file=sys.stderr)
+        metrics = summarize(runs, end_to_end)
+        workloads[workload] = {
+            "metrics": metrics, "runs": runs,
+            "fail_ratio": {side: max(run["fail_ratio"] for run in side_runs)
+                           for side, side_runs in runs.items()}}
+        for name, m in metrics.items():
+            print(f"{workload} {name}: {m['parent']['median']:.4g} "
+                  f"[{m['parent']['iqr']:.2g}] -> "
+                  f"{m['change']['median']:.4g} [{m['change']['iqr']:.2g}],"
+                  f" ratio {m['ratio'] and round(m['ratio'], 3)}, "
+                  f"wins {m['wins']}/{m['pairs']}", file=sys.stderr)
+    context = dict(contexts, seconds=SECONDS,
+                   seeds={w: list(seeds) for w, seeds in PAIR_SEEDS.items()},
+                   malloc={key: value for key, value in os.environ.items()
+                           if key.startswith("MALLOC_")})
+    return {"context": context, "workloads": workloads}
+
+
+def write(snapshot, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(snapshot, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def src_modified(checkout):
@@ -346,6 +407,9 @@ def main(argv=None) -> int:
     if args.scaled:
         print(json.dumps(scaled_timings(checkout)))
         return 0
+    if args.against:
+        write(compare(os.path.abspath(args.against), checkout), args.out)
+        return 0
 
     workloads = {}
     context = None
@@ -373,9 +437,7 @@ def main(argv=None) -> int:
                                 src_modified=src_modified(checkout)),
                 "workloads": workloads,
                 "scaled": json.loads(done.stdout)}
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(snapshot, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write(snapshot, args.out)
     return 0
 
 

@@ -7,6 +7,10 @@ checked along user-declared convergence scenarios: the limit of the
 fibers over the sequence, when the projection tail is Cauchy, must
 contain the fiber at the limit point.  Covariant orthogonalizable
 functors act fibrewise on bundles.
+
+Per-point bases become one stack per stratum in one place,
+``_gather_stacks``: the constructor's keyed fibers and the invariant
+and quotient bundles of ``equivariant`` all go through it.
 """
 
 from __future__ import annotations
@@ -57,35 +61,46 @@ def failing_fibers(stacks: Mapping[str, np.ndarray],
             for i in np.flatnonzero(~orthonormal_rows(stack, tol_ortho))]
 
 
+def _gather_stacks(base: Stratification, members,
+                   bases: Sequence[np.ndarray]) -> dict[str, np.ndarray]:
+    """Each stratum's stack of the ``bases[p]`` of its ``members`` p, in
+    order; ValueError at its first point of another rank than its first."""
+    stacks = {}
+    for s, local in zip(base.strata, members):
+        ranks = [len(bases[p]) for p in local]
+        if j := next((j for j, r in enumerate(ranks) if r != ranks[0]), 0):
+            raise ValueError(
+                f"fiber over {(s.name, j)} has rank {ranks[j]}, the fiber "
+                f"over {(s.name, 0)} has rank {ranks[0]}")
+        stacks[s.name] = np.stack([bases[p] for p in local])
+    return stacks
+
+
 class SampledStratifiedBundle:
     """Fibers over every sample point of a stratified base, held as one
     read-only basis stack ``stacks[name]``, ``(n_i, r_i, k)`` in point
     order, per stratum: one rank per stratum and one R^k by shape.  The
     constructor stacks audited :class:`Subspace` objects, keyed by point:
-    KeyError at a point without a fiber, ValueError at a fiber outside
-    R^fiber_ambient or of another rank than its stratum's first."""
+    KeyError at a point without a fiber and ValueError at a fiber outside
+    R^fiber_ambient, checked at every point first, then ValueError at a
+    fiber of another rank than its stratum's first (``_gather_stacks``)."""
 
     def __init__(self, base: Stratification, fiber_ambient: int,
                  fibers: Mapping[PointKey, Subspace],
                  stratum_rank: Mapping[str, int]):
         bases = {(str(s), int(i)): w.basis for (s, i), w in fibers.items()}
-        stacks = {}
-        for s in base.strata:
-            rows = []
-            for key in ((s.name, i) for i in range(len(s))):
-                if key not in bases:
-                    raise KeyError(f"missing fiber over point {key}")
-                rows.append(basis := bases[key])
-                if basis.shape[1] != fiber_ambient:
-                    raise ValueError(
-                        f"fiber over {key} has ambient {basis.shape[1]}, "
-                        f"bundle declares {fiber_ambient}")
-                if len(basis) != len(rows[0]):
-                    raise ValueError(
-                        f"fiber over {key} has rank {len(basis)}, the fiber "
-                        f"over {(s.name, 0)} has rank {len(rows[0])}")
-            stacks[s.name] = np.stack(rows)
-        self._hold(base, fiber_ambient, stacks, stratum_rank)
+        rows = []
+        for key in ((s.name, i) for s in base.strata for i in range(len(s))):
+            if key not in bases:
+                raise KeyError(f"missing fiber over point {key}")
+            rows.append(basis := bases[key])
+            if basis.shape[1] != fiber_ambient:
+                raise ValueError(
+                    f"fiber over {key} has ambient {basis.shape[1]}, "
+                    f"bundle declares {fiber_ambient}")
+        bounds = base._bounds.tolist()
+        self._hold(base, fiber_ambient, _gather_stacks(
+            base, map(range, bounds, bounds[1:]), rows), stratum_rank)
 
     @classmethod
     def from_stacks(cls, base: Stratification, fiber_ambient: int,

@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bundle import SampledStratifiedBundle
+from .bundle import SampledStratifiedBundle, _gather_stacks
 from .config import R_CC, TOL_CHECK
 from .grassmann import Subspace, _distinct, _runs, intersections, opnorm, span
 from .strata import (
@@ -414,21 +414,6 @@ def _equivariance_gaps(g: FiniteGroupAction, b: SampledStratifiedBundle,
     return _symmetric_norm(_equivariance_defects(g, b, perms))
 
 
-def _gather_stacks(base: Stratification, members,
-                   bases: Sequence[np.ndarray]) -> dict[str, np.ndarray]:
-    """Each stratum's stack of the ``bases[p]`` of its ``members`` p, in
-    order; ValueError at its first point of another rank than its first."""
-    stacks = {}
-    for s, local in zip(base.strata, members):
-        ranks = [len(bases[p]) for p in local]
-        if j := next((j for j, r in enumerate(ranks) if r != ranks[0]), 0):
-            raise ValueError(
-                f"fiber over {(s.name, j)} has rank {ranks[j]}, the fiber "
-                f"over {(s.name, 0)} has rank {ranks[0]}")
-        stacks[s.name] = np.stack([bases[p] for p in local])
-    return stacks
-
-
 def invariant_subbundle(g: FiniteGroupAction, b: SampledStratifiedBundle,
                         tol: float = TOL_CHECK,
                         r_cc: float = R_CC) -> SampledStratifiedBundle:
@@ -547,15 +532,9 @@ def circle_action_on_plane_report() -> CircleActionReport:
     is 0 because det(R(theta) - I) = 2 - 2 cos(theta) > 0 for theta not a
     multiple of 2 pi.  The fiber elsewhere is all of R^2.  The quotient
     base is a half line: a point class of dimension 0 and a ray class of
-    dimension dim(R^2) - dim(orbit) = 1.
+    dimension dim(R^2) - dim(orbit) = 1, so the ray class's rank 2 and
+    dimension 1 differ: the bundles are not isomorphic.
     """
-    origin_rank = 0                       # no nonzero vector is invariant
-    generic_rank = 2                      # trivial stabilizer keeps everything
-    origin_dim = 0
-    generic_dim = 2 - 1                   # plane minus circle-orbit dimension
-    quotient_ranks = {"origin": origin_rank, "generic": generic_rank}
-    tangent_ranks = {"origin": origin_dim, "generic": generic_dim}
-    return CircleActionReport(
-        quotient_ranks=quotient_ranks,
-        tangent_ranks=tangent_ranks,
-        isomorphic=quotient_ranks == tangent_ranks)
+    return CircleActionReport(quotient_ranks={"origin": 0, "generic": 2},
+                              tangent_ranks={"origin": 0, "generic": 1},
+                              isomorphic=False)

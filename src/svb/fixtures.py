@@ -13,7 +13,7 @@ import numpy as np
 from .bundle import ConvergenceScenario, SampledStratifiedBundle, trivial_bundle
 from .equivariant import FiniteGroupAction
 from .foliation import PolynomialVectorField, VectorFieldSet
-from .grassmann import Subspace, span
+from .grassmann import span
 from .monoid import MonoidActionSample
 from .strata import Stratification, Stratum
 
@@ -125,6 +125,17 @@ def cantor_stratification(level: int) -> Stratification:
 # ---------------------------------------------------------------------------
 # Bundle fixtures.
 
+def _line_bundle(base: Stratification, k: int, fiber_at, origin,
+                 ranks) -> SampledStratifiedBundle:
+    """The bundle in R^k over a line base whose fiber over each sample x
+    of S+ and S- is the span of the rows ``fiber_at(x)``, and over the
+    origin S0 the span of the rows ``origin``."""
+    fibers = {(s.name, i): span(fiber_at(x), k) for s in base.strata[1:]
+              for i, x in enumerate(s.points[:, 0].tolist())}
+    fibers[("S0", 0)] = span(origin, k)
+    return SampledStratifiedBundle(base, k, fibers, ranks)
+
+
 def cone_bundle(variant: str = "pass", depth: int = 40) -> SampledStratifiedBundle:
     """Line field A_x = span{(1, x)} over the dyadic line base.
 
@@ -133,25 +144,11 @@ def cone_bundle(variant: str = "pass", depth: int = 40) -> SampledStratifiedBund
     or the zero fiber ("rank0").
     """
     base = dyadic_line_stratification(depth)
-    fibers = {}
-    for name in ("S+", "S-"):
-        stratum = base.stratum(name)
-        for i, (x,) in enumerate(stratum.points):
-            fibers[(name, i)] = span([(1.0, float(x))], 2)
-    if variant == "pass":
-        origin = span([(1.0, 0.0)], 2)
-        rank0 = 1
-    elif variant == "fail":
-        origin = span([(0.0, 1.0)], 2)
-        rank0 = 1
-    elif variant == "rank0":
-        origin = Subspace.zero(2)
-        rank0 = 0
-    else:
+    origin = {"pass": [(1.0, 0.0)], "fail": [(0.0, 1.0)], "rank0": []}
+    if variant not in origin:
         raise ValueError(f"unknown cone_bundle variant {variant!r}")
-    fibers[("S0", 0)] = origin
-    ranks = {"S0": rank0, "S+": 1, "S-": 1}
-    return SampledStratifiedBundle(base, 2, fibers, ranks)
+    return _line_bundle(base, 2, lambda x: [(1.0, x)], origin[variant],
+                        {"S0": len(origin[variant]), "S+": 1, "S-": 1})
 
 
 def cone_scenario(depth: int = 40) -> ConvergenceScenario:
@@ -174,15 +171,9 @@ def cone_sections(b: SampledStratifiedBundle):
 def step_rank_bundle() -> SampledStratifiedBundle:
     """Ranks (2, 1, 2) over the coarse line base inside R^3: the halves
     carry tilted planes, the origin the single line they share."""
-    base = line_stratification()
-    fibers = {}
-    for name in ("S+", "S-"):
-        stratum = base.stratum(name)
-        for i, (x,) in enumerate(stratum.points):
-            fibers[(name, i)] = span([(1.0, 0.0, 0.0), (0.0, 1.0, float(x))], 3)
-    fibers[("S0", 0)] = span([(1.0, 0.0, 0.0)], 3)
-    ranks = {"S0": 1, "S+": 2, "S-": 2}
-    return SampledStratifiedBundle(base, 3, fibers, ranks)
+    return _line_bundle(line_stratification(), 3,
+                        lambda x: [(1.0, 0.0, 0.0), (0.0, 1.0, x)],
+                        [(1.0, 0.0, 0.0)], {"S0": 1, "S+": 2, "S-": 2})
 
 
 def bundle_scalar_action(b: SampledStratifiedBundle):

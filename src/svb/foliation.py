@@ -8,7 +8,8 @@ global sections, which is what makes its Whitney A checks succeed.
 Leaves are never integrated; only the tangent data is built.  A
 polynomial map is a term table, read by ``parse_terms`` and evaluated
 over a stack of points by ``evaluate_terms``; polynomial monoid actions
-use the same two.
+use the same two, and the sample-set rule ``strata._samples`` (a positive
+ambient dimension, and at least one sample of that width), checked first.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import numpy as np
 from .bundle import SampledStratifiedBundle
 from .config import R_CC, TOL_RANK
 from .grassmann import Subspace, _span_rank
-from .strata import (Stratification, _first_far, estimate_cloud_dim,
-                     partition_by_label)
+from .strata import (Stratification, _first_far, _samples,
+                     estimate_cloud_dim, partition_by_label)
 
 __all__ = [
     "parse_powers",
@@ -113,24 +114,16 @@ class VectorFieldSet:
     def __init__(self, ambient_dim: int,
                  fields: Sequence[PolynomialVectorField], sample_points):
         self.ambient_dim = int(ambient_dim)
-        if self.ambient_dim < 1:
-            raise ValueError("ambient_dim must be positive")
-        fields = list(fields)
+        self.sample_points = pts = _samples(sample_points, self.ambient_dim)
+        if (far := _first_far(pts)) >= 0:
+            raise ValueError(f"sample point {far} has a coordinate that is "
+                             "not finite or beyond ±2^500")
+        self.fields = fields = list(fields)
         if not fields:
             raise ValueError("need at least one vector field")
         for f in fields:
             if f.ambient_dim != self.ambient_dim:
                 raise ValueError("field ambient dimension mismatch")
-        self.fields = fields
-        pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
-        if pts.shape[1] != self.ambient_dim:
-            raise ValueError("sample points have the wrong ambient dimension")
-        if pts.shape[0] == 0:
-            raise ValueError("need at least one sample point")
-        if (far := _first_far(pts)) >= 0:
-            raise ValueError(f"sample point {far} has a coordinate that is "
-                             "not finite or beyond ±2^500")
-        self.sample_points = pts
 
     def evaluate(self, points) -> np.ndarray:
         """Every field at every row of ``points``: (n, fields, ambient)."""

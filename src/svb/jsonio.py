@@ -7,7 +7,9 @@ with exit code 1.  Point clouds and fiber bases are parsed as one array
 per file: the rows of all strata, and the basis rows of all fiber
 entries.  Only a file that fails that parse is read again stratum by
 stratum or entry by entry, which is the one route that raises, so that
-an error names the first offending item.
+an error names the first offending item.  A constructor's ValueError or
+TypeError becomes a SchemaError at the reader's path in one place,
+``_built``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .equivariant import FiniteGroupAction
 from .foliation import PolynomialVectorField, VectorFieldSet, parse_powers
 from .grassmann import Subspace, as_basis
 from .monoid import MonoidActionSample
-from .strata import Stratification, Stratum
+from .strata import Stratification, Stratum, _samples
 
 SCHEMA = "svb/1"
 
@@ -259,6 +261,15 @@ def _powers(term, n_vars, path) -> None:
         raise SchemaError(f"{path}.{exc}") from None
 
 
+def _built(path, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with the ValueError or TypeError that it
+    raises reported as a SchemaError at ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: {exc}") from None
+
+
 def _check_schema(obj, path):
     tag = _expect(obj, "schema", str, path)
     if tag != SCHEMA:
@@ -351,10 +362,7 @@ def stratification_from_json(obj, path="$") -> Stratification:
                 and type(pair[0]) is str and type(pair[1]) is str):
             raise SchemaError(f"{path}.closure[{i}]: expected a name pair")
         closure.append((pair[0], pair[1]))
-    try:
-        return Stratification(strata, closure_order=closure)
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from None
+    return _built(path, Stratification, strata, closure_order=closure)
 
 
 def _stratum(item, ambient, path) -> Stratum:
@@ -380,10 +388,7 @@ def subspace_from_json(obj, path="$") -> Subspace:
     ambient = _expect(obj, "ambient", int, path)
     basis = _expect(obj, "basis", list, path)
     arr = _matrix(basis, f"{path}.basis") if basis else []
-    try:
-        return Subspace(ambient, arr)
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from None
+    return _built(path, Subspace, ambient, arr)
 
 
 def subspace_file_from_json(obj, path="$") -> Subspace:
@@ -545,10 +550,7 @@ def scenario_from_json(obj, path="$") -> ConvergenceScenario:
     source = _expect(obj, "R", str, path)
     x0 = _expect(obj, "x0_index", int, path)
     seq = _ints(obj, "sequence_indices", path)
-    try:
-        return ConvergenceScenario(target, source, x0, tuple(seq))
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: {exc}") from None
+    return _built(path, ConvergenceScenario, target, source, x0, tuple(seq))
 
 
 # -- group / action / fields ------------------------------------------------
@@ -571,10 +573,7 @@ def group_from_json(obj, path="$") -> FiniteGroupAction:
     # A missing or null fiber_elements means no fiber action.
     fiber = (None if obj.get("fiber_elements") is None
              else _matrices(obj, "fiber_elements", path))
-    try:
-        return FiniteGroupAction(n, elements, fiber_elements=fiber)
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from None
+    return _built(path, FiniteGroupAction, n, elements, fiber_elements=fiber)
 
 
 def action_to_json(a: MonoidActionSample) -> dict:
@@ -588,7 +587,8 @@ def action_from_json(obj, path="$") -> MonoidActionSample:
     _check_schema(obj, path)
     ambient = _expect(obj, "ambient", int, path)
     kind = _expect(obj, "kind", str, path)
-    samples = _matrix(_expect(obj, "samples", list, path), f"{path}.samples")
+    samples = _built(path, _samples, _matrix(
+        _expect(obj, "samples", list, path), f"{path}.samples"), ambient)
     t_grid = _matrix(_expect(obj, "t_grid", list, path), f"{path}.t_grid",
                      ndim=1)
     descriptor = {"kind": kind}
@@ -607,10 +607,8 @@ def action_from_json(obj, path="$") -> MonoidActionSample:
         descriptor["coeffs"] = coeffs
     else:
         raise SchemaError(f"{path}.kind: expected 'builtin' or 'polynomial'")
-    try:
-        return MonoidActionSample(ambient, descriptor, samples, t_grid)
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from None
+    return _built(path, MonoidActionSample, ambient, descriptor, samples,
+                  t_grid)
 
 
 def fields_to_json(vfs: VectorFieldSet) -> dict:
@@ -623,7 +621,8 @@ def fields_to_json(vfs: VectorFieldSet) -> dict:
 def fields_from_json(obj, path="$") -> VectorFieldSet:
     _check_schema(obj, path)
     ambient = _expect(obj, "ambient", int, path)
-    samples = _matrix(_expect(obj, "samples", list, path), f"{path}.samples")
+    samples = _built(path, _samples, _matrix(
+        _expect(obj, "samples", list, path), f"{path}.samples"), ambient)
     for i, item in enumerate(_expect(obj, "fields", list, path)):
         fpath = f"{path}.fields[{i}]"
         for j, term in enumerate(_expect(item, "coeffs", list, fpath)):
@@ -634,9 +633,6 @@ def fields_from_json(obj, path="$") -> VectorFieldSet:
             if len(vector) != ambient:
                 raise SchemaError(f"{tpath}.vector: expected {ambient} "
                                   f"entries, got {len(vector)}")
-    try:
-        return VectorFieldSet(ambient, [
-            PolynomialVectorField(ambient, item["coeffs"])
-            for item in obj["fields"]], samples)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: {exc}") from None
+    return _built(path, lambda: VectorFieldSet(ambient, [
+        PolynomialVectorField(ambient, item["coeffs"])
+        for item in obj["fields"]], samples))

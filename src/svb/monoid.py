@@ -14,7 +14,8 @@ tables so that action files are reproducible across implementations.
 Both map an array of points row by row, with one time per row, a table
 as the term table of a vector field over the variables (t, e).  So an
 audit stacks the (time, point) rows of many maps into one call, bit for
-bit as one call per time and point would give.
+bit as one call per time and point would give.  The samples are checked
+first, by the sample-set rule of vector-field sets (``strata._samples``).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from .config import CLUSTER_RADIUS, STEP, TOL_CHECK, TOL_RANK
 from .foliation import evaluate_terms, parse_terms
 from .grassmann import Subspace, _distinct, _runs, _span_rank
-from .strata import near_pairs
+from .strata import _samples, near_pairs
 
 _EPS = float(np.finfo(float).eps)
 # Evaluations and residuals may overflow; the non-finite checks below
@@ -94,8 +95,7 @@ class MonoidActionSample:
     def __init__(self, ambient_dim: int, descriptor: dict,
                  sample_points, t_grid: Sequence[float]):
         self.ambient_dim = m = int(ambient_dim)
-        if m < 1:
-            raise ValueError("ambient_dim must be positive")
+        self.sample_points = _samples(sample_points, m)
         self.descriptor = dict(descriptor)
         kind = self.descriptor.get("kind")
         if kind == "builtin":
@@ -123,12 +123,6 @@ class MonoidActionSample:
             self._evaluator = evaluator
         else:
             raise ValueError("action kind must be 'builtin' or 'polynomial'")
-        pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
-        if pts.shape[1] != m:
-            raise ValueError("sample points have the wrong ambient dimension")
-        if pts.shape[0] == 0:
-            raise ValueError("need at least one sample point")
-        self.sample_points = pts
         grid = [float(t) for t in t_grid]
         if not any(t == 0.0 for t in grid) or not any(t == 1.0 for t in grid):
             raise ValueError("t_grid must contain both 0 and 1")

@@ -429,6 +429,20 @@ def _cloud(points, radius: float) -> np.ndarray:
     return pts
 
 
+def _samples(points, ambient_dim: int) -> np.ndarray:
+    """``points`` as a float array of at least one row in R^ambient_dim,
+    once ``ambient_dim`` is positive: the sample set of a vector-field
+    set or of a monoid action."""
+    if ambient_dim < 1:
+        raise ValueError("ambient_dim must be positive")
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.shape[1] != ambient_dim:
+        raise ValueError("sample points have the wrong ambient dimension")
+    if pts.shape[0] == 0:
+        raise ValueError("need at least one sample point")
+    return pts
+
+
 def graph_components(n: int, edges) -> list[list[int]]:
     """Connected components of the graph on ``range(n)`` whose edges
     arrive as pairs of index arrays ``(i, j)``.  Components come out

@@ -1,0 +1,103 @@
+"""The pairing and the summary of ``scripts/bench_snapshot.py --against``,
+on synthetic runs: no perfbench process is started."""
+
+import importlib.util
+import json
+import os
+
+import pytest
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+END_TO_END = [{"name": "ops_per_s", "better": "higher", "bound": 0.25},
+              {"name": "op_s.p50", "better": "lower", "bound": 0.25}]
+
+
+@pytest.fixture(scope="module")
+def snapshot():
+    spec = importlib.util.spec_from_file_location(
+        "bench_snapshot", os.path.join(REPO, "scripts", "bench_snapshot.py"))
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def test_sides_alternate_from_seed_to_seed(snapshot):
+    assert snapshot.pair_order((7, 8, 9, 10)) == [
+        (7, ("parent", "change")), (8, ("change", "parent")),
+        (9, ("parent", "change")), (10, ("change", "parent"))]
+
+
+def test_pair_seeds_are_fixed(snapshot):
+    assert set(snapshot.PAIR_SEEDS) == set(snapshot.WORKLOADS)
+    assert len(snapshot.PAIR_SEEDS["orbits"]) == 10
+    assert all(len(seeds) >= 5 for seeds in snapshot.PAIR_SEEDS.values())
+
+
+def _runs(parent, change):
+    return {side: [{"ops_per_s": ops, "op_s.p50": p50} for ops, p50 in runs]
+            for side, runs in (("parent", parent), ("change", change))}
+
+
+def test_summary(snapshot):
+    runs = _runs([(100, 1.8), (110, 2.2), (90, 1.7), (100, 2.0), (105, 2.3)],
+                 [(120, 2.1), (100, 2.3), (125, 2.2), (130, 2.4), (99, 2.0)])
+    summary = snapshot.summarize(runs, END_TO_END)
+    ops, p50 = summary["ops_per_s"], summary["op_s.p50"]
+    assert ops["parent"] == {"median": 100, "iqr": 5}
+    assert ops["change"] == {"median": 120, "iqr": 25}
+    assert ops["ratio"] == 1.2
+    assert (ops["wins"], ops["pairs"]) == (3, 5)
+    assert (ops["better"], ops["bound"]) == ("higher", 0.25)
+    assert ops["resolved"] and not ops["beyond_bound"]
+    # Lower is better: a higher time wins nothing.
+    assert p50["parent"]["median"] == 2.0
+    assert p50["change"]["median"] == pytest.approx(2.2)
+    assert (p50["wins"], p50["pairs"]) == (1, 5)
+    assert p50["parent"]["iqr"] == pytest.approx(0.4)
+    assert not p50["resolved"]  # 0.2 apart, within the parent's IQR
+    assert not p50["beyond_bound"]
+
+
+@pytest.mark.parametrize("better, change, beyond", [
+    ("higher", 74.0, True), ("higher", 76.0, False),
+    ("lower", 126.0, True), ("lower", 124.0, False),
+])
+def test_bound(snapshot, better, change, beyond):
+    runs = {"parent": [{"m": 100.0}], "change": [{"m": change}]}
+    spec = [{"name": "m", "better": better, "bound": 0.25}]
+    assert snapshot.summarize(runs, spec)["m"]["beyond_bound"] is beyond
+
+
+def test_compare_runs_each_pair_in_order(snapshot, monkeypatch, tmp_path):
+    calls = []
+
+    def perfbench(checkout, workload, seed):
+        calls.append((checkout, workload, seed))
+        metrics = dict.fromkeys(snapshot.METRICS, 1.0)
+        metrics["ops_per_s"] = 100.0 + seed + 5.0 * (checkout != "old")
+        return metrics, {"commit": checkout, "fail_ratio": 0.0}
+
+    monkeypatch.setattr(snapshot, "perfbench", perfbench)
+    monkeypatch.setattr(snapshot, "src_modified", lambda checkout: False)
+    monkeypatch.setattr(snapshot, "PAIR_SEEDS", {
+        workload: (1, 2, 3) for workload in snapshot.WORKLOADS})
+    monkeypatch.setenv("MALLOC_ARENA_MAX", "2")
+    # compare reads the bounds from the checkout it measures, and only reads.
+    with open(os.path.join(REPO, "BENCHMARK.json"), encoding="utf-8") as fh:
+        declared = fh.read()
+    (tmp_path / "BENCHMARK.json").write_text(declared)
+    new = str(tmp_path)
+    result = snapshot.compare("old", new)
+    assert (tmp_path / "BENCHMARK.json").read_text() == declared
+    assert calls[:6] == [("old", "corpus", 1), (new, "corpus", 1),
+                         (new, "corpus", 2), ("old", "corpus", 2),
+                         ("old", "corpus", 3), (new, "corpus", 3)]
+    assert len(calls) == 6 * len(snapshot.WORKLOADS)
+    assert result["context"]["malloc"]["MALLOC_ARENA_MAX"] == "2"
+    assert result["context"]["parent"]["commit"] == "old"
+    orbits = result["workloads"]["orbits"]
+    assert [run["first"] for run in orbits["runs"]["parent"]] == [
+        True, False, True]
+    assert orbits["metrics"]["ops_per_s"]["ratio"] == 107.0 / 102.0
+    assert orbits["fail_ratio"] == {"parent": 0.0, "change": 0.0}
+    json.dumps(result, allow_nan=False)

@@ -86,6 +86,22 @@ class TestValidateBundle:
         with pytest.raises(ValueError, match="ambient 3, bundle declares 2"):
             SampledStratifiedBundle(b.base, 2, fibers, b.stratum_rank)
 
+    def test_missing_fiber_reported_before_a_rank_fault(self):
+        # Every point is checked for a fiber of the right ambient before
+        # any stratum's stack is gathered.
+        b = trivial_bundle(line_stratification(), 2)
+        fibers = {key: b.fiber(key) for key in b.point_keys()}
+        fibers[("S+", 3)] = span([(1.0, 0.0)], 2)
+        del fibers[("S-", 0)]
+        with pytest.raises(KeyError, match=re.escape(
+                "missing fiber over point ('S-', 0)")):
+            SampledStratifiedBundle(b.base, 2, fibers, b.stratum_rank)
+
+    def test_scenario_needs_a_sequence(self):
+        with pytest.raises(ValueError,
+                           match="^scenario needs a nonempty sequence$"):
+            ConvergenceScenario("S0", "S+", 0, ())
+
     def test_declared_rank_compared_per_stratum(self):
         b = step_rank_bundle()
         report = validate_bundle(SampledStratifiedBundle(

@@ -218,6 +218,17 @@ class TestGroupConstruction:
                                              "is not in the group$"):
             FiniteGroupAction(2, [rot[0], rot[2], rot[1]])
 
+    def test_group_without_elements(self):
+        with pytest.raises(ValueError, match="^group needs at least the "
+                           "identity element$"):
+            FiniteGroupAction(2, [])
+
+    def test_fiber_element_count(self):
+        g = sign_flip_group()
+        with pytest.raises(ValueError, match="^fiber_elements must match "
+                           "the element list$"):
+            FiniteGroupAction(1, g.elements, fiber_elements=[[[1.0]]])
+
     def test_inverses_found(self):
         g = dihedral_square_group()
         for i in range(g.order):
@@ -426,6 +437,15 @@ class TestFixedSubspace:
                            "idempotent; the index set is not closed under "
                            "multiplication$"):
             fixed_subspace(dihedral_square_group(), (0, 1), tol=0.5 / 1.1)
+
+    def test_empty_subgroup(self):
+        with pytest.raises(ValueError, match="^subgroup must be nonempty$"):
+            fixed_subspace(sign_flip_group(), [])
+
+    def test_fiber_fixed_space_without_fiber_action(self):
+        with pytest.raises(ValueError,
+                           match="^group carries no fiber action$"):
+            fixed_subspace(axis_reflection_group(), [0], use_fiber=True)
 
 
 class TestOrbitTypePartition:
@@ -1174,3 +1194,4 @@ class TestCircleActionReport:
         assert report.quotient_ranks == {"origin": 0, "generic": 2}
         assert report.tangent_ranks == {"origin": 0, "generic": 1}
         assert report.isomorphic is False
+

@@ -333,8 +333,12 @@ class TestVectorFieldSetInput:
          "sample points have the wrong ambient dimension"),
         (lambda f: VectorFieldSet(1, [f], np.zeros((0, 1))),
          "need at least one sample point"),
+        # The samples are checked before the fields.
+        (lambda f: VectorFieldSet(1, [], [[0.0, 1.0]]),
+         "sample points have the wrong ambient dimension"),
     ], ids=["ambient-zero", "ambient-negative", "no-fields",
-            "field-ambient", "sample-width", "no-samples"])
+            "field-ambient", "sample-width", "no-samples",
+            "samples-before-fields"])
     def test_constructor_rejects(self, build, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build(self.FIELD)

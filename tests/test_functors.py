@@ -762,3 +762,31 @@ def test_grassmannian_continuity_surrogate(f):
     tail = gaps[-6:]
     assert all(a >= b - 1e-12 for a, b in zip(tail, tail[1:]))
     assert tail[-1] <= 1e-2
+
+
+class TestInputRaises:
+    def test_negative_constant_summand(self):
+        with pytest.raises(ValueError, match="^constant summand dimension "
+                           "must be nonnegative$"):
+            ConstantSum(-1)
+
+    def test_negative_source_dimension(self):
+        with pytest.raises(ValueError, match="^k must be nonnegative$"):
+            dim_map(Identity(), -1)
+
+    @pytest.mark.parametrize("call", [
+        lambda f: dim_map(f, 2),
+        lambda f: apply_to_map(f, np.eye(2)),
+        format_functor,
+    ], ids=["dim_map", "apply_to_map", "format_functor"])
+    def test_not_a_functor(self, call):
+        with pytest.raises(TypeError,
+                           match=r"^not a functor spec: 'wedge:2'$"):
+            call("wedge:2")
+
+    @pytest.mark.parametrize("text", ["sum(id),const:1)", "sum((id,const:1)"],
+                             ids=["closes-early", "never-closes"])
+    def test_unbalanced_parentheses(self, text):
+        with pytest.raises(ValueError, match="^unbalanced parentheses in "
+                           "functor string$"):
+            parse_functor(text)

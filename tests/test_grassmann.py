@@ -479,3 +479,15 @@ def test_orthogonal_conjugation(seed, ambient):
     moved = span(w.basis @ t.T, ambient)
     np.testing.assert_allclose(moved.projection, t @ w.projection @ t.T,
                                atol=1e-10)
+
+
+class TestInputRaises:
+    def test_containment_across_ambient_dimensions(self):
+        with pytest.raises(ValueError, match="^containment requires equal "
+                           "ambient dimensions$"):
+            containment_residual(Subspace.zero(2), Subspace.zero(3))
+
+    def test_empty_tail(self):
+        with pytest.raises(ValueError,
+                           match="^tail_len must be at least 1$"):
+            sequence_limit([Subspace.full(2)], tail_len=0)

@@ -289,6 +289,87 @@ class TestSchemaErrors:
             read_json(str(bad))
 
 
+def _fields(ambient):
+    return {"schema": SCHEMA, "ambient": ambient, "samples": [[0.0]],
+            "fields": [{"coeffs": [{"powers": [1], "vector": [1.0]}]}]}
+
+
+def _polynomial_action(ambient):
+    return {"schema": SCHEMA, "ambient": ambient, "kind": "polynomial",
+            "samples": [[0.0]], "t_grid": [0.0, 1.0],
+            "coeffs": [[{"powers": [1, 1], "coef": 1.0}]]}
+
+
+class TestNonPositiveAmbient:
+    """A non-positive ambient is reported before any term is read, where
+    the exponent counts of the terms would otherwise be blamed."""
+
+    @pytest.mark.parametrize("ambient", [-1, 0])
+    @pytest.mark.parametrize("read, make", [
+        (fields_from_json, _fields), (action_from_json, _polynomial_action),
+    ], ids=["fields", "action"])
+    def test_reader(self, read, make, ambient):
+        with pytest.raises(SchemaError,
+                           match=r"^\$: ambient_dim must be positive$"):
+            read(make(ambient))
+
+    @pytest.mark.parametrize("argv, make", [
+        (["foliation", "stratify", "--fields"], _fields),
+        (["foliation", "bundle", "--fields"], _fields),
+        (["monoid", "analyze", "--action"], _polynomial_action),
+    ], ids=["foliation-stratify", "foliation-bundle", "monoid-analyze"])
+    def test_cli_line(self, tmp_path, argv, make):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(make(-1)))
+        src = os.path.dirname(os.path.dirname(jsonio.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from svb.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", *argv, str(path)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == "svb: error: $: ambient_dim must be positive\n"
+
+
+class TestReaderRaises:
+    def test_non_object_stratum(self):
+        obj = stratification_to_json(line_stratification())
+        obj["strata"][1] = 5
+        with pytest.raises(SchemaError,
+                           match=r"^\$\.strata\[1\]: expected an object$"):
+            stratification_from_json(obj)
+
+    def test_empty_scenario_sequence(self):
+        obj = scenario_to_json(cone_scenario(depth=4))
+        obj["sequence_indices"] = []
+        with pytest.raises(SchemaError, match=r"^\$: scenario needs a "
+                           "nonempty sequence$"):
+            scenario_from_json(obj)
+
+    @pytest.mark.parametrize("edit, error", [
+        ({"t_grid": [0.0, 0.5]}, "$: t_grid must contain both 0 and 1"),
+        ({"name": "warp"}, "$: unknown builtin action 'warp'"),
+    ], ids=["t-grid", "builtin"])
+    def test_action_rejected_by_constructor(self, edit, error):
+        obj = action_to_json(MonoidActionSample.builtin("scalar", 1, [[1.0]]))
+        obj.update(edit)
+        with pytest.raises(SchemaError, match=f"^{re.escape(error)}$"):
+            action_from_json(obj)
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda obj: obj.update(coeffs=[5]),
+         "$.coeffs[0]: expected a list"),
+        (lambda obj: obj["coeffs"][0][0].update(coef="1"),
+         "$.coeffs[0][0].coef: expected int/float, got str"),
+    ], ids=["coordinate-terms", "coef"])
+    def test_action_terms(self, edit, error):
+        obj = _polynomial_action(1)
+        edit(obj)
+        with pytest.raises(SchemaError, match=f"^{re.escape(error)}$"):
+            action_from_json(obj)
+
+
 def _read_per_stratum(obj):
     """``stratification_from_json`` with every stratum parsed and checked
     on its own, as the one-parse reader falls back to."""

@@ -63,8 +63,12 @@ class TestConstruction:
         (lambda: MonoidActionSample.builtin("scalar", 1, R1_SAMPLES,
                                             t_grid=(0.0, 0.5)),
          "t_grid must contain both 0 and 1"),
+        # The samples are checked before the descriptor.
+        (lambda: MonoidActionSample(1, {"kind": "warp"}, np.zeros((0, 1)),
+                                    (0, 1)),
+         "need at least one sample point"),
     ], ids=["ambient-zero", "kind", "coefficient-lists", "sample-width",
-            "no-samples", "no-one"])
+            "no-samples", "no-one", "samples-before-kind"])
     def test_constructor_rejects(self, build, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
@@ -188,6 +192,14 @@ def _scalar_trivial(points, seed=0):
     rng = np.random.default_rng(seed)
     return bundle_scalar_action(trivial_bundle(Stratification(
         [Stratum("bulk", 2, rng.uniform(-1.0, 1.0, (points, 2)))]), 2))
+
+
+class TestReconstructInput:
+    def test_base_samples_of_the_wrong_width(self):
+        a = MonoidActionSample.builtin("scale_last", 2, R2_SAMPLES)
+        with pytest.raises(ValueError, match="^base samples have the wrong "
+                           "ambient dimension$"):
+            reconstruct_bundle(a, [[0.0, 0.0, 0.0]])
 
 
 class TestClustersByNearPairs:

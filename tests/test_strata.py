@@ -1032,3 +1032,25 @@ class TestPartitionByLabel:
             partition_by_label(np.zeros((2, 1)), ["a", "a"], [("s", "a")],
                                dim=lambda label, cloud: 0,
                                below=lambda low, high: False, r_cc=r_cc)
+
+
+class TestInputRaises:
+    def test_strata_in_different_spaces(self):
+        with pytest.raises(ValueError, match=r"^stratum 'b' lives in R\^2, "
+                           r"expected R\^1$"):
+            Stratification([Stratum("a", 0, [[0.0]]),
+                            Stratum("b", 0, [[1.0, 2.0]])])
+
+    def test_negative_stratum_dim(self):
+        with pytest.raises(ValueError,
+                           match="^stratum 'a' has negative dimension$"):
+            Stratum("a", -1, [[0.0]])
+
+    @pytest.mark.parametrize("radius", [-1.0, float("nan")],
+                             ids=["negative", "nan"])
+    @pytest.mark.parametrize("self_join", [True, False],
+                             ids=["self", "two-clouds"])
+    def test_near_pairs_at_no_radius_yields_nothing(self, radius, self_join):
+        a = np.zeros((3, 2))
+        b = a if self_join else np.zeros((2, 2))
+        assert list(near_pairs(a, b, radius)) == []
