@@ -19,6 +19,7 @@ timestamp is the only varying field and ``--no-timestamp`` drops it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import functools
 import math
@@ -107,11 +108,9 @@ def _auto_scenario(bundle, spec: str, source: str | None
     target = match.group(1)
     x0_index = _auto_sequence_number(match.group(2), "index")
     count = _auto_sequence_number(match.group(3), "count")
-    try:
+    with _input(errors=KeyError):
         x0 = bundle.point((target, x0_index))
         cloud = bundle.base.stratum(source).points
-    except KeyError as exc:  # whose str() would quote the message
-        raise CliError(exc.args[0]) from None
     if count < 1 or count > len(cloud):
         raise CliError(f"auto-sequence count {count} out of range")
     dists = np.linalg.norm(cloud - x0, axis=1)
@@ -128,11 +127,16 @@ def _auto_sequence_number(digits: str, what: str) -> int:
     return int(digits)
 
 
-def _parse_functor_arg(text: str):
+@contextlib.contextmanager
+def _input(prefix: str = "", errors=ValueError):
+    """The library's ``errors`` raised in the block, as input errors:
+    CliError with ``prefix`` and the message, which for a KeyError is its
+    argument (its str() adds quotes)."""
     try:
-        return parse_functor(text)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+        yield
+    except errors as exc:
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        raise CliError(f"{prefix}{message}") from None
 
 
 # Handlers: run(args, add) records checks through add; producing verbs
@@ -165,21 +169,20 @@ def _check_whitney_a(args, add):
                                   args.source_stratum)
     else:
         raise CliError("check whitney-a needs --scenario or --auto-sequence")
-    try:
+    with _input("scenario: ", (KeyError, ValueError)):
         verdict = whitney_a_check(bundle, scenario, tol=args.tol_check,
                                   tail_len=args.tail_len)
-    except (KeyError, ValueError) as exc:
-        raise CliError(f"scenario: {exc.args[0]}") from None
     add("whitney-a", verdict.status, residual=verdict.residual,
         scenario=scenario.to_json())
 
 
 def _check_orthogonality(args, add):
-    functor = _parse_functor_arg(args.functor)
+    with _input():
+        functor = parse_functor(args.functor)
     if bool(args.subspace) == bool(args.bundle):
         raise CliError("check orthogonality needs exactly one of --subspace "
                        "or --bundle")
-    try:  # also F(R^k) above functors.MAX_DIM
+    with _input():  # also F(R^k) above functors.MAX_DIM
         if args.subspace:
             w = jsonio.subspace_file_from_json(jsonio.read_json(args.subspace))
             ok, residual = check_orthogonality(functor, w, args.tol_check)
@@ -188,8 +191,6 @@ def _check_orthogonality(args, add):
         bundle = jsonio.bundle_from_json(jsonio.read_json(args.bundle))
         residuals = np.concatenate([orthogonality_residuals(functor, stack)
                                     for stack in bundle.stacks.values()])
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
     for (name, i), residual in zip(bundle.point_keys(), residuals.tolist()):
         add(f"orthogonality[{name}:{i}]",
             "PASS" if residual <= args.tol_check else "FAIL",
@@ -197,7 +198,8 @@ def _check_orthogonality(args, add):
 
 
 def _apply_functor(args, add):
-    functor = _parse_functor_arg(args.functor)
+    with _input():
+        functor = parse_functor(args.functor)
     bundle = jsonio.bundle_from_json(jsonio.read_json(args.bundle))
     try:
         image = apply_functor_to_bundle(functor, bundle)
@@ -217,12 +219,10 @@ def _apply_functor(args, add):
 
 def _monoid_analyze(args, add):
     action = jsonio.action_from_json(jsonio.read_json(args.action))
-    try:
+    with _input("action: "):  # non-finite evaluator value
         audit = audit_axioms(action, args.tol_check)
         regularity = regularity_check(action, tol=args.tol_check,
                                       step=args.step)
-    except ValueError as exc:  # non-finite evaluator value
-        raise CliError(f"action: {exc}") from None
     add("axioms", "PASS" if audit.passed else "FAIL",
         identity_violations=[list(v) for v in audit.identity_violations],
         composition_violations=[list(v) for v in
@@ -264,10 +264,8 @@ def _equivariant(args, add):
 
 def _foliation_stratify(args, add):
     vfs = jsonio.fields_from_json(jsonio.read_json(args.fields))
-    try:
+    with _input("fields: "):  # non-finite field value
         strat = stratify_by_rank(vfs, r_cc=args.r_cc, tol_rank=args.tol_rank)
-    except ValueError as exc:  # non-finite field value
-        raise CliError(f"fields: {exc}") from None
     report = check_frontier(strat, args.eps_touch, args.delta_cover)
     args.eps_touch, args.delta_cover = report.eps_touch, report.delta_cover
     add("stratify", "PASS",
@@ -281,22 +279,18 @@ def _foliation_stratify(args, add):
 
 def _foliation_bundle(args, add):
     vfs = jsonio.fields_from_json(jsonio.read_json(args.fields))
-    try:
+    with _input("fields: "):  # non-finite field value
         bundle = foliation_bundle(vfs, r_cc=args.r_cc, tol_rank=args.tol_rank)
-    except ValueError as exc:  # non-finite field value
-        raise CliError(f"fields: {exc}") from None
     validation = validate_bundle(bundle)
     add("validate-bundle", "PASS" if validation.passed else "FAIL",
         ranks=dict(sorted(bundle.stratum_rank.items())),
         problems=list(validation.problems))
     if args.scenario:
         scenario = jsonio.scenario_from_json(jsonio.read_json(args.scenario))
-        try:
+        with _input("scenario: ", (KeyError, ValueError)):
             verdict = whitney_a_from_sections(
                 bundle, fields_as_sections(vfs, bundle), scenario,
                 tol=args.tol_check, tail_len=args.tail_len)
-        except (KeyError, ValueError) as exc:
-            raise CliError(f"scenario: {exc.args[0]}") from None
         add("whitney-a-sections", verdict.status, residual=verdict.residual,
             section_residuals=list(verdict.section_residuals))
     return {"bundle": bundle}

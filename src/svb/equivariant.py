@@ -6,22 +6,23 @@ stabilizer class, not one at a time: one ``(order, n)`` table records
 which elements fix which points, each distinct column (one stable sort
 finds them) is one stabilizer, checked once for closure under the
 table, and conjugacy labels, fixed subspaces by averaging and
-orbit-type strata follow per class.  The conjugates t H t^-1 of a
-subgroup, for every t at once, are one gather in the group table.
-``invariant_subbundle`` shrinks an equivariant bundle to the
-stabilizer-invariant part of each fiber, one intersection stack per
+orbit-type strata follow per class.  An orbit type's dimension is the
+trace of its average, (1/|H|) sum of tr h, which is exact because the
+average over a closed subgroup is a projection.  The conjugates
+t H t^-1 of a subgroup, for every t at once, are one gather in the
+group table.  ``invariant_subbundle`` shrinks an equivariant bundle to
+the stabilizer-invariant part of each fiber, one intersection stack per
 (class, stratum) sharing the class's fixed space, and
 ``quotient_bundle`` pushes the result down to one fiber per orbit.  The
 equivariance audit needs no rank decision: an orthogonal fiber matrix M
 carries the fiber with projection P onto the one with projection
-M P M^T.  The difference M P M^T - Q is symmetric, so its spectral norm
-is its largest |eigenvalue|.  Each audit only compares spectral norms
-with a tolerance, and the Frobenius norm bounds the spectral norm: the
+M P M^T, and the audit compares the spectral norm of M P M^T - Q with
+the tolerance.  Each spectral norm here is only compared with a
+tolerance, and the Frobenius norm bounds the spectral norm: the
 equivariance audit, the orthogonality and table checks of the group's
 matrices and the idempotence test of a fixed-space average take the
-Frobenius norms of their whole stack first, and a batched eigenvalue
-solve (or ``grassmann.opnorm``, one SVD per matrix) only where that
-bound exceeds the tolerance.
+Frobenius norms of their whole stack first, and ``grassmann.opnorms``,
+their one fallback, only where that bound exceeds the tolerance.
 
 Infinite rotation groups are not first class; the plane-rotation action
 on R^2 ships as a closed-form fixture (``circle_action_on_plane_report``)
@@ -38,7 +39,9 @@ import numpy as np
 
 from .bundle import SampledStratifiedBundle, _gather_stacks
 from .config import R_CC, TOL_CHECK
-from .grassmann import Subspace, _distinct, _runs, intersections, opnorm, span
+from .functors import _chunks
+from .grassmann import (Subspace, _distinct, _float_rows, _runs,
+                        intersections, opnorms, span)
 from .strata import (
     LabelPartition,
     Stratification,
@@ -65,7 +68,6 @@ __all__ = [
 
 
 _TOL_GROUP = 1e-9  # bound on orthogonality defects, matches, fiber table
-_BLOCK = 1 << 20   # entries of one block of the product-table search
 
 
 class StrataNotInvariantError(ValueError):
@@ -91,19 +93,17 @@ class FiniteGroupAction:
         self.identity_index = int(identity.argmax())
         order = len(mats)
         self.table = np.zeros((order, order), dtype=int)
-        # Rows i of the table in blocks whose (product, element) pairs,
-        # n * n entries each, stay within _BLOCK.  For orthogonal A and B,
+        # Rows i of the table in ``_chunks``, n * n entries per (product,
+        # element) pair.  For orthogonal A and B,
         # <A, B>_F = n - |A - B|_F^2 / 2: a match (every entry within
         # _TOL_GROUP) has <A, B>_F > n - 1/2, and below that some entry
         # differs by 1/n or more.  So the exact entry test runs on the
         # pairs above n - 1/2 alone.
         flat = mats.reshape(order, -1)
-        step = max(1, _BLOCK // max(1, order * order * self.n * self.n))
-        for start in range(0, order, step):
-            # Row q of prods: the product of elements start + q // order
+        for rows in _chunks(order, order * order * self.n * self.n):
+            # Row q of prods: the product of elements rows.start + q // order
             # and q % order.
-            prods = (mats[start:start + step, None] @ mats).reshape(
-                -1, flat.shape[1])
+            prods = (mats[rows, None] @ mats).reshape(-1, flat.shape[1])
             q, k = np.divmod(np.flatnonzero(prods @ flat.T > self.n - 0.5),
                              order)
             # The largest entry gap of each candidate, one entry at a time.
@@ -115,9 +115,9 @@ class FiniteGroupAction:
             off = np.flatnonzero(np.bincount(q, minlength=len(prods)) != 1)
             if off.size:
                 i, j = divmod(int(off[0]), order)
-                raise ValueError(f"product of elements {start + i} "
+                raise ValueError(f"product of elements {rows.start + i} "
                                  f"and {j} is not in the group")
-            self.table[start:start + step] = k.reshape(-1, order)
+            self.table[rows] = k.reshape(-1, order)
         inverses = self.table == self.identity_index
         _raise_first(inverses.sum(axis=1) != 1,
                      "element {} has no unique inverse")
@@ -131,8 +131,8 @@ class FiniteGroupAction:
                 raise ValueError("fiber_elements must match the element list")
             fibs = _orthogonal_stack(fibs, fibs[0].shape[0], "fiber element",
                                      "fiber element {} is not square")
-            residual = _spectral_norms(
-                fibs[:, None] @ fibs - fibs[self.table], _TOL_GROUP, opnorm)
+            residual = _spectral_norms(fibs[:, None] @ fibs - fibs[self.table],
+                                       _TOL_GROUP)
             _raise_first(residual > _TOL_GROUP, "fiber elements do not follow "
                          "the multiplication table at ({}, {})")
             self.fiber_elements = fibs
@@ -170,38 +170,29 @@ def _orthogonal_stack(mats, size: int, what: str,
     _raise_first([m.shape != (size, size) for m in mats], shape_error)
     mats = np.stack(mats)
     defect = _spectral_norms(mats @ mats.transpose(0, 2, 1) - np.eye(size),
-                             _TOL_GROUP, _symmetric_norm)
+                             _TOL_GROUP)
     _raise_first(~(defect <= _TOL_GROUP), f"{what} {{}} is not orthogonal")
     return mats
 
 
-def _spectral_norms(stack: np.ndarray, tol: float, norm) -> np.ndarray:
+def _spectral_norms(stack: np.ndarray, tol: float) -> np.ndarray:
     """For a stack ``(..., m, m)`` whose spectral norms are only compared
     with ``tol``: each matrix's Frobenius norm, which bounds its spectral
-    norm, and ``norm`` of the matrix where that bound is not within
-    ``tol`` (NaN included).  A test ``<= tol`` or ``> tol`` reads the
-    same verdict as on the spectral norms themselves."""
+    norm, and its ``opnorms`` where that bound is not within ``tol`` (NaN
+    included).  A test ``<= tol`` or ``> tol`` reads the same verdict as
+    on the spectral norms themselves."""
     bounds = np.sqrt((stack * stack).sum(axis=(-2, -1)))
     loose = ~(bounds <= tol)
     if loose.any():
-        bounds[loose] = norm(stack[loose])
+        bounds[loose] = opnorms(stack[loose])
     return bounds
-
-
-def _symmetric_norm(mats: np.ndarray) -> np.ndarray:
-    """The spectral norm of each matrix of a stack ``(..., m, m)`` that is
-    symmetric by construction: its largest |eigenvalue|, from one batched
-    ``eigvalsh`` that reads the lower triangle.  NaN where an entry is
-    not finite."""
-    norms = np.abs(np.linalg.eigvalsh(mats)).max(axis=-1, initial=0.0)
-    return np.where(np.isfinite(mats).all(axis=(-2, -1)), norms, np.nan)
 
 
 def stabilizer(g: FiniteGroupAction, x, tol: float = TOL_CHECK
                ) -> tuple[int, ...]:
     """Indices of the elements fixing x, verified subgroup-closed: the
     one-point case of the stabilizer table."""
-    classes, _ = _stabilizer_table(g, np.asarray(x, dtype=float)[None], tol)
+    classes, _ = _stabilizer_table(g, _float_rows([x]), tol)
     return classes[0]
 
 
@@ -263,7 +254,7 @@ def fixed_subspace(g: FiniteGroupAction, subgroup, use_fiber: bool = False,
         raise ValueError("group carries no fiber action")
     avg = sum(mats[i] for i in subgroup) / len(subgroup)
     cap = max(tol, 1e-9)
-    if _spectral_norms((avg @ avg - avg)[None], cap, opnorm)[0] > cap:
+    if _spectral_norms((avg @ avg - avg)[None], cap)[0] > cap:
         raise ValueError(
             "averaging did not produce an idempotent; the index set is not "
             "closed under multiplication")
@@ -280,7 +271,7 @@ def orbit_type_partition(g: FiniteGroupAction, points, r_cc: float = R_CC,
     class lies below one whose class embeds into it, when their clouds
     come within ``r_cc``); audit it with ``check_frontier``.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = _float_rows(points)
     return _partition_by_stabilizer(g, pts, *_stabilizer_table(g, pts, tol),
                                     r_cc)
 
@@ -296,7 +287,8 @@ def _partition_by_stabilizer(g: FiniteGroupAction, pts: np.ndarray,
     label_of = [conjugacy_label(g, stab) for stab in classes]
     labels = [label_of[c] for c in of_point.tolist()]
     distinct = sorted(set(labels), key=lambda lab: (-len(lab), lab))
-    dims = {label: fixed_subspace(g, label).dim for label in distinct}
+    dims = {label: round(np.trace(g.elements[list(label)], axis1=1,
+                                  axis2=2).mean()) for label in distinct}
     return partition_by_label(
         pts, labels, [(f"type{t}", label) for t, label in enumerate(distinct)],
         dim=lambda label, cloud: dims[label],
@@ -386,8 +378,7 @@ def _equivariant_samples(g: FiniteGroupAction, b: SampledStratifiedBundle,
     pts = b.base._cloud
     perms = _point_permutations(g, pts, tol)
     orbit = _stratum_orbits(b.base, perms)
-    gaps = _spectral_norms(_equivariance_defects(g, b, perms), tol,
-                           _symmetric_norm)
+    gaps = _spectral_norms(_equivariance_defects(g, b, perms), tol)
     off = np.argwhere(gaps > tol)
     if off.size:
         i, p = off[0]
@@ -411,7 +402,7 @@ def _equivariance_gaps(g: FiniteGroupAction, b: SampledStratifiedBundle,
                        perms) -> np.ndarray:
     """``[i, p]``: gap between the image under element ``i`` of the fiber
     over point ``p`` and the fiber over the image point."""
-    return _symmetric_norm(_equivariance_defects(g, b, perms))
+    return opnorms(_equivariance_defects(g, b, perms))
 
 
 def invariant_subbundle(g: FiniteGroupAction, b: SampledStratifiedBundle,

@@ -229,10 +229,8 @@ def dihedral_square_group(with_tangent_action: bool = False
         c, s = np.cos(k * np.pi / 2), np.sin(k * np.pi / 2)
         return np.round(np.array([[c, -s], [s, c]]))
 
-    reflections = [np.diag([1.0, -1.0]), np.diag([-1.0, 1.0]),
-                   np.array([[0.0, 1.0], [1.0, 0.0]]),
-                   np.array([[0.0, -1.0], [-1.0, 0.0]])]
-    mats = [rot(k) for k in range(4)] + reflections
+    mats = [rot(k) for k in range(4)]
+    mats += [rot(k) @ np.diag([1.0, -1.0]) for k in (0, 2, 1, 3)]
     fiber = [m.copy() for m in mats] if with_tangent_action else None
     return FiniteGroupAction(2, mats, fiber_elements=fiber)
 

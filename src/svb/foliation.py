@@ -20,7 +20,7 @@ import numpy as np
 
 from .bundle import SampledStratifiedBundle
 from .config import R_CC, TOL_RANK
-from .grassmann import Subspace, _span_rank
+from .grassmann import Subspace, _float_rows, _span_rank
 from .strata import (Stratification, _first_far, _samples,
                      estimate_cloud_dim, partition_by_label)
 
@@ -136,7 +136,7 @@ def _distribution_rows(vfs: VectorFieldSet, points, tol_rank: float):
     ``points[i]``, from one SVD stack of the field values under the rank
     rule of ``span``.  ValueError at the first point, then field, whose
     value is not finite."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = _float_rows(points)
     values = vfs.evaluate(points)
     bad = np.argwhere(~np.isfinite(values).all(axis=2))
     if bad.size:

@@ -87,6 +87,14 @@ def _distinct(a) -> np.ndarray:
     return a[_runs(a)]
 
 
+def _float_rows(a) -> np.ndarray:
+    """``a`` as a float array of rows: ValueError for more axes than two."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    if a.ndim > 2:
+        raise ValueError(f"expected rows of numbers, got shape {a.shape}")
+    return a
+
+
 def orthonormal_rows(bases, tol: float = TOL_ORTHO) -> np.ndarray:
     """Whether the rows of each basis in a stack ``(..., r, k)`` are
     orthonormal: every Gram entry within ``max(tol, 1e-12)`` of the
@@ -102,7 +110,7 @@ def as_basis(ambient_dim: int, basis) -> np.ndarray:
     ambient_dim = int(ambient_dim)
     if ambient_dim < 0:
         raise ValueError("ambient_dim must be nonnegative")
-    basis = np.atleast_2d(np.asarray(basis, dtype=float))
+    basis = _float_rows(basis)
     if basis.size == 0:
         basis = basis.reshape(0, ambient_dim)
     if basis.shape[1] != ambient_dim:
@@ -187,7 +195,7 @@ def span(vectors, ambient_dim: int, tol_rank: float = TOL_RANK,
     mat = np.asarray(vectors, dtype=float)
     if mat.size == 0:
         return Subspace.zero(ambient_dim)
-    mat = np.atleast_2d(mat)
+    mat = _float_rows(mat)
     if mat.shape[1] != ambient_dim:
         raise ValueError(
             f"vectors have length {mat.shape[1]}, expected {ambient_dim}")
@@ -251,7 +259,7 @@ def sequence_limit(seq: Sequence[Subspace], tol: float = TOL_CHECK,
 
 def apply_linear_map(m, w: Subspace, tol_rank: float = TOL_RANK) -> Subspace:
     """Image of W under the linear map with matrix ``m``."""
-    m = np.atleast_2d(np.asarray(m, dtype=float))
+    m = _float_rows(m)
     if m.shape[1] != w.ambient_dim:
         raise ValueError(
             f"map expects vectors of length {m.shape[1]}, "

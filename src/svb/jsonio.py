@@ -7,9 +7,9 @@ with exit code 1.  Point clouds and fiber bases are parsed as one array
 per file: the rows of all strata, and the basis rows of all fiber
 entries.  Only a file that fails that parse is read again stratum by
 stratum or entry by entry, which is the one route that raises, so that
-an error names the first offending item.  A constructor's ValueError or
-TypeError becomes a SchemaError at the reader's path in one place,
-``_built``.
+an error names the first offending item: fiber entries are checked and
+audited in file order.  A constructor's ValueError or TypeError becomes
+a SchemaError at the reader's path in one place, ``_built``.
 """
 
 from __future__ import annotations
@@ -488,52 +488,38 @@ def _stacked_fibers(base, k, fibers, path):
 
 
 def _fibers_per_entry(base, k, fibers, path) -> dict[str, np.ndarray]:
-    """The stacks of ``fibers`` read one entry at a time.  The first
-    entry that breaks the schema is raised once the entries before it
-    pass the audit; else the first point without a fiber is."""
+    """The stacks of ``fibers`` read, checked and audited (as by
+    ``_stacked_fibers``) one entry at a time in file order, so the first
+    entry at fault is raised; else the first point without a fiber is."""
     sizes = {s.name: len(s) for s in base.strata}
-    # Slots of stacks[name] not read yet hold rows of I: they pass the audit.
-    stacks, entry, error = {}, {}, None
+    bases, rank = {}, {}
     for i, item in enumerate(fibers):
         fpath = f"{path}.fibers[{i}]"
-        try:
-            idx = _expect(item, "point_index", list, fpath)
-            if len(idx) != 2 or type(idx[1]) is not int:
-                raise SchemaError(f"{fpath}.point_index: expected [stratum, i]")
-            key = name, j = (str(idx[0]), idx[1])
-            if not 0 <= j < sizes.get(name, 0):
-                raise SchemaError(f"{fpath}.point_index: no sample point {key}")
-            if key in entry:
-                raise SchemaError(f"{fpath}.point_index: repeated fiber over "
-                                  f"point {key}")
-            basis = _expect(item, "basis", list, fpath)
-            basis = _matrix(basis, f"{fpath}.basis") if basis else []
-            try:
-                basis = as_basis(k, basis)
-            except ValueError as exc:
-                raise SchemaError(f"{fpath}.basis: {exc}") from None
-            if name not in stacks:
-                stacks[name] = np.tile(np.eye(*basis.shape),
-                                       (sizes[name], 1, 1))
-            elif len(basis) != stacks[name].shape[1]:
-                raise SchemaError(
-                    f"{fpath}.basis: rank {len(basis)}, but an earlier fiber "
-                    f"over stratum {name!r} has rank {stacks[name].shape[1]}")
-        except SchemaError as exc:
-            error = exc  # raised once the entries before it pass the audit
-            break
-        stacks[name][j] = basis
-        entry[key] = i
-    bad = failing_fibers(stacks)
-    if bad:
-        raise SchemaError(f"{path}.fibers[{min(map(entry.get, bad))}].basis: "
-                          "basis is not orthonormal within tolerance")
-    if error is not None:
-        raise error
+        idx = _expect(item, "point_index", list, fpath)
+        if len(idx) != 2 or type(idx[1]) is not int:
+            raise SchemaError(f"{fpath}.point_index: expected [stratum, i]")
+        key = name, j = (str(idx[0]), idx[1])
+        if not 0 <= j < sizes.get(name, 0):
+            raise SchemaError(f"{fpath}.point_index: no sample point {key}")
+        if key in bases:
+            raise SchemaError(f"{fpath}.point_index: repeated fiber over "
+                              f"point {key}")
+        basis = _expect(item, "basis", list, fpath)
+        basis = _matrix(basis, f"{fpath}.basis") if basis else []
+        basis = _built(f"{fpath}.basis", as_basis, k, basis)
+        if len(basis) != rank.setdefault(name, len(basis)):
+            raise SchemaError(
+                f"{fpath}.basis: rank {len(basis)}, but an earlier fiber "
+                f"over stratum {name!r} has rank {rank[name]}")
+        if failing_fibers({name: basis[None]}):
+            raise SchemaError(f"{fpath}.basis: basis is not orthonormal "
+                              "within tolerance")
+        bases[key] = basis
     for key in ((s.name, j) for s in base.strata for j in range(len(s))):
-        if key not in entry:
+        if key not in bases:
             raise SchemaError(f"{path}.fibers: missing fiber over point {key}")
-    return stacks
+    return {s.name: np.stack([bases[s.name, j] for j in range(len(s))])
+            for s in base.strata}
 
 
 # -- scenario ---------------------------------------------------------------

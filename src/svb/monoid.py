@@ -28,7 +28,7 @@ import numpy as np
 
 from .config import CLUSTER_RADIUS, STEP, TOL_CHECK, TOL_RANK
 from .foliation import evaluate_terms, parse_terms
-from .grassmann import Subspace, _distinct, _runs, _span_rank
+from .grassmann import Subspace, _distinct, _float_rows, _runs, _span_rank
 from .strata import _samples, near_pairs
 
 _EPS = float(np.finfo(float).eps)
@@ -355,7 +355,7 @@ def reconstruct_bundle(a: MonoidActionSample, base_samples,
         raise ValueError(
             "action is not regular; offending sample indices: "
             f"{report.violating_indices}")
-    base = np.atleast_2d(np.asarray(base_samples, dtype=float))
+    base = _float_rows(base_samples)
     if base.shape[1] != a.ambient_dim:
         raise ValueError("base samples have the wrong ambient dimension")
     m, n = a.ambient_dim, len(images)

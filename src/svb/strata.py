@@ -44,7 +44,7 @@ from typing import Callable, Hashable, Iterable, Optional, Sequence
 import numpy as np
 
 from .config import MAX_LOCAL_STRATA, TOL_RANK
-from .grassmann import _distinct, _runs, span
+from .grassmann import _distinct, _float_rows, _runs, span
 
 __all__ = [
     "Stratum",
@@ -103,7 +103,7 @@ class Stratum:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        pts = _float_rows(self.points)
         _check_stratum(self.name, self.dim, pts.size)
         if not np.isfinite(pts).all():
             raise ValueError(
@@ -419,7 +419,7 @@ def single_linkage_components(points: np.ndarray,
 def _cloud(points, radius: float) -> np.ndarray:
     """``points`` as a float array of rows, once ``radius`` is positive
     and every coordinate finite and within ±``MAX_COORD``."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = _float_rows(points)
     if not radius > 0:
         raise ValueError("radius must be positive")
     if _first_far(pts) >= 0:
@@ -435,7 +435,7 @@ def _samples(points, ambient_dim: int) -> np.ndarray:
     set or of a monoid action."""
     if ambient_dim < 1:
         raise ValueError("ambient_dim must be positive")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = _float_rows(points)
     if pts.shape[1] != ambient_dim:
         raise ValueError("sample points have the wrong ambient dimension")
     if pts.shape[0] == 0:
@@ -552,7 +552,7 @@ def estimate_cloud_dim(points: np.ndarray, tol_rank: float = TOL_RANK) -> int:
     """Affine dimension of a cloud from the singular values of the
     centered sample matrix.  Adequate for the near-affine strata used in
     fixtures; curved strata would need local estimates."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = _float_rows(points)
     if pts.shape[0] == 1:
         return 0
     centered = pts - pts.mean(axis=0)

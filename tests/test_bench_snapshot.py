@@ -101,3 +101,48 @@ def test_compare_runs_each_pair_in_order(snapshot, monkeypatch, tmp_path):
     assert orbits["metrics"]["ops_per_s"]["ratio"] == 107.0 / 102.0
     assert orbits["fail_ratio"] == {"parent": 0.0, "change": 0.0}
     json.dumps(result, allow_nan=False)
+
+
+def test_kernel_list(snapshot):
+    assert snapshot.KERNEL_ROUNDS >= 5
+    assert len(set(snapshot.KERNELS)) == len(snapshot.KERNELS)
+    # Appended after every kernel of earlier snapshots.
+    assert snapshot.KERNELS[-2:] == ("monoid_reconstruct_1200",
+                                     "point_permutations_rot48")
+
+
+def test_kernels_alternate_round_by_round(snapshot, monkeypatch):
+    timings = {("old", "a"): [1.0, 1.2, 1.1, 1.3, 1.0],
+               ("new", "a"): [0.9, 1.0, 1.2, 1.0, 0.8],
+               ("old", "b"): [2.0] * 5, ("new", "b"): [3.0] * 5}
+    calls = []
+
+    def run(checkout, name):
+        calls.append((checkout, name))
+        seconds = timings[checkout, name].pop(0)
+        return {"median_s": seconds, "min_s": seconds / 2, "repeats": 5,
+                "size": {"kernel": name}}
+
+    monkeypatch.setattr(snapshot, "KERNELS", ("a", "b"))
+    monkeypatch.setattr(snapshot, "KERNEL_ROUNDS", 5)
+    out = snapshot.compare_kernels("old", "new", run=run)
+    assert calls[:10] == [("old", "a"), ("new", "a"), ("new", "a"),
+                          ("old", "a"), ("old", "a"), ("new", "a"),
+                          ("new", "a"), ("old", "a"), ("old", "a"),
+                          ("new", "a")]
+    assert calls[10:] == [(side, "b") for side, _ in calls[:10]]
+    a = out["a"]
+    assert a["parent"]["median"] == 1.1 and a["change"]["median"] == 1.0
+    assert a["parent"]["iqr"] == pytest.approx(0.2)
+    assert a["change"]["iqr"] == pytest.approx(0.1)
+    assert a["ratio"] == 1.0 / 1.1
+    assert (a["wins"], a["pairs"], a["better"]) == (4, 5, "lower")
+    assert not a["resolved"]  # 0.1 apart, within the parent's IQR
+    assert a["bound"] is None and a["beyond_bound"] is None
+    assert a["size"] == {"kernel": "a"}
+    assert [run["round"] for run in a["runs"]["change"]] == [0, 1, 2, 3, 4]
+    assert [run["first"] for run in a["runs"]["change"]] == [
+        False, True, False, True, False]
+    b = out["b"]
+    assert (b["wins"], b["ratio"], b["resolved"]) == (0, 1.5, True)
+    json.dumps(out, allow_nan=False)

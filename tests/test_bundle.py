@@ -482,3 +482,25 @@ class TestFunctorPreservesWhitney:
         assert before.violations == after.violations
         verdict = whitney_a_check(fb, cone_scenario(), tol=1e-7)
         assert verdict.limit is not None
+
+
+class TestReportTruth:
+    """A report is true exactly when it passes: a frozen dataclass
+    without ``__bool__`` is always true, so every FAIL would read as a
+    pass."""
+
+    def test_bundle_validation(self):
+        b = trivial_bundle(line_stratification(), 2)
+        good = validate_bundle(b)
+        bad = validate_bundle(SampledStratifiedBundle.from_stacks(
+            b.base, 2, b.stacks, dict(b.stratum_rank, ghost=7),
+            tol_ortho=None))
+        assert (good.passed, bad.passed) == (True, False)
+        assert (bool(good), bool(bad)) == (True, False)
+
+    def test_whitney_verdict(self):
+        verdicts = [whitney_a_check(cone_bundle(variant), cone_scenario(),
+                                    tol=1e-8, tail_len=5)
+                    for variant in ("pass", "fail")]
+        assert [v.status for v in verdicts] == ["PASS", "FAIL"]
+        assert [bool(v) for v in verdicts] == [True, False]

@@ -18,7 +18,6 @@ from svb.equivariant import (
     _partition_by_stabilizer,
     _point_permutations,
     _stabilizer_table,
-    _symmetric_norm,
     circle_action_on_plane_report,
     conjugacy_label,
     fixed_subspace,
@@ -43,6 +42,7 @@ from svb.grassmann import (
     apply_linear_map,
     gap_distance,
     intersection,
+    opnorms,
     span,
 )
 from svb.cli import main
@@ -127,8 +127,8 @@ class TestGroupTableReference:
     @pytest.mark.parametrize("block", [1, 40, 1 << 20])
     @pytest.mark.parametrize("name", list(_near_groups()))
     def test_same_table_or_error(self, name, block, monkeypatch):
-        import svb.equivariant
-        monkeypatch.setattr(svb.equivariant, "_BLOCK", block)
+        import svb.functors
+        monkeypatch.setattr(svb.functors, "_CHUNK", block)
         elements = _near_groups()[name]
         expected = _table_by_differences(elements)
         if isinstance(expected, str):
@@ -203,10 +203,10 @@ class TestGroupConstruction:
     @pytest.mark.parametrize("block", [1, 40, 1 << 20])
     def test_table_blocks_agree(self, block, monkeypatch):
         # One row per block, a few rows per block, or the whole table.
-        import svb.equivariant
+        import svb.functors
         elements = rotation_group(12).elements
         whole = FiniteGroupAction(2, elements).table
-        monkeypatch.setattr(svb.equivariant, "_BLOCK", block)
+        monkeypatch.setattr(svb.functors, "_CHUNK", block)
         assert np.array_equal(FiniteGroupAction(2, elements).table, whole)
         # The first product outside {1, r, r^3} is r r, the half turn; in
         # {1, r^2, r} it is r^2 r = r^3, at (1, 2).
@@ -429,7 +429,7 @@ class TestFixedSubspace:
         assert np.sqrt(0.5) > tol
         got = fixed_subspace(g, (0, 1), tol=tol).basis
         monkeypatch.setattr(equivariant, "_spectral_norms",
-                            lambda stack, tol, norm: norm(stack))
+                            lambda stack, tol: opnorms(stack))
         assert np.array_equal(fixed_subspace(g, (0, 1), tol=tol).basis, got)
 
     def test_idempotence_screen_rejects_above_spectral(self):
@@ -830,7 +830,7 @@ class TestEquivarianceThreshold:
         assert _equivariance_gaps(g, b, perms).max() <= TOL_CHECK
         got = dumps(bundle_to_json(build(g, b, r_cc=1.0)))
         monkeypatch.setattr(equivariant, "_spectral_norms",
-                            lambda stack, tol, norm: norm(stack))
+                            lambda stack, tol: opnorms(stack))
         assert dumps(bundle_to_json(build(g, b, r_cc=1.0))) == got
 
     @pytest.mark.parametrize("build, message", [
@@ -1021,26 +1021,6 @@ class TestOrthogonalityThreshold:
         with pytest.raises(ValueError, match=(
                 f"^{'fiber ' if fiber else ''}element 1 is not orthogonal$")):
             FiniteGroupAction(2, mats, fiber_elements=fibers)
-
-
-class TestSymmetricNorm:
-    def test_matches_spectral_norm(self):
-        rng = np.random.default_rng(5)
-        for size in (1, 2, 3, 7):
-            a = rng.normal(size=(40, size, size))
-            sym = a + a.swapaxes(1, 2)
-            assert np.allclose(_symmetric_norm(sym),
-                               np.linalg.norm(sym, 2, axis=(1, 2)),
-                               rtol=1e-12, atol=0.0)
-
-    def test_empty_and_non_finite(self):
-        assert np.array_equal(_symmetric_norm(np.zeros((3, 0, 0))),
-                              np.zeros(3))
-        # LAPACK may read a NaN on the diagonal as 0.
-        out = _symmetric_norm(np.array([[[np.nan, 0.0], [0.0, 1.0]],
-                                        [[np.inf, 0.0], [0.0, 1.0]],
-                                        [[2.0, 0.0], [0.0, -3.0]]]))
-        assert np.isnan(out[:2]).all() and out[2] == 3.0
 
 
 class TestQuotientBundle:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,6 +80,20 @@ class TestOpnorms:
         assert np.isnan(out[1])
         np.testing.assert_allclose(out[[0, 2]], self.reference(mats[[0, 2]]),
                                    rtol=1e-14)
+
+    def test_symmetric_stacks(self):
+        # The equivariance defects and the orthogonality defects of a
+        # group are symmetric; a NaN on the diagonal reads NaN, not 0.
+        rng = np.random.default_rng(5)
+        for size in (1, 2, 3, 7):
+            a = rng.normal(size=(40, size, size))
+            sym = a + a.swapaxes(1, 2)
+            np.testing.assert_allclose(opnorms(sym), self.reference(sym),
+                                       rtol=1e-12, atol=0)
+        out = opnorms(np.array([[[np.nan, 0.0], [0.0, 1.0]],
+                                [[np.inf, 0.0], [0.0, 1.0]],
+                                [[2.0, 0.0], [0.0, -3.0]]]))
+        assert np.isnan(out[:2]).all() and out[2] == 3.0
 
 
 class TestOpnorm:
@@ -491,3 +507,58 @@ class TestInputRaises:
         with pytest.raises(ValueError,
                            match="^tail_len must be at least 1$"):
             sequence_limit([Subspace.full(2)], tail_len=0)
+
+
+def _more_than_two_axes():
+    """Each entry point that reads points, bases or a matrix as rows,
+    called with an array of three axes."""
+    from svb.equivariant import orbit_type_partition, stabilizer
+    from svb.fixtures import rotation_group
+    from svb.foliation import (PolynomialVectorField, VectorFieldSet,
+                               distribution_at)
+    from svb.monoid import MonoidActionSample, reconstruct_bundle
+    from svb.strata import (Stratum, estimate_cloud_dim, partition_by_label,
+                            single_linkage_components)
+
+    cube = np.ones((2, 2, 2))
+    fields = [PolynomialVectorField(2, [{"powers": [0, 0],
+                                         "vector": [1.0, 0.0]}])]
+    plane = VectorFieldSet(2, fields, [[0.0, 0.0]])
+    action = MonoidActionSample.builtin("scalar", 2, [[1.0, 0.0]])
+    return {
+        "Stratum": (lambda: Stratum("a", 0, cube), cube.shape),
+        "single_linkage_components": (
+            lambda: single_linkage_components(cube, 0.1), cube.shape),
+        "partition_by_label": (lambda: partition_by_label(
+            cube, [0, 0], [("a", 0)], dim=lambda label, cloud: 0,
+            below=lambda low, high: False, r_cc=0.1), cube.shape),
+        "estimate_cloud_dim": (lambda: estimate_cloud_dim(cube), cube.shape),
+        "span": (lambda: span(cube, 2), cube.shape),
+        "apply_linear_map": (
+            lambda: apply_linear_map(cube, Subspace.full(2)), cube.shape),
+        "Subspace": (lambda: Subspace(2, np.eye(2)[None]), (1, 2, 2)),
+        "orbit_type_partition": (
+            lambda: orbit_type_partition(rotation_group(4), cube), cube.shape),
+        "stabilizer": (
+            lambda: stabilizer(rotation_group(4), [[1.0, 0.0]]), (1, 1, 2)),
+        "VectorFieldSet": (lambda: VectorFieldSet(2, fields, np.ones((3, 2, 2))),
+                           (3, 2, 2)),
+        "distribution_at": (lambda: distribution_at(plane, [[0.0, 0.0]]),
+                            (1, 1, 2)),
+        "MonoidActionSample": (lambda: MonoidActionSample.builtin(
+            "scalar", 2, np.ones((3, 2, 2))), (3, 2, 2)),
+        "reconstruct_bundle": (
+            lambda: reconstruct_bundle(action, cube), cube.shape),
+    }
+
+
+@pytest.mark.parametrize("site", [
+    "Stratum", "single_linkage_components", "partition_by_label",
+    "estimate_cloud_dim", "span", "apply_linear_map", "Subspace",
+    "orbit_type_partition", "stabilizer", "VectorFieldSet", "distribution_at",
+    "MonoidActionSample", "reconstruct_bundle"])
+def test_more_than_two_axes_name_the_shape(site):
+    call, shape = _more_than_two_axes()[site]
+    with pytest.raises(ValueError, match=re.escape(
+            f"expected rows of numbers, got shape {shape}") + "$"):
+        call()

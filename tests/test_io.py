@@ -425,6 +425,15 @@ class TestOneParseReader:
         assert _outcome(stratification_from_json, obj) == \
             _outcome(_read_per_stratum, obj)
 
+    def test_rows_of_one_width_other_than_ambient(self):
+        # Every stratum looks ordinary and the cloud parses whole, but its
+        # rows are not as wide as "ambient" says.
+        obj = stratification_to_json(line_stratification())
+        obj["ambient"] = 2
+        with pytest.raises(SchemaError, match=re.escape(
+                "$.strata[0].points: rows of length 1, ambient is 2") + "$"):
+            stratification_from_json(obj)
+
 
 class TestCoordinateBound:
     """Files with a sample coordinate beyond ±2^500 are refused by every
@@ -645,6 +654,29 @@ class TestOneParseBundleReader:
         with pytest.raises(SchemaError, match=f"^{re.escape(where)}"):
             bundle_from_json(obj)
         assert self._per_entry(obj).startswith(where)
+
+    def test_rank_is_checked_before_the_audit(self):
+        # An entry of the wrong rank whose basis also fails the audit.
+        obj = bundle_to_json(cone_bundle("pass", depth=4))
+        i = next(i for i, item in enumerate(obj["fibers"])
+                 if item["point_index"][1] > 0)
+        name = obj["fibers"][i]["point_index"][0]
+        rank = obj["ranks"][name]
+        obj["fibers"][i]["basis"] = [[1.0, 1.0]] * (rank + 1)
+        where = (f"$.fibers[{i}].basis: rank {rank + 1}, but an earlier fiber "
+                 f"over stratum {name!r} has rank {rank}")
+        with pytest.raises(SchemaError, match=f"^{re.escape(where)}$"):
+            bundle_from_json(obj)
+        assert self._per_entry(obj) == where
+
+    def test_audit_before_a_missing_point(self):
+        obj = bundle_to_json(cone_bundle("pass", depth=4))
+        obj["fibers"][3]["basis"] = [[1.0, 1.0]]
+        del obj["fibers"][-1]
+        where = "$.fibers[3].basis: basis is not orthonormal within tolerance"
+        with pytest.raises(SchemaError, match=f"^{re.escape(where)}$"):
+            bundle_from_json(obj)
+        assert self._per_entry(obj) == where
 
 
 def test_written_files_end_with_newline(tmp_path):

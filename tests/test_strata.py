@@ -1054,3 +1054,27 @@ class TestInputRaises:
         a = np.zeros((3, 2))
         b = a if self_join else np.zeros((2, 2))
         assert list(near_pairs(a, b, radius)) == []
+
+
+class TestReportTruth:
+    """A report is true exactly when it passes: a frozen dataclass
+    without ``__bool__`` is always true, so every FAIL would read as a
+    pass."""
+
+    def test_frontier_report(self):
+        good = check_frontier(line_stratification(), 0.05, 0.05)
+        bad = check_frontier(line_stratification(), 0.05, 0.01)
+        assert (good.passed, bad.passed) == (True, False)
+        assert (bool(good), bool(bad)) == (True, False)
+
+    def test_frontier_report_against_another_type(self):
+        report = check_frontier(line_stratification(), 0.05, 0.05)
+        assert report != 1
+        assert not report == "PASS"
+
+    def test_local_finiteness_report(self):
+        good = local_finiteness_report(local_line_stratification(), 0.1)
+        bad = local_finiteness_report(cantor_stratification(6), 0.1,
+                                      threshold=3)
+        assert (good.passed, bad.passed) == (True, False)
+        assert (bool(good), bool(bad)) == (True, False)
