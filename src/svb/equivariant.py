@@ -24,6 +24,19 @@ matrices and the idempotence test of a fixed-space average take the
 Frobenius norms of their whole stack first, and ``grassmann.opnorms``,
 their one fallback, only where that bound exceeds the tolerance.
 
+The permutation each element induces on the sample points comes from a
+generating set picked greedily from the table.  One radius query at
+4 tol matches the generators' images alone; every other element's row
+is an integer gather along the table, and one vectorized pass checks
+that each element's images lie within tol of the points its row names.
+Where each generator image has exactly one sample within 4 tol and the
+check passes, no two samples lie within 2 tol of each other (each
+sample is some generator image's match, and a second sample within 2 tol
+of it would lie within the 4 tol of that image), so each image's sample
+within tol is unique and the rows are exactly those of matching every
+element's images.  Otherwise that direct match runs, with its checks
+and error texts.
+
 Infinite rotation groups are not first class; the plane-rotation action
 on R^2 ships as a closed-form fixture (``circle_action_on_plane_report``)
 reproducing its quotient rank table: no vector but 0 is fixed by every
@@ -306,15 +319,121 @@ def _class_properly_contains(g: FiniteGroupAction, big: tuple[int, ...],
     return bool(member[_conjugates(g, small)].all(axis=1).any())
 
 
+def _images(pts: np.ndarray, mats) -> np.ndarray:
+    """The images of ``pts`` under each matrix of ``mats``, stacked: the
+    one expression every route of ``_point_permutations`` matches."""
+    return np.concatenate([pts @ m.T for m in mats])
+
+
+def _generators(g: FiniteGroupAction) -> list[int]:
+    """A generating set of ``g`` picked greedily: the lowest element not
+    yet generated, then the set is closed under the table.  Empty for
+    the trivial group."""
+    gens, member = [], {g.identity_index}
+    while len(member) < g.order:
+        gens.append(min(set(range(g.order)) - member))
+        member = {g.identity_index}.union(
+            *(onto for onto, _, _ in _words(g, gens)))
+    return gens
+
+
+def _words(g: FiniteGroupAction, steps: list[int]):
+    """Breadth first from the identity by right multiplication with the
+    elements ``steps``: per level, the lists ``(onto, source, by)`` of the
+    elements first reached there, ``onto[m]`` as ``source[m]`` times
+    ``steps[by[m]]``.  A finite group needs no inverses to reach all the
+    steps generate."""
+    cols = g.table[:, steps].tolist()
+    seen = {g.identity_index}
+    onto = [g.identity_index]
+    while onto:
+        frontier, onto, source, by = onto, [], [], []
+        for k in range(len(steps)):
+            for s in frontier:
+                t = cols[s][k]
+                if t not in seen:
+                    seen.add(t)
+                    onto.append(t)
+                    source.append(s)
+                    by.append(k)
+        if onto:
+            yield onto, source, by
+
+
 def _point_permutations(g: FiniteGroupAction, pts: np.ndarray,
                         tol: float) -> np.ndarray:
-    """``[i, p]``: the sample point that element i carries point p to;
-    raises if the set is not orbit saturated."""
+    """``[i, p]``: the sample point that element i carries point p to,
+    the nearest sample within ``tol`` of the image, ties going to the
+    lowest index; raises if the set is not orbit saturated.  The
+    generator route gives it where it can show it exact, the direct match
+    of every element's images, with its checks and error texts, elsewhere."""
+    perms = _generated_permutations(g, pts, tol)
+    return _matched_permutations(g, pts, tol) if perms is None else perms
+
+
+def _generated_permutations(g: FiniteGroupAction, pts: np.ndarray,
+                            tol: float):
+    """``_point_permutations`` from the generators' images alone, or None
+    where it cannot be shown equal to the direct match.
+
+    One radius query at 4 tol over the images of the ``_generators``
+    must find exactly one sample near each image, within tol of it, and
+    each generator's row must be a permutation.  Every other row is then
+    an integer gather along the table, breadth first over the generators
+    and their inverses: perms[s a] = perms[s][perms[a]].  Every element's
+    images are then compared with the points the rows name, by the query's
+    image expression and distance formula: each must lie within tol.
+
+    That makes the rows the direct match's.  Any sample q is the match of
+    some generator image v, since a generator's row is onto.  A second
+    sample within 2 tol of q would lie within 3 tol of v, and so within
+    the query's 4 tol, which also covers the rounding of the distance;
+    v has only one sample there.  So no two samples lie within 2 tol of
+    each other, and the sample within tol of a verified image is the only
+    one: the one the direct match picks, with no tie to break."""
+    gens = _generators(g)
+    if not gens:
+        return None  # no generator row to space the samples by
+    n = len(pts)
+    images = _images(pts, (g.elements[a] for a in gens))
+    found, total = [], 0
+    for i, j, d in near_pairs(images, pts, 4.0 * tol):
+        total += len(i)
+        if total > len(images):
+            return None  # some image has two samples within 4 tol
+        found.append((i, j, d))
+    if not found or total < len(images):
+        return None
+    i, j, d = map(np.concatenate, zip(*found))
+    match = np.full(len(images), -1)
+    match[i] = j
+    rows = match.reshape(len(gens), n)
+    if (match < 0).any() or d.max() > tol or (
+            np.sort(rows, axis=1) != np.arange(n)).any():
+        return None
+
+    perms = np.empty((g.order, n), dtype=match.dtype)
+    perms[g.identity_index] = np.arange(n)
+    step_rows = np.concatenate([rows, [_inverse(row) for row in rows]])
+    for onto, source, by in _words(g, gens + g.inverse[gens].tolist()):
+        perms[onto] = perms[np.array(source)[:, None], step_rows[by]]
+
+    diff = _images(pts, g.elements)
+    diff -= pts[perms.ravel()]
+    if not np.sqrt(np.square(diff, out=diff).sum(-1)).max() <= tol:
+        return None
+    return perms
+
+
+def _matched_permutations(g: FiniteGroupAction, pts: np.ndarray,
+                          tol: float) -> np.ndarray:
+    """``_point_permutations`` by one radius query at tol over every
+    element's images."""
     n = len(pts)
     # Each image is matched to its nearest sample point within tol, ties
     # going to the lowest index; -1 marks an image with none.
     match = np.full(g.order * n, -1)
-    images = np.concatenate([pts @ m.T for m in g.elements])
+    images = _images(pts, g.elements)
     for i, j, d in near_pairs(images, pts, tol):
         order = np.lexsort((j, d, i))
         nearest = order[_runs(i[order])]
@@ -396,13 +515,6 @@ def _equivariance_defects(g: FiniteGroupAction, b: SampledStratifiedBundle,
                            for stack in b.stacks.values()])
     fibs = g.fiber_elements[:, None]
     return fibs @ proj @ fibs.swapaxes(2, 3) - proj[perms]
-
-
-def _equivariance_gaps(g: FiniteGroupAction, b: SampledStratifiedBundle,
-                       perms) -> np.ndarray:
-    """``[i, p]``: gap between the image under element ``i`` of the fiber
-    over point ``p`` and the fiber over the image point."""
-    return opnorms(_equivariance_defects(g, b, perms))
 
 
 def invariant_subbundle(g: FiniteGroupAction, b: SampledStratifiedBundle,

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from itertools import permutations, product
 
 import numpy as np
@@ -14,7 +15,8 @@ from svb.equivariant import (
     _class_properly_contains,
     _conjugates,
     _equivariance_defects,
-    _equivariance_gaps,
+    _generated_permutations,
+    _generators,
     _partition_by_stabilizer,
     _point_permutations,
     _stabilizer_table,
@@ -610,6 +612,13 @@ class TestInvariantSubbundle:
             invariant_subbundle(g, broken)
 
 
+def equivariance_gaps(g, b, perms):
+    """``[i, p]``: gap between the image under element ``i`` of the fiber
+    over point ``p`` and the fiber over the image point, the spectral
+    norms of the audit's defects."""
+    return opnorms(_equivariance_defects(g, b, perms))
+
+
 def reference_gaps(g, b, perms):
     """The equivariance gaps one group element at a time."""
     proj = np.stack([basis.T @ basis for stack in b.stacks.values()
@@ -648,7 +657,7 @@ class TestStackedRoute:
         assert [classes[c] for c in of_point] == stabs
 
         perms = _point_permutations(g, pts, TOL_CHECK)
-        gaps = _equivariance_gaps(g, b, perms)
+        gaps = equivariance_gaps(g, b, perms)
         assert np.array_equal(gaps, reference_gaps(g, b, perms))
 
         tilde = invariant_subbundle(g, b, r_cc=r_cc)
@@ -779,6 +788,131 @@ def _unique_route(g, pts, tol):
     return perms
 
 
+def closure(g, gens):
+    """The elements that products of ``gens`` reach, through
+    ``multiply``."""
+    members, grown = {g.identity_index}, None
+    while grown != members:
+        grown = set(members)
+        members |= {g.multiply(a, b) for a in grown for b in gens}
+    return members
+
+
+class TestGenerators:
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return table_cases()
+
+    @pytest.mark.parametrize("name", list(table_cases()))
+    def test_greedy_and_generating(self, cases, name):
+        g, _ = cases[name]
+        gens = _generators(g)
+        assert closure(g, gens) == set(range(g.order))
+        # Each generator is the lowest element the earlier ones miss.
+        for k, a in enumerate(gens):
+            assert a == min(set(range(g.order)) - closure(g, gens[:k]))
+
+    def test_rotation_groups_are_cyclic(self):
+        assert _generators(rotation_group(1)) == []
+        assert _generators(trivial_group()) == []
+        for order in range(2, 49):
+            assert _generators(rotation_group(order)) == [1]
+
+    def test_fixed_sets(self):
+        # The quarter turn and a reflection; the three sign flips and two
+        # transpositions.
+        assert _generators(dihedral_square_group()) == [1, 4]
+        assert _generators(FiniteGroupAction(3, _signed_permutations())) \
+            == [1, 2, 4, 8, 16]
+
+
+def ring_points(order, radii):
+    return ring_tangent_bundle(order, list(radii)).base._cloud
+
+
+def drifting_ring(order=16, tol=TOL_CHECK):
+    """An ``order``-point unit ring whose angle k is moved by
+    A sin(2 pi k / order), A set so that neighbours' moves differ by at
+    most 0.9 tol: the rotation by one step carries each point within tol
+    of the next, the rotation by two steps carries some point about
+    1.8 tol from the point two on."""
+    steps = 2.0 * np.pi * np.arange(order) / order
+    angles = steps + 0.9 * tol / (2.0 * np.sin(np.pi / order)) * np.sin(steps)
+    return np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+def generator_route_cases():
+    """(group, points, whether the generator route holds)."""
+    cases = {f"rot{order}": (
+        rotation_group(order, with_tangent_action=False), ring_points(
+            order, np.random.default_rng(order).uniform(0.1, 1.0, 10)), True)
+        for order in (5, 8, 12, 16)}
+    rot8 = rotation_group(8, with_tangent_action=False)
+    ring = ring_points(8, (0.5, 1.0))[1:]  # no origin
+    cases.update({
+        "ring2401": (rotation_group(12, with_tangent_action=False),
+                     ring_points(12, np.linspace(0.2, 1.0, 200)), True),
+        "rot48-ring2401": (rotation_group(48, with_tangent_action=False),
+                           ring_points(48, np.linspace(0.2, 1.0, 50)), True),
+        "dihedral-grid": (dihedral_square_group(), grid_points(0.25), True),
+        "signed-perm3": (FiniteGroupAction(3, _signed_permutations()),
+                         cube_grid(), True),
+        "trivial": (trivial_group(), grid_points(0.25), False),
+        "point-removed": (rot8, np.delete(ring, 11, axis=0), False),
+        # Each sample has a second one 1.5 tol away, out of tol's reach.
+        "pair-at-1.5-tol": (rot8, np.concatenate(
+            [ring, ring * (1.0 + 1.5 * TOL_CHECK / np.linalg.norm(
+                ring, axis=1, keepdims=True))]), False),
+        "drift": (rotation_group(16, with_tangent_action=False),
+                  drifting_ring(), False),
+    })
+    return cases
+
+
+class TestGeneratedPermutations:
+    """The generator route against the direct match of every element's
+    images (``_unique_route``): the same array or the same error text,
+    and the direct match wherever the route cannot show its rows."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return generator_route_cases()
+
+    @pytest.mark.parametrize("name", list(generator_route_cases()))
+    def test_same_as_unique_route(self, cases, name):
+        g, pts, holds = cases[name]
+        expected = _unique_route(g, pts, TOL_CHECK)
+        generated = _generated_permutations(g, pts, TOL_CHECK)
+        assert (generated is not None) is holds
+        if holds:
+            assert np.array_equal(generated, expected)
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+                _point_permutations(g, pts, TOL_CHECK)
+        else:
+            assert np.array_equal(_point_permutations(g, pts, TOL_CHECK),
+                                  expected)
+
+    def test_failures_keep_the_direct_texts(self, cases):
+        assert "element 1 moves point" in _unique_route(
+            *cases["point-removed"][:2], TOL_CHECK)
+        assert not isinstance(_unique_route(
+            *cases["pair-at-1.5-tol"][:2], TOL_CHECK), str)
+        # The one-step rotation matches every point; its square does not.
+        assert _unique_route(*cases["drift"][:2], TOL_CHECK).startswith(
+            "sample set is not orbit saturated: element 2 moves point")
+
+    def test_peak_memory_rot48(self, cases):
+        g, pts, _ = cases["rot48-ring2401"]
+        tracemalloc.start()
+        try:
+            _point_permutations(g, pts, TOL_CHECK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
+
 def radial_line_bundle(order=8, tilt=0.0, tilted=3):
     """Rank-1 radial lines over an ``order``-point unit ring, equivariant
     under ``rotation_group(order)`` until the line over point ``tilted``
@@ -827,7 +961,7 @@ class TestEquivarianceThreshold:
         defects = _equivariance_defects(g, b, perms)
         frobenius = np.sqrt((defects ** 2).sum(axis=(2, 3)))
         assert frobenius.max() > TOL_CHECK
-        assert _equivariance_gaps(g, b, perms).max() <= TOL_CHECK
+        assert equivariance_gaps(g, b, perms).max() <= TOL_CHECK
         got = dumps(bundle_to_json(build(g, b, r_cc=1.0)))
         monkeypatch.setattr(equivariant, "_spectral_norms",
                             lambda stack, tol: opnorms(stack))
@@ -844,7 +978,7 @@ class TestEquivarianceThreshold:
         # element and fiber.
         g = rotation_group(8)
         b = radial_line_bundle(tilt=np.arcsin(1.1 * TOL_CHECK))
-        gaps = _equivariance_gaps(
+        gaps = equivariance_gaps(
             g, b, _point_permutations(g, b.base._cloud, TOL_CHECK))
         i, p = np.argwhere(gaps > TOL_CHECK)[0]
         want = message.format(i=i, key=b.point_keys()[p], gap=gaps[i, p])
@@ -924,7 +1058,7 @@ class TestAuditReference:
         keys = b.point_keys()
         perms = _point_permutations(
             g, np.array([b.point(key) for key in keys]), TOL_CHECK)
-        gaps = _equivariance_gaps(g, b, perms)
+        gaps = equivariance_gaps(g, b, perms)
         reference = np.array([
             [gap_distance(apply_linear_map(g.fiber_elements[i], b.fiber(key)),
                           b.fiber(keys[perm[p]]))
@@ -938,13 +1072,13 @@ class TestAuditReference:
         assert b.stratum_rank == {"origin": 0, "axis": 1, "ring": 2,
                                   "raised": 1}
         perms = _point_permutations(g, b.base._cloud, TOL_CHECK)
-        gaps = _equivariance_gaps(g, b, perms)
+        gaps = equivariance_gaps(g, b, perms)
         # Only fibers moved onto or off the tilted plane have a gap.
         ring = slice(3, 9)
         assert (gaps[:, ring] > 0.1).sum() == 2 * (g.order - 1)
         assert gaps[:, :3].max() <= 1e-12 and gaps[:, 9:].max() <= 1e-12
         untilted = z_axis_bundle()
-        assert _equivariance_gaps(g, untilted, perms).max() <= 1e-12
+        assert equivariance_gaps(g, untilted, perms).max() <= 1e-12
 
 
 def _stretched(m, defect, axis):
