@@ -17,12 +17,10 @@ the stabilizer-invariant part of each fiber, one intersection stack per
 equivariance audit needs no rank decision: an orthogonal fiber matrix M
 carries the fiber with projection P onto the one with projection
 M P M^T, and the audit compares the spectral norm of M P M^T - Q with
-the tolerance.  Each spectral norm here is only compared with a
-tolerance, and the Frobenius norm bounds the spectral norm: the
-equivariance audit, the orthogonality and table checks of the group's
-matrices and the idempotence test of a fixed-space average take the
-Frobenius norms of their whole stack first, and ``grassmann.opnorms``,
-their one fallback, only where that bound exceeds the tolerance.
+the tolerance.  That norm, like those of the orthogonality and table
+checks of the group's matrices and of the idempotence test of a
+fixed-space average, is only compared with a tolerance, so each goes
+through the Frobenius screen ``grassmann._spectral_norms``.
 
 The permutation each element induces on the sample points comes from a
 generating set picked greedily from the table.  One radius query at
@@ -53,13 +51,15 @@ import numpy as np
 from .bundle import SampledStratifiedBundle, _gather_stacks
 from .config import R_CC, TOL_CHECK
 from .functors import _chunks
-from .grassmann import (Subspace, _distinct, _float_rows, _runs,
-                        intersections, opnorms, span)
+from .grassmann import (Subspace, _distinct, _runs, _spectral_norms,
+                        intersections, span)
 from .strata import (
     LabelPartition,
     Stratification,
     Stratum,
+    _bounded_samples,
     _inverse,
+    _lengths,
     near_pairs,
     partition_by_label,
 )
@@ -188,24 +188,11 @@ def _orthogonal_stack(mats, size: int, what: str,
     return mats
 
 
-def _spectral_norms(stack: np.ndarray, tol: float) -> np.ndarray:
-    """For a stack ``(..., m, m)`` whose spectral norms are only compared
-    with ``tol``: each matrix's Frobenius norm, which bounds its spectral
-    norm, and its ``opnorms`` where that bound is not within ``tol`` (NaN
-    included).  A test ``<= tol`` or ``> tol`` reads the same verdict as
-    on the spectral norms themselves."""
-    bounds = np.sqrt((stack * stack).sum(axis=(-2, -1)))
-    loose = ~(bounds <= tol)
-    if loose.any():
-        bounds[loose] = opnorms(stack[loose])
-    return bounds
-
-
 def stabilizer(g: FiniteGroupAction, x, tol: float = TOL_CHECK
                ) -> tuple[int, ...]:
     """Indices of the elements fixing x, verified subgroup-closed: the
     one-point case of the stabilizer table."""
-    classes, _ = _stabilizer_table(g, _float_rows([x]), tol)
+    classes, _ = _stabilizer_table(g, _bounded_samples([x], g.n), tol)
     return classes[0]
 
 
@@ -282,9 +269,10 @@ def orbit_type_partition(g: FiniteGroupAction, points, r_cc: float = R_CC,
     The closure order of the emitted stratification is declared by the
     containment heuristic (a stratum with a strictly larger stabilizer
     class lies below one whose class embeds into it, when their clouds
-    come within ``r_cc``); audit it with ``check_frontier``.
+    come within ``r_cc``); audit it with ``check_frontier``.  Points go
+    through ``strata._bounded_samples`` in R^n, as x does in ``stabilizer``.
     """
-    pts = _float_rows(points)
+    pts = _bounded_samples(points, g.n)
     return _partition_by_stabilizer(g, pts, *_stabilizer_table(g, pts, tol),
                                     r_cc)
 
@@ -306,7 +294,7 @@ def _partition_by_stabilizer(g: FiniteGroupAction, pts: np.ndarray,
         pts, labels, [(f"type{t}", label) for t, label in enumerate(distinct)],
         dim=lambda label, cloud: dims[label],
         below=lambda low, high: _class_properly_contains(g, low, high),
-        r_cc=r_cc, **({} if within is None else {"within": within}))
+        r_cc=r_cc, within=within)
 
 
 def _class_properly_contains(g: FiniteGroupAction, big: tuple[int, ...],
@@ -382,7 +370,7 @@ def _generated_permutations(g: FiniteGroupAction, pts: np.ndarray,
     an integer gather along the table, breadth first over the generators
     and their inverses: perms[s a] = perms[s][perms[a]].  Every element's
     images are then compared with the points the rows name, by the query's
-    image expression and distance formula: each must lie within tol.
+    ``_images`` and ``_lengths``: each must lie within tol.
 
     That makes the rows the direct match's.  Any sample q is the match of
     some generator image v, since a generator's row is onto.  A second
@@ -420,9 +408,7 @@ def _generated_permutations(g: FiniteGroupAction, pts: np.ndarray,
 
     diff = _images(pts, g.elements)
     diff -= pts[perms.ravel()]
-    if not np.sqrt(np.square(diff, out=diff).sum(-1)).max() <= tol:
-        return None
-    return perms
+    return perms if _lengths(diff).max() <= tol else None
 
 
 def _matched_permutations(g: FiniteGroupAction, pts: np.ndarray,

@@ -21,8 +21,8 @@ import numpy as np
 from .bundle import SampledStratifiedBundle
 from .config import R_CC, TOL_RANK
 from .grassmann import Subspace, _float_rows, _span_rank
-from .strata import (Stratification, _first_far, _samples,
-                     estimate_cloud_dim, partition_by_label)
+from .strata import (Stratification, _bounded_samples, estimate_cloud_dim,
+                     partition_by_label)
 
 __all__ = [
     "parse_powers",
@@ -114,10 +114,7 @@ class VectorFieldSet:
     def __init__(self, ambient_dim: int,
                  fields: Sequence[PolynomialVectorField], sample_points):
         self.ambient_dim = int(ambient_dim)
-        self.sample_points = pts = _samples(sample_points, self.ambient_dim)
-        if (far := _first_far(pts)) >= 0:
-            raise ValueError(f"sample point {far} has a coordinate that is "
-                             "not finite or beyond ±2^500")
+        self.sample_points = _bounded_samples(sample_points, self.ambient_dim)
         self.fields = fields = list(fields)
         if not fields:
             raise ValueError("need at least one vector field")

@@ -6,8 +6,9 @@ comparisons between subspaces go through their projections: the gap
 metric is the operator norm of the projection difference, containment
 is a one-multiply residual test, and limits of subspace sequences are
 detected by a Cauchy criterion on the tail of the projection sequence.
-Each of these norms is ``opnorm``, which takes one matrix or a stack of
-them, all tail pairs of a sequence at once.
+Every spectral norm of the package is ``opnorms``; one that is only
+compared with a tolerance, as in the Cauchy test, is screened first by
+its Frobenius bound in ``_spectral_norms``.
 """
 
 from __future__ import annotations
@@ -28,20 +29,9 @@ __all__ = [
     "apply_linear_map",
     "intersection",
     "intersections",
-    "opnorm",
     "opnorms",
     "orthonormal_rows",
 ]
-
-
-def opnorm(a):
-    """Operator (spectral) norm of a matrix, as a float, or of each matrix
-    of a stack ``(..., m, n)``: the largest singular value, 0 for a
-    zero-size matrix."""
-    a = np.asarray(a, dtype=float)
-    norms = (np.zeros(a.shape[:-2]) if 0 in a.shape[-2:]
-             else np.linalg.norm(a, 2, axis=(-2, -1)))
-    return float(norms) if a.ndim == 2 else norms
 
 
 def opnorms(mats) -> np.ndarray:
@@ -70,6 +60,19 @@ def opnorms(mats) -> np.ndarray:
     top = np.linalg.eigvalsh(gram)[..., -1]
     return np.where(finite, np.where(scale > 0, np.sqrt(top) * safe, 0.0),
                     np.nan)
+
+
+def _spectral_norms(stack: np.ndarray, tol: float) -> np.ndarray:
+    """For a stack ``(..., m, m)`` whose spectral norms are only compared
+    with ``tol``: each matrix's Frobenius norm, which bounds its spectral
+    norm, and its ``opnorms`` where that bound is not within ``tol`` (NaN
+    included).  A test ``<= tol`` or ``> tol`` reads the same verdict as
+    on the spectral norms themselves."""
+    bounds = np.sqrt((stack * stack).sum(axis=(-2, -1)))
+    loose = ~(bounds <= tol)
+    if loose.any():
+        bounds[loose] = opnorms(stack[loose])
+    return bounds
 
 
 def _runs(keys: np.ndarray) -> np.ndarray:
@@ -217,13 +220,12 @@ def gap_distance(a: Subspace, b: Subspace) -> float:
     """Operator-norm distance between projections, ``||P_a - P_b||_2``."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("gap_distance requires equal ambient dimensions")
-    return opnorm(a.projection - b.projection)
+    return float(opnorms(a.projection - b.projection))
 
 
 def is_contained(w: Subspace, v: Subspace, tol: float = TOL_CHECK) -> bool:
     """True iff W sits inside V: ``||P_v P_w - P_w||_2 <= tol``."""
-    ok, _ = containment_residual(w, v, tol)
-    return ok
+    return containment_residual(w, v, tol)[0]
 
 
 def containment_residual(w: Subspace, v: Subspace,
@@ -231,7 +233,7 @@ def containment_residual(w: Subspace, v: Subspace,
     """Containment test plus the residual it was decided on."""
     if w.ambient_dim != v.ambient_dim:
         raise ValueError("containment requires equal ambient dimensions")
-    residual = opnorm(v.projection @ w.projection - w.projection)
+    residual = float(opnorms(v.projection @ w.projection - w.projection))
     return residual <= tol, residual
 
 
@@ -240,8 +242,8 @@ def sequence_limit(seq: Sequence[Subspace], tol: float = TOL_CHECK,
     """Cauchy-tail limit of a subspace sequence, or None if there is none.
 
     The last ``tail_len`` projections must be pairwise within ``tol`` in
-    the gap metric, all pairs taken as one batched operator norm; the
-    limit is then the final tail item, which already has the sequence
+    the gap metric, all pairs screened at once by ``_spectral_norms``;
+    the limit is then the final tail item, which already has the sequence
     rank.  Returns None when the tail is not Cauchy.
     """
     if tail_len < 1:
@@ -254,7 +256,8 @@ def sequence_limit(seq: Sequence[Subspace], tol: float = TOL_CHECK,
         raise ValueError("mixed ambient dimensions in sequence")
     proj = np.stack([w.projection for w in tail])
     i, j = np.triu_indices(len(tail), 1)
-    return None if (opnorm(proj[i] - proj[j]) > tol).any() else tail[-1]
+    gaps = _spectral_norms(proj[i] - proj[j], tol)
+    return tail[-1] if (gaps <= tol).all() else None
 
 
 def apply_linear_map(m, w: Subspace, tol_rank: float = TOL_RANK) -> Subspace:

@@ -268,10 +268,9 @@ def near_pairs(a: np.ndarray, b: np.ndarray, r: float):
     ``a``, so a point of ``a`` outside ``b``'s own box still has its
     cell keys in range and its pairs exact.  A self-join (``a is b``)
     takes ``b``'s sorted keys as its needles.  Rows with a non-finite
-    grid coordinate have no pairs.  Distances are exact for coordinates
-    within ±``MAX_COORD`` = ±2^500, the bound ``Stratification``,
-    ``VectorFieldSet`` and the partition routines hold samples to;
-    farther out a squared distance may overflow to inf.
+    grid coordinate have no pairs.  Distances, by ``_lengths``, are exact
+    for coordinates within ±``MAX_COORD`` = ±2^500, the bound of
+    ``_first_far``; farther out a squared distance may overflow to inf.
     ``check_frontier`` queries its grid directly: once with one sample
     per stratum, whose pairs are its candidates, and once per chunk of
     those with the other samples of the candidates' sources."""
@@ -381,12 +380,17 @@ class _Grid:
             run = c.cumsum() - c
             j = cands[np.arange(c.sum()) + (s - run).repeat(c)]
             i = rows_a[q0:q1].repeat(per_row[q0:q1])
-            d = np.sqrt(((a[i] - b[j]) ** 2).sum(-1))
+            d = _lengths(a[i] - b[j])
             keep = d <= r
             # Only the kept pairs stay alive while the consumer runs.
             i, j, d = i[keep], j[keep], d[keep]
             yield i, j, d
             q0 = q1
+
+
+def _lengths(diff: np.ndarray) -> np.ndarray:
+    """The length of each row of ``diff``, which is squared in place."""
+    return np.sqrt(np.square(diff, out=diff).sum(-1))
 
 
 @functools.cache
@@ -440,6 +444,15 @@ def _samples(points, ambient_dim: int) -> np.ndarray:
         raise ValueError("sample points have the wrong ambient dimension")
     if pts.shape[0] == 0:
         raise ValueError("need at least one sample point")
+    return pts
+
+
+def _bounded_samples(points, ambient_dim: int) -> np.ndarray:
+    """``_samples``, each coordinate finite and within ±``MAX_COORD``."""
+    pts = _samples(points, ambient_dim)
+    if (far := _first_far(pts)) >= 0:
+        raise ValueError(f"sample point {far} has a coordinate that is "
+                         "not finite or beyond ±2^500")
     return pts
 
 

@@ -44,7 +44,7 @@ from svb.functors import (
     parse_functor,
 )
 from svb.bundle import apply_functor_to_bundle
-from svb.grassmann import Subspace, gap_distance, opnorm, span
+from svb.grassmann import Subspace, gap_distance, opnorms, span
 from svb.jsonio import bundle_from_json, read_json
 from svb.monoid import (
     MonoidActionSample,
@@ -105,10 +105,10 @@ def test_criterion_2_functoriality_suite():
         k, j, i = (int(rng.integers(1, 6)) for _ in range(3))
         a = rng.standard_normal((k, j))
         b = rng.standard_normal((j, i))
-        residual = opnorm(apply_to_map(functor, a @ b)
-                          - apply_to_map(functor, a) @ apply_to_map(functor, b))
-        identity_residual = opnorm(apply_to_map(functor, np.eye(j))
-                                   - np.eye(dim_map(functor, j)))
+        residual = opnorms(apply_to_map(functor, a @ b)
+                           - apply_to_map(functor, a) @ apply_to_map(functor, b))
+        identity_residual = opnorms(apply_to_map(functor, np.eye(j))
+                                    - np.eye(dim_map(functor, j)))
         worst = max(worst, residual, identity_residual)
         assert residual <= 1e-9
         assert identity_residual <= 1e-9

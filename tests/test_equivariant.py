@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 from itertools import permutations, product
 
 import numpy as np
@@ -499,6 +500,50 @@ class TestOrbitTypePartition:
         report = check_frontier(part.stratification, eps_touch=0.3,
                                 delta_cover=0.3)
         assert report.passed, report.violations
+
+
+class TestSamplePoints:
+    """``stabilizer`` and ``orbit_type_partition`` read their points by
+    the vector-field sample rule, in the group's R^n: finite coordinates
+    within ±2^500, the group's width, at least one point."""
+
+    EDGE = 2.0 ** 500
+    BAD = [np.nan, np.inf, -np.inf, float(np.nextafter(EDGE, np.inf)),
+           1e300, -1e300]
+    FAR = r"^sample point {} has a coordinate that is not finite or " \
+          r"beyond ±2\^500$"
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_far_coordinate_is_refused_quietly(self, bad):
+        g = rotation_group(4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=self.FAR.format(0)):
+                stabilizer(g, [bad, 0.0])
+            with pytest.raises(ValueError, match=self.FAR.format(1)):
+                orbit_type_partition(g, [[1.0, 0.0], [0.0, bad]], r_cc=0.5)
+
+    def test_edge_coordinate_is_read(self):
+        g = rotation_group(4)
+        assert stabilizer(g, [-self.EDGE, 0.0]) == (g.identity_index,)
+        part = orbit_type_partition(g, [[0.0, 0.0], [0.0, self.EDGE]],
+                                    r_cc=0.5)
+        assert len(set(part.labels)) == 2
+
+    @pytest.mark.parametrize("point", [[1.0, 0.0, 0.0], [1.0], []],
+                             ids=["R3", "R1", "empty"])
+    def test_wrong_width(self, point):
+        g = rotation_group(4)
+        message = "^sample points have the wrong ambient dimension$"
+        with pytest.raises(ValueError, match=message):
+            stabilizer(g, point)
+        with pytest.raises(ValueError, match=message):
+            orbit_type_partition(g, [point], r_cc=0.5)
+
+    def test_no_points(self):
+        with pytest.raises(ValueError,
+                           match="^need at least one sample point$"):
+            orbit_type_partition(rotation_group(4), np.zeros((0, 2)))
 
 
 class TestInvariantSubbundle:

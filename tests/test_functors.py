@@ -32,7 +32,7 @@ from svb.functors import (
     format_functor,
     parse_functor,
 )
-from svb.grassmann import Subspace, gap_distance, opnorm, span
+from svb.grassmann import Subspace, gap_distance, opnorms, span
 from svb.jsonio import bundle_to_json, write_json
 from svb.strata import Stratification, Stratum
 
@@ -306,11 +306,11 @@ class TestStackedMaps:
         assert residuals.tolist() == [check_orthogonality(f, w)[1]
                                       for w in fibers]
         # The true-projector formula: F(P_W) against F(B)^+ F(B), the
-        # projection onto F(W), in the SVD norm.  On orthonormal bases
+        # projection onto F(W), in the spectral norm.  On orthonormal bases
         # both sides are rounding, so they agree in absolute terms.
         np.testing.assert_allclose(residuals, [
-            opnorm(apply_to_map(f, w.projection)
-                   - np.linalg.pinv(fb := apply_to_map(f, w.basis)) @ fb)
+            opnorms(apply_to_map(f, w.projection)
+                    - np.linalg.pinv(fb := apply_to_map(f, w.basis)) @ fb)
             for w in fibers], rtol=0, atol=1e-14)
 
 
@@ -322,8 +322,8 @@ class TestTrueProjector:
     @staticmethod
     def _pinv_residual(f, basis):
         image = apply_to_map(f, basis)
-        return opnorm(apply_to_map(f, basis.T @ basis)
-                      - np.linalg.pinv(image) @ image)
+        return opnorms(apply_to_map(f, basis.T @ basis)
+                       - np.linalg.pinv(image) @ image)
 
     @pytest.mark.parametrize("f", PRIMITIVES + COMPOSITES + [SymPower(4)],
                              ids=format_functor)
@@ -710,9 +710,9 @@ def test_functoriality(seed, fi, k, j, i):
     a = rng.standard_normal((k, j))
     b = rng.standard_normal((j, i))
     fa, fb, fab = (apply_to_map(f, x) for x in (a, b, a @ b))
-    assert opnorm(fab - fa @ fb) <= 1e-9
+    assert opnorms(fab - fa @ fb) <= 1e-9
     fid = apply_to_map(f, np.eye(j))
-    assert opnorm(fid - np.eye(dim_map(f, j))) <= 1e-9
+    assert opnorms(fid - np.eye(dim_map(f, j))) <= 1e-9
 
 
 @settings(max_examples=80, deadline=None)
@@ -724,8 +724,8 @@ def test_orthogonality_property(seed, fi, ambient):
     dim = int(rng.integers(0, ambient + 1))
     w = random_subspace(rng, ambient, dim)
     fp = apply_to_map(f, w.projection)
-    assert opnorm(fp - fp.T) <= 1e-9
-    assert opnorm(fp @ fp - fp) <= 1e-9
+    assert opnorms(fp - fp.T) <= 1e-9
+    assert opnorms(fp @ fp - fp) <= 1e-9
     ok, residual = check_orthogonality(f, w, 1e-9)
     assert ok, (f, residual)
     fw = apply_to_subspace(f, w)
@@ -746,7 +746,7 @@ def test_orthogonal_maps_to_orthogonal(seed, fi, n):
     q = q * np.sign(np.diag(r))
     fq = apply_to_map(f, q)
     d = dim_map(f, n)
-    assert opnorm(fq @ fq.T - np.eye(d)) <= 1e-9
+    assert opnorms(fq @ fq.T - np.eye(d)) <= 1e-9
 
 
 @pytest.mark.parametrize("f", PRIMITIVES)

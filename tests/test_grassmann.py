@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from svb import grassmann
+from svb.config import TOL_CHECK
 from svb.grassmann import (
     Subspace,
     _distinct,
@@ -15,7 +17,6 @@ from svb.grassmann import (
     intersection,
     intersections,
     is_contained,
-    opnorm,
     opnorms,
     sequence_limit,
     span,
@@ -97,37 +98,48 @@ class TestOpnorms:
 
 
 class TestOpnorm:
-    """One SVD norm for a matrix or a stack of them."""
+    """``opnorms`` on one matrix and on stacks, and the floats that
+    ``gap_distance`` and ``containment_residual`` read off it."""
 
     def test_matrix_is_a_float(self):
         a = np.random.default_rng(1).standard_normal((4, 6))
-        got = opnorm(a)
-        assert type(got) is float
-        assert got == np.linalg.norm(a, 2)
-        assert opnorm(a.tolist()) == got
+        got = opnorms(a)
+        assert got.shape == ()
+        assert got == pytest.approx(np.linalg.norm(a, 2), rel=1e-14, abs=0)
+        assert opnorms(a.tolist()) == got
+        w, v = line(1.0, 2.0, 0.0), span(np.eye(3)[:2], 3)
+        assert type(gap_distance(w, v)) is float
+        ok, residual = containment_residual(w, v)
+        assert type(residual) is float and ok
 
-    @pytest.mark.parametrize("shape", [(7, 3, 3), (2, 5, 4, 6)])
+    @pytest.mark.parametrize("shape", [(7, 3, 5), (2, 5, 6, 2), (4, 1, 1),
+                                       (3, 8, 8)])
     def test_stack_is_per_matrix_bit_for_bit(self, shape):
         mats = np.random.default_rng(2).standard_normal(shape)
-        got = opnorm(mats)
+        got = opnorms(mats)
         assert got.shape == shape[:-2]
-        want = [np.linalg.norm(m, 2) for m in mats.reshape(-1, *shape[-2:])]
-        assert got.ravel().tolist() == want
+        flat = mats.reshape(-1, *shape[-2:])
+        assert got.ravel().tolist() == [float(opnorms(m)) for m in flat]
+        np.testing.assert_allclose(
+            got.ravel(), [np.linalg.norm(m, 2) for m in flat],
+            rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
     def test_zero_size_matrix_is_zero(self, shape):
-        got = opnorm(np.zeros(shape))
-        assert type(got) is float and got == 0.0
+        got = opnorms(np.zeros(shape))
+        assert got.shape == () and got == 0.0
 
     def test_zero_size_stacks(self):
-        assert opnorm(np.zeros((4, 0, 0))).tolist() == [0.0] * 4
-        assert opnorm(np.zeros((2, 3, 0))).tolist() == [0.0] * 2
-        assert opnorm(np.zeros((0, 3, 3))).shape == (0,)
+        assert opnorms(np.zeros((4, 0, 0))).tolist() == [0.0] * 4
+        assert opnorms(np.zeros((2, 3, 0))).tolist() == [0.0] * 2
+        assert opnorms(np.zeros((0, 3, 3))).shape == (0,)
 
     def test_ambient_zero_subspaces(self):
         zero = Subspace.zero(0)
+        assert type(gap_distance(zero, zero)) is float
         assert gap_distance(zero, zero) == 0.0
-        assert containment_residual(zero, zero, 1e-9) == (True, 0.0)
+        ok, residual = containment_residual(zero, zero, 1e-9)
+        assert type(residual) is float and (ok, residual) == (True, 0.0)
         assert sequence_limit([zero] * 3, tail_len=3) is zero
         assert sequence_limit([line(1, 0)], tail_len=1) is not None
 
@@ -315,9 +327,70 @@ class TestSequenceLimit:
         assert sequence_limit(seq, tol=worst, tail_len=4) is seq[-1]
         assert sequence_limit(seq, tol=worst * (1 - 1e-9), tail_len=4) is None
 
+    def test_non_finite_tail_has_no_limit(self):
+        # A NaN gap is not within tol, so neither the screen nor its
+        # fallback accepts it; nor does a containment test.
+        bad = Subspace.view(np.array([[np.nan, 0.0]]))
+        assert sequence_limit([line(1, 0)] * 3 + [bad], tail_len=2) is None
+        ok, residual = containment_residual(bad, line(1, 0))
+        assert not ok and np.isnan(residual)
+
     def test_mixed_ambient_rejected(self):
         with pytest.raises(ValueError, match="mixed ambient"):
             sequence_limit([line(1, 0), line(1, 0, 0)], tail_len=2)
+
+
+class TestBothSidesOfTol:
+    """Verdicts with an input moved from 0.5 tol (or 0.9) to 2 tol (or
+    1.1) of the default tolerance."""
+
+    tol = TOL_CHECK
+
+    @staticmethod
+    def tilted(sine):
+        return line(np.sqrt(1.0 - sine * sine), sine)
+
+    @pytest.mark.parametrize("factor, inside", [(0.5, True), (2.0, False)])
+    def test_tilted_line_containment(self, factor, inside):
+        sine = factor * self.tol
+        ok, residual = containment_residual(self.tilted(sine), line(1, 0))
+        assert residual == pytest.approx(sine, rel=1e-6)
+        assert ok is inside
+        assert is_contained(self.tilted(sine), line(1, 0)) is inside
+
+    @pytest.mark.parametrize("factor, inside", [(0.5, True), (2.0, False)])
+    def test_five_line_tail(self, factor, inside):
+        angle = np.arcsin(factor * self.tol)
+        seq = [line(np.cos(t), np.sin(t))
+               for t in np.linspace(0.0, angle, 5)]
+        worst = max(gap_distance(a, b) for a in seq for b in seq)
+        assert worst == pytest.approx(factor * self.tol, rel=1e-6)
+        assert (sequence_limit(seq, tail_len=5) is seq[-1]) is inside
+
+    @pytest.mark.parametrize("factor, inside", [(0.9, True), (1.1, False)])
+    def test_plane_tail_through_the_fallback(self, factor, inside,
+                                             monkeypatch):
+        # Two principal angles of factor * tol each: the projection
+        # difference has singular values sin(angle) twice over, so its
+        # Frobenius norm (2 factor tol) exceeds tol on both sides, and
+        # only the spectral norm decides.
+        sine = factor * self.tol
+        cosine = np.sqrt(1.0 - sine * sine)
+        turned = Subspace(4, [[cosine, 0.0, sine, 0.0],
+                              [0.0, cosine, 0.0, sine]])
+        seq = [Subspace(4, np.eye(4)[:2])] * 3 + [turned] * 2
+        diff = seq[0].projection - turned.projection
+        assert np.linalg.norm(diff) == pytest.approx(2 * sine, rel=1e-6)
+        assert gap_distance(seq[0], turned) == pytest.approx(sine, rel=1e-6)
+        solved = []
+
+        def spy(stack):
+            solved.append(len(stack))
+            return opnorms(stack)
+        monkeypatch.setattr(grassmann, "opnorms", spy)
+        assert (sequence_limit(seq, tail_len=5) is turned) is inside
+        # The six (plane, turned plane) pairs of the ten, and no others.
+        assert solved == [6]
 
 
 class TestApplyLinearMap:

@@ -916,10 +916,13 @@ class TestGraphComponents:
         assert single_linkage_components(pts, radius) == expected
 
 
-def _partition_per_class(points, labels, classes, dim, below, r_cc):
+def _partition_per_class(points, labels, classes, dim, below, r_cc,
+                         within=None):
     """``partition_by_label`` by the per-class route: single linkage on
     each label class's own cloud, then a second neighbour pass over the
-    stacked strata for the closure pairs."""
+    stacked strata for the closure pairs.  No ``within`` refinement: the
+    partitions compared with it are called with ``within=None``."""
+    assert within is None
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     labels = tuple(labels)
     found, members, label_of_stratum = [], [], {}
