@@ -1,38 +1,33 @@
 #!/usr/bin/env python3
-"""Record a performance snapshot of an svb checkout as ``BENCH_<n>.json``,
-or compare two checkouts run by run.
+"""Compare two svb checkouts run by run, and record the comparison.
 
-    python3 scripts/bench_snapshot.py --out BENCH_1.json [--checkout DIR]
     python3 scripts/bench_snapshot.py --out pairs.json --against PARENT
 
-A snapshot runs the checkout's ``perfbench/run.py`` for every workload
-over ``SEEDS``, ``SECONDS`` each, and stores per workload the median and
-interquartile range (IQR) of each end-to-end metric and every run, with
-the run context (commit, numpy, BLAS and its threads, nproc).  Under
-``scaled`` it holds the median and minimum seconds of ``REPEATS`` timings
-of each kernel of ``scaled_timings``, run at sizes the workloads hide,
-with its problem size.  Seeds, run length and repeats are fixed, so any
-two snapshots compare like with like.
-
-``--against PARENT`` compares the checkout with PARENT pair by pair, the
-side that runs first alternating from pair to pair (``pair_order``).
-For each workload and each of its ``PAIR_SEEDS`` it runs perfbench once
-in each.  Per workload the file holds both sides' runs (``runs``) and,
-per end-to-end metric of ``BENCHMARK.json`` (only read), ``metrics``:
-each side's median and IQR, ``ratio`` (the checkout's median over
+The checkout (``--checkout``, by default the one holding this script) is
+compared with PARENT pair by pair, the side that runs first alternating
+from pair to pair (``pair_order``).  For each workload and each of its
+``PAIR_SEEDS`` it runs perfbench once in each, ``SECONDS`` each.  Per
+workload the file holds both sides' runs (``runs``) and, per end-to-end
+metric of ``BENCHMARK.json`` (only read), ``metrics``: each side's median
+and interquartile range (IQR), ``ratio`` (the checkout's median over
 PARENT's), ``wins`` (the seeds on which the checkout did better, by the
 metric's ``better``) out of ``pairs``, the ``bound``, ``beyond_bound``
 (the checkout's median is worse by more than the bound) and ``resolved``
 (the medians differ by more than PARENT's IQR).  Under ``scaled`` it
-holds, per kernel, ``KERNEL_ROUNDS`` pairs of timings, each from a fresh
-process that builds only that kernel's inputs, so that no other
-kernel's allocations run before it; the summary is that of the median
-seconds, without a bound.  The context holds each side's, plus the
-``MALLOC_*`` environment that both ran under.
+holds, per kernel of ``KERNELS`` (run at sizes the workloads hide),
+``KERNEL_ROUNDS`` pairs of timings and the same summary of their median
+seconds, without a bound.  The context holds each side's (commit, numpy,
+BLAS and its threads, nproc), plus the ``MALLOC_*`` environment that
+both ran under.
 
-Each measurement runs in a fresh process that imports svb from its
-checkout's ``src``, so an older commit only needs its checkout;
-``--checkout`` defaults to the one holding this script.
+Every measurement runs in a fresh process that imports svb from its
+checkout's ``src``, so an older commit only needs its checkout.  A kernel
+is timed by this script's hidden ``--kernel NAME`` mode: ``REPEATS``
+timings, their median and minimum, and the problem size, in a process
+that builds only that kernel's inputs, so that no other kernel's
+allocations run before it.  To record one checkout alone, run an A/A
+comparison, ``--against`` the checkout itself; its IQRs are also the
+noise floor that a claimed gain must clear.
 """
 
 import argparse
@@ -53,12 +48,10 @@ HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("corpus", "cloud", "fibers", "orbits")
 METRICS = ("setup_s", "ops_per_s", "op_s.p50", "op_s.tail", "peak_rss_mb")
 CONTEXT_KEYS = ("commit", "numpy", "python", "blas", "nproc", "affinity")
-SEEDS = (1, 2, 3)
 SECONDS = 20.0  # length of each perfbench run
 REPEATS = 5  # timings of each scaled kernel
 KERNEL_ROUNDS = 5  # --against: fresh-process pairs of each scaled kernel
-# The scaled kernels of ``scaled_timings``, in the order a snapshot times
-# them.
+# The scaled kernels of ``scaled_timings``.
 KERNELS = tuple(
     [f"cantor_l{level}_{kind}" for level in (6, 7, 8, 9)
      for kind in ("frontier", "local_finiteness")]
@@ -80,16 +73,15 @@ PAIR_SEEDS = {"corpus": tuple(range(81, 86)), "cloud": tuple(range(81, 86)),
 
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--out", required=True, help="snapshot file to write")
+    parser.add_argument("--out", required=True, help="record to write")
     parser.add_argument("--checkout", default=HERE,
                         help="svb checkout to measure (default: this one)")
-    parser.add_argument("--against", metavar="PARENT",
-                        help="compare with the svb checkout PARENT, "
-                        "alternating the sides seed by seed")
-    parser.add_argument("--scaled", action="store_true",
-                        help=argparse.SUPPRESS)  # the child-process mode
-    parser.add_argument("--kernel", choices=KERNELS,
-                        help=argparse.SUPPRESS)  # ... for one kernel alone
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--against", metavar="PARENT",
+                      help="compare with the svb checkout PARENT, "
+                      "alternating the sides seed by seed")
+    mode.add_argument("--kernel", choices=KERNELS,
+                      help=argparse.SUPPRESS)  # the child: one kernel's timing
     return parser.parse_args(argv)
 
 
@@ -192,10 +184,10 @@ def kernel_child(checkout, name):
     """The timing of the scaled kernel ``name`` in ``checkout``, from a
     fresh process that builds only that kernel's inputs."""
     done = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--scaled", "--kernel",
-         name, "--out", os.devnull, "--checkout", checkout],
+        [sys.executable, os.path.abspath(__file__), "--kernel", name,
+         "--out", os.devnull, "--checkout", checkout],
         capture_output=True, text=True, check=True)
-    return json.loads(done.stdout)[name]
+    return json.loads(done.stdout)
 
 
 def compare_kernels(parent, checkout, run=kernel_child):
@@ -251,10 +243,10 @@ def _clusters(rng, grid=(4, 4, 2), points=100):
     return strata
 
 
-def scaled_timings(checkout, only=None):
-    """Median and minimum seconds of each scaled kernel, in this process:
-    every kernel of ``KERNELS``, with all their inputs built before the
-    first is timed, or the kernel ``only``, with only its own inputs."""
+def scaled_timings(checkout, name):
+    """Median and minimum seconds of ``REPEATS`` timings of the scaled
+    kernel ``name``, and its problem size, in this process, which builds
+    only that kernel's inputs."""
     src = os.path.join(checkout, "src")
     sys.path.insert(0, src)
     import numpy as np
@@ -290,7 +282,7 @@ def scaled_timings(checkout, only=None):
     image_path = os.path.join(scratch, "wedge2_image150.json")
     tilde_path = os.path.join(scratch, "tilde2401.json")
     # Builders: each returns a kernel's (size, call), building only the
-    # inputs it needs; inputs that kernels share are built once.
+    # inputs it needs, each once.
     cases = {}
 
     def cantor(level, kernel):
@@ -489,8 +481,6 @@ def scaled_timings(checkout, only=None):
             "sym4_orthogonality_r7_warm": cases["sym4_orthogonality_r7"]}
     cases.update(warm)
 
-    # Timed last: a kernel's allocations can shift the timings of the
-    # kernels after it in this process, and earlier snapshots had none.
     def monoid_reconstruct_1200():
         scaling, base_points, _ = bundle_scalar_action(trivial_bundle(
             Stratification([Stratum("bulk", 2, np.random.default_rng(
@@ -508,65 +498,30 @@ def scaled_timings(checkout, only=None):
 
     cases["monoid_reconstruct_1200"] = monoid_reconstruct_1200
     cases["point_permutations_rot48"] = point_permutations_rot48
-    if tuple(cases) != KERNELS:
-        raise SystemExit("KERNELS does not list the kernels in their order")
-    built = {name: cases[name]() for name in ([only] if only else KERNELS)}
-    out = {}
-    for name, (size, call) in built.items():
-        if name in warm:
-            call()
-        times = []
-        for _ in range(REPEATS):
-            start = perf_counter()
-            call()
-            times.append(perf_counter() - start)
-        out[name] = {"median_s": statistics.median(times),
-                     "min_s": min(times), "repeats": REPEATS, "size": size}
+    size, call = cases[name]()
+    if name in warm:
+        call()
+    times = []
+    for _ in range(REPEATS):
+        start = perf_counter()
+        call()
+        times.append(perf_counter() - start)
     shutil.rmtree(scratch)
-    return out
+    return {"median_s": statistics.median(times), "min_s": min(times),
+            "repeats": REPEATS, "size": size}
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
     checkout = os.path.abspath(args.checkout)
-    if args.scaled:
+    if args.kernel:
         print(json.dumps(scaled_timings(checkout, args.kernel)))
         return 0
-    if args.against:
-        parent = os.path.abspath(args.against)
-        pairs = compare(parent, checkout)
-        pairs["scaled"] = compare_kernels(parent, checkout)
-        pairs["context"]["kernel_rounds"] = KERNEL_ROUNDS
-        write(pairs, args.out)
-        return 0
-
-    workloads = {}
-    context = None
-    for workload in WORKLOADS:
-        runs = []
-        for seed in SEEDS:
-            metrics, ctx = perfbench(checkout, workload, seed)
-            context = context or {key: ctx.get(key) for key in CONTEXT_KEYS}
-            runs.append(dict(metrics, seed=seed, fail_ratio=ctx["fail_ratio"]))
-            print(f"{workload} seed={seed} ops_per_s="
-                  f"{metrics['ops_per_s']:.4g}", file=sys.stderr)
-        summary = {name: spread([run[name] for run in runs])
-                   for name in METRICS}
-        workloads[workload] = {
-            "median": {name: m for name, (m, _) in summary.items()},
-            "iqr": {name: q for name, (_, q) in summary.items()},
-            "fail_ratio": max(run["fail_ratio"] for run in runs),
-            "runs": runs}
-    done = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--scaled", "--out",
-         args.out, "--checkout", checkout],
-        capture_output=True, text=True, check=True)
-    snapshot = {"context": dict(context, seeds=list(SEEDS),
-                                seconds=SECONDS,
-                                src_modified=src_modified(checkout)),
-                "workloads": workloads,
-                "scaled": json.loads(done.stdout)}
-    write(snapshot, args.out)
+    parent = os.path.abspath(args.against)
+    pairs = compare(parent, checkout)
+    pairs["scaled"] = compare_kernels(parent, checkout)
+    pairs["context"]["kernel_rounds"] = KERNEL_ROUNDS
+    write(pairs, args.out)
     return 0
 
 

@@ -171,6 +171,10 @@ class ConvergenceScenario:
                            tuple(int(i) for i in self.sequence_indices))
         if not self.sequence_indices:
             raise ValueError("scenario needs a nonempty sequence")
+        if self.source_stratum == self.target_stratum:
+            # A sequence in S itself may end at x0, and always passes.
+            raise ValueError(f"scenario needs two distinct strata, got "
+                             f"{self.target_stratum!r} as both S and R")
 
     def to_json(self) -> dict:
         return {"S": self.target_stratum, "R": self.source_stratum,

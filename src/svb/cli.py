@@ -116,7 +116,8 @@ def _auto_scenario(bundle, spec: str, source: str | None
     dists = np.linalg.norm(cloud - x0, axis=1)
     nearest = np.argsort(dists, kind="stable")[:count]
     ordered = [int(i) for i in nearest[::-1]]  # approach x0 from afar
-    return ConvergenceScenario(target, source, x0_index, tuple(ordered))
+    with _input():
+        return ConvergenceScenario(target, source, x0_index, tuple(ordered))
 
 
 def _auto_sequence_number(digits: str, what: str) -> int:

@@ -192,9 +192,13 @@ def _row_norms(rows) -> np.ndarray:
 
 
 def _finite(norms: np.ndarray) -> np.ndarray:
-    """Reports hold no infinity, so an overflowing norm is an error."""
-    if not np.isfinite(norms).all():
-        raise ValueError("non-finite residual: a norm overflows")
+    """Reports hold no infinity, so an overflowing norm is an error,
+    naming the first sample (the last axis of ``norms``) it holds."""
+    overflows = ~np.isfinite(norms)
+    if overflows.any():
+        i = np.nonzero(overflows)[-1].min()
+        raise ValueError(f"non-finite residual at sample {i}: a norm "
+                         "overflows")
     return norms
 
 
@@ -240,7 +244,7 @@ def audit_axioms(a: MonoidActionSample, tol: float = TOL_CHECK) -> MonoidAudit:
                               t if j == j_outer else t * grid[j])
         norms.append(_row_norms((outer - direct).reshape(-1, m)))
     pairs = [(t, s) for t in grid for s in grid]
-    residuals = _finite(np.concatenate(norms)).reshape(1 + len(pairs), n)
+    residuals = _finite(np.concatenate(norms).reshape(1 + len(pairs), n))
     # Row-major order: the identity first, then (t, s, i) in grid order.
     rows, cols = np.nonzero(residuals > tol)
     found = list(zip(rows.tolist(), cols.tolist(),

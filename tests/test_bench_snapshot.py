@@ -1,9 +1,11 @@
 """The pairing and the summary of ``scripts/bench_snapshot.py --against``,
-on synthetic runs: no perfbench process is started."""
+on synthetic runs, its arguments, and one kernel timed in this process:
+no perfbench process is started."""
 
 import importlib.util
 import json
 import os
+import sys
 
 import pytest
 
@@ -106,9 +108,27 @@ def test_compare_runs_each_pair_in_order(snapshot, monkeypatch, tmp_path):
 def test_kernel_list(snapshot):
     assert snapshot.KERNEL_ROUNDS >= 5
     assert len(set(snapshot.KERNELS)) == len(snapshot.KERNELS)
-    # Appended after every kernel of earlier snapshots.
-    assert snapshot.KERNELS[-2:] == ("monoid_reconstruct_1200",
-                                     "point_permutations_rot48")
+
+
+def test_kernel_child_in_process(snapshot, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    assert snapshot.main(["--kernel", "cli_main_frontier_line",
+                          "--out", os.devnull, "--checkout", REPO]) == 0
+    timing = json.loads(capsys.readouterr().out)
+    assert set(timing) == {"median_s", "min_s", "repeats", "size"}
+    assert 0 < timing["min_s"] <= timing["median_s"]
+    assert timing["repeats"] == snapshot.REPEATS
+    assert timing["size"] == {"verb": "check frontier"}
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--against", "old", "--kernel", "cli_main_frontier_line"]],
+    ids=["neither", "both"])
+def test_one_mode_exactly(snapshot, capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        snapshot.parse_args(["--out", os.devnull] + argv)
+    assert exit_.value.code == 2
+    assert "--against" in capsys.readouterr().err
 
 
 def test_kernels_alternate_round_by_round(snapshot, monkeypatch):

@@ -102,6 +102,12 @@ class TestValidateBundle:
                            match="^scenario needs a nonempty sequence$"):
             ConvergenceScenario("S0", "S+", 0, ())
 
+    def test_scenario_needs_two_strata(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "scenario needs two distinct strata, got 'S0' as both S "
+                "and R")):
+            ConvergenceScenario("S0", "S0", 0, (0, 0, 0))
+
     def test_declared_rank_compared_per_stratum(self):
         b = step_rank_bundle()
         report = validate_bundle(SampledStratifiedBundle(

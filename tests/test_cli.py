@@ -576,6 +576,11 @@ class TestNonFiniteInput:
         "builtin": {"schema": "svb/1", "ambient": 1, "kind": "builtin",
                     "name": "scalar", "samples": [[1e308]],
                     "t_grid": [-1.0, 0.0, 1.0, 2.0]},
+        # Finite values throughout, but a norm squares 1e300.
+        "norm": {"schema": "svb/1", "ambient": 2, "kind": "builtin",
+                 "name": "scalar",
+                 "samples": [[1.0, 0.0], [1e300, 1e300], [3.0, 4.0]],
+                 "t_grid": [-1.0, -0.5, 0.0, 0.5, 1.0, 2.0]},
     }
 
     @pytest.mark.parametrize("kind, argv, error", [
@@ -587,8 +592,10 @@ class TestNonFiniteInput:
          "returned a non-finite value at t=1.0"),
         ("builtin", ["monoid", "analyze", "--action"], "action: evaluator "
          "returned a non-finite value at t=2.0"),
+        ("norm", ["monoid", "analyze", "--action"], "action: non-finite "
+         "residual at sample 1: a norm overflows"),
     ], ids=["foliation-stratify", "foliation-bundle", "monoid-analyze",
-            "monoid-analyze-builtin"])
+            "monoid-analyze-builtin", "monoid-analyze-norm"])
     def test_overflow_prints_one_line(self, tmp_path, kind, argv, error):
         # x^400 overflows at x = 10, and so does 2 x at x = 1e308; numpy
         # must not warn on stderr ahead of the error line, so the CLI runs
@@ -690,9 +697,19 @@ class TestErrorTexts:
         (lambda tmp: TestErrorTexts.auto("radial:S0[0],42",
                                          "--source-stratum", "S+"),
          "auto-sequence count 42 out of range"),
+        # A sequence in S itself may end at x0, as radial: does here, and
+        # then could never FAIL.
+        (lambda tmp: TestErrorTexts.whitney(
+            "--scenario", TestErrorTexts.scenario(
+                tmp, R="S0", sequence_indices=[0, 0, 0, 0, 0])),
+         "$: scenario needs two distinct strata, got 'S0' as both S and R"),
+        (lambda tmp: TestErrorTexts.auto("radial:S+[0],5",
+                                         "--source-stratum", "S+"),
+         "scenario needs two distinct strata, got 'S+' as both S and R"),
     ], ids=["x0-index", "scenario-stratum", "auto-target", "auto-source",
             "auto-index", "sections-stratum", "no-scenario", "auto-spec",
-            "auto-no-source", "auto-count-zero", "auto-count-above"])
+            "auto-no-source", "auto-count-zero", "auto-count-above",
+            "scenario-one-stratum", "auto-one-stratum"])
     def test_stderr_line(self, capsys, tmp_path, argv, error):
         code = main(argv(tmp_path))
         captured = capsys.readouterr()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import svb.monoid
 from svb.bundle import trivial_bundle
-from svb.config import CLUSTER_RADIUS
+from svb.config import CLUSTER_RADIUS, TOL_CHECK
 from svb.fixtures import bundle_scalar_action, cone_bundle, step_rank_bundle
 from svb.grassmann import Subspace, gap_distance, span
 from svb.jsonio import action_from_json, read_json
@@ -145,6 +145,40 @@ class TestRegularity:
         assert report.overall == "REGULAR"
         images = np.array([a.evaluate(0.0, e) for e in a.sample_points])
         np.testing.assert_allclose(images[:, 1], 0.0, atol=1e-12)
+
+
+class TestBothSidesOfTol:
+    """Axiom and regularity verdicts with one input moved from 0.5 tol to
+    2 tol of the default tolerance."""
+
+    @staticmethod
+    def shifted(c, t_power):
+        """h_t(e) = e + c t^t_power on the origin and one more sample."""
+        return MonoidActionSample.polynomial(
+            [[{"powers": [0, 1], "coef": 1.0},
+              {"powers": [t_power, 0], "coef": c}]], 1, [[0.0], [0.5]])
+
+    @pytest.mark.parametrize("factor, passed", [(0.5, True), (2.0, False)])
+    def test_axiom_residual(self, factor, passed):
+        # h_1(e) - e = c and h_t h_s(e) - h_ts(e) = c: exact at the origin.
+        c = factor * TOL_CHECK
+        report = audit_axioms(self.shifted(c, 0))
+        assert report.passed is passed
+        if not passed:
+            assert report.identity_violations[0] == (0, c)
+            assert {r for _, _, i, r in report.composition_violations
+                    if i == 0} == {c}
+
+    @pytest.mark.parametrize("factor, regular", [(0.5, True), (2.0, False)])
+    def test_regularity(self, factor, regular):
+        # h_0 fixes every point, and |phi| = c.
+        c = factor * TOL_CHECK
+        report = regularity_check(self.shifted(c, 1))
+        for point in report.points:
+            assert point.phi_norm == pytest.approx(c, rel=1e-4)
+            assert point.fixed_distance == 0.0
+        assert bool(report) is regular
+        assert report.violating_indices == (() if regular else (0, 1))
 
 
 class TestReconstructBundle:
@@ -647,6 +681,21 @@ class TestNonFiniteResiduals:
             t_grid=(-1.0, 0.0, 1.0, 2.0))
         with pytest.raises(ValueError, match="non-finite residual"):
             audit_axioms(a)
+
+    def test_overflow_names_its_sample(self):
+        # h_t(e) = 1e150 t e: the composition residuals, 1e300 t s e at
+        # most, square to infinity at e = 1 and to 0 at the origin, so
+        # the column of sample 1 overflows.
+        a = MonoidActionSample.polynomial(
+            [[{"powers": [1, 1], "coef": 1e150}]], 1, [[0.0], [1.0]],
+            t_grid=(-1.0, 0.0, 1.0, 2.0))
+        with pytest.raises(ValueError, match=re.escape(
+                "non-finite residual at sample 1: a norm overflows")):
+            audit_axioms(a)
+        big = action("scalar", np.array([[0.0, 1.0], [1e300, 1e300]]))
+        with pytest.raises(ValueError, match=re.escape(
+                "non-finite residual at sample 1: a norm overflows")):
+            vertical_derivative(big, big.sample_points)
 
     def test_stack_shape_is_checked(self):
         a = action("scalar", R2_SAMPLES)

@@ -262,6 +262,21 @@ class TestCheckFrontier:
         assert not report.passed
         assert {v.reason for v in report.violations} == {"not_covered"}
 
+    @pytest.mark.parametrize("below, passed", [(False, True), (True, False)])
+    def test_cover_at_the_reach_and_just_below(self, below, passed):
+        # Dyadic spacing: the origin's reach to either half is exactly
+        # 1/16, so a cover of exactly the reach holds and the next float
+        # down does not.
+        reach = 0.0625
+        delta = np.nextafter(reach, 0.0) if below else reach
+        report = check_frontier(line_stratification(reach), 0.125, delta)
+        assert report.touching_pairs == (("S0", "S+"), ("S0", "S-"))
+        assert report.distance.tolist() == [reach, reach]
+        assert report.passed is passed
+        assert [(v.s, v.r, v.reason) for v in report.violations] == (
+            [] if passed else [("S0", "S+", "not_covered"),
+                               ("S0", "S-", "not_covered")])
+
     def test_invalid_thresholds(self):
         with pytest.raises(ValueError):
             check_frontier(line_stratification(), -1.0, 0.05)
