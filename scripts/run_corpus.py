@@ -9,9 +9,9 @@ expected to exit 2; anything off-script trips the final exit code.
 ``--dump DIR`` also writes each run's report to ``DIR/report<NN>.<format>``
 and the artifacts of the producing verbs into DIR, so two checkouts can
 be diffed for byte-identical output.  The reports name DIR as ``<dump>``
-so that the tree does not depend on where it was written;
-``tests/golden/corpus`` holds the JSON tree that the test suite compares
-against.
+so that the tree does not depend on where it was written; the test
+suite compares the JSON tree with ``tests/golden/corpus`` and the text
+reports with ``tests/golden/corpus_text``.
 """
 
 import argparse

@@ -18,7 +18,6 @@ from .grassmann import (
     apply_linear_map,
     gap_distance,
     intersection,
-    is_contained,
     sequence_limit,
     span,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "Subspace",
     "span",
     "gap_distance",
-    "is_contained",
     "sequence_limit",
     "apply_linear_map",
     "intersection",

@@ -154,9 +154,6 @@ class FiniteGroupAction:
     def order(self) -> int:
         return len(self.elements)
 
-    def multiply(self, i: int, j: int) -> int:
-        return int(self.table[i, j])
-
     def conjugate_subgroup(self, subgroup, t: int) -> tuple[int, ...]:
         """Index set of t H t^-1."""
         return tuple(_conjugates(self, subgroup)[t].tolist())

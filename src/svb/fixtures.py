@@ -1,5 +1,5 @@
-"""Canonical desk-scale fixtures used by the test-suite, the CLI docs
-and the committed JSON corpus (scripts/make_fixtures.py).
+"""Desk-scale fixtures of the JSON corpus (scripts/make_fixtures.py) and
+the benchmark, which tests read too; test-only ones are in tests/helpers.py.
 
 Everything here is exact: points sit on grids or dyadic sequences so
 that declared strata, fibers and group orbits match to machine
@@ -25,13 +25,10 @@ __all__ = [
     "dyadic_line_stratification",
     "cone_bundle",
     "cone_scenario",
-    "cone_sections",
     "step_rank_bundle",
     "trivial_bundle",
     "bundle_scalar_action",
     "sign_flip_group",
-    "axis_reflection_group",
-    "dihedral_square_group",
     "rotation_group",
     "sign_flip_tangent_bundle",
     "ring_tangent_bundle",
@@ -156,18 +153,6 @@ def cone_scenario(depth: int = 40) -> ConvergenceScenario:
     return ConvergenceScenario("S0", "S+", 0, tuple(range(depth + 1)))
 
 
-def cone_sections(b: SampledStratifiedBundle):
-    """One spanning section of a cone bundle, as ``{stratum: (n_i, 2)
-    array}`` aligned with ``b.stacks``: x -> (1, x) away from the origin
-    and the origin fiber's own basis vector at the origin.  For the
-    rank-0 variant this degenerates to the zero section."""
-    if b.stratum_rank["S0"] == 0:
-        return [{s.name: np.zeros((len(s), 2)) for s in b.base.strata}]
-    return [{s.name: b.stacks["S0"][:, 0].copy() if s.name == "S0"
-             else np.column_stack([np.ones(len(s)), s.points[:, 0]])
-             for s in b.base.strata}]
-
-
 def step_rank_bundle() -> SampledStratifiedBundle:
     """Ranks (2, 1, 2) over the coarse line base inside R^3: the halves
     carry tilted planes, the origin the single line they share."""
@@ -215,24 +200,6 @@ def sign_flip_group() -> FiniteGroupAction:
     """x -> -x on the line, with the tangent action v -> -v."""
     return FiniteGroupAction(1, [[[1.0]], [[-1.0]]],
                              fiber_elements=[[[1.0]], [[-1.0]]])
-
-
-def axis_reflection_group() -> FiniteGroupAction:
-    """(x, y) -> (x, -y) of order two."""
-    return FiniteGroupAction(2, [np.eye(2), np.diag([1.0, -1.0])])
-
-
-def dihedral_square_group(with_tangent_action: bool = False
-                          ) -> FiniteGroupAction:
-    """Symmetries of the square: four rotations and four reflections."""
-    def rot(k):
-        c, s = np.cos(k * np.pi / 2), np.sin(k * np.pi / 2)
-        return np.round(np.array([[c, -s], [s, c]]))
-
-    mats = [rot(k) for k in range(4)]
-    mats += [rot(k) @ np.diag([1.0, -1.0]) for k in (0, 2, 1, 3)]
-    fiber = [m.copy() for m in mats] if with_tangent_action else None
-    return FiniteGroupAction(2, mats, fiber_elements=fiber)
 
 
 def rotation_group(n: int, with_tangent_action: bool = True

@@ -172,7 +172,7 @@ def foliation_bundle(vfs: VectorFieldSet, r_cc: float = R_CC,
     vh, ranks = _distribution_rows(vfs, pts, tol_rank)
     part = partition_by_label(
         pts, ranks, [(f"rank{r}", r) for r in sorted(set(ranks))],
-        dim=lambda rank, cloud: estimate_cloud_dim(cloud),
+        dim=lambda rank, cloud: estimate_cloud_dim(cloud, tol_rank),
         below=lambda low, high: low < high, r_cc=r_cc)
     return SampledStratifiedBundle.from_stacks(
         part.stratification, vfs.ambient_dim,

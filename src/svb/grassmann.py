@@ -24,7 +24,6 @@ __all__ = [
     "as_basis",
     "span",
     "gap_distance",
-    "is_contained",
     "sequence_limit",
     "apply_linear_map",
     "intersection",
@@ -171,10 +170,6 @@ class Subspace:
     def zero(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, np.zeros((0, ambient_dim)))
 
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, np.eye(ambient_dim))
-
     def to_json(self) -> dict:
         return {"ambient": self.ambient_dim, "basis": self.basis.tolist()}
 
@@ -221,11 +216,6 @@ def gap_distance(a: Subspace, b: Subspace) -> float:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("gap_distance requires equal ambient dimensions")
     return float(opnorms(a.projection - b.projection))
-
-
-def is_contained(w: Subspace, v: Subspace, tol: float = TOL_CHECK) -> bool:
-    """True iff W sits inside V: ``||P_v P_w - P_w||_2 <= tol``."""
-    return containment_residual(w, v, tol)[0]
 
 
 def containment_residual(w: Subspace, v: Subspace,

@@ -29,7 +29,7 @@ import numpy as np
 from .config import CLUSTER_RADIUS, STEP, TOL_CHECK, TOL_RANK
 from .foliation import evaluate_terms, parse_terms
 from .grassmann import Subspace, _distinct, _float_rows, _runs, _span_rank
-from .strata import _samples, near_pairs
+from .strata import _first_far, _samples, near_pairs
 
 _EPS = float(np.finfo(float).eps)
 # Evaluations and residuals may overflow; the non-finite checks below
@@ -362,6 +362,9 @@ def reconstruct_bundle(a: MonoidActionSample, base_samples,
     base = _float_rows(base_samples)
     if base.shape[1] != a.ambient_dim:
         raise ValueError("base samples have the wrong ambient dimension")
+    if (far := _first_far(base)) >= 0:
+        raise ValueError(f"base sample {far} has a coordinate that is not "
+                         "finite or beyond ±2^500")
     m, n = a.ambient_dim, len(images)
     at, member = np.divmod(np.sort(np.concatenate([np.empty(0, np.intp)] + [
         i * n + j for i, j, _ in near_pairs(base, images, cluster_radius)])), n)

@@ -30,8 +30,8 @@ well-separated strata is a small part of the cloud.
 
 A ``FrontierReport`` keeps its touching pairs as parallel arrays
 (source, target, reason code, witness row, distance), sorted once by
-name; renderers read those columns directly, and the Python tuples
-``touching_pairs`` and ``violations`` are built only when asked for.
+name; renderers read those columns directly, and the tuple of name
+pairs ``touching_pairs`` is built only when asked for.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .grassmann import _distinct, _float_rows, _runs, span
 __all__ = [
     "Stratum",
     "Stratification",
-    "FrontierViolation",
     "FrontierReport",
     "REASONS",
     "MAX_COORD",
@@ -574,15 +573,6 @@ def estimate_cloud_dim(points: np.ndarray, tol_rank: float = TOL_RANK) -> int:
                 tol_abs=1e-9 * max(scale, 1.0)).dim
 
 
-@dataclass(frozen=True)
-class FrontierViolation:
-    s: str
-    r: str
-    reason: str  # "undeclared" or "not_covered"
-    witness: tuple[float, ...]
-    distance: float
-
-
 # The violation reasons by code; code -1 marks a sound touching pair.
 REASONS = ("undeclared", "not_covered")
 
@@ -595,9 +585,7 @@ class FrontierReport:
     ``source`` and ``target`` index ``names``; ``reason`` holds -1 for a
     sound pair, else the index of its reason in ``REASONS``; ``witness``
     is the source point farthest from the target cloud and ``distance``
-    its distance to that cloud.  ``touching_pairs`` and ``violations``
-    are the same rows as tuples of names and of ``FrontierViolation``,
-    built on first use.  Reports compare by value.
+    its distance to that cloud; ``touching_pairs`` names the pairs.
     """
 
     passed: bool
@@ -612,15 +600,6 @@ class FrontierReport:
 
     def __bool__(self):
         return self.passed
-
-    def __eq__(self, other):
-        if not isinstance(other, FrontierReport):
-            return NotImplemented
-        return self._value() == other._value()
-
-    def _value(self):
-        return (self.passed, self.eps_touch, self.delta_cover,
-                self.violations, self.touching_pairs)
 
     def pair_names(self, rows=slice(None)) -> tuple[list, list]:
         """Source and target names of the given rows, as two lists."""
@@ -639,12 +618,6 @@ class FrontierReport:
     @functools.cached_property
     def touching_pairs(self) -> tuple[tuple[str, str], ...]:
         return tuple(zip(*self.pair_names()))
-
-    @functools.cached_property
-    def violations(self) -> tuple[FrontierViolation, ...]:
-        return tuple(FrontierViolation(a, b, reason, tuple(witness), d)
-                     for a, b, reason, witness, d
-                     in zip(*self.violation_columns()))
 
 
 def check_frontier(s: Stratification, eps_touch: Optional[float] = None,

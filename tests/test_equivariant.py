@@ -31,8 +31,6 @@ from svb.equivariant import (
     tangent_comparison,
 )
 from svb.fixtures import (
-    axis_reflection_group,
-    dihedral_square_group,
     line_stratification,
     ring_tangent_bundle,
     rotation_group,
@@ -51,6 +49,9 @@ from svb.grassmann import (
 from svb.cli import main
 from svb.jsonio import bundle_to_json, dumps, group_to_json, write_json
 from svb.strata import Stratification, Stratum, check_frontier
+
+from helpers import (axis_reflection_group, dihedral_square_group,
+                     violation_rows)
 
 
 def trivial_group(n=2):
@@ -235,7 +236,7 @@ class TestGroupConstruction:
     def test_inverses_found(self):
         g = dihedral_square_group()
         for i in range(g.order):
-            assert g.multiply(i, int(g.inverse[i])) == g.identity_index
+            assert g.table[i, g.inverse[i]] == g.identity_index
 
 
 class TestStabilizer:
@@ -288,9 +289,9 @@ class TestStabilizerThreshold:
 
 
 def reference_conjugate(g, subgroup, t):
-    """t H t^-1 one element at a time, through ``multiply``."""
+    """t H t^-1 one element at a time, through the group table."""
     t_inv = int(g.inverse[t])
-    return tuple(sorted(g.multiply(g.multiply(t, h), t_inv)
+    return tuple(sorted(int(g.table[g.table[t, h], t_inv])
                         for h in subgroup))
 
 
@@ -313,7 +314,7 @@ def cyclic_subgroups(g):
         members, power = {g.identity_index}, a
         while power != g.identity_index:
             members.add(power)
-            power = g.multiply(power, a)
+            power = int(g.table[power, a])
         out.add(tuple(sorted(members)))
     return out
 
@@ -499,7 +500,7 @@ class TestOrbitTypePartition:
         part = orbit_type_partition(g, grid_points(step=0.25), r_cc=0.4)
         report = check_frontier(part.stratification, eps_touch=0.3,
                                 delta_cover=0.3)
-        assert report.passed, report.violations
+        assert report.passed, violation_rows(report)
 
 
 class TestSamplePoints:
@@ -834,12 +835,12 @@ def _unique_route(g, pts, tol):
 
 
 def closure(g, gens):
-    """The elements that products of ``gens`` reach, through
-    ``multiply``."""
+    """The elements that products of ``gens`` reach, through the group
+    table."""
     members, grown = {g.identity_index}, None
     while grown != members:
         grown = set(members)
-        members |= {g.multiply(a, b) for a in grown for b in gens}
+        members |= {int(g.table[a, b]) for a in grown for b in gens}
     return members
 
 

@@ -1,9 +1,11 @@
+import json
 import re
 
 import numpy as np
 import pytest
 
 from svb.bundle import validate_bundle, whitney_a_from_sections
+from svb.cli import main
 from svb.config import TOL_RANK
 from svb.fixtures import (
     axis_scaling_fields_plane,
@@ -21,9 +23,11 @@ from svb.foliation import (
     stratify_by_rank,
 )
 from svb.grassmann import gap_distance, span
-from svb.jsonio import SchemaError, fields_from_json, fields_to_json
+from svb.jsonio import SchemaError, fields_from_json, fields_to_json, write_json
 from svb.monoid import MonoidActionSample
 from svb.strata import check_frontier, partition_by_label
+
+from helpers import violation_rows
 
 
 class TestDistributionAt:
@@ -135,10 +139,30 @@ class TestStratifyByRank:
         assert all(st.dim == 1 for st in by_rank[1])
         assert all(st.dim == 2 for st in by_rank[2])
 
+    @pytest.mark.parametrize("tol_rank, dim", [(1e-8, 2), (1e-3, 1)])
+    def test_tol_rank_sets_the_stratum_dim(self, tmp_path, capsys, tol_rank,
+                                           dim):
+        # d/dx on 41 samples of y = 1e-6 sin(7x): the centered cloud's
+        # singular values stand about 1e-6 apart, between the two tols.
+        x = np.linspace(-1.0, 1.0, 41)
+        vfs = VectorFieldSet(2, [PolynomialVectorField(
+            2, [{"powers": [0, 0], "vector": [1.0, 0.0]}])],
+            np.column_stack([x, 1e-6 * np.sin(7.0 * x)]))
+        s = stratify_by_rank(vfs, r_cc=0.1, tol_rank=tol_rank)
+        assert [(st.name, st.dim) for st in s.strata] == [("rank1_c0", dim)]
+        path = str(tmp_path / "fields.json")
+        write_json(fields_to_json(vfs), path)
+        assert main(["foliation", "stratify", "--fields", path, "--r-cc",
+                     "0.1", "--tol-rank", str(tol_rank),
+                     "--no-timestamp"]) == 0
+        check = json.loads(capsys.readouterr().out)["checks"][0]
+        assert check["strata"] == [{"name": "rank1_c0", "dim": dim,
+                                    "points": 41}]
+
     def test_declared_closure_survives_audit(self):
         s = stratify_by_rank(axis_scaling_fields_plane(), r_cc=0.3)
         report = check_frontier(s, eps_touch=0.26, delta_cover=0.26)
-        assert report.passed, report.violations
+        assert report.passed, violation_rows(report)
 
 
 class TestFoliationBundle:

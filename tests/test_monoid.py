@@ -235,6 +235,29 @@ class TestReconstructInput:
                            "ambient dimension$"):
             reconstruct_bundle(a, [[0.0, 0.0, 0.0]])
 
+    @pytest.mark.parametrize("row", [0, 2])
+    @pytest.mark.parametrize("value", [
+        np.nan, np.inf, -np.inf, np.nextafter(2.0 ** 500, np.inf),
+        -np.nextafter(2.0 ** 500, np.inf)],
+        ids=["nan", "inf", "-inf", "above", "-above"])
+    def test_far_base_sample_named(self, row, value):
+        # Unchecked, such a sample would meet no cluster: a rank-0 fiber.
+        act, base, _ = bundle_scalar_action(cone_bundle("pass", 4))
+        base = np.array(base)
+        base[row, 0] = value
+        with pytest.raises(ValueError, match=f"^base sample {row} has a "
+                           "coordinate that is not finite or beyond"):
+            reconstruct_bundle(act, base)
+
+    def test_base_sample_at_the_bound(self):
+        act, base, expected = bundle_scalar_action(cone_bundle("pass", 4))
+        base = np.array(base)
+        frag = reconstruct_bundle(act, base)
+        assert frag.ranks[:3] == tuple(e.dim for e in expected[:3]) == (1, 1, 1)
+        # Far from every cluster, yet within the bound: rank 0, no error.
+        base[0, 0], base[1, 0] = 2.0 ** 500, -2.0 ** 500
+        assert reconstruct_bundle(act, base).ranks == (0, 0) + frag.ranks[2:]
+
 
 class TestClustersByNearPairs:
     """One ``near_pairs`` pass and one SVD stack per cluster size give the
@@ -274,7 +297,7 @@ class TestClustersByNearPairs:
 
     def test_base_without_clusters(self):
         a = action("scalar", R2_SAMPLES)
-        frag = reconstruct_bundle(a, [[9.0, 9.0], [np.nan, 0.0]],
+        frag = reconstruct_bundle(a, [[9.0, 9.0], [-9.0, 0.0]],
                                   cluster_radius=1e-9)
         assert frag.ranks == (0, 0)
         assert [f.basis.shape for f in frag.fibers] == [(0, 2), (0, 2)]

@@ -14,7 +14,6 @@ from svb.fixtures import (
     axis_scaling_fields_plane,
     cantor_stratification,
     cone_stratification,
-    dihedral_square_group,
     line_stratification,
     local_line_stratification,
     ring_tangent_bundle,
@@ -34,6 +33,8 @@ from svb.strata import (
     partition_by_label,
     single_linkage_components,
 )
+
+from helpers import dihedral_square_group, violation_rows
 
 
 def single_stratum():
@@ -150,15 +151,14 @@ class TestCoordinateBound:
                             in zip("abc", (-1e150, 0.0, 1e150))])
         report = check_frontier(s, 1e150, 1e150)
         assert not report.passed
-        assert [(v.s, v.r, v.reason) for v in report.violations] == [
+        assert [v[:3] for v in violation_rows(report)] == [
             ("a", "b", "undeclared"), ("b", "a", "undeclared"),
             ("b", "c", "undeclared"), ("c", "b", "undeclared")]
 
 
 def _dense_frontier(s, eps, delta):
-    """Touching pairs and violations of ``check_frontier`` from the full
-    distance matrix of each stratum pair, one ``FrontierViolation`` at a
-    time."""
+    """Touching pairs and violation rows of ``check_frontier`` from the
+    full distance matrix of each stratum pair, one row at a time."""
     touching, violations = [], []
     for a in s.strata:
         for b in s.strata:
@@ -171,12 +171,18 @@ def _dense_frontier(s, eps, delta):
             reason = ("undeclared" if not s.in_closure(a.name, b.name)
                       else "not_covered" if d[w] > delta else None)
             if reason:
-                violations.append(strata.FrontierViolation(
-                    a.name, b.name, reason, tuple(a.points[w]),
-                    float(d[w])))
+                violations.append((a.name, b.name, reason,
+                                   a.points[w].tolist(), float(d[w])))
     touching.sort()
-    violations.sort(key=lambda v: (v.s, v.r))
-    return tuple(touching), tuple(violations)
+    violations.sort(key=lambda v: v[:2])
+    return tuple(touching), violations
+
+
+def _value(report):
+    """What a frontier report says: its verdict, thresholds, touching
+    pairs and violation rows."""
+    return (report.passed, report.eps_touch, report.delta_cover,
+            report.touching_pairs, violation_rows(report))
 
 
 def _lowest_shared_pair(strata):
@@ -250,9 +256,9 @@ class TestCheckFrontier:
         broken = Stratification(base.strata, closure_order=[("S0", "S-")])
         report = check_frontier(broken, 0.05, 0.05)
         assert not report.passed
-        assert [(v.s, v.r, v.reason) for v in report.violations] == [
+        assert [v[:3] for v in violation_rows(report)] == [
             ("S0", "S+", "undeclared")]
-        assert report.violations[0].witness == (0.0,)
+        assert violation_rows(report)[0][3] == [0.0]
 
     def test_cover_failure_reported(self):
         # Declared pair whose covering fails once delta shrinks below the
@@ -260,7 +266,7 @@ class TestCheckFrontier:
         report = check_frontier(line_stratification(), eps_touch=0.05,
                                 delta_cover=0.01)
         assert not report.passed
-        assert {v.reason for v in report.violations} == {"not_covered"}
+        assert {v[2] for v in violation_rows(report)} == {"not_covered"}
 
     @pytest.mark.parametrize("below, passed", [(False, True), (True, False)])
     def test_cover_at_the_reach_and_just_below(self, below, passed):
@@ -273,7 +279,7 @@ class TestCheckFrontier:
         assert report.touching_pairs == (("S0", "S+"), ("S0", "S-"))
         assert report.distance.tolist() == [reach, reach]
         assert report.passed is passed
-        assert [(v.s, v.r, v.reason) for v in report.violations] == (
+        assert [v[:3] for v in violation_rows(report)] == (
             [] if passed else [("S0", "S+", "not_covered"),
                                ("S0", "S-", "not_covered")])
 
@@ -295,7 +301,7 @@ class TestCheckFrontier:
             touching, violations = _dense_frontier(s, eps, eps / 2)
             report = check_frontier(s, eps, eps / 2)
             assert report.touching_pairs == touching
-            assert report.violations == violations
+            assert violation_rows(report) == violations
 
     def test_rows_sorted_by_name_not_by_index(self):
         # Index order, numpy's and Python's string order all differ here.
@@ -308,10 +314,10 @@ class TestCheckFrontier:
             closure_order=[("z", "a"), ("a", "\u00e9"), ("_", "a_")])
         for eps in (0.35, 2.0):  # sound pairs at 2.0 only
             report = check_frontier(s, eps, eps / 3)
-            assert (report.touching_pairs, report.violations) == \
+            assert (report.touching_pairs, violation_rows(report)) == \
                 _dense_frontier(s, eps, eps / 3)
             assert report.touching_pairs
-            assert report.passed == (not report.violations)
+            assert report.passed == (not violation_rows(report))
             assert report.names == tuple(names)
             assert [(report.names[a], report.names[b]) for a, b in zip(
                 report.source.tolist(), report.target.tolist())] == \
@@ -325,16 +331,15 @@ class TestCheckFrontier:
         assert report.reason.tolist() == [0, 1]  # S0-S+ undeclared, S0-S- far
         assert report.witness.shape == (2, 1)
         assert report.distance.dtype == float
-        assert report.violations is report.violations
         assert report.touching_pairs is report.touching_pairs
-        assert [v.reason for v in report.violations] == list(strata.REASONS)
-        assert report == check_frontier(s, 0.05, 0.01)
-        assert report != check_frontier(s, 0.05, 0.05)
+        assert [v[2] for v in violation_rows(report)] == list(strata.REASONS)
+        assert _value(report) == _value(check_frontier(s, 0.05, 0.01))
+        assert _value(report) != _value(check_frontier(s, 0.05, 0.05))
 
     def test_empty_report(self):
         report = check_frontier(single_stratum(), 0.05, 0.05)
         assert report.passed and report.touching_pairs == ()
-        assert report.violations == ()
+        assert violation_rows(report) == []
         assert report.source.shape == (0,) and report.witness.shape == (0, 1)
 
     @pytest.mark.parametrize("eps, delta", [(0.05, 0.04), (None, 0.04),
@@ -578,7 +583,7 @@ class TestFrontierGate:
         report = check_frontier(s, 0.05, 0.05)
         assert rows == [len(s.strata)] + searched
         assert report.touching_pairs == (("probe", "cl5"),)
-        assert report.violations[0].reason == "undeclared"
+        assert violation_rows(report)[0][2] == "undeclared"
 
 
 class TestCloudDim:
@@ -632,9 +637,9 @@ def _kernel_results():
                      for y in np.arange(-1.0, 1.01, 0.25)])
     part = orbit_type_partition(dihedral_square_group(), grid, r_cc=0.4)
     return (
-        check_frontier(line_stratification(), 0.05, 0.05),
-        check_frontier(cone_stratification(), 0.08, 0.01),
-        check_frontier(cantor_stratification(4)),
+        _value(check_frontier(line_stratification(), 0.05, 0.05)),
+        _value(check_frontier(cone_stratification(), 0.08, 0.01)),
+        _value(check_frontier(cantor_stratification(4))),
         local_finiteness_report(cantor_stratification(5), 0.1, threshold=3),
         local_finiteness_report(local_line_stratification(), 0.1),
         single_linkage_components(
