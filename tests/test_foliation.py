@@ -23,7 +23,8 @@ from svb.foliation import (
     stratify_by_rank,
 )
 from svb.grassmann import gap_distance, span
-from svb.jsonio import SchemaError, fields_from_json, fields_to_json, write_json
+from svb.jsonio import (SchemaError, fields_from_json, fields_to_json,
+                        write_json)
 from svb.monoid import MonoidActionSample
 from svb.strata import check_frontier, partition_by_label
 
