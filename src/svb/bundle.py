@@ -15,7 +15,7 @@ and quotient bundles of ``equivariant`` all go through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -265,13 +265,14 @@ def whitney_a_from_sections(b: SampledStratifiedBundle,
     rejected, a short or missing one is undefined at its first absent
     point.  Requires sections that take values in the fibers (one
     batched residual per stack) and span the fiber over the limit
-    point.  Along the scenario tail the sections must stay
-    asymptotically inside the limit subspace; the verdict is the
-    containment test of ``whitney_a_check`` with the per-section tail
-    residuals attached.
+    point.  The verdict is that of ``whitney_a_check``, with each
+    section's residual at the final tail point attached: the limit is
+    the fiber there, which every section was just found within tol of.
     """
     verdict = whitney_a_check(b, sc, tol=tol, tail_len=tail_len)
     empty = np.empty((0, b.fiber_ambient))
+    last = sc.sequence_indices[-1]
+    section_residuals = []
     for j, section in enumerate(sections):
         for name, stack in b.stacks.items():
             v = np.asarray(section.get(name, empty), dtype=float)
@@ -288,23 +289,16 @@ def whitney_a_from_sections(b: SampledStratifiedBundle,
             if len(v) < len(stack):
                 raise ValueError(
                     f"section {j} undefined at point {(name, len(v))}")
+            if name == sc.source_stratum:
+                section_residuals.append(float(residual[last]))
     spanned = span([np.asarray(sec[sc.target_stratum][sc.x0_index],
                                dtype=float) for sec in sections],
                    b.fiber_ambient)
     if spanned.dim != b.stacks[sc.target_stratum].shape[1]:
         raise ValueError(
             "section values at the limit point do not span its fiber")
-    if verdict.limit is None:
-        return verdict
-    final = sc.sequence_indices[-1]
-    section_residuals = tuple(_off_fiber(verdict.limit.basis, np.array(
-        [sec[sc.source_stratum][final] for sec in sections],
-        dtype=float)).tolist())
-    passed = verdict.status == PASS and all(r <= tol
-                                            for r in section_residuals)
-    return WhitneyVerdict(PASS if passed else FAIL, residual=verdict.residual,
-                          limit=verdict.limit,
-                          section_residuals=section_residuals)
+    return verdict if verdict.limit is None else replace(
+        verdict, section_residuals=tuple(section_residuals))
 
 
 def _off_fiber(bases: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -6,9 +6,9 @@ stabilizer class, not one at a time: one ``(order, n)`` table records
 which elements fix which points, each distinct column (one stable sort
 finds them) is one stabilizer, checked once for closure under the
 table, and conjugacy labels, fixed subspaces by averaging and
-orbit-type strata follow per class.  An orbit type's dimension is the
-trace of its average, (1/|H|) sum of tr h, which is exact because the
-average over a closed subgroup is a projection.  The conjugates
+orbit-type strata follow per class.  The average over a closed subgroup
+H is the projection onto its fixed space, so that space's dimension is
+the trace (1/|H|) sum of tr h, with no rank threshold.  The conjugates
 t H t^-1 of a subgroup, for every t at once, are one gather in the
 group table.  ``invariant_subbundle`` shrinks an equivariant bundle to
 the stabilizer-invariant part of each fiber, one intersection stack per
@@ -18,9 +18,8 @@ equivariance audit needs no rank decision: an orthogonal fiber matrix M
 carries the fiber with projection P onto the one with projection
 M P M^T, and the audit compares the spectral norm of M P M^T - Q with
 the tolerance.  That norm, like those of the orthogonality and table
-checks of the group's matrices and of the idempotence test of a
-fixed-space average, is only compared with a tolerance, so each goes
-through the Frobenius screen ``grassmann._spectral_norms``.
+checks of the group's matrices, is only compared with a tolerance, so
+each goes through the Frobenius screen ``grassmann._spectral_norms``.
 
 The permutation each element induces on the sample points comes from a
 generating set picked greedily from the table.  One radius query at
@@ -52,7 +51,7 @@ from .bundle import SampledStratifiedBundle, _gather_stacks
 from .config import R_CC, TOL_CHECK
 from .functors import _chunks
 from .grassmann import (Subspace, _distinct, _runs, _spectral_norms,
-                        intersections, span)
+                        intersections)
 from .strata import (
     LabelPartition,
     Stratification,
@@ -176,11 +175,12 @@ def _raise_first(bad, message: str) -> None:
 def _orthogonal_stack(mats, size: int, what: str,
                       shape_error: str) -> np.ndarray:
     """Stack ``mats``, raising at the first that is not ``size x size``,
-    then at the first that is not orthogonal."""
+    then at the first that is not orthogonal, quietly on overflow."""
     _raise_first([m.shape != (size, size) for m in mats], shape_error)
     mats = np.stack(mats)
-    defect = _spectral_norms(mats @ mats.transpose(0, 2, 1) - np.eye(size),
-                             _TOL_GROUP)
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = _spectral_norms(
+            mats @ mats.transpose(0, 2, 1) - np.eye(size), _TOL_GROUP)
     _raise_first(~(defect <= _TOL_GROUP), f"{what} {{}} is not orthogonal")
     return mats
 
@@ -214,7 +214,7 @@ def _stabilizer_table(g: FiniteGroupAction, pts: np.ndarray, tol: float
     classes = []
     for p in first[by_appearance].tolist():
         members = np.flatnonzero(fixes[:, p])
-        if not np.isin(g.table[np.ix_(members, members)], members).all():
+        if not _closed(g, members):
             raise ValueError(
                 f"stabilizer of {pts[p].tolist()} is not closed under the "
                 "group table; the tolerance is too loose or too tight")
@@ -222,6 +222,13 @@ def _stabilizer_table(g: FiniteGroupAction, pts: np.ndarray, tol: float
     of_point = np.empty(len(order), dtype=np.intp)
     of_point[order] = _inverse(by_appearance)[np.cumsum(run) - 1]
     return classes, of_point
+
+
+def _closed(g: FiniteGroupAction, members) -> bool:
+    """Whether the indices ``members`` are closed under the group table;
+    ValueError for a negative index, which would alias another."""
+    member = np.bincount(members, minlength=g.order) > 0
+    return bool(member[g.table[np.ix_(members, members)]].all())
 
 
 def _conjugates(g: FiniteGroupAction, subgroup) -> np.ndarray:
@@ -238,24 +245,21 @@ def conjugacy_label(g: FiniteGroupAction, subgroup) -> tuple[int, ...]:
     return min(map(tuple, _conjugates(g, subgroup).tolist()))
 
 
-def fixed_subspace(g: FiniteGroupAction, subgroup, use_fiber: bool = False,
-                   tol: float = TOL_CHECK) -> Subspace:
-    """Fixed space of a subgroup by averaging its matrices; the average
-    of an orthogonal subgroup is the orthogonal projection onto the
-    fixed vectors."""
+def fixed_subspace(g: FiniteGroupAction, subgroup,
+                   use_fiber: bool = False) -> Subspace:
+    """Fixed space of a subgroup.  The average is the projection onto it:
+    its trace is the dimension, its top right-singular vectors a basis."""
     subgroup = sorted(set(int(i) for i in subgroup))
     if not subgroup:
         raise ValueError("subgroup must be nonempty")
     mats = g.fiber_elements if use_fiber else g.elements
     if mats is None:
         raise ValueError("group carries no fiber action")
+    if not _closed(g, subgroup):
+        raise ValueError(f"set {subgroup} is not closed under the group table")
     avg = sum(mats[i] for i in subgroup) / len(subgroup)
-    cap = max(tol, 1e-9)
-    if _spectral_norms((avg @ avg - avg)[None], cap)[0] > cap:
-        raise ValueError(
-            "averaging did not produce an idempotent; the index set is not "
-            "closed under multiplication")
-    return span(avg.T, avg.shape[0], tol_abs=1e-10)
+    vh = np.linalg.svd(avg.T, full_matrices=False)[2]
+    return Subspace(len(avg), vh[:round(np.trace(avg))])
 
 
 def orbit_type_partition(g: FiniteGroupAction, points, r_cc: float = R_CC,

@@ -425,6 +425,9 @@ def parse_functor(text: str) -> LinearFunctor:
         args = _split_top_level(body)
         if len(args) != 2:
             raise ValueError(f"{name}(...) takes exactly two arguments")
-        first, second = (parse_functor(a) for a in args)
+        try:
+            first, second = (parse_functor(a) for a in args)
+        except RecursionError:  # nesting beyond Python's recursion limit
+            raise ValueError("functor string is nested too deeply") from None
         return DirectSum(first, second) if name == "sum" else Compose(first, second)
     raise ValueError(f"cannot parse functor string: {text!r}")

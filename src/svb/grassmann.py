@@ -100,8 +100,10 @@ def _float_rows(a) -> np.ndarray:
 def orthonormal_rows(bases, tol: float = TOL_ORTHO) -> np.ndarray:
     """Whether the rows of each basis in a stack ``(..., r, k)`` are
     orthonormal: every Gram entry within ``max(tol, 1e-12)`` of the
-    identity.  NaN and infinity fail; an empty Gram matrix passes."""
-    gram = bases @ bases.swapaxes(-1, -2)
+    identity.  NaN, infinity and overflow fail, quietly; an empty Gram
+    matrix passes."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = bases @ bases.swapaxes(-1, -2)
     return (np.abs(gram - np.eye(bases.shape[-2]))
             <= max(tol, 1e-12)).all(axis=(-2, -1))
 
@@ -184,9 +186,7 @@ def span(vectors, ambient_dim: int, tol_rank: float = TOL_RANK,
     The rank is decided by the relative singular-value threshold: sigma
     counts iff sigma > tol_rank * sigma_max.  An empty or all-zero input
     yields the zero subspace.  ``tol_abs`` adds an absolute cutoff for
-    callers whose inputs have a known scale (e.g. images of orthogonal
-    projections, where real singular values are 1 and anything tiny is
-    rounding noise).
+    callers whose inputs have a known scale.
     """
     if not isinstance(vectors, np.ndarray):  # an iterable of rows
         vectors = list(vectors)
@@ -274,12 +274,12 @@ def intersections(bases, b: Subspace, tol: float = TOL_CHECK
 
     A vector of A lies in the intersection iff projecting it to B leaves
     it unchanged, so the intersection is spanned by the null directions
-    of (I - P_b) restricted to A's basis: the left singular vectors of
+    of (I - P_b) restricted to A's basis: the left singular vectors U_k of
     ``A (I - P_b)`` whose singular values are at most ``tol``.  One SVD
-    stack finds them for every basis; the bases are then grouped by how
-    many there are, each group is orthonormalized by one stacked SVD
-    under the rank rule of :func:`span`, and each resulting rank gets
-    one orthonormality audit.
+    stack finds them for every basis.  U_k has orthonormal columns and A
+    orthonormal rows, so U_k^T A is already an orthonormal basis of the
+    intersection, with one row per kept singular value; the bases of each
+    dimension get one orthonormality audit.
     """
     bases = np.asarray(bases, dtype=float)
     m, r, k = bases.shape
@@ -301,13 +301,10 @@ def intersections(bases, b: Subspace, tol: float = TOL_CHECK
         rows = np.flatnonzero(kept == count)
         # Contiguous before the transpose, as one point's u[:, kept].T is.
         coeffs = np.ascontiguousarray(u[rows, :, r - count:]).swapaxes(1, 2)
-        vh, rank = _span_rank(coeffs @ bases[rows], TOL_RANK, 0.0)
-        for dim in _distinct(rank).tolist():
-            picked = rank == dim
-            stack = vh[picked, :dim]
-            if not orthonormal_rows(stack).all():
-                raise ValueError("basis is not orthonormal within tolerance")
-            stack.flags.writeable = False
-            for p, basis in zip(rows[picked].tolist(), stack):
-                out[p] = basis
+        stack = coeffs @ bases[rows]
+        if not orthonormal_rows(stack).all():
+            raise ValueError("basis is not orthonormal within tolerance")
+        stack.flags.writeable = False
+        for p, basis in zip(rows.tolist(), stack):
+            out[p] = basis
     return out

@@ -68,7 +68,7 @@ def read_json(path: str) -> Any:
         raise SchemaError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from None
-    except ValueError as exc:  # e.g. an integer beyond int()'s digit limit
+    except (ValueError, RecursionError) as exc:  # long integer, deep nesting
         raise SchemaError(f"{path}: unreadable JSON: {exc}") from None
 
 

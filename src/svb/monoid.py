@@ -40,7 +40,6 @@ __all__ = [
     "MonoidActionSample",
     "MonoidAudit",
     "RegularityReport",
-    "PointClassification",
     "VerticalFragment",
     "REGULAR",
     "NOT_REGULAR",
@@ -289,18 +288,14 @@ def vertical_derivative(a: MonoidActionSample, e, step: float = STEP):
         (refined[0], float(error[0]))
 
 
-@dataclass(frozen=True)
-class PointClassification:
-    index: int
-    phi_norm: float
-    fixed_distance: float
-    consistent: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegularityReport:
+    """The verdict, |phi| and the distance to the h_0-image per sample as
+    arrays, and the samples where only one of the two is within tol."""
+
     overall: str
-    points: tuple[PointClassification, ...] = field(repr=False)
+    phi_norms: np.ndarray = field(repr=False)
+    fixed_distances: np.ndarray = field(repr=False)
     violating_indices: tuple[int, ...] = ()
 
     def __bool__(self):
@@ -317,13 +312,9 @@ def _classify(a: MonoidActionSample, tol: float, step: float):
     phi_norms = _norms(phis)
     fixed_distances = _norms(pts - images)
     consistent = (phi_norms <= tol) == (fixed_distances <= tol)
-    points = tuple(PointClassification(i, float(p), float(d), bool(c))
-                   for i, (p, d, c) in enumerate(zip(
-                       phi_norms, fixed_distances, consistent)))
     violations = tuple(np.flatnonzero(~consistent).tolist())
-    report = RegularityReport(overall=NOT_REGULAR if violations else REGULAR,
-                              points=points, violating_indices=violations)
-    return report, phis, images
+    return RegularityReport(NOT_REGULAR if violations else REGULAR, phi_norms,
+                            fixed_distances, violations), phis, images
 
 
 def regularity_check(a: MonoidActionSample, tol: float = TOL_CHECK,
@@ -340,10 +331,6 @@ class VerticalFragment:
     base_points: np.ndarray
     fibers: tuple[Subspace, ...]
     ranks: tuple[int, ...]
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.base_points, dtype=float))
-        object.__setattr__(self, "base_points", pts)
 
 
 def reconstruct_bundle(a: MonoidActionSample, base_samples,

@@ -6,6 +6,7 @@ puts the directory of each test module on ``sys.path``.
 
 import numpy as np
 
+from svb.bundle import _off_fiber, whitney_a_check, whitney_a_from_sections
 from svb.equivariant import FiniteGroupAction
 
 
@@ -43,3 +44,24 @@ def violation_rows(report):
     """The violations of a ``FrontierReport``, one tuple (S, R, reason,
     witness row as a list, distance) each, from its columns."""
     return list(zip(*report.violation_columns()))
+
+
+def assert_sections_read_fiber_check(b, sections, sc, tol, tail_len):
+    """``whitney_a_from_sections`` gives the status and residual of
+    ``whitney_a_check``, and, where there is a limit, section residuals
+    equal bit for bit to ``_off_fiber`` against the limit at the final
+    tail point.  Returns the verdict."""
+    verdict = whitney_a_from_sections(b, sections, sc, tol=tol,
+                                      tail_len=tail_len)
+    check = whitney_a_check(b, sc, tol=tol, tail_len=tail_len)
+    assert (verdict.status, verdict.residual) == (check.status,
+                                                  check.residual)
+    if check.limit is None:
+        assert verdict.section_residuals == ()
+        return verdict
+    final = sc.sequence_indices[-1]
+    values = np.array([sec[sc.source_stratum][final] for sec in sections],
+                      dtype=float)
+    assert verdict.section_residuals == tuple(
+        _off_fiber(check.limit.basis, values).tolist())
+    return verdict

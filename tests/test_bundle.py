@@ -48,7 +48,8 @@ from svb.grassmann import (
 )
 from svb.jsonio import bundle_from_json, read_json, scenario_from_json
 
-from helpers import cone_sections, violation_rows
+from helpers import (assert_sections_read_fiber_check, cone_sections,
+                     violation_rows)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 PRIMITIVES = [WedgePower(1), WedgePower(2), WedgePower(3),
@@ -334,6 +335,23 @@ class TestWhitneyFromSections:
                 f"section 0 over stratum {stratum!r} has shape {shape}, "
                 f"expected ({n}, 2)")):
             whitney_a_from_sections(b, [section], cone_scenario())
+
+    @pytest.mark.parametrize("make", [
+        lambda: cone_bundle("pass"), lambda: cone_bundle("fail"),
+        lambda: cone_bundle("rank0"), alternating_cone])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_sections_read_the_fiber_check(self, make, seed):
+        # rank + 1 sections, each a random combination of its fiber's
+        # basis vectors at every point, and scaled at random.
+        b, rng = make(), np.random.default_rng(seed)
+        rank = b.stratum_rank["S0"]
+        sections = [{name: 10.0 ** rng.uniform(-3, 3) * (
+            rng.standard_normal((len(stack), 1, stack.shape[1]))
+            @ stack)[:, 0] for name, stack in b.stacks.items()}
+            for _ in range(rank + 1)]
+        for tol, tail_len in [(1e-8, 5), (1e-2, 4), (1e-8, TAIL_LEN)]:
+            assert_sections_read_fiber_check(b, sections, cone_scenario(),
+                                             tol, tail_len)
 
 
 class TestApplyFunctorToBundle:

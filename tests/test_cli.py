@@ -29,6 +29,17 @@ def fx(name):
     return os.path.join(FIXTURES, name)
 
 
+def edited(fixture, entry, value):
+    """The fixture document with the item at the key path ``entry`` set
+    to ``value``."""
+    obj = read_json(fx(fixture))
+    target = obj
+    for step in entry[:-1]:
+        target = target[step]
+    target[entry[-1]] = value
+    return obj
+
+
 # Each verb, inputs it runs on, and the tolerance flags its handler reads.
 VERB_TOLERANCES = [
     ("check frontier", ["--stratification", fx("line.json")],
@@ -338,13 +349,8 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_reader_input_is_one(self, capsys, tmp_path, fixture,
                                             entry, where, argv, value):
-        obj = read_json(fx(fixture))
-        target = obj
-        for step in entry[:-1]:
-            target = target[step]
-        target[entry[-1]] = value
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(obj))
+        bad.write_text(json.dumps(edited(fixture, entry, value)))
         code = main(argv + [str(bad)])
         captured = capsys.readouterr()
         assert code == 1
@@ -469,13 +475,8 @@ class TestNonFiniteInput:
     def test_unrepresentable_reader_input_is_one(self, capsys, tmp_path,
                                                  fixture, entry, value,
                                                  message, argv):
-        obj = read_json(fx(fixture))
-        target = obj
-        for step in entry[:-1]:
-            target = target[step]
-        target[entry[-1]] = value
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(obj))
+        bad.write_text(json.dumps(edited(fixture, entry, value)))
         code = main(argv + [str(bad)])
         captured = capsys.readouterr()
         assert code == 1
@@ -582,6 +583,14 @@ class TestNonFiniteInput:
                  "name": "scalar",
                  "samples": [[1.0, 0.0], [1e300, 1e300], [3.0, 4.0]],
                  "t_grid": [-1.0, -0.5, 0.0, 0.5, 1.0, 2.0]},
+        # Finite entries whose orthogonality products overflow.
+        "bundle-basis": edited("cone_pass.json", ("fibers", 3, "basis", 0, 0),
+                               1e200),
+        "subspace-basis": edited("plane_in_r3.json", ("basis", 1, 2), 1e200),
+        "group-element": edited("sign_flip_group.json",
+                                ("elements", 1, 0, 0), -1e200),
+        "group-fiber-element": edited("sign_flip_group.json",
+                                      ("fiber_elements", 1, 0, 0), 1e200),
     }
 
     @pytest.mark.parametrize("kind, argv, error", [
@@ -595,8 +604,26 @@ class TestNonFiniteInput:
          "returned a non-finite value at t=2.0"),
         ("norm", ["monoid", "analyze", "--action"], "action: non-finite "
          "residual at sample 1: a norm overflows"),
+        ("bundle-basis", ["check", "orthogonality", "--functor", "wedge:2",
+                          "--bundle"],
+         "$.fibers[3].basis: basis is not orthonormal within tolerance"),
+        ("bundle-basis", ["check", "whitney-a", "--scenario",
+                          fx("cone_scenario.json"), "--bundle"],
+         "$.fibers[3].basis: basis is not orthonormal within tolerance"),
+        ("subspace-basis", ["check", "orthogonality", "--functor", "wedge:2",
+                            "--subspace"],
+         "$: basis is not orthonormal within tolerance"),
+        ("group-element", ["equivariant", "tilde", "--bundle",
+                           fx("sign_flip_tangent.json"), "--group"],
+         "$: element 1 is not orthogonal"),
+        ("group-fiber-element", ["equivariant", "tilde", "--bundle",
+                                 fx("sign_flip_tangent.json"), "--group"],
+         "$: fiber element 1 is not orthogonal"),
     ], ids=["foliation-stratify", "foliation-bundle", "monoid-analyze",
-            "monoid-analyze-builtin", "monoid-analyze-norm"])
+            "monoid-analyze-builtin", "monoid-analyze-norm",
+            "orthogonality-bundle", "whitney-a-bundle",
+            "orthogonality-subspace", "tilde-element",
+            "tilde-fiber-element"])
     def test_overflow_prints_one_line(self, tmp_path, kind, argv, error):
         # x^400 overflows at x = 10, and so does 2 x at x = 1e308; numpy
         # must not warn on stderr ahead of the error line, so the CLI runs
@@ -636,6 +663,51 @@ class TestNonFiniteInput:
         assert captured.out == ""
         assert captured.err == ("svb: error: auto-sequence index of 5000 "
                                 "digits is out of range\n")
+
+
+class TestDeepNesting:
+    """Input nested past Python's recursion limit is one error line."""
+
+    @staticmethod
+    def nested_functor(depth):
+        functor = "id"
+        for _ in range(depth):
+            functor = f"compose(id,{functor})"
+        return functor
+
+    @pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000,
+                                      '{"a":' * 100_000 + "1" + "}" * 100_000],
+                             ids=["arrays", "objects"])
+    def test_deep_json_is_one(self, capsys, tmp_path, text):
+        bad = tmp_path / "deep.json"
+        bad.write_text(text)
+        code = main(["check", "frontier", "--stratification", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"svb: error: {bad}: unreadable JSON: maximum recursion depth "
+            "exceeded")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "orthogonality", "--subspace", fx("plane_in_r3.json")],
+        ["apply-functor", "--bundle", fx("trivial3.json")]],
+        ids=["orthogonality", "apply-functor"])
+    def test_deep_functor_is_one(self, capsys, argv):
+        code = main(argv + ["--functor", self.nested_functor(2000)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == ("svb: error: functor string is nested too "
+                                "deeply\n")
+
+    def test_four_hundred_levels_parse(self, capsys):
+        code = main(["check", "orthogonality", "--subspace",
+                     fx("plane_in_r3.json"), "--functor",
+                     self.nested_functor(400)])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["overall"] == "PASS"
 
 
 class TestErrorTexts:

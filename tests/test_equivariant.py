@@ -187,6 +187,19 @@ class TestGroupConstruction:
             FiniteGroupAction(len(elements[0]), elements,
                               fiber_elements=fibers)
 
+    @pytest.mark.parametrize("big", [1e200, -1e200])
+    def test_overflowing_entries_rejected_quietly(self, big):
+        # The orthogonality product overflows, or subtracts infinities;
+        # the suite turns a numpy RuntimeWarning into an error.
+        with pytest.raises(ValueError, match="^element 1 is not orthogonal$"):
+            FiniteGroupAction(1, [[[1.0]], [[big]]])
+        with pytest.raises(ValueError, match="^element 1 is not orthogonal$"):
+            FiniteGroupAction(2, [np.eye(2), [[big, big], [big, -big]]])
+        with pytest.raises(ValueError,
+                           match="^fiber element 1 is not orthogonal$"):
+            FiniteGroupAction(1, [[[1.0]], [[-1.0]]],
+                              fiber_elements=[[[1.0]], [[big]]])
+
     def test_fiber_table_mismatch_names_pair(self):
         # k -> (-1)^k is a homomorphism of the quarter rotations; swapping
         # the last two signs first breaks the table at (1, 1): the fiber
@@ -418,29 +431,39 @@ class TestFixedSubspace:
         assert np.allclose(total, 0.0, atol=1e-12)
         assert fixed_subspace(g, tuple(range(4))).dim == 0
 
+    @pytest.mark.parametrize("name", list(table_cases()))
+    def test_same_basis_as_thresholded_span(self, name):
+        # The rank is the trace of the average; the basis is still its
+        # top right-singular vectors, so it equals the span of the
+        # average's rows with an absolute cutoff, byte for byte.
+        g, _ = table_cases()[name]
+        for sub in sorted(cyclic_subgroups(g) | {tuple(range(g.order))}):
+            avg = sum(g.elements[i] for i in sub) / len(sub)
+            want = span(avg.T, g.n, tol_abs=1e-10)
+            got = fixed_subspace(g, sub)
+            assert got.dim == round(np.trace(avg))
+            assert np.array_equal(got.basis, want.basis)
+
     def test_non_closed_subset_rejected(self):
-        g = dihedral_square_group()
-        with pytest.raises(ValueError, match="idempotent"):
-            fixed_subspace(g, (0, 1))  # identity + quarter rotation
+        # Index sets of the dihedral group (rotations by 0, 90, 180 and
+        # 270 degrees, then four reflections) that the table does not
+        # close, on the base and on the fiber elements.
+        g = dihedral_square_group(with_tangent_action=True)
+        for subset in [(0, 1), (1,), (0, 3), (0, 1, 2), (0, 4, 5), (4,),
+                       (0, 4, 6), (0, 1, 2, 3, 4), (1, 0, 1)]:
+            text = re.escape(str(sorted(set(subset))))
+            for use_fiber in (False, True):
+                with pytest.raises(ValueError, match=f"^set {text} is not "
+                                   "closed under the group table$"):
+                    fixed_subspace(g, subset, use_fiber=use_fiber)
 
-    # For the identity and the quarter rotation R, the average A = (I + R)
-    # / 2 has A A - A = -I / 2: spectral norm 0.5, Frobenius norm 0.707.
-    def test_idempotence_screen_accepts_below_spectral(self, monkeypatch):
-        g = dihedral_square_group()
-        avg = (g.elements[0] + g.elements[1]) / 2
-        assert np.array_equal(avg @ avg - avg, -np.eye(2) / 2)
-        tol = 0.5 / 0.9
-        assert np.sqrt(0.5) > tol
-        got = fixed_subspace(g, (0, 1), tol=tol).basis
-        monkeypatch.setattr(equivariant, "_spectral_norms",
-                            lambda stack, tol: opnorms(stack))
-        assert np.array_equal(fixed_subspace(g, (0, 1), tol=tol).basis, got)
-
-    def test_idempotence_screen_rejects_above_spectral(self):
-        with pytest.raises(ValueError, match="^averaging did not produce an "
-                           "idempotent; the index set is not closed under "
-                           "multiplication$"):
-            fixed_subspace(dihedral_square_group(), (0, 1), tol=0.5 / 1.1)
+    def test_negative_index_rejected(self):
+        # -2 names element 2 again: the average (I + 2 R_180) / 3 = -I / 3
+        # is no projection.
+        g = rotation_group(4)
+        for subset in [(0, 2, -2), (0, -1)]:
+            with pytest.raises(ValueError, match="negative"):
+                fixed_subspace(g, subset)
 
     def test_empty_subgroup(self):
         with pytest.raises(ValueError, match="^subgroup must be nonempty$"):

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from svb.bundle import validate_bundle, whitney_a_from_sections
 from svb.cli import main
-from svb.config import TOL_RANK
+from svb.config import TAIL_LEN, TOL_RANK
 from svb.fixtures import (
     axis_scaling_fields_plane,
     constant_field_plane,
@@ -24,11 +25,11 @@ from svb.foliation import (
 )
 from svb.grassmann import gap_distance, span
 from svb.jsonio import (SchemaError, fields_from_json, fields_to_json,
-                        write_json)
+                        read_json, scenario_from_json, write_json)
 from svb.monoid import MonoidActionSample
 from svb.strata import check_frontier, partition_by_label
 
-from helpers import violation_rows
+from helpers import assert_sections_read_fiber_check, violation_rows
 
 
 class TestDistributionAt:
@@ -176,6 +177,20 @@ class TestFoliationBundle:
         verdict = whitney_a_from_sections(b, fields_as_sections(vfs, b), sc,
                                           tol=1e-9, tail_len=4)
         assert verdict.status == "PASS"
+
+    def test_corpus_scenario_reads_the_fiber_check(self):
+        # The corpus run: fields_line.json with fol_line_scenario.json at
+        # r_cc 0.015 and tol 1e-9.
+        fixtures = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+        vfs = fields_from_json(read_json(
+            os.path.join(fixtures, "fields_line.json")))
+        b = foliation_bundle(vfs, r_cc=0.015)
+        sc = scenario_from_json(read_json(
+            os.path.join(fixtures, "fol_line_scenario.json")))
+        verdict = assert_sections_read_fiber_check(
+            b, fields_as_sections(vfs, b), sc, 1e-9, TAIL_LEN)
+        assert verdict.status == "PASS"
+        assert len(verdict.section_residuals) == len(vfs.fields)
 
     def test_constant_field_trivial_bundle(self):
         b = foliation_bundle(constant_field_plane(), r_cc=0.3)

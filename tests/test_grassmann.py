@@ -17,6 +17,7 @@ from svb.grassmann import (
     intersection,
     intersections,
     opnorms,
+    orthonormal_rows,
     sequence_limit,
     span,
 )
@@ -185,13 +186,24 @@ class TestSubspace:
             Subspace(2, [[1.0, 0.0], [0.0, 1.0 + 1e-9]])
         assert Subspace(2, [[1.0, 0.0], [0.0, 1.0 + 1e-12]]).dim == 2
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_basis(self, bad):
         with pytest.raises(ValueError, match="orthonormal"):
             Subspace(2, [[1.0, 0.0], [0.0, bad]])
         with pytest.raises(ValueError, match="orthonormal"):
             Subspace(2, [[bad, 0.0]])
+
+    @pytest.mark.parametrize("basis", [
+        [[1e200, 0.0], [0.0, 1.0]], [[0.0, 1.0], [-1e200, 0.0]],
+        [[1e155, 0.0], [0.0, 1.0]], [[1e200, 1e200], [1e200, -1e200]]],
+        ids=["over", "negative", "square-over", "inf-minus-inf"])
+    def test_overflowing_basis_fails_quietly(self, basis):
+        # The Gram product overflows, or subtracts infinities; the
+        # suite turns a numpy RuntimeWarning into an error.
+        assert orthonormal_rows(np.stack([np.eye(2), basis])).tolist() == [
+            True, False]
+        with pytest.raises(ValueError, match="orthonormal"):
+            Subspace(2, basis)
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-9])
     def test_gram_bound_on_both_sides(self, tol):
@@ -430,9 +442,11 @@ class TestIntersection:
         assert gap_distance(intersection(w, v), w) <= 1e-10
 
 
-def reference_intersection(a: Subspace, b: Subspace, tol=1e-8) -> np.ndarray:
-    """One basis at a time: the null directions of A (I - P_b),
-    orthonormalized by span."""
+def reference_intersection(a: Subspace, b: Subspace, tol=1e-8,
+                           orthonormalize=False) -> np.ndarray:
+    """One basis at a time: U_k^T A for the left singular vectors U_k of
+    A (I - P_b) with singular values at most tol, or, orthonormalized
+    again by span, the subspace they span."""
     if a.dim == 0 or b.dim == 0:
         return np.zeros((0, a.ambient_dim))
     defect = a.basis @ (np.eye(a.ambient_dim) - b.projection)
@@ -441,7 +455,9 @@ def reference_intersection(a: Subspace, b: Subspace, tol=1e-8) -> np.ndarray:
     coeffs = u[:, sigma <= tol].T
     if coeffs.size == 0:
         return np.zeros((0, a.ambient_dim))
-    return span(coeffs @ a.basis, a.ambient_dim).basis
+    if orthonormalize:
+        return span(coeffs @ a.basis, a.ambient_dim).basis
+    return coeffs @ a.basis
 
 
 class TestIntersectionStack:
@@ -468,6 +484,12 @@ class TestIntersectionStack:
             assert np.array_equal(intersection(Subspace.view(row), b).basis,
                                   reference)
             assert not basis.flags.writeable
+            # The same subspace as the span of the kept combinations.
+            spanned = reference_intersection(Subspace.view(row), b,
+                                             orthonormalize=True)
+            assert len(spanned) == len(basis)
+            assert np.abs(basis.T @ basis - spanned.T @ spanned).max() \
+                <= 1e-12
         dims = {len(basis) for basis in out}
         assert dims == set(range(max(rank + other - ambient, 0),
                                  min(rank, other) + 1))

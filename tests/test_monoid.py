@@ -174,9 +174,10 @@ class TestBothSidesOfTol:
         # h_0 fixes every point, and |phi| = c.
         c = factor * TOL_CHECK
         report = regularity_check(self.shifted(c, 1))
-        for point in report.points:
-            assert point.phi_norm == pytest.approx(c, rel=1e-4)
-            assert point.fixed_distance == 0.0
+        assert len(report.phi_norms) == len(report.fixed_distances) == 2
+        for phi_norm, fixed in zip(report.phi_norms, report.fixed_distances):
+            assert phi_norm == pytest.approx(c, rel=1e-4)
+            assert fixed == 0.0
         assert bool(report) is regular
         assert report.violating_indices == (() if regular else (0, 1))
 
@@ -419,8 +420,9 @@ def _stack_matches_points(a, tol):
         _reference_audit(a, tol)
     report = regularity_check(a, tol=tol)
     reference = _reference_regularity(a, tol)
-    assert tuple((p.index, p.phi_norm, p.fixed_distance, p.consistent)
-                 for p in report.points) == reference
+    assert tuple(zip(range(len(a.sample_points)), report.phi_norms.tolist(),
+                     report.fixed_distances.tolist())) == tuple(
+        row[:3] for row in reference)
     assert report.violating_indices == tuple(
         i for i, _, _, consistent in reference if not consistent)
 
