@@ -65,7 +65,7 @@ KERNELS = tuple(
        "write_tilde_ring2401", "group_table_rot48", "orbit_types_cube125",
        "cli_main_frontier_line", "foliation_bundle_grid441",
        "sym4_orthogonality_r7_warm", "monoid_reconstruct_1200",
-       "point_permutations_rot48"])
+       "point_permutations_rot48", "stratification_chain400"])
 # Seeds of the --against pairs, ten where run-to-run spread is widest.
 PAIR_SEEDS = {"corpus": tuple(range(81, 86)), "cloud": tuple(range(81, 86)),
               "fibers": tuple(range(81, 86)), "orbits": tuple(range(81, 91))}
@@ -300,6 +300,16 @@ def scaled_timings(checkout, name):
     cases["stratification_3200"] = lambda: (
         {"points": 3200, "strata": len(clusters())},
         lambda strata=clusters(): Stratification(strata))
+
+    def stratification_chain400():
+        """A deep declared order: one-point strata at 0, ..., 399 on the
+        line, each in the closure of the next."""
+        strata = [Stratum(f"p{k:03d}", 0, [[float(k)]]) for k in range(400)]
+        chain = [(a.name, b.name) for a, b in zip(strata, strata[1:])]
+        return ({"strata": 400, "declared_pairs": 399},
+                lambda: Stratification(strata, chain))
+
+    cases["stratification_chain400"] = stratification_chain400
     cases["frontier_clusters3200"] = lambda: (
         {"points": 3200, "strata": len(clusters()), "eps_touch": 0.05},
         lambda s=Stratification(clusters()): check_frontier(s, 0.05, 0.05))

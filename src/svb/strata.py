@@ -10,7 +10,9 @@ finiteness.
 
 A ``Stratification`` stacks its strata into one cloud, with the stratum
 of each row and the first row of each stratum, which every caller that
-needs a stratum's rows reads.
+needs a stratum's rows reads.  Its closure order, transitively closed,
+is held once: as the sorted keys s * n + r of the index pairs (s, r)
+with stratum s in the closure of stratum r.
 
 Strata share a sample point when two rows are equal, which one sort
 decides.  Every other cloud distance is needed only up to a known radius
@@ -87,6 +89,9 @@ def _first_far(pts: np.ndarray) -> int:
 
 
 def _check_stratum(name, dim, size) -> None:
+    if not isinstance(name, str):
+        raise ValueError(
+            f"stratum name must be a string, got {type(name).__name__}")
     if size == 0:
         raise ValueError(f"stratum {name!r} has an empty point cloud")
     if dim < 0:
@@ -145,8 +150,8 @@ class Stratification:
         if not strata:
             raise ValueError("a stratification needs at least one stratum")
         ambient = strata[0].ambient_dim
-        names = [s.name for s in strata]
-        if len(set(names)) != len(names):
+        self._index = {s.name: k for k, s in enumerate(strata)}
+        if len(self._index) != len(strata):
             raise ValueError("stratum names must be unique")
         for s in strata:
             if s.ambient_dim != ambient:
@@ -162,19 +167,31 @@ class Stratification:
         if (far := _first_far(self._cloud)) >= 0:
             raise ValueError(f"stratum {strata[self._owner[far]].name!r} has "
                              "a sample coordinate beyond ±2^500")
-        self._by_name = {s.name: s for s in strata}
         order = {(str(a), str(b)) for a, b in closure_order}
+        above = [[] for _ in strata]  # declared r of each s, as indices
         for a, b in order:
             for end in (a, b):
-                if end not in self._by_name:
+                if end not in self._index:
                     raise ValueError(f"closure order names unknown stratum {end!r}")
             if a == b:
                 raise ValueError(f"closure order contains reflexive pair ({a},{a})")
+            above[self._index[a]].append(self._index[b])
         self.closure_order = frozenset(order)
-        self._closure_reachable = _transitive_closure(names, order)
-        for name in names:
-            if (name, name) in self._closure_reachable:
-                raise ValueError("closure order contains a cycle")
+        # One walk from each stratum s over the declared pairs reaches
+        # every r with s in the closure of r: the key s * n + r.
+        n, keys = len(strata), []
+        for s in range(n):
+            seen, todo = set(), list(above[s])
+            while todo:
+                r = todo.pop()
+                if r not in seen:
+                    seen.add(r)
+                    todo.extend(above[r])
+            keys.extend(s * n + r for r in seen)
+        keys = np.sort(np.array(keys, dtype=np.int64))
+        if (keys % (n + 1) == 0).any():  # s * n + s: s above itself
+            raise ValueError("closure order contains a cycle")
+        self._closure_keys = np.append(keys, n * n)  # n * n above every key
         self._check_disjoint()
 
     def _check_disjoint(self):
@@ -209,7 +226,7 @@ class Stratification:
 
     def stratum(self, name: str) -> Stratum:
         try:
-            return self._by_name[name]
+            return self.strata[self._index[name]]
         except KeyError:
             raise KeyError(f"no stratum named {name!r}") from None
 
@@ -219,18 +236,16 @@ class Stratification:
 
     def in_closure(self, s: str, r: str) -> bool:
         """Declared (transitively) that s lies in the closure of r."""
-        return (s, r) in self._closure_reachable
+        if s not in self._index or r not in self._index:
+            return False
+        return bool(self._declared(self._index[s] * len(self.strata)
+                                   + self._index[r]))
 
-    @functools.cached_property
-    def _closure_keys(self) -> np.ndarray:
-        """The reachable pairs as sorted keys ``s * n + r`` of stratum
-        indices, followed by n * n, above every key."""
-        index = {name: k for k, name in enumerate(self.names)}
-        n = len(index)
-        keys = np.fromiter(
-            (index[a] * n + index[b] for a, b in self._closure_reachable),
-            dtype=np.int64, count=len(self._closure_reachable))
-        return np.append(np.sort(keys), n * n)
+    def _declared(self, pair):
+        """Whether each key ``s * n + r`` of stratum indices is a pair of
+        the closure order."""
+        keys = self._closure_keys
+        return keys[keys.searchsorted(pair)] == pair
 
     def diameter(self) -> float:
         spread = self._cloud.max(axis=0) - self._cloud.min(axis=0)
@@ -239,23 +254,6 @@ class Stratification:
     def __repr__(self):
         return (f"Stratification(ambient={self.ambient_dim}, "
                 f"strata={self.names})")
-
-
-def _transitive_closure(names, pairs) -> frozenset:
-    reach = {n: set() for n in names}
-    for a, b in pairs:
-        reach[a].add(b)
-    changed = True
-    while changed:
-        changed = False
-        for a in names:
-            extra = set()
-            for b in reach[a]:
-                extra |= reach[b] - reach[a]
-            if extra:
-                reach[a] |= extra
-                changed = True
-    return frozenset((a, b) for a, bs in reach.items() for b in bs)
 
 
 def near_pairs(a: np.ndarray, b: np.ndarray, r: float):
@@ -686,8 +684,7 @@ def check_frontier(s: Stratification, eps_touch: Optional[float] = None,
         touch = count == size[pair // n]
         kept.append((pair[touch], reach[touch], witness[touch]))
     pair, reach, worst = map(np.concatenate, zip(*kept))
-    closure = s._closure_keys
-    reason = np.where(closure[closure.searchsorted(pair)] == pair,
+    reason = np.where(s._declared(pair),
                       np.where(reach > delta_cover, 1, -1), 0)
     source, target = np.divmod(pair, n)
     names = s.names

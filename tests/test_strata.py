@@ -99,6 +99,105 @@ class TestConstruction:
         assert not s.in_closure("c", "a")
 
 
+def _points(n, order=()):
+    """One-point strata s0, ..., s<n-1> at 0, ..., n - 1 on the line."""
+    return Stratification([Stratum(f"s{k}", 0, [[float(k)]])
+                           for k in range(n)], closure_order=order)
+
+
+def _brute_closure(names, order):
+    """The transitive closure of ``order`` as a boolean matrix over
+    ``names``, by Warshall's algorithm."""
+    index = {name: k for k, name in enumerate(names)}
+    reach = np.zeros((len(names), len(names)), dtype=bool)
+    for a, b in order:
+        reach[index[a], index[b]] = True
+    for k in range(len(names)):
+        reach |= reach[:, k:k + 1] & reach[k]
+    return reach
+
+
+def _random_dags():
+    rng = np.random.default_rng(39)
+    for n in list(range(1, 41)) + [40] * 10:
+        rank = rng.permutation(n)  # every edge goes up in rank
+        density = rng.uniform(0.0, 0.3)
+        yield n, [(f"s{a}", f"s{b}") for a in range(n) for b in range(n)
+                  if rank[a] < rank[b] and rng.random() < density]
+
+
+class TestClosureOrder:
+    @pytest.mark.parametrize("name", [1, 1.5, None, b"a", ("a",)])
+    def test_name_must_be_a_string(self, name):
+        with pytest.raises(ValueError, match="stratum name must be a string"
+                           f", got {type(name).__name__}$"):
+            Stratum(name, 0, [[0.0]])
+        with pytest.raises(ValueError, match="must be a string"):
+            Stratum._of_rows(name, 0, np.zeros((1, 1)))
+
+    def test_int_names_are_refused_not_unknown(self):
+        with pytest.raises(ValueError, match="must be a string, got int"):
+            Stratification([Stratum(1, 0, [[0.0]]),
+                            Stratum(2, 1, [[1.0], [2.0]])],
+                           closure_order=[(1, 2)])
+
+    def test_unknown_names_are_not_in_closure(self):
+        s = _points(5, [("s0", "s4"), ("s2", "s4")])
+        for other in ("s0", "s3", "s4", "ghost"):
+            assert not s.in_closure("ghost", other)
+            assert not s.in_closure(other, "ghost")
+        # A known s with an unknown r must not read the key s * n - 1,
+        # which is the declared pair (s2, s4).
+        assert not s.in_closure("s3", "ghost")
+        assert s.in_closure("s2", "s4")
+
+    def test_keys_sorted_below_the_sentinel(self):
+        s = _points(4, [("s3", "s1"), ("s1", "s0"), ("s2", "s0")])
+        assert s._closure_keys.tolist() == [1 * 4 + 0, 2 * 4 + 0,
+                                            3 * 4 + 0, 3 * 4 + 1, 16]
+        assert _points(3)._closure_keys.tolist() == [9]
+
+    def test_random_orders_match_brute_force(self):
+        for n, order in _random_dags():
+            s = _points(n, order)
+            reach = _brute_closure(s.names, order)
+            got = np.array([[s.in_closure(a, b) for b in s.names]
+                            for a in s.names])
+            assert np.array_equal(got, reach), (n, order)
+
+    @pytest.mark.parametrize("s", [cantor_stratification(3),
+                                   line_stratification(),
+                                   cone_stratification()],
+                             ids=["cantor_l3", "line", "cone"])
+    def test_fixture_orders_match_brute_force(self, s):
+        reach = _brute_closure(s.names, s.closure_order)
+        got = np.array([[s.in_closure(a, b) for b in s.names]
+                        for a in s.names])
+        assert np.array_equal(got, reach)
+        assert len(s._closure_keys) == reach.sum() + 1
+
+    def test_random_orders_with_a_back_edge_are_cycles(self):
+        cycles = 0
+        for n, order in _random_dags():
+            if order:  # close the cycle over the first declared pair
+                a, b = order[0]
+                with pytest.raises(ValueError, match="^closure order "
+                                   "contains a cycle$"):
+                    _points(n, [*order, (b, a)])
+                cycles += 1
+        assert cycles > 40
+
+    def test_long_chain(self):
+        chain = [(f"s{k}", f"s{k + 1}") for k in range(399)]
+        with pytest.raises(ValueError, match="cycle"):
+            _points(400, [*chain, ("s399", "s0")])
+        s = _points(800, chain + [(f"s{k}", f"s{k + 1}")
+                                  for k in range(399, 799)])
+        assert s.in_closure("s0", "s799")
+        assert not s.in_closure("s799", "s0")
+        assert len(s._closure_keys) == 800 * 799 // 2 + 1
+
+
 EDGE = 2.0 ** 500  # the largest accepted |coordinate|
 BEYOND = np.nextafter(EDGE, np.inf)
 
