@@ -179,19 +179,21 @@ class Stratification:
         self.closure_order = frozenset(order)
         # One walk from each stratum s over the declared pairs reaches
         # every r with s in the closure of r: the key s * n + r.
-        n, keys = len(strata), []
+        n = len(strata)
+        keys = [n * n]  # above every key
         for s in range(n):
+            if not above[s]:
+                continue
             seen, todo = set(), list(above[s])
             while todo:
                 r = todo.pop()
                 if r not in seen:
                     seen.add(r)
-                    todo.extend(above[r])
-            keys.extend(s * n + r for r in seen)
-        keys = np.sort(np.array(keys, dtype=np.int64))
-        if (keys % (n + 1) == 0).any():  # s * n + s: s above itself
-            raise ValueError("closure order contains a cycle")
-        self._closure_keys = np.append(keys, n * n)  # n * n above every key
+                    todo += above[r]
+            if s in seen:
+                raise ValueError("closure order contains a cycle")
+            keys += [s * n + r for r in seen]
+        self._closure_keys = np.sort(np.array(keys, dtype=np.int64))
         self._check_disjoint()
 
     def _check_disjoint(self):
