@@ -15,6 +15,7 @@ and quotient bundles of ``equivariant`` all go through it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
@@ -167,8 +168,9 @@ class ConvergenceScenario:
     sequence_indices: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "sequence_indices",
-                           tuple(int(i) for i in self.sequence_indices))
+        object.__setattr__(self, "x0_index", _scenario_index(self.x0_index))
+        object.__setattr__(self, "sequence_indices", tuple(
+            _scenario_index(i) for i in self.sequence_indices))
         if not self.sequence_indices:
             raise ValueError("scenario needs a nonempty sequence")
         if self.source_stratum == self.target_stratum:
@@ -180,6 +182,13 @@ class ConvergenceScenario:
         return {"S": self.target_stratum, "R": self.source_stratum,
                 "x0_index": self.x0_index,
                 "sequence_indices": list(self.sequence_indices)}
+
+
+def _scenario_index(i) -> int:
+    try:
+        return operator.index(i)
+    except TypeError:
+        raise ValueError(f"scenario index {i!r} is not an integer") from None
 
 
 @dataclass(frozen=True)

@@ -430,8 +430,7 @@ def bundle_from_json(obj, path="$") -> SampledStratifiedBundle:
     if stacks is None:
         stacks = _fibers_per_entry(base, k, fibers, path)
     ranks_obj = _expect(obj, "ranks", dict, path)
-    ranks = {str(r): _expect(ranks_obj, r, int, f"{path}.ranks")
-             for r in ranks_obj}
+    ranks = {r: _expect(ranks_obj, r, int, f"{path}.ranks") for r in ranks_obj}
     return SampledStratifiedBundle.from_stacks(base, k, stacks, ranks,
                                                tol_ortho=None)
 
@@ -496,9 +495,9 @@ def _fibers_per_entry(base, k, fibers, path) -> dict[str, np.ndarray]:
     for i, item in enumerate(fibers):
         fpath = f"{path}.fibers[{i}]"
         idx = _expect(item, "point_index", list, fpath)
-        if len(idx) != 2 or type(idx[1]) is not int:
+        if [type(x) for x in idx] != [str, int]:
             raise SchemaError(f"{fpath}.point_index: expected [stratum, i]")
-        key = name, j = (str(idx[0]), idx[1])
+        key = name, j = tuple(idx)
         if not 0 <= j < sizes.get(name, 0):
             raise SchemaError(f"{fpath}.point_index: no sample point {key}")
         if key in bases:

@@ -17,11 +17,12 @@ with stratum s in the closure of stratum r.
 Strata share a sample point when two rows are equal, which one sort
 decides.  Every other cloud distance is needed only up to a known radius
 (``eps_touch``, ``radius``, ``r_cc``), so all of them come from one
-radius-bounded grid index, ``_Grid``: ``check_frontier`` queries it
-directly and every other caller through ``near_pairs``.  It yields its
-pairs in chunks of bounded size and its callers reduce each chunk at
-once, so whatever the radius, memory grows linearly with the number of
-points plus the stratum pairs a result names.
+radius-bounded grid index, ``_Grid``, over finite points:
+``check_frontier`` queries it directly and every other caller through
+``near_pairs``, which refuses a non-finite point.  It yields its pairs
+in chunks of bounded size and its callers reduce each chunk at once, so
+whatever the radius, memory grows linearly with the number of points
+plus the stratum pairs a result names.
 
 ``check_frontier`` queries its grid twice.  A stratum that touches
 another must do so with its first sample in particular, so the first
@@ -167,10 +168,13 @@ class Stratification:
         if (far := _first_far(self._cloud)) >= 0:
             raise ValueError(f"stratum {strata[self._owner[far]].name!r} has "
                              "a sample coordinate beyond ±2^500")
-        order = {(str(a), str(b)) for a, b in closure_order}
+        order = dict.fromkeys((a, b) for a, b in closure_order)  # as declared
         above = [[] for _ in strata]  # declared r of each s, as indices
         for a, b in order:
             for end in (a, b):
+                if not isinstance(end, str):
+                    raise ValueError(
+                        f"closure order end {end!r} is not a string")
                 if end not in self._index:
                     raise ValueError(f"closure order names unknown stratum {end!r}")
             if a == b:
@@ -261,34 +265,29 @@ class Stratification:
 def near_pairs(a: np.ndarray, b: np.ndarray, r: float):
     """Index and distance arrays ``(i, j, d)`` holding every pair with
     ``d = |a[i] - b[j]| <= r``, in chunks of consecutive rows of ``a``:
-    a chunk holds all pairs of its rows.
+    a chunk holds all pairs of its rows.  A non-finite coordinate of
+    ``a`` or ``b`` raises ValueError.
 
     The pairs come from a ``_Grid`` over ``b`` whose box also holds
     ``a``, so a point of ``a`` outside ``b``'s own box still has its
     cell keys in range and its pairs exact.  A self-join (``a is b``)
-    takes ``b``'s sorted keys as its needles.  Rows with a non-finite
-    grid coordinate have no pairs.  Distances, by ``_lengths``, are exact
-    for coordinates within ±``MAX_COORD`` = ±2^500, the bound of
-    ``_first_far``; farther out a squared distance may overflow to inf.
-    ``check_frontier`` queries its grid directly: once with one sample
-    per stratum, whose pairs are its candidates, and once per chunk of
-    those with the other samples of the candidates' sources."""
-    if not r >= 0:
+    takes ``b``'s sorted keys as its needles.  Distances, by
+    ``_lengths``, are exact for coordinates within ±``MAX_COORD`` =
+    ±2^500, the bound of ``_first_far``; farther out a squared distance
+    may overflow to inf.  ``check_frontier`` queries its grid directly:
+    once with one sample per stratum, whose pairs are its candidates,
+    and once per chunk of those with the other samples of the
+    candidates' sources."""
+    if not (np.isfinite(b).all() and (a is b or np.isfinite(a).all())):
+        raise ValueError("near_pairs needs finite points")
+    if not (r >= 0 and len(b)):
         return iter(())
     grid = _Grid(b, r, None if a is b else a)
-    if not grid.rows.size:
-        return iter(())
-    return grid.near(grid.rows) if a is b else grid.near_points(a)
-
-
-def _finite_rows(x: np.ndarray) -> np.ndarray:
-    """Rows of ``x`` whose grid coordinates are all finite."""
-    return np.flatnonzero(np.isfinite(x[:, :3]).all(axis=1))
+    return grid.near(np.arange(len(b))) if a is b else grid.near_points(a)
 
 
 class _Grid:
-    """A radius query index: the rows of ``b`` with finite grid
-    coordinates, by cell of a uniform grid.
+    """A radius query index: the finite points ``b`` by uniform grid cell.
 
     The grid lies on the first g = 3 coordinates (all of them in lower
     ambient dimension) with cells at least ``r`` wide, and its box holds
@@ -303,17 +302,12 @@ class _Grid:
     ended; the results then go back to query row order.  A row's
     candidates follow cell by cell, the last grid coordinate fastest,
     each cell in the order of ``b``, and chunks hold consecutive query
-    rows."""
+    rows.  ``rank`` holds the place in key order of each row of ``b``."""
 
     def __init__(self, b: np.ndarray, r: float, a=None):
         self.b, self.r = b, r
         g = min(b.shape[1], 3)
-        self.rows = _finite_rows(b)
-        box = grid_b = b[self.rows, :g]
-        if a is not None:
-            box = np.concatenate([a[_finite_rows(a), :g], grid_b])
-        if not len(box):
-            return
+        box = b[:, :g] if a is None else np.concatenate([a[:, :g], b[:, :g]])
         self.lo = lo = box.min(axis=0)
         extent = float((box.max(axis=0) - lo).max(initial=0.0))
         # The slightly wider cell keeps pairs at exactly d == r clear of
@@ -322,9 +316,9 @@ class _Grid:
         # distance formula, not the grid, has to decide those pairs.
         self.cell = max(r * (1 + 2.0 ** -20), extent / _CELLS, 2.0 ** -500)
         self.weights = (_CELLS + 3) ** np.arange(g)[::-1]
-        kb = self.keys(grid_b)
-        order = np.argsort(kb, kind="stable")
-        self.kb, self.cands = kb[order], self.rows[order]
+        kb = self.keys(b)
+        self.cands = np.argsort(kb, kind="stable")
+        self.kb, self.rank = kb[self.cands], _inverse(self.cands)
         self.offsets = _offsets(g)
 
     def keys(self, x: np.ndarray) -> np.ndarray:
@@ -333,28 +327,18 @@ class _Grid:
                 + 1) @ self.weights
 
     def near(self, rows: np.ndarray):
-        """The pairs of the rows ``rows`` of ``b``, ascending, each with
-        finite grid coordinates."""
+        """The pairs of the rows ``rows`` of ``b``, ascending."""
         pos = self.rank[rows]
-        if len(rows) == len(self.rows):  # all of them: the needles are kb
+        if len(rows) == len(self.b):  # all of them: the needles are kb
             return self._pairs(self.b, rows, self.kb, pos)
         order = np.argsort(pos)
         return self._pairs(self.b, rows, self.kb[pos[order]], _inverse(order))
 
     def near_points(self, a: np.ndarray):
         """The pairs of the points ``a``, which lie in the grid's box."""
-        rows = _finite_rows(a)
-        ka = self.keys(a[rows])
+        ka = self.keys(a)
         order = np.argsort(ka)
-        return self._pairs(a, rows, ka[order], _inverse(order))
-
-    @functools.cached_property
-    def rank(self) -> np.ndarray:
-        """The place in key order of each row of ``b`` with finite grid
-        coordinates."""
-        rank = np.empty(len(self.b), dtype=np.intp)
-        rank[self.cands] = np.arange(len(self.cands))
-        return rank
+        return self._pairs(a, np.arange(len(a)), ka[order], _inverse(order))
 
     def _pairs(self, a, rows_a, needles, where):
         """Chunks of the pairs of ``a[rows_a]``, whose keys are
@@ -690,9 +674,8 @@ def check_frontier(s: Stratification, eps_touch: Optional[float] = None,
                       np.where(reach > delta_cover, 1, -1), 0)
     source, target = np.divmod(pair, n)
     names = s.names
-    rank = np.empty(n, dtype=np.int64)  # place of each name in str order
-    rank[sorted(range(n), key=names.__getitem__)] = np.arange(n)
-    order = np.lexsort((rank[target], rank[source]))
+    by_name = _inverse(np.array(sorted(range(n), key=names.__getitem__)))
+    order = np.lexsort((by_name[target], by_name[source]))
     return FrontierReport(
         passed=not (reason >= 0).any(), eps_touch=eps_touch,
         delta_cover=delta_cover, names=tuple(names), source=source[order],

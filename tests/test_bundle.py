@@ -104,6 +104,21 @@ class TestValidateBundle:
                            match="^scenario needs a nonempty sequence$"):
             ConvergenceScenario("S0", "S+", 0, ())
 
+    @pytest.mark.parametrize("x0, seq, bad", [
+        (0, (1.7, 2.2, 3), "1.7"), (0.5, (1, 2, 3), "0.5"),
+        ("0", (1, 2, 3), "'0'"), (0, (1, None), "None")])
+    def test_scenario_indices_must_be_integers(self, x0, seq, bad):
+        with pytest.raises(ValueError, match=re.escape(
+                f"scenario index {bad} is not an integer")):
+            ConvergenceScenario("S0", "S+", x0, seq)
+
+    def test_scenario_reads_numpy_integers_as_ints(self):
+        sc = ConvergenceScenario("S0", "S+", np.int64(0),
+                                 tuple(np.arange(3, dtype=np.int32)))
+        assert sc == ConvergenceScenario("S0", "S+", 0, (0, 1, 2))
+        assert type(sc.x0_index) is int
+        assert all(type(i) is int for i in sc.sequence_indices)
+
     def test_scenario_needs_two_strata(self):
         with pytest.raises(ValueError, match=re.escape(
                 "scenario needs two distinct strata, got 'S0' as both S "

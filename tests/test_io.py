@@ -209,6 +209,26 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError, match="point_index"):
             bundle_from_json(obj)
 
+    @pytest.mark.parametrize("first", [1, 1.0, None])
+    def test_point_index_name_must_be_a_string(self, first):
+        # Over a stratum named "1", [1, 0] is refused, not read as "1".
+        obj = bundle_to_json(cone_bundle("pass", depth=4))
+        name = obj["fibers"][0]["point_index"][0]
+        for stratum in obj["base"]["strata"]:
+            if stratum["name"] == name:
+                stratum["name"] = "1"
+        obj["base"]["closure"] = [[a if a != name else "1" for a in pair]
+                                  for pair in obj["base"]["closure"]]
+        obj["ranks"]["1"] = obj["ranks"].pop(name)
+        for fiber in obj["fibers"]:
+            if fiber["point_index"][0] == name:
+                fiber["point_index"][0] = "1"
+        bundle_from_json(obj)
+        obj["fibers"][0]["point_index"][0] = first
+        with pytest.raises(SchemaError, match=re.escape(
+                "$.fibers[0].point_index: expected [stratum, i]")):
+            bundle_from_json(obj)
+
     def test_non_orthonormal_fiber_basis_rejected(self):
         obj = bundle_to_json(cone_bundle("pass", depth=4))
         obj["fibers"][0]["basis"] = [[1.0, 1.0]]

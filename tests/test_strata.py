@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from itertools import combinations, permutations, product
 
@@ -140,6 +141,26 @@ class TestClosureOrder:
             Stratification([Stratum(1, 0, [[0.0]]),
                             Stratum(2, 1, [[1.0], [2.0]])],
                            closure_order=[(1, 2)])
+
+    @pytest.mark.parametrize("pair, end", [
+        ((1, 2), "1"), (("1", 2), "2"), ((b"1", "2"), "b'1'"),
+        (("2", None), "None")])
+    def test_ends_must_be_strings(self, pair, end):
+        # An end is refused, not read through str(): "1" is a name here.
+        strata = [Stratum("1", 0, [[0.0]]), Stratum("2", 1, [[1.0], [2.0]])]
+        with pytest.raises(ValueError, match=re.escape(
+                f"closure order end {end} is not a string")):
+            Stratification(strata, closure_order=[pair])
+        s = Stratification(strata, closure_order=[("1", "2")])
+        assert s.in_closure("1", "2") and not s.in_closure(1, 2)
+
+    @pytest.mark.parametrize("order, message", [
+        ([("1", "x"), (1, "2")], "names unknown stratum 'x'"),
+        ([(1, "2"), ("1", "x")], "end 1 is not a string")])
+    def test_first_declared_pair_at_fault_raises(self, order, message):
+        strata = [Stratum("1", 0, [[0.0]]), Stratum("2", 1, [[1.0], [2.0]])]
+        with pytest.raises(ValueError, match=f"^closure order {message}$"):
+            Stratification(strata, closure_order=order)
 
     def test_unknown_names_are_not_in_closure(self):
         s = _points(5, [("s0", "s4"), ("s2", "s4")])
@@ -1176,6 +1197,36 @@ class TestInputRaises:
         a = np.zeros((3, 2))
         b = a if self_join else np.zeros((2, 2))
         assert list(near_pairs(a, b, radius)) == []
+
+
+class TestNearPairsInput:
+    """``near_pairs`` takes finite points and refuses any other, in a
+    grid coordinate or past the grid, in either cloud."""
+
+    @pytest.mark.parametrize("column", [0, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_point_raises(self, bad, column):
+        a = np.random.default_rng(5).random((6, 5))
+        b = a[:4].copy()
+        a[2, column] = bad
+        for x, y in ((a, a), (a, b), (b, a)):
+            with pytest.raises(ValueError,
+                               match="^near_pairs needs finite points$"):
+                near_pairs(x, y, 0.5)
+
+    @pytest.mark.parametrize("radius", [0.5, -1.0])
+    def test_non_finite_point_raises_at_any_radius(self, radius):
+        a = np.array([[0.0, np.nan]])
+        with pytest.raises(ValueError, match="needs finite points"):
+            near_pairs(a, a, radius)
+
+    def test_empty_cloud_yields_nothing(self):
+        pts = np.random.default_rng(6).random((5, 3))
+        empty, other = np.empty((0, 3)), np.empty((0, 3))
+        for a, b in ((empty, pts), (pts, empty), (empty, other),
+                     (empty, empty)):
+            assert list(near_pairs(a, b, 1.0)) == []
 
 
 class TestReportTruth:
