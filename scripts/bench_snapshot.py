@@ -65,7 +65,8 @@ KERNELS = tuple(
        "write_tilde_ring2401", "group_table_rot48", "orbit_types_cube125",
        "cli_main_frontier_line", "foliation_bundle_grid441",
        "sym4_orthogonality_r7_warm", "monoid_reconstruct_1200",
-       "point_permutations_rot48", "stratification_chain400"])
+       "point_permutations_rot48", "stratification_chain400",
+       "report_dumps_cantor_l7"])
 # Seeds of the --against pairs, ten where run-to-run spread is widest.
 PAIR_SEEDS = {"corpus": tuple(range(81, 86)), "cloud": tuple(range(81, 86)),
               "fibers": tuple(range(81, 86)), "orbits": tuple(range(81, 91))}
@@ -266,8 +267,8 @@ def scaled_timings(checkout, name):
     from svb.functors import (SymPower, WedgePower, apply_to_map,
                               check_orthogonality, orthogonality_residuals)
     from svb.grassmann import Subspace
-    from svb.jsonio import bundle_from_json, bundle_to_json, read_json, \
-        write_json
+    from svb.jsonio import (bundle_from_json, bundle_to_json, dumps,
+                            read_json, stratification_to_json, write_json)
     from svb.monoid import (MonoidActionSample, audit_axioms,
                             reconstruct_bundle, regularity_check)
     from svb.strata import (Stratification, Stratum, check_frontier,
@@ -506,8 +507,25 @@ def scaled_timings(checkout, name):
         return ({"points": len(pts), "order": 48},
                 lambda: _point_permutations(g, pts, TOL_CHECK))
 
+    def report_dumps_cantor_l7():
+        """The writer on rows of strings: the ``check frontier`` report
+        of Cantor L7 at the default thresholds, read back from the CLI's
+        output, whose touching pairs are rows of two stratum names."""
+        path = os.path.join(scratch, "cantor7.json")
+        write_json(stratification_to_json(cantor_stratification(7)), path)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            svb.cli.main(["check", "frontier", "--stratification", path,
+                          "--no-timestamp"])
+        report = json.loads(out.getvalue())
+        frontier, = report["checks"]
+        return ({"touching_pairs": len(frontier["touching_pairs"]),
+                 "violations": len(frontier["violations"]),
+                 "bytes": len(out.getvalue())}, lambda: dumps(report))
+
     cases["monoid_reconstruct_1200"] = monoid_reconstruct_1200
     cases["point_permutations_rot48"] = point_permutations_rot48
+    cases["report_dumps_cantor_l7"] = report_dumps_cantor_l7
     size, call = cases[name]()
     if name in warm:
         call()

@@ -82,14 +82,17 @@ class SampledStratifiedBundle:
     read-only basis stack ``stacks[name]``, ``(n_i, r_i, k)`` in point
     order, per stratum: one rank per stratum and one R^k by shape.  The
     constructor stacks audited :class:`Subspace` objects, keyed by point:
-    KeyError at a point without a fiber and ValueError at a fiber outside
+    ValueError at a key other than a (str, integer) pair, KeyError at a
+    point without a fiber and ValueError at a fiber outside
     R^fiber_ambient, checked at every point first, then ValueError at a
-    fiber of another rank than its stratum's first (``_gather_stacks``)."""
+    fiber of another rank than its stratum's first (``_gather_stacks``).
+    Declared ranks are integers keyed by str, or ValueError (``_pair``)."""
 
     def __init__(self, base: Stratification, fiber_ambient: int,
                  fibers: Mapping[PointKey, Subspace],
                  stratum_rank: Mapping[str, int]):
-        bases = {(str(s), int(i)): w.basis for (s, i), w in fibers.items()}
+        bases = {_pair(s, i, "fiber key"): w.basis
+                 for (s, i), w in fibers.items()}
         rows = []
         for key in ((s.name, i) for s in base.strata for i in range(len(s))):
             if key not in bases:
@@ -127,7 +130,8 @@ class SampledStratifiedBundle:
             stack.flags.writeable = False
         if stratum_rank is None:
             stratum_rank = {n: st.shape[1] for n, st in self.stacks.items()}
-        self.stratum_rank = {str(k): int(v) for k, v in stratum_rank.items()}
+        self.stratum_rank = dict(_pair(k, v, "stratum_rank item")
+                                 for k, v in stratum_rank.items())
 
     def point_keys(self) -> list[PointKey]:
         return [(s.name, i) for s in self.base.strata for i in range(len(s))]
@@ -189,6 +193,19 @@ def _scenario_index(i) -> int:
         return operator.index(i)
     except TypeError:
         raise ValueError(f"scenario index {i!r} is not an integer") from None
+
+
+def _pair(name, i, what: str) -> tuple[str, int]:
+    """``(name, i)`` with the integer ``i`` read as ``ConvergenceScenario``
+    reads its indices; ValueError naming ``what`` unless ``name`` is a
+    str and ``i`` an integer."""
+    try:
+        if isinstance(name, str):
+            return name, operator.index(i)
+    except TypeError:
+        pass
+    raise ValueError(
+        f"{what} {(name, i)!r}: expected a (stratum name, integer) pair")
 
 
 @dataclass(frozen=True)

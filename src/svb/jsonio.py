@@ -83,12 +83,14 @@ def dumps(obj: Any) -> str:
 
     The standard library's indented encoder is pure Python, one
     generator step per number.  This walk emits containers the same way
-    but hands each list of scalars, and each list of rows of numbers, to
-    the compact C encoder in one call and re-indents its output by
-    replacing the separators ``", "`` (and ``"], ["`` between rows).
-    That is exact when no string in the list contains a separator, which
-    is checked on the encoded text.  Lists of records that share one set
-    of string keys are written column by column instead (``_records``).
+    but hands each list of scalars, and each list of nonempty rows of
+    scalars (numbers or strings), to the compact C encoder in one call
+    and re-indents its output by replacing the separators ``", "`` (and
+    ``"], ["`` between rows).  That is exact when no string in the list
+    contains a separator, which is checked on the encoded text.  Lists
+    of records that share one set of keys are written column by column
+    instead (``_records``).  Keys must be strings: any other key raises
+    TypeError, where the standard library would convert a number.
     """
     chunks: list[str] = []
     _encode(obj, chunks.append, "\n")
@@ -112,13 +114,17 @@ _NUMBER_TYPES = frozenset((int, float, bool, type(None)))
 _LEAF_TYPES = _NUMBER_TYPES | {str}
 
 
-def _key(key) -> str:
-    if isinstance(key, str):
-        return _encode_str(key)
-    if isinstance(key, (int, float)) or key is None:
-        return '"' + _compact(key) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
+def _rows(rows, text) -> bool:
+    """Whether ``text``, the compact encoding of the list of lists
+    ``rows``, is nonempty rows of scalars, each ``"], ["`` separating two
+    rows and each other ``", "`` two entries.  One ``"["`` per row rules
+    out nested lists and brackets in strings; where strings are present,
+    one ``", "`` per entry boundary and no ``": "`` rule out separators
+    in strings and objects in rows."""
+    if "[]" in text or text.count("[") != len(rows) + 1:
+        return False
+    return '"' not in text or (": " not in text and text.count(", ")
+                               == sum(map(len, rows)) - 1)
 
 
 def _encode(obj, write, newline: str) -> None:
@@ -132,10 +138,10 @@ def _encode(obj, write, newline: str) -> None:
         separator = "{" + inner
         for key, value in sorted(obj.items()):
             if isinstance(value, _CONTAINERS):
-                write(separator + _key(key) + ": ")
+                write(separator + _encode_str(key) + ": ")
                 _encode(value, write, inner)
             else:
-                write(separator + _key(key) + ": " + _compact(value))
+                write(separator + _encode_str(key) + ": " + _compact(value))
             separator = "," + inner
         write(newline + "}")
     elif isinstance(obj, (list, tuple)):
@@ -156,18 +162,13 @@ def _encode(obj, write, newline: str) -> None:
             if records is not None:
                 write(f"[{inner}" + f",{inner}".join(records) + f"{newline}]")
                 return
-        elif types == {list}:
-            text = _compact(obj)
-            # Rows holding neither strings nor lists, none of them empty:
-            # "], [" separates the rows and ", " their entries.
-            if ('"' not in text and "[]" not in text
-                    and text.count("[") == len(obj) + 1):
-                entry = inner + "  "
-                body = (text[2:-2]
-                        .replace("], [", f"{inner}],{inner}[{entry}")
-                        .replace(", ", "," + entry))
-                write(f"[{inner}[{entry}{body}{inner}]{newline}]")
-                return
+        elif types == {list} and _rows(obj, text := _compact(obj)):
+            entry = inner + "  "
+            body = (text[2:-2]
+                    .replace("], [", f"{inner}],{inner}[{entry}")
+                    .replace(", ", "," + entry))
+            write(f"[{inner}[{entry}{body}{inner}]{newline}]")
+            return
         separator = "[" + inner
         for item in obj:
             if isinstance(item, _CONTAINERS):
@@ -183,15 +184,14 @@ def _encode(obj, write, newline: str) -> None:
 
 def _records(obj, inner):
     """The dicts of ``obj``, rendered at indentation ``inner`` column by
-    column, or None.  They must share one set of string keys, and each
-    key's column must hold only numbers, only strings or only nonempty
-    rows of numbers; the first record decides whether to try."""
+    column, or None.  They must share one set of keys, and each key's
+    column must hold only numbers, only strings or only nonempty rows of
+    scalars (``_rows``); the first record decides whether to try."""
     first = obj[0]
     if not first or not all(
-            type(key) is str and (type(value) in _LEAF_TYPES or (
-                type(value) is list and value
-                and type(value[0]) in _NUMBER_TYPES))
-            for key, value in first.items()):
+            type(value) in _LEAF_TYPES or (type(value) is list and value
+                                           and type(value[0]) in _LEAF_TYPES)
+            for value in first.values()):
         return None
     keys = first.keys()
     if not all(record.keys() == keys for record in obj):
@@ -209,12 +209,7 @@ def _records(obj, inner):
         elif kinds == {str}:
             columns.append(list(map(_encode_str, column)))
             value = "%s"
-        elif kinds == {list}:
-            text = _compact(column)
-            # As for a matrix in _encode: rows of numbers only, nonempty.
-            if ('"' in text or "[]" in text
-                    or text.count("[") != len(column) + 1):
-                return None
+        elif kinds == {list} and _rows(column, text := _compact(column)):
             columns.append(text[2:-2].replace(", ", "," + entry)
                            .split("]," + entry + "["))
             value = f"[{entry}%s{field}]"

@@ -265,8 +265,8 @@ class Stratification:
 def near_pairs(a: np.ndarray, b: np.ndarray, r: float):
     """Index and distance arrays ``(i, j, d)`` holding every pair with
     ``d = |a[i] - b[j]| <= r``, in chunks of consecutive rows of ``a``:
-    a chunk holds all pairs of its rows.  A non-finite coordinate of
-    ``a`` or ``b`` raises ValueError.
+    a chunk holds all pairs of its rows.  ``a`` and ``b`` must be 2-D
+    arrays of one width, and finite: else ValueError.
 
     The pairs come from a ``_Grid`` over ``b`` whose box also holds
     ``a``, so a point of ``a`` outside ``b``'s own box still has its
@@ -278,6 +278,8 @@ def near_pairs(a: np.ndarray, b: np.ndarray, r: float):
     once with one sample per stratum, whose pairs are its candidates,
     and once per chunk of those with the other samples of the
     candidates' sources."""
+    if not (a.ndim == b.ndim == 2 and a.shape[1] == b.shape[1]):
+        raise ValueError("near_pairs needs 2-D point arrays of one width")
     if not (np.isfinite(b).all() and (a is b or np.isfinite(a).all())):
         raise ValueError("near_pairs needs finite points")
     if not (r >= 0 and len(b)):

@@ -99,6 +99,37 @@ class TestValidateBundle:
                 "missing fiber over point ('S-', 0)")):
             SampledStratifiedBundle(b.base, 2, fibers, b.stratum_rank)
 
+    @pytest.mark.parametrize("fibers, ranks, bad", [
+        ({(1, 0.7): 0, ("1", 1): 1}, {1: 1.9}, "fiber key (1, 0.7)"),
+        ({("1", 0.0): 0, ("1", 1): 1}, {"1": 1}, "fiber key ('1', 0.0)"),
+        ({("1", 0): 0, ("1", "1"): 1}, {"1": 1}, "fiber key ('1', '1')"),
+        ({("1", 0): 0, ("1", 1): 1}, {1: 1}, "stratum_rank item (1, 1)"),
+        ({("1", 0): 0, ("1", 1): 1}, {"1": 1.9},
+         "stratum_rank item ('1', 1.9)")],
+        ids=["name", "float-index", "str-index", "rank-key", "rank"])
+    def test_keys_and_ranks_are_not_coerced(self, fibers, ranks, bad):
+        base = Stratification([Stratum("1", 0, [[0.0], [1.0]])])
+        w = span([(1.0, 0.0)], 2)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{bad}: expected a (stratum name, integer) pair")):
+            SampledStratifiedBundle(base, 2, dict.fromkeys(fibers, w), ranks)
+
+    def test_from_stacks_refuses_a_float_rank(self):
+        b = trivial_bundle(line_stratification(), 2)
+        with pytest.raises(ValueError, match=re.escape(
+                "stratum_rank item ('S0', 2.0): expected")):
+            SampledStratifiedBundle.from_stacks(
+                b.base, 2, b.stacks, dict(b.stratum_rank, S0=2.0))
+
+    def test_numpy_integers_read_as_ints(self):
+        b = trivial_bundle(line_stratification(), 2)
+        again = SampledStratifiedBundle(
+            b.base, 2, {(name, np.int64(i)): b.fiber((name, i))
+                        for name, i in b.point_keys()},
+            {name: np.int32(r) for name, r in b.stratum_rank.items()})
+        assert again.stratum_rank == b.stratum_rank
+        assert all(type(r) is int for r in again.stratum_rank.values())
+
     def test_scenario_needs_a_sequence(self):
         with pytest.raises(ValueError,
                            match="^scenario needs a nonempty sequence$"):

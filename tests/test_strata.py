@@ -1221,6 +1221,21 @@ class TestNearPairsInput:
         with pytest.raises(ValueError, match="needs finite points"):
             near_pairs(a, a, radius)
 
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((4, 2), (5, 3)), ((4, 4), (5, 3)), ((4,), (5, 3)), ((4, 3), (5,)),
+        ((4, 3), (2, 5, 3)), ((0, 2), (5, 3))],
+        ids=["widths-2-3", "widths-4-3", "1-d-a", "1-d-b", "3-d-b",
+             "empty-a-of-other-width"])
+    @pytest.mark.parametrize("radius", [0.5, -1.0])
+    def test_shapes_raise(self, a_shape, b_shape, radius):
+        rng = np.random.default_rng(7)
+        a, b = rng.random(a_shape), rng.random(b_shape)
+        for x, y in [(a, b), (b, a)] + [(x, x) for x in (a, b)
+                                         if x.ndim != 2]:
+            with pytest.raises(ValueError, match="^near_pairs needs 2-D "
+                               "point arrays of one width$"):
+                near_pairs(x, y, radius)
+
     def test_empty_cloud_yields_nothing(self):
         pts = np.random.default_rng(6).random((5, 3))
         empty, other = np.empty((0, 3)), np.empty((0, 3))
