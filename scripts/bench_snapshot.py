@@ -66,7 +66,7 @@ KERNELS = tuple(
        "cli_main_frontier_line", "foliation_bundle_grid441",
        "sym4_orthogonality_r7_warm", "monoid_reconstruct_1200",
        "point_permutations_rot48", "stratification_chain400",
-       "report_dumps_cantor_l7"])
+       "report_dumps_cantor_l7", "equivariant_tilde_dihedral1681"])
 # Seeds of the --against pairs, ten where run-to-run spread is widest.
 PAIR_SEEDS = {"corpus": tuple(range(81, 86)), "cloud": tuple(range(81, 86)),
               "fibers": tuple(range(81, 86)), "orbits": tuple(range(81, 91))}
@@ -471,6 +471,23 @@ def scaled_timings(checkout, name):
         return ({"points": 125, "order": 48, "r_cc": 0.6},
                 lambda: orbit_type_partition(signed, cube, r_cc=0.6))
 
+    def equivariant_tilde_dihedral1681():
+        """The invariant subbundle of the trivial R^2 bundle under the
+        symmetries of the square, which act on fibers by the same
+        matrices: the axes and diagonals have two-element stabilizers,
+        whose fibers are cut down to a line."""
+        quarter = np.array([[0.0, -1.0], [1.0, 0.0]])
+        turns = [np.linalg.matrix_power(quarter, k) for k in range(4)]
+        square = turns + [t @ np.diag([1.0, -1.0]) for t in turns]
+        axis = np.arange(-20, 21) * 0.05
+        plane = Stratification([Stratum("plane", 2, np.array(
+            list(itertools.product(axis, repeat=2))))])
+        return ({"points": 1681, "order": 8, "fiber_ambient": 2,
+                 "r_cc": 0.06},
+                lambda g=FiniteGroupAction(2, square, fiber_elements=square),
+                b=trivial_bundle(plane, 2): invariant_subbundle(
+                    g, b, r_cc=0.06))
+
     def frontier_cli():
         line = os.path.join(checkout, "fixtures", "line.json")
         with contextlib.redirect_stdout(io.StringIO()):
@@ -485,6 +502,7 @@ def scaled_timings(checkout, name):
                 lambda: foliation_bundle(grid, r_cc=0.12))
 
     cases["orbit_types_cube125"] = orbit_types_cube125
+    cases["equivariant_tilde_dihedral1681"] = equivariant_tilde_dihedral1681
     warm = {"cli_main_frontier_line": lambda: ({"verb": "check frontier"},
                                                frontier_cli),
             "foliation_bundle_grid441": foliation_bundle_grid441,

@@ -86,7 +86,8 @@ class SampledStratifiedBundle:
     point without a fiber and ValueError at a fiber outside
     R^fiber_ambient, checked at every point first, then ValueError at a
     fiber of another rank than its stratum's first (``_gather_stacks``).
-    Declared ranks are integers keyed by str, or ValueError (``_pair``)."""
+    Declared ranks are integers keyed by str, or ValueError (``_pair``).
+    Every constructor's stacks pass the shape checks of ``_hold``."""
 
     def __init__(self, base: Stratification, fiber_ambient: int,
                  fibers: Mapping[PointKey, Subspace],
@@ -114,18 +115,41 @@ class SampledStratifiedBundle:
                     ) -> "SampledStratifiedBundle":
         """The bundle of the basis stacks ``stacks[name]``, held as they
         are and made read-only.  Each stack is audited once at
-        ``tol_ortho``; None skips the audit for bases that passed it
-        already.  Declared ranks default to the stack ranks."""
-        if tol_ortho is not None and failing_fibers(stacks, tol_ortho):
-            raise ValueError("basis is not orthonormal within tolerance")
+        ``tol_ortho``, after the shape checks of ``_hold``; None skips the
+        audit for bases that passed it already.  Declared ranks default
+        to the stack ranks."""
         b = cls.__new__(cls)
-        b._hold(base, fiber_ambient, stacks, stratum_rank)
+        b._hold(base, fiber_ambient, stacks, stratum_rank, tol_ortho)
         return b
 
-    def _hold(self, base, fiber_ambient, stacks, stratum_rank) -> None:
+    def _hold(self, base, fiber_ambient, stacks, stratum_rank,
+              tol_ortho=None) -> None:
+        """Hold one stack per stratum of ``base`` and no other, each
+        ``(n_i, r_i, k)`` for the stratum's n_i points, the integer
+        ``k = fiber_ambient`` (not a bool) and r_i <= k, and, unless
+        ``tol_ortho`` is None, with bases orthonormal at ``tol_ortho``:
+        else ValueError, before any stack is made read-only."""
+        if isinstance(fiber_ambient, bool) or not isinstance(
+                fiber_ambient, (int, np.integer)):
+            raise ValueError(
+                f"fiber_ambient must be an integer, got {fiber_ambient!r}")
+        k = int(fiber_ambient)
+        if unknown := [name for name in stacks if name not in base._index]:
+            raise ValueError(f"fiber stack for unknown stratum {unknown[0]!r}")
+        for s in base.strata:
+            if s.name not in stacks:
+                raise ValueError(f"no fiber stack for stratum {s.name!r}")
+            shape = np.shape(stacks[s.name])
+            if not (len(shape) == 3 and shape[0] == len(s)
+                    and shape[1] <= shape[2] == k):
+                raise ValueError(
+                    f"fiber stack of stratum {s.name!r} has shape {shape}, "
+                    f"expected ({len(s)}, r, {k}) with r <= {k}")
         self.base = base
-        self.fiber_ambient = int(fiber_ambient)
+        self.fiber_ambient = k
         self.stacks = {s.name: stacks[s.name] for s in base.strata}
+        if tol_ortho is not None and failing_fibers(self.stacks, tol_ortho):
+            raise ValueError("basis is not orthonormal within tolerance")
         for stack in self.stacks.values():
             stack.flags.writeable = False
         if stratum_rank is None:

@@ -11,15 +11,19 @@ H is the projection onto its fixed space, so that space's dimension is
 the trace (1/|H|) sum of tr h, with no rank threshold.  The conjugates
 t H t^-1 of a subgroup, for every t at once, are one gather in the
 group table.  ``invariant_subbundle`` shrinks an equivariant bundle to
-the stabilizer-invariant part of each fiber, one intersection stack per
-(class, stratum) sharing the class's fixed space, and
-``quotient_bundle`` pushes the result down to one fiber per orbit.  The
-equivariance audit needs no rank decision: an orthogonal fiber matrix M
-carries the fiber with projection P onto the one with projection
-M P M^T, and the audit compares the spectral norm of M P M^T - Q with
-the tolerance.  That norm, like those of the orthogonality and table
-checks of the group's matrices, is only compared with a tolerance, so
-each goes through the Frobenius screen ``grassmann._spectral_norms``.
+the stabilizer-invariant part of each fiber, and ``quotient_bundle``
+pushes the result down to one fiber per orbit.  Once the audit below
+has shown each fiber E over x carried onto itself by the stabilizer H
+of x, the average A over H, the projection onto Fix(H), maps E onto
+its invariant part E meet Fix(H), so that part is the row space of B A
+for a basis B of E, of dimension tr(B A B^T) = |B A|_F^2: an integer,
+with no rank threshold.  The equivariance audit needs no rank decision
+either: an orthogonal fiber matrix M carries the fiber with projection
+P onto the one with projection M P M^T, and the audit compares the
+spectral norm of M P M^T - Q with the tolerance.  That norm, like those
+of the orthogonality and table checks of the group's matrices, is only
+compared with a tolerance, so each goes through the Frobenius screen
+``grassmann._spectral_norms``.
 
 The permutation each element induces on the sample points comes from a
 generating set picked greedily from the table.  One radius query at
@@ -50,8 +54,8 @@ import numpy as np
 from .bundle import SampledStratifiedBundle, _gather_stacks
 from .config import R_CC, TOL_CHECK
 from .functors import _chunks
-from .grassmann import (Subspace, _distinct, _runs, _spectral_norms,
-                        intersections)
+from .grassmann import (Subspace, _check_positive, _distinct, _runs,
+                        _spectral_norms)
 from .strata import (
     LabelPartition,
     Stratification,
@@ -189,6 +193,7 @@ def stabilizer(g: FiniteGroupAction, x, tol: float = TOL_CHECK
                ) -> tuple[int, ...]:
     """Indices of the elements fixing x, verified subgroup-closed: the
     one-point case of the stabilizer table."""
+    _check_positive("tol", tol)
     classes, _ = _stabilizer_table(g, _bounded_samples([x], g.n), tol)
     return classes[0]
 
@@ -273,6 +278,7 @@ def orbit_type_partition(g: FiniteGroupAction, points, r_cc: float = R_CC,
     come within ``r_cc``); audit it with ``check_frontier``.  Points go
     through ``strata._bounded_samples`` in R^n, as x does in ``stabilizer``.
     """
+    _check_positive("tol", tol)
     pts = _bounded_samples(points, g.n)
     return _partition_by_stabilizer(g, pts, *_stabilizer_table(g, pts, tol),
                                     r_cc)
@@ -513,14 +519,20 @@ def invariant_subbundle(g: FiniteGroupAction, b: SampledStratifiedBundle,
     Requires a fiber action, an orbit-saturated base sample set whose
     strata the group permutes, and equivariance: the fiber matrices must
     carry the fiber over x onto the fiber over g.x within ``tol``.
-    Because of equivariance every fiber over one stabilizer class shares
-    the class's fixed space, so the fibers of each (class, base stratum)
-    are intersected with it as one stack (:func:`grassmann.intersections`),
-    or kept as they are where it is the whole fiber space.  Each
-    orbit-type stratum lies in one base stratum.  Invariant fibers that
-    differ in rank over one orbit-type stratum (sampling or equivariance
-    is off) raise ValueError; each stratum's rank is that of its stack.
+    Because of equivariance the stabilizer H of x carries the fiber over
+    x onto itself, so the average A of H's fiber matrices (the projection
+    onto their fixed space) maps it onto its invariant part.  The fibers
+    of each (class, base stratum) are one stack B: the invariant part of
+    each is spanned by the leading right singular vectors of B A, as many
+    as ``rint(|B A|_F^2)``, from one SVD stack.  A class that fixes the
+    whole fiber space, and a rank-0 stack, keep their bases as they are.
+    ``tol`` decides the stabilizers, the point matching and the audit
+    alone.  Each orbit-type stratum lies in one base stratum.  Invariant
+    fibers that differ in rank over one orbit-type stratum (sampling or
+    equivariance is off) raise ValueError; each stratum's rank is that of
+    its stack.
     """
+    _check_positive("tol", tol)
     pts, _, _ = _equivariant_samples(
         g, b, tol, "building the invariant subbundle",
         "bundle is not equivariant: element {i} maps the fiber over {key} "
@@ -529,15 +541,23 @@ def invariant_subbundle(g: FiniteGroupAction, b: SampledStratifiedBundle,
     classes, of_point = _stabilizer_table(g, pts, tol)
     partition = _partition_by_stabilizer(g, pts, classes, of_point, r_cc,
                                          b.base._owner)
-    invariant = [fixed_subspace(g, stab, use_fiber=True) for stab in classes]
+    k = b.fiber_ambient
+    fibs = g.fiber_elements
+    averages = [sum(fibs[i] for i in stab) / len(stab) for stab in classes]
     bases = [None] * len(pts)
     bounds = b.base._bounds.tolist()
     for start, stop, stack in zip(bounds, bounds[1:], b.stacks.values()):
         here = of_point[start:stop]
         for c in _distinct(here).tolist():
             rows = np.flatnonzero(here == c)
-            found = (stack[rows] if invariant[c].dim == b.fiber_ambient
-                     else intersections(stack[rows], invariant[c], tol))
+            found = stack[rows]
+            if found.shape[1] and round(np.trace(averages[c])) != k:
+                # The rows of B A span the image of each fiber under A,
+                # its H-fixed part, of dimension |B A|_F^2.
+                image = found @ averages[c]
+                ranks = np.rint((image * image).sum(axis=(1, 2)))
+                vh = np.linalg.svd(image, full_matrices=False)[2]
+                found = [v[:rank] for v, rank in zip(vh, ranks.astype(int))]
             for p, basis in zip((start + rows).tolist(), found):
                 bases[p] = basis
     base = partition.stratification
@@ -566,6 +586,7 @@ def quotient_bundle(g: FiniteGroupAction, tilde: SampledStratifiedBundle,
     well defined.  The group must permute the strata of ``tilde``; the
     quotient strata are cut by orbit type within each orbit of them.
     """
+    _check_positive("tol", tol)
     pts, perms, orbit = _equivariant_samples(
         g, tilde, tol, "quotient",
         "representative fiber mismatch across an orbit: element {i} at "

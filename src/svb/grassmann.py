@@ -13,6 +13,7 @@ its Frobenius bound in ``_spectral_norms``.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,7 +28,6 @@ __all__ = [
     "sequence_limit",
     "apply_linear_map",
     "intersection",
-    "intersections",
     "opnorms",
     "orthonormal_rows",
 ]
@@ -72,6 +72,14 @@ def _spectral_norms(stack: np.ndarray, tol: float) -> np.ndarray:
     if loose.any():
         bounds[loose] = opnorms(stack[loose])
     return bounds
+
+
+def _check_positive(name: str, value) -> None:
+    """A tolerance or step must be a positive finite number; a NaN would
+    pass every threshold and an infinite step would read zeros."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a positive finite number, "
+                         f"got {value!r}")
 
 
 def _runs(keys: np.ndarray) -> np.ndarray:
@@ -262,49 +270,26 @@ def apply_linear_map(m, w: Subspace, tol_rank: float = TOL_RANK) -> Subspace:
 
 
 def intersection(a: Subspace, b: Subspace, tol: float = TOL_CHECK) -> Subspace:
-    """Intersection of two subspaces of the same ambient space: the
-    one-basis case of :func:`intersections`."""
-    return Subspace.view(intersections(a.basis[None], b, tol)[0])
-
-
-def intersections(bases, b: Subspace, tol: float = TOL_CHECK
-                  ) -> list[np.ndarray]:
-    """Intersection with B of the subspace on each basis of a stack
-    ``(m, r, k)``, as a list of m read-only orthonormal bases.
+    """Intersection of two subspaces of the same ambient space.
 
     A vector of A lies in the intersection iff projecting it to B leaves
     it unchanged, so the intersection is spanned by the null directions
     of (I - P_b) restricted to A's basis: the left singular vectors U_k of
-    ``A (I - P_b)`` whose singular values are at most ``tol``.  One SVD
-    stack finds them for every basis.  U_k has orthonormal columns and A
-    orthonormal rows, so U_k^T A is already an orthonormal basis of the
-    intersection, with one row per kept singular value; the bases of each
-    dimension get one orthonormality audit.
+    ``A (I - P_b)`` whose singular values are at most ``tol``.  A basis
+    has no more rows than columns, so there is one singular value per
+    row.  U_k has orthonormal columns and A orthonormal rows, so U_k^T A
+    is already an orthonormal basis of the intersection, with one row per
+    kept singular value, audited once by :class:`Subspace`.
     """
-    bases = np.asarray(bases, dtype=float)
-    m, r, k = bases.shape
-    if k != b.ambient_dim:
+    if a.ambient_dim != b.ambient_dim:
         raise ValueError("intersection requires equal ambient dimensions")
-    zero = np.zeros((0, k))
-    zero.flags.writeable = False
-    out = [zero] * m
-    if m == 0 or r == 0 or b.dim == 0:
-        return out
+    r, k = a.basis.shape
+    if r == 0 or b.dim == 0:
+        return Subspace.zero(k)
     # Rows of `defect` are the components of A's basis vectors outside B;
     # combinations of A-basis vectors killed on the left lie inside B.
-    defect = bases @ (np.eye(k) - b.projection)
-    u, sigma, _ = np.linalg.svd(defect, full_matrices=True)
-    sigma = np.concatenate([sigma, np.zeros((m, r - sigma.shape[1]))], axis=1)
+    defect = a.basis @ (np.eye(k) - b.projection)
+    u, sigma, _ = np.linalg.svd(defect)
     # Singular values come in decreasing order, so the kept ones trail.
-    kept = (sigma <= tol).sum(axis=1)
-    for count in _distinct(kept[kept > 0]).tolist():
-        rows = np.flatnonzero(kept == count)
-        # Contiguous before the transpose, as one point's u[:, kept].T is.
-        coeffs = np.ascontiguousarray(u[rows, :, r - count:]).swapaxes(1, 2)
-        stack = coeffs @ bases[rows]
-        if not orthonormal_rows(stack).all():
-            raise ValueError("basis is not orthonormal within tolerance")
-        stack.flags.writeable = False
-        for p, basis in zip(rows.tolist(), stack):
-            out[p] = basis
-    return out
+    kept = int((sigma <= tol).sum())
+    return Subspace(k, np.ascontiguousarray(u[:, r - kept:]).T @ a.basis)

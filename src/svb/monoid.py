@@ -20,7 +20,6 @@ first, by the sample-set rule of vector-field sets (``strata._samples``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -28,7 +27,8 @@ import numpy as np
 
 from .config import CLUSTER_RADIUS, STEP, TOL_CHECK, TOL_RANK
 from .foliation import evaluate_terms, parse_terms
-from .grassmann import Subspace, _distinct, _float_rows, _runs, _span_rank
+from .grassmann import (Subspace, _check_positive, _distinct, _float_rows,
+                        _runs, _span_rank)
 from .strata import _first_far, _samples, near_pairs
 
 _EPS = float(np.finfo(float).eps)
@@ -172,14 +172,6 @@ def _first_non_finite(blocks: np.ndarray) -> int:
 
 def _non_finite(t) -> ValueError:
     return ValueError(f"evaluator returned a non-finite value at t={t}")
-
-
-def _check_positive(name: str, value) -> None:
-    """A tolerance or step must be a positive finite number; a NaN would
-    pass every threshold and an infinite step would read zeros."""
-    if not 0 < value < math.inf:
-        raise ValueError(f"{name} must be a positive finite number, "
-                         f"got {value!r}")
 
 
 def _row_norms(rows) -> np.ndarray:

@@ -266,7 +266,9 @@ def near_pairs(a: np.ndarray, b: np.ndarray, r: float):
     """Index and distance arrays ``(i, j, d)`` holding every pair with
     ``d = |a[i] - b[j]| <= r``, in chunks of consecutive rows of ``a``:
     a chunk holds all pairs of its rows.  ``a`` and ``b`` must be 2-D
-    arrays of one width, and finite: else ValueError.
+    arrays of one width (anything ``np.asarray`` reads as such), and
+    finite, and ``r`` not NaN: else ValueError.  No pair is within a
+    negative ``r``.
 
     The pairs come from a ``_Grid`` over ``b`` whose box also holds
     ``a``, so a point of ``a`` outside ``b``'s own box still has its
@@ -278,14 +280,19 @@ def near_pairs(a: np.ndarray, b: np.ndarray, r: float):
     once with one sample per stratum, whose pairs are its candidates,
     and once per chunk of those with the other samples of the
     candidates' sources."""
+    self_join = a is b
+    b = np.asarray(b, dtype=float)
+    a = b if self_join else np.asarray(a, dtype=float)
     if not (a.ndim == b.ndim == 2 and a.shape[1] == b.shape[1]):
         raise ValueError("near_pairs needs 2-D point arrays of one width")
-    if not (np.isfinite(b).all() and (a is b or np.isfinite(a).all())):
+    if not (np.isfinite(b).all() and (self_join or np.isfinite(a).all())):
         raise ValueError("near_pairs needs finite points")
+    if np.isnan(r):
+        raise ValueError("near_pairs radius is NaN")
     if not (r >= 0 and len(b)):
         return iter(())
-    grid = _Grid(b, r, None if a is b else a)
-    return grid.near(np.arange(len(b))) if a is b else grid.near_points(a)
+    grid = _Grid(b, r, None if self_join else a)
+    return grid.near(np.arange(len(b))) if self_join else grid.near_points(a)
 
 
 class _Grid:

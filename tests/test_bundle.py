@@ -121,6 +121,50 @@ class TestValidateBundle:
             SampledStratifiedBundle.from_stacks(
                 b.base, 2, b.stacks, dict(b.stratum_rank, S0=2.0))
 
+    @pytest.mark.parametrize("stratum, shape, want", [
+        ("S0", (0, 1, 2), "(1, r, 2)"), ("S+", (20, 2), "(20, r, 2)"),
+        ("S-", (20, 2, 3), "(20, r, 2)"), ("S0", (1, 3, 2), "(1, r, 2)")],
+        ids=["no-rows", "2-D", "wide", "rank-above-ambient"])
+    def test_from_stacks_checks_each_shape(self, stratum, shape, want):
+        b = trivial_bundle(line_stratification(), 2)
+        stacks = dict(b.stacks, **{stratum: np.zeros(shape)})
+        with pytest.raises(ValueError, match=re.escape(
+                f"fiber stack of stratum {stratum!r} has shape {shape}, "
+                f"expected {want} with r <= 2")):
+            SampledStratifiedBundle.from_stacks(b.base, 2, stacks,
+                                                tol_ortho=None)
+
+    def test_from_stacks_checks_the_declared_ambient(self):
+        b = trivial_bundle(line_stratification(), 2)
+        with pytest.raises(ValueError, match=re.escape(
+                "fiber stack of stratum 'S0' has shape (1, 2, 2), expected "
+                "(1, r, 5) with r <= 5")):
+            SampledStratifiedBundle.from_stacks(b.base, 5, b.stacks)
+
+    @pytest.mark.parametrize("k", [2.7, True, "2", None])
+    def test_fiber_ambient_must_be_an_integer(self, k):
+        b = trivial_bundle(line_stratification(), 2)
+        with pytest.raises(ValueError, match=re.escape(
+                f"fiber_ambient must be an integer, got {k!r}")):
+            SampledStratifiedBundle.from_stacks(b.base, k, b.stacks)
+
+    def test_fiber_ambient_reads_numpy_integers(self):
+        b = trivial_bundle(line_stratification(), 2)
+        again = SampledStratifiedBundle.from_stacks(b.base, np.int64(2),
+                                                    b.stacks)
+        assert type(again.fiber_ambient) is int
+
+    def test_from_stacks_needs_one_stack_per_stratum(self):
+        b = trivial_bundle(line_stratification(), 2)
+        missing = {name: b.stacks[name] for name in ("S0", "S+")}
+        with pytest.raises(ValueError, match=re.escape(
+                "no fiber stack for stratum 'S-'")):
+            SampledStratifiedBundle.from_stacks(b.base, 2, missing)
+        ghost = dict(b.stacks, ghost=b.stacks["S0"])
+        with pytest.raises(ValueError, match=re.escape(
+                "fiber stack for unknown stratum 'ghost'")):
+            SampledStratifiedBundle.from_stacks(b.base, 2, ghost)
+
     def test_numpy_integers_read_as_ints(self):
         b = trivial_bundle(line_stratification(), 2)
         again = SampledStratifiedBundle(
@@ -505,6 +549,8 @@ class TestStratumStacks:
         with pytest.raises(ValueError, match="not orthonormal"):
             SampledStratifiedBundle.from_stacks(b.base, 2, stacks)
         assert failing_fibers(stacks) == [("S-", 3)]
+        # A refused stack is left as it was given.
+        assert all(stack.flags.writeable for stack in stacks.values())
 
     @pytest.mark.parametrize("make", BUNDLES.values(), ids=BUNDLES.keys())
     @pytest.mark.parametrize("f", FUNCTORS, ids=repr)

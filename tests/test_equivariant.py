@@ -697,6 +697,30 @@ def reference_gaps(g, b, perms):
                      for m, perm in zip(g.fiber_elements, perms)])
 
 
+def assert_matches_intersection_route(g, b, tilde, r_cc, same_bits=False,
+                                      atol=1e-12):
+    """The fibers of ``tilde``, the invariant subbundle of ``b``, against
+    the intersection of each fiber of ``b`` with the fixed space of its
+    stabilizer, one point at a time: the same strata and ranks, the same
+    projections within ``atol`` and, with ``same_bits``, the same bases."""
+    pts = b.base._cloud
+    classes, of_point = _stabilizer_table(g, pts, TOL_CHECK)
+    # Orbit types within each input stratum.
+    partition = _partition_by_stabilizer(g, pts, classes, of_point, r_cc,
+                                         b.base._owner)
+    assert tilde.base.names == partition.stratification.names
+    bases = [intersection(b.fiber(key), fixed_subspace(
+        g, classes[c], use_fiber=True)).basis
+        for key, c in zip(b.point_keys(), of_point)]
+    for s, local in zip(partition.stratification.strata, partition.members):
+        got, want = tilde.stacks[s.name], np.stack([bases[p] for p in local])
+        assert got.shape == want.shape
+        if same_bits:
+            assert np.array_equal(got, want)
+        gap = np.abs(got.swapaxes(1, 2) @ got - want.swapaxes(1, 2) @ want)
+        assert gap.max() <= atol
+
+
 class TestStackedRoute:
     """The per-class route against the per-point loop it replaces."""
 
@@ -729,20 +753,14 @@ class TestStackedRoute:
         gaps = equivariance_gaps(g, b, perms)
         assert np.array_equal(gaps, reference_gaps(g, b, perms))
 
-        tilde = invariant_subbundle(g, b, r_cc=r_cc)
-        # Orbit types within each input stratum.
-        partition = _partition_by_stabilizer(g, pts, classes, of_point, r_cc,
-                                             b.base._owner)
-        assert tilde.base.names == partition.stratification.names
-        bases = [intersection(b.fiber(key),
-                              fixed_subspace(g, stab, use_fiber=True)).basis
-                 for key, stab in zip(keys, stabs)]
-        reference = {s.name: np.stack([bases[p] for p in local])
-                     for s, local in zip(partition.stratification.strata,
-                                         partition.members)}
-        assert tilde.stacks.keys() == reference.keys()
-        for stratum, stack in reference.items():
-            assert np.array_equal(tilde.stacks[stratum], stack)
+        # In every case but the dihedral grid, a stabilizer's fixed space
+        # is all of R^k or meets each fiber in 0 alone, so the fibers
+        # keep their bases or become rank 0, bit for bit as the
+        # intersections.  The average route finds the dihedral grid's
+        # invariant lines with the other sign.
+        assert_matches_intersection_route(
+            g, b, invariant_subbundle(g, b, r_cc=r_cc), r_cc,
+            same_bits=name != "dihedral-grid")
 
     def test_dihedral_grid_mixes_kept_counts(self):
         g, b, r_cc = self.CASES["dihedral-grid"]()
@@ -763,6 +781,100 @@ class TestStackedRoute:
                    f"over {keys[p]} with gap {gaps[i, p]:.3e}")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             invariant_subbundle(g, b, r_cc=1.0)
+
+
+def punctured_grid_lines(kind, tilt=0.0):
+    """Line fibers over the 21 x 21 grid of step 0.1 in [-1, 1]^2 without
+    its origin, equivariant under ``dihedral_square_group``: spanned by x
+    (``"radial"``) or by its quarter turn (``"tangential"``), the line
+    over (0.5, 0) turned on by ``tilt``."""
+    axis = np.arange(-10, 11) * 0.1
+    pts = np.array([[x, y] for x in axis for y in axis if x or y])
+    angles = np.arctan2(pts[:, 1], pts[:, 0]) + {
+        "radial": 0.0, "tangential": np.pi / 2}[kind]
+    angles[(pts == [0.5, 0.0]).all(axis=1)] += tilt
+    base = Stratification([Stratum("plane", 2, pts)])
+    lines = np.column_stack([np.cos(angles), np.sin(angles)])[:, None]
+    return SampledStratifiedBundle.from_stacks(base, 2, {"plane": lines})
+
+
+class TestAverageRoute:
+    """Invariant fibers as the image of each fiber under the average of
+    its stabilizer, on stabilizers that fix part of each fiber."""
+
+    CASES = {
+        "signed-perm-cube125": lambda: (
+            FiniteGroupAction(3, _signed_permutations(),
+                              fiber_elements=_signed_permutations()),
+            trivial_bundle(Stratification([Stratum("cube", 3, np.array(
+                list(product((-1.0, -0.5, 0.0, 0.5, 1.0), repeat=3))))]), 3),
+            0.6, {0, 1, 2}),
+        "dihedral-radial": lambda: (
+            dihedral_square_group(with_tangent_action=True),
+            punctured_grid_lines("radial"), 0.12, {1}),
+        "dihedral-tangential": lambda: (
+            dihedral_square_group(with_tangent_action=True),
+            punctured_grid_lines("tangential"), 0.12, {0, 1}),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_agrees_with_intersection_route(self, name):
+        g, b, r_cc, ranks = self.CASES[name]()
+        tilde = invariant_subbundle(g, b, r_cc=r_cc)
+        assert set(tilde.stratum_rank.values()) == ranks
+        assert_matches_intersection_route(g, b, tilde, r_cc)
+        quotient = quotient_bundle(g, tilde, r_cc=r_cc)
+        assert set(quotient.stratum_rank.values()) == ranks
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_tilt_at_a_fixed_line_on_both_sides_of_tol(self, factor):
+        # The reflection fixing (0.5, 0) turns the line there, tilted by
+        # theta, by 2 theta: the largest gap is sin(2 theta).
+        g = dihedral_square_group(with_tangent_action=True)
+        b = punctured_grid_lines(
+            "radial", tilt=np.arcsin(factor * TOL_CHECK) / 2)
+        gaps = equivariance_gaps(
+            g, b, _point_permutations(g, b.base._cloud, TOL_CHECK))
+        assert gaps.max() == pytest.approx(factor * TOL_CHECK, rel=1e-6)
+        if factor > 1:
+            with pytest.raises(ValueError,
+                               match="^bundle is not equivariant: element"):
+                invariant_subbundle(g, b, r_cc=0.12)
+            return
+        tilde = invariant_subbundle(g, b, r_cc=0.12)
+        assert set(tilde.stratum_rank.values()) == {1}
+        # The intersection keeps the tilted line, within tol of the fixed
+        # one; the average maps it onto the fixed line itself.
+        assert_matches_intersection_route(g, b, tilde, 0.12, atol=TOL_CHECK)
+        at = np.flatnonzero((tilde.base._cloud == [0.5, 0.0]).all(axis=1))
+        basis, = [basis for stack in tilde.stacks.values()
+                  for basis in stack][at[0]]
+        assert np.array_equal(np.abs(basis), [1.0, 0.0])
+
+
+class TestToleranceRefused:
+    """Every entry point refuses a tolerance that is not a positive finite
+    number before any work: NaN would fix no point, not even by the
+    identity, and a negative tolerance likewise."""
+
+    ENTRIES = {
+        "stabilizer": lambda tol: stabilizer(rotation_group(8), [0.5, 0.0],
+                                             tol=tol),
+        "orbit_type_partition": lambda tol: orbit_type_partition(
+            rotation_group(8), [[0.5, 0.0]], tol=tol),
+        "invariant_subbundle": lambda tol: invariant_subbundle(
+            rotation_group(8), ring_tangent_bundle(8), tol=tol),
+        "quotient_bundle": lambda tol: quotient_bundle(
+            rotation_group(8), ring_tangent_bundle(8), tol=tol),
+    }
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")],
+                             ids=["nan", "negative", "zero", "inf"])
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    def test_refused(self, entry, tol):
+        with pytest.raises(ValueError, match=re.escape(
+                f"tol must be a positive finite number, got {tol!r}")):
+            self.ENTRIES[entry](tol)
 
 
 def Stratification_no_mirror():

@@ -1189,14 +1189,21 @@ class TestInputRaises:
                            match="^stratum 'a' has negative dimension$"):
             Stratum("a", -1, [[0.0]])
 
-    @pytest.mark.parametrize("radius", [-1.0, float("nan")],
-                             ids=["negative", "nan"])
+    @pytest.mark.parametrize("radius", [-1.0], ids=["negative"])
     @pytest.mark.parametrize("self_join", [True, False],
                              ids=["self", "two-clouds"])
     def test_near_pairs_at_no_radius_yields_nothing(self, radius, self_join):
         a = np.zeros((3, 2))
         b = a if self_join else np.zeros((2, 2))
         assert list(near_pairs(a, b, radius)) == []
+
+    @pytest.mark.parametrize("self_join", [True, False],
+                             ids=["self", "two-clouds"])
+    def test_near_pairs_refuses_a_nan_radius(self, self_join):
+        a = np.zeros((3, 2))
+        b = a if self_join else np.zeros((2, 2))
+        with pytest.raises(ValueError, match="^near_pairs radius is NaN$"):
+            near_pairs(a, b, float("nan"))
 
 
 class TestNearPairsInput:
@@ -1235,6 +1242,14 @@ class TestNearPairsInput:
             with pytest.raises(ValueError, match="^near_pairs needs 2-D "
                                "point arrays of one width$"):
                 near_pairs(x, y, radius)
+
+    def test_reads_lists_of_rows(self):
+        assert [tuple(map(list, chunk)) for chunk in near_pairs(
+            [[0.0]], [[0.0], [3.0]], 1.0)] == [([0], [0], [0.0])]
+        rows = [[0.0, 0.0], [0.5, 0.0]]
+        i, j, d = map(np.concatenate, zip(*near_pairs(rows, rows, 1.0)))
+        assert sorted(zip(i.tolist(), j.tolist())) == [
+            (0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_empty_cloud_yields_nothing(self):
         pts = np.random.default_rng(6).random((5, 3))
