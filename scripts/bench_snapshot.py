@@ -66,7 +66,8 @@ KERNELS = tuple(
        "cli_main_frontier_line", "foliation_bundle_grid441",
        "sym4_orthogonality_r7_warm", "monoid_reconstruct_1200",
        "point_permutations_rot48", "stratification_chain400",
-       "report_dumps_cantor_l7", "equivariant_tilde_dihedral1681"])
+       "report_dumps_cantor_l7", "equivariant_tilde_dihedral1681",
+       "write_sym3_trivial_300"])
 # Seeds of the --against pairs, ten where run-to-run spread is widest.
 PAIR_SEEDS = {"corpus": tuple(range(81, 86)), "cloud": tuple(range(81, 86)),
               "fibers": tuple(range(81, 86)), "orbits": tuple(range(81, 91))}
@@ -384,6 +385,15 @@ def scaled_timings(checkout, name):
         return ({"points": 150, "rank": 1, "fiber_ambient": 10},
                 lambda: write_json(bundle_to_json(image), image_path))
 
+    def write_sym3_trivial_300():
+        """A bundle write whose fibers are all one basis: the sym:3 image
+        of a trivial rank-4 bundle, 20 x 20 fibers over 300 points."""
+        image = apply_functor_to_bundle(SymPower(3), trivial_bundle(
+            Stratification([Stratum("bulk", 2, np.random.default_rng(
+                0).uniform(-1.0, 1.0, (300, 2)))]), 4))
+        return ({"points": 300, "rank": 20, "fiber_ambient": 20},
+                lambda: write_json(bundle_to_json(image), image_path))
+
     def monoid_audits_300():
         action, _, _ = bundle_scalar_action(trivial_bundle(Stratification(
             [Stratum("bulk", 2, drawn()[2])]), 2))
@@ -403,6 +413,7 @@ def scaled_timings(checkout, name):
                 lambda: (audit_axioms(scalar), audit_axioms(table)))
 
     cases["write_wedge2_image_150"] = write_wedge2_image_150
+    cases["write_sym3_trivial_300"] = write_sym3_trivial_300
     cases["sym6_apply_150"] = lambda: (
         {"matrices": 150, "shape": [2, 4], "degree": 6},
         lambda maps=np.random.default_rng(0).normal(size=(150, 2, 4)):

@@ -87,10 +87,12 @@ def dumps(obj: Any) -> str:
     scalars (numbers or strings), to the compact C encoder in one call
     and re-indents its output by replacing the separators ``", "`` (and
     ``"], ["`` between rows).  That is exact when no string in the list
-    contains a separator, which is checked on the encoded text.  Lists
-    of records that share one set of keys are written column by column
-    instead (``_records``).  Keys must be strings: any other key raises
-    TypeError, where the standard library would convert a number.
+    contains a separator, which is checked on the encoded text.  A list
+    of two or more records that share one nonempty set of keys is
+    written column by column, ``_SLICE`` records at a time, and a value
+    that is the same object as the one above it in its column is
+    rendered once (``_records``).  Keys must be strings: any other key
+    raises TypeError, where the standard library would convert a number.
     """
     chunks: list[str] = []
     _encode(obj, chunks.append, "\n")
@@ -110,6 +112,7 @@ if json.encoder.c_make_encoder is not None:
 else:
     _compact = json.JSONEncoder(allow_nan=False).encode
 _CONTAINERS = (list, tuple, dict)
+_SLICE = 32  # records rendered at once: bounds the text the writer holds
 _NUMBER_TYPES = frozenset((int, float, bool, type(None)))
 _LEAF_TYPES = _NUMBER_TYPES | {str}
 
@@ -157,11 +160,14 @@ def _encode(obj, write, newline: str) -> None:
                 body = text[1:-1].replace(", ", "," + inner)
                 write(f"[{inner}{body}{newline}]")
                 return
-        elif types == {dict}:
-            records = _records(obj, inner)
-            if records is not None:
-                write(f"[{inner}" + f",{inner}".join(records) + f"{newline}]")
-                return
+        elif types == {dict} and len(obj) > 1 and (keys := obj[0].keys()) \
+                and all(record.keys() == keys for record in obj):
+            separator = "[" + inner
+            for text in _records(obj, sorted(keys), inner):
+                write(separator + text)
+                separator = "," + inner
+            write(newline + "]")
+            return
         elif types == {list} and _rows(obj, text := _compact(obj)):
             entry = inner + "  "
             body = (text[2:-2]
@@ -182,42 +188,54 @@ def _encode(obj, write, newline: str) -> None:
         write(_compact(obj))
 
 
-def _records(obj, inner):
-    """The dicts of ``obj``, rendered at indentation ``inner`` column by
-    column, or None.  They must share one set of keys, and each key's
-    column must hold only numbers, only strings or only nonempty rows of
-    scalars (``_rows``); the first record decides whether to try."""
-    first = obj[0]
-    if not first or not all(
-            type(value) in _LEAF_TYPES or (type(value) is list and value
-                                           and type(value[0]) in _LEAF_TYPES)
-            for value in first.values()):
-        return None
-    keys = first.keys()
-    if not all(record.keys() == keys for record in obj):
-        return None
+def _records(obj, keys, inner):
+    """The text of each dict of ``obj``, all with exactly the sorted
+    ``keys``, at indentation ``inner``, rendered column by column
+    ``_SLICE`` records at a time, so that the caller holds one slice's
+    text.  In a slice, a column of numbers or of nonempty rows of
+    scalars (``_rows``) is one C call, and a column of strings one
+    escape per string.  Any other column is rendered value by value by
+    ``_encode`` at the field's indentation, where a value that is the
+    same object as the previous one in its column, across slices too,
+    reuses its text: a run of shared bases is formatted once.  Only the
+    previous value is held, so the memo does not grow with the number
+    of distinct values.
+    """
     field = inner + "  "
     entry = field + "  "
-    parts, columns = [], []
-    for key in sorted(keys):
-        column = [record[key] for record in obj]
-        kinds = set(map(type, column))
-        if kinds <= _NUMBER_TYPES:
-            # Numbers hold no ", ": the compact text splits into them.
-            columns.append(_compact(column)[1:-1].split(", "))
+    names = [_encode_str(key).replace("%", "%%") + ": " for key in keys]
+    previous = dict.fromkeys(keys, (object(), ""))  # (value, its text)
+    for start in range(0, len(obj), _SLICE):
+        records = obj[start:start + _SLICE]
+        parts, columns = [], []
+        for key, name in zip(keys, names):
+            column = [record[key] for record in records]
+            kinds = set(map(type, column))
             value = "%s"
-        elif kinds == {str}:
-            columns.append(list(map(_encode_str, column)))
-            value = "%s"
-        elif kinds == {list} and _rows(column, text := _compact(column)):
-            columns.append(text[2:-2].replace(", ", "," + entry)
-                           .split("]," + entry + "["))
-            value = f"[{entry}%s{field}]"
-        else:
-            return None
-        parts.append(_encode_str(key).replace("%", "%%") + ": " + value)
-    template = "{" + field + ("," + field).join(parts) + inner + "}"
-    return [template % values for values in zip(*columns)]
+            if kinds <= _NUMBER_TYPES:
+                # Numbers hold no ", ": the compact text splits into them.
+                columns.append(_compact(column)[1:-1].split(", "))
+            elif kinds == {str}:
+                columns.append(list(map(_encode_str, column)))
+            elif kinds == {list} and column[0] \
+                    and type(column[0][0]) in _LEAF_TYPES \
+                    and _rows(column, text := _compact(column)):
+                columns.append(text[2:-2].replace(", ", "," + entry)
+                               .split("]," + entry + "["))
+                value = f"[{entry}%s{field}]"
+            else:
+                texts = []
+                for item in column:
+                    if item is not previous[key][0]:
+                        chunks = []
+                        _encode(item, chunks.append, field)
+                        previous[key] = item, "".join(chunks)
+                    texts.append(previous[key][1])
+                columns.append(texts)
+            parts.append(name + value)
+        template = "{" + field + ("," + field).join(parts) + inner + "}"
+        for values in zip(*columns):
+            yield template % values
 
 
 def _expect(obj, key, kinds, path):
@@ -394,11 +412,14 @@ def subspace_file_from_json(obj, path="$") -> Subspace:
 
 
 def bundle_to_json(b: SampledStratifiedBundle) -> dict:
+    """The bundle as a document.  Consecutive fibers of a stratum whose
+    bases are bitwise equal share one ``basis`` list, built once, so a
+    caller that mutates one basis in place must copy it first."""
     base = stratification_to_json(b.base)
     del base["schema"]
     fibers = [{"point_index": [name, i], "basis": basis}
               for name, stack in b.stacks.items()
-              for i, basis in enumerate(stack.tolist())]
+              for i, basis in enumerate(_shared_bases(stack))]
     return {
         "schema": SCHEMA,
         "base": base,
@@ -406,6 +427,19 @@ def bundle_to_json(b: SampledStratifiedBundle) -> dict:
         "fibers": fibers,
         "ranks": dict(sorted(b.stratum_rank.items())),
     }
+
+
+def _shared_bases(stack) -> list:
+    """``stack.tolist()``, each run of bitwise-equal consecutive fibers
+    sharing the one list built for its first fiber.  A stratum holds at
+    least one point, so the stack holds at least one fiber."""
+    flat = stack.reshape(len(stack), -1)  # a view, for stride-0 stacks too
+    # Bits, not values: -0.0 and 0.0 differ, as their text does.
+    bits = flat.view(np.int64 if flat.itemsize == 8 else f"V{flat.itemsize}")
+    first = np.ones(len(stack), bool)
+    first[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    distinct = stack[first].tolist()
+    return list(map(distinct.__getitem__, (np.cumsum(first) - 1).tolist()))
 
 
 def bundle_from_json(obj, path="$") -> SampledStratifiedBundle:

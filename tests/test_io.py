@@ -15,10 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svb import jsonio
+from svb.bundle import SampledStratifiedBundle, trivial_bundle
+from svb.equivariant import invariant_subbundle
 from svb.fixtures import (
     cone_bundle,
     cone_scenario,
     line_stratification,
+    ring_tangent_bundle,
     rotation_group,
     sign_flip_group,
 )
@@ -43,7 +46,7 @@ from svb.jsonio import (
     write_json,
 )
 from svb.monoid import MonoidActionSample
-from svb.strata import Stratification
+from svb.strata import Stratification, Stratum
 
 
 class TestRoundTrips:
@@ -122,6 +125,86 @@ class TestRoundTrips:
         write_json(stratification_to_json(line_stratification()), str(path))
         loaded = stratification_from_json(read_json(str(path)))
         assert loaded.names == line_stratification().names
+
+
+def _bits(stack):
+    return np.ascontiguousarray(stack).view(np.int64)
+
+
+def _random_rank2_bundle(n_strata, seed=0):
+    """Random rank-2 fibers in R^5 over strata of 25 points each, so that
+    no one stratum's points grow with the bundle."""
+    rng = np.random.default_rng(seed)
+    base = Stratification([Stratum(f"s{i:03d}", 1, rng.uniform(-1, 1, (25, 2)))
+                           for i in range(n_strata)])
+    return SampledStratifiedBundle.from_stacks(base, 5, {
+        s.name: np.linalg.qr(rng.normal(size=(25, 5, 2)))[0].swapaxes(1, 2)
+        for s in base.strata})
+
+
+class TestSharedBases:
+    """``bundle_to_json`` builds one basis list per run of bitwise-equal
+    consecutive fibers, and the writer formats it once."""
+
+    def test_trivial_bundle_has_one_basis_list_per_stratum(self):
+        obj = bundle_to_json(trivial_bundle(line_stratification(), 2))
+        lists = {}
+        for item in obj["fibers"]:
+            lists.setdefault(item["point_index"][0], set()).add(
+                id(item["basis"]))
+        assert sorted(lists) == sorted(obj["ranks"])
+        assert all(len(ids) == 1 for ids in lists.values())
+        assert len(set().union(*lists.values())) == len(lists)
+        assert obj["fibers"][0]["basis"] == [[1.0, 0.0], [0.0, 1.0]]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_the_sign_of_a_zero_parts_two_fibers(self, dtype):
+        base = Stratification([Stratum("s", 1, [[0.0], [1.0], [2.0], [3.0]])])
+        stack = np.array([[[0.0, 1.0, 0.0]], [[-0.0, 1.0, 0.0]],
+                          [[-0.0, 1.0, 0.0]], [[0.0, 1.0, 0.0]]], dtype)
+        obj = bundle_to_json(SampledStratifiedBundle.from_stacks(
+            base, 3, {"s": stack}))
+        bases = [item["basis"] for item in obj["fibers"]]
+        assert [id(b) for b in bases] == [id(bases[0]), id(bases[1]),
+                                          id(bases[1]), id(bases[3])]
+        assert len({id(b) for b in bases}) == 3
+        assert [str(b[0][0]) for b in bases] == ["0.0", "-0.0", "-0.0", "0.0"]
+        assert dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("build", [
+        lambda: trivial_bundle(line_stratification(), 3),
+        lambda: cone_bundle("pass", depth=8),
+        lambda: cone_bundle("rank0", depth=8),
+        lambda: invariant_subbundle(rotation_group(12), ring_tangent_bundle(
+            12, np.linspace(0.2, 1.0, 20).tolist()), r_cc=0.25),
+    ], ids=["trivial", "cone", "cone-rank0", "tilde-of-ring"])
+    def test_round_trip_is_bitwise(self, build):
+        b = build()
+        obj = bundle_to_json(b)
+        for again in (bundle_from_json(obj),
+                      bundle_from_json(json.loads(dumps(obj)))):
+            assert again.stacks.keys() == b.stacks.keys()
+            for name, stack in b.stacks.items():
+                assert again.stacks[name].shape == stack.shape
+                assert np.array_equal(_bits(again.stacks[name]),
+                                      _bits(stack)), name
+
+    def test_write_memory_does_not_grow_with_the_fibers(self, tmp_path):
+        # Two sizes four times apart, each document built before tracing
+        # starts: a writer that held the whole fibers list as text would
+        # hold about 0.6 MiB for the larger one.
+        import tracemalloc
+
+        peaks = []
+        for n_strata in (10, 40):
+            obj = bundle_to_json(_random_rank2_bundle(n_strata))
+            tracemalloc.start()
+            try:
+                write_json(obj, str(tmp_path / "b.json"))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 256 * 1024, peaks
 
 
 class TestSchemaErrors:
@@ -722,6 +805,24 @@ def _record_lists(values, keys):
                              max_size=4)
 
 
+def _shared_record_lists(values, keys):
+    """Record lists, some longer than one slice of ``jsonio._records``,
+    whose values are drawn from a pool of one to three objects, listed
+    with the pool, so that each pooled object may stand in several
+    records and outside them."""
+    return st.tuples(st.lists(values, min_size=1, max_size=3),
+                     st.lists(keys, min_size=1, max_size=3, unique=True),
+                     st.integers(2, 2 * jsonio._SLICE + 3),
+                     st.randoms(use_true_random=False)).map(
+        lambda drawn: [drawn[0], [
+            {key: drawn[3].choice(drawn[0]) for key in drawn[1]}
+            for _ in range(drawn[2])]])
+
+
+_ROWS = [[1.0, 2.5], [-0.0, 1e-300]]  # one object, shared by these cases
+_OBJECT = {"k": [[1, "a, b"], [2.0]], "j": "], [", "e": {}}
+
+
 class TestWriter:
     """``dumps`` is the standard library's indented encoder without NaN
     and infinity, byte for byte on string keys, and raises where it
@@ -782,6 +883,21 @@ class TestWriter:
         [{"p": ["a", 0], "q": 1}, {"p": ["b", 2], "q": 2}],
         [{"p": ["a", {"k": 1}]}, {"p": ["b", 2]}],
         [{"p": ["a, b", 0]}, {"p": ["c", 2]}],
+        [{"a": _ROWS, "b": 1}, {"a": _ROWS, "b": 2}, {"a": [[3.0]], "b": 3},
+         {"a": _ROWS, "b": 4}],
+        [{"a": _OBJECT, "b": "x"}, {"a": _OBJECT, "b": "y"},
+         {"a": {"k": []}, "b": "z"}],
+        {"outside": _ROWS, "records": [
+            {"a": _ROWS, "b": [{"a": _ROWS}, {"a": _ROWS}]},
+            {"a": _ROWS, "b": [_ROWS]}], "tail": [_ROWS, _ROWS]},
+        [{"basis": [], "i": 0}, {"basis": [[1.0, 0.0]], "i": 1},
+         {"basis": [], "i": 2}, {"basis": [[0.0, 1.0], [1.0, -0.0]], "i": 3},
+         {"basis": [], "i": 4}],
+        [{"a": "%s", "b": "x, y", "c": ["], [", "%d"], "d": [["%s", 1]]},
+         {"a": "100%", "b": "], [", "c": ["%", ", "], "d": [["], [", "%"]]},
+         {"a": "%%", "b": "[1, 2]", "c": ["a"], "d": [[", "]]}],
+        [{"i": i, "basis": _ROWS if jsonio._SLICE - 3 <= i < jsonio._SLICE + 4
+          else [[float(i)]]} for i in range(2 * jsonio._SLICE + 1)],
     ], ids=["non-finite", "bools-ints", "separator-in-string", "strings",
             "empty-containers", "empty-values", "nested", "scalar",
             "negative-zero", "matrix", "matrix-mixed", "matrix-empty-row",
@@ -802,7 +918,10 @@ class TestWriter:
             "rows-empty-object", "rows-object", "rows-object-two-keys",
             "rows-escapes", "rows-colon", "rows-object-string",
             "records-string-rows", "records-object-in-string-row",
-            "records-separator-in-string-row"])
+            "records-separator-in-string-row", "records-one-list-shared",
+            "records-shared-object", "records-shared-also-outside",
+            "records-empty-and-nested-rows", "records-percent-and-separators",
+            "records-shared-across-slices"])
     def test_edge_cases(self, obj):
         self._same_as_stdlib(obj)
 
@@ -827,7 +946,8 @@ class TestWriter:
             | st.tuples(inner, inner)
             | st.dictionaries(st.text(max_size=5), inner, max_size=5)
             | _record_lists(inner | st.lists(scalars, min_size=1, max_size=4),
-                            keys)),
+                            keys)
+            | _shared_record_lists(inner, keys)),
         max_leaves=40)
 
     @settings(max_examples=300, deadline=None)
