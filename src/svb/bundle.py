@@ -25,6 +25,7 @@ from .config import TAIL_LEN, TOL_CHECK, TOL_ORTHO
 from .functors import LinearFunctor, _map_in_chunks, dim_map, sized_dim
 from .grassmann import (
     Subspace,
+    _check_positive,
     containment_residual,
     orthonormal_rows,
     sequence_limit,
@@ -282,6 +283,7 @@ def whitney_a_check(b: SampledStratifiedBundle, sc: ConvergenceScenario,
     the fiber over the limit point, FAIL with the containment residual
     otherwise, INCONCLUSIVE when no limit is detected.
     """
+    _check_positive("tol", tol)
     x0_key = (sc.target_stratum, sc.x0_index)
     x0 = b.point(x0_key)
     # Only the tail is read; every index is still range checked.

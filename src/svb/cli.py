@@ -37,7 +37,7 @@ from .bundle import (
     whitney_a_check,
     whitney_a_from_sections,
 )
-from .config import R_CC, STEP, TAIL_LEN, TOL_CHECK, TOL_RANK
+from .config import R_CC, TAIL_LEN, TOL_CHECK, TOL_RANK
 from .equivariant import (StrataNotInvariantError, invariant_subbundle,
                           quotient_bundle, tangent_comparison)
 from .foliation import fields_as_sections, foliation_bundle, stratify_by_rank
@@ -68,7 +68,6 @@ class _Parser(argparse.ArgumentParser):
 TOLERANCES = {
     "tol_rank": (float, TOL_RANK),
     "tol_check": (float, TOL_CHECK),
-    "step": (float, STEP),
     "r_cc": (float, R_CC),
     "eps_touch": (float, None),
     "delta_cover": (float, None),
@@ -220,10 +219,9 @@ def _apply_functor(args, add):
 
 def _monoid_analyze(args, add):
     action = jsonio.action_from_json(jsonio.read_json(args.action))
-    with _input("action: "):  # non-finite evaluator value
+    with _input("action: "):  # non-finite evaluator value or derivative
         audit = audit_axioms(action, args.tol_check)
-        regularity = regularity_check(action, tol=args.tol_check,
-                                      step=args.step)
+        regularity = regularity_check(action, tol=args.tol_check)
     add("axioms", "PASS" if audit.passed else "FAIL",
         identity_violations=[list(v) for v in audit.identity_violations],
         composition_violations=[list(v) for v in
@@ -355,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     apply_f.add_argument("--bundle", required=True)
 
     verb(group("monoid"), "monoid analyze", _monoid_analyze,
-         ("tol_check", "step")).add_argument("--action", required=True)
+         ("tol_check",)).add_argument("--action", required=True)
 
     equiv = group("equivariant")
     for name in ("tilde", "quotient"):

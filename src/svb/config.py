@@ -3,7 +3,8 @@
 Every numerical verdict in this package is relative to an explicit
 tolerance.  Library functions take plain keyword arguments with the
 defaults below, and the CLI flags of each verb default to the same
-constants.
+constants.  No default is a numerical step: the vertical derivatives of
+monoid actions are read off their polynomial tables exactly.
 """
 
 # Orthonormality audit of every Subspace basis (entrywise Gram defect).
@@ -12,8 +13,6 @@ TOL_ORTHO = 1e-10
 TOL_RANK = 1e-8
 # Generic verdict tolerance: containment residuals, axiom audits, gaps.
 TOL_CHECK = 1e-8
-# Finite-difference step for t-derivatives of monoid actions.
-STEP = 1e-4
 # Single-linkage radius for splitting rank/orbit-type classes into components.
 R_CC = 0.05
 # Clustering radius for matching points of the fixed-image of an action.

@@ -54,8 +54,8 @@ import numpy as np
 from .bundle import SampledStratifiedBundle, _gather_stacks
 from .config import R_CC, TOL_CHECK
 from .functors import _chunks
-from .grassmann import (Subspace, _check_positive, _distinct, _runs,
-                        _spectral_norms)
+from .grassmann import (Subspace, _check_positive, _distinct, _integer,
+                        _runs, _spectral_norms)
 from .strata import (
     LabelPartition,
     Stratification,
@@ -97,7 +97,9 @@ class FiniteGroupAction:
     stacked ``(order, n, n)`` and ``(order, k, k)`` arrays."""
 
     def __init__(self, n: int, elements: Sequence, fiber_elements=None):
-        self.n = int(n)
+        self.n = _integer("n", n)
+        if self.n < 1:
+            raise ValueError(f"n must be at least 1, got {self.n}")
         mats = [np.atleast_2d(np.asarray(m, dtype=float)) for m in elements]
         if not mats:
             raise ValueError("group needs at least the identity element")

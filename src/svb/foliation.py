@@ -20,7 +20,7 @@ import numpy as np
 
 from .bundle import SampledStratifiedBundle
 from .config import R_CC, TOL_RANK
-from .grassmann import Subspace, _float_rows, _span_rank
+from .grassmann import Subspace, _float_rows, _integer, _span_rank
 from .strata import (Stratification, _bounded_samples, estimate_cloud_dim,
                      partition_by_label)
 
@@ -97,7 +97,7 @@ class PolynomialVectorField:
     vector."""
 
     def __init__(self, ambient_dim: int, terms):
-        self.ambient_dim = int(ambient_dim)
+        self.ambient_dim = _integer("ambient_dim", ambient_dim)
         self.terms = parse_terms(((t["powers"], t["vector"]) for t in terms),
                                  self.ambient_dim, self.ambient_dim)
 
@@ -113,7 +113,7 @@ class VectorFieldSet:
 
     def __init__(self, ambient_dim: int,
                  fields: Sequence[PolynomialVectorField], sample_points):
-        self.ambient_dim = int(ambient_dim)
+        self.ambient_dim = _integer("ambient_dim", ambient_dim)
         self.sample_points = _bounded_samples(sample_points, self.ambient_dim)
         self.fields = fields = list(fields)
         if not fields:

@@ -36,7 +36,7 @@ from typing import Union
 import numpy as np
 
 from .config import TOL_CHECK
-from .grassmann import Subspace, opnorms
+from .grassmann import Subspace, _check_positive, opnorms
 
 __all__ = [
     "Identity",
@@ -355,6 +355,7 @@ def orthogonality_residuals(f: LinearFunctor, bases) -> np.ndarray:
 def check_orthogonality(f: LinearFunctor, w: Subspace,
                         tol: float = TOL_CHECK) -> tuple[bool, float]:
     """Residual of F(P_W) = P_{F(W)} in the operator norm."""
+    _check_positive("tol", tol)
     residual = float(orthogonality_residuals(f, w.basis[None])[0])
     return residual <= tol, residual
 

@@ -14,6 +14,7 @@ its Frobenius bound in ``_spectral_norms``.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Optional, Sequence
 
 import numpy as np
@@ -75,11 +76,23 @@ def _spectral_norms(stack: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _check_positive(name: str, value) -> None:
-    """A tolerance or step must be a positive finite number; a NaN would
-    pass every threshold and an infinite step would read zeros."""
+    """A tolerance or radius must be a positive finite number; a NaN
+    would pass every threshold and an infinite one would pass all."""
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be a positive finite number, "
                          f"got {value!r}")
+
+
+def _integer(name: str, value) -> int:
+    """``value`` read through ``operator.index``, never truncated: an int
+    or a numpy integer, but not a bool.  ValueError naming ``name``
+    otherwise."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _runs(keys: np.ndarray) -> np.ndarray:
@@ -119,7 +132,7 @@ def orthonormal_rows(bases, tol: float = TOL_ORTHO) -> np.ndarray:
 def as_basis(ambient_dim: int, basis) -> np.ndarray:
     """``basis`` as a ``(dim, ambient_dim)`` float array, with the shape
     checks of :class:`Subspace`; an empty basis is the zero subspace's."""
-    ambient_dim = int(ambient_dim)
+    ambient_dim = _integer("ambient_dim", ambient_dim)
     if ambient_dim < 0:
         raise ValueError("ambient_dim must be nonnegative")
     basis = _float_rows(basis)
@@ -193,8 +206,9 @@ def span(vectors, ambient_dim: int, tol_rank: float = TOL_RANK,
 
     The rank is decided by the relative singular-value threshold: sigma
     counts iff sigma > tol_rank * sigma_max.  An empty or all-zero input
-    yields the zero subspace.  ``tol_abs`` adds an absolute cutoff for
-    callers whose inputs have a known scale.
+    yields the zero subspace; a non-finite entry is a ValueError.
+    ``tol_abs`` adds an absolute cutoff for callers whose inputs have a
+    known scale.
     """
     if not isinstance(vectors, np.ndarray):  # an iterable of rows
         vectors = list(vectors)
@@ -205,6 +219,10 @@ def span(vectors, ambient_dim: int, tol_rank: float = TOL_RANK,
     if mat.shape[1] != ambient_dim:
         raise ValueError(
             f"vectors have length {mat.shape[1]}, expected {ambient_dim}")
+    finite = np.isfinite(mat).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"vector {int(finite.argmin())} has a non-finite "
+                         "entry")
     vh, rank = _span_rank(mat, tol_rank, tol_abs)
     return Subspace(ambient_dim, vh[:rank])
 
@@ -229,6 +247,7 @@ def gap_distance(a: Subspace, b: Subspace) -> float:
 def containment_residual(w: Subspace, v: Subspace,
                          tol: float = TOL_CHECK) -> tuple[bool, float]:
     """Containment test plus the residual it was decided on."""
+    _check_positive("tol", tol)
     if w.ambient_dim != v.ambient_dim:
         raise ValueError("containment requires equal ambient dimensions")
     residual = float(opnorms(v.projection @ w.projection - w.projection))
@@ -244,6 +263,7 @@ def sequence_limit(seq: Sequence[Subspace], tol: float = TOL_CHECK,
     the limit is then the final tail item, which already has the sequence
     rank.  Returns None when the tail is not Cauchy.
     """
+    _check_positive("tol", tol)
     if tail_len < 1:
         raise ValueError("tail_len must be at least 1")
     if tail_len > len(seq):

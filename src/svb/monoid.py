@@ -1,37 +1,38 @@
 """Analysis of smooth actions of the multiplicative reals on R^m.
 
-An action sample is an evaluator h(t, e) restricted to a finite grid of
-times and a finite set of points.  The audits check the monoid axioms
-(h_1 = id, h_t h_s = h_ts), estimate the vertical derivative
-phi(e) = d/dt h_t(e) at t = 0 by Richardson-refined central differences,
+An action sample is a polynomial map h(t, e), held as the term table of
+a vector field over the variables (t, e), restricted to a finite grid of
+times and a finite set of points.  Actions are read from polynomial
+coefficient tables or named built-ins, which are translated into such a
+table at construction, so that action files are reproducible across
+implementations.  The audits check the monoid axioms (h_1 = id,
+h_t h_s = h_ts), read the vertical derivative phi(e) = d/dt h_t(e) at
+t = 0 off the table exactly (its terms linear in t, with t dropped),
 and classify regularity: phi vanishes exactly on the fixed set of h_0.
 For regular actions the fibers of the encoded vector bundle are
 recovered as spans of phi over h_0-clusters, all found by one
 ``near_pairs`` radius query and spanned by one SVD stack per size.
 
-Evaluators are restricted to named built-ins and polynomial coefficient
-tables so that action files are reproducible across implementations.
-Both map an array of points row by row, with one time per row, a table
-as the term table of a vector field over the variables (t, e).  So an
-audit stacks the (time, point) rows of many maps into one call, bit for
-bit as one call per time and point would give.  The samples are checked
-first, by the sample-set rule of vector-field sets (``strata._samples``).
+A table maps an array of points row by row, with one time per row.  So
+an audit stacks the (time, point) rows of many maps into one call, bit
+for bit as one call per time and point would give.  The samples are
+checked first, by the sample-set rule of vector-field sets
+(``strata._samples``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .config import CLUSTER_RADIUS, STEP, TOL_CHECK, TOL_RANK
+from .config import CLUSTER_RADIUS, TOL_CHECK, TOL_RANK
 from .foliation import evaluate_terms, parse_terms
 from .grassmann import (Subspace, _check_positive, _distinct, _float_rows,
-                        _runs, _span_rank)
+                        _integer, _runs, _span_rank)
 from .strata import _first_far, _samples, near_pairs
 
-_EPS = float(np.finfo(float).eps)
 # Evaluations and residuals may overflow; the non-finite checks below
 # report that as an error, so numpy is kept from warning about it too.
 _QUIET = np.errstate(over="ignore", invalid="ignore")
@@ -52,39 +53,15 @@ __all__ = [
 REGULAR = "REGULAR"
 NOT_REGULAR = "NOT_REGULAR"
 
-
-def _builtin_scalar(t, e):
-    return t * e
-
-
-def _builtin_square_scale(t, e):
-    return (t * t) * e
-
-
-def _builtin_translate(t, e):
-    return e + t
-
-
-def _builtin_scale_last(t, e):
-    out = e.copy()
-    out[..., -1] = t[..., 0] * out[..., -1]
-    return out
-
-
-def _builtin_identity(t, e):
-    return e.copy()
-
-
-# Each maps an array of times t, shape (..., 1), and points e, shape
-# (..., m), to the images of e: one time per row, and t broadcasts
-# against the leading axes of e, so a block of rows may share a time.
-BUILTIN_ACTIONS: dict[str, Callable[[np.ndarray, np.ndarray],
-                                    np.ndarray]] = {
-    "scalar": _builtin_scalar,
-    "square_scale": _builtin_square_scale,
-    "translate": _builtin_translate,
-    "scale_last": _builtin_scale_last,
-    "identity": _builtin_identity,
+# Coordinate j of each built-in action on R^m, as terms (power of t,
+# index of the factor e_i or None), each with coefficient 1: t e,
+# t^2 e, e + t, (e_1, ..., e_{m-1}, t e_m) and e.
+_BUILTINS = {
+    "scalar": lambda j, m: [(1, j)],
+    "square_scale": lambda j, m: [(2, j)],
+    "translate": lambda j, m: [(0, j), (1, None)],
+    "scale_last": lambda j, m: [(int(j == m - 1), j)],
+    "identity": lambda j, m: [(0, j)],
 }
 
 
@@ -93,35 +70,31 @@ class MonoidActionSample:
 
     def __init__(self, ambient_dim: int, descriptor: dict,
                  sample_points, t_grid: Sequence[float]):
-        self.ambient_dim = m = int(ambient_dim)
+        self.ambient_dim = m = _integer("ambient_dim", ambient_dim)
         self.sample_points = _samples(sample_points, m)
         self.descriptor = dict(descriptor)
         kind = self.descriptor.get("kind")
         if kind == "builtin":
             name = self.descriptor.get("name")
-            if name not in BUILTIN_ACTIONS:
+            if name not in _BUILTINS:
                 raise ValueError(f"unknown builtin action {name!r}")
-            self._evaluator = BUILTIN_ACTIONS[name]
+            coeffs = [[{"powers": [p] + [int(c == i) for c in range(m)],
+                        "coef": 1.0} for p, i in _BUILTINS[name](j, m)]
+                      for j in range(m)]
         elif kind == "polynomial":
-            # Coordinate j's term (powers, c) is the term (powers, c e_j).
             coeffs = self.descriptor["coeffs"]
             if len(coeffs) != m:
                 raise ValueError(
                     f"expected coefficient lists for {m} output coordinates")
-            terms = parse_terms(
-                ((term["powers"], float(term["coef"]) * np.eye(m)[j])
-                 for j, coord_terms in enumerate(coeffs)
-                 for term in coord_terms), m + 1, m)
-
-            def evaluator(t, e):
-                rows = np.concatenate(
-                    [np.broadcast_to(t, (*e.shape[:-1], 1)), e], axis=-1)
-                return evaluate_terms(terms, rows.reshape(-1, m + 1),
-                                      m).reshape(e.shape)
-
-            self._evaluator = evaluator
         else:
             raise ValueError("action kind must be 'builtin' or 'polynomial'")
+        # Coordinate j's term (powers, c) is the term (powers, c e_j).
+        self._terms = parse_terms(
+            ((term["powers"], float(term["coef"]) * np.eye(m)[j])
+             for j, coord_terms in enumerate(coeffs)
+             for term in coord_terms), m + 1, m)
+        self._linear = [(powers[1:], vector)
+                        for powers, vector in self._terms if powers[0] == 1]
         grid = [float(t) for t in t_grid]
         if not any(t == 0.0 for t in grid) or not any(t == 1.0 for t in grid):
             raise ValueError("t_grid must contain both 0 and 1")
@@ -153,12 +126,21 @@ class MonoidActionSample:
             raise ValueError("expected a point or an (n, m) stack of points")
         return np.atleast_2d(e)
 
-    @_QUIET
     def _blocks(self, times, rows: np.ndarray) -> np.ndarray:
         """h_{times[j]} of block j of the (b, n, m) array ``rows``, for
         every j in one evaluator call."""
         return self._evaluator(np.asarray(times, dtype=float)[:, None, None],
                                rows)
+
+    def _evaluator(self, t: np.ndarray, e: np.ndarray) -> np.ndarray:
+        """The images of the points e, shape (..., m), at the times t,
+        shape (..., 1), which broadcast against the leading axes of e:
+        one time per row, so a block of rows may share a time."""
+        m = self.ambient_dim
+        rows = np.concatenate(
+            [np.broadcast_to(t, (*e.shape[:-1], 1)), e], axis=-1)
+        return evaluate_terms(self._terms, rows.reshape(-1, m + 1),
+                              m).reshape(e.shape)
 
 
 def _first_non_finite(blocks: np.ndarray) -> int:
@@ -247,37 +229,15 @@ def audit_axioms(a: MonoidActionSample, tol: float = TOL_CHECK) -> MonoidAudit:
                                      for k, i, r in found if k))
 
 
-@_QUIET
-def vertical_derivative(a: MonoidActionSample, e, step: float = STEP):
-    """Richardson-refined central difference of t -> h_t(e) at t = 0,
-    at one point e or at each row of an (n, m) stack e.
-
-    Returns the refined derivative and an error estimate (per row): the
-    classical |D(h/2) - D(h)| / 3 bound on the leading truncation term
-    plus the rounding it leaves out.  If each evaluation is off by at
-    most delta, the refined quotient is off by at most 3 delta / h;
-    delta is taken as 2 eps times the largest sampled magnitude (at
-    least two units in the last place), per component.  A component
-    whose four samples are bitwise equal has an exact zero quotient and
-    gets no rounding term, so actions that do not move e (the identity)
-    keep a zero estimate.
-    """
-    _check_positive("step", step)
+def vertical_derivative(a: MonoidActionSample, e) -> np.ndarray:
+    """phi(e) = d/dt h_t(e) at t = 0, at one point e or at each row of an
+    (n, m) stack e: exactly the terms of the action's table linear in t,
+    with t dropped.  A non-finite phi raises, naming its first sample."""
     pts = a._stack(np.asarray(e, dtype=float))
-    offsets = (step, -step, step / 2.0, -step / 2.0)
-    samples = a._blocks(offsets, np.broadcast_to(pts, (4, *pts.shape)))
-    if (j := _first_non_finite(samples)) < len(offsets):
-        raise _non_finite(offsets[j])
-    coarse = (samples[0] - samples[1]) / (2.0 * step)
-    fine = (samples[2] - samples[3]) / step
-    refined = (4.0 * fine - coarse) / 3.0
-    truncation = _norms(fine - coarse) / 3.0
-    moving = (samples != samples[0]).any(axis=0)
-    largest = np.where(moving, np.abs(samples).max(axis=0), 0.0)
-    rounding = 3.0 * 2.0 * _EPS * _norms(largest) / step
-    error = truncation + rounding
-    return (refined, error) if np.ndim(e) == 2 else \
-        (refined[0], float(error[0]))
+    phis = evaluate_terms(a._linear, pts, a.ambient_dim)
+    if (i := _first_non_finite(phis)) < len(phis):
+        raise ValueError(f"non-finite vertical derivative at sample {i}")
+    return phis if np.ndim(e) == 2 else phis[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,11 +255,11 @@ class RegularityReport:
 
 
 @_QUIET
-def _classify(a: MonoidActionSample, tol: float, step: float):
+def _classify(a: MonoidActionSample, tol: float):
     """The regularity report, and the derivatives and h_0-images it read."""
     _check_positive("tol", tol)
     pts = a.sample_points
-    phis, _ = vertical_derivative(a, pts, step)
+    phis = vertical_derivative(a, pts)
     images = a.evaluate(0.0, pts)
     phi_norms = _norms(phis)
     fixed_distances = _norms(pts - images)
@@ -309,11 +269,11 @@ def _classify(a: MonoidActionSample, tol: float, step: float):
                             fixed_distances, violations), phis, images
 
 
-def regularity_check(a: MonoidActionSample, tol: float = TOL_CHECK,
-                     step: float = STEP) -> RegularityReport:
+def regularity_check(a: MonoidActionSample,
+                     tol: float = TOL_CHECK) -> RegularityReport:
     """Regularity surrogate on samples: the vertical derivative vanishes
     iff the point is fixed by h_0."""
-    return _classify(a, tol, step)[0]
+    return _classify(a, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -326,14 +286,14 @@ class VerticalFragment:
 
 
 def reconstruct_bundle(a: MonoidActionSample, base_samples,
-                       tol: float = TOL_CHECK, step: float = STEP,
+                       tol: float = TOL_CHECK,
                        cluster_radius: float = CLUSTER_RADIUS
                        ) -> VerticalFragment:
     """Recover fibers of a regular action: over each base point, the span
     of the vertical derivatives of the samples its h_0-image clusters to,
     by one ``near_pairs`` pass and one SVD stack per cluster size."""
     _check_positive("cluster_radius", cluster_radius)
-    report, phis, images = _classify(a, tol, step)
+    report, phis, images = _classify(a, tol)
     if not report:
         raise ValueError(
             "action is not regular; offending sample indices: "

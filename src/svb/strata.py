@@ -47,7 +47,7 @@ from typing import Callable, Hashable, Iterable, Optional, Sequence
 import numpy as np
 
 from .config import MAX_LOCAL_STRATA, TOL_RANK
-from .grassmann import _distinct, _float_rows, _runs, span
+from .grassmann import _distinct, _float_rows, _integer, _runs, span
 
 __all__ = [
     "Stratum",
@@ -89,14 +89,18 @@ def _first_far(pts: np.ndarray) -> int:
     return int(np.argmax(~(np.abs(pts) <= MAX_COORD))) // pts.shape[1]
 
 
-def _check_stratum(name, dim, size) -> None:
+def _check_stratum(name, dim, size) -> int:
+    """The dimension of a stratum read by ``_integer``, once the name is
+    a string, the cloud nonempty and the dimension nonnegative."""
     if not isinstance(name, str):
         raise ValueError(
             f"stratum name must be a string, got {type(name).__name__}")
     if size == 0:
         raise ValueError(f"stratum {name!r} has an empty point cloud")
+    dim = _integer(f"stratum {name!r} dim", dim)
     if dim < 0:
         raise ValueError(f"stratum {name!r} has negative dimension")
+    return dim
 
 
 @dataclass(frozen=True)
@@ -109,7 +113,8 @@ class Stratum:
 
     def __post_init__(self):
         pts = _float_rows(self.points)
-        _check_stratum(self.name, self.dim, pts.size)
+        object.__setattr__(self, "dim",
+                           _check_stratum(self.name, self.dim, pts.size))
         if not np.isfinite(pts).all():
             raise ValueError(
                 f"stratum {self.name!r} has a non-finite sample point")
@@ -121,10 +126,10 @@ class Stratum:
     def _of_rows(cls, name: str, dim: int, rows: np.ndarray) -> "Stratum":
         """The stratum over ``rows``, finite and read-only already, held
         as they are."""
-        _check_stratum(name, dim, rows.size)
         stratum = object.__new__(cls)
         object.__setattr__(stratum, "name", name)
-        object.__setattr__(stratum, "dim", dim)
+        object.__setattr__(stratum, "dim", _check_stratum(name, dim,
+                                                          rows.size))
         object.__setattr__(stratum, "points", rows)
         return stratum
 

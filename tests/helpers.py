@@ -65,3 +65,16 @@ def assert_sections_read_fiber_check(b, sections, sc, tol, tail_len):
     assert verdict.section_residuals == tuple(
         _off_fiber(check.limit.basis, values).tolist())
     return verdict
+
+
+def central_difference(a, pts, step=1e-4):
+    """The Richardson-refined central difference of t -> h_t(e) at t = 0
+    at each row of ``pts``: a finite-difference reference for the exact
+    vertical derivative of the action ``a``.  Its error is a truncation
+    term of order step^4 plus rounding of about 6 eps max|h_t(e)| / step
+    over the four sampled times."""
+    plus, minus, half_plus, half_minus = (
+        a.evaluate(t, pts) for t in (step, -step, step / 2.0, -step / 2.0))
+    coarse = (plus - minus) / (2.0 * step)
+    fine = (half_plus - half_minus) / step
+    return (4.0 * fine - coarse) / 3.0

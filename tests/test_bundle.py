@@ -318,6 +318,49 @@ class TestWhitneyTail:
             whitney_a_check(cone_bundle("pass"), sc)
 
 
+_TINY = float(np.nextafter(0.0, 1.0))
+
+
+def _tol_sites():
+    """Each entry point of the Whitney core, and the orthogonality check,
+    as a call on ``tol``."""
+    b, rank0, sc = cone_bundle("pass"), cone_bundle("rank0"), cone_scenario()
+    fiber = b.fiber(("S0", 0))
+    return {
+        "containment_residual": lambda tol: containment_residual(
+            fiber, fiber, tol),
+        "sequence_limit": lambda tol: sequence_limit([fiber] * 3, tol, 3),
+        "whitney_a_check": lambda tol: whitney_a_check(b, sc, tol=tol),
+        "whitney_a_from_sections": lambda tol: whitney_a_from_sections(
+            rank0, cone_sections(rank0), sc, tol=tol),
+        "check_orthogonality": lambda tol: check_orthogonality(
+            WedgePower(2), span([(1, 0, 0), (0, 1, 0)], 3), tol),
+    }
+
+
+@pytest.mark.parametrize("site", ["containment_residual", "sequence_limit",
+                                  "whitney_a_check", "whitney_a_from_sections",
+                                  "check_orthogonality"])
+class TestTolRefused:
+    """A NaN tol read INCONCLUSIVE or a quiet False, and an infinite one
+    PASS: every tol must be a positive finite number."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_tol(self, site, bad):
+        with pytest.raises(ValueError, match=re.escape(
+                f"tol must be a positive finite number, got {bad!r}")):
+            _tol_sites()[site](bad)
+
+    def test_smallest_positive_tol_works(self, site):
+        result = _tol_sites()[site](_TINY)
+        if site == "sequence_limit":
+            assert result is not None
+        elif site.startswith("whitney"):
+            assert result.status == "INCONCLUSIVE"
+        else:
+            assert result == (True, 0.0)
+
+
 class TestWhitneyFromSections:
     def test_pass_fixture(self):
         b = cone_bundle("pass")

@@ -53,7 +53,7 @@ VERB_TOLERANCES = [
     ("apply-functor", ["--functor", "id", "--bundle", fx("trivial3.json")],
      set()),
     ("monoid analyze", ["--action", fx("action_scalar.json")],
-     {"--tol-check", "--step"}),
+     {"--tol-check"}),
     ("equivariant tilde", ["--group", fx("sign_flip_group.json"),
                            "--bundle", fx("sign_flip_tangent.json")],
      {"--tol-check", "--r-cc"}),
@@ -583,6 +583,15 @@ class TestNonFiniteInput:
                  "name": "scalar",
                  "samples": [[1.0, 0.0], [1e300, 1e300], [3.0, 4.0]],
                  "t_grid": [-1.0, -0.5, 0.0, 0.5, 1.0, 2.0]},
+        # h_t(e) = e + (t - t^2)(1e308 + 1e308) is e at t = 0 and 1, so
+        # the axioms hold, but phi = 1e308 + 1e308 overflows.
+        "derivative": {"schema": "svb/1", "ambient": 1, "kind": "polynomial",
+                       "samples": [[1.0]], "t_grid": [0.0, 1.0],
+                       "coeffs": [[{"powers": [1, 0], "coef": 1e308},
+                                   {"powers": [2, 0], "coef": -1e308},
+                                   {"powers": [1, 0], "coef": 1e308},
+                                   {"powers": [2, 0], "coef": -1e308},
+                                   {"powers": [0, 1], "coef": 1.0}]]},
         # Finite entries whose orthogonality products overflow.
         "bundle-basis": edited("cone_pass.json", ("fibers", 3, "basis", 0, 0),
                                1e200),
@@ -604,6 +613,8 @@ class TestNonFiniteInput:
          "returned a non-finite value at t=2.0"),
         ("norm", ["monoid", "analyze", "--action"], "action: non-finite "
          "residual at sample 1: a norm overflows"),
+        ("derivative", ["monoid", "analyze", "--action"], "action: non-finite "
+         "vertical derivative at sample 0"),
         ("bundle-basis", ["check", "orthogonality", "--functor", "wedge:2",
                           "--bundle"],
          "$.fibers[3].basis: basis is not orthonormal within tolerance"),
@@ -621,6 +632,7 @@ class TestNonFiniteInput:
          "$: fiber element 1 is not orthogonal"),
     ], ids=["foliation-stratify", "foliation-bundle", "monoid-analyze",
             "monoid-analyze-builtin", "monoid-analyze-norm",
+            "monoid-analyze-derivative",
             "orthogonality-bundle", "whitney-a-bundle",
             "orthogonality-subspace", "tilde-element",
             "tilde-fiber-element"])

@@ -249,6 +249,13 @@ class TestSpan:
         with pytest.raises(ValueError):
             span([(1, 0, 0)], 2)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_vectors_refused(self, value):
+        # inf read the zero subspace and NaN an SVD that did not converge.
+        with pytest.raises(ValueError, match=re.escape(
+                "vector 1 has a non-finite entry")):
+            span([[1.0, 0.0], [value, 1.0], [0.0, value]], 2)
+
 
 class TestGapDistance:
     def test_identical(self):
@@ -651,3 +658,52 @@ def test_more_than_two_axes_name_the_shape(site):
     with pytest.raises(ValueError, match=re.escape(
             f"expected rows of numbers, got shape {shape}") + "$"):
         call()
+
+
+def _integer_sites():
+    """Each integer argument read by ``operator.index``, as a call on
+    the value, and the name its ValueError gives it."""
+    from svb.equivariant import FiniteGroupAction
+    from svb.foliation import PolynomialVectorField, VectorFieldSet
+    from svb.grassmann import as_basis
+    from svb.monoid import MonoidActionSample
+    from svb.strata import Stratum
+
+    field = PolynomialVectorField(1, [{"powers": [0], "vector": [1.0]}])
+    return {
+        "Stratum.dim": (lambda k: Stratum("a", k, [[0.0]]).dim,
+                        "stratum 'a' dim"),
+        "as_basis": (lambda k: as_basis(k, [[1.0]]).shape[1], "ambient_dim"),
+        "Subspace": (lambda k: Subspace(k, [[1.0]]).ambient_dim,
+                     "ambient_dim"),
+        "FiniteGroupAction": (lambda k: FiniteGroupAction(k, [[[1.0]]]).n,
+                              "n"),
+        "MonoidActionSample": (lambda k: MonoidActionSample.builtin(
+            "scalar", k, [[1.0]]).ambient_dim, "ambient_dim"),
+        "PolynomialVectorField": (lambda k: PolynomialVectorField(
+            k, [{"powers": [0], "vector": [1.0]}]).ambient_dim,
+            "ambient_dim"),
+        "VectorFieldSet": (lambda k: VectorFieldSet(
+            k, [field], [[0.0]]).ambient_dim, "ambient_dim"),
+    }
+
+
+@pytest.mark.parametrize("site", [
+    "Stratum.dim", "as_basis", "Subspace", "FiniteGroupAction",
+    "MonoidActionSample", "PolynomialVectorField", "VectorFieldSet"])
+def test_integer_arguments_are_not_truncated(site):
+    """1.5, 2.7 and a bool are refused, not truncated, and "1" names the
+    argument too; a numpy integer is read as the int it holds."""
+    call, name = _integer_sites()[site]
+    for bad in (1.5, 2.7, True, np.bool_(True), "1", None):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be an integer, got {bad!r}") + "$"):
+            call(bad)
+    got = call(np.int64(1))
+    assert got == 1 and type(got) is int
+
+
+def test_group_dimension_must_be_positive():
+    from svb.equivariant import FiniteGroupAction
+    with pytest.raises(ValueError, match="^n must be at least 1, got 0$"):
+        FiniteGroupAction(0, [np.zeros((0, 0))])
