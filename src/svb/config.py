@@ -3,8 +3,8 @@
 Every numerical verdict in this package is relative to an explicit
 tolerance.  Library functions take plain keyword arguments with the
 defaults below, and the CLI flags of each verb default to the same
-constants.  No default is a numerical step: the vertical derivatives of
-monoid actions are read off their polynomial tables exactly.
+constants.  The vertical derivatives of monoid actions need no default:
+they are read off the actions' polynomial tables exactly.
 """
 
 # Orthonormality audit of every Subspace basis (entrywise Gram defect).
