@@ -15,7 +15,6 @@ and quotient bundles of ``equivariant`` all go through it.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
@@ -26,6 +25,7 @@ from .functors import LinearFunctor, _map_in_chunks, dim_map, sized_dim
 from .grassmann import (
     Subspace,
     _check_positive,
+    _integer,
     containment_residual,
     orthonormal_rows,
     sequence_limit,
@@ -83,7 +83,8 @@ class SampledStratifiedBundle:
     read-only basis stack ``stacks[name]``, ``(n_i, r_i, k)`` in point
     order, per stratum: one rank per stratum and one R^k by shape.  The
     constructor stacks audited :class:`Subspace` objects, keyed by point:
-    ValueError at a key other than a (str, integer) pair, KeyError at a
+    ValueError at a ``fiber_ambient`` that is not an integer
+    (``_integer``), at a key other than a (str, integer) pair, KeyError at a
     point without a fiber and ValueError at a fiber outside
     R^fiber_ambient, checked at every point first, then ValueError at a
     fiber of another rank than its stratum's first (``_gather_stacks``).
@@ -93,7 +94,8 @@ class SampledStratifiedBundle:
     def __init__(self, base: Stratification, fiber_ambient: int,
                  fibers: Mapping[PointKey, Subspace],
                  stratum_rank: Mapping[str, int]):
-        bases = {_pair(s, i, "fiber key"): w.basis
+        fiber_ambient = _integer("fiber_ambient", fiber_ambient)
+        bases = {_pair(s, i, "fiber index"): w.basis
                  for (s, i), w in fibers.items()}
         rows = []
         for key in ((s.name, i) for s in base.strata for i in range(len(s))):
@@ -130,11 +132,7 @@ class SampledStratifiedBundle:
         ``k = fiber_ambient`` (not a bool) and r_i <= k, and, unless
         ``tol_ortho`` is None, with bases orthonormal at ``tol_ortho``:
         else ValueError, before any stack is made read-only."""
-        if isinstance(fiber_ambient, bool) or not isinstance(
-                fiber_ambient, (int, np.integer)):
-            raise ValueError(
-                f"fiber_ambient must be an integer, got {fiber_ambient!r}")
-        k = int(fiber_ambient)
+        k = _integer("fiber_ambient", fiber_ambient)
         if unknown := [name for name in stacks if name not in base._index]:
             raise ValueError(f"fiber stack for unknown stratum {unknown[0]!r}")
         for s in base.strata:
@@ -155,7 +153,7 @@ class SampledStratifiedBundle:
             stack.flags.writeable = False
         if stratum_rank is None:
             stratum_rank = {n: st.shape[1] for n, st in self.stacks.items()}
-        self.stratum_rank = dict(_pair(k, v, "stratum_rank item")
+        self.stratum_rank = dict(_pair(k, v, "rank")
                                  for k, v in stratum_rank.items())
 
     def point_keys(self) -> list[PointKey]:
@@ -180,6 +178,7 @@ class SampledStratifiedBundle:
 
 def trivial_bundle(base: Stratification, fiber_dim: int) -> SampledStratifiedBundle:
     """The product bundle base x R^fiber_dim."""
+    fiber_dim = _integer("fiber_dim", fiber_dim, 0)
     eye = np.eye(fiber_dim)
     return SampledStratifiedBundle.from_stacks(
         base, fiber_dim,
@@ -197,9 +196,11 @@ class ConvergenceScenario:
     sequence_indices: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "x0_index", _scenario_index(self.x0_index))
+        object.__setattr__(self, "x0_index",
+                           _integer("x0_index", self.x0_index))
         object.__setattr__(self, "sequence_indices", tuple(
-            _scenario_index(i) for i in self.sequence_indices))
+            _integer(f"sequence_indices[{k}]", i)
+            for k, i in enumerate(self.sequence_indices)))
         if not self.sequence_indices:
             raise ValueError("scenario needs a nonempty sequence")
         if self.source_stratum == self.target_stratum:
@@ -213,24 +214,14 @@ class ConvergenceScenario:
                 "sequence_indices": list(self.sequence_indices)}
 
 
-def _scenario_index(i) -> int:
-    try:
-        return operator.index(i)
-    except TypeError:
-        raise ValueError(f"scenario index {i!r} is not an integer") from None
-
-
 def _pair(name, i, what: str) -> tuple[str, int]:
-    """``(name, i)`` with the integer ``i`` read as ``ConvergenceScenario``
-    reads its indices; ValueError naming ``what`` unless ``name`` is a
+    """``(name, i)`` with the integer ``i`` read by ``_integer``;
+    ValueError naming ``{what} of stratum {name!r}`` unless ``name`` is a
     str and ``i`` an integer."""
-    try:
-        if isinstance(name, str):
-            return name, operator.index(i)
-    except TypeError:
-        pass
-    raise ValueError(
-        f"{what} {(name, i)!r}: expected a (stratum name, integer) pair")
+    label = f"{what} of stratum {name!r}"
+    if not isinstance(name, str):
+        raise ValueError(f"{label}: stratum name must be a string")
+    return name, _integer(label, i)
 
 
 @dataclass(frozen=True)
@@ -284,20 +275,23 @@ def whitney_a_check(b: SampledStratifiedBundle, sc: ConvergenceScenario,
     otherwise, INCONCLUSIVE when no limit is detected.
     """
     _check_positive("tol", tol)
+    tail_len = _integer("tail_len", tail_len, 1)
     x0_key = (sc.target_stratum, sc.x0_index)
     x0 = b.point(x0_key)
     # Only the tail is read; every index is still range checked.
-    size = len(b.base.stratum(sc.source_stratum))
+    source = b.base.stratum(sc.source_stratum).points
     for i in sc.sequence_indices:
-        if not 0 <= i < size:
+        if not 0 <= i < len(source):
             b.point((sc.source_stratum, i))
-    tail_keys = [(sc.source_stratum, i)
-                 for i in sc.sequence_indices[-tail_len:]]
-    tail = [float(np.linalg.norm(b.point(k) - x0)) for k in tail_keys]
-    if any(a < bb - 1e-12 for a, bb in zip(tail, tail[1:])):
+    tail_indices = list(sc.sequence_indices[-tail_len:])
+    # One row-wise norm, as --auto-sequence orders the samples: a norm
+    # of each row alone may differ from it in the last bit.
+    tail = np.linalg.norm(source[tail_indices] - x0, axis=1)
+    if (tail[:-1] < tail[1:] - 1e-12).any():
         raise ValueError(
             "scenario tail does not approach the limit point monotonically")
-    limit = sequence_limit([b.fiber(k) for k in tail_keys],
+    limit = sequence_limit([b.fiber((sc.source_stratum, i))
+                            for i in tail_indices],
                            tol=tol, tail_len=tail_len)
     if limit is None:
         return WhitneyVerdict(INCONCLUSIVE)

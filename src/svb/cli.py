@@ -22,7 +22,6 @@ import argparse
 import contextlib
 import datetime
 import functools
-import math
 import re
 import sys
 
@@ -43,6 +42,7 @@ from .equivariant import (StrataNotInvariantError, invariant_subbundle,
 from .foliation import fields_as_sections, foliation_bundle, stratify_by_rank
 from .functors import (check_orthogonality, orthogonality_residuals,
                        parse_functor)
+from .grassmann import _check_positive, _integer
 from .monoid import audit_axioms, regularity_check
 from .strata import check_frontier
 from . import jsonio
@@ -76,15 +76,13 @@ TOLERANCES = {
 
 
 def _check_tolerances(args: argparse.Namespace) -> None:
-    for name in args.tolerances:
-        value = getattr(args, name)
-        if name == "tail_len" and value < 1:
-            raise CliError("tail_len must be at least 1")
-        if value is not None and not value > 0:  # NaN fails too
-            when = " when set" if TOLERANCES[name][1] is None else ""
-            raise CliError(f"{name} must be positive{when}")
-        if value == math.inf:
-            raise CliError(f"{name} must be finite")
+    with _input():
+        for name in args.tolerances:
+            value = getattr(args, name)
+            if name == "tail_len":
+                _integer(name, value, 1)
+            elif value is not None:  # None: resolved by the verb
+                _check_positive(name, value)
 
 
 def _output_flags(parser: argparse.ArgumentParser) -> None:

@@ -97,9 +97,7 @@ class FiniteGroupAction:
     stacked ``(order, n, n)`` and ``(order, k, k)`` arrays."""
 
     def __init__(self, n: int, elements: Sequence, fiber_elements=None):
-        self.n = _integer("n", n)
-        if self.n < 1:
-            raise ValueError(f"n must be at least 1, got {self.n}")
+        self.n = _integer("n", n, 1)
         mats = [np.atleast_2d(np.asarray(m, dtype=float)) for m in elements]
         if not mats:
             raise ValueError("group needs at least the identity element")

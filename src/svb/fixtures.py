@@ -13,7 +13,7 @@ import numpy as np
 from .bundle import ConvergenceScenario, SampledStratifiedBundle, trivial_bundle
 from .equivariant import FiniteGroupAction
 from .foliation import PolynomialVectorField, VectorFieldSet
-from .grassmann import span
+from .grassmann import _integer, span
 from .monoid import MonoidActionSample
 from .strata import Stratification, Stratum
 
@@ -100,8 +100,7 @@ def cantor_stratification(level: int) -> Stratification:
     """Finite approximation of the middle-thirds construction on [0, 1]:
     the 2^(level+1) interval endpoints as singleton strata plus every gap
     removed up to ``level``, each sampled at three interior points."""
-    if level < 1:
-        raise ValueError("level must be at least 1")
+    level = _integer("level", level, 1)
     endpoints = sorted({e for a, b in _cantor_intervals(level) for e in (a, b)})
     strata = [Stratum(f"pt{i:03d}", 0, np.array([[e]]))
               for i, e in enumerate(endpoints)]

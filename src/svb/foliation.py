@@ -44,13 +44,7 @@ def parse_powers(powers, n_vars: int) -> tuple[int, ...]:
     if len(powers) != n_vars:
         raise ValueError(f"powers: expected {n_vars} exponents, "
                          f"got {len(powers)}")
-    for b, p in enumerate(powers):
-        if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
-            raise ValueError(f"powers[{b}]: expected int, "
-                             f"got {type(p).__name__}")
-        if p < 0:
-            raise ValueError(f"powers[{b}]: negative exponent {p}")
-    return tuple(int(p) for p in powers)
+    return tuple(_integer(f"powers[{b}]", p, 0) for b, p in enumerate(powers))
 
 
 def parse_terms(terms, n_vars: int, out_dim: int):
@@ -73,7 +67,9 @@ def parse_terms(terms, n_vars: int, out_dim: int):
 
 def evaluate_terms(terms, pts, out_dim: int) -> np.ndarray:
     """The map at each row of the ``(n, n_vars)`` array ``pts``: each
-    monomial multiplies the variables in order, then its vector.  A value
+    monomial multiplies the variables in order, then each nonzero entry
+    of its vector, into that entry's column: a term adds nothing where its
+    vector is 0, and a one-hot term touches one column.  A value
     that overflows is left as inf or NaN, without a numpy warning: the
     callers check the values and name the first non-finite one."""
     out = np.zeros((len(pts), out_dim))
@@ -87,7 +83,8 @@ def evaluate_terms(terms, pts, out_dim: int) -> np.ndarray:
                     # Rounded as the scalar power rounds; numpy's
                     # vectorised power may differ in the last bit.
                     monomial *= np.array([xi ** p for xi in column])
-            out += monomial[:, None] * vector
+            for j in vector.nonzero()[0].tolist():
+                out[:, j] += monomial * vector[j]
     return out
 
 
@@ -97,7 +94,7 @@ class PolynomialVectorField:
     vector."""
 
     def __init__(self, ambient_dim: int, terms):
-        self.ambient_dim = _integer("ambient_dim", ambient_dim)
+        self.ambient_dim = _integer("ambient_dim", ambient_dim, 1)
         self.terms = parse_terms(((t["powers"], t["vector"]) for t in terms),
                                  self.ambient_dim, self.ambient_dim)
 
@@ -113,8 +110,8 @@ class VectorFieldSet:
 
     def __init__(self, ambient_dim: int,
                  fields: Sequence[PolynomialVectorField], sample_points):
-        self.ambient_dim = _integer("ambient_dim", ambient_dim)
-        self.sample_points = _bounded_samples(sample_points, self.ambient_dim)
+        self.sample_points = _bounded_samples(sample_points, ambient_dim)
+        self.ambient_dim = self.sample_points.shape[1]
         self.fields = fields = list(fields)
         if not fields:
             raise ValueError("need at least one vector field")

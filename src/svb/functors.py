@@ -36,7 +36,7 @@ from typing import Union
 import numpy as np
 
 from .config import TOL_CHECK
-from .grassmann import Subspace, _check_positive, opnorms
+from .grassmann import Subspace, _check_positive, _integer, opnorms
 
 __all__ = [
     "Identity",
@@ -71,8 +71,8 @@ class ConstantSum:
     dim: int
 
     def __post_init__(self):
-        if self.dim < 0:
-            raise ValueError("constant summand dimension must be nonnegative")
+        object.__setattr__(self, "dim", _integer("constant summand dimension",
+                                                self.dim, 0))
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,9 @@ class _Power:
     n: int
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_POWER_DEGREE:
+        object.__setattr__(self, "n", _integer(f"{self.kind} power degree",
+                                               self.n, 1))
+        if self.n > MAX_POWER_DEGREE:
             raise ValueError(f"{self.kind} power degree {self.n} is outside "
                              f"1..{MAX_POWER_DEGREE}")
 
@@ -125,8 +127,7 @@ LinearFunctor = Union[Identity, ConstantSum, DirectSum, TensorPower,
 
 def dim_map(f: LinearFunctor, k: int) -> int:
     """Dimension of F(R^k)."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    k = _integer("k", k, 0)
     if isinstance(f, Identity):
         return k
     if isinstance(f, ConstantSum):

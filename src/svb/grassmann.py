@@ -9,6 +9,12 @@ detected by a Cauchy criterion on the tail of the projection sequence.
 Every spectral norm of the package is ``opnorms``; one that is only
 compared with a tolerance, as in the Cauchy test, is screened first by
 its Frobenius bound in ``_spectral_norms``.
+
+The rule for every number a caller hands svb lives here, in two
+helpers that every module calls: ``_check_positive`` for a tolerance,
+radius or other real threshold (positive and finite), and ``_integer``
+for a count, dimension, index or exponent (an integer that is not a
+bool, with an optional least value).
 """
 
 from __future__ import annotations
@@ -83,15 +89,19 @@ def _check_positive(name: str, value) -> None:
                          f"got {value!r}")
 
 
-def _integer(name: str, value) -> int:
+def _integer(name: str, value, least: Optional[int] = None) -> int:
     """``value`` read through ``operator.index``, never truncated: an int
-    or a numpy integer, but not a bool.  ValueError naming ``name``
-    otherwise."""
+    or a numpy integer, but not a bool, and at least ``least`` when that
+    is given.  ValueError naming ``name`` otherwise."""
     if not isinstance(value, (bool, np.bool_)):
         try:
-            return operator.index(value)
+            value = operator.index(value)
         except TypeError:
             pass
+        else:
+            if least is None or value >= least:
+                return value
+            raise ValueError(f"{name} must be at least {least}, got {value}")
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
@@ -118,23 +128,22 @@ def _float_rows(a) -> np.ndarray:
     return a
 
 
-def orthonormal_rows(bases, tol: float = TOL_ORTHO) -> np.ndarray:
+def orthonormal_rows(bases, tol_ortho: float = TOL_ORTHO) -> np.ndarray:
     """Whether the rows of each basis in a stack ``(..., r, k)`` are
-    orthonormal: every Gram entry within ``max(tol, 1e-12)`` of the
+    orthonormal: every Gram entry within ``max(tol_ortho, 1e-12)`` of the
     identity.  NaN, infinity and overflow fail, quietly; an empty Gram
     matrix passes."""
+    _check_positive("tol_ortho", tol_ortho)
     with np.errstate(over="ignore", invalid="ignore"):
         gram = bases @ bases.swapaxes(-1, -2)
     return (np.abs(gram - np.eye(bases.shape[-2]))
-            <= max(tol, 1e-12)).all(axis=(-2, -1))
+            <= max(tol_ortho, 1e-12)).all(axis=(-2, -1))
 
 
 def as_basis(ambient_dim: int, basis) -> np.ndarray:
     """``basis`` as a ``(dim, ambient_dim)`` float array, with the shape
     checks of :class:`Subspace`; an empty basis is the zero subspace's."""
-    ambient_dim = _integer("ambient_dim", ambient_dim)
-    if ambient_dim < 0:
-        raise ValueError("ambient_dim must be nonnegative")
+    ambient_dim = _integer("ambient_dim", ambient_dim, 0)
     basis = _float_rows(basis)
     if basis.size == 0:
         basis = basis.reshape(0, ambient_dim)
@@ -210,6 +219,8 @@ def span(vectors, ambient_dim: int, tol_rank: float = TOL_RANK,
     ``tol_abs`` adds an absolute cutoff for callers whose inputs have a
     known scale.
     """
+    ambient_dim = _integer("ambient_dim", ambient_dim, 0)
+    _check_positive("tol_rank", tol_rank)  # also where there is no SVD
     if not isinstance(vectors, np.ndarray):  # an iterable of rows
         vectors = list(vectors)
     mat = np.asarray(vectors, dtype=float)
@@ -232,6 +243,7 @@ def _span_rank(mats: np.ndarray, tol_rank: float, tol_abs: float):
     and its rank by the rule of :func:`span`: sigma counts iff
     ``sigma > max(tol_rank * sigma_max, tol_abs)``, so an all-zero set
     has rank 0."""
+    _check_positive("tol_rank", tol_rank)
     _, sigma, vh = np.linalg.svd(mats, full_matrices=False)
     cutoff = np.maximum(tol_rank * sigma[..., :1], tol_abs)
     return vh, (sigma > cutoff).sum(axis=-1)
@@ -264,8 +276,7 @@ def sequence_limit(seq: Sequence[Subspace], tol: float = TOL_CHECK,
     rank.  Returns None when the tail is not Cauchy.
     """
     _check_positive("tol", tol)
-    if tail_len < 1:
-        raise ValueError("tail_len must be at least 1")
+    tail_len = _integer("tail_len", tail_len, 1)
     if tail_len > len(seq):
         raise ValueError(
             f"tail_len {tail_len} exceeds sequence length {len(seq)}")
@@ -301,6 +312,7 @@ def intersection(a: Subspace, b: Subspace, tol: float = TOL_CHECK) -> Subspace:
     is already an orthonormal basis of the intersection, with one row per
     kept singular value, audited once by :class:`Subspace`.
     """
+    _check_positive("tol", tol)
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("intersection requires equal ambient dimensions")
     r, k = a.basis.shape

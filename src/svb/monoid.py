@@ -30,7 +30,7 @@ import numpy as np
 from .config import CLUSTER_RADIUS, TOL_CHECK, TOL_RANK
 from .foliation import evaluate_terms, parse_terms
 from .grassmann import (Subspace, _check_positive, _distinct, _float_rows,
-                        _integer, _runs, _span_rank)
+                        _runs, _span_rank)
 from .strata import _first_far, _samples, near_pairs
 
 # Evaluations and residuals may overflow; the non-finite checks below
@@ -70,8 +70,8 @@ class MonoidActionSample:
 
     def __init__(self, ambient_dim: int, descriptor: dict,
                  sample_points, t_grid: Sequence[float]):
-        self.ambient_dim = m = _integer("ambient_dim", ambient_dim)
-        self.sample_points = _samples(sample_points, m)
+        self.sample_points = _samples(sample_points, ambient_dim)
+        self.ambient_dim = m = self.sample_points.shape[1]
         self.descriptor = dict(descriptor)
         kind = self.descriptor.get("kind")
         if kind == "builtin":

@@ -47,7 +47,8 @@ from typing import Callable, Hashable, Iterable, Optional, Sequence
 import numpy as np
 
 from .config import MAX_LOCAL_STRATA, TOL_RANK
-from .grassmann import _distinct, _float_rows, _integer, _runs, span
+from .grassmann import (_check_positive, _distinct, _float_rows, _integer,
+                        _runs, span)
 
 __all__ = [
     "Stratum",
@@ -97,10 +98,7 @@ def _check_stratum(name, dim, size) -> int:
             f"stratum name must be a string, got {type(name).__name__}")
     if size == 0:
         raise ValueError(f"stratum {name!r} has an empty point cloud")
-    dim = _integer(f"stratum {name!r} dim", dim)
-    if dim < 0:
-        raise ValueError(f"stratum {name!r} has negative dimension")
-    return dim
+    return _integer(f"stratum {name!r} dim", dim, 0)
 
 
 @dataclass(frozen=True)
@@ -386,8 +384,14 @@ class _Grid:
 
 
 def _lengths(diff: np.ndarray) -> np.ndarray:
-    """The length of each row of ``diff``, which is squared in place."""
-    return np.sqrt(np.square(diff, out=diff).sum(-1))
+    """The length of each row of ``diff``, which is squared in place: the
+    squared columns added in order, as ``.sum(-1)`` adds fewer than 8
+    terms, but without its cost per row on a short last axis."""
+    square = np.square(diff, out=diff)
+    total = square[:, 0].copy()
+    for column in square.T[1:]:
+        total += column
+    return np.sqrt(total, out=total)
 
 
 @functools.cache
@@ -412,17 +416,16 @@ def single_linkage_components(points: np.ndarray,
     """Split a cloud into connected components of the radius graph
     (single linkage).  Components come out sorted by their smallest
     member index, members sorted ascending."""
-    pts = _cloud(points, radius)
+    _check_positive("radius", radius)
+    pts = _cloud(points)
     return graph_components(len(pts), ((i, j) for i, j, _
                                        in near_pairs(pts, pts, radius)))
 
 
-def _cloud(points, radius: float) -> np.ndarray:
-    """``points`` as a float array of rows, once ``radius`` is positive
-    and every coordinate finite and within ±``MAX_COORD``."""
+def _cloud(points) -> np.ndarray:
+    """``points`` as a float array of rows, once every coordinate is
+    finite and within ±``MAX_COORD``."""
     pts = _float_rows(points)
-    if not radius > 0:
-        raise ValueError("radius must be positive")
     if _first_far(pts) >= 0:
         raise ValueError("sample points must be finite and within ±2^500")
     if not pts.shape[1]:
@@ -434,8 +437,7 @@ def _samples(points, ambient_dim: int) -> np.ndarray:
     """``points`` as a float array of at least one row in R^ambient_dim,
     once ``ambient_dim`` is positive: the sample set of a vector-field
     set or of a monoid action."""
-    if ambient_dim < 1:
-        raise ValueError("ambient_dim must be positive")
+    ambient_dim = _integer("ambient_dim", ambient_dim, 1)
     pts = _float_rows(points)
     if pts.shape[1] != ambient_dim:
         raise ValueError("sample points have the wrong ambient dimension")
@@ -460,7 +462,7 @@ def graph_components(n: int, edges) -> list[list[int]]:
     # Union-find whose roots are the smallest index of their tree: each
     # round hooks the larger root of every split edge onto the smaller
     # one, then flattens the trees by pointer jumping.
-    root = np.arange(n)
+    root = np.arange(_integer("n", n, 0))
     for i, j in edges:
         while True:
             ri, rj = root[i], root[j]
@@ -508,7 +510,8 @@ def partition_by_label(points, labels: Sequence[Hashable],
     ``members`` is the point map: point i of the s-th stratum is input
     point ``members[s][i]``, each stratum's members ascending.
     """
-    pts = _cloud(points, r_cc)
+    _check_positive("r_cc", r_cc)
+    pts = _cloud(points)
     labels = tuple(labels)
     code = {label: c for c, (_, label) in enumerate(classes)}
     coded = np.array([code[lab] for lab in labels], dtype=np.intp)
@@ -646,8 +649,8 @@ def check_frontier(s: Stratification, eps_touch: Optional[float] = None,
         default = 1e-2 * scale if scale > 0 else 1e-2
         eps_touch = default if eps_touch is None else eps_touch
         delta_cover = default if delta_cover is None else delta_cover
-    if not (eps_touch > 0 and delta_cover > 0):
-        raise ValueError("eps_touch and delta_cover must be positive")
+    _check_positive("eps_touch", eps_touch)
+    _check_positive("delta_cover", delta_cover)
 
     n, owner = len(s.strata), s._owner
     first, size = s._bounds[:-1], np.diff(s._bounds)
@@ -729,8 +732,8 @@ def local_finiteness_report(s: Stratification, radius: float,
     """Count, for every sample point, the strata meeting the radius ball
     around it (the point's own stratum included); flag points whose
     count exceeds ``threshold``."""
-    if not radius > 0:
-        raise ValueError("radius must be positive")
+    _check_positive("radius", radius)
+    threshold = _integer("threshold", threshold, 0)
     n, owner = len(s.strata), s._owner
     # A chunk of near_pairs holds every pair of its rows, so no
     # (point, stratum) key of one chunk comes up in another.

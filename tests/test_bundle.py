@@ -100,24 +100,27 @@ class TestValidateBundle:
             SampledStratifiedBundle(b.base, 2, fibers, b.stratum_rank)
 
     @pytest.mark.parametrize("fibers, ranks, bad", [
-        ({(1, 0.7): 0, ("1", 1): 1}, {1: 1.9}, "fiber key (1, 0.7)"),
-        ({("1", 0.0): 0, ("1", 1): 1}, {"1": 1}, "fiber key ('1', 0.0)"),
-        ({("1", 0): 0, ("1", "1"): 1}, {"1": 1}, "fiber key ('1', '1')"),
-        ({("1", 0): 0, ("1", 1): 1}, {1: 1}, "stratum_rank item (1, 1)"),
+        ({(1, 0.7): 0, ("1", 1): 1}, {1: 1.9},
+         "fiber index of stratum 1: stratum name must be a string"),
+        ({("1", 0.0): 0, ("1", 1): 1}, {"1": 1},
+         "fiber index of stratum '1' must be an integer, got 0.0"),
+        ({("1", 0): 0, ("1", "1"): 1}, {"1": 1},
+         "fiber index of stratum '1' must be an integer, got '1'"),
+        ({("1", 0): 0, ("1", 1): 1}, {1: 1},
+         "rank of stratum 1: stratum name must be a string"),
         ({("1", 0): 0, ("1", 1): 1}, {"1": 1.9},
-         "stratum_rank item ('1', 1.9)")],
+         "rank of stratum '1' must be an integer, got 1.9")],
         ids=["name", "float-index", "str-index", "rank-key", "rank"])
     def test_keys_and_ranks_are_not_coerced(self, fibers, ranks, bad):
         base = Stratification([Stratum("1", 0, [[0.0], [1.0]])])
         w = span([(1.0, 0.0)], 2)
-        with pytest.raises(ValueError, match=re.escape(
-                f"{bad}: expected a (stratum name, integer) pair")):
+        with pytest.raises(ValueError, match=f"^{re.escape(bad)}$"):
             SampledStratifiedBundle(base, 2, dict.fromkeys(fibers, w), ranks)
 
     def test_from_stacks_refuses_a_float_rank(self):
         b = trivial_bundle(line_stratification(), 2)
         with pytest.raises(ValueError, match=re.escape(
-                "stratum_rank item ('S0', 2.0): expected")):
+                "rank of stratum 'S0' must be an integer, got 2.0")):
             SampledStratifiedBundle.from_stacks(
                 b.base, 2, b.stacks, dict(b.stratum_rank, S0=2.0))
 
@@ -180,11 +183,17 @@ class TestValidateBundle:
             ConvergenceScenario("S0", "S+", 0, ())
 
     @pytest.mark.parametrize("x0, seq, bad", [
-        (0, (1.7, 2.2, 3), "1.7"), (0.5, (1, 2, 3), "0.5"),
-        ("0", (1, 2, 3), "'0'"), (0, (1, None), "None")])
+        (0, (1.7, 2.2, 3), "sequence_indices[0] must be an integer, got 1.7"),
+        (0.5, (1, 2, 3), "x0_index must be an integer, got 0.5"),
+        ("0", (1, 2, 3), "x0_index must be an integer, got '0'"),
+        (0, (1, None), "sequence_indices[1] must be an integer, got None"),
+        (True, (1, 2), "x0_index must be an integer, got True"),
+        (0, (False, True),
+         "sequence_indices[0] must be an integer, got False")],
+        ids=["0-seq0-1.7", "0.5-seq1-0.5", "0-seq2-'0'", "0-seq3-None",
+             "x0-bool", "seq-bool"])
     def test_scenario_indices_must_be_integers(self, x0, seq, bad):
-        with pytest.raises(ValueError, match=re.escape(
-                f"scenario index {bad} is not an integer")):
+        with pytest.raises(ValueError, match=re.escape(bad)):
             ConvergenceScenario("S0", "S+", x0, seq)
 
     def test_scenario_reads_numpy_integers_as_ints(self):

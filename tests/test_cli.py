@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 
 import svb.bundle
-from svb.bundle import SampledStratifiedBundle
+from svb.bundle import SampledStratifiedBundle, trivial_bundle
 from svb.cli import TOLERANCES, build_parser, main
 from svb.fixtures import cone_bundle, line_stratification
 from svb.functors import SymPower, check_orthogonality
 from svb.grassmann import Subspace, span
 from svb.jsonio import (bundle_from_json, bundle_to_json, read_json,
                         stratification_from_json, write_json)
-from svb.strata import check_frontier
+from svb.strata import Stratification, Stratum, check_frontier
 
 from helpers import violation_rows
 
@@ -445,7 +445,7 @@ class TestNonFiniteInput:
          "$.coeffs[1][0].powers[2]: expected int, got bool",
          ["monoid", "analyze", "--action"]),
         ("fields_line.json", ("fields", 0, "coeffs", 0, "powers", 0), -1,
-         "$.fields[0].coeffs[0].powers[0]: negative exponent -1",
+         "$.fields[0].coeffs[0].powers[0] must be at least 0, got -1",
          ["foliation", "stratify", "--r-cc", "0.015", "--fields"]),
         ("fields_line.json", ("fields", 0, "coeffs", 0, "powers"), [1, 0],
          "$.fields[0].coeffs[0].powers: expected 1 exponents, got 2",
@@ -454,7 +454,7 @@ class TestNonFiniteInput:
          [1.0, 2.0], "$.fields[0].coeffs[0].vector: expected 1 entries, "
          "got 2", ["foliation", "stratify", "--r-cc", "0.015", "--fields"]),
         ("action_cone_scalar.json", ("coeffs", 1, 0, "powers", 2), -1,
-         "$.coeffs[1][0].powers[2]: negative exponent -1",
+         "$.coeffs[1][0].powers[2] must be at least 0, got -1",
          ["monoid", "analyze", "--action"]),
         ("action_cone_scalar.json", ("coeffs", 1, 0, "powers"), [1, 0, 1],
          "$.coeffs[1][0].powers: expected 4 exponents, got 3",
@@ -819,7 +819,8 @@ class TestErrorTexts:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err == "svb: error: $: ambient_dim must be positive\n"
+        assert captured.err == (
+            "svb: error: $: ambient_dim must be at least 1, got 0\n")
 
 
 class TestCheckingReportOut:
@@ -1182,6 +1183,25 @@ class TestVerbs:
         seq = whitney["scenario"]["sequence_indices"]
         assert len(seq) == 12
 
+    def test_auto_sequence_on_an_equidistant_circle(self, capsys, tmp_path):
+        # Every sample lies at distance 1e5 from x0; a norm taken of each
+        # row alone may read one of them an ULP away, beyond the slack of
+        # the monotone-tail test, where the row-wise norm that orders
+        # the samples reads them all equal.
+        angles = np.random.default_rng(5).uniform(0.0, 2 * np.pi, 50)
+        circle = 1e5 * np.column_stack([np.cos(angles), np.sin(angles)])
+        base = Stratification([Stratum("S", 0, [[0.0, 0.0]]),
+                               Stratum("R", 1, circle)],
+                              closure_order=[("S", "R")])
+        path = tmp_path / "circle.json"
+        path.write_text(json.dumps(bundle_to_json(trivial_bundle(base, 2))))
+        code, out = run(capsys, "check", "whitney-a", "--bundle", str(path),
+                        "--auto-sequence", "radial:S[0],20",
+                        "--source-stratum", "R")
+        assert code == 0
+        verdicts = {c["name"]: c["verdict"] for c in json.loads(out)["checks"]}
+        assert verdicts == {"validate-bundle": "PASS", "whitney-a": "PASS"}
+
     def test_text_format(self, capsys):
         code, out = run(capsys, "check", "frontier",
                         "--stratification", fx("line.json"),
@@ -1281,18 +1301,22 @@ class TestEnvOverrides:
                "--scenario", fx("cone_scenario.json")]
 
     @pytest.mark.parametrize("argv, message", [
-        (WHITNEY + ["--tol-check", "-1"], "tol_check must be positive"),
-        (WHITNEY + ["--tol-check", "nan"], "tol_check must be positive"),
-        (WHITNEY + ["--tail-len", "0"], "tail_len must be at least 1"),
+        (WHITNEY + ["--tol-check", "-1"],
+         "tol_check must be a positive finite number, got -1.0"),
+        (WHITNEY + ["--tol-check", "nan"],
+         "tol_check must be a positive finite number, got nan"),
+        (WHITNEY + ["--tail-len", "0"], "tail_len must be at least 1, got 0"),
         (["equivariant", "tilde", "--group", fx("sign_flip_group.json"),
           "--bundle", fx("sign_flip_tangent.json"), "--r-cc", "0"],
-         "r_cc must be positive"),
+         "r_cc must be a positive finite number, got 0.0"),
         (["check", "frontier", "--stratification", fx("line.json"),
-          "--delta-cover", "-0.5"], "delta_cover must be positive when set"),
+          "--delta-cover", "-0.5"],
+         "delta_cover must be a positive finite number, got -0.5"),
         (WHITNEY + ["--tol-check", "inf", "--format", "text"],
-         "tol_check must be finite"),
+         "tol_check must be a positive finite number, got inf"),
         (["check", "frontier", "--stratification", fx("line.json"),
-          "--eps-touch", "inf"], "eps_touch must be finite"),
+          "--eps-touch", "inf"],
+         "eps_touch must be a positive finite number, got inf"),
     ], ids=["flag-negative", "flag-nan", "tail-len-zero", "r-cc-zero",
             "delta-cover-negative", "flag-inf", "flag-inf-eps-touch"])
     def test_bad_tolerance_is_one(self, capsys, argv, message):

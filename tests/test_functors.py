@@ -767,11 +767,11 @@ def test_grassmannian_continuity_surrogate(f):
 class TestInputRaises:
     def test_negative_constant_summand(self):
         with pytest.raises(ValueError, match="^constant summand dimension "
-                           "must be nonnegative$"):
+                           "must be at least 0, got -1$"):
             ConstantSum(-1)
 
     def test_negative_source_dimension(self):
-        with pytest.raises(ValueError, match="^k must be nonnegative$"):
+        with pytest.raises(ValueError, match="^k must be at least 0, got -1$"):
             dim_map(Identity(), -1)
 
     @pytest.mark.parametrize("call", [

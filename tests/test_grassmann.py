@@ -600,7 +600,7 @@ class TestInputRaises:
 
     def test_empty_tail(self):
         with pytest.raises(ValueError,
-                           match="^tail_len must be at least 1$"):
+                           match="^tail_len must be at least 1, got 0$"):
             sequence_limit([Subspace(2, np.eye(2))], tail_len=0)
 
 

@@ -334,8 +334,8 @@ class TestSchemaErrors:
             bundle_from_json(obj)
 
     def test_negative_subspace_ambient_rejected(self):
-        with pytest.raises(SchemaError,
-                           match=r"^\$: ambient_dim must be nonnegative$"):
+        with pytest.raises(SchemaError, match=r"^\$: ambient_dim must be at "
+                           "least 0, got -1$"):
             subspace_from_json({"ambient": -1, "basis": []})
 
     def test_action_unknown_kind(self):
@@ -414,8 +414,8 @@ class TestNonPositiveAmbient:
         (fields_from_json, _fields), (action_from_json, _polynomial_action),
     ], ids=["fields", "action"])
     def test_reader(self, read, make, ambient):
-        with pytest.raises(SchemaError,
-                           match=r"^\$: ambient_dim must be positive$"):
+        with pytest.raises(SchemaError, match=re.escape(
+                f"$: ambient_dim must be at least 1, got {ambient}")):
             read(make(ambient))
 
     @pytest.mark.parametrize("argv, make", [
@@ -434,7 +434,8 @@ class TestNonPositiveAmbient:
             env=dict(os.environ, PYTHONPATH=src))
         assert done.returncode == 1
         assert done.stdout == ""
-        assert done.stderr == "svb: error: $: ambient_dim must be positive\n"
+        assert done.stderr == (
+            "svb: error: $: ambient_dim must be at least 1, got -1\n")
 
 
 class TestReaderRaises:

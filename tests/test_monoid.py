@@ -52,7 +52,7 @@ class TestConstruction:
 
     @pytest.mark.parametrize("build, message", [
         (lambda: MonoidActionSample.builtin("scalar", 0, [[]]),
-         "ambient_dim must be positive"),
+         "ambient_dim must be at least 1, got 0"),
         (lambda: MonoidActionSample(1, {"kind": "warp"}, R1_SAMPLES, (0, 1)),
          "action kind must be 'builtin' or 'polynomial'"),
         (lambda: MonoidActionSample.polynomial(

@@ -482,7 +482,9 @@ class TestCheckFrontier:
 
     @pytest.mark.parametrize("eps, delta", [(np.nan, 0.05), (0.05, np.nan)])
     def test_nan_thresholds_rejected(self, eps, delta):
-        with pytest.raises(ValueError, match="must be positive"):
+        name = "eps_touch" if np.isnan(eps) else "delta_cover"
+        with pytest.raises(ValueError, match=f"^{name} must be a positive "
+                           "finite number, got nan$"):
             check_frontier(line_stratification(), eps, delta)
 
 
@@ -524,9 +526,10 @@ class TestLocalFiniteness:
             local_finiteness_report(single_stratum(), 0.0)
 
     def test_nan_radius_rejected(self):
-        with pytest.raises(ValueError, match="radius must be positive"):
+        message = "^radius must be a positive finite number, got nan$"
+        with pytest.raises(ValueError, match=message):
             local_finiteness_report(single_stratum(), np.nan)
-        with pytest.raises(ValueError, match="radius must be positive"):
+        with pytest.raises(ValueError, match=message):
             single_linkage_components(np.zeros((2, 1)), np.nan)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -1171,7 +1174,8 @@ class TestPartitionByLabel:
 
     @pytest.mark.parametrize("r_cc", [0.0, -1.0, np.nan])
     def test_radius_must_be_positive(self, r_cc):
-        with pytest.raises(ValueError, match="radius must be positive"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"r_cc must be a positive finite number, got {r_cc!r}")):
             partition_by_label(np.zeros((2, 1)), ["a", "a"], [("s", "a")],
                                dim=lambda label, cloud: 0,
                                below=lambda low, high: False, r_cc=r_cc)
@@ -1186,7 +1190,8 @@ class TestInputRaises:
 
     def test_negative_stratum_dim(self):
         with pytest.raises(ValueError,
-                           match="^stratum 'a' has negative dimension$"):
+                           match="^stratum 'a' dim must be at least 0, "
+                           "got -1$"):
             Stratum("a", -1, [[0.0]])
 
     @pytest.mark.parametrize("radius", [-1.0], ids=["negative"])
