@@ -522,12 +522,14 @@ def scaled_timings(checkout, name):
     cases.update(warm)
 
     def monoid_reconstruct_1200():
-        scaling, base_points, _ = bundle_scalar_action(trivial_bundle(
+        """The bundle over the zero section of 400 points; the fixture's
+        base is what the checkout's ``reconstruct_bundle`` reads."""
+        scaling, base, _ = bundle_scalar_action(trivial_bundle(
             Stratification([Stratum("bulk", 2, np.random.default_rng(
                 0).uniform(-1.0, 1.0, (400, 2)))]), 2))
         return ({"samples": len(scaling.sample_points), "base_points": 400,
                  "ambient": scaling.ambient_dim},
-                lambda: reconstruct_bundle(scaling, base_points))
+                lambda: reconstruct_bundle(scaling, base))
 
     def point_permutations_rot48():
         g = rotation_group(48)

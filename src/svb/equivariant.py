@@ -55,7 +55,7 @@ from .bundle import SampledStratifiedBundle, _gather_stacks
 from .config import R_CC, TOL_CHECK
 from .functors import _chunks
 from .grassmann import (Subspace, _check_positive, _distinct, _integer,
-                        _runs, _spectral_norms)
+                        _spectral_norms)
 from .strata import (
     LabelPartition,
     Stratification,
@@ -63,6 +63,7 @@ from .strata import (
     _bounded_samples,
     _inverse,
     _lengths,
+    _nearest_within,
     near_pairs,
     partition_by_label,
 )
@@ -420,18 +421,10 @@ def _generated_permutations(g: FiniteGroupAction, pts: np.ndarray,
 
 def _matched_permutations(g: FiniteGroupAction, pts: np.ndarray,
                           tol: float) -> np.ndarray:
-    """``_point_permutations`` by one radius query at tol over every
-    element's images."""
-    n = len(pts)
-    # Each image is matched to its nearest sample point within tol, ties
-    # going to the lowest index; -1 marks an image with none.
-    match = np.full(g.order * n, -1)
-    images = _images(pts, g.elements)
-    for i, j, d in near_pairs(images, pts, tol):
-        order = np.lexsort((j, d, i))
-        nearest = order[_runs(i[order])]
-        match[i[nearest]] = j[nearest]
-    perms = match.reshape(g.order, n)
+    """``_point_permutations`` by matching every element's images to
+    their nearest sample points within tol (``_nearest_within``)."""
+    perms = _nearest_within(_images(pts, g.elements), pts,
+                            tol).reshape(g.order, len(pts))
     # Sorted rows: an image off the sample set leads its row with -1,
     # two images on one sample point are equal neighbours.
     ordered = np.sort(perms, axis=1)

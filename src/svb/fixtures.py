@@ -164,9 +164,9 @@ def bundle_scalar_action(b: SampledStratifiedBundle):
     """Scalar multiplication of a bundle as a polynomial monoid action on
     total-space samples (x, v) in R^(m+k).
 
-    Returns (action, base_points, expected_fibers): the zero-section
-    points and, for each, the embedded fiber {0} x A_x that fiber
-    reconstruction should recover.
+    Returns (action, base, expected): the zero section {(x, 0)} as a
+    stratification with the strata and closure order of ``b``'s base, and
+    the bundle of the fibers {0} x A_x over it that reconstruction gives.
     """
     m = b.base.ambient_dim
     k = b.fiber_ambient
@@ -179,17 +179,19 @@ def bundle_scalar_action(b: SampledStratifiedBundle):
             powers[0] = 1  # fiber coordinates scale with t
         coeffs.append([{"powers": powers, "coef": 1.0}])
 
-    samples, base_points, expected = [], [], []
+    samples = []
     for s in b.base.strata:
         for x, basis in zip(s.points, b.stacks[s.name]):
-            zero_section = np.concatenate([x, np.zeros(k)])
-            samples += [zero_section, *(np.concatenate([x, v]) for v in basis)]
-            base_points.append(zero_section)
-            # A rank-0 fiber spans the zero subspace.
-            expected.append(span(np.hstack([np.zeros((len(basis), m)), basis]),
-                                 total))
+            samples += [np.concatenate([x, np.zeros(k)]),
+                        *(np.concatenate([x, v]) for v in basis)]
+    base = Stratification([Stratum(s.name, s.dim, np.pad(
+        s.points, [(0, 0), (0, k)])) for s in b.base.strata],
+        b.base.closure_order)
+    expected = SampledStratifiedBundle.from_stacks(base, total, {
+        name: np.pad(stack, [(0, 0), (0, 0), (m, 0)])
+        for name, stack in b.stacks.items()}, b.stratum_rank, tol_ortho=None)
     action = MonoidActionSample.polynomial(coeffs, total, np.array(samples))
-    return action, np.array(base_points), expected
+    return action, base, expected
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ __all__ = [
     "as_basis",
     "span",
     "gap_distance",
+    "containment_residual",
     "sequence_limit",
     "apply_linear_map",
     "intersection",

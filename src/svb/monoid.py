@@ -9,9 +9,10 @@ implementations.  The audits check the monoid axioms (h_1 = id,
 h_t h_s = h_ts), read the vertical derivative phi(e) = d/dt h_t(e) at
 t = 0 off the table exactly (its terms linear in t, with t dropped),
 and classify regularity: phi vanishes exactly on the fixed set of h_0.
-For regular actions the fibers of the encoded vector bundle are
-recovered as spans of phi over h_0-clusters, all found by one
-``near_pairs`` radius query and spanned by one SVD stack per size.
+A regular action gives back the vector bundle it encodes, over a
+declared base stratification: each sample goes to the base point
+nearest its h_0-image, and the fiber over a base point is the span of
+phi over its samples, spanned by one SVD stack per cluster size.
 
 A table maps an array of points row by row, with one time per row.  So
 an audit stacks the (time, point) rows of many maps into one call, bit
@@ -27,11 +28,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .bundle import SampledStratifiedBundle, _gather_stacks
 from .config import CLUSTER_RADIUS, TOL_CHECK, TOL_RANK
 from .foliation import evaluate_terms, parse_terms
-from .grassmann import (Subspace, _check_positive, _distinct, _float_rows,
-                        _runs, _span_rank)
-from .strata import _first_far, _samples, near_pairs
+from .grassmann import _check_positive, _distinct, _runs, _span_rank
+from .strata import Stratification, _nearest_within, _samples
 
 # Evaluations and residuals may overflow; the non-finite checks below
 # report that as an error, so numpy is kept from warning about it too.
@@ -41,7 +42,6 @@ __all__ = [
     "MonoidActionSample",
     "MonoidAudit",
     "RegularityReport",
-    "VerticalFragment",
     "REGULAR",
     "NOT_REGULAR",
     "audit_axioms",
@@ -276,45 +276,35 @@ def regularity_check(a: MonoidActionSample,
     return _classify(a, tol)[0]
 
 
-@dataclass(frozen=True)
-class VerticalFragment:
-    """Recovered fibers over a list of base points (one rank per point)."""
-
-    base_points: np.ndarray
-    fibers: tuple[Subspace, ...]
-    ranks: tuple[int, ...]
-
-
-def reconstruct_bundle(a: MonoidActionSample, base_samples,
+def reconstruct_bundle(a: MonoidActionSample, base: Stratification,
                        tol: float = TOL_CHECK,
                        cluster_radius: float = CLUSTER_RADIUS
-                       ) -> VerticalFragment:
-    """Recover fibers of a regular action: over each base point, the span
-    of the vertical derivatives of the samples its h_0-image clusters to,
-    by one ``near_pairs`` pass and one SVD stack per cluster size."""
+                       ) -> SampledStratifiedBundle:
+    """The bundle over ``base`` that a regular action encodes: over each
+    base point, the span of the vertical derivatives of the samples whose
+    h_0-image is nearest to it within ``cluster_radius`` (none: the zero
+    fiber), by ``_nearest_within`` and one SVD stack per cluster size.  A
+    stratum whose points recover two ranks raises in ``_gather_stacks``."""
     _check_positive("cluster_radius", cluster_radius)
     report, phis, images = _classify(a, tol)
     if not report:
         raise ValueError(
             "action is not regular; offending sample indices: "
             f"{report.violating_indices}")
-    base = _float_rows(base_samples)
-    if base.shape[1] != a.ambient_dim:
+    m = a.ambient_dim
+    if base.ambient_dim != m:
         raise ValueError("base samples have the wrong ambient dimension")
-    if (far := _first_far(base)) >= 0:
-        raise ValueError(f"base sample {far} has a coordinate that is not "
-                         "finite or beyond ±2^500")
-    m, n = a.ambient_dim, len(images)
-    at, member = np.divmod(np.sort(np.concatenate([np.empty(0, np.intp)] + [
-        i * n + j for i, j, _ in near_pairs(base, images, cluster_radius)])), n)
+    nearest = _nearest_within(images, base._cloud, cluster_radius)
+    member = np.argsort(nearest, kind="stable")[(nearest < 0).sum():]
+    at = nearest[member]
     starts = _runs(at)
     size = np.diff(starts, append=len(at))
-    fibers = [Subspace.zero(m)] * len(base)
+    bases = [np.zeros((0, m))] * len(base._cloud)
     for count in _distinct(size).tolist():
         first = starts[size == count]
         vh, rank = _span_rank(phis[member[first[:, None] + np.arange(count)]],
                               TOL_RANK, 0.0)
         for p, v, r in zip(at[first].tolist(), vh, rank.tolist()):
-            fibers[p] = Subspace(m, v[:r])
-    return VerticalFragment(base_points=base, fibers=tuple(fibers),
-                            ranks=tuple(f.dim for f in fibers))
+            bases[p] = v[:r]
+    return SampledStratifiedBundle.from_stacks(base, m, _gather_stacks(
+        base, map(range, base._bounds, base._bounds[1:]), bases))

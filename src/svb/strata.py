@@ -269,8 +269,8 @@ def near_pairs(a: np.ndarray, b: np.ndarray, r: float):
     """Index and distance arrays ``(i, j, d)`` holding every pair with
     ``d = |a[i] - b[j]| <= r``, in chunks of consecutive rows of ``a``:
     a chunk holds all pairs of its rows.  ``a`` and ``b`` must be 2-D
-    arrays of one width (anything ``np.asarray`` reads as such), and
-    finite, and ``r`` not NaN: else ValueError.  No pair is within a
+    arrays of one positive width (anything ``np.asarray`` reads as such),
+    and finite, and ``r`` not NaN: else ValueError.  No pair is within a
     negative ``r``.
 
     The pairs come from a ``_Grid`` over ``b`` whose box also holds
@@ -288,6 +288,8 @@ def near_pairs(a: np.ndarray, b: np.ndarray, r: float):
     a = b if self_join else np.asarray(a, dtype=float)
     if not (a.ndim == b.ndim == 2 and a.shape[1] == b.shape[1]):
         raise ValueError("near_pairs needs 2-D point arrays of one width")
+    if not a.shape[1]:
+        raise ValueError("near_pairs needs points with at least one coordinate")
     if not (np.isfinite(b).all() and (self_join or np.isfinite(a).all())):
         raise ValueError("near_pairs needs finite points")
     if np.isnan(r):
@@ -296,6 +298,17 @@ def near_pairs(a: np.ndarray, b: np.ndarray, r: float):
         return iter(())
     grid = _Grid(b, r, None if self_join else a)
     return grid.near(np.arange(len(b))) if self_join else grid.near_points(a)
+
+
+def _nearest_within(a: np.ndarray, b: np.ndarray, r: float) -> np.ndarray:
+    """The index of the nearest row of ``b`` within ``r`` of each row of
+    ``a`` (the lowest on a tie), or -1 where none is, by ``near_pairs``."""
+    match = np.full(len(a), -1)
+    for i, j, d in near_pairs(a, b, r):
+        order = np.lexsort((j, d, i))
+        nearest = order[_runs(i[order])]
+        match[i[nearest]] = j[nearest]
+    return match
 
 
 class _Grid:

@@ -196,25 +196,47 @@ def bundle_fixture_menu():
 
 def test_criterion_6_monoid_classification():
     # Scalar multiplication of every bundle fixture is a regular action
-    # whose reconstruction recovers the fibers.
+    # whose reconstruction gives the bundle back over the zero section,
+    # the depth-40 cones too, whose base points lie 2^-40 apart.
+    menu = bundle_fixture_menu() + [
+        (f"cone-{variant}-40", cone_bundle(variant))
+        for variant in ("pass", "fail", "rank0")]
     worst_gap = 0.0
-    for name, bundle in bundle_fixture_menu():
-        action, base_points, expected = bundle_scalar_action(bundle)
+    for name, bundle in menu:
+        action, base, expected = bundle_scalar_action(bundle)
         report = regularity_check(action, tol=1e-8)
         assert report.overall == "REGULAR", name
-        fragment = reconstruct_bundle(action, base_points)
-        for fiber, want in zip(fragment.fibers, expected):
-            gap = gap_distance(fiber, want)
+        got = reconstruct_bundle(action, base)
+        assert got.stratum_rank == expected.stratum_rank, name
+        for key in got.point_keys():
+            gap = gap_distance(got.fiber(key), expected.fiber(key))
             worst_gap = max(worst_gap, gap)
-            assert gap <= 1e-6, name
+            assert gap <= 1e-12, (name, key)
 
     squares = MonoidActionSample.builtin(
         "square_scale", 1, [[1.0], [-0.5], [2.0], [0.0]])
     square_report = regularity_check(squares, tol=1e-6)
     assert square_report.overall == "NOT_REGULAR"
     assert square_report.violating_indices == (0, 1, 2)
-    announce(6, f"8 fixtures regular, worst recovery gap {worst_gap:.2e}; "
+    announce(6, f"{len(menu)} fixtures regular, worst recovery gap "
+                f"{worst_gap:.2e}; "
                 "square scaling rejected with points listed")
+
+
+def test_criterion_6_reconstructed_cones_keep_whitney_verdicts():
+    # x -> (x, 0) is an isometry, so the reconstructed depth-40 cones
+    # read the input's Whitney A verdicts and residuals.
+    scenario = cone_scenario()
+    read = []
+    for variant in ("pass", "fail", "rank0"):
+        bundle = cone_bundle(variant)
+        action, base, _ = bundle_scalar_action(bundle)
+        want = whitney_a_check(bundle, scenario)
+        got = whitney_a_check(reconstruct_bundle(action, base), scenario)
+        assert got.status == want.status, variant
+        assert abs(got.residual - want.residual) <= 1e-15, variant
+        read.append(f"{got.status} {got.residual:.3g}")
+    announce(6, "reconstructed depth-40 cones read " + " / ".join(read))
 
 
 def test_criterion_7_foliation_stratification():

@@ -40,15 +40,17 @@ from svb.grassmann import (Subspace, apply_linear_map, as_basis,
                            orthonormal_rows, sequence_limit, span)
 from svb.monoid import (MonoidActionSample, audit_axioms,
                         reconstruct_bundle, regularity_check)
-from svb.strata import (Stratum, check_frontier, estimate_cloud_dim,
-                        graph_components, local_finiteness_report,
-                        partition_by_label, single_linkage_components)
+from svb.strata import (Stratification, Stratum, check_frontier,
+                        estimate_cloud_dim, graph_components,
+                        local_finiteness_report, partition_by_label,
+                        single_linkage_components)
 
 from helpers import cone_sections
 
 TINY = math.ulp(0.0)  # the smallest positive float
 E2 = Subspace(2, np.eye(2))
 LINE = np.linspace(0.0, 1.0, 5).reshape(-1, 1)
+ORIGIN = Stratification([Stratum("o", 0, [[0.0]])])
 
 
 def _cone():
@@ -140,9 +142,9 @@ REALS = [
     ("monoid.regularity_check:tol", "tol",
      lambda v: regularity_check(_scalar(), tol=v)),
     ("monoid.reconstruct_bundle:tol", "tol",
-     lambda v: reconstruct_bundle(_scalar(), [[0.0]], tol=v)),
+     lambda v: reconstruct_bundle(_scalar(), ORIGIN, tol=v)),
     ("monoid.reconstruct_bundle:cluster_radius", "cluster_radius",
-     lambda v: reconstruct_bundle(_scalar(), [[0.0]], cluster_radius=v)),
+     lambda v: reconstruct_bundle(_scalar(), ORIGIN, cluster_radius=v)),
 ]
 
 # (entry:parameter, the name its errors give, call with the value, the

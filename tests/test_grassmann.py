@@ -611,7 +611,7 @@ def _more_than_two_axes():
     from svb.fixtures import rotation_group
     from svb.foliation import (PolynomialVectorField, VectorFieldSet,
                                distribution_at)
-    from svb.monoid import MonoidActionSample, reconstruct_bundle
+    from svb.monoid import MonoidActionSample
     from svb.strata import (Stratum, estimate_cloud_dim, partition_by_label,
                             single_linkage_components)
 
@@ -619,7 +619,6 @@ def _more_than_two_axes():
     fields = [PolynomialVectorField(2, [{"powers": [0, 0],
                                          "vector": [1.0, 0.0]}])]
     plane = VectorFieldSet(2, fields, [[0.0, 0.0]])
-    action = MonoidActionSample.builtin("scalar", 2, [[1.0, 0.0]])
     return {
         "Stratum": (lambda: Stratum("a", 0, cube), cube.shape),
         "single_linkage_components": (
@@ -643,8 +642,6 @@ def _more_than_two_axes():
                             (1, 1, 2)),
         "MonoidActionSample": (lambda: MonoidActionSample.builtin(
             "scalar", 2, np.ones((3, 2, 2))), (3, 2, 2)),
-        "reconstruct_bundle": (
-            lambda: reconstruct_bundle(action, cube), cube.shape),
     }
 
 
@@ -652,7 +649,7 @@ def _more_than_two_axes():
     "Stratum", "single_linkage_components", "partition_by_label",
     "estimate_cloud_dim", "span", "apply_linear_map", "Subspace",
     "orbit_type_partition", "stabilizer", "VectorFieldSet", "distribution_at",
-    "MonoidActionSample", "reconstruct_bundle"])
+    "MonoidActionSample"])
 def test_more_than_two_axes_name_the_shape(site):
     call, shape = _more_than_two_axes()[site]
     with pytest.raises(ValueError, match=re.escape(

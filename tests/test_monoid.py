@@ -225,6 +225,22 @@ class TestBothSidesOfTol:
         assert report.violating_indices == (() if regular else (0, 1))
 
 
+def _points(rows, name="S", dim=0):
+    """One stratum over ``rows``."""
+    return Stratification([Stratum(name, dim, np.asarray(rows, float))])
+
+
+def _point_strata(rows):
+    """One stratum per row, so that every point may carry its own rank."""
+    return Stratification([Stratum(f"p{i}", 0, [row])
+                           for i, row in enumerate(np.asarray(rows, float))])
+
+
+def _fibers(bundle):
+    """The fibers of ``bundle`` in point order."""
+    return [bundle.fiber(key) for key in bundle.point_keys()]
+
+
 class TestReconstructBundle:
     def test_scale_last_recovers_vertical_axis(self):
         # Samples must include points above each base point, otherwise the
@@ -232,38 +248,83 @@ class TestReconstructBundle:
         samples = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 2.0], [3.0, 4.0],
                             [0.0, 0.0]])
         a = action("scale_last", samples)
-        frag = reconstruct_bundle(a, [[1.0, 0.0], [0.0, 0.0], [3.0, 0.0]],
-                                  cluster_radius=1e-9)
-        assert frag.ranks == (1, 1, 1)
-        for fiber in frag.fibers:
+        got = reconstruct_bundle(
+            a, _points([[1.0, 0.0], [0.0, 0.0], [3.0, 0.0]]),
+            cluster_radius=1e-9)
+        assert got.stratum_rank == {"S": 1}
+        assert got.stacks["S"].shape == (3, 1, 2)
+        for fiber in _fibers(got):
             assert gap_distance(fiber, span([(0.0, 1.0)], 2)) <= 1e-9
 
     def test_scalar_over_origin_recovers_everything(self):
         a = action("scalar", R2_SAMPLES)
-        frag = reconstruct_bundle(a, [[0.0, 0.0]], cluster_radius=1e-9)
-        assert frag.ranks == (2,)
+        got = reconstruct_bundle(a, _points([[0.0, 0.0]]),
+                                 cluster_radius=1e-9)
+        assert got.stratum_rank == {"S": 2}
 
     def test_identity_action_gives_rank_zero(self):
         a = action("identity", R2_SAMPLES)
-        frag = reconstruct_bundle(a, R2_SAMPLES, cluster_radius=1e-9)
-        assert frag.ranks == tuple([0] * len(R2_SAMPLES))
+        got = reconstruct_bundle(a, _points(R2_SAMPLES), cluster_radius=1e-9)
+        assert got.stratum_rank == {"S": 0}
+        assert got.stacks["S"].shape == (len(R2_SAMPLES), 0, 2)
 
     def test_not_regular_rejected(self):
         with pytest.raises(ValueError, match="not regular"):
             reconstruct_bundle(action("square_scale", R1_SAMPLES),
-                               [[0.0]], tol=1e-6)
+                               _points([[0.0]]), tol=1e-6)
+
+    def test_bundle_over_the_declared_base(self):
+        act, base, expected = bundle_scalar_action(cone_bundle("pass", 4))
+        got = reconstruct_bundle(act, base)
+        assert got.base is base
+        assert got.fiber_ambient == expected.fiber_ambient == 3
+        assert got.stratum_rank == expected.stratum_rank
+
+    @pytest.mark.parametrize("rows, ranks", [
+        ([[0.0, 0.0], [2.0, 0.0]], {"p0": 1, "p1": 0}),
+        ([[2.0, 0.0], [0.0, 0.0]], {"p0": 1, "p1": 0})],
+        ids=["origin-first", "origin-second"])
+    def test_an_equidistant_image_goes_to_the_lower_row(self, rows, ranks):
+        # The image (1, 0) of the one sample (1, 1) lies at 1 from both
+        # base points.
+        a = action("scale_last", np.array([[1.0, 1.0]]))
+        got = reconstruct_bundle(a, _point_strata(rows), cluster_radius=1.5)
+        assert got.stratum_rank == ranks
+
+    def test_close_base_points_keep_their_own_samples(self):
+        # Base points 2^-40 apart, far inside the cluster radius: each
+        # sample goes to the base point its image is nearest to.
+        act, base, expected = bundle_scalar_action(cone_bundle("pass", 40))
+        got = reconstruct_bundle(act, base)
+        assert got.stratum_rank == expected.stratum_rank == {
+            "S0": 1, "S+": 1, "S-": 1}
+        for key in got.point_keys():
+            assert gap_distance(got.fiber(key), expected.fiber(key)) <= 1e-12
+
+
+def _nearest_fibers(a, base, cluster_radius):
+    """The samples of each base point by brute force: each h_0-image goes
+    to the argmin of its distances to the base points within the radius,
+    the lower row on a tie."""
+    _, _, images = _classify(a, 1e-8)
+    pts = base._cloud
+    clusters = [[] for _ in pts]
+    for i, image in enumerate(images):
+        d = np.linalg.norm(pts - image, axis=1)
+        if (d <= cluster_radius).any():
+            clusters[int(np.argmin(np.where(d <= cluster_radius, d,
+                                            np.inf)))].append(i)
+    return clusters
 
 
 def _scan_fibers(a, base, cluster_radius):
-    """The fibers of ``reconstruct_bundle`` by one norm scan per base
-    point, each cluster spanned on its own."""
-    _, phis, images = _classify(a, 1e-8)
-    fibers = []
-    for b in base:
-        near = np.linalg.norm(images - b, axis=1) <= cluster_radius
-        fibers.append(span(phis[near], a.ambient_dim) if near.any()
-                      else Subspace.zero(a.ambient_dim))
-    return fibers
+    """The fibers of ``reconstruct_bundle`` by brute force: one
+    ``span`` of the vertical derivatives of each base point's samples
+    (``_nearest_fibers``), each cluster spanned on its own."""
+    _, phis, _ = _classify(a, 1e-8)
+    return [span(phis[c], a.ambient_dim) if c else
+            Subspace.zero(a.ambient_dim)
+            for c in _nearest_fibers(a, base, cluster_radius)]
 
 
 def _scalar_trivial(points, seed=0):
@@ -277,35 +338,57 @@ class TestReconstructInput:
         a = MonoidActionSample.builtin("scale_last", 2, R2_SAMPLES)
         with pytest.raises(ValueError, match="^base samples have the wrong "
                            "ambient dimension$"):
-            reconstruct_bundle(a, [[0.0, 0.0, 0.0]])
+            reconstruct_bundle(a, _points([[0.0, 0.0, 0.0]]))
 
-    @pytest.mark.parametrize("row", [0, 2])
+    @pytest.mark.parametrize("name, row", [("S0", 0), ("S+", 1)],
+                             ids=["0", "2"])
     @pytest.mark.parametrize("value", [
         np.nan, np.inf, -np.inf, np.nextafter(2.0 ** 500, np.inf),
         -np.nextafter(2.0 ** 500, np.inf)],
         ids=["nan", "inf", "-inf", "above", "-above"])
-    def test_far_base_sample_named(self, row, value):
+    def test_far_base_sample_named(self, name, row, value):
         # Unchecked, such a sample would meet no cluster: a rank-0 fiber.
-        act, base, _ = bundle_scalar_action(cone_bundle("pass", 4))
-        base = np.array(base)
-        base[row, 0] = value
-        with pytest.raises(ValueError, match=f"^base sample {row} has a "
-                           "coordinate that is not finite or beyond"):
-            reconstruct_bundle(act, base)
+        # The base is a stratification, which refuses it by stratum.
+        _, base, _ = bundle_scalar_action(cone_bundle("pass", 4))
+        points = np.array(base.stratum(name).points)
+        points[row, 0] = value
+        with pytest.raises(ValueError, match="^stratum " + re.escape(
+                repr(name)) + " has a (non-finite sample point|sample "
+                "coordinate beyond)"):
+            Stratification([Stratum(name, 1, points)])
 
     def test_base_sample_at_the_bound(self):
         act, base, expected = bundle_scalar_action(cone_bundle("pass", 4))
-        base = np.array(base)
-        frag = reconstruct_bundle(act, base)
-        assert frag.ranks[:3] == tuple(e.dim for e in expected[:3]) == (1, 1, 1)
+        got = reconstruct_bundle(act, base)
+        assert got.stratum_rank == expected.stratum_rank == {
+            "S0": 1, "S+": 1, "S-": 1}
         # Far from every cluster, yet within the bound: rank 0, no error.
-        base[0, 0], base[1, 0] = 2.0 ** 500, -2.0 ** 500
-        assert reconstruct_bundle(act, base).ranks == (0, 0) + frag.ranks[2:]
+        minus = base.stratum("S-").points
+        far = Stratification([
+            Stratum("S0", 0, [[2.0 ** 500, 0.0, 0.0]]), base.stratum("S+"),
+            Stratum("S-", 1, np.column_stack([
+                np.full(len(minus), -2.0 ** 500), minus[:, 0],
+                np.zeros(len(minus))]))])
+        moved = reconstruct_bundle(act, far)
+        assert moved.stratum_rank == {"S0": 0, "S+": 1, "S-": 0}
+        assert moved.stacks["S+"].tobytes() == got.stacks["S+"].tobytes()
+
+    def test_an_unreached_point_names_its_stratum_rank(self):
+        # (0.75, 0, 0) lies on S+ but no sample's image reaches it.
+        act, base, _ = bundle_scalar_action(cone_bundle("pass", 4))
+        plus = np.concatenate([base.stratum("S+").points, [[0.75, 0.0, 0.0]]])
+        mixed = Stratification([base.stratum("S0"), Stratum("S+", 1, plus),
+                                base.stratum("S-")])
+        with pytest.raises(ValueError, match=re.escape(
+                "fiber over ('S+', 5) has rank 0, the fiber over ('S+', 0) "
+                "has rank 1")):
+            reconstruct_bundle(act, mixed)
 
 
 class TestClustersByNearPairs:
-    """One ``near_pairs`` pass and one SVD stack per cluster size give the
-    bases a per-point scan gives, bit for bit."""
+    """One nearest-base-point pass and one SVD stack per cluster size give
+    the bases that a brute-force nearest match and one ``span`` per base
+    point give, bit for bit."""
 
     @pytest.mark.parametrize("points", [100, 400])
     @pytest.mark.parametrize("radius, shift", [
@@ -313,22 +396,29 @@ class TestClustersByNearPairs:
         ids=["default", "r0.05", "r0.3", "shifted"])
     def test_bases_equal_the_scan(self, points, radius, shift):
         a, base, _ = _scalar_trivial(points)
-        base = np.concatenate([np.asarray(base) + shift,
-                               [[5.0, 5.0, 0.0, 0.0]]])
-        frag = reconstruct_bundle(a, base, tol=1e-8, cluster_radius=radius)
+        # Every third base point, and two points 2^-24 apart whose
+        # midpoint is the h_0-image of one more sample: a tie within
+        # every radius, which the lower row wins.
+        tied = 5.0 + 2.0 ** -25
+        a = MonoidActionSample(a.ambient_dim, a.descriptor, np.concatenate(
+            [a.sample_points, [[tied, 5.0, 1.0, 0.0]]]), a.t_grid)
+        base = _point_strata(np.concatenate([
+            base._cloud[::3] + shift,
+            [[5.0, 5.0, 0.0, 0.0], [5.0 + 2.0 ** -24, 5.0, 0.0, 0.0]]]))
+        got = reconstruct_bundle(a, base, tol=1e-8, cluster_radius=radius)
         want = _scan_fibers(a, base, radius)
-        assert frag.ranks == tuple(w.dim for w in want)
-        assert frag.ranks[-1] == 0
-        for got, w in zip(frag.fibers, want):
-            assert got.basis.shape == w.basis.shape
-            assert got.basis.tobytes() == w.basis.tobytes()
+        assert [got.stratum_rank[s.name] for s in base.strata] == [
+            w.dim for w in want]
+        assert [w.dim for w in want[-2:]] == [1, 0]
+        for got_fiber, w in zip(_fibers(got), want):
+            assert got_fiber.basis.shape == w.basis.shape
+            assert got_fiber.basis.tobytes() == w.basis.tobytes()
 
     def test_one_svd_stack_per_cluster_size(self, monkeypatch):
         a, base, _ = _scalar_trivial(100)
         radius = 0.3
-        _, _, images = _classify(a, 1e-8)
-        sizes = {int((np.linalg.norm(images - b, axis=1) <= radius).sum())
-                 for b in np.asarray(base)} - {0}
+        base = _point_strata(base._cloud[::5])
+        sizes = {len(c) for c in _nearest_fibers(a, base, radius)} - {0}
         assert len(sizes) > 3
         calls = []
         stack = svb.monoid._span_rank
@@ -340,10 +430,10 @@ class TestClustersByNearPairs:
 
     def test_base_without_clusters(self):
         a = action("scalar", R2_SAMPLES)
-        frag = reconstruct_bundle(a, [[9.0, 9.0], [-9.0, 0.0]],
-                                  cluster_radius=1e-9)
-        assert frag.ranks == (0, 0)
-        assert [f.basis.shape for f in frag.fibers] == [(0, 2), (0, 2)]
+        got = reconstruct_bundle(a, _points([[9.0, 9.0], [-9.0, 0.0]]),
+                                 cluster_radius=1e-9)
+        assert got.stratum_rank == {"S": 0}
+        assert got.stacks["S"].shape == (2, 0, 2)
 
 
 @pytest.mark.parametrize("make", [lambda: cone_bundle("pass", depth=12),
@@ -352,12 +442,26 @@ class TestClustersByNearPairs:
 class TestBundleScalarAction:
     def test_regular_and_recovered(self, make):
         bundle = make()
-        act, base_points, expected = bundle_scalar_action(bundle)
+        act, base, expected = bundle_scalar_action(bundle)
         assert audit_axioms(act, 1e-10).passed
         assert regularity_check(act, tol=1e-8).overall == "REGULAR"
-        frag = reconstruct_bundle(act, base_points)
-        for fiber, want in zip(frag.fibers, expected):
+        got = reconstruct_bundle(act, base)
+        assert got.stratum_rank == expected.stratum_rank == bundle.stratum_rank
+        for fiber, want in zip(_fibers(got), _fibers(expected)):
             assert gap_distance(fiber, want) <= 1e-6
+
+    def test_zero_section_base(self, make):
+        bundle = make()
+        _, base, expected = bundle_scalar_action(bundle)
+        k = bundle.fiber_ambient
+        assert [(s.name, s.dim) for s in base.strata] == [
+            (s.name, s.dim) for s in bundle.base.strata]
+        assert base.closure_order == bundle.base.closure_order
+        assert np.array_equal(base._cloud[:, :-k], bundle.base._cloud)
+        assert not base._cloud[:, -k:].any()
+        for name, stack in expected.stacks.items():
+            assert not stack[..., :-k].any()
+            assert np.array_equal(stack[..., -k:], bundle.stacks[name])
 
 
 def _random_polynomial_action(rng, ambient, top_degree=5):
@@ -487,8 +591,8 @@ class TestStacksMatchPoints:
         original = svb.monoid.vertical_derivative
         monkeypatch.setattr(svb.monoid, "vertical_derivative",
                             lambda *args: calls.append(1) or original(*args))
-        reconstruct_bundle(action("scalar", R2_SAMPLES), [[0.0, 0.0]],
-                           cluster_radius=1e-9)
+        reconstruct_bundle(action("scalar", R2_SAMPLES),
+                           _points([[0.0, 0.0]]), cluster_radius=1e-9)
         assert len(calls) == 1
 
 
@@ -684,15 +788,15 @@ class TestToleranceValidation:
         with pytest.raises(ValueError, match="tol must be a positive finite"):
             regularity_check(a, tol=bad)
         with pytest.raises(ValueError, match="tol must be a positive finite"):
-            reconstruct_bundle(a, [[0.0]], tol=bad)
+            reconstruct_bundle(a, _points([[0.0]]), tol=bad)
 
     @pytest.mark.parametrize("bad", BAD)
     def test_cluster_radius(self, bad):
         # A NaN or negative radius clustered nothing: rank-0 fibers.
         with pytest.raises(ValueError,
                            match="cluster_radius must be a positive finite"):
-            reconstruct_bundle(action("scalar", R2_SAMPLES), [[0.0, 0.0]],
-                               cluster_radius=bad)
+            reconstruct_bundle(action("scalar", R2_SAMPLES),
+                               _points([[0.0, 0.0]]), cluster_radius=bad)
 
     def test_smallest_positive_values_work(self):
         assert not audit_axioms(load_action("action_translate.json"), _TINY)
@@ -700,9 +804,9 @@ class TestToleranceValidation:
         report = regularity_check(load_action("action_square_scale.json"),
                                   tol=_TINY)
         assert report.overall == "NOT_REGULAR"
-        frag = reconstruct_bundle(action("scalar", R2_SAMPLES), [[0.0, 0.0]],
-                                  cluster_radius=_TINY)
-        assert frag.ranks == (2,)
+        got = reconstruct_bundle(action("scalar", R2_SAMPLES),
+                                 _points([[0.0, 0.0]]), cluster_radius=_TINY)
+        assert got.stratum_rank == {"S": 2}
 
 
 def test_audit_memory_at_scale():

@@ -26,6 +26,7 @@ from svb.strata import (
     MAX_COORD,
     Stratification,
     Stratum,
+    _nearest_within,
     check_frontier,
     estimate_cloud_dim,
     graph_components,
@@ -1247,6 +1248,27 @@ class TestNearPairsInput:
             with pytest.raises(ValueError, match="^near_pairs needs 2-D "
                                "point arrays of one width$"):
                 near_pairs(x, y, radius)
+
+    @pytest.mark.parametrize("radius", [1.0, -1.0])
+    @pytest.mark.parametrize("self_join", [True, False],
+                             ids=["self", "two-clouds"])
+    def test_points_without_coordinates_raise(self, self_join, radius):
+        a = np.zeros((3, 0))
+        b = a if self_join else np.zeros((2, 0))
+        with pytest.raises(ValueError, match="^near_pairs needs points with "
+                           "at least one coordinate$"):
+            near_pairs(a, b, radius)
+        with pytest.raises(ValueError, match="^near_pairs needs points with "
+                           "at least one coordinate$"):
+            _nearest_within(a, b, radius)
+
+    def test_nearest_within(self):
+        # Row 1 lies 0.5 from both b[0] and b[2] (the lower wins), row 2
+        # has no row of b within the radius.
+        a = np.array([[0.0, 0.5], [1.0, 0.5], [9.0, 9.0], [2.0, 0.25]])
+        b = np.array([[0.5, 0.5], [2.0, 0.0], [1.5, 0.5]])
+        assert _nearest_within(a, b, 0.6).tolist() == [0, 0, -1, 1]
+        assert _nearest_within(a, b, 0.1).tolist() == [-1, -1, -1, -1]
 
     def test_reads_lists_of_rows(self):
         assert [tuple(map(list, chunk)) for chunk in near_pairs(
