@@ -63,6 +63,17 @@ def failing_fibers(stacks: Mapping[str, np.ndarray],
             for i in np.flatnonzero(~orthonormal_rows(stack, tol_ortho))]
 
 
+def _run_starts(stack: np.ndarray) -> np.ndarray:
+    """Whether each fiber of a stack ``(n, r, k)`` starts a run of
+    consecutive fibers with bitwise-equal bases: the first always does.
+    Bits, not values, so that -0.0 and 0.0 differ, as their text does."""
+    flat = stack.reshape(len(stack), -1)  # a view, for stride-0 stacks too
+    bits = flat.view(np.int64 if flat.itemsize == 8 else f"V{flat.itemsize}")
+    first = np.ones(len(stack), bool)
+    first[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    return first
+
+
 def _gather_stacks(base: Stratification, members,
                    bases: Sequence[np.ndarray]) -> dict[str, np.ndarray]:
     """Each stratum's stack of the ``bases[p]`` of its ``members`` p, in
@@ -370,17 +381,25 @@ def apply_functor_to_bundle(f: LinearFunctor, b: SampledStratifiedBundle
                             ) -> SampledStratifiedBundle:
     """Apply a functor fibrewise: same base, fibers F(A_x), ranks F(rank).
 
-    Each stratum's stack is mapped by ``_map_in_chunks`` and audited at
-    the verdict tolerance.  Raises :class:`InvalidBundleError` when ``b``
-    fails validation, ValueError when F builds a space above ``MAX_DIM``.
+    Of each run of bitwise-equal consecutive fibers of a stack
+    (``_run_starts``) only the first is mapped, by ``_map_in_chunks``,
+    and audited at the verdict tolerance; its image stands for the whole
+    run, so a trivial bundle's stratum is one map.  Raises
+    :class:`InvalidBundleError` when ``b`` fails validation, ValueError
+    when F builds a space above ``MAX_DIM`` or an image fails its audit.
     """
     ambient = sized_dim(f, b.fiber_ambient)
     validation = validate_bundle(b)
     if not validation.passed:
         raise InvalidBundleError(validation)
+    images, stacks = {}, {}
+    for name, stack in b.stacks.items():
+        first = _run_starts(stack)
+        images[name] = _map_in_chunks(f, stack[first])
+        stacks[name] = images[name][np.cumsum(first) - 1]
+    if failing_fibers(images, TOL_CHECK):
+        raise ValueError("basis is not orthonormal within tolerance")
     return SampledStratifiedBundle.from_stacks(
-        b.base, ambient,
-        {name: _map_in_chunks(f, stack) for name, stack in b.stacks.items()},
+        b.base, ambient, stacks,
         {name: dim_map(f, r) for name, r in b.stratum_rank.items()},
-        tol_ortho=TOL_CHECK)
-
+        tol_ortho=None)

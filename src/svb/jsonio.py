@@ -14,13 +14,16 @@ a SchemaError at the reader's path in one place, ``_built``.
 
 from __future__ import annotations
 
+import functools
 import json
+from itertools import accumulate, chain, compress
+from operator import is_not
 from typing import Any
 
 import numpy as np
 
 from .bundle import (ConvergenceScenario, SampledStratifiedBundle,
-                     failing_fibers)
+                     _run_starts, failing_fibers)
 from .equivariant import FiniteGroupAction
 from .foliation import PolynomialVectorField, VectorFieldSet, parse_powers
 from .grassmann import Subspace, as_basis
@@ -83,51 +86,88 @@ def dumps(obj: Any) -> str:
 
     The standard library's indented encoder is pure Python, one
     generator step per number.  This walk emits containers the same way
-    but hands each list of scalars, and each list of nonempty rows of
-    scalars (numbers or strings), to the compact C encoder in one call
-    and re-indents its output by replacing the separators ``", "`` (and
-    ``"], ["`` between rows).  That is exact when no string in the list
-    contains a separator, which is checked on the encoded text.  A list
-    of two or more records that share one nonempty set of keys is
-    written column by column, ``_SLICE`` records at a time, and a value
-    that is the same object as the one above it in its column is
-    rendered once (``_records``).  Keys must be strings: any other key
-    raises TypeError, where the standard library would convert a number.
+    but hands each list of scalars, and the rows of each list of
+    nonempty rows of scalars, to a compact C encoder whose item
+    separator is the final one: a comma, a line break and the
+    indentation of the items (``_encoder``).  No encoded string holds a
+    raw line break, so a split on such a separator is exact without a
+    look inside strings, and no text is re-indented.  A list of two or
+    more records that share one nonempty set of keys is written
+    ``_SLICE`` records at a time (``_records``).  Keys must be strings:
+    any other key raises TypeError, where the standard library would
+    convert a number.
     """
-    chunks: list[str] = []
-    _encode(obj, chunks.append, "\n")
-    return "".join(chunks)
+    return _encoded(obj, "\n")
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-# NaN and infinity are not JSON: writing one raises ValueError.
-if json.encoder.c_make_encoder is not None:
-    # The compact one-shot C encoder that json.dumps builds on each call.
-    _c_encoder = json.encoder.c_make_encoder(
-        None, json.JSONEncoder().default, _encode_str, None, ": ", ", ",
-        False, False, False)
 
-    def _compact(obj) -> str:
-        return "".join(_c_encoder(obj, 0))
-else:
-    _compact = json.JSONEncoder(allow_nan=False).encode
+
+@functools.cache
+def _encoder(separator: str):
+    """The compact one-shot encoder, with ``separator`` between items
+    and ``": "`` between a key and its value, as a function of the
+    object to its text.  NaN and infinity are not JSON: writing one
+    raises ValueError."""
+    if json.encoder.c_make_encoder is None:
+        return json.JSONEncoder(allow_nan=False,
+                                separators=(separator, ": ")).encode
+    # The encoder that json.dumps builds on each call.
+    encode = json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, _encode_str, None, ": ",
+        separator, False, False, False)
+    return lambda obj: "".join(encode(obj, 0))
+
+
+_scalar = _encoder(",")  # the separator of a scalar's text is never used
+_leaves = _encoder("\n")  # a list of scalars, to be split on its separator
 _CONTAINERS = (list, tuple, dict)
 _SLICE = 32  # records rendered at once: bounds the text the writer holds
-_NUMBER_TYPES = frozenset((int, float, bool, type(None)))
-_LEAF_TYPES = _NUMBER_TYPES | {str}
+_SCALARS = 512  # scalars in one encoder call of _items, about
+_LEAF_TYPES = frozenset((int, float, bool, type(None), str))
 
 
-def _rows(rows, text) -> bool:
-    """Whether ``text``, the compact encoding of the list of lists
-    ``rows``, is nonempty rows of scalars, each ``"], ["`` separating two
-    rows and each other ``", "`` two entries.  One ``"["`` per row rules
-    out nested lists and brackets in strings; where strings are present,
-    one ``", "`` per entry boundary and no ``": "`` rule out separators
-    in strings and objects in rows."""
-    if "[]" in text or text.count("[") != len(rows) + 1:
-        return False
-    return '"' not in text or (": " not in text and text.count(", ")
-                               == sum(map(len, rows)) - 1)
+def _items(rows, indent):
+    """The text inside the brackets of each of ``rows``, nonempty lists
+    of scalars, written with its items at indentation ``indent``; None
+    when a row is not one.  Each row is checked by type to be a nonempty
+    list.  Then one ``"["`` per row in the text rules out deeper lists
+    and brackets in strings, and no ``'": '`` rules out objects with
+    keys (``"{}"`` is written as a scalar is), so a ``"]"`` before a
+    separator ends a row.  An encoder call holds the text of each scalar
+    until it returns, so one call covers about ``_SCALARS`` scalars."""
+    if set(map(type, rows)) != {list} or not all(rows):
+        return None
+    encode = _encoder("," + indent)
+    step = max(1, _SCALARS // len(rows[0]))
+    bodies = []
+    for start in range(0, len(rows), step):
+        part = rows[start:start + step]
+        text = encode(part)
+        # A float holds no ":", so number rows skip the slower search.
+        if text.count("[") != 1 + len(part) or ":" in text and '": ' in text:
+            return None
+        bodies += text[2:-2].split(f"],{indent}[")
+    return bodies
+
+
+def _rows(values, newline):
+    """The text at indentation ``newline`` of each of ``values``,
+    nonempty lists of rows, from the ``_items`` of all their rows; None
+    when one is not such a list."""
+    if set(map(type, values)) != {list} or not all(values):
+        return None
+    inner = newline + "  "
+    indent = inner + "  "
+    if (bodies := _items(list(chain.from_iterable(values)), indent)) is None:
+        return None
+    between = f"{inner}],{inner}[{indent}"
+    texts, start = [], 0
+    for end in accumulate(map(len, values)):
+        texts.append(f"[{inner}[{indent}{between.join(bodies[start:end])}"
+                     f"{inner}]{newline}]")
+        start = end
+    return texts
 
 
 def _encode(obj, write, newline: str) -> None:
@@ -144,7 +184,7 @@ def _encode(obj, write, newline: str) -> None:
                 write(separator + _encode_str(key) + ": ")
                 _encode(value, write, inner)
             else:
-                write(separator + _encode_str(key) + ": " + _compact(value))
+                write(separator + _encode_str(key) + ": " + _scalar(value))
             separator = "," + inner
         write(newline + "}")
     elif isinstance(obj, (list, tuple)):
@@ -154,13 +194,9 @@ def _encode(obj, write, newline: str) -> None:
         inner = newline + "  "
         types = set(map(type, obj))
         if types <= _LEAF_TYPES:
-            text = _compact(obj)
-            # Only the item separators match, unless a string holds ", ".
-            if text.count(", ") == len(obj) - 1:
-                body = text[1:-1].replace(", ", "," + inner)
-                write(f"[{inner}{body}{newline}]")
-                return
-        elif types == {dict} and len(obj) > 1 and (keys := obj[0].keys()) \
+            write(f"[{inner}{_encoder(',' + inner)(obj)[1:-1]}{newline}]")
+            return
+        if types == {dict} and len(obj) > 1 and (keys := obj[0].keys()) \
                 and all(record.keys() == keys for record in obj):
             separator = "[" + inner
             for text in _records(obj, sorted(keys), inner):
@@ -168,12 +204,8 @@ def _encode(obj, write, newline: str) -> None:
                 separator = "," + inner
             write(newline + "]")
             return
-        elif types == {list} and _rows(obj, text := _compact(obj)):
-            entry = inner + "  "
-            body = (text[2:-2]
-                    .replace("], [", f"{inner}],{inner}[{entry}")
-                    .replace(", ", "," + entry))
-            write(f"[{inner}[{entry}{body}{inner}]{newline}]")
+        if types == {list} and (text := _rows([obj], newline)):
+            write(text[0])
             return
         separator = "[" + inner
         for item in obj:
@@ -181,61 +213,75 @@ def _encode(obj, write, newline: str) -> None:
                 write(separator)
                 _encode(item, write, inner)
             else:
-                write(separator + _compact(item))
+                write(separator + _scalar(item))
             separator = "," + inner
         write(newline + "]")
     else:
-        write(_compact(obj))
+        write(_scalar(obj))
+
+
+def _encoded(obj, newline: str) -> str:
+    """The text that ``_encode`` writes."""
+    chunks: list[str] = []
+    _encode(obj, chunks.append, newline)
+    return "".join(chunks)
 
 
 def _records(obj, keys, inner):
     """The text of each dict of ``obj``, all with exactly the sorted
-    ``keys``, at indentation ``inner``, rendered column by column
-    ``_SLICE`` records at a time, so that the caller holds one slice's
-    text.  In a slice, a column of numbers or of nonempty rows of
-    scalars (``_rows``) is one C call, and a column of strings one
-    escape per string.  Any other column is rendered value by value by
-    ``_encode`` at the field's indentation, where a value that is the
-    same object as the previous one in its column, across slices too,
-    reuses its text: a run of shared bases is formatted once.  Only the
-    previous value is held, so the memo does not grow with the number
-    of distinct values.
+    ``keys``, at indentation ``inner``, rendered ``_SLICE`` records at a
+    time, so that the caller holds one slice's text.  A slice whose
+    values are all scalars is one encoder call, split on its separator,
+    and one text.  In any other slice each column of scalars is one such
+    call, and a column of rows of scalars one by ``_items``.  In any
+    other column a value that is the same object as the previous one,
+    across slices too, reuses its text, so a run of shared bases is
+    formatted once: the first values of the slice's runs are written by
+    ``_rows`` when they are all lists of rows, else one by one by
+    ``_encode`` at the field's indentation.  Only the previous value is
+    held, so the memo does not grow with the number of distinct values.
     """
     field = inner + "  "
     entry = field + "  "
     names = [_encode_str(key).replace("%", "%%") + ": " for key in keys]
+    template = "{" + field + ("," + field).join(
+        name + "%s" for name in names) + inner + "}"
     previous = dict.fromkeys(keys, (object(), ""))  # (value, its text)
+    width = len(keys)
     for start in range(0, len(obj), _SLICE):
         records = obj[start:start + _SLICE]
-        parts, columns = [], []
-        for key, name in zip(keys, names):
-            column = [record[key] for record in records]
-            kinds = set(map(type, column))
-            value = "%s"
-            if kinds <= _NUMBER_TYPES:
-                # Numbers hold no ", ": the compact text splits into them.
-                columns.append(_compact(column)[1:-1].split(", "))
-            elif kinds == {str}:
-                columns.append(list(map(_encode_str, column)))
-            elif kinds == {list} and column[0] \
-                    and type(column[0][0]) in _LEAF_TYPES \
-                    and _rows(column, text := _compact(column)):
-                columns.append(text[2:-2].replace(", ", "," + entry)
-                               .split("]," + entry + "["))
-                value = f"[{entry}%s{field}]"
-            else:
-                texts = []
-                for item in column:
-                    if item is not previous[key][0]:
-                        chunks = []
-                        _encode(item, chunks.append, field)
-                        previous[key] = item, "".join(chunks)
-                    texts.append(previous[key][1])
-                columns.append(texts)
-            parts.append(name + value)
-        template = "{" + field + ("," + field).join(parts) + inner + "}"
+        values = [record[key] for record in records for key in keys]
+        if set(map(type, values)) <= _LEAF_TYPES:
+            yield ("," + inner).join([template] * len(records)) % tuple(
+                _leaves(values)[1:-1].split("\n"))
+            continue
+        formats, columns = [], []
+        for j, key in enumerate(keys):
+            column = values[j::width]
+            formats.append("%s")
+            if set(map(type, column)) <= _LEAF_TYPES:
+                columns.append(_leaves(column)[1:-1].split("\n"))
+                continue
+            if type(column[0]) is list and column[0] \
+                    and type(column[0][0]) is not list \
+                    and (bodies := _items(column, entry)) is not None:
+                formats[j] = f"[{entry}%s{field}]"
+                columns.append(bodies)
+                continue
+            last, text = previous[key]
+            # Whether each value starts a run: texts[run number].
+            new = list(map(is_not, column, chain((last,), column)))
+            texts = [text]
+            if heads := list(compress(column, new)):
+                texts += _rows(heads, field) or [
+                    _encoded(head, field) for head in heads]
+            columns.append(texts[1:] if all(new) else list(
+                map(texts.__getitem__, accumulate(new))))
+            previous[key] = column[-1], texts[-1]
+        mixed = "{" + field + ("," + field).join(
+            name + form for name, form in zip(names, formats)) + inner + "}"
         for values in zip(*columns):
-            yield template % values
+            yield mixed % values
 
 
 def _expect(obj, key, kinds, path):
@@ -431,13 +477,10 @@ def bundle_to_json(b: SampledStratifiedBundle) -> dict:
 
 def _shared_bases(stack) -> list:
     """``stack.tolist()``, each run of bitwise-equal consecutive fibers
-    sharing the one list built for its first fiber.  A stratum holds at
-    least one point, so the stack holds at least one fiber."""
-    flat = stack.reshape(len(stack), -1)  # a view, for stride-0 stacks too
-    # Bits, not values: -0.0 and 0.0 differ, as their text does.
-    bits = flat.view(np.int64 if flat.itemsize == 8 else f"V{flat.itemsize}")
-    first = np.ones(len(stack), bool)
-    first[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    (``_run_starts``) sharing the one list built for its first fiber.  A
+    stratum holds at least one point, so the stack holds at least one
+    fiber."""
+    first = _run_starts(stack)
     distinct = stack[first].tolist()
     return list(map(distinct.__getitem__, (np.cumsum(first) - 1).tolist()))
 

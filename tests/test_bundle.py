@@ -1,3 +1,4 @@
+import json
 import os
 import re
 
@@ -33,10 +34,12 @@ from svb.functors import (
     SymPower,
     TensorPower,
     WedgePower,
+    _map_in_chunks,
     apply_to_subspace,
     check_orthogonality,
     dim_map,
     orthogonality_residuals,
+    parse_functor,
 )
 from svb.strata import Stratification, Stratum
 from svb.grassmann import (
@@ -46,7 +49,8 @@ from svb.grassmann import (
     sequence_limit,
     span,
 )
-from svb.jsonio import bundle_from_json, read_json, scenario_from_json
+from svb.jsonio import (bundle_from_json, bundle_to_json, dumps, read_json,
+                        scenario_from_json)
 
 from helpers import (assert_sections_read_fiber_check, cone_sections,
                      violation_rows)
@@ -534,6 +538,41 @@ class TestApplyFunctorToBundle:
         assert caught.value.validation == validate_bundle(broken)
 
 
+def _trivial_rank3():
+    return trivial_bundle(line_stratification(), 3)
+
+
+def _trivial_rank3_read_back():
+    return bundle_from_json(json.loads(dumps(bundle_to_json(
+        _trivial_rank3()))))
+
+
+def _runs_of_random_fibers():
+    """Random planes in R^3, each repeated one to three times in a row."""
+    rng = np.random.default_rng(5)
+    planes = np.linalg.qr(rng.standard_normal((6, 3, 2)))[0].swapaxes(1, 2)
+    stack = np.repeat(planes, [1, 3, 2, 1, 3, 2], axis=0)
+    base = Stratification([Stratum("S", 1, np.arange(12.0)[:, None])])
+    return SampledStratifiedBundle.from_stacks(base, 3, {"S": stack})
+
+
+def _signed_zeros():
+    """Coordinate planes, two of them equal in value but one holding a
+    -0.0 where the other holds 0.0: one run by value, two by bits."""
+    plane = np.eye(3)[:2]
+    negative = plane.copy()
+    negative[0, 1] = -0.0
+    stack = np.stack([plane, plane, negative, negative, plane])
+    base = Stratification([Stratum("S", 1, np.arange(5.0)[:, None])])
+    return SampledStratifiedBundle.from_stacks(base, 3, {"S": stack})
+
+
+RUN_BUNDLES = {"trivial-stride-0": _trivial_rank3,
+               "trivial-read-back": _trivial_rank3_read_back,
+               "random-runs": _runs_of_random_fibers,
+               "signed-zeros": _signed_zeros}
+
+
 def _random_fiber_bundle(n=150, rank=2, ambient=5, seed=7):
     rng = np.random.default_rng(seed)
     base = Stratification([Stratum("bulk", 2,
@@ -615,6 +654,22 @@ class TestStratumStacks:
             assert np.array_equal(out.fiber(key).basis, expected.basis)
             assert np.array_equal(out.fiber(key).projection,
                                   expected.projection)
+
+    @pytest.mark.parametrize("make", RUN_BUNDLES.values(),
+                             ids=RUN_BUNDLES.keys())
+    @pytest.mark.parametrize("spec", ["sym:2", "wedge:2", "tensor:2",
+                                      "sum(id,const:1)", "const:2",
+                                      "compose(sym:2,sum(id,const:1))"])
+    def test_image_of_runs_equals_whole_stack_image(self, make, spec):
+        # Only the first fiber of each run of bitwise-equal fibers is
+        # mapped; its image must be the one the whole stack gives.
+        f = parse_functor(spec)
+        b = make()
+        out = apply_functor_to_bundle(f, b)
+        for name, stack in b.stacks.items():
+            whole = _map_in_chunks(f, stack)
+            assert out.stacks[name].shape == whole.shape
+            assert out.stacks[name].tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("make", BUNDLES.values(), ids=BUNDLES.keys())
     @pytest.mark.parametrize("f", FUNCTORS, ids=repr)

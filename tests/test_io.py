@@ -822,6 +822,8 @@ def _shared_record_lists(values, keys):
 
 _ROWS = [[1.0, 2.5], [-0.0, 1e-300]]  # one object, shared by these cases
 _OBJECT = {"k": [[1, "a, b"], [2.0]], "j": "], [", "e": {}}
+# One object, in the last record of a slice and the first of the next.
+_SPANNING = [[0.25, 1.5], [-0.0, 2.0]]
 
 
 class TestWriter:
@@ -899,6 +901,21 @@ class TestWriter:
          {"a": "%%", "b": "[1, 2]", "c": ["a"], "d": [[", "]]}],
         [{"i": i, "basis": _ROWS if jsonio._SLICE - 3 <= i < jsonio._SLICE + 4
           else [[float(i)]]} for i in range(2 * jsonio._SLICE + 1)],
+        [{"basis": [["], [", 1.0], ["{"]], "i": 0},
+         {"basis": [["\n", ","], [2.0, "], ["]], "i": 1},
+         {"basis": [[3.0, -0.0]], "i": 2}],
+        [{"i": i, "basis": _SPANNING if i in (jsonio._SLICE - 1, jsonio._SLICE)
+          else [[float(i), 0.5], [1.0, -0.0]]}
+         for i in range(jsonio._SLICE + 2)],
+        [{"basis": [[1.0, 0.0]], "i": 0}, {"basis": [], "i": 1},
+         {"basis": [[0.0, 1.0]], "i": 2}],
+        [{"a": [1.0, 2.0]}, {"a": [[1.0], [2.0]]}, {"a": [3.0]},
+         {"a": [[4.0, 5.0]]}],
+        [{"a": 1, "b": "x, y"}, {"a": "s\n", "b": True},
+         {"a": None, "b": 2.5}, {"a": False, "b": None}, {"a": -0.0, "b": ""}],
+        [[i / 7, "r"] for i in range(jsonio._SCALARS + 3)],
+        [{"basis": [[i / 3, -0.0, 1e-300]] * (jsonio._SCALARS // 2), "i": i}
+         for i in range(3)],
     ], ids=["non-finite", "bools-ints", "separator-in-string", "strings",
             "empty-containers", "empty-values", "nested", "scalar",
             "negative-zero", "matrix", "matrix-mixed", "matrix-empty-row",
@@ -922,7 +939,10 @@ class TestWriter:
             "records-separator-in-string-row", "records-one-list-shared",
             "records-shared-object", "records-shared-also-outside",
             "records-empty-and-nested-rows", "records-percent-and-separators",
-            "records-shared-across-slices"])
+            "records-shared-across-slices", "records-matrix-strings",
+            "records-matrix-spans-slices", "records-empty-basis-between",
+            "records-rows-and-matrices", "records-mixed-leaves",
+            "matrix-beyond-one-call", "records-matrices-beyond-one-call"])
     def test_edge_cases(self, obj):
         self._same_as_stdlib(obj)
 
