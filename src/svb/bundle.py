@@ -384,7 +384,9 @@ def apply_functor_to_bundle(f: LinearFunctor, b: SampledStratifiedBundle
     Of each run of bitwise-equal consecutive fibers of a stack
     (``_run_starts``) only the first is mapped, by ``_map_in_chunks``,
     and audited at the verdict tolerance; its image stands for the whole
-    run, so a trivial bundle's stratum is one map.  Raises
+    run.  A stack of distinct fibers is mapped as it is, not copied, and
+    a stratum that is one run, as a trivial bundle's is, holds its one
+    image stride-0, as ``trivial_bundle`` does.  Raises
     :class:`InvalidBundleError` when ``b`` fails validation, ValueError
     when F builds a space above ``MAX_DIM`` or an image fails its audit.
     """
@@ -392,13 +394,20 @@ def apply_functor_to_bundle(f: LinearFunctor, b: SampledStratifiedBundle
     validation = validate_bundle(b)
     if not validation.passed:
         raise InvalidBundleError(validation)
-    images, stacks = {}, {}
+    stacks = {}
     for name, stack in b.stacks.items():
         first = _run_starts(stack)
-        images[name] = _map_in_chunks(f, stack[first])
-        stacks[name] = images[name][np.cumsum(first) - 1]
-    if failing_fibers(images, TOL_CHECK):
-        raise ValueError("basis is not orthonormal within tolerance")
+        distinct = first.all()
+        image = _map_in_chunks(f, stack if distinct else stack[first])
+        if failing_fibers({name: image}, TOL_CHECK):
+            raise ValueError("basis is not orthonormal within tolerance")
+        if distinct:
+            stacks[name] = image
+        elif len(image) == 1:
+            stacks[name] = np.broadcast_to(image,
+                                           (len(stack), *image.shape[1:]))
+        else:
+            stacks[name] = image[np.cumsum(first) - 1]
     return SampledStratifiedBundle.from_stacks(
         b.base, ambient, stacks,
         {name: dim_map(f, r) for name, r in b.stratum_rank.items()},

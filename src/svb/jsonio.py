@@ -230,34 +230,25 @@ def _encoded(obj, newline: str) -> str:
 def _records(obj, keys, inner):
     """The text of each dict of ``obj``, all with exactly the sorted
     ``keys``, at indentation ``inner``, rendered ``_SLICE`` records at a
-    time, so that the caller holds one slice's text.  A slice whose
-    values are all scalars is one encoder call, split on its separator,
-    and one text.  In any other slice each column of scalars is one such
-    call, and a column of rows of scalars one by ``_items``.  In any
-    other column a value that is the same object as the previous one,
-    across slices too, reuses its text, so a run of shared bases is
-    formatted once: the first values of the slice's runs are written by
-    ``_rows`` when they are all lists of rows, else one by one by
-    ``_encode`` at the field's indentation.  Only the previous value is
-    held, so the memo does not grow with the number of distinct values.
+    time, so that the caller holds one slice's text.  In a slice each
+    column of scalars is one encoder call, split on its separator, and a
+    column of rows of scalars one by ``_items``.  In any other column a
+    value that is the same object as the previous one, across slices
+    too, reuses its text, so a run of shared bases is formatted once:
+    the first values of the slice's runs are written by ``_rows`` when
+    they are all lists of rows, else one by one by ``_encode`` at the
+    field's indentation.  Only the previous value is held, so the memo
+    does not grow with the number of distinct values.
     """
     field = inner + "  "
     entry = field + "  "
     names = [_encode_str(key).replace("%", "%%") + ": " for key in keys]
-    template = "{" + field + ("," + field).join(
-        name + "%s" for name in names) + inner + "}"
     previous = dict.fromkeys(keys, (object(), ""))  # (value, its text)
-    width = len(keys)
     for start in range(0, len(obj), _SLICE):
         records = obj[start:start + _SLICE]
-        values = [record[key] for record in records for key in keys]
-        if set(map(type, values)) <= _LEAF_TYPES:
-            yield ("," + inner).join([template] * len(records)) % tuple(
-                _leaves(values)[1:-1].split("\n"))
-            continue
         formats, columns = [], []
         for j, key in enumerate(keys):
-            column = values[j::width]
+            column = [record[key] for record in records]
             formats.append("%s")
             if set(map(type, column)) <= _LEAF_TYPES:
                 columns.append(_leaves(column)[1:-1].split("\n"))
@@ -278,10 +269,10 @@ def _records(obj, keys, inner):
             columns.append(texts[1:] if all(new) else list(
                 map(texts.__getitem__, accumulate(new))))
             previous[key] = column[-1], texts[-1]
-        mixed = "{" + field + ("," + field).join(
+        template = "{" + field + ("," + field).join(
             name + form for name, form in zip(names, formats)) + inner + "}"
         for values in zip(*columns):
-            yield mixed % values
+            yield template % values
 
 
 def _expect(obj, key, kinds, path):

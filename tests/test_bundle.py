@@ -671,6 +671,33 @@ class TestStratumStacks:
             assert out.stacks[name].shape == whole.shape
             assert out.stacks[name].tobytes() == whole.tobytes()
 
+    def test_one_run_image_is_held_once(self):
+        # A stratum of two or more points that is one run holds its one
+        # image stride-0.
+        out = apply_functor_to_bundle(parse_functor("sym:3"), _trivial_rank3())
+        runs = [stack for stack in out.stacks.values() if len(stack) > 1]
+        assert runs and all(stack.strides[0] == 0 for stack in runs)
+
+    def test_distinct_fibers_image_is_held_once(self):
+        # A stack of distinct fibers is mapped as it is: beside the map's
+        # own working memory, no copy of the stack and no gathered copy
+        # of its image.
+        import tracemalloc
+
+        b = _random_fiber_bundle(n=4000, ambient=6)
+        f = parse_functor("sum(id,const:1)")
+        peaks = []
+        for call in (lambda: _map_in_chunks(f, b.stacks["bulk"]),
+                     lambda: apply_functor_to_bundle(f, b)):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        image = 4000 * 3 * 7 * 8
+        assert peaks[1] < peaks[0] + image, peaks
+
     @pytest.mark.parametrize("make", BUNDLES.values(), ids=BUNDLES.keys())
     @pytest.mark.parametrize("f", FUNCTORS, ids=repr)
     def test_residuals_equal_per_fiber_check(self, make, f):
