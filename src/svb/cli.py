@@ -14,6 +14,14 @@ files, schema violations, bad flags or tolerance values) and when
 
 Reports are deterministic for fixed inputs and configuration; the
 timestamp is the only varying field and ``--no-timestamp`` drops it.
+
+An artifact, and a checking verb's report, is written to ``--out`` by
+``jsonio._written_in_place``: an existing file is overwritten in place
+and cut at the end of the new text, a symlink is written through, and a
+special file (``/dev/null``, a FIFO, a tty) is never cut.  A run killed
+mid-write leaves the new text's prefix followed by the old file's tail,
+where truncating at open would have left the prefix alone.  No
+``fsync`` is called.
 """
 
 from __future__ import annotations
@@ -432,8 +440,8 @@ def main(argv=None) -> int:
                 to_json = getattr(jsonio, f"{kind}_to_json")
                 jsonio.write_json(to_json(obj), args.out)
         elif args.out and not args.producing:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(rendered)
+            with jsonio._written_in_place(args.out) as write:
+                write(rendered)
             return code
     except OSError as exc:
         print(f"svb: error: {args.out}: cannot write: {exc.strerror}",

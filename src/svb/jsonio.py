@@ -14,8 +14,10 @@ a SchemaError at the reader's path in one place, ``_built``.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
+import os
 from itertools import accumulate, chain, compress
 from operator import is_not
 from typing import Any
@@ -76,9 +78,64 @@ def read_json(path: str) -> Any:
 
 
 def write_json(obj: Any, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        _encode(obj, fh.write, "\n")
-        fh.write("\n")
+    """Write ``dumps(obj)`` and a line break to ``path`` by
+    ``_written_in_place``: an existing file is overwritten in place and cut at
+    the end of the new text, a symlink is written through, and a special
+    file (``/dev/null``, a FIFO, a tty) is never cut.  When encoding
+    raises (NaN, a key that is not a string), the file holds the text
+    written up to that point and no old tail.  A process killed
+    mid-write leaves the new text's prefix followed by the old file's
+    tail, where truncating at open would have left the prefix alone.
+    No ``fsync`` is called."""
+    with _written_in_place(path) as write:
+        _encode(obj, write, "\n")
+        write("\n")
+
+
+_BUFFER = 1 << 16  # bytes held before the writer writes whole blocks
+
+
+@contextlib.contextmanager
+def _written_in_place(path: str):
+    """Yield a function that writes text to ``path`` as UTF-8, over
+    the existing file in place, not truncated at open.  The text is held
+    until it passes ``_BUFFER`` bytes; then the largest whole number of
+    the file's blocks (``st_blksize``) is written, so that no write
+    starts inside a block that must first be read.  On leaving, on an
+    exception too, the rest is written, and the file is cut to the
+    bytes written if it was longer at open.  Only the size read at open
+    cuts, so a special file, whose size reads 0, is never cut."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        stat = os.fstat(fd)
+        block = max(stat.st_blksize, 1)
+        held = bytearray()
+
+        def write(text: str) -> None:
+            held.extend(text.encode())
+            if len(held) >= _BUFFER:
+                whole = len(held) - len(held) % block
+                _write_all(fd, held, whole)
+                del held[:whole]
+
+        try:
+            yield write
+        finally:
+            _write_all(fd, held, len(held))
+            if stat.st_size and \
+                    (end := os.lseek(fd, 0, os.SEEK_CUR)) < stat.st_size:
+                os.ftruncate(fd, end)
+    finally:
+        os.close(fd)
+
+
+def _write_all(fd: int, data: bytearray, size: int) -> None:
+    """Write the first ``size`` bytes of ``data``, looping on short
+    writes."""
+    with memoryview(data) as view:
+        done = 0
+        while done < size:
+            done += os.write(fd, view[done:size])
 
 
 def dumps(obj: Any) -> str:

@@ -31,7 +31,8 @@ def test_sides_alternate_from_seed_to_seed(snapshot):
 
 def test_pair_seeds_are_fixed(snapshot):
     assert set(snapshot.PAIR_SEEDS) == set(snapshot.WORKLOADS)
-    assert len(snapshot.PAIR_SEEDS["orbits"]) == 10
+    assert all(len(snapshot.PAIR_SEEDS[w]) == 10
+               for w in ("cloud", "fibers", "orbits"))
     assert all(len(seeds) >= 5 for seeds in snapshot.PAIR_SEEDS.values())
 
 

@@ -225,17 +225,24 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith(f"svb: error: {tmp_path}: cannot read: ")
 
-    @pytest.mark.parametrize("argv", [
-        ["check", "frontier", "--stratification", fx("line.json")],
-        ["apply-functor", "--functor", "id", "--bundle", fx("trivial3.json")],
-    ], ids=["report", "artifact"])
-    def test_unwritable_out_is_one(self, capsys, tmp_path, argv):
-        out = tmp_path / "missing" / "r.json"
+    REPORT = ["check", "frontier", "--stratification", fx("line.json")]
+    ARTIFACT = ["apply-functor", "--functor", "id", "--bundle",
+                fx("trivial3.json")]
+
+    @pytest.mark.parametrize("argv, where, error", [
+        (REPORT, "missing/r.json", "No such file or directory"),
+        (ARTIFACT, "missing/r.json", "No such file or directory"),
+        (REPORT, ".", "Is a directory"),
+        (ARTIFACT, ".", "Is a directory"),
+    ], ids=["report", "artifact", "report-directory", "artifact-directory"])
+    def test_unwritable_out_is_one(self, capsys, tmp_path, argv, where,
+                                   error):
+        out = tmp_path / where
         code = main(argv + ["--out", str(out)])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err.startswith(f"svb: error: {out}: cannot write: ")
+        assert captured.err == f"svb: error: {out}: cannot write: {error}\n"
 
     @pytest.mark.parametrize("bad", [1, True, None, ["S+"]],
                              ids=["int", "bool", "null", "list"])
@@ -853,6 +860,46 @@ class TestCheckingReportOut:
                        "overall: FAIL\n")
 
 
+class TestOutFile:
+    """``--out`` is overwritten in place: cut at the end of the new text,
+    written through a symlink, never cut when it is a special file."""
+
+    PRODUCING = ["apply-functor", "--functor", "wedge:2", "--bundle",
+                 fx("trivial3.json")]
+    CHECKING = ["check", "frontier", "--stratification", fx("line.json"),
+                "--no-timestamp"]
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull),
+                        reason=f"no {os.devnull}")
+    @pytest.mark.parametrize("argv", [PRODUCING, CHECKING],
+                             ids=["producing", "checking"])
+    def test_dev_null(self, capsys, argv):
+        code, out = run(capsys, *argv, "--out", os.devnull)
+        assert code == 0
+        assert (out != "") == (argv is self.PRODUCING)
+
+    @pytest.mark.parametrize("argv", [PRODUCING, CHECKING],
+                             ids=["producing", "checking"])
+    def test_symlink_is_written_through(self, capsys, tmp_path, argv):
+        plain = tmp_path / "plain.json"
+        assert run(capsys, *argv, "--out", str(plain))[0] == 0
+        target = tmp_path / "target.json"
+        target.write_text("x" * 100_000)
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        assert run(capsys, *argv, "--out", str(link))[0] == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == plain.read_bytes()
+
+    def test_report_over_a_longer_file_has_no_old_tail(self, capsys,
+                                                       tmp_path):
+        code, want = run(capsys, *self.CHECKING)
+        out = tmp_path / "report.json"
+        out.write_text("x" * 100_000)
+        assert run(capsys, *self.CHECKING, "--out", str(out)) == (code, "")
+        assert out.read_text(encoding="utf-8") == want
+
+
 class TestVerbs:
     def test_frontier_pass(self, capsys):
         code, out = run(capsys, "check", "frontier",
@@ -933,27 +980,37 @@ class TestVerbs:
             assert checks["validate-input"]["problems"] == \
                 ["stratum 'S0' declares rank 2, its fibers have rank 3"]
 
-    @pytest.mark.parametrize("argv", [
-        ["apply-functor", "--functor", "sym:2", "--bundle", "BAD_RANK"],
-        ["equivariant", "tilde", "--group", fx("sign_flip_group.json"),
-         "--bundle", fx("trivial3.json")],
-        ["foliation", "stratify", "--fields", fx("fields_plane_axes.json"),
-         "--r-cc", "0.05", "--eps-touch", "0.5", "--delta-cover", "0.5"],
-    ], ids=["apply-functor", "equivariant-tilde", "foliation-stratify"])
+    @pytest.mark.parametrize("argv, before", [
+        (["apply-functor", "--functor", "sym:2", "--bundle", "BAD_RANK"],
+         None),
+        (["equivariant", "tilde", "--group", fx("sign_flip_group.json"),
+          "--bundle", fx("trivial3.json")], None),
+        (["foliation", "stratify", "--fields", fx("fields_plane_axes.json"),
+          "--r-cc", "0.05", "--eps-touch", "0.5", "--delta-cover", "0.5"],
+         None),
+        (["apply-functor", "--functor", "sym:2", "--bundle", "BAD_RANK"],
+         b"an older artifact\n"),
+    ], ids=["apply-functor", "equivariant-tilde", "foliation-stratify",
+            "apply-functor-over-a-file"])
     def test_failed_producing_verb_reports_to_stdout(self, capsys, tmp_path,
-                                                     argv):
+                                                     argv, before):
         obj = read_json(fx("trivial3.json"))
         obj["ranks"]["S0"] = 2
         bad_rank = tmp_path / "in.json"
         bad_rank.write_text(json.dumps(obj))
         argv = [str(bad_rank) if a == "BAD_RANK" else a for a in argv]
         out_path = tmp_path / "artifact.json"
+        if before is not None:
+            out_path.write_bytes(before)
         code, out = run(capsys, *argv, "--out", str(out_path))
         report = json.loads(out)
         assert code == 2
         assert report["overall"] == "FAIL"
         assert "artifacts" not in report
-        assert not out_path.exists()
+        if before is None:
+            assert not out_path.exists()
+        else:
+            assert out_path.read_bytes() == before
 
     @pytest.mark.parametrize("argv, check", [
         (["apply-functor", "--functor", "wedge:2", "--bundle",

@@ -1046,10 +1046,76 @@ class TestWriter:
         for path in tmp_path.glob("*.json"):
             check(path.read_text(encoding="utf-8"), path.name)
 
-    def test_write_json_is_dumps_plus_newline(self, tmp_path):
-        obj = bundle_to_json(cone_bundle("fail", depth=6))
+    @staticmethod
+    def _document(kind):
+        if kind == "cone":
+            return bundle_to_json(cone_bundle("fail", depth=6))
+        # Several times the text that the writer holds before it writes,
+        # passed to it one record at a time.
+        rows = np.random.default_rng(0).normal(size=(4000, 4)).tolist()
+        return {"schema": SCHEMA, "records": [
+            {"index": k, "row": row} for k, row in enumerate(rows)]}
+
+    @pytest.mark.parametrize("kind, before", [
+        ("cone", None), ("cone", "x" * 100_000), ("cone", "x" * 10),
+        ("cone", "same length"), ("large", "x" * 100_000)],
+        ids=["absent", "longer", "shorter", "same-length", "several-buffers"])
+    def test_write_json_is_dumps_plus_newline(self, tmp_path, kind, before):
+        obj = self._document(kind)
+        text = dumps(obj) + "\n"
         path = tmp_path / "b.json"
+        if before is not None:
+            path.write_text("x" * len(text) if before == "same length"
+                            else before)
         write_json(obj, str(path))
+        assert path.read_text() == text
+
+    def test_raise_mid_write_leaves_no_old_tail(self, tmp_path):
+        """A NaN in a late record raises after whole blocks have been
+        written over a longer file: the file holds what truncating at
+        open and writing through a text file leaves."""
+        records = [{"index": k, "value": k / 7} for k in range(6000)]
+        records[-3]["value"] = float("nan")
+        obj = {"records": records, "schema": SCHEMA}
+        reference = tmp_path / "reference.json"
+        with pytest.raises(ValueError, match="not JSON compliant"), \
+                open(reference, "w", encoding="utf-8") as fh:
+            jsonio._encode(obj, fh.write, "\n")
+            fh.write("\n")
+        path = tmp_path / "b.json"
+        path.write_text("x" * 500_000)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_json(obj, str(path))
+        assert jsonio._BUFFER < reference.stat().st_size < 500_000
+        assert path.read_bytes() == reference.read_bytes()
+
+    def test_writes_cover_whole_blocks(self, tmp_path, monkeypatch):
+        """Each write starts on a block boundary of the file, and each
+        but the last covers whole blocks."""
+        obj, path = self._document("large"), tmp_path / "b.json"
+        path.write_text("x" * 100_000)
+        block = os.stat(path).st_blksize
+        real_write, writes = os.write, []
+
+        def write(fd, data):
+            writes.append((os.lseek(fd, 0, os.SEEK_CUR), len(data)))
+            return real_write(fd, data)
+
+        monkeypatch.setattr(jsonio.os, "write", write)
+        write_json(obj, str(path))
+        monkeypatch.undo()
+        assert path.read_text() == dumps(obj) + "\n"
+        assert len(writes) > 3
+        assert all(start % block == 0 for start, _ in writes)
+        assert all(size % block == 0 for _, size in writes[:-1])
+
+    def test_short_writes_are_carried_on(self, tmp_path, monkeypatch):
+        obj, path = self._document("large"), tmp_path / "b.json"
+        real_write = os.write
+        monkeypatch.setattr(jsonio.os, "write",
+                            lambda fd, data: real_write(fd, data[:1000]))
+        write_json(obj, str(path))
+        monkeypatch.undo()
         assert path.read_text() == dumps(obj) + "\n"
 
 
