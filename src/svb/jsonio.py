@@ -79,11 +79,11 @@ def read_json(path: str) -> Any:
 
 def write_json(obj: Any, path: str) -> None:
     """Write ``dumps(obj)`` and a line break to ``path`` by
-    ``_written_in_place``: an existing file is overwritten in place and cut at
-    the end of the new text, a symlink is written through, and a special
-    file (``/dev/null``, a FIFO, a tty) is never cut.  When encoding
-    raises (NaN, a key that is not a string), the file holds the text
-    written up to that point and no old tail.  A process killed
+    ``_written_in_place``: an existing file is overwritten in place and
+    cut at the end of the new text, a symlink is written through, and a
+    special file (``/dev/null``, a FIFO, a tty) is never cut.  When
+    encoding raises (NaN, a key that is not a string), the file holds
+    the text written up to that point and no old tail.  A process killed
     mid-write leaves the new text's prefix followed by the old file's
     tail, where truncating at open would have left the prefix alone.
     No ``fsync`` is called."""
@@ -92,19 +92,20 @@ def write_json(obj: Any, path: str) -> None:
         write("\n")
 
 
-_BUFFER = 1 << 16  # bytes held before the writer writes whole blocks
+_BUFFER = 1 << 16  # held bytes that start a write of whole blocks
 
 
 @contextlib.contextmanager
 def _written_in_place(path: str):
     """Yield a function that writes text to ``path`` as UTF-8, over
-    the existing file in place, not truncated at open.  The text is held
-    until it passes ``_BUFFER`` bytes; then the largest whole number of
-    the file's blocks (``st_blksize``) is written, so that no write
-    starts inside a block that must first be read.  On leaving, on an
-    exception too, the rest is written, and the file is cut to the
-    bytes written if it was longer at open.  Only the size read at open
-    cuts, so a special file, whose size reads 0, is never cut."""
+    the existing file in place, not truncated at open.  The text is
+    encoded ``_BUFFER`` characters at a time and held until it passes
+    ``_BUFFER`` bytes; then the largest whole number of the file's
+    blocks (``st_blksize``) is written, so that no write starts inside
+    a block that must first be read.  On leaving, on an exception too,
+    the rest is written, and the file is cut to the bytes written if it
+    was longer at open.  Only the size read at open cuts, so a special
+    file, whose size reads 0, is never cut."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
         stat = os.fstat(fd)
@@ -112,11 +113,13 @@ def _written_in_place(path: str):
         held = bytearray()
 
         def write(text: str) -> None:
-            held.extend(text.encode())
-            if len(held) >= _BUFFER:
-                whole = len(held) - len(held) % block
-                _write_all(fd, held, whole)
-                del held[:whole]
+            # A slice at a time, so that a long text is never held twice.
+            for start in range(0, len(text), _BUFFER):
+                held.extend(text[start:start + _BUFFER].encode())
+                if len(held) >= _BUFFER:
+                    whole = len(held) - len(held) % block
+                    _write_all(fd, held, whole)
+                    del held[:whole]
 
         try:
             yield write

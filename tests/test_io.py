@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -1108,6 +1109,20 @@ class TestWriter:
         assert len(writes) > 3
         assert all(start % block == 0 for start, _ in writes)
         assert all(size % block == 0 for _, size in writes[:-1])
+
+    def test_long_text_is_not_held_whole(self, tmp_path):
+        text = "[" + "0.1234567, " * 250_000 + "0]\n"  # 2.75 MB
+        path = tmp_path / "b.json"
+        path.write_text("x" * 3_000_000)
+        tracemalloc.start()
+        try:
+            with jsonio._written_in_place(str(path)) as write:
+                write(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_text() == text
+        assert peak < len(text) / 4
 
     def test_short_writes_are_carried_on(self, tmp_path, monkeypatch):
         obj, path = self._document("large"), tmp_path / "b.json"
