@@ -113,13 +113,15 @@ def _written_in_place(path: str):
         held = bytearray()
 
         def write(text: str) -> None:
-            # A slice at a time, so that a long text is never held twice.
-            for start in range(0, len(text), _BUFFER):
-                held.extend(text[start:start + _BUFFER].encode())
-                if len(held) >= _BUFFER:
-                    whole = len(held) - len(held) % block
-                    _write_all(fd, held, whole)
-                    del held[:whole]
+            if len(text) > _BUFFER:  # so that it is never held twice
+                for start in range(0, len(text), _BUFFER):
+                    write(text[start:start + _BUFFER])
+                return
+            held.extend(text.encode())
+            if len(held) >= _BUFFER:
+                whole = len(held) - len(held) % block
+                _write_all(fd, held, whole)
+                del held[:whole]
 
         try:
             yield write
