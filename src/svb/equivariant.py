@@ -60,10 +60,10 @@ from .strata import (
     LabelPartition,
     Stratification,
     Stratum,
-    _bounded_samples,
     _inverse,
     _lengths,
     _nearest_within,
+    _samples,
     near_pairs,
     partition_by_label,
 )
@@ -195,7 +195,7 @@ def stabilizer(g: FiniteGroupAction, x, tol: float = TOL_CHECK
     """Indices of the elements fixing x, verified subgroup-closed: the
     one-point case of the stabilizer table."""
     _check_positive("tol", tol)
-    classes, _ = _stabilizer_table(g, _bounded_samples([x], g.n), tol)
+    classes, _ = _stabilizer_table(g, _samples([x], g.n), tol)
     return classes[0]
 
 
@@ -277,10 +277,10 @@ def orbit_type_partition(g: FiniteGroupAction, points, r_cc: float = R_CC,
     containment heuristic (a stratum with a strictly larger stabilizer
     class lies below one whose class embeds into it, when their clouds
     come within ``r_cc``); audit it with ``check_frontier``.  Points go
-    through ``strata._bounded_samples`` in R^n, as x does in ``stabilizer``.
+    through ``strata._samples`` in R^n, as x does in ``stabilizer``.
     """
     _check_positive("tol", tol)
-    pts = _bounded_samples(points, g.n)
+    pts = _samples(points, g.n)
     return _partition_by_stabilizer(g, pts, *_stabilizer_table(g, pts, tol),
                                     r_cc)
 

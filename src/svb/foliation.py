@@ -8,8 +8,10 @@ global sections, which is what makes its Whitney A checks succeed.
 Leaves are never integrated; only the tangent data is built.  A
 polynomial map is a term table, read by ``parse_terms`` and evaluated
 over a stack of points by ``evaluate_terms``; polynomial monoid actions
-use the same two, and the sample-set rule ``strata._samples`` (a positive
-ambient dimension, and at least one sample of that width), checked first.
+use the same two.  Sample points, of a field set and the point of
+``distribution_at`` alike, go through the sample-set rule
+``strata._samples`` first: a positive ambient dimension, at least one
+sample of that width, and every coordinate finite and within ±2^500.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import numpy as np
 
 from .bundle import SampledStratifiedBundle
 from .config import R_CC, TOL_RANK
-from .grassmann import Subspace, _float_rows, _integer, _span_rank
-from .strata import (Stratification, _bounded_samples, estimate_cloud_dim,
+from .grassmann import Subspace, _integer, _span_rank
+from .strata import (Stratification, _samples, estimate_cloud_dim,
                      partition_by_label)
 
 __all__ = [
@@ -110,8 +112,8 @@ class VectorFieldSet:
 
     def __init__(self, ambient_dim: int,
                  fields: Sequence[PolynomialVectorField], sample_points):
-        self.sample_points = _bounded_samples(sample_points, ambient_dim)
-        self.ambient_dim = self.sample_points.shape[1]
+        self.ambient_dim = _integer("ambient_dim", ambient_dim, 1)
+        self.sample_points = _samples(sample_points, self.ambient_dim)
         self.fields = fields = list(fields)
         if not fields:
             raise ValueError("need at least one vector field")
@@ -127,10 +129,9 @@ class VectorFieldSet:
 
 def _distribution_rows(vfs: VectorFieldSet, points, tol_rank: float):
     """``vh, ranks``: ``vh[i, :ranks[i]]`` spans the fields at
-    ``points[i]``, from one SVD stack of the field values under the rank
-    rule of ``span``.  ValueError at the first point, then field, whose
-    value is not finite."""
-    points = _float_rows(points)
+    ``points[i]``, the rows ``_samples`` gave, from one SVD stack of the
+    field values under the rank rule of ``span``.  ValueError at the
+    first point, then field, whose value is not finite."""
     values = vfs.evaluate(points)
     bad = np.argwhere(~np.isfinite(values).all(axis=2))
     if bad.size:
@@ -144,7 +145,8 @@ def _distribution_rows(vfs: VectorFieldSet, points, tol_rank: float):
 def distribution_at(vfs: VectorFieldSet, x,
                     tol_rank: float = TOL_RANK) -> Subspace:
     """Span of the generating fields at x."""
-    vh, (rank,) = _distribution_rows(vfs, [x], tol_rank)
+    vh, (rank,) = _distribution_rows(
+        vfs, _samples([x], vfs.ambient_dim), tol_rank)
     return Subspace(vfs.ambient_dim, vh[0, :rank])
 
 

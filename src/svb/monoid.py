@@ -17,8 +17,9 @@ phi over its samples, spanned by one SVD stack per cluster size.
 A table maps an array of points row by row, with one time per row.  So
 an audit stacks the (time, point) rows of many maps into one call, bit
 for bit as one call per time and point would give.  The samples are
-checked first, by the sample-set rule of vector-field sets
-(``strata._samples``).
+checked first, by the sample-set rule ``strata._samples`` that
+vector-field sets share: at least one sample of the declared width,
+every coordinate finite and within ±2^500.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ import numpy as np
 from .bundle import SampledStratifiedBundle, _gather_stacks
 from .config import CLUSTER_RADIUS, TOL_CHECK, TOL_RANK
 from .foliation import evaluate_terms, parse_terms
-from .grassmann import _check_positive, _distinct, _runs, _span_rank
+from .grassmann import (_check_positive, _distinct, _integer, _runs,
+                        _span_rank)
 from .strata import Stratification, _nearest_within, _samples
 
 # Evaluations and residuals may overflow; the non-finite checks below
@@ -70,8 +72,8 @@ class MonoidActionSample:
 
     def __init__(self, ambient_dim: int, descriptor: dict,
                  sample_points, t_grid: Sequence[float]):
-        self.sample_points = _samples(sample_points, ambient_dim)
-        self.ambient_dim = m = self.sample_points.shape[1]
+        self.ambient_dim = m = _integer("ambient_dim", ambient_dim, 1)
+        self.sample_points = _samples(sample_points, m)
         self.descriptor = dict(descriptor)
         kind = self.descriptor.get("kind")
         if kind == "builtin":
@@ -128,19 +130,14 @@ class MonoidActionSample:
 
     def _blocks(self, times, rows: np.ndarray) -> np.ndarray:
         """h_{times[j]} of block j of the (b, n, m) array ``rows``, for
-        every j in one evaluator call."""
-        return self._evaluator(np.asarray(times, dtype=float)[:, None, None],
-                               rows)
-
-    def _evaluator(self, t: np.ndarray, e: np.ndarray) -> np.ndarray:
-        """The images of the points e, shape (..., m), at the times t,
-        shape (..., 1), which broadcast against the leading axes of e:
-        one time per row, so a block of rows may share a time."""
+        every j in one call of the term table: each row is read with its
+        block's time as the variable t."""
         m = self.ambient_dim
-        rows = np.concatenate(
-            [np.broadcast_to(t, (*e.shape[:-1], 1)), e], axis=-1)
-        return evaluate_terms(self._terms, rows.reshape(-1, m + 1),
-                              m).reshape(e.shape)
+        t = np.asarray(times, dtype=float)[:, None, None]
+        stacked = np.concatenate(
+            [np.broadcast_to(t, (*rows.shape[:-1], 1)), rows], axis=-1)
+        return evaluate_terms(self._terms, stacked.reshape(-1, m + 1),
+                              m).reshape(rows.shape)
 
 
 def _first_non_finite(blocks: np.ndarray) -> int:

@@ -273,6 +273,12 @@ def near_pairs(a: np.ndarray, b: np.ndarray, r: float):
     and finite, and ``r`` not NaN: else ValueError.  No pair is within a
     negative ``r``.
 
+    It is a join, not the intake of a sample set, so it keeps its own
+    contract rather than ``_samples``: ``equivariant`` queries it with
+    the images of a cloud under orthogonal elements, which stay finite
+    but may lie a little past ±``MAX_COORD`` when the cloud reaches it,
+    so it allows empty clouds and refuses only non-finite points.
+
     The pairs come from a ``_Grid`` over ``b`` whose box also holds
     ``a``, so a point of ``a`` outside ``b``'s own box still has its
     cell keys in range and its pairs exact.  A self-join (``a is b``)
@@ -430,38 +436,27 @@ def single_linkage_components(points: np.ndarray,
     (single linkage).  Components come out sorted by their smallest
     member index, members sorted ascending."""
     _check_positive("radius", radius)
-    pts = _cloud(points)
+    pts = _samples(points)
     return graph_components(len(pts), ((i, j) for i, j, _
                                        in near_pairs(pts, pts, radius)))
 
 
-def _cloud(points) -> np.ndarray:
-    """``points`` as a float array of rows, once every coordinate is
-    finite and within ±``MAX_COORD``."""
+def _samples(points, ambient_dim: Optional[int] = None) -> np.ndarray:
+    """``points`` as a float array of rows: the one rule for a set of
+    sample points.  In order: rows by ``_float_rows``; a width equal to
+    ``ambient_dim`` when it is given (a positive integer), else at least
+    one coordinate; at least one row; and every coordinate finite and
+    within ±``MAX_COORD``, by one ``_first_far`` pass.  ``Stratum``,
+    ``near_pairs`` and the evaluators keep their own contracts."""
+    if ambient_dim is not None:
+        ambient_dim = _integer("ambient_dim", ambient_dim, 1)
     pts = _float_rows(points)
-    if _first_far(pts) >= 0:
-        raise ValueError("sample points must be finite and within ±2^500")
+    if ambient_dim is not None and pts.shape[1] != ambient_dim:
+        raise ValueError("sample points have the wrong ambient dimension")
     if not pts.shape[1]:
         raise ValueError("sample points need at least one coordinate")
-    return pts
-
-
-def _samples(points, ambient_dim: int) -> np.ndarray:
-    """``points`` as a float array of at least one row in R^ambient_dim,
-    once ``ambient_dim`` is positive: the sample set of a vector-field
-    set or of a monoid action."""
-    ambient_dim = _integer("ambient_dim", ambient_dim, 1)
-    pts = _float_rows(points)
-    if pts.shape[1] != ambient_dim:
-        raise ValueError("sample points have the wrong ambient dimension")
-    if pts.shape[0] == 0:
+    if not pts.shape[0]:
         raise ValueError("need at least one sample point")
-    return pts
-
-
-def _bounded_samples(points, ambient_dim: int) -> np.ndarray:
-    """``_samples``, each coordinate finite and within ±``MAX_COORD``."""
-    pts = _samples(points, ambient_dim)
     if (far := _first_far(pts)) >= 0:
         raise ValueError(f"sample point {far} has a coordinate that is "
                          "not finite or beyond ±2^500")
@@ -524,12 +519,12 @@ def partition_by_label(points, labels: Sequence[Hashable],
     point ``members[s][i]``, each stratum's members ascending.
     """
     _check_positive("r_cc", r_cc)
-    pts = _cloud(points)
+    pts = _samples(points)
     labels = tuple(labels)
     code = {label: c for c, (_, label) in enumerate(classes)}
     coded = np.array([code[lab] for lab in labels], dtype=np.intp)
     key = coded
-    if within is not None and len(key):
+    if within is not None:
         within = np.asarray(within, dtype=np.intp)
         key = coded * (int(within.max()) + 1) + within
     cross = []  # cross-key pairs, kept until their components are known
@@ -578,7 +573,7 @@ def estimate_cloud_dim(points: np.ndarray, tol_rank: float = TOL_RANK) -> int:
     """Affine dimension of a cloud from the singular values of the
     centered sample matrix.  Adequate for the near-affine strata used in
     fixtures; curved strata would need local estimates."""
-    pts = _float_rows(points)
+    pts = _samples(points)
     if pts.shape[0] == 1:
         return 0
     centered = pts - pts.mean(axis=0)

@@ -167,3 +167,22 @@ def test_kernels_alternate_round_by_round(snapshot, monkeypatch):
     b = out["b"]
     assert (b["wins"], b["ratio"], b["resolved"]) == (0, 1.5, True)
     json.dumps(out, allow_nan=False)
+
+
+def test_kernel_minimum_is_summarized(snapshot, monkeypatch):
+    # The medians tie, pair by pair; the minimums win every pair.
+    def run(checkout, name):
+        return {"median_s": 1.0, "min_s": 0.5 if checkout == "new" else 0.8,
+                "repeats": 5, "size": {"kernel": name}}
+
+    monkeypatch.setattr(snapshot, "KERNELS", ("a",))
+    monkeypatch.setattr(snapshot, "KERNEL_ROUNDS", 5)
+    a = snapshot.compare_kernels("old", "new", run=run)["a"]
+    assert a["parent"]["median"] == a["change"]["median"] == 1.0
+    assert (a["wins"], a["resolved"]) == (0, False)
+    low = a["min_s"]
+    assert low["parent"] == {"median": 0.8, "iqr": 0.0}
+    assert low["change"] == {"median": 0.5, "iqr": 0.0}
+    assert (low["wins"], low["pairs"], low["better"]) == (5, 5, "lower")
+    assert low["ratio"] == 0.5 / 0.8 and low["resolved"]
+    assert low["bound"] is None and low["beyond_bound"] is None

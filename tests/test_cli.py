@@ -542,6 +542,21 @@ class TestNonFiniteInput:
         assert captured.err == ("svb: error: $: stratum 'a' has a sample "
                                 "coordinate beyond ±2^500\n")
 
+    def test_action_sample_beyond_the_bound_is_one(self, capsys, tmp_path):
+        # h_t(e) = t e is finite on 2^501, but the sample is refused.
+        path = tmp_path / "action.json"
+        path.write_text(json.dumps({
+            "schema": "svb/1", "ambient": 1, "kind": "builtin",
+            "name": "scalar", "samples": [[0.0], [2.0 ** 501]],
+            "t_grid": [0.0, 1.0]}))
+        code = main(["monoid", "analyze", "--action", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == ("svb: error: $: sample point 1 has a "
+                                "coordinate that is not finite or beyond "
+                                "±2^500\n")
+
     def test_wide_cloud_within_the_bound_fails(self, capsys, tmp_path):
         code, out = run(capsys, "check", "frontier", "--stratification",
                         self.three_points(tmp_path, 1e150),
@@ -582,14 +597,17 @@ class TestNonFiniteInput:
         "action": {"schema": "svb/1", "ambient": 1, "kind": "polynomial",
                    "samples": [[10.0]], "t_grid": [-1.0, 0.0, 1.0, 2.0],
                    "coeffs": [[{"powers": [0, 400], "coef": 1.0}]]},
+        # h_s(e) = s e is 1e308 at s = 1e300, and h_2 of it overflows.
         "builtin": {"schema": "svb/1", "ambient": 1, "kind": "builtin",
-                    "name": "scalar", "samples": [[1e308]],
-                    "t_grid": [-1.0, 0.0, 1.0, 2.0]},
-        # Finite values throughout, but a norm squares 1e300.
-        "norm": {"schema": "svb/1", "ambient": 2, "kind": "builtin",
-                 "name": "scalar",
-                 "samples": [[1.0, 0.0], [1e300, 1e300], [3.0, 4.0]],
-                 "t_grid": [-1.0, -0.5, 0.0, 0.5, 1.0, 2.0]},
+                    "name": "scalar", "samples": [[1e8]],
+                    "t_grid": [-1.0, 0.0, 1.0, 2.0, 1e300]},
+        # h_t(e) = 1e10 t e: finite values throughout, but at sample 1 a
+        # norm squares about 1e160.
+        "norm": {"schema": "svb/1", "ambient": 2, "kind": "polynomial",
+                 "samples": [[1.0, 0.0], [1e150, 1e150], [3.0, 4.0]],
+                 "t_grid": [-1.0, -0.5, 0.0, 0.5, 1.0, 2.0],
+                 "coeffs": [[{"powers": [1, 1, 0], "coef": 1e10}],
+                            [{"powers": [1, 0, 1], "coef": 1e10}]]},
         # h_t(e) = e + (t - t^2)(1e308 + 1e308) is e at t = 0 and 1, so
         # the axioms hold, but phi = 1e308 + 1e308 overflows.
         "derivative": {"schema": "svb/1", "ambient": 1, "kind": "polynomial",

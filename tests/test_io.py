@@ -544,7 +544,7 @@ class TestOneParseReader:
 
 class TestCoordinateBound:
     """Files with a sample coordinate beyond ±2^500 are refused by every
-    reader that builds a stratification or a field set."""
+    reader that builds a stratification, a field set or an action."""
 
     EDGE = 2.0 ** 500
     BEYOND = float(np.nextafter(2.0 ** 500, np.inf))
@@ -594,6 +594,20 @@ class TestCoordinateBound:
                 "$: sample point 1 has a coordinate that is not finite or "
                 "beyond ±2^500")):
             fields_from_json(fields(-self.BEYOND))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_action_samples(self, sign):
+        def action(x):
+            return {"schema": SCHEMA, "ambient": 1, "kind": "builtin",
+                    "name": "scalar", "samples": [[0.0], [x]],
+                    "t_grid": [0.0, 1.0]}
+
+        assert action_from_json(action(sign * self.EDGE)).sample_points[
+            1, 0] == sign * self.EDGE
+        with pytest.raises(SchemaError, match=re.escape(
+                "$: sample point 1 has a coordinate that is not finite or "
+                "beyond ±2^500")):
+            action_from_json(action(sign * self.BEYOND))
 
 
 def _bundle_outcome(obj):

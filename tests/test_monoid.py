@@ -596,9 +596,10 @@ class TestStacksMatchPoints:
         assert len(calls) == 1
 
 
-def _row_times(t, e):
-    """The time of each row of an evaluator call, in row order."""
-    return np.broadcast_to(t, (*e.shape[:-1], 1)).ravel()
+def _row_times(times, rows):
+    """The time of each row of a ``_blocks`` call, as a (b, n) array."""
+    return np.broadcast_to(np.asarray(times, dtype=float)[:, None],
+                           rows.shape[:-1])
 
 
 def test_one_stack_evaluation_per_map(monkeypatch):
@@ -606,9 +607,9 @@ def test_one_stack_evaluation_per_map(monkeypatch):
     # per outer time t the maps h_t of those rows and h_ts.
     a = action("scalar", R2_SAMPLES)
     calls = []
-    original = a._evaluator
-    monkeypatch.setattr(a, "_evaluator", lambda t, e: calls.append(
-        _row_times(t, e).copy()) or original(t, e))
+    original = a._blocks
+    monkeypatch.setattr(a, "_blocks", lambda times, rows: calls.append(
+        _row_times(times, rows).ravel()) or original(times, rows))
     audit_axioms(a)
     grid, n = np.array(a.t_grid), len(R2_SAMPLES)
     assert len(calls) == 2 + 2 * len(grid)
@@ -685,23 +686,23 @@ class TestBatchedAuditMatchesParent:
 
 def _poisoned(poison, grid=(-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)):
     """Scalar multiplication of the point 3 on the line, except that the
-    evaluator returns NaN at each (time, input) pair of ``poison``.  The
+    ``_blocks`` returns NaN at each (time, input) pair of ``poison``.  The
     input 3 s is h_s(3), so (t, 3 s) poisons h_t h_s, and (tau, 3)
     poisons h_tau wherever it is read: as h_s if tau is in the grid, or
     else as h_ts."""
     a = MonoidActionSample.builtin("scalar", 1, [[3.0]], t_grid=grid)
-    original = a._evaluator
+    original = a._blocks
     calls = []
 
-    def evaluator(t, e):
-        times = _row_times(t, e).reshape(e.shape[:-1])
-        calls.append(times)
-        out = original(t, e)
+    def blocks(times, rows):
+        row_times = _row_times(times, rows)
+        calls.append(row_times)
+        out = original(times, rows)
         for time, value in poison:
-            out[(times == time) & (e[..., 0] == value)] = np.nan
+            out[(row_times == time) & (rows[..., 0] == value)] = np.nan
         return out
 
-    a._evaluator = evaluator
+    a._blocks = blocks
     return a, calls
 
 
@@ -849,10 +850,18 @@ class TestNonFiniteResiduals:
         with pytest.raises(ValueError, match=re.escape(
                 "non-finite residual at sample 1: a norm overflows")):
             audit_axioms(a)
-        # phi = e is finite, and |phi| overflows at sample 1.
-        big = action("scalar", np.array([[0.0, 1.0], [1e300, 1e300]]))
+        # A sample of 1e300 is refused; within the bound, phi = 1e10 e is
+        # finite, and |phi| overflows at sample 1.
+        with pytest.raises(ValueError, match=re.escape(
+                "sample point 1 has a coordinate that is not finite or "
+                "beyond ±2^500")):
+            action("scalar", np.array([[0.0, 1.0], [1e300, 1e300]]))
+        big = MonoidActionSample.polynomial(
+            [[{"powers": [1, 1, 0], "coef": 1e10}],
+             [{"powers": [1, 0, 1], "coef": 1e10}]], 2,
+            [[0.0, 1.0], [1e150, 1e150]])
         assert np.array_equal(vertical_derivative(big, big.sample_points),
-                              big.sample_points)
+                              1e10 * big.sample_points)
         with pytest.raises(ValueError, match=re.escape(
                 "non-finite residual at sample 1: a norm overflows")):
             regularity_check(big)

@@ -248,7 +248,8 @@ class TestCoordinateBound:
                            dim=lambda label, cloud: 0,
                            below=lambda low, high: False, r_cc=0.5)
         far = np.array([[0.0], [sign * BEYOND]])
-        message = r"^sample points must be finite and within ±2\^500$"
+        message = (r"^sample point 1 has a coordinate that is not finite "
+                   r"or beyond ±2\^500$")
         with pytest.raises(ValueError, match=message):
             single_linkage_components(far, 0.5)
         with pytest.raises(ValueError, match=message):
@@ -536,9 +537,10 @@ class TestLocalFiniteness:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_single_linkage_rejects_non_finite_points(self, bad):
         # A non-finite row used to come back as a singleton component.
-        for pts in ([[0.0], [bad], [0.01]], [[bad], [bad]]):
-            with pytest.raises(ValueError,
-                               match="sample points must be finite"):
+        for pts, row in (([[0.0], [bad], [0.01]], 1), ([[bad], [bad]], 0)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"sample point {row} has a coordinate that is not "
+                    "finite or beyond ±2^500") + "$"):
                 single_linkage_components(np.array(pts), 0.05)
 
 
@@ -1168,7 +1170,8 @@ class TestPartitionByLabel:
                 assert np.array_equal(mine.points, pts[local])
 
     def test_no_points_is_no_stratification(self):
-        with pytest.raises(ValueError, match="at least one stratum"):
+        with pytest.raises(ValueError,
+                           match="^need at least one sample point$"):
             partition_by_label(np.zeros((0, 1)), [], [("s", "a")],
                                dim=lambda label, cloud: 0,
                                below=lambda low, high: False, r_cc=1.0)
