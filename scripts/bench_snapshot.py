@@ -16,9 +16,11 @@ metric's ``better``) out of ``pairs``, the ``bound``, ``beyond_bound``
 (the medians differ by more than PARENT's IQR).  Under ``scaled`` it
 holds, per kernel of ``KERNELS`` (run at sizes the workloads hide),
 ``KERNEL_ROUNDS`` pairs of timings and the same summary of their median
-seconds, and under ``min_s`` of their minimum seconds, without a bound.  The context holds each side's (commit, numpy,
-BLAS and its threads, nproc), plus the ``MALLOC_*`` environment that
-both ran under.
+seconds, and under ``min_s`` of their minimum seconds, without a
+bound.  The context holds each side's (commit, numpy, BLAS and its
+threads, nproc), whether its ``src`` differs from its commit
+(``src_modified``) and its ``src/svb`` line count (``src_lines``), plus
+the ``MALLOC_*`` environment that both ran under.
 
 Every measurement runs in a fresh process that imports svb from its
 checkout's ``src``, so an older commit only needs its checkout.  A kernel
@@ -160,7 +162,8 @@ def compare(parent, checkout):
                 contexts.setdefault(side, dict(
                     {key: ctx.get(key) for key in CONTEXT_KEYS},
                     checkout=where[side],
-                    src_modified=src_modified(where[side])))
+                    src_modified=src_modified(where[side]),
+                    src_lines=src_lines(where[side])))
                 runs[side].append(dict(metrics, seed=seed,
                                        first=side == sides[0],
                                        fail_ratio=ctx["fail_ratio"]))
@@ -235,6 +238,20 @@ def src_modified(checkout):
         ["git", "status", "--porcelain", "--untracked-files=no", "--", "src"],
         cwd=checkout, capture_output=True, text=True)
     return bool(done.stdout.strip()) if done.returncode == 0 else None
+
+
+def src_lines(checkout):
+    """The lines of the checkout's ``src/svb/*.py``, counted as ``wc -l``
+    counts them, or None when it has no ``src/svb``."""
+    package = os.path.join(checkout, "src", "svb")
+    if not os.path.isdir(package):
+        return None
+    total = 0
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as fh:
+                total += fh.read().count(b"\n")
+    return total
 
 
 def _clusters(rng, grid=(4, 4, 2), points=100):

@@ -171,15 +171,17 @@ class SampledStratifiedBundle:
         return [(s.name, i) for s in self.base.strata for i in range(len(s))]
 
     def point(self, key: PointKey) -> np.ndarray:
+        """The base point ``key``, its index read by ``_integer``."""
         name, i = key
         stratum = self.base.stratum(name)
+        i = _integer(f"point index of stratum {name!r}", i)
         if not 0 <= i < len(stratum):
             raise KeyError(f"point index {i} out of range for stratum {name!r}")
         return stratum.points[i]
 
     def fiber(self, key: PointKey) -> Subspace:
         """A :class:`Subspace` view of the basis over ``key``."""
-        self.point(key)  # range check
+        self.point(key)  # reads the key
         return Subspace.view(self.stacks[key[0]][key[1]])
 
     def __repr__(self):

@@ -232,7 +232,7 @@ def _monoid_analyze(args, add):
         identity_violations=[list(v) for v in audit.identity_violations],
         composition_violations=[list(v) for v in
                                 audit.composition_violations])
-    add("regularity", "PASS" if regularity.overall == "REGULAR" else "FAIL",
+    add("regularity", "PASS" if regularity else "FAIL",
         classification=regularity.overall,
         violating_points=[{"index": i,
                            "point": action.sample_points[i].tolist()}

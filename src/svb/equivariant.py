@@ -158,10 +158,6 @@ class FiniteGroupAction:
     def order(self) -> int:
         return len(self.elements)
 
-    def conjugate_subgroup(self, subgroup, t: int) -> tuple[int, ...]:
-        """Index set of t H t^-1."""
-        return tuple(_conjugates(self, subgroup)[t].tolist())
-
     def to_json(self) -> dict:
         out = {"n": self.n, "elements": self.elements.tolist()}
         if self.fiber_elements is not None:

@@ -8,10 +8,11 @@ global sections, which is what makes its Whitney A checks succeed.
 Leaves are never integrated; only the tangent data is built.  A
 polynomial map is a term table, read by ``parse_terms`` and evaluated
 over a stack of points by ``evaluate_terms``; polynomial monoid actions
-use the same two.  Sample points, of a field set and the point of
-``distribution_at`` alike, go through the sample-set rule
-``strata._samples`` first: a positive ambient dimension, at least one
-sample of that width, and every coordinate finite and within ±2^500.
+use the same two.  Sample points, of a field set, the point of
+``distribution_at`` and the points handed to either ``evaluate`` alike,
+go through the sample-set rule ``strata._samples`` first: a positive
+ambient dimension, at least one sample of that width, and every
+coordinate finite and within ±2^500.
 """
 
 from __future__ import annotations
@@ -72,8 +73,10 @@ def evaluate_terms(terms, pts, out_dim: int) -> np.ndarray:
     monomial multiplies the variables in order, then each nonzero entry
     of its vector, into that entry's column: a term adds nothing where its
     vector is 0, and a one-hot term touches one column.  A value
-    that overflows is left as inf or NaN, without a numpy warning: the
-    callers check the values and name the first non-finite one."""
+    that overflows is left as inf or NaN, without a numpy warning.  No
+    width is checked: the callers hand it rows read by ``strata._samples``
+    (an action's with the time in front) and name the first non-finite
+    value."""
     out = np.zeros((len(pts), out_dim))
     with np.errstate(over="ignore", invalid="ignore"):
         for powers, vector in terms:
@@ -102,9 +105,9 @@ class PolynomialVectorField:
 
     def evaluate(self, x) -> np.ndarray:
         """The field at x, or at each row of an (n, ambient) array."""
-        x = np.asarray(x, dtype=float)
-        out = evaluate_terms(self.terms, np.atleast_2d(x), self.ambient_dim)
-        return out if x.ndim > 1 else out[0]
+        out = evaluate_terms(self.terms, _samples(x, self.ambient_dim),
+                             self.ambient_dim)
+        return out if np.ndim(x) == 2 else out[0]
 
 
 class VectorFieldSet:
@@ -122,8 +125,10 @@ class VectorFieldSet:
                 raise ValueError("field ambient dimension mismatch")
 
     def evaluate(self, points) -> np.ndarray:
-        """Every field at every row of ``points``: (n, fields, ambient)."""
-        return np.stack([f.evaluate(np.atleast_2d(points))
+        """Every field at every row of ``points``, read once by
+        ``_samples``: (n, fields, ambient)."""
+        pts = _samples(points, self.ambient_dim)
+        return np.stack([evaluate_terms(f.terms, pts, self.ambient_dim)
                          for f in self.fields], axis=1)
 
 

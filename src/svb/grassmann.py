@@ -201,7 +201,7 @@ class Subspace:
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, np.zeros((0, ambient_dim)))
+        return cls(ambient_dim, [])
 
     def to_json(self) -> dict:
         return {"ambient": self.ambient_dim, "basis": self.basis.tolist()}

@@ -16,10 +16,10 @@ phi over its samples, spanned by one SVD stack per cluster size.
 
 A table maps an array of points row by row, with one time per row.  So
 an audit stacks the (time, point) rows of many maps into one call, bit
-for bit as one call per time and point would give.  The samples are
-checked first, by the sample-set rule ``strata._samples`` that
-vector-field sets share: at least one sample of the declared width,
-every coordinate finite and within ±2^500.
+for bit as one call per time and point would give.  Samples, and the
+points handed to ``evaluate`` and ``vertical_derivative``, go through
+the sample-set rule ``strata._samples`` first: at least one sample of
+the declared width, every coordinate finite and within ±2^500.
 """
 
 from __future__ import annotations
@@ -115,18 +115,11 @@ class MonoidActionSample:
                    sample_points, t_grid)
 
     def evaluate(self, t: float, e) -> np.ndarray:
-        """h_t(e) for one point e, or for each row of an (n, m) stack."""
-        e = np.asarray(e, dtype=float)
-        values = self._blocks([float(t)], self._stack(e)[None])
+        """h_t(e) at one point e or each row of an (n, m) stack e."""
+        values = self._blocks([float(t)], _samples(e, self.ambient_dim)[None])
         if not np.isfinite(values).all():
             raise _non_finite(t)
-        return values[0] if e.ndim == 2 else values[0, 0]
-
-    def _stack(self, e: np.ndarray) -> np.ndarray:
-        """A point or an (n, m) stack of points, as a stack."""
-        if e.ndim not in (1, 2) or e.shape[-1] != self.ambient_dim:
-            raise ValueError("expected a point or an (n, m) stack of points")
-        return np.atleast_2d(e)
+        return values[0] if np.ndim(e) == 2 else values[0, 0]
 
     def _blocks(self, times, rows: np.ndarray) -> np.ndarray:
         """h_{times[j]} of block j of the (b, n, m) array ``rows``, for
@@ -228,10 +221,11 @@ def audit_axioms(a: MonoidActionSample, tol: float = TOL_CHECK) -> MonoidAudit:
 
 def vertical_derivative(a: MonoidActionSample, e) -> np.ndarray:
     """phi(e) = d/dt h_t(e) at t = 0, at one point e or at each row of an
-    (n, m) stack e: exactly the terms of the action's table linear in t,
-    with t dropped.  A non-finite phi raises, naming its first sample."""
-    pts = a._stack(np.asarray(e, dtype=float))
-    phis = evaluate_terms(a._linear, pts, a.ambient_dim)
+    (n, m) stack e, read by ``_samples``: exactly the terms of the
+    action's table linear in t, with t dropped.  A non-finite phi raises,
+    naming its first sample."""
+    phis = evaluate_terms(a._linear, _samples(e, a.ambient_dim),
+                          a.ambient_dim)
     if (i := _first_non_finite(phis)) < len(phis):
         raise ValueError(f"non-finite vertical derivative at sample {i}")
     return phis if np.ndim(e) == 2 else phis[0]

@@ -4,6 +4,10 @@ Test modules import this file by its name, ``helpers``, since pytest
 puts the directory of each test module on ``sys.path``.
 """
 
+import importlib
+import inspect
+from types import FunctionType
+
 import numpy as np
 
 from svb.bundle import _off_fiber, whitney_a_check, whitney_a_from_sections
@@ -78,3 +82,35 @@ def central_difference(a, pts, step=1e-4):
     coarse = (plus - minus) / (2.0 * step)
     fine = (half_plus - half_minus) / step
     return (4.0 * fine - coarse) / 3.0
+
+
+LIBRARY = ["grassmann", "strata", "bundle", "functors", "foliation",
+           "equivariant", "monoid", "fixtures", "jsonio", "cli"]
+
+
+def public_parameters(skip=lambda name: False):
+    """``module.name:parameter`` for each parameter of every callable in
+    the ``__all__`` of the modules of ``LIBRARY``, and
+    ``module.Class.method:parameter`` for each public method and
+    classmethod that an exported class defines.  ``skip(name)`` leaves an
+    exported name out, with its methods."""
+    for module_name in LIBRARY:
+        module = importlib.import_module(f"svb.{module_name}")
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if not callable(obj) or skip(name):
+                continue
+            members = [(name, obj)]
+            if isinstance(obj, type):
+                members += [(f"{name}.{attr}", getattr(obj, attr))
+                            for attr, value in vars(obj).items()
+                            if not attr.startswith("_") and isinstance(
+                                value, (FunctionType, classmethod,
+                                        staticmethod))]
+            for qualname, member in members:
+                try:
+                    parameters = inspect.signature(member).parameters
+                except (TypeError, ValueError):  # a typing alias
+                    continue
+                for parameter in parameters:
+                    yield f"{module_name}.{qualname}:{parameter}"

@@ -7,11 +7,10 @@ An integer (a count, dimension, index or exponent) goes through
 ``grassmann._integer``: True, 2.5, "1" and one below its least value
 raise a ValueError that names the parameter, and a numpy integer at the
 least value is accepted.  ``TestEveryParameterIsListed`` walks the
-public API, so that a new numeric parameter has to join a table.
+public API, methods and classmethods included, so that a new numeric
+parameter has to join a table.
 """
 
-import importlib
-import inspect
 import math
 import os
 import re
@@ -45,7 +44,7 @@ from svb.strata import (Stratification, Stratum, check_frontier,
                         local_finiteness_report, partition_by_label,
                         single_linkage_components)
 
-from helpers import cone_sections
+from helpers import cone_sections, public_parameters
 
 TINY = math.ulp(0.0)  # the smallest positive float
 E2 = Subspace(2, np.eye(2))
@@ -152,6 +151,8 @@ REALS = [
 INTEGERS = [
     ("grassmann.Subspace:ambient_dim", "ambient_dim",
      lambda v: Subspace(v, []), 0),
+    ("grassmann.Subspace.zero:ambient_dim", "ambient_dim",
+     lambda v: Subspace.zero(v), 0),
     ("grassmann.as_basis:ambient_dim", "ambient_dim",
      lambda v: as_basis(v, []), 0),
     ("grassmann.span:ambient_dim", "ambient_dim",
@@ -206,6 +207,11 @@ INTEGERS = [
      lambda v: FiniteGroupAction(v, [np.eye(1)]), 1),
     ("monoid.MonoidActionSample:ambient_dim", "ambient_dim",
      lambda v: _scalar(v), 1),
+    ("monoid.MonoidActionSample.builtin:ambient_dim", "ambient_dim",
+     lambda v: MonoidActionSample.builtin("scalar", v, [[1.0]]), 1),
+    ("monoid.MonoidActionSample.polynomial:ambient_dim", "ambient_dim",
+     lambda v: MonoidActionSample.polynomial(
+         [[{"powers": [1, 1], "coef": 1.0}]], v, [[1.0]]), 1),
     ("fixtures.cantor_stratification:level", "level",
      lambda v: cantor_stratification(v), 1),
 ]
@@ -327,9 +333,6 @@ NUMERIC = re.compile(r"tol\w*|eps\w*|delta\w*|r|r_cc|\w*radius|radii"
                      r"|spacing|step|power|\w*ambient\w*|\w*_index"
                      r"|\w*_indices")
 
-LIBRARY = ["grassmann", "strata", "bundle", "functors", "foliation",
-           "equivariant", "monoid", "fixtures", "jsonio", "cli"]
-
 # Parameters the rule does not cover, each with the reason.
 EXCLUDED = {
     # near_pairs documents its own contract: r < 0 yields no pair and
@@ -339,6 +342,8 @@ EXCLUDED = {
     "grassmann.span:tol_abs",
     # A callable that gives each stratum its dimension, not a number.
     "strata.partition_by_label:dim",
+    # A stratum name, the r of "s lies in the closure of r".
+    "strata.Stratification.in_closure:r",
     # The shape of a term table, passed by its owner, whose ambient_dim
     # went through _integer.
     "foliation.parse_powers:n_vars", "foliation.parse_terms:n_vars",
@@ -361,20 +366,9 @@ EXCLUDED = {
 
 
 def _public_numeric_parameters():
-    for module_name in LIBRARY:
-        module = importlib.import_module(f"svb.{module_name}")
-        for name in module.__all__:
-            obj = getattr(module, name)
-            # Report dataclasses: their fields are what a check found.
-            if not callable(obj) or name.endswith("Report"):
-                continue
-            try:
-                parameters = inspect.signature(obj).parameters
-            except (TypeError, ValueError):  # a typing alias
-                continue
-            for parameter in parameters:
-                if NUMERIC.fullmatch(parameter):
-                    yield f"{module_name}.{name}:{parameter}"
+    # Report dataclasses: their fields are what a check found.
+    return [p for p in public_parameters(lambda name: name.endswith("Report"))
+            if NUMERIC.fullmatch(p.split(":")[1])]
 
 
 class TestEveryParameterIsListed:

@@ -89,6 +89,8 @@ def test_compare_runs_each_pair_in_order(snapshot, monkeypatch, tmp_path):
     with open(os.path.join(REPO, "BENCHMARK.json"), encoding="utf-8") as fh:
         declared = fh.read()
     (tmp_path / "BENCHMARK.json").write_text(declared)
+    (tmp_path / "src" / "svb").mkdir(parents=True)
+    (tmp_path / "src" / "svb" / "core.py").write_text("a = 1\nb = 2\n")
     new = str(tmp_path)
     result = snapshot.compare("old", new)
     assert (tmp_path / "BENCHMARK.json").read_text() == declared
@@ -98,12 +100,27 @@ def test_compare_runs_each_pair_in_order(snapshot, monkeypatch, tmp_path):
     assert len(calls) == 6 * len(snapshot.WORKLOADS)
     assert result["context"]["malloc"]["MALLOC_ARENA_MAX"] == "2"
     assert result["context"]["parent"]["commit"] == "old"
+    assert result["context"]["parent"]["src_lines"] is None
+    assert result["context"]["change"]["src_lines"] == 2
     orbits = result["workloads"]["orbits"]
     assert [run["first"] for run in orbits["runs"]["parent"]] == [
         True, False, True]
     assert orbits["metrics"]["ops_per_s"]["ratio"] == 107.0 / 102.0
     assert orbits["fail_ratio"] == {"parent": 0.0, "change": 0.0}
     json.dumps(result, allow_nan=False)
+
+
+def test_src_lines(snapshot, tmp_path):
+    """The newlines of ``src/svb/*.py``, as ``wc -l`` counts them: other
+    files and subdirectories do not count."""
+    package = tmp_path / "src" / "svb"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\n\ny = 2\n")
+    (package / "b.py").write_text("z = 3\nw = 4")  # no final newline
+    (package / "notes.txt").write_text("one\ntwo\n")
+    (package / "sub" / "c.py").write_text("v = 5\n")
+    assert snapshot.src_lines(str(tmp_path)) == 4
+    assert snapshot.src_lines(str(tmp_path / "src")) is None
 
 
 def test_kernel_list(snapshot):

@@ -592,6 +592,37 @@ FUNCTORS = [Identity(), ConstantSum(1), DirectSum(Identity(), ConstantSum(1)),
             SymPower(3)]
 
 
+class TestPointKeys:
+    """``point`` and ``fiber`` read a key's index by ``_integer``; an
+    unknown stratum or an index out of range is a KeyError."""
+
+    @pytest.mark.parametrize("index", [True, 1.5], ids=["bool", "float"])
+    @pytest.mark.parametrize("read", ["point", "fiber"])
+    def test_index_not_an_integer(self, read, index):
+        b = cone_bundle("pass", 4)
+        message = ("point index of stratum 'S+' must be an integer, "
+                   f"got {index!r}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            getattr(b, read)(("S+", index))
+
+    def test_numpy_integer_index(self):
+        b = cone_bundle("pass", 4)
+        assert np.array_equal(b.point(("S+", np.int64(1))),
+                              b.point(("S+", 1)))
+        assert np.array_equal(b.fiber(("S+", np.int64(1))).basis,
+                              b.stacks["S+"][1])
+
+    @pytest.mark.parametrize("key, message", [
+        (("ghost", 0), "no stratum named 'ghost'"),
+        (("S+", 99), "point index 99 out of range for stratum 'S+'"),
+        (("S+", -1), "point index -1 out of range for stratum 'S+'")])
+    @pytest.mark.parametrize("read", ["point", "fiber"])
+    def test_unknown_key(self, read, key, message):
+        b = cone_bundle("pass", 4)
+        with pytest.raises(KeyError, match=re.escape(message)):
+            getattr(b, read)(key)
+
+
 class TestStratumStacks:
     """One functor call per stratum stack gives, bit for bit, what one
     call per fiber gives."""

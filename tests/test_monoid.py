@@ -620,6 +620,17 @@ def test_one_stack_evaluation_per_map(monkeypatch):
         assert np.array_equal(calls[3 + 2 * j], np.repeat(t * grid, n))
 
 
+def _outer(a, t, values):
+    """h_t of the values of another map, by one evaluation, raising as
+    ``evaluate`` raises at a non-finite value.  The values are images,
+    not samples, so the sample rule, which refuses one beyond ±2^500,
+    does not read them."""
+    out = a._blocks([t], values[None])[0]
+    if not np.isfinite(out).all():
+        raise ValueError(f"evaluator returned a non-finite value at t={t}")
+    return out
+
+
 def _parent_audit(a, tol):
     """audit_axioms as one evaluation of the sample stack per map, the
     identity first and then h_t(h_s(e)) - h_ts(e) per pair (t, s): the
@@ -627,7 +638,7 @@ def _parent_audit(a, tol):
     pts = a.sample_points
     pairs = [(t, s) for t in a.t_grid for s in a.t_grid]
     residuals = _norms(np.concatenate([a.evaluate(1.0, pts) - pts] + [
-        a.evaluate(t, a.evaluate(s, pts)) - a.evaluate(t * s, pts)
+        _outer(a, t, a.evaluate(s, pts)) - a.evaluate(t * s, pts)
         for t, s in pairs])).reshape(1 + len(pairs), len(pts))
     found = [(k, int(i), float(residuals[k, i]))
              for k, i in zip(*np.nonzero(residuals > tol))]
@@ -868,7 +879,11 @@ class TestNonFiniteResiduals:
 
     def test_stack_shape_is_checked(self):
         a = action("scalar", R2_SAMPLES)
-        for bad in ([1.0, 2.0, 3.0], np.zeros((2, 3)), np.zeros((1, 2, 2)),
-                    1.0):
-            with pytest.raises(ValueError, match="stack of points"):
+        wrong = "sample points have the wrong ambient dimension"
+        for bad, message in (
+                ([1.0, 2.0, 3.0], wrong), (np.zeros((2, 3)), wrong),
+                (np.zeros((1, 2, 2)),
+                 "expected rows of numbers, got shape (1, 2, 2)"),
+                (1.0, wrong)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 a.evaluate(0.5, bad)

@@ -7,12 +7,13 @@ coordinates, of the wrong width (where the entry has an ambient
 dimension) or without rows is refused; each under one text.  Where an
 ambient dimension is given, a cloud without coordinates has the wrong
 width.  An entry that takes one point makes it one row, so it has no
-"no rows" case.  ``TestEveryEntryIsListed`` walks the public API, so that
-a new entry taking points has to join the table.
+"no rows" case.  The evaluators, which map a point or a stack of points,
+follow the rule as the entries that take a set of points do.
+``TestEveryEntryIsListed`` walks the public API, methods and
+classmethods included, so that a new entry taking points has to join the
+table.
 """
 
-import importlib
-import inspect
 import math
 import re
 
@@ -22,11 +23,17 @@ import pytest
 from svb.equivariant import orbit_type_partition, stabilizer
 from svb.fixtures import constant_field_plane, rotation_group
 from svb.foliation import VectorFieldSet, distribution_at
-from svb.monoid import MonoidActionSample
+from svb.monoid import MonoidActionSample, vertical_derivative
 from svb.strata import (estimate_cloud_dim, partition_by_label,
                         single_linkage_components)
 
+from helpers import public_parameters
+
 EDGE = 2.0 ** 500  # strata.MAX_COORD
+# h_t(e) = t e on R^2, and its coefficient table.
+SCALAR = MonoidActionSample.builtin("scalar", 2, [[1.0, 0.0]])
+SCALAR_TABLE = [[{"powers": [1, int(j == 0), int(j == 1)], "coef": 1.0}]
+                for j in range(2)]
 
 
 def _fields(pts):
@@ -53,7 +60,21 @@ ENTRIES = [
     ("foliation.distribution_at:x", 2, True,
      lambda pts: distribution_at(constant_field_plane(), pts[-1])),
     ("monoid.MonoidActionSample:sample_points", 2, False,
+     lambda pts: MonoidActionSample(2, {"kind": "builtin", "name": "scalar"},
+                                    pts, (0.0, 1.0))),
+    ("monoid.MonoidActionSample.builtin:sample_points", 2, False,
      lambda pts: MonoidActionSample.builtin("scalar", 2, pts)),
+    ("monoid.MonoidActionSample.polynomial:sample_points", 2, False,
+     lambda pts: MonoidActionSample.polynomial(SCALAR_TABLE, 2, pts)),
+    # The evaluators.
+    ("foliation.PolynomialVectorField.evaluate:x", 2, False,
+     lambda pts: constant_field_plane().fields[0].evaluate(pts)),
+    ("foliation.VectorFieldSet.evaluate:points", 2, False,
+     lambda pts: constant_field_plane().evaluate(pts)),
+    ("monoid.MonoidActionSample.evaluate:e", 2, False,
+     lambda pts: SCALAR.evaluate(0.5, pts)),
+    ("monoid.vertical_derivative:e", 2, False,
+     lambda pts: vertical_derivative(SCALAR, pts)),
 ]
 
 WRONG_WIDTH = "sample points have the wrong ambient dimension"
@@ -98,9 +119,6 @@ def test_the_bound_is_accepted(entry, ambient, point, call):
     call(np.array([[0.0, 0.0], [EDGE, -EDGE]]))
 
 
-LIBRARY = ["grassmann", "strata", "bundle", "functors", "foliation",
-           "equivariant", "monoid", "fixtures", "jsonio", "cli"]
-
 # Names of a point or a set of points.
 POINTS = re.compile(r"\w*points|pts|x|e")
 
@@ -109,26 +127,15 @@ POINTS = re.compile(r"\w*points|pts|x|e")
 EXCLUDED = {
     # A stratum's texts name the stratum, and the CLI tests pin them.
     "strata.Stratum:points",
-    # Evaluators map the points they are given: h_t and phi of an
-    # action, and a term table over its variables.
-    "monoid.vertical_derivative:e", "foliation.evaluate_terms:pts",
+    # The term-table kernel under the evaluators, which read its rows by
+    # the rule.
+    "foliation.evaluate_terms:pts",
 }
 
 
 def _public_point_parameters():
-    for module_name in LIBRARY:
-        module = importlib.import_module(f"svb.{module_name}")
-        for name in module.__all__:
-            obj = getattr(module, name)
-            if not callable(obj):
-                continue
-            try:
-                parameters = inspect.signature(obj).parameters
-            except (TypeError, ValueError):  # a typing alias
-                continue
-            for parameter in parameters:
-                if POINTS.fullmatch(parameter):
-                    yield f"{module_name}.{name}:{parameter}"
+    return [p for p in public_parameters()
+            if POINTS.fullmatch(p.split(":")[1])]
 
 
 class TestEveryEntryIsListed:
