@@ -1,35 +1,38 @@
 #!/usr/bin/env python3
 """Compare two svb checkouts run by run, and record the comparison.
 
-    python3 scripts/bench_snapshot.py --out pairs.json --against PARENT
+    python3 scripts/bench_snapshot.py --out pairs.json --against REV
 
-The checkout (``--checkout``, by default the one holding this script) is
-compared with PARENT pair by pair, the side that runs first alternating
-from pair to pair (``pair_order``).  For each workload and each of its
+The commit ``HEAD`` of the repository holding this script (the change)
+is compared with the commit REV (the parent), pair by pair, the side
+that runs first alternating from pair to pair (``pair_order``).  Each
+side runs from its own copy, made by ``git archive`` into one temporary
+directory that is removed at the end, so uncommitted edits are never
+measured and both sides start alike.  For each workload and each of its
 ``PAIR_SEEDS`` it runs perfbench once in each, ``SECONDS`` each.  Per
 workload the file holds both sides' runs (``runs``) and, per end-to-end
-metric of ``BENCHMARK.json`` (only read), ``metrics``: each side's median
-and interquartile range (IQR), ``ratio`` (the checkout's median over
-PARENT's), ``wins`` (the seeds on which the checkout did better, by the
-metric's ``better``) out of ``pairs``, the ``bound``, ``beyond_bound``
-(the checkout's median is worse by more than the bound) and ``resolved``
-(the medians differ by more than PARENT's IQR).  Under ``scaled`` it
-holds, per kernel of ``KERNELS`` (run at sizes the workloads hide),
-``KERNEL_ROUNDS`` pairs of timings and the same summary of their median
-seconds, and under ``min_s`` of their minimum seconds, without a
-bound.  The context holds each side's (commit, numpy, BLAS and its
-threads, nproc), whether its ``src`` differs from its commit
-(``src_modified``) and its ``src/svb`` line count (``src_lines``), plus
-the ``MALLOC_*`` environment that both ran under.
+metric of ``BENCHMARK.json`` (only read, from the change's copy),
+``metrics``: each side's median and interquartile range (IQR),
+``ratio`` (the change's median over the parent's), ``wins`` (the seeds
+on which the change did better, by the metric's ``better``) out of
+``pairs``, the ``bound``, ``beyond_bound`` (the change's median is
+worse by more than the bound) and ``resolved`` (the medians differ by
+more than the parent's IQR).  Under ``scaled`` it holds, per kernel of
+``KERNELS`` (run at sizes the workloads hide), ``KERNEL_ROUNDS`` pairs
+of timings and the same summary of their median seconds, and under
+``min_s`` of their minimum seconds, without a bound.  The context holds
+each side's full commit hash, its numpy, BLAS and its threads and nproc,
+and its ``src/svb`` line count (``src_lines``), plus the ``MALLOC_*``
+environment that both ran under.
 
 Every measurement runs in a fresh process that imports svb from its
-checkout's ``src``, so an older commit only needs its checkout.  A kernel
-is timed by this script's hidden ``--kernel NAME`` mode: ``REPEATS``
-timings, their median and minimum, and the problem size, in a process
-that builds only that kernel's inputs, so that no other kernel's
-allocations run before it.  To record one checkout alone, run an A/A
-comparison, ``--against`` the checkout itself; its IQRs are also the
-noise floor that a claimed gain must clear.
+copy's ``src``.  A kernel is timed by this script's hidden
+``--kernel NAME`` mode, given the copy by the hidden ``--checkout``:
+``REPEATS`` timings, their median and minimum, and the problem size, in
+a process that builds only that kernel's inputs, so that no other
+kernel's allocations run before it.  To record one commit alone, run an
+A/A comparison, ``--against HEAD``; its IQRs are also the noise floor
+that a claimed gain must clear.
 """
 
 import argparse
@@ -49,7 +52,7 @@ from time import perf_counter
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("corpus", "cloud", "fibers", "orbits")
 METRICS = ("setup_s", "ops_per_s", "op_s.p50", "op_s.tail", "peak_rss_mb")
-CONTEXT_KEYS = ("commit", "numpy", "python", "blas", "nproc", "affinity")
+CONTEXT_KEYS = ("numpy", "python", "blas", "nproc", "affinity")
 SECONDS = 20.0  # length of each perfbench run
 REPEATS = 5  # timings of each scaled kernel
 KERNEL_ROUNDS = 5  # --against: fresh-process pairs of each scaled kernel
@@ -80,14 +83,13 @@ PAIR_SEEDS = {"corpus": tuple(range(81, 86)), "cloud": tuple(range(81, 91)),
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out", required=True, help="record to write")
-    parser.add_argument("--checkout", default=HERE,
-                        help="svb checkout to measure (default: this one)")
     mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--against", metavar="PARENT",
-                      help="compare with the svb checkout PARENT, "
-                      "alternating the sides seed by seed")
-    mode.add_argument("--kernel", choices=KERNELS,
-                      help=argparse.SUPPRESS)  # the child: one kernel's timing
+    mode.add_argument("--against", metavar="REV",
+                      help="compare HEAD with the commit REV, alternating "
+                      "the sides seed by seed")
+    # The child: one kernel's timing in the copy that --checkout names.
+    mode.add_argument("--kernel", choices=KERNELS, help=argparse.SUPPRESS)
+    parser.add_argument("--checkout", default=HERE, help=argparse.SUPPRESS)
     return parser.parse_args(argv)
 
 
@@ -146,9 +148,10 @@ def summarize(runs, end_to_end):
     return out
 
 
-def compare(parent, checkout):
+def compare(parent, checkout, commits):
     """Both checkouts' perfbench runs on the seeds of ``PAIR_SEEDS``,
-    with their summary per workload and metric."""
+    with their summary per workload and metric; ``commits`` holds each
+    side's commit hash for the context."""
     with open(os.path.join(checkout, "BENCHMARK.json"),
               encoding="utf-8") as fh:
         end_to_end = json.load(fh)["end_to_end"]
@@ -161,9 +164,7 @@ def compare(parent, checkout):
                 metrics, ctx = perfbench(where[side], workload, seed)
                 contexts.setdefault(side, dict(
                     {key: ctx.get(key) for key in CONTEXT_KEYS},
-                    checkout=where[side],
-                    src_modified=src_modified(where[side]),
-                    src_lines=src_lines(where[side])))
+                    commit=commits[side], src_lines=src_lines(where[side])))
                 runs[side].append(dict(metrics, seed=seed,
                                        first=side == sides[0],
                                        fail_ratio=ctx["fail_ratio"]))
@@ -231,13 +232,18 @@ def write(snapshot, path):
         fh.write("\n")
 
 
-def src_modified(checkout):
-    """Whether the checkout's ``src`` differs from its commit, or None
-    outside a git checkout."""
-    done = subprocess.run(
-        ["git", "status", "--porcelain", "--untracked-files=no", "--", "src"],
-        cwd=checkout, capture_output=True, text=True)
-    return bool(done.stdout.strip()) if done.returncode == 0 else None
+def archive(rev, dest):
+    """Extract the commit ``rev`` of the repository holding this script
+    into the new directory ``dest`` by ``git archive``; its full hash."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=HERE, capture_output=True,
+                              check=True).stdout
+
+    commit = git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
+    os.mkdir(dest)
+    subprocess.run(["tar", "-x", "-C", dest], input=git("archive", commit),
+                   check=True)
+    return commit
 
 
 def src_lines(checkout):
@@ -608,13 +614,17 @@ def scaled_timings(checkout, name):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    checkout = os.path.abspath(args.checkout)
     if args.kernel:
-        print(json.dumps(scaled_timings(checkout, args.kernel)))
+        print(json.dumps(scaled_timings(os.path.abspath(args.checkout),
+                                        args.kernel)))
         return 0
-    parent = os.path.abspath(args.against)
-    pairs = compare(parent, checkout)
-    pairs["scaled"] = compare_kernels(parent, checkout)
+    with tempfile.TemporaryDirectory() as scratch:
+        parent, change = (os.path.join(scratch, side)
+                          for side in ("parent", "change"))
+        commits = {"parent": archive(args.against, parent),
+                   "change": archive("HEAD", change)}
+        pairs = compare(parent, change, commits)
+        pairs["scaled"] = compare_kernels(parent, change)
     pairs["context"]["kernel_rounds"] = KERNEL_ROUNDS
     write(pairs, args.out)
     return 0

@@ -38,10 +38,11 @@ within tol is unique and the rows are exactly those of matching every
 element's images.  Otherwise that direct match runs, with its checks
 and error texts.
 
-Infinite rotation groups are not first class; the plane-rotation action
-on R^2 ships as a closed-form fixture (``circle_action_on_plane_report``)
-reproducing its quotient rank table: no vector but 0 is fixed by every
-rotation, so no rank is computed there.
+Infinite rotation groups are not first class.  On the plane, Z_N
+(N >= 2) fixes what the circle fixes, 0 alone at the origin, and acts
+freely elsewhere, so it gives the circle's invariant ranks; the orbit
+dimension its quotient strata lack is the rank of the rotation field
+(``foliation.distribution_at``).
 """
 
 from __future__ import annotations
@@ -79,8 +80,6 @@ __all__ = [
     "quotient_bundle",
     "tangent_comparison",
     "TangentComparison",
-    "circle_action_on_plane_report",
-    "CircleActionReport",
 ]
 
 
@@ -227,8 +226,8 @@ def _stabilizer_table(g: FiniteGroupAction, pts: np.ndarray, tol: float
 
 
 def _closed(g: FiniteGroupAction, members) -> bool:
-    """Whether the indices ``members`` are closed under the group table;
-    ValueError for a negative index, which would alias another."""
+    """Whether the indices ``members``, each in range(order), are closed
+    under the group table."""
     member = np.bincount(members, minlength=g.order) > 0
     return bool(member[g.table[np.ix_(members, members)]].all())
 
@@ -240,25 +239,38 @@ def _conjugates(g: FiniteGroupAction, subgroup) -> np.ndarray:
     return np.sort(g.table[g.table[:, h], g.inverse[:, None]], axis=1)
 
 
+def _subgroup(g: FiniteGroupAction, subgroup) -> list[int]:
+    """The distinct element indices of ``subgroup``, ascending: integers
+    by ``_integer``'s rule (no bool, no float) in range(order), the set
+    nonempty and closed under the group table."""
+    members = sorted({_integer("subgroup index", i) for i in subgroup})
+    if not members:
+        raise ValueError("subgroup must be nonempty")
+    if members[0] < 0:
+        raise ValueError(f"subgroup index {members[0]} is negative")
+    if members[-1] >= g.order:
+        raise ValueError(f"subgroup index {members[-1]} is not below the "
+                         f"group order {g.order}")
+    if not _closed(g, members):
+        raise ValueError(f"set {members} is not closed under the group table")
+    return members
+
+
 def conjugacy_label(g: FiniteGroupAction, subgroup) -> tuple[int, ...]:
-    """The orbit type of a stabilizer: the sorted element indices of its
+    """The orbit type of a subgroup: the sorted element indices of its
     lexicographically least conjugate."""
     # Conjugating by the identity gives the sorted subgroup itself.
-    return min(map(tuple, _conjugates(g, subgroup).tolist()))
+    return min(map(tuple, _conjugates(g, _subgroup(g, subgroup)).tolist()))
 
 
 def fixed_subspace(g: FiniteGroupAction, subgroup,
                    use_fiber: bool = False) -> Subspace:
     """Fixed space of a subgroup.  The average is the projection onto it:
     its trace is the dimension, its top right-singular vectors a basis."""
-    subgroup = sorted(set(int(i) for i in subgroup))
-    if not subgroup:
-        raise ValueError("subgroup must be nonempty")
+    subgroup = _subgroup(g, subgroup)
     mats = g.fiber_elements if use_fiber else g.elements
     if mats is None:
         raise ValueError("group carries no fiber action")
-    if not _closed(g, subgroup):
-        raise ValueError(f"set {subgroup} is not closed under the group table")
     avg = sum(mats[i] for i in subgroup) / len(subgroup)
     vh = np.linalg.svd(avg.T, full_matrices=False)[2]
     return Subspace(len(avg), vh[:round(np.trace(avg))])
@@ -612,29 +624,3 @@ def tangent_comparison(quotient: SampledStratifiedBundle) -> TangentComparison:
                  for s in quotient.base.strata)
     return TangentComparison(per_stratum=rows,
                              isomorphic=all(r == d for _, r, d in rows))
-
-
-@dataclass(frozen=True)
-class CircleActionReport:
-    """Closed-form rank table for the rotation action on the plane."""
-
-    quotient_ranks: dict
-    tangent_ranks: dict
-    isomorphic: bool
-
-
-def circle_action_on_plane_report() -> CircleActionReport:
-    """The full rotation group acting on R^2 with its tangent bundle.
-
-    Stabilizers are known in closed form (everything at the origin,
-    nothing elsewhere), so the invariant fiber at the origin is the fixed
-    space of the whole rotation group: the kernel of R(theta) - I, which
-    is 0 because det(R(theta) - I) = 2 - 2 cos(theta) > 0 for theta not a
-    multiple of 2 pi.  The fiber elsewhere is all of R^2.  The quotient
-    base is a half line: a point class of dimension 0 and a ray class of
-    dimension dim(R^2) - dim(orbit) = 1, so the ray class's rank 2 and
-    dimension 1 differ: the bundles are not isomorphic.
-    """
-    return CircleActionReport(quotient_ranks={"origin": 0, "generic": 2},
-                              tangent_ranks={"origin": 0, "generic": 1},
-                              isomorphic=False)

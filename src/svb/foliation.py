@@ -133,8 +133,8 @@ class VectorFieldSet:
 
 
 def _distribution_rows(vfs: VectorFieldSet, points, tol_rank: float):
-    """``vh, ranks``: ``vh[i, :ranks[i]]`` spans the fields at
-    ``points[i]``, the rows ``_samples`` gave, from one SVD stack of the
+    """``vh, ranks``: ``vh[i, :ranks[i]]`` spans the fields at row i of
+    ``points``, read once, by ``vfs.evaluate``, from one SVD stack of the
     field values under the rank rule of ``span``.  ValueError at the
     first point, then field, whose value is not finite."""
     values = vfs.evaluate(points)
@@ -142,7 +142,7 @@ def _distribution_rows(vfs: VectorFieldSet, points, tol_rank: float):
     if bad.size:
         p, f = bad[0]
         raise ValueError(f"field {f} takes a non-finite value at sample "
-                         f"{p}, {points[p].tolist()}")
+                         f"{p}, {np.asarray(points, float)[p].tolist()}")
     vh, ranks = _span_rank(values, tol_rank, 0.0)
     return vh, ranks.tolist()
 
@@ -150,8 +150,7 @@ def _distribution_rows(vfs: VectorFieldSet, points, tol_rank: float):
 def distribution_at(vfs: VectorFieldSet, x,
                     tol_rank: float = TOL_RANK) -> Subspace:
     """Span of the generating fields at x."""
-    vh, (rank,) = _distribution_rows(
-        vfs, _samples([x], vfs.ambient_dim), tol_rank)
+    vh, (rank,) = _distribution_rows(vfs, [x], tol_rank)
     return Subspace(vfs.ambient_dim, vh[0, :rank])
 
 
@@ -188,7 +187,9 @@ def fields_as_sections(vfs: VectorFieldSet,
                        bundle: SampledStratifiedBundle):
     """The generating fields read off at the bundle's base points, as
     sections for the section-based Whitney A oracle: per field, one
-    ``(n_i, k)`` value array per stratum, aligned with ``bundle.stacks``."""
-    values = {s.name: vfs.evaluate(s.points) for s in bundle.base.strata}
-    return [{name: v[:, j] for name, v in values.items()}
+    ``(n_i, k)`` value array per stratum, aligned with ``bundle.stacks``:
+    one evaluation of the whole base, cut at the strata."""
+    base = bundle.base
+    cut = np.split(vfs.evaluate(base._cloud), base._bounds[1:-1].tolist())
+    return [{s.name: v[:, j] for s, v in zip(base.strata, cut)}
             for j in range(len(vfs.fields))]

@@ -465,13 +465,18 @@ def _samples(points, ambient_dim: Optional[int] = None) -> np.ndarray:
 
 def graph_components(n: int, edges) -> list[list[int]]:
     """Connected components of the graph on ``range(n)`` whose edges
-    arrive as pairs of index arrays ``(i, j)``.  Components come out
-    sorted by their smallest member, members sorted ascending."""
+    arrive as pairs of integer arrays ``(i, j)`` in range(n).  Components
+    come out sorted by their smallest member, members sorted ascending."""
     # Union-find whose roots are the smallest index of their tree: each
     # round hooks the larger root of every split edge onto the smaller
     # one, then flattens the trees by pointer jumping.
     root = np.arange(_integer("n", n, 0))
     for i, j in edges:
+        i, j = np.asarray(i), np.asarray(j)
+        for end in (i, j):  # by dtype and one min and max per chunk
+            if end.dtype.kind not in "iu" or end.size and (
+                    end.min() < 0 or end.max() >= n):
+                raise ValueError(f"edge ends must be integers in range({n})")
         while True:
             ri, rj = root[i], root[j]
             split = ri != rj
@@ -521,11 +526,18 @@ def partition_by_label(points, labels: Sequence[Hashable],
     _check_positive("r_cc", r_cc)
     pts = _samples(points)
     labels = tuple(labels)
+    if len(labels) != len(pts):
+        raise ValueError(f"labels: expected {len(pts)}, one per point, "
+                         f"got {len(labels)}")
     code = {label: c for c, (_, label) in enumerate(classes)}
     coded = np.array([code[lab] for lab in labels], dtype=np.intp)
     key = coded
     if within is not None:
-        within = np.asarray(within, dtype=np.intp)
+        within = np.asarray(within)
+        if within.shape != coded.shape or within.dtype.kind not in "iu" \
+                or within.min() < 0:
+            raise ValueError("within must hold one nonnegative integer per "
+                             "point")
         key = coded * (int(within.max()) + 1) + within
     cross = []  # cross-key pairs, kept until their components are known
 

@@ -11,7 +11,11 @@ from types import FunctionType
 import numpy as np
 
 from svb.bundle import _off_fiber, whitney_a_check, whitney_a_from_sections
-from svb.equivariant import FiniteGroupAction
+from svb.equivariant import (FiniteGroupAction, invariant_subbundle,
+                             quotient_bundle)
+from svb.fixtures import ring_tangent_bundle, rotation_group
+from svb.foliation import (PolynomialVectorField, VectorFieldSet,
+                           distribution_at)
 
 
 def cone_sections(b):
@@ -42,6 +46,36 @@ def dihedral_square_group(with_tangent_action: bool = False
     mats += [rot(k) @ np.diag([1.0, -1.0]) for k in (0, 2, 1, 3)]
     fiber = [m.copy() for m in mats] if with_tangent_action else None
     return FiniteGroupAction(2, mats, fiber_elements=fiber)
+
+
+def circle_rank_table(n):
+    """Acceptance criterion 5 computed: the circle acting on the tangent
+    bundle of the plane, sampled by ``ring_tangent_bundle(n)`` with the
+    rotation group Z_n (n >= 2) standing in for the circle.  Z_n fixes
+    only 0 of the tangent plane at the origin, as the circle does, and
+    both act freely elsewhere, so ``quotient_bundle`` of the
+    ``invariant_subbundle`` at ``r_cc`` 0.6 has the circle's ranks.  A
+    quotient stratum of the circle has the dimension of its orbit-type
+    stratum less that of the orbits, the rank of the rotation field
+    -y d/dx + x d/dy at its points (``distribution_at``).
+
+    Returns ``(quotient_ranks, tangent_ranks, orbit_ranks)``, each keyed
+    by "origin" (the stratum at 0) and "generic"; ``orbit_ranks`` holds
+    the set of field ranks over each stratum's points."""
+    g = rotation_group(n)
+    quotient = quotient_bundle(g, invariant_subbundle(
+        g, ring_tangent_bundle(n), r_cc=0.6), r_cc=0.6)
+    rotation = VectorFieldSet(2, [PolynomialVectorField(2, [
+        {"powers": [0, 1], "vector": [-1.0, 0.0]},
+        {"powers": [1, 0], "vector": [0.0, 1.0]}])], quotient.base._cloud)
+    ranks, tangent, orbit = {}, {}, {}
+    for s in quotient.base.strata:
+        key = "generic" if s.points.any() else "origin"
+        assert key not in ranks, f"two {key} strata"
+        orbit[key] = {distribution_at(rotation, x).dim for x in s.points}
+        ranks[key] = quotient.stratum_rank[s.name]
+        tangent[key] = s.dim - max(orbit[key])
+    return ranks, tangent, orbit
 
 
 def violation_rows(report):

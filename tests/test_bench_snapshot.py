@@ -1,11 +1,15 @@
 """The pairing and the summary of ``scripts/bench_snapshot.py --against``,
-on synthetic runs, its arguments, and one kernel timed in this process:
-no perfbench process is started."""
+on synthetic runs, its arguments, its ``git archive`` copies of a small
+repository, and one kernel timed in this process: no perfbench process
+is started."""
 
 import importlib.util
 import json
 import os
+import shutil
+import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -81,7 +85,6 @@ def test_compare_runs_each_pair_in_order(snapshot, monkeypatch, tmp_path):
         return metrics, {"commit": checkout, "fail_ratio": 0.0}
 
     monkeypatch.setattr(snapshot, "perfbench", perfbench)
-    monkeypatch.setattr(snapshot, "src_modified", lambda checkout: False)
     monkeypatch.setattr(snapshot, "PAIR_SEEDS", {
         workload: (1, 2, 3) for workload in snapshot.WORKLOADS})
     monkeypatch.setenv("MALLOC_ARENA_MAX", "2")
@@ -92,14 +95,15 @@ def test_compare_runs_each_pair_in_order(snapshot, monkeypatch, tmp_path):
     (tmp_path / "src" / "svb").mkdir(parents=True)
     (tmp_path / "src" / "svb" / "core.py").write_text("a = 1\nb = 2\n")
     new = str(tmp_path)
-    result = snapshot.compare("old", new)
+    result = snapshot.compare("old", new, {"parent": "c0", "change": "c1"})
     assert (tmp_path / "BENCHMARK.json").read_text() == declared
     assert calls[:6] == [("old", "corpus", 1), (new, "corpus", 1),
                          (new, "corpus", 2), ("old", "corpus", 2),
                          ("old", "corpus", 3), (new, "corpus", 3)]
     assert len(calls) == 6 * len(snapshot.WORKLOADS)
     assert result["context"]["malloc"]["MALLOC_ARENA_MAX"] == "2"
-    assert result["context"]["parent"]["commit"] == "old"
+    assert result["context"]["parent"]["commit"] == "c0"
+    assert result["context"]["change"]["commit"] == "c1"
     assert result["context"]["parent"]["src_lines"] is None
     assert result["context"]["change"]["src_lines"] == 2
     orbits = result["workloads"]["orbits"]
@@ -108,6 +112,67 @@ def test_compare_runs_each_pair_in_order(snapshot, monkeypatch, tmp_path):
     assert orbits["metrics"]["ops_per_s"]["ratio"] == 107.0 / 102.0
     assert orbits["fail_ratio"] == {"parent": 0.0, "change": 0.0}
     json.dumps(result, allow_nan=False)
+
+
+def _git(repo, *args):
+    return subprocess.run(
+        ["git", "-c", "user.name=svb", "-c", "user.email=svb@example.invalid",
+         *args], cwd=repo, capture_output=True, text=True,
+        check=True).stdout.strip()
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_against_runs_archived_commits(snapshot, monkeypatch, tmp_path):
+    """``--against REV`` measures ``git archive`` copies of REV and HEAD
+    in one temporary directory, removed at the end, and records each
+    side's full commit hash; the working tree's edits are not measured."""
+    repo = tmp_path / "repo"
+    (repo / "src" / "svb").mkdir(parents=True)
+    shutil.copy(os.path.join(REPO, "BENCHMARK.json"), repo)
+    core = repo / "src" / "svb" / "core.py"
+    _git(repo, "init", "-q")
+    for text in ("a = 1\n", "a = 1\nb = 2\n"):
+        core.write_text(text)
+        _git(repo, "add", "-A")
+        _git(repo, "commit", "-q", "-m", "step")
+    core.write_text("uncommitted\n" * 5)
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    seen = []
+
+    def perfbench(checkout, workload, seed):
+        assert checkout.startswith(str(scratch))
+        with open(os.path.join(checkout, "src", "svb", "core.py")) as fh:
+            seen.append((os.path.basename(checkout), fh.read()))
+        return (dict.fromkeys(snapshot.METRICS, 1.0),
+                {"commit": None, "fail_ratio": 0.0})
+
+    monkeypatch.setattr(snapshot, "HERE", str(repo))
+    monkeypatch.setattr(snapshot, "perfbench", perfbench)
+    monkeypatch.setattr(snapshot, "PAIR_SEEDS", {
+        workload: (1,) for workload in snapshot.WORKLOADS})
+    monkeypatch.setattr(snapshot, "KERNELS", ())
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    out = tmp_path / "pairs.json"
+    assert snapshot.main(["--out", str(out), "--against", "HEAD~1"]) == 0
+    assert os.listdir(scratch) == []
+    assert set(seen) == {("parent", "a = 1\n"), ("change", "a = 1\nb = 2\n")}
+    context = json.loads(out.read_text())["context"]
+    assert context["parent"]["commit"] == _git(repo, "rev-parse", "HEAD~1")
+    assert context["change"]["commit"] == _git(repo, "rev-parse", "HEAD")
+    assert len(context["change"]["commit"]) == 40
+    assert (context["parent"]["src_lines"],
+            context["change"]["src_lines"]) == (1, 2)
+    assert "src_modified" not in context["parent"]
+
+
+def test_checkout_is_hidden(snapshot, capsys):
+    with pytest.raises(SystemExit):
+        snapshot.parse_args(["--help"])
+    assert "--checkout" not in capsys.readouterr().out
+    args = snapshot.parse_args(["--out", os.devnull, "--kernel",
+                                "cli_main_frontier_line", "--checkout", "x"])
+    assert (args.kernel, args.checkout) == ("cli_main_frontier_line", "x")
 
 
 def test_src_lines(snapshot, tmp_path):

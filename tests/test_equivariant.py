@@ -21,7 +21,6 @@ from svb.equivariant import (
     _partition_by_stabilizer,
     _point_permutations,
     _stabilizer_table,
-    circle_action_on_plane_report,
     conjugacy_label,
     fixed_subspace,
     invariant_subbundle,
@@ -50,8 +49,8 @@ from svb.cli import main
 from svb.jsonio import bundle_to_json, dumps, group_to_json, write_json
 from svb.strata import Stratification, Stratum, check_frontier
 
-from helpers import (axis_reflection_group, dihedral_square_group,
-                     violation_rows)
+from helpers import (axis_reflection_group, circle_rank_table,
+                     dihedral_square_group, violation_rows)
 
 
 def trivial_group(n=2):
@@ -471,6 +470,33 @@ class TestFixedSubspace:
         with pytest.raises(ValueError,
                            match="^group carries no fiber action$"):
             fixed_subspace(axis_reflection_group(), [0], use_fiber=True)
+
+
+SUBGROUP_REFUSALS = [
+    ((0, 2.5), "subgroup index must be an integer, got 2.5"),
+    ((0, True), "subgroup index must be an integer, got True"),
+    ((0, -2), "subgroup index -2 is negative"),
+    ((0, 4), "subgroup index 4 is not below the group order 4"),
+    ((0, 1), "set [0, 1] is not closed under the group table"),
+    ([[0, 2]], "subgroup index must be an integer, got [0, 2]"),
+    ((), "subgroup must be nonempty"),
+]
+
+
+class TestSubgroupReader:
+    @pytest.mark.parametrize("read", [conjugacy_label, fixed_subspace],
+                             ids=["conjugacy_label", "fixed_subspace"])
+    @pytest.mark.parametrize("subgroup, message", SUBGROUP_REFUSALS,
+                             ids=[str(case) for case, _ in SUBGROUP_REFUSALS])
+    def test_refused(self, read, subgroup, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read(rotation_group(4), subgroup)
+
+    def test_distinct_ascending(self):
+        g = rotation_group(4)
+        read = equivariant._subgroup(g, (2, np.int64(0), 2))
+        assert read == [0, 2] and all(type(i) is int for i in read)
+        assert conjugacy_label(g, {2, 0}) == (0, 2)
 
 
 class TestOrbitTypePartition:
@@ -1482,10 +1508,13 @@ class TestOrbitInvariants:
                 assert np.linalg.norm(m @ p @ m.T - p, 2) <= 1e-10
 
 
-class TestCircleActionReport:
+class TestCircleRankTable:
     def test_rank_table(self):
-        report = circle_action_on_plane_report()
-        assert report.quotient_ranks == {"origin": 0, "generic": 2}
-        assert report.tangent_ranks == {"origin": 0, "generic": 1}
-        assert report.isomorphic is False
+        # Criterion 5's table, computed with Z_N for the circle: the same
+        # for every N, and each stratum's orbit rank is one number.
+        for n in (2, 3, 8, 12):
+            quotient_ranks, tangent_ranks, orbit_ranks = circle_rank_table(n)
+            assert quotient_ranks == {"origin": 0, "generic": 2}
+            assert tangent_ranks == {"origin": 0, "generic": 1}
+            assert orbit_ranks == {"origin": {0}, "generic": {1}}
 

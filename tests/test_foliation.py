@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from svb import strata
 from svb.bundle import validate_bundle, whitney_a_from_sections
 from svb.cli import main
 from svb.config import TAIL_LEN, TOL_RANK
@@ -110,6 +111,29 @@ class TestStackedDistributions:
                 for value, p in zip(section[s.name], s.points):
                     assert np.array_equal(value, f.evaluate(p))
                     assert np.array_equal(value, vfs.evaluate(p)[0, j])
+
+    def test_points_are_read_once(self, monkeypatch):
+        # One sample-rule pass per call: distribution_at reads its point
+        # by the evaluator alone, and fields_as_sections evaluates the
+        # whole base once, not once per stratum, with the same values.
+        vfs = constant_field_plane()
+        b = foliation_bundle(vfs)
+        assert len(b.base.strata) == 81
+        per_stratum = [vfs.evaluate(s.points)[:, 0] for s in b.base.strata]
+        reads = []
+
+        def counted(pts):
+            reads.append(len(pts))
+            return first_far(pts)
+
+        first_far = strata._first_far
+        monkeypatch.setattr(strata, "_first_far", counted)
+        assert distribution_at(vfs, [0.5, 0.5]).dim == 1
+        assert reads == [1]
+        sections = fields_as_sections(vfs, b)
+        assert reads == [1, 81]
+        for s, want in zip(b.base.strata, per_stratum):
+            assert np.array_equal(sections[0][s.name], want)
 
 
 class TestStratifyByRank:

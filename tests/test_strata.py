@@ -1032,6 +1032,16 @@ class TestGraphComponents:
                                dim=lambda label, cloud: 0,
                                below=lambda low, high: False, r_cc=1.0)
 
+    @pytest.mark.parametrize("i, j", [
+        (np.array([-1]), np.array([0])), (np.array([0]), np.array([4])),
+        (np.array([0.0]), np.array([1])), (np.array([1]), np.array([True]))],
+        ids=["negative", "past-n", "float", "bool"])
+    def test_edge_ends_out_of_range_rejected(self, i, j):
+        # -1 would alias vertex 3: [[0, 3], [1], [2]].
+        with pytest.raises(ValueError, match=re.escape(
+                "edge ends must be integers in range(4)")):
+            graph_components(4, [(np.array([0]), np.array([1])), (i, j)])
+
     def test_scrambled_path_is_one_component(self):
         i = np.array([0, 5, 1, 4, 2])
         j = np.array([5, 1, 4, 2, 3])
@@ -1175,6 +1185,36 @@ class TestPartitionByLabel:
             partition_by_label(np.zeros((0, 1)), [], [("s", "a")],
                                dim=lambda label, cloud: 0,
                                below=lambda low, high: False, r_cc=1.0)
+
+    @staticmethod
+    def _four_close(labels, within=None):
+        return partition_by_label(
+            [[0.0], [0.1], [0.2], [0.3]], labels, [("a", 0), ("b", 1)],
+            dim=lambda label, cloud: 0, below=lambda low, high: False,
+            r_cc=0.5, within=within)
+
+    @pytest.mark.parametrize("labels", [[0, 0, 1], [0, 0, 1, 1, 1]],
+                             ids=["fewer", "more"])
+    def test_one_label_per_point(self, labels):
+        with pytest.raises(ValueError, match="^labels: expected 4, one per "
+                           f"point, got {len(labels)}$"):
+            self._four_close(labels)
+
+    @pytest.mark.parametrize("within", [
+        [1, 1, 0, -1], [1.5, 1.0, 0.0, 0.0], [True, True, False, False],
+        [1, 1, 0], [[1, 1, 0, 0]]],
+        ids=["negative", "float", "bool", "short", "nested"])
+    def test_within_one_nonnegative_integer_per_point(self, within):
+        # With -1, point 3 (label 1) would share a key with points 0 and 1
+        # (label 0, within 1) and join their stratum a_c0.
+        with pytest.raises(ValueError, match="^within must hold one "
+                           "nonnegative integer per point$"):
+            self._four_close([0, 0, 1, 1], within)
+
+    def test_within_refines(self):
+        part = self._four_close([0, 0, 1, 1], np.array([1, 0, 0, 0],
+                                                       dtype=np.uint8))
+        assert part.members == [[0], [1], [2, 3]]
 
     @pytest.mark.parametrize("r_cc", [0.0, -1.0, np.nan])
     def test_radius_must_be_positive(self, r_cc):
