@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare two svb checkouts run by run, and record the comparison.
+"""Compare two svb commits run by run, and record the comparison.
 
     python3 scripts/bench_snapshot.py --out pairs.json --against REV
 
