@@ -22,8 +22,9 @@ more than the parent's IQR).  Under ``scaled`` it holds, per kernel of
 of timings and the same summary of their median seconds, and under
 ``min_s`` of their minimum seconds, without a bound.  The context holds
 each side's full commit hash, its numpy, BLAS and its threads and nproc,
-and its ``src/svb`` line count (``src_lines``), plus the ``MALLOC_*``
-environment that both ran under.
+and its ``src/svb`` line count (``src_lines``) and that of each module
+(``src_lines_by_module``), plus the ``MALLOC_*`` environment that both
+ran under.
 
 Every measurement runs in a fresh process that imports svb from its
 copy's ``src``.  A kernel is timed by this script's hidden
@@ -162,9 +163,13 @@ def compare(parent, checkout, commits):
         for seed, sides in pair_order(PAIR_SEEDS[workload]):
             for side in sides:
                 metrics, ctx = perfbench(where[side], workload, seed)
-                contexts.setdefault(side, dict(
-                    {key: ctx.get(key) for key in CONTEXT_KEYS},
-                    commit=commits[side], src_lines=src_lines(where[side])))
+                if side not in contexts:
+                    lines = src_lines_by_module(where[side])
+                    total = None if lines is None else sum(lines.values())
+                    contexts[side] = dict(
+                        {key: ctx.get(key) for key in CONTEXT_KEYS},
+                        commit=commits[side], src_lines=total,
+                        src_lines_by_module=lines)
                 runs[side].append(dict(metrics, seed=seed,
                                        first=side == sides[0],
                                        fail_ratio=ctx["fail_ratio"]))
@@ -246,18 +251,19 @@ def archive(rev, dest):
     return commit
 
 
-def src_lines(checkout):
-    """The lines of the checkout's ``src/svb/*.py``, counted as ``wc -l``
-    counts them, or None when it has no ``src/svb``."""
+def src_lines_by_module(checkout):
+    """The lines of each of the checkout's ``src/svb/*.py`` by file name,
+    counted as ``wc -l`` counts them, or None when it has no
+    ``src/svb``."""
     package = os.path.join(checkout, "src", "svb")
     if not os.path.isdir(package):
         return None
-    total = 0
+    lines = {}
     for name in sorted(os.listdir(package)):
         if name.endswith(".py"):
             with open(os.path.join(package, name), "rb") as fh:
-                total += fh.read().count(b"\n")
-    return total
+                lines[name] = fh.read().count(b"\n")
+    return lines
 
 
 def _clusters(rng, grid=(4, 4, 2), points=100):

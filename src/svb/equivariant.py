@@ -3,40 +3,29 @@
 A group is a finite stack of orthogonal matrices closed under products,
 with its multiplication table.  Sample points are handled per
 stabilizer class, not one at a time: one ``(order, n)`` table records
-which elements fix which points, each distinct column (one stable sort
-finds them) is one stabilizer, checked once for closure under the
-table, and conjugacy labels, fixed subspaces by averaging and
-orbit-type strata follow per class.  The average over a closed subgroup
-H is the projection onto its fixed space, so that space's dimension is
-the trace (1/|H|) sum of tr h, with no rank threshold.  The conjugates
-t H t^-1 of a subgroup, for every t at once, are one gather in the
-group table.  ``invariant_subbundle`` shrinks an equivariant bundle to
-the stabilizer-invariant part of each fiber, and ``quotient_bundle``
-pushes the result down to one fiber per orbit.  Once the audit below
-has shown each fiber E over x carried onto itself by the stabilizer H
-of x, the average A over H, the projection onto Fix(H), maps E onto
-its invariant part E meet Fix(H), so that part is the row space of B A
-for a basis B of E, of dimension tr(B A B^T) = |B A|_F^2: an integer,
-with no rank threshold.  The equivariance audit needs no rank decision
-either: an orthogonal fiber matrix M carries the fiber with projection
-P onto the one with projection M P M^T, and the audit compares the
-spectral norm of M P M^T - Q with the tolerance.  That norm, like those
-of the orthogonality and table checks of the group's matrices, is only
+which elements fix which points, and each distinct column (one stable
+sort finds them) is one stabilizer, checked once for closure under the
+table.  The conjugates t H t^-1 of a class, for every t at once, are one
+gather in the group table, taken once per class: the orbit type is
+their least row, and one such table per orbit type decides which types
+lie below which.  The average over a closed subgroup H is the
+projection onto its fixed space, so that space's dimension is the trace
+(1/|H|) sum of tr h, with no rank threshold.
+
+``invariant_subbundle`` shrinks an equivariant bundle to the
+stabilizer-invariant part of each fiber, with no rank threshold (see
+there), and ``quotient_bundle`` pushes the result down to one fiber per
+orbit.  The equivariance audit needs no rank decision either: an
+orthogonal fiber matrix M carries the fiber with projection P onto the
+one with projection M P M^T, and the spectral norm of M P M^T - Q, like
+those of the group's own orthogonality and table checks, is only
 compared with a tolerance, so each goes through the Frobenius screen
 ``grassmann._spectral_norms``.
 
-The permutation each element induces on the sample points comes from a
-generating set picked greedily from the table.  One radius query at
-4 tol matches the generators' images alone; every other element's row
-is an integer gather along the table, and one vectorized pass checks
-that each element's images lie within tol of the points its row names.
-Where each generator image has exactly one sample within 4 tol and the
-check passes, no two samples lie within 2 tol of each other (each
-sample is some generator image's match, and a second sample within 2 tol
-of it would lie within the 4 tol of that image), so each image's sample
-within tol is unique and the rows are exactly those of matching every
-element's images.  Otherwise that direct match runs, with its checks
-and error texts.
+The permutation each element induces on the sample points comes from
+the images of a generating set alone where that can be shown exact
+(``_generated_permutations``), and from matching every element's images
+elsewhere.
 
 Infinite rotation groups are not first class.  On the plane, Z_N
 (N >= 2) fixes what the circle fixes, 0 alone at the origin, and acts
@@ -228,8 +217,9 @@ def _stabilizer_table(g: FiniteGroupAction, pts: np.ndarray, tol: float
 def _closed(g: FiniteGroupAction, members) -> bool:
     """Whether the indices ``members``, each in range(order), are closed
     under the group table."""
-    member = np.bincount(members, minlength=g.order) > 0
-    return bool(member[g.table[np.ix_(members, members)]].all())
+    m = np.asarray(members)
+    member = np.bincount(m, minlength=g.order) > 0
+    return bool(member[g.table[m[:, None], m]].all())
 
 
 def _conjugates(g: FiniteGroupAction, subgroup) -> np.ndarray:
@@ -256,11 +246,15 @@ def _subgroup(g: FiniteGroupAction, subgroup) -> list[int]:
     return members
 
 
+def _orbit_type(conjugates: np.ndarray) -> tuple[int, ...]:
+    """The least row of a subgroup's ``_conjugates``: its orbit type."""
+    return min(map(tuple, conjugates.tolist()))
+
+
 def conjugacy_label(g: FiniteGroupAction, subgroup) -> tuple[int, ...]:
     """The orbit type of a subgroup: the sorted element indices of its
     lexicographically least conjugate."""
-    # Conjugating by the identity gives the sorted subgroup itself.
-    return min(map(tuple, _conjugates(g, _subgroup(g, subgroup)).tolist()))
+    return _orbit_type(_conjugates(g, _subgroup(g, subgroup)))
 
 
 def fixed_subspace(g: FiniteGroupAction, subgroup,
@@ -301,26 +295,31 @@ def _partition_by_stabilizer(g: FiniteGroupAction, pts: np.ndarray,
     labelled by (``within[p]``, orbit type), so the strata refine the
     partition ``within`` gives; the names stay ``type{t}_c{j}``, j
     counting the components of type t by smallest member."""
-    label_of = [conjugacy_label(g, stab) for stab in classes]
-    labels = [label_of[c] for c in of_point.tolist()]
-    distinct = sorted(set(labels), key=lambda lab: (-len(lab), lab))
+    tables = [_conjugates(g, stab) for stab in classes]
+    label_of = [_orbit_type(table) for table in tables]
+    table_of = dict(zip(label_of, tables))  # one table per orbit type
+    distinct = sorted(table_of, key=lambda lab: (-len(lab), lab))
+    index = {label: t for t, label in enumerate(distinct)}
+    below = _proper_containment(g, [table_of[lab] for lab in distinct])
     dims = {label: round(np.trace(g.elements[list(label)], axis1=1,
                                   axis2=2).mean()) for label in distinct}
     return partition_by_label(
-        pts, labels, [(f"type{t}", label) for t, label in enumerate(distinct)],
+        pts, [label_of[c] for c in of_point.tolist()],
+        [(f"type{t}", label) for t, label in enumerate(distinct)],
         dim=lambda label, cloud: dims[label],
-        below=lambda low, high: _class_properly_contains(g, low, high),
+        below=lambda low, high: bool(below[index[low], index[high]]),
         r_cc=r_cc, within=within)
 
 
-def _class_properly_contains(g: FiniteGroupAction, big: tuple[int, ...],
-                             small: tuple[int, ...]) -> bool:
-    """True when some conjugate of `small` is a proper subgroup of `big`."""
-    if len(small) >= len(big):
-        return False
-    member = np.zeros(g.order, dtype=bool)
-    member[list(big)] = True
-    return bool(member[_conjugates(g, small)].all(axis=1).any())
+def _proper_containment(g: FiniteGroupAction, conjugates) -> np.ndarray:
+    """``[b, s]``: whether a conjugate of subgroup s is a proper subgroup
+    of subgroup b, from their ``_conjugates`` tables.  Any row of b's
+    table stands for b: conjugating b as well changes nothing."""
+    member = np.array([np.bincount(table[0], minlength=g.order) > 0
+                       for table in conjugates])
+    size = member.sum(axis=1)
+    return np.stack([member[:, table].all(axis=2).any(axis=1)
+                     for table in conjugates], axis=1) & (size[:, None] > size)
 
 
 def _images(pts: np.ndarray, mats) -> np.ndarray:

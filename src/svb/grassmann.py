@@ -20,6 +20,7 @@ bool, with an optional least value).
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from typing import Optional, Sequence
 
@@ -84,8 +85,11 @@ def _spectral_norms(stack: np.ndarray, tol: float) -> np.ndarray:
 
 def _check_positive(name: str, value) -> None:
     """A tolerance or radius must be a positive finite number; a NaN
-    would pass every threshold and an infinite one would pass all."""
-    if not 0 < value < math.inf:
+    would pass every threshold and an infinite one would pass all.  A
+    bool is no number here, nor is anything that is not real."""
+    real = isinstance(value, float) or (
+        isinstance(value, numbers.Real) and not isinstance(value, bool))
+    if not (real and 0 < value < math.inf):
         raise ValueError(f"{name} must be a positive finite number, "
                          f"got {value!r}")
 

@@ -508,10 +508,10 @@ def partition_by_label(points, labels: Sequence[Hashable],
                        r_cc: float, within=None) -> LabelPartition:
     """Group labelled points into strata.
 
-    ``classes`` lists ``(prefix, label)`` for every label, in the order
-    the strata are emitted; each label class is split into single-linkage
-    components at radius ``r_cc``, named ``{prefix}_c{c}`` with c
-    counting the class's components by smallest member, with
+    ``classes`` lists ``(prefix, label)`` for every label, each once, in
+    the order the strata are emitted; each label class is split into
+    single-linkage components at radius ``r_cc``, named ``{prefix}_c{c}``
+    with c counting the class's components by smallest member, with
     dimension ``dim(label, cloud)``.  ``within``, one nonnegative integer
     per point, refines the split: no component joins points of two
     values, so the strata refine the partition it gives.  A stratum is declared in the
@@ -529,8 +529,15 @@ def partition_by_label(points, labels: Sequence[Hashable],
     if len(labels) != len(pts):
         raise ValueError(f"labels: expected {len(pts)}, one per point, "
                          f"got {len(labels)}")
-    code = {label: c for c, (_, label) in enumerate(classes)}
-    coded = np.array([code[lab] for lab in labels], dtype=np.intp)
+    code = {}
+    for c, (_, label) in enumerate(classes):
+        if code.setdefault(label, c) != c:
+            raise ValueError(f"classes lists label {label!r} twice")
+    try:
+        coded = np.array([code[lab] for lab in labels], dtype=np.intp)
+    except KeyError as missing:
+        raise ValueError(f"label {missing.args[0]!r} is not listed in "
+                         "classes") from None
     key = coded
     if within is not None:
         within = np.asarray(within)

@@ -11,11 +11,13 @@ from types import FunctionType
 import numpy as np
 
 from svb.bundle import _off_fiber, whitney_a_check, whitney_a_from_sections
-from svb.equivariant import (FiniteGroupAction, invariant_subbundle,
+from svb.equivariant import (FiniteGroupAction, _conjugates, conjugacy_label,
+                             fixed_subspace, invariant_subbundle,
                              quotient_bundle)
 from svb.fixtures import ring_tangent_bundle, rotation_group
 from svb.foliation import (PolynomialVectorField, VectorFieldSet,
                            distribution_at)
+from svb.strata import partition_by_label
 
 
 def cone_sections(b):
@@ -46,6 +48,27 @@ def dihedral_square_group(with_tangent_action: bool = False
     mats += [rot(k) @ np.diag([1.0, -1.0]) for k in (0, 2, 1, 3)]
     fiber = [m.copy() for m in mats] if with_tangent_action else None
     return FiniteGroupAction(2, mats, fiber_elements=fiber)
+
+
+def reference_partition_by_stabilizer(g, pts, classes, of_point, r_cc,
+                                      within=None):
+    """``equivariant._partition_by_stabilizer`` by the rule it replaces:
+    each class labelled by ``conjugacy_label``, each type's dimension
+    that of its ``fixed_subspace``, and for each stratum pair, whether
+    some conjugate of the higher type is a proper subgroup of the lower
+    one, gathered afresh."""
+    label_of = [conjugacy_label(g, stab) for stab in classes]
+    labels = [label_of[c] for c in of_point.tolist()]
+    distinct = sorted(set(labels), key=lambda lab: (-len(lab), lab))
+
+    def below(big, small):
+        return len(small) < len(big) and any(
+            set(row) <= set(big) for row in _conjugates(g, small).tolist())
+
+    return partition_by_label(
+        pts, labels, [(f"type{t}", label) for t, label in enumerate(distinct)],
+        dim=lambda label, cloud: fixed_subspace(g, label).dim, below=below,
+        r_cc=r_cc, within=within)
 
 
 def circle_rank_table(n):

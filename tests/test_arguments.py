@@ -232,8 +232,9 @@ def _accepted(call, value, name):
 
 class TestRealThresholds:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0,
-                                       -1.0],
-                             ids=["nan", "inf", "-inf", "zero", "negative"])
+                                       -1.0, True, "1"],
+                             ids=["nan", "inf", "-inf", "zero", "negative",
+                                  "bool", "str"])
     @pytest.mark.parametrize("entry, name, call", REALS, ids=_ids(REALS))
     def test_refused(self, entry, name, call, value):
         with pytest.raises(ValueError, match=f"^{re.escape(name)} must be "

@@ -106,6 +106,9 @@ def test_compare_runs_each_pair_in_order(snapshot, monkeypatch, tmp_path):
     assert result["context"]["change"]["commit"] == "c1"
     assert result["context"]["parent"]["src_lines"] is None
     assert result["context"]["change"]["src_lines"] == 2
+    assert result["context"]["parent"]["src_lines_by_module"] is None
+    assert result["context"]["change"]["src_lines_by_module"] == {
+        "core.py": 2}
     orbits = result["workloads"]["orbits"]
     assert [run["first"] for run in orbits["runs"]["parent"]] == [
         True, False, True]
@@ -163,6 +166,7 @@ def test_against_runs_archived_commits(snapshot, monkeypatch, tmp_path):
     assert len(context["change"]["commit"]) == 40
     assert (context["parent"]["src_lines"],
             context["change"]["src_lines"]) == (1, 2)
+    assert context["change"]["src_lines_by_module"] == {"core.py": 2}
     assert "src_modified" not in context["parent"]
 
 
@@ -176,16 +180,17 @@ def test_checkout_is_hidden(snapshot, capsys):
 
 
 def test_src_lines(snapshot, tmp_path):
-    """The newlines of ``src/svb/*.py``, as ``wc -l`` counts them: other
-    files and subdirectories do not count."""
+    """The newlines of each ``src/svb/*.py``, as ``wc -l`` counts them:
+    other files and subdirectories do not count."""
     package = tmp_path / "src" / "svb"
     (package / "sub").mkdir(parents=True)
     (package / "a.py").write_text("x = 1\n\ny = 2\n")
     (package / "b.py").write_text("z = 3\nw = 4")  # no final newline
     (package / "notes.txt").write_text("one\ntwo\n")
     (package / "sub" / "c.py").write_text("v = 5\n")
-    assert snapshot.src_lines(str(tmp_path)) == 4
-    assert snapshot.src_lines(str(tmp_path / "src")) is None
+    assert snapshot.src_lines_by_module(str(tmp_path)) == {"a.py": 3,
+                                                           "b.py": 1}
+    assert snapshot.src_lines_by_module(str(tmp_path / "src")) is None
 
 
 def test_kernel_list(snapshot):

@@ -8,18 +8,18 @@ import pytest
 
 from svb import equivariant, strata
 from svb.bundle import SampledStratifiedBundle, trivial_bundle
-from svb.config import TOL_CHECK
+from svb.config import R_CC, TOL_CHECK
 from svb.equivariant import (
     _TOL_GROUP,
     FiniteGroupAction,
     StrataNotInvariantError,
-    _class_properly_contains,
     _conjugates,
     _equivariance_defects,
     _generated_permutations,
     _generators,
     _partition_by_stabilizer,
     _point_permutations,
+    _proper_containment,
     _stabilizer_table,
     conjugacy_label,
     fixed_subspace,
@@ -50,7 +50,8 @@ from svb.jsonio import bundle_to_json, dumps, group_to_json, write_json
 from svb.strata import Stratification, Stratum, check_frontier
 
 from helpers import (axis_reflection_group, circle_rank_table,
-                     dihedral_square_group, violation_rows)
+                     dihedral_square_group, reference_partition_by_stabilizer,
+                     violation_rows)
 
 
 def trivial_group(n=2):
@@ -396,11 +397,14 @@ class TestGroupTableRoutes:
                 == want
             assert conjugacy_label(g, sub) == min(want)
             conjugates[sub] = want
-        for big in conjugates:
-            for small, want in conjugates.items():
+        subs = list(conjugates)
+        contains = _proper_containment(g, [_conjugates(g, sub)
+                                           for sub in subs])
+        for b, big in enumerate(subs):
+            for s, (small, want) in enumerate(conjugates.items()):
                 expected = len(small) < len(big) and any(
                     set(c) <= set(big) for c in want)
-                assert _class_properly_contains(g, big, small) is expected
+                assert contains[b, s] == expected
 
     def test_cube_grid_partition(self, cases):
         # 79 strata and 118 declared closure pairs on the 5^3 grid.
@@ -408,6 +412,101 @@ class TestGroupTableRoutes:
         part = orbit_type_partition(g, cube, r_cc=0.6)
         assert len(part.stratification.strata) == 79
         assert len(part.stratification.closure_order) == 118
+
+
+def workload_rings(seed, count=10):
+    """The rings of the orbits workload: ``ring_tangent_bundle`` of Z_8
+    and Z_12, one seeded radius in each of ``count`` equal slices of
+    [0.2, 1]."""
+    rng = np.random.default_rng(seed)
+    for order in (8, 12):
+        slots = np.arange(count) + rng.uniform(0.1, 0.9, count)
+        yield order, ring_tangent_bundle(order,
+                                         list(0.2 + 0.8 * slots / count))
+
+
+def assert_same_partition(got, want):
+    """Names, members, labels, closure order and dims agree."""
+    assert got.stratification.names == want.stratification.names
+    assert got.members == want.members
+    assert got.labels == want.labels
+    assert got.label_of_stratum == want.label_of_stratum
+    assert got.stratification.closure_order == \
+        want.stratification.closure_order
+    for mine, theirs in zip(got.stratification.strata,
+                            want.stratification.strata):
+        assert mine.dim == theirs.dim
+        assert np.array_equal(mine.points, theirs.points)
+
+
+def assert_same_bundle(got, want):
+    assert got.base.names == want.base.names
+    assert got.base.closure_order == want.base.closure_order
+    assert [s.dim for s in got.base.strata] == [s.dim for s in
+                                                want.base.strata]
+    assert np.array_equal(got.base._cloud, want.base._cloud)
+    assert list(got.stacks) == list(want.stacks)
+    for name, stack in got.stacks.items():
+        assert np.array_equal(stack, want.stacks[name])
+
+
+class TestOneTablePerClass:
+    """Orbit types and their order from one ``_conjugates`` table per
+    stabilizer class, against ``conjugacy_label`` per class and the
+    containment gathered afresh for each stratum pair
+    (``reference_partition_by_stabilizer``)."""
+
+    def test_cube_gathers_each_class_once(self, monkeypatch):
+        # 23 stabilizer classes of the 5^3 grid under the 48 signed
+        # permutations: each is checked for closure and conjugated once.
+        calls = {"_conjugates": 0, "_closed": 0}
+
+        def counted(name):
+            inner = getattr(equivariant, name)
+
+            def call(*args):
+                calls[name] += 1
+                return inner(*args)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(equivariant, name, counted(name))
+        g = FiniteGroupAction(3, _signed_permutations())
+        part = orbit_type_partition(g, cube_grid(), r_cc=0.6)
+        assert calls == {"_conjugates": 23, "_closed": 23}
+        assert len(part.stratification.strata) == 79
+
+    @pytest.mark.parametrize("name", list(table_cases()))
+    def test_partition_same_as_reference(self, name, monkeypatch):
+        g, clouds = table_cases()[name]
+        for pts in clouds:
+            for r_cc in (R_CC, 0.6):
+                got = orbit_type_partition(g, pts, r_cc=r_cc)
+                with monkeypatch.context() as m:
+                    m.setattr(equivariant, "_partition_by_stabilizer",
+                              reference_partition_by_stabilizer)
+                    want = orbit_type_partition(g, pts, r_cc=r_cc)
+                assert_same_partition(got, want)
+
+    @staticmethod
+    def ring_results(g, b):
+        tilde = invariant_subbundle(g, b, r_cc=0.25)
+        return (orbit_type_partition(g, b.base._cloud, r_cc=0.25), tilde,
+                quotient_bundle(g, tilde, r_cc=0.25))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_workload_rings_same_as_reference(self, seed, monkeypatch):
+        for order, b in workload_rings(seed):
+            g = rotation_group(order)
+            part, tilde, quotient = self.ring_results(g, b)
+            with monkeypatch.context() as m:
+                m.setattr(equivariant, "_partition_by_stabilizer",
+                          reference_partition_by_stabilizer)
+                ref, ref_tilde, ref_quotient = self.ring_results(g, b)
+            assert_same_partition(part, ref)
+            assert_same_bundle(tilde, ref_tilde)
+            assert_same_bundle(quotient, ref_quotient)
+            assert len(quotient.base.strata) > 1
 
 
 class TestFixedSubspace:

@@ -1211,6 +1211,28 @@ class TestPartitionByLabel:
                            "nonnegative integer per point$"):
             self._four_close([0, 0, 1, 1], within)
 
+    @pytest.mark.parametrize("labels", [[0, 0, 1, 2], ["b", 0, 0, 1]],
+                             ids=["int", "str"])
+    def test_label_not_in_classes(self, labels, monkeypatch):
+        # Refused before any neighbour query, naming the first label
+        # that ``classes`` does not list.
+        monkeypatch.setattr(strata, "near_pairs", None)
+        missing = [lab for lab in labels if lab not in (0, 1)][0]
+        with pytest.raises(ValueError, match=re.escape(
+                f"label {missing!r} is not listed in classes") + "$"):
+            self._four_close(labels)
+
+    def test_label_listed_twice(self, monkeypatch):
+        # The later entry used to win: classes [("A", "a"), ("B", "a")]
+        # gave B_c* strata alone.
+        monkeypatch.setattr(strata, "near_pairs", None)
+        with pytest.raises(ValueError,
+                           match="^classes lists label 'a' twice$"):
+            partition_by_label(
+                [[0.0], [1.0]], ["a", "a"], [("A", "a"), ("B", "a")],
+                dim=lambda label, cloud: 0, below=lambda low, high: False,
+                r_cc=0.5)
+
     def test_within_refines(self):
         part = self._four_close([0, 0, 1, 1], np.array([1, 0, 0, 0],
                                                        dtype=np.uint8))
