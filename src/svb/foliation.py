@@ -5,12 +5,11 @@ The distribution at a point is the span of the generating fields there;
 the base is stratified by distribution rank (split into connected
 components), and the resulting bundle uses the generating fields as
 global sections, which is what makes its Whitney A checks succeed.
-Leaves are never integrated; only the tangent data is built.  A
-polynomial map is a term table, read by ``parse_terms`` and evaluated
-over a stack of points by ``evaluate_terms``; polynomial monoid actions
-use the same two.  Sample points, of a field set, the point of
-``distribution_at`` and the points handed to either ``evaluate`` alike,
-go through the sample-set rule ``strata._samples`` first: a positive
+Leaves are never integrated; only the tangent data is built.  A field
+is a term table, read and evaluated by the ``terms`` module, as a
+polynomial monoid action is.  Sample points, of a field set, the point
+of ``distribution_at`` and the points handed to either ``evaluate``
+alike, go through the sample-set rule ``strata._samples`` first: a positive
 ambient dimension, at least one sample of that width, and every
 coordinate finite and within ±2^500.
 """
@@ -26,11 +25,9 @@ from .config import R_CC, TOL_RANK
 from .grassmann import Subspace, _integer, _span_rank
 from .strata import (Stratification, _samples, estimate_cloud_dim,
                      partition_by_label)
+from .terms import evaluate_terms, read_terms
 
 __all__ = [
-    "parse_powers",
-    "parse_terms",
-    "evaluate_terms",
     "PolynomialVectorField",
     "VectorFieldSet",
     "distribution_at",
@@ -40,68 +37,14 @@ __all__ = [
 ]
 
 
-def parse_powers(powers, n_vars: int) -> tuple[int, ...]:
-    """``n_vars`` nonnegative integer exponents as a tuple; bool, float
-    and str are not integers.  A ValueError names the entry at fault,
-    ``powers`` or ``powers[b]``, first."""
-    if len(powers) != n_vars:
-        raise ValueError(f"powers: expected {n_vars} exponents, "
-                         f"got {len(powers)}")
-    return tuple(_integer(f"powers[{b}]", p, 0) for b, p in enumerate(powers))
-
-
-def parse_terms(terms, n_vars: int, out_dim: int):
-    """Validated ``(powers, vector)`` pairs: exponents by
-    ``parse_powers`` and a vector of length ``out_dim`` per term.  A
-    ValueError names the term by its position t, ``term t ...``."""
-    parsed = []
-    for t, (powers, vector) in enumerate(terms):
-        try:
-            powers = parse_powers(powers, n_vars)
-        except ValueError as exc:
-            raise ValueError(f"term {t} {exc}") from None
-        vector = np.asarray(vector, dtype=float)
-        if vector.shape != (out_dim,):
-            raise ValueError(f"term {t} vector: expected {out_dim} entries, "
-                             f"got shape {vector.shape}")
-        parsed.append((powers, vector))
-    return parsed
-
-
-def evaluate_terms(terms, pts, out_dim: int) -> np.ndarray:
-    """The map at each row of the ``(n, n_vars)`` array ``pts``: each
-    monomial multiplies the variables in order, then each nonzero entry
-    of its vector, into that entry's column: a term adds nothing where its
-    vector is 0, and a one-hot term touches one column.  A value
-    that overflows is left as inf or NaN, without a numpy warning.  No
-    width is checked: the callers hand it rows read by ``strata._samples``
-    (an action's with the time in front) and name the first non-finite
-    value."""
-    out = np.zeros((len(pts), out_dim))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for powers, vector in terms:
-            monomial = np.ones(len(pts))
-            for column, p in zip(pts.T, powers):
-                if p == 1:
-                    monomial *= column
-                elif p:
-                    # Rounded as the scalar power rounds; numpy's
-                    # vectorised power may differ in the last bit.
-                    monomial *= np.array([xi ** p for xi in column])
-            for j in vector.nonzero()[0].tolist():
-                out[:, j] += monomial * vector[j]
-    return out
-
-
 class PolynomialVectorField:
-    """A vector field with polynomial coefficients, stored as a list of
-    terms: exponent multi-index over the coordinates plus a coefficient
-    vector."""
+    """A vector field with polynomial coefficients: ``terms`` is a
+    field's term table, the list of ``{"powers", "vector"}`` objects,
+    held as the ``(powers, vector)`` pairs of ``terms.read_terms``."""
 
     def __init__(self, ambient_dim: int, terms):
         self.ambient_dim = _integer("ambient_dim", ambient_dim, 1)
-        self.terms = parse_terms(((t["powers"], t["vector"]) for t in terms),
-                                 self.ambient_dim, self.ambient_dim)
+        self.terms = read_terms(terms, self.ambient_dim, self.ambient_dim)
 
     def evaluate(self, x) -> np.ndarray:
         """The field at x, or at each row of an (n, ambient) array."""

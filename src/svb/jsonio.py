@@ -27,10 +27,11 @@ import numpy as np
 from .bundle import (ConvergenceScenario, SampledStratifiedBundle,
                      _run_starts, failing_fibers)
 from .equivariant import FiniteGroupAction
-from .foliation import PolynomialVectorField, VectorFieldSet, parse_powers
+from .foliation import PolynomialVectorField, VectorFieldSet
 from .grassmann import Subspace, as_basis
 from .monoid import MonoidActionSample
 from .strata import Stratification, Stratum, _samples
+from .terms import TermError
 
 SCHEMA = "svb/1"
 
@@ -337,18 +338,16 @@ def _records(obj, keys, inner):
             yield template % values
 
 
-def _expect(obj, key, kinds, path):
+def _expect(obj, key, kind, path):
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: expected an object")
     if key not in obj:
         raise SchemaError(f"{path}.{key}: missing")
     value = obj[key]
     # JSON true and false are Python bools, which are ints: never a count.
-    if kinds is not None and (not isinstance(value, kinds)
-                              or isinstance(value, bool)):
-        names = kinds.__name__ if isinstance(kinds, type) else \
-            "/".join(k.__name__ for k in kinds)
-        raise SchemaError(f"{path}.{key}: expected {names}, "
+    if kind is not None and (not isinstance(value, kind)
+                             or isinstance(value, bool)):
+        raise SchemaError(f"{path}.{key}: expected {kind.__name__}, "
                           f"got {type(value).__name__}")
     return value
 
@@ -363,23 +362,15 @@ def _ints(obj, key, path) -> list:
     return values
 
 
-def _powers(term, n_vars, path) -> None:
-    """The checks of ``foliation.parse_powers`` on ``term["powers"]``,
-    each error naming its JSON path."""
-    powers = _ints(term, "powers", path)
-    try:
-        parse_powers(powers, n_vars)
-    except ValueError as exc:
-        raise SchemaError(f"{path}.{exc}") from None
-
-
 def _built(path, make, *args, **kwargs):
     """``make(*args, **kwargs)``, with the ValueError or TypeError that it
-    raises reported as a SchemaError at ``path``."""
+    raises reported as a SchemaError at ``path``; a ``TermError`` names
+    its place below ``path``."""
     try:
         return make(*args, **kwargs)
     except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: {exc}") from None
+        at = "." if isinstance(exc, TermError) else ": "
+        raise SchemaError(f"{path}{at}{exc}") from None
 
 
 def _check_schema(obj, path):
@@ -697,24 +688,14 @@ def action_from_json(obj, path="$") -> MonoidActionSample:
     _check_schema(obj, path)
     ambient = _expect(obj, "ambient", int, path)
     kind = _expect(obj, "kind", str, path)
-    samples = _built(path, _samples, _matrix(
-        _expect(obj, "samples", list, path), f"{path}.samples"), ambient)
+    samples = _matrix(_expect(obj, "samples", list, path), f"{path}.samples")
     t_grid = _matrix(_expect(obj, "t_grid", list, path), f"{path}.t_grid",
                      ndim=1)
     descriptor = {"kind": kind}
     if kind == "builtin":
         descriptor["name"] = _expect(obj, "name", str, path)
     elif kind == "polynomial":
-        coeffs = _expect(obj, "coeffs", list, path)
-        for i, coord_terms in enumerate(coeffs):
-            if not isinstance(coord_terms, list):
-                raise SchemaError(f"{path}.coeffs[{i}]: expected a list")
-            for j, term in enumerate(coord_terms):
-                tpath = f"{path}.coeffs[{i}][{j}]"
-                _powers(term, ambient + 1, tpath)
-                _matrix([_expect(term, "coef", (int, float), tpath)],
-                        f"{tpath}.coef", ndim=1)
-        descriptor["coeffs"] = coeffs
+        descriptor["coeffs"] = _expect(obj, "coeffs", list, path)
     else:
         raise SchemaError(f"{path}.kind: expected 'builtin' or 'polynomial'")
     return _built(path, MonoidActionSample, ambient, descriptor, samples,
@@ -731,18 +712,12 @@ def fields_to_json(vfs: VectorFieldSet) -> dict:
 def fields_from_json(obj, path="$") -> VectorFieldSet:
     _check_schema(obj, path)
     ambient = _expect(obj, "ambient", int, path)
+    # The samples first, as the ambient dimension: before any term.
     samples = _built(path, _samples, _matrix(
         _expect(obj, "samples", list, path), f"{path}.samples"), ambient)
+    fields = []
     for i, item in enumerate(_expect(obj, "fields", list, path)):
         fpath = f"{path}.fields[{i}]"
-        for j, term in enumerate(_expect(item, "coeffs", list, fpath)):
-            tpath = f"{fpath}.coeffs[{j}]"
-            _powers(term, ambient, tpath)
-            vector = _matrix(_expect(term, "vector", list, tpath),
-                             f"{tpath}.vector", ndim=1)
-            if len(vector) != ambient:
-                raise SchemaError(f"{tpath}.vector: expected {ambient} "
-                                  f"entries, got {len(vector)}")
-    return _built(path, lambda: VectorFieldSet(ambient, [
-        PolynomialVectorField(ambient, item["coeffs"])
-        for item in obj["fields"]], samples))
+        fields.append(_built(fpath, PolynomialVectorField, ambient,
+                             _expect(item, "coeffs", list, fpath)))
+    return _built(path, VectorFieldSet, ambient, fields, samples)

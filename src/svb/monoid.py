@@ -1,11 +1,11 @@
 """Analysis of smooth actions of the multiplicative reals on R^m.
 
-An action sample is a polynomial map h(t, e), held as the term table of
-a vector field over the variables (t, e), restricted to a finite grid of
-times and a finite set of points.  Actions are read from polynomial
-coefficient tables or named built-ins, which are translated into such a
-table at construction, so that action files are reproducible across
-implementations.  The audits check the monoid axioms (h_1 = id,
+An action sample is a polynomial map h(t, e), held as a term table over
+the variables (t, e), restricted to a finite grid of times and a finite
+set of points.  Actions are read from coefficient tables, by the rule of
+``terms`` and held as read, or from named built-ins, translated into
+such a table at construction, so that action files are reproducible
+across implementations.  The audits check the monoid axioms (h_1 = id,
 h_t h_s = h_ts), read the vertical derivative phi(e) = d/dt h_t(e) at
 t = 0 off the table exactly (its terms linear in t, with t dropped),
 and classify regularity: phi vanishes exactly on the fixed set of h_0.
@@ -19,7 +19,8 @@ an audit stacks the (time, point) rows of many maps into one call, bit
 for bit as one call per time and point would give.  Samples, and the
 points handed to ``evaluate`` and ``vertical_derivative``, go through
 the sample-set rule ``strata._samples`` first: at least one sample of
-the declared width, every coordinate finite and within ±2^500.
+the declared width, every coordinate finite and within ±2^500; each
+time of the grid is a finite number, by the rule of ``terms``.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ import numpy as np
 
 from .bundle import SampledStratifiedBundle, _gather_stacks
 from .config import CLUSTER_RADIUS, TOL_CHECK, TOL_RANK
-from .foliation import evaluate_terms, parse_terms
 from .grassmann import (_check_positive, _distinct, _integer, _runs,
                         _span_rank)
 from .strata import Stratification, _nearest_within, _samples
+from .terms import _real, evaluate_terms, read_terms
 
 # Evaluations and residuals may overflow; the non-finite checks below
 # report that as an error, so numpy is kept from warning about it too.
@@ -76,6 +77,7 @@ class MonoidActionSample:
         self.sample_points = _samples(sample_points, m)
         self.descriptor = dict(descriptor)
         kind = self.descriptor.get("kind")
+        coeffs = self.descriptor.get("coeffs")
         if kind == "builtin":
             name = self.descriptor.get("name")
             if name not in _BUILTINS:
@@ -83,21 +85,17 @@ class MonoidActionSample:
             coeffs = [[{"powers": [p] + [int(c == i) for c in range(m)],
                         "coef": 1.0} for p, i in _BUILTINS[name](j, m)]
                       for j in range(m)]
-        elif kind == "polynomial":
-            coeffs = self.descriptor["coeffs"]
-            if len(coeffs) != m:
-                raise ValueError(
-                    f"expected coefficient lists for {m} output coordinates")
-        else:
+        elif kind != "polynomial":
             raise ValueError("action kind must be 'builtin' or 'polynomial'")
-        # Coordinate j's term (powers, c) is the term (powers, c e_j).
-        self._terms = parse_terms(
-            ((term["powers"], float(term["coef"]) * np.eye(m)[j])
-             for j, coord_terms in enumerate(coeffs)
-             for term in coord_terms), m + 1, m)
+        rows = read_terms(coeffs, m + 1, m, by_coordinate=True)
+        if kind == "polynomial":  # held as read: ints and floats
+            self.descriptor["coeffs"] = [
+                [{"powers": list(powers), "coef": float(vector[j])}
+                 for powers, vector in row] for j, row in enumerate(rows)]
+        self._terms = [term for row in rows for term in row]
         self._linear = [(powers[1:], vector)
                         for powers, vector in self._terms if powers[0] == 1]
-        grid = [float(t) for t in t_grid]
+        grid = [_real("t_grid", t) for t in t_grid]
         if not any(t == 0.0 for t in grid) or not any(t == 1.0 for t in grid):
             raise ValueError("t_grid must contain both 0 and 1")
         self.t_grid = grid

@@ -141,8 +141,8 @@ def central_difference(a, pts, step=1e-4):
     return (4.0 * fine - coarse) / 3.0
 
 
-LIBRARY = ["grassmann", "strata", "bundle", "functors", "foliation",
-           "equivariant", "monoid", "fixtures", "jsonio", "cli"]
+LIBRARY = ["grassmann", "strata", "bundle", "functors", "terms",
+           "foliation", "equivariant", "monoid", "fixtures", "jsonio", "cli"]
 
 
 def public_parameters(skip=lambda name: False):

@@ -3,12 +3,14 @@
 A real threshold (a tolerance or a radius) goes through
 ``grassmann._check_positive``: NaN, ±inf, 0 and -1 raise a ValueError
 that names the parameter, and the smallest positive float is accepted.
-An integer (a count, dimension, index or exponent) goes through
+An integer (a count, dimension or index) goes through
 ``grassmann._integer``: True, 2.5, "1" and one below its least value
 raise a ValueError that names the parameter, and a numpy integer at the
-least value is accepted.  ``TestEveryParameterIsListed`` walks the
-public API, methods and classmethods included, so that a new numeric
-parameter has to join a table.
+least value is accepted.  An exponent of a term table is read as a file
+reads it, by ``terms.parse_powers``: True, 2.5 and "1" name their type,
+and the least value is ``_integer``'s.  ``TestEveryParameterIsListed``
+walks the public API, methods and classmethods included, so that a new
+numeric parameter has to join a table.
 """
 
 import math
@@ -30,7 +32,7 @@ from svb.fixtures import (cantor_stratification, cone_bundle, cone_scenario,
                           sign_flip_group, sign_flip_tangent_bundle,
                           trivial_bundle)
 from svb.foliation import (PolynomialVectorField, VectorFieldSet,
-                           distribution_at, foliation_bundle, parse_powers,
+                           distribution_at, foliation_bundle,
                            stratify_by_rank)
 from svb.functors import (ConstantSum, Identity, SymPower, TensorPower,
                           WedgePower, check_orthogonality, dim_map, sized_dim)
@@ -39,6 +41,7 @@ from svb.grassmann import (Subspace, apply_linear_map, as_basis,
                            orthonormal_rows, sequence_limit, span)
 from svb.monoid import (MonoidActionSample, audit_axioms,
                         reconstruct_bundle, regularity_check)
+from svb.terms import parse_powers
 from svb.strata import (Stratification, Stratum, check_frontier,
                         estimate_cloud_dim, graph_components,
                         local_finiteness_report, partition_by_label,
@@ -196,8 +199,6 @@ INTEGERS = [
      lambda v: SymPower(v), 1),
     ("functors.dim_map:k", "k", lambda v: dim_map(Identity(), v), 0),
     ("functors.sized_dim:k", "k", lambda v: sized_dim(Identity(), v), 0),
-    ("foliation.parse_powers:powers", "powers[1]",
-     lambda v: parse_powers([1, v], 2), 0),
     ("foliation.PolynomialVectorField:ambient_dim", "ambient_dim",
      lambda v: PolynomialVectorField(v, []), 1),
     ("foliation.VectorFieldSet:ambient_dim", "ambient_dim",
@@ -270,6 +271,24 @@ class TestIntegers:
     def test_numpy_integer_at_least_accepted(self, entry, name, call, least):
         # Without a least value, 2 is valid in every call above.
         _accepted(call, np.int64(2 if least is None else least), name)
+
+
+class TestExponents:
+    @pytest.mark.parametrize("value, kind", [(True, "bool"), (2.5, "float"),
+                                             ("1", "str")],
+                             ids=["bool", "float", "str"])
+    def test_not_an_integer(self, value, kind):
+        with pytest.raises(ValueError, match=re.escape(
+                f"powers[1]: expected int, got {kind}")):
+            parse_powers([1, value], 2)
+
+    def test_below_least(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "powers[1] must be at least 0, got -1")):
+            parse_powers([1, -1], 2)
+
+    def test_numpy_integer_at_least_accepted(self):
+        assert parse_powers([1, np.int64(0)], 2) == (1, 0)
 
 
 def _cli_argv(flag):
@@ -347,8 +366,8 @@ EXCLUDED = {
     "strata.Stratification.in_closure:r",
     # The shape of a term table, passed by its owner, whose ambient_dim
     # went through _integer.
-    "foliation.parse_powers:n_vars", "foliation.parse_terms:n_vars",
-    "foliation.parse_terms:out_dim", "foliation.evaluate_terms:out_dim",
+    "terms.parse_powers:n_vars", "terms.read_terms:n_vars",
+    "terms.read_terms:out_dim", "terms.evaluate_terms:out_dim",
     # The functions that make the shipped test scenes: their sizes shape
     # a sample, not a verdict.
     "fixtures.line_stratification:spacing",

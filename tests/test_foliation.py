@@ -306,7 +306,8 @@ class TestNonFiniteFieldValues:
     def test_first_sample_then_first_field(self):
         # Field 1 overflows at both samples, field 0 only at the second.
         f0 = PolynomialVectorField(1, [{"powers": [400], "vector": [1.0]}])
-        f1 = PolynomialVectorField(1, [{"powers": [0], "vector": [np.inf]}])
+        f1 = PolynomialVectorField(1, [{"powers": [0], "vector": [1e308]},
+                                       {"powers": [0], "vector": [1e308]}])
         vfs = VectorFieldSet(1, [f0, f1], [[0.5], [10.0]])
         with pytest.raises(ValueError, match=re.escape(
                 "field 1 takes a non-finite value at sample 0, [0.5]")):
@@ -316,9 +317,17 @@ class TestNonFiniteFieldValues:
             distribution_at(VectorFieldSet(1, [f0], [[0.0]]), [10.0])
 
     def test_nan_value(self):
-        field = PolynomialVectorField(1, [{"powers": [0], "vector": [np.nan]}])
+        # x^400 - x^400 is inf - inf at x = 10.
+        field = PolynomialVectorField(1, [{"powers": [400], "vector": [1.0]},
+                                          {"powers": [400], "vector": [-1.0]}])
         with pytest.raises(ValueError, match="non-finite value at sample 0"):
-            foliation_bundle(VectorFieldSet(1, [field], [[0.0], [1.0]]))
+            foliation_bundle(VectorFieldSet(1, [field], [[10.0], [1.0]]))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector_refused_at_construction(self, entry):
+        with pytest.raises(ValueError, match=re.escape(
+                "coeffs[0].vector: non-finite value (NaN or infinity)")):
+            PolynomialVectorField(1, [{"powers": [0], "vector": [entry]}])
 
     def test_sample_coordinates_are_bounded(self):
         field = PolynomialVectorField(1, [{"powers": [0], "vector": [1.0]}])
@@ -332,7 +341,8 @@ class TestNonFiniteFieldValues:
 
 class TestTermValidation:
     """In-memory terms are checked, not coerced: an exponent is an
-    integer, never a bool, float or str."""
+    integer, never a bool, float or str.  Each text names the term by
+    its place, as a file's does after the document path."""
 
     @staticmethod
     def field(powers, vector=(1.0,)):
@@ -348,18 +358,22 @@ class TestTermValidation:
     @pytest.mark.parametrize("exponent, kind", [
         (1.5, "float"), (True, "bool"), ("2", "str")])
     def test_non_integer_exponent_rejected(self, exponent, kind):
-        message = re.escape(
-            f"term 0 powers[0] must be an integer, got {exponent!r}")
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(
+                f"coeffs[0].powers[0]: expected int, got {kind}")):
             self.field([exponent])
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(
+                f"coeffs[0][0].powers[0]: expected int, got {kind}")):
             self.action([exponent, 1])
 
     @pytest.mark.parametrize("make, powers, message", [
-        ("field", [1, 0], r"term 0 powers: expected 1 exponents, got 2"),
-        ("field", [-1], r"term 0 powers\[0\] must be at least 0, got -1"),
-        ("action", [1], r"term 0 powers: expected 2 exponents, got 1"),
-        ("action", [1, -2], r"term 0 powers\[1\] must be at least 0, got -2"),
+        ("field", [1, 0], r"coeffs\[0\]\.powers: expected 1 exponents, "
+         r"got 2"),
+        ("field", [-1], r"coeffs\[0\]\.powers\[0\] must be at least 0, "
+         r"got -1"),
+        ("action", [1], r"coeffs\[0\]\[0\]\.powers: expected 2 exponents, "
+         r"got 1"),
+        ("action", [1, -2], r"coeffs\[0\]\[0\]\.powers\[1\] must be at "
+         r"least 0, got -2"),
     ], ids=["field-count", "field-negative", "action-count",
             "action-negative"])
     def test_exponent_count_and_sign(self, make, powers, message):
@@ -367,8 +381,8 @@ class TestTermValidation:
             getattr(self, make)(powers)
 
     def test_vector_length(self):
-        with pytest.raises(ValueError, match=r"term 0 vector: expected 2 "
-                           r"entries, got shape \(3,\)"):
+        with pytest.raises(ValueError, match=r"coeffs\[0\]\.vector: expected "
+                           r"2 entries, got 3"):
             PolynomialVectorField(2, [{"powers": [0, 1],
                                        "vector": [1.0, 0.0, 0.0]}])
 

@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import tracemalloc
@@ -45,6 +46,20 @@ class TestConstruction:
         with pytest.raises(ValueError, match="0 and 1"):
             MonoidActionSample.builtin("scalar", 1, R1_SAMPLES,
                                        t_grid=(0.5, 1.0))
+
+    @pytest.mark.parametrize("time, text", [
+        (math.nan, "non-finite value (NaN or infinity)"),
+        (math.inf, "non-finite value (NaN or infinity)"),
+        (-math.inf, "non-finite value (NaN or infinity)"),
+        (10 ** 400, "number beyond the float range"),
+        ("0", "expected int/float, got str"),
+        (True, "expected int/float, got bool"),
+    ], ids=["nan", "inf", "-inf", "10**400", "str", "bool"])
+    def test_t_grid_times_are_finite_numbers(self, time, text):
+        # As a file's t_grid: never blamed on the evaluator later.
+        with pytest.raises(ValueError, match=f"^t_grid: {re.escape(text)}$"):
+            MonoidActionSample.builtin("scalar", 1, R1_SAMPLES,
+                                       t_grid=(0.0, 1.0, time))
 
     def test_unknown_builtin(self):
         with pytest.raises(ValueError, match="builtin"):

@@ -129,7 +129,7 @@ EXCLUDED = {
     "strata.Stratum:points",
     # The term-table kernel under the evaluators, which read its rows by
     # the rule.
-    "foliation.evaluate_terms:pts",
+    "terms.evaluate_terms:pts",
 }
 
 
