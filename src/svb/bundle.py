@@ -26,6 +26,7 @@ from .grassmann import (
     Subspace,
     _check_positive,
     _integer,
+    _numbers,
     containment_residual,
     orthonormal_rows,
     sequence_limit,
@@ -334,7 +335,7 @@ def whitney_a_from_sections(b: SampledStratifiedBundle,
     section_residuals = []
     for j, section in enumerate(sections):
         for name, stack in b.stacks.items():
-            v = np.asarray(section.get(name, empty), dtype=float)
+            v = _numbers(section.get(name, empty))
             if (v.ndim != 2 or v.shape[1] != b.fiber_ambient
                     or len(v) > len(stack)):
                 raise ValueError(
@@ -350,8 +351,7 @@ def whitney_a_from_sections(b: SampledStratifiedBundle,
                     f"section {j} undefined at point {(name, len(v))}")
             if name == sc.source_stratum:
                 section_residuals.append(float(residual[last]))
-    spanned = span([np.asarray(sec[sc.target_stratum][sc.x0_index],
-                               dtype=float) for sec in sections],
+    spanned = span([sec[sc.target_stratum][sc.x0_index] for sec in sections],
                    b.fiber_ambient)
     if spanned.dim != b.stacks[sc.target_stratum].shape[1]:
         raise ValueError(

@@ -45,7 +45,7 @@ from .bundle import SampledStratifiedBundle, _gather_stacks
 from .config import R_CC, TOL_CHECK
 from .functors import _chunks
 from .grassmann import (Subspace, _check_positive, _distinct, _integer,
-                        _spectral_norms)
+                        _numbers, _spectral_norms)
 from .strata import (
     LabelPartition,
     Stratification,
@@ -87,7 +87,7 @@ class FiniteGroupAction:
 
     def __init__(self, n: int, elements: Sequence, fiber_elements=None):
         self.n = _integer("n", n, 1)
-        mats = [np.atleast_2d(np.asarray(m, dtype=float)) for m in elements]
+        mats = [np.atleast_2d(_numbers(m)) for m in elements]
         if not mats:
             raise ValueError("group needs at least the identity element")
         self.elements = mats = _orthogonal_stack(
@@ -130,8 +130,7 @@ class FiniteGroupAction:
 
         self.fiber_elements = None
         if fiber_elements is not None:
-            fibs = [np.atleast_2d(np.asarray(m, dtype=float))
-                    for m in fiber_elements]
+            fibs = [np.atleast_2d(_numbers(m)) for m in fiber_elements]
             if len(fibs) != order:
                 raise ValueError("fiber_elements must match the element list")
             fibs = _orthogonal_stack(fibs, fibs[0].shape[0], "fiber element",

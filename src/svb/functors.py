@@ -36,7 +36,7 @@ from typing import Union
 import numpy as np
 
 from .config import TOL_CHECK
-from .grassmann import Subspace, _check_positive, _integer, opnorms
+from .grassmann import Subspace, _check_positive, _integer, _numbers, opnorms
 
 __all__ = [
     "Identity",
@@ -269,7 +269,7 @@ def _sym_power_matrix(m: np.ndarray, n: int) -> np.ndarray:
 def apply_to_map(f: LinearFunctor, m) -> np.ndarray:
     """Matrix of F(m) in the canonical bases; m may be rectangular k x j,
     or a stack (..., k, j) of such matrices, mapped matrix by matrix."""
-    m = np.atleast_2d(np.asarray(m, dtype=float))
+    m = np.atleast_2d(_numbers(m))
     if isinstance(f, Identity):
         return m.copy()
     if isinstance(f, ConstantSum):
@@ -337,7 +337,7 @@ def orthogonality_residuals(f: LinearFunctor, bases) -> np.ndarray:
     The stack goes through in chunks, so memory does not grow with
     ``count``.
     """
-    bases = np.asarray(bases, dtype=float)
+    bases = _numbers(bases)
     r, k = bases.shape[-2:]
     sized_dim(f, k)  # ValueError above MAX_DIM, before any allocation
     rank = dim_map(f, r)

@@ -10,11 +10,12 @@ Every spectral norm of the package is ``opnorms``; one that is only
 compared with a tolerance, as in the Cauchy test, is screened first by
 its Frobenius bound in ``_spectral_norms``.
 
-The rule for every number a caller hands svb lives here, in two
+The rule for every number a caller hands svb lives here, in three
 helpers that every module calls: ``_check_positive`` for a tolerance,
-radius or other real threshold (positive and finite), and ``_integer``
-for a count, dimension, index or exponent (an integer that is not a
-bool, with an optional least value).
+radius or other real threshold (positive and finite), ``_integer`` for
+a count, dimension, index or exponent (an integer that is not a bool,
+with an optional least value), and ``_numbers`` for an array of real
+numbers, in memory as from a file.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -52,7 +54,7 @@ def opnorms(mats) -> np.ndarray:
     that ``eigvalsh`` reads, so no symmetry is assumed.  0 for an empty
     or all-zero matrix, NaN where an entry is not finite.
     """
-    mats = np.asarray(mats, dtype=float)
+    mats = _numbers(mats)
     if 0 in mats.shape[-2:]:
         return np.zeros(mats.shape[:-2])
     scale = np.abs(mats).max(axis=(-2, -1))
@@ -87,8 +89,7 @@ def _check_positive(name: str, value) -> None:
     """A tolerance or radius must be a positive finite number; a NaN
     would pass every threshold and an infinite one would pass all.  A
     bool is no number here, nor is anything that is not real."""
-    real = isinstance(value, float) or (
-        isinstance(value, numbers.Real) and not isinstance(value, bool))
+    real = isinstance(value, float) or _real_type(type(value))
     if not (real and 0 < value < math.inf):
         raise ValueError(f"{name} must be a positive finite number, "
                          f"got {value!r}")
@@ -125,9 +126,46 @@ def _distinct(a) -> np.ndarray:
     return a[_runs(a)]
 
 
+def _real_type(cls) -> bool:
+    """Whether ``cls`` is an int or a float type, Python's or numpy's,
+    and not a bool's: never ``bool``, ``numpy.bool_``, str or complex."""
+    return issubclass(cls, numbers.Real) and not issubclass(cls, bool)
+
+
+def _numbers(a, kind: str = "list of equal-length rows") -> np.ndarray:
+    """``a`` as a float array of any shape: the one rule for an array of
+    numbers that a caller hands svb, in memory as from a file.  Every
+    entry is of a ``_real_type`` and rows have equal length, else
+    ValueError ``expected a numeric {kind}``; an integer beyond the float
+    range is ValueError ``number beyond the float range``.  A numpy array
+    is judged by its dtype, anything else by the dtype numpy infers.  The
+    types of the entries are read, in one pass, only where that dtype is
+    object or, but for a numpy array, where the float array holds 0.0 or
+    1.0, as a bool among numbers reads.  Widths, axes and finiteness are each
+    caller's."""
+    try:
+        arr = np.asarray(a)
+        dtype = arr.dtype.kind  # "O": None, an int beyond 64 bits, ...
+        arr = arr.astype(float, copy=False) if dtype in "fiuO" else None
+    except OverflowError:
+        raise ValueError("number beyond the float range") from None
+    except (TypeError, ValueError):  # ragged rows, None or a str
+        arr = None
+    if arr is not None and (dtype == "O" or not isinstance(a, np.ndarray)
+                            and ((arr == 0.0) | (arr == 1.0)).any()):
+        entries = a if arr.ndim else (a,)
+        for _ in range(arr.ndim - 1):
+            entries = chain.from_iterable(entries)
+        if not all(map(_real_type, set(map(type, entries)))):
+            arr = None
+    if arr is None:
+        raise ValueError(f"expected a numeric {kind}")
+    return arr
+
+
 def _float_rows(a) -> np.ndarray:
-    """``a`` as a float array of rows: ValueError for more axes than two."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
+    """``a`` as rows by ``_numbers``: ValueError for more axes than two."""
+    a = np.atleast_2d(_numbers(a))
     if a.ndim > 2:
         raise ValueError(f"expected rows of numbers, got shape {a.shape}")
     return a
@@ -228,10 +266,9 @@ def span(vectors, ambient_dim: int, tol_rank: float = TOL_RANK,
     _check_positive("tol_rank", tol_rank)  # also where there is no SVD
     if not isinstance(vectors, np.ndarray):  # an iterable of rows
         vectors = list(vectors)
-    mat = np.asarray(vectors, dtype=float)
+    mat = _float_rows(vectors)
     if mat.size == 0:
         return Subspace.zero(ambient_dim)
-    mat = _float_rows(mat)
     if mat.shape[1] != ambient_dim:
         raise ValueError(
             f"vectors have length {mat.shape[1]}, expected {ambient_dim}")

@@ -28,7 +28,7 @@ from .bundle import (ConvergenceScenario, SampledStratifiedBundle,
                      _run_starts, failing_fibers)
 from .equivariant import FiniteGroupAction
 from .foliation import PolynomialVectorField, VectorFieldSet
-from .grassmann import Subspace, as_basis
+from .grassmann import Subspace, _numbers, as_basis
 from .monoid import MonoidActionSample
 from .strata import Stratification, Stratum, _samples
 from .terms import TermError
@@ -380,24 +380,11 @@ def _check_schema(obj, path):
 
 
 def _matrix(value, path, ndim=2):
-    """``value`` as a finite float matrix, or a vector when ``ndim`` is 1.
-
-    Strings and all-boolean arrays are rejected by the dtype numpy infers
-    before the float cast, so float data takes no extra pass.
-    """
+    """``value`` as a finite float matrix, or a vector when ``ndim`` is 1,
+    read by the one rule for arrays of numbers, ``_numbers``."""
     kind = "list of numbers" if ndim == 1 else "list of equal-length rows"
-    try:
-        arr = np.asarray(value)
-        if arr.dtype.kind == "O":  # integers beyond 64 bits, None, ...
-            numeric = all(type(x) in (int, float) for x in arr.flat)
-        else:
-            numeric = arr.dtype.kind in "fiu"
-        arr = arr.astype(float, copy=False) if numeric else None
-    except OverflowError:
-        raise SchemaError(f"{path}: number beyond the float range") from None
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.ndim != ndim:
+    arr = _built(path, _numbers, value, kind)
+    if arr.ndim != ndim:
         raise SchemaError(f"{path}: expected a numeric {kind}")
     if not np.isfinite(arr).all():
         raise SchemaError(f"{path}: non-finite value (NaN or infinity)")
@@ -419,10 +406,9 @@ def stratification_to_json(s: Stratification) -> dict:
 def stratification_from_json(obj, path="$") -> Stratification:
     """The strata as read-only row slices of one cloud, parsed by one
     ``_matrix`` call over every stratum's rows.  Only when that cloud
-    does not stand for the strata one by one (a parse error, a width
-    other than ``ambient``, a stratum that may hold only booleans) are
-    the strata parsed one at a time, which names the lowest offending
-    ``$.strata[i]``."""
+    does not stand for the strata one by one (a parse error or a width
+    other than ``ambient``) are the strata parsed one at a time, which
+    names the lowest offending ``$.strata[i]``."""
     _check_schema(obj, path)
     ambient = _expect(obj, "ambient", int, path)
     raw_strata = _expect(obj, "strata", list, path)
@@ -435,8 +421,7 @@ def stratification_from_json(obj, path="$") -> Stratification:
         points = item.get("points")
         if not (type(name) is str and type(dim) is int and dim >= 0
                 and type(points) is list and points
-                and type(first := points[0]) is list and first
-                and type(first[0]) is not bool):
+                and type(first := points[0]) is list and first):
             break
         names.append(name)
         dims.append(dim)
@@ -556,8 +541,7 @@ def _stacked_fibers(base, k, fibers, path):
     rows, or None when the entries do not stand for exactly one fiber
     over each point, of one rank per stratum, with bases that parse whole
     into rows of length ``k`` and pass the audit (which also rejects more
-    than ``k`` rows).  A basis whose first entry is a boolean may be
-    all-boolean, which only its own parse rejects."""
+    than ``k`` rows)."""
     if k < 0:  # as_basis rejects it even for a rank-0 basis
         return None
     where = {s.name: (a, len(s))
@@ -576,8 +560,7 @@ def _stacked_fibers(base, k, fibers, path):
                 and type(j := index[1]) is int and 0 <= j < at[1]
                 and type(basis) is list):
             return None
-        if basis and not (type(first := basis[0]) is list and first
-                          and type(first[0]) is not bool):
+        if basis and not (type(first := basis[0]) is list and first):
             return None
         slots.append(at[0] + j)
         ranks.append(len(basis))

@@ -48,7 +48,7 @@ import numpy as np
 
 from .config import MAX_LOCAL_STRATA, TOL_RANK
 from .grassmann import (_check_positive, _distinct, _float_rows, _integer,
-                        _runs, span)
+                        _numbers, _runs, span)
 
 __all__ = [
     "Stratum",
@@ -269,8 +269,8 @@ def near_pairs(a: np.ndarray, b: np.ndarray, r: float):
     """Index and distance arrays ``(i, j, d)`` holding every pair with
     ``d = |a[i] - b[j]| <= r``, in chunks of consecutive rows of ``a``:
     a chunk holds all pairs of its rows.  ``a`` and ``b`` must be 2-D
-    arrays of one positive width (anything ``np.asarray`` reads as such),
-    and finite, and ``r`` not NaN: else ValueError.  No pair is within a
+    arrays of numbers (by ``_numbers``) of one positive width, and
+    finite, and ``r`` not NaN: else ValueError.  No pair is within a
     negative ``r``.
 
     It is a join, not the intake of a sample set, so it keeps its own
@@ -290,8 +290,8 @@ def near_pairs(a: np.ndarray, b: np.ndarray, r: float):
     and once per chunk of those with the other samples of the
     candidates' sources."""
     self_join = a is b
-    b = np.asarray(b, dtype=float)
-    a = b if self_join else np.asarray(a, dtype=float)
+    b = _numbers(b)
+    a = b if self_join else _numbers(a)
     if not (a.ndim == b.ndim == 2 and a.shape[1] == b.shape[1]):
         raise ValueError("near_pairs needs 2-D point arrays of one width")
     if not a.shape[1]:

@@ -19,7 +19,7 @@ import numbers
 
 import numpy as np
 
-from .grassmann import _integer
+from .grassmann import _integer, _real_type
 
 __all__ = ["TermError", "parse_powers", "read_terms", "evaluate_terms"]
 
@@ -28,13 +28,9 @@ class TermError(ValueError):
     """A bad term table; the text starts with the place of the fault."""
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def _real(name: str, value) -> float:
     """``value`` as a finite float, or a ValueError naming ``name``."""
-    if not _is_real(value):
+    if not _real_type(type(value)):
         raise ValueError(f"{name}: expected int/float, got "
                          f"{type(value).__name__}")
     try:
@@ -78,7 +74,7 @@ def _term(where: str, term, n_vars: int, out_dim: int, column):
         if column is None:
             entries = _key(term, "vector")
             if not isinstance(entries, (list, tuple)) or not all(
-                    map(_is_real, entries)):
+                    map(_real_type, map(type, entries))):
                 raise ValueError("vector: expected a numeric list of numbers")
             vector = np.array([_real("vector", x) for x in entries], float)
             if len(vector) != out_dim:

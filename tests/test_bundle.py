@@ -537,6 +537,17 @@ class TestApplyFunctorToBundle:
         assert isinstance(caught.value, InvalidBundleError)
         assert caught.value.validation == validate_bundle(broken)
 
+    def test_image_audit(self):
+        # A basis 1e-8 off unit length, held unaudited, passes validation;
+        # its tensor square is 2e-8 off, past the verdict tolerance.
+        base = Stratification([Stratum("a", 0, [[0.0], [1.0]])])
+        b = SampledStratifiedBundle.from_stacks(
+            base, 2, {"a": np.array([[[1.0, 0.0]], [[1.0 + 1e-8, 0.0]]])},
+            tol_ortho=None)
+        with pytest.raises(ValueError, match="^basis is not orthonormal "
+                           "within tolerance$"):
+            apply_functor_to_bundle(TensorPower(2), b)
+
 
 def _trivial_rank3():
     return trivial_bundle(line_stratification(), 3)

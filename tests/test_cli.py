@@ -414,6 +414,27 @@ class TestNonFiniteInput:
         ("line.json", ("strata", 1, "points"), [[True], [False], [True]],
          "$.strata[1].points: expected a numeric list of equal-length rows",
          ["check", "frontier", "--stratification"]),
+        # A bool among floats, in place of the number it would read as.
+        ("line.json", ("strata", 1, "points", 19, 0), True,
+         "$.strata[1].points: expected a numeric list of equal-length rows",
+         ["check", "frontier", "--stratification"]),
+        ("ring_tangent.json", ("fibers", 3, "basis", 1, 0), False,
+         "$.fibers[3].basis: expected a numeric list of equal-length rows",
+         ["equivariant", "tilde", "--group", fx("rotation8_group.json"),
+          "--bundle"]),
+        ("rotation8_group.json", ("elements", 0, 1, 0), False,
+         "$.elements[0]: expected a numeric list of equal-length rows",
+         ["equivariant", "tilde", "--bundle", fx("ring_tangent.json"),
+          "--group"]),
+        ("fields_line.json", ("samples", 200, 0), True,
+         "$.samples: expected a numeric list of equal-length rows",
+         ["foliation", "stratify", "--r-cc", "0.015", "--fields"]),
+        ("action_scalar.json", ("samples", 0, 0), True,
+         "$.samples: expected a numeric list of equal-length rows",
+         ["monoid", "analyze", "--action"]),
+        ("action_scalar.json", ("t_grid", 2), False,
+         "$.t_grid: expected a numeric list of numbers",
+         ["monoid", "analyze", "--action"]),
         ("cone_scenario.json", ("sequence_indices", 0), True,
          "$.sequence_indices[0]: expected int, got bool",
          ["check", "whitney-a", "--bundle", fx("cone_pass.json"),
@@ -471,6 +492,11 @@ class TestNonFiniteInput:
             "points-boolean", "sample-string", "ambient-boolean",
             "dim-boolean", "fiber-ambient-boolean", "point-index-boolean",
             "x0-index-boolean", "dim-negative", "stratum-boolean-rows",
+            "point-boolean-among-floats", "bundle-basis-boolean-among-floats",
+            "group-element-boolean-among-floats",
+            "fields-sample-boolean-among-floats",
+            "action-sample-boolean-among-floats",
+            "action-t-grid-boolean-among-floats",
             "sequence-index-boolean", "sequence-index-string",
             "sequence-index-float", "sequence-index-fraction",
             "closure-int", "closure-null", "fiber-elements-int",

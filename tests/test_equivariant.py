@@ -1206,6 +1206,20 @@ class TestGeneratedPermutations:
         assert _unique_route(*cases["drift"][:2], TOL_CHECK).startswith(
             "sample set is not orbit saturated: element 2 moves point")
 
+    def test_image_past_tol_takes_the_direct_route(self):
+        # Point 3 lies 2 tol off the ring: element 1's image of point 2 is
+        # the only sample near it, found by the 4-tol query but beyond tol.
+        tol = 1e-8
+        angles = 2.0 * np.pi * np.arange(8) / 8
+        pts = np.column_stack([np.cos(angles), np.sin(angles)])
+        pts[3] *= 1.0 + 2.0 * tol
+        g = rotation_group(8)
+        assert _generated_permutations(g, pts, tol) is None
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "sample set is not orbit saturated: element 1 moves point "
+                f"{pts[2].tolist()} off the sample set") + "$"):
+            _point_permutations(g, pts, tol)
+
     def test_peak_memory_rot48(self, cases):
         g, pts, _ = cases["rot48-ring2401"]
         tracemalloc.start()

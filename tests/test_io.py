@@ -550,8 +550,8 @@ class TestCoordinateBound:
     BEYOND = float(np.nextafter(2.0 ** 500, np.inf))
 
     def stratification(self, x, first=0.0):
-        # A boolean first coordinate sends the reader down the
-        # per-stratum route.
+        # A boolean first coordinate fails the one parse and sends the
+        # reader down the per-stratum route, which refuses it.
         return {"schema": SCHEMA, "ambient": 2, "strata": [
             {"name": "a", "dim": 0, "points": [[0.0, 0.0]]},
             {"name": "b", "dim": 0, "points": [[first, 1.0], [0.5, x]]}]}
@@ -560,6 +560,14 @@ class TestCoordinateBound:
                                                         "per-stratum"])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_stratification(self, first, sign):
+        if first is True:
+            for x in (self.EDGE, self.BEYOND):
+                with pytest.raises(SchemaError, match=re.escape(
+                        "$.strata[1].points: expected a numeric list of "
+                        "equal-length rows") + "$"):
+                    stratification_from_json(
+                        self.stratification(sign * x, first))
+            return
         s = stratification_from_json(
             self.stratification(sign * self.EDGE, first))
         assert s.stratum("b").points[1, 1] == sign * self.EDGE
