@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bundle import SampledStratifiedBundle, _gather_stacks
+from .bundle import SampledStratifiedBundle, _gather_stacks, _run_starts
 from .config import R_CC, TOL_CHECK
 from .functors import _chunks
 from .grassmann import (Subspace, _check_positive, _distinct, _integer,
@@ -195,9 +195,7 @@ def _stabilizer_table(g: FiniteGroupAction, pts: np.ndarray, tol: float
     # A stable sort of the points by their columns of ``fixes``: each run
     # of equal columns is one stabilizer, led by the first point with it.
     order = np.lexsort(fixes)
-    run = np.ones(len(order), dtype=bool)
-    np.not_equal(fixes[:, order[1:]], fixes[:, order[:-1]]).any(
-        axis=0, out=run[1:])
+    run = _run_starts(fixes.T[order])
     first = order[run]
     by_appearance = np.argsort(first)
     classes = []

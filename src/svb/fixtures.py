@@ -13,7 +13,7 @@ import numpy as np
 from .bundle import ConvergenceScenario, SampledStratifiedBundle, trivial_bundle
 from .equivariant import FiniteGroupAction
 from .foliation import PolynomialVectorField, VectorFieldSet
-from .grassmann import _integer, span
+from .grassmann import _check_positive, _integer, span
 from .monoid import MonoidActionSample
 from .strata import Stratification, Stratum
 
@@ -52,6 +52,7 @@ def _branches(plus, minus, names=("S0", "S+", "S-")) -> Stratification:
 
 def _steps(spacing: float) -> np.ndarray:
     """``spacing``, 2 ``spacing``, ... up to 1."""
+    _check_positive("spacing", spacing)
     return np.arange(spacing, 1.0 + spacing / 2, spacing)
 
 
@@ -73,7 +74,7 @@ def local_line_stratification() -> Stratification:
 def dyadic_line_stratification(depth: int = 40) -> Stratification:
     """Line fixture whose halves are sampled on the dyadic sequence
     2^0, 2^-1, ..., 2^-depth; the deep tail makes limit fibers sharp."""
-    pts = (2.0 ** -np.arange(0, depth + 1))[:, None]
+    pts = (2.0 ** -np.arange(0, _integer("depth", depth, 0) + 1))[:, None]
     return _branches(pts, -pts)
 
 
@@ -149,6 +150,7 @@ def cone_bundle(variant: str = "pass", depth: int = 40) -> SampledStratifiedBund
 
 def cone_scenario(depth: int = 40) -> ConvergenceScenario:
     """The dyadic sequence 1, 1/2, ..., 2^-depth in S+ converging to 0."""
+    depth = _integer("depth", depth, 0)
     return ConvergenceScenario("S0", "S+", 0, tuple(range(depth + 1)))
 
 
@@ -207,6 +209,7 @@ def rotation_group(n: int, with_tangent_action: bool = True
                    ) -> FiniteGroupAction:
     """The n evenly spaced plane rotations, optionally acting on tangent
     vectors by the same matrices."""
+    n = _integer("n", n, 1)
     mats = []
     for k in range(n):
         theta = 2.0 * np.pi * k / n
@@ -225,8 +228,10 @@ def ring_tangent_bundle(n: int = 8,
                         radii=(0.5, 1.0)) -> SampledStratifiedBundle:
     """Tangent bundle of the plane sampled on the origin plus n-point
     rings, saturated under the n rotations."""
+    n = _integer("n", n, 1)
     ring_points = []
-    for r in radii:
+    for i, r in enumerate(radii):
+        _check_positive(f"radii[{i}]", r)
         for k in range(n):
             theta = 2.0 * np.pi * k / n
             ring_points.append([r * np.cos(theta), r * np.sin(theta)])
@@ -244,13 +249,16 @@ def line_scaling_fields(power: int = 1,
                         n_samples: int = 201) -> VectorFieldSet:
     """The field x^power d/dx on an odd uniform grid over [-1, 1]; any
     power induces the same sign stratification of the line."""
-    field = PolynomialVectorField(1, [{"powers": [power], "vector": [1.0]}])
+    field = PolynomialVectorField(
+        1, [{"powers": [_integer("power", power, 0)], "vector": [1.0]}])
+    n_samples = _integer("n_samples", n_samples, 1)
     samples = np.linspace(-1.0, 1.0, n_samples).reshape(-1, 1)
     return VectorFieldSet(1, [field], samples)
 
 
 def _on_plane_grid(fields, step: float) -> VectorFieldSet:
     """``fields`` read on the square grid of ``step`` over [-1, 1]^2."""
+    _check_positive("step", step)
     axis = np.arange(-1.0, 1.0 + step / 2, step)
     return VectorFieldSet(2, fields, [[x, y] for x in axis for y in axis])
 
@@ -274,8 +282,10 @@ def line_foliation_scenario(bundle: SampledStratifiedBundle
                             ) -> ConvergenceScenario:
     """Dyadic-style approach to the origin inside the positive rank-1
     component of the line foliation bundle."""
-    target = next(s.name for s in bundle.base.strata
-                  if bundle.stratum_rank[s.name] == 0)
+    target = next((s.name for s in bundle.base.strata
+                   if bundle.stratum_rank[s.name] == 0), None)
+    if target is None:
+        raise ValueError("bundle has no rank-0 stratum")
     source = None
     for s in bundle.base.strata:
         if bundle.stratum_rank[s.name] == 1 and s.points.min() > 0:

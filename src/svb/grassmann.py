@@ -10,10 +10,12 @@ Every spectral norm of the package is ``opnorms``; one that is only
 compared with a tolerance, as in the Cauchy test, is screened first by
 its Frobenius bound in ``_spectral_norms``.
 
-The rule for every number a caller hands svb lives here, in three
+The rule for every number a caller hands svb lives here, in four
 helpers that every module calls: ``_check_positive`` for a tolerance,
-radius or other real threshold (positive and finite), ``_integer`` for
-a count, dimension, index or exponent (an integer that is not a bool,
+radius or other real threshold (positive and finite), ``_real`` for a
+real number that may be zero or negative, such as a time of a monoid
+action or a term table's coefficient (finite), ``_integer`` for a
+count, dimension, index or exponent (an integer that is not a bool,
 with an optional least value), and ``_numbers`` for an array of real
 numbers, in memory as from a file.
 """
@@ -93,6 +95,20 @@ def _check_positive(name: str, value) -> None:
     if not (real and 0 < value < math.inf):
         raise ValueError(f"{name} must be a positive finite number, "
                          f"got {value!r}")
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a finite float, or a ValueError naming ``name``."""
+    if not _real_type(type(value)):
+        raise ValueError(f"{name}: expected int/float, got "
+                         f"{type(value).__name__}")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{name}: number beyond the float range") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{name}: non-finite value (NaN or infinity)")
+    return value
 
 
 def _integer(name: str, value, least: Optional[int] = None) -> int:

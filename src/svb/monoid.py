@@ -20,7 +20,8 @@ for bit as one call per time and point would give.  Samples, and the
 points handed to ``evaluate`` and ``vertical_derivative``, go through
 the sample-set rule ``strata._samples`` first: at least one sample of
 the declared width, every coordinate finite and within ±2^500; each
-time of the grid is a finite number, by the rule of ``terms``.
+time, of the grid or handed to ``evaluate``, is a finite number, by
+``grassmann._real``.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ import numpy as np
 
 from .bundle import SampledStratifiedBundle, _gather_stacks
 from .config import CLUSTER_RADIUS, TOL_CHECK, TOL_RANK
-from .grassmann import (_check_positive, _distinct, _integer, _runs,
+from .grassmann import (_check_positive, _distinct, _integer, _real, _runs,
                         _span_rank)
 from .strata import Stratification, _nearest_within, _samples
-from .terms import _real, evaluate_terms, read_terms
+from .terms import evaluate_terms, read_terms
 
 # Evaluations and residuals may overflow; the non-finite checks below
 # report that as an error, so numpy is kept from warning about it too.
@@ -113,8 +114,11 @@ class MonoidActionSample:
                    sample_points, t_grid)
 
     def evaluate(self, t: float, e) -> np.ndarray:
-        """h_t(e) at one point e or each row of an (n, m) stack e."""
-        values = self._blocks([float(t)], _samples(e, self.ambient_dim)[None])
+        """h_t(e) at one point e or each row of an (n, m) stack e.  The
+        time ``t`` is read by ``grassmann._real``, as each time of
+        ``t_grid`` is: a finite int or float, never a bool or str."""
+        t = _real("t", t)
+        values = self._blocks([t], _samples(e, self.ambient_dim)[None])
         if not np.isfinite(values).all():
             raise _non_finite(t)
         return values[0] if np.ndim(e) == 2 else values[0, 0]
@@ -129,15 +133,6 @@ class MonoidActionSample:
             [np.broadcast_to(t, (*rows.shape[:-1], 1)), rows], axis=-1)
         return evaluate_terms(self._terms, stacked.reshape(-1, m + 1),
                               m).reshape(rows.shape)
-
-
-def _first_non_finite(blocks: np.ndarray) -> int:
-    """The index of the first block holding a non-finite value, or the
-    number of blocks."""
-    finite = np.isfinite(blocks)
-    if finite.all():
-        return len(blocks)
-    return int(np.argmin(finite.reshape(len(blocks), -1).all(axis=1)))
 
 
 def _non_finite(t) -> ValueError:
@@ -194,15 +189,14 @@ def audit_axioms(a: MonoidActionSample, tol: float = TOL_CHECK) -> MonoidAudit:
     stack = np.broadcast_to(pts, (g, n, m))
     norms = [_row_norms(a.evaluate(1.0, pts) - pts)]
     inner = a._blocks(grid, stack)
-    # Only the blocks before the first non-finite h_s are composed.
-    kept = _first_non_finite(inner)
     for t in grid:
-        outer = a._blocks([t] * kept, inner[:kept])
-        direct = a._blocks([t * s for s in grid[:kept]], stack[:kept])
-        j_outer, j_direct = _first_non_finite(outer), _first_non_finite(direct)
-        if (j := min(j_outer, j_direct)) < g:
-            raise _non_finite(grid[j] if j == kept else
-                              t if j == j_outer else t * grid[j])
+        outer = a._blocks([t] * g, inner)
+        direct = a._blocks([t * s for s in grid], stack)
+        # [s, k]: whether h_s, h_t h_s (k = 1) or h_ts (k = 2) is not finite.
+        faults = ~np.isfinite([inner, outer, direct]).all(axis=(2, 3)).T
+        if faults.any():
+            s, k = divmod(int(faults.argmax()), 3)
+            raise _non_finite((grid[s], t, t * grid[s])[k])
         norms.append(_row_norms((outer - direct).reshape(-1, m)))
     pairs = [(t, s) for t in grid for s in grid]
     residuals = _finite(np.concatenate(norms).reshape(1 + len(pairs), n))
@@ -224,8 +218,10 @@ def vertical_derivative(a: MonoidActionSample, e) -> np.ndarray:
     naming its first sample."""
     phis = evaluate_terms(a._linear, _samples(e, a.ambient_dim),
                           a.ambient_dim)
-    if (i := _first_non_finite(phis)) < len(phis):
-        raise ValueError(f"non-finite vertical derivative at sample {i}")
+    faults = ~np.isfinite(phis).all(axis=1)
+    if faults.any():
+        raise ValueError("non-finite vertical derivative at sample "
+                         f"{int(faults.argmax())}")
     return phis if np.ndim(e) == 2 else phis[0]
 
 

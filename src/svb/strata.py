@@ -48,7 +48,7 @@ import numpy as np
 
 from .config import MAX_LOCAL_STRATA, TOL_RANK
 from .grassmann import (_check_positive, _distinct, _float_rows, _integer,
-                        _numbers, _runs, span)
+                        _numbers, _real_type, _runs, span)
 
 __all__ = [
     "Stratum",
@@ -171,18 +171,24 @@ class Stratification:
         if (far := _first_far(self._cloud)) >= 0:
             raise ValueError(f"stratum {strata[self._owner[far]].name!r} has "
                              "a sample coordinate beyond ±2^500")
-        order = dict.fromkeys((a, b) for a, b in closure_order)  # as declared
+        order = {}  # the declared pairs, once each, as declared
         above = [[] for _ in strata]  # declared r of each s, as indices
-        for a, b in order:
-            for end in (a, b):
+        for k, pair in enumerate(closure_order):
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise ValueError(f"closure order entry {k} is not a pair of "
+                                 f"stratum names: {pair!r}")
+            for end in pair:
                 if not isinstance(end, str):
                     raise ValueError(
                         f"closure order end {end!r} is not a string")
                 if end not in self._index:
                     raise ValueError(f"closure order names unknown stratum {end!r}")
+            a, b = pair
             if a == b:
                 raise ValueError(f"closure order contains reflexive pair ({a},{a})")
-            above[self._index[a]].append(self._index[b])
+            if (a, b) not in order:
+                order[a, b] = None
+                above[self._index[a]].append(self._index[b])
         self.closure_order = frozenset(order)
         # One walk from each stratum s over the declared pairs reaches
         # every r with s in the closure of r: the key s * n + r.
@@ -270,8 +276,9 @@ def near_pairs(a: np.ndarray, b: np.ndarray, r: float):
     ``d = |a[i] - b[j]| <= r``, in chunks of consecutive rows of ``a``:
     a chunk holds all pairs of its rows.  ``a`` and ``b`` must be 2-D
     arrays of numbers (by ``_numbers``) of one positive width, and
-    finite, and ``r`` not NaN: else ValueError.  No pair is within a
-    negative ``r``.
+    finite, and ``r`` a real number (of a ``_real_type``: never a bool
+    or str) that is not NaN: else ValueError.  No pair is within a
+    negative ``r``, and every pair is within r = inf.
 
     It is a join, not the intake of a sample set, so it keeps its own
     contract rather than ``_samples``: ``equivariant`` queries it with
@@ -298,6 +305,8 @@ def near_pairs(a: np.ndarray, b: np.ndarray, r: float):
         raise ValueError("near_pairs needs points with at least one coordinate")
     if not (np.isfinite(b).all() and (self_join or np.isfinite(a).all())):
         raise ValueError("near_pairs needs finite points")
+    if not _real_type(type(r)):
+        raise ValueError(f"near_pairs radius must be a real number, got {r!r}")
     if np.isnan(r):
         raise ValueError("near_pairs radius is NaN")
     if not (r >= 0 and len(b)):
@@ -530,9 +539,13 @@ def partition_by_label(points, labels: Sequence[Hashable],
         raise ValueError(f"labels: expected {len(pts)}, one per point, "
                          f"got {len(labels)}")
     code = {}
-    for c, (_, label) in enumerate(classes):
-        if code.setdefault(label, c) != c:
-            raise ValueError(f"classes lists label {label!r} twice")
+    for c, entry in enumerate(classes):
+        if not (isinstance(entry, (tuple, list)) and len(entry) == 2
+                and isinstance(entry[0], str)):
+            raise ValueError(f"classes entry {c} is not a (prefix, label) "
+                             f"pair: {entry!r}")
+        if code.setdefault(entry[1], c) != c:
+            raise ValueError(f"classes lists label {entry[1]!r} twice")
     try:
         coded = np.array([code[lab] for lab in labels], dtype=np.intp)
     except KeyError as missing:

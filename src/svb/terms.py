@@ -14,32 +14,17 @@ file reader puts the document path in front.
 
 from __future__ import annotations
 
-import math
 import numbers
 
 import numpy as np
 
-from .grassmann import _integer, _real_type
+from .grassmann import _integer, _real, _real_type
 
 __all__ = ["TermError", "parse_powers", "read_terms", "evaluate_terms"]
 
 
 class TermError(ValueError):
     """A bad term table; the text starts with the place of the fault."""
-
-
-def _real(name: str, value) -> float:
-    """``value`` as a finite float, or a ValueError naming ``name``."""
-    if not _real_type(type(value)):
-        raise ValueError(f"{name}: expected int/float, got "
-                         f"{type(value).__name__}")
-    try:
-        value = float(value)
-    except OverflowError:  # an integer beyond the float range
-        raise ValueError(f"{name}: number beyond the float range") from None
-    if not math.isfinite(value):
-        raise ValueError(f"{name}: non-finite value (NaN or infinity)")
-    return value
 
 
 def _key(term: dict, key: str):

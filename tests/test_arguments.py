@@ -1,16 +1,20 @@
 """One rule for the numbers svb is handed, entry by entry.
 
-A real threshold (a tolerance or a radius) goes through
+A real threshold (a tolerance, a radius, a spacing) goes through
 ``grassmann._check_positive``: NaN, ±inf, 0 and -1 raise a ValueError
 that names the parameter, and the smallest positive float is accepted.
-An integer (a count, dimension or index) goes through
-``grassmann._integer``: True, 2.5, "1" and one below its least value
-raise a ValueError that names the parameter, and a numpy integer at the
-least value is accepted.  An exponent of a term table is read as a file
-reads it, by ``terms.parse_powers``: True, 2.5 and "1" name their type,
-and the least value is ``_integer``'s.  ``TestEveryParameterIsListed``
-walks the public API, methods and classmethods included, so that a new
-numeric parameter has to join a table.
+A real number that may be zero or negative (a time of a monoid action)
+goes through ``grassmann._real``: NaN, ±inf, True, "1", None, 1j and
+10**400 raise a ValueError that names the parameter, and 0.0 and -1.0
+are accepted.  An integer (a count, dimension, depth or index) goes
+through ``grassmann._integer``: True, 2.5, "1" and one below its least
+value raise a ValueError that names the parameter, and a numpy integer
+at the least value is accepted.  An exponent of a term table is read as
+a file reads it, by ``terms.parse_powers``: True, 2.5 and "1" name their
+type, and the least value is ``_integer``'s.
+``TestEveryParameterIsListed`` walks the public API, methods and
+classmethods included, so that a new numeric parameter has to join a
+table.
 """
 
 import math
@@ -27,8 +31,11 @@ from svb.cli import TOLERANCES, main
 from svb.equivariant import (FiniteGroupAction, invariant_subbundle,
                              orbit_type_partition, quotient_bundle,
                              stabilizer)
-from svb.fixtures import (cantor_stratification, cone_bundle, cone_scenario,
-                          constant_field_plane, line_stratification,
+from svb.fixtures import (axis_scaling_fields_plane, cantor_stratification,
+                          cone_bundle, cone_scenario, cone_stratification,
+                          constant_field_plane, dyadic_line_stratification,
+                          line_scaling_fields, line_stratification,
+                          ring_tangent_bundle, rotation_group,
                           sign_flip_group, sign_flip_tangent_bundle,
                           trivial_bundle)
 from svb.foliation import (PolynomialVectorField, VectorFieldSet,
@@ -147,6 +154,32 @@ REALS = [
      lambda v: reconstruct_bundle(_scalar(), ORIGIN, tol=v)),
     ("monoid.reconstruct_bundle:cluster_radius", "cluster_radius",
      lambda v: reconstruct_bundle(_scalar(), ORIGIN, cluster_radius=v)),
+    ("fixtures.line_stratification:spacing", "spacing",
+     lambda v: line_stratification(v)),
+    ("fixtures.cone_stratification:spacing", "spacing",
+     lambda v: cone_stratification(v)),
+    ("fixtures.ring_tangent_bundle:radii", "radii[1]",
+     lambda v: ring_tangent_bundle(8, [0.5, v])),
+    ("fixtures.constant_field_plane:step", "step",
+     lambda v: constant_field_plane(v)),
+    ("fixtures.axis_scaling_fields_plane:step", "step",
+     lambda v: axis_scaling_fields_plane(v)),
+]
+
+# (entry:parameter, the name its errors give, call with the value)
+TIMES = [
+    ("monoid.MonoidActionSample.evaluate:t", "t",
+     lambda v: _scalar().evaluate(v, [[2.0]])),
+    ("monoid.MonoidActionSample:t_grid", "t_grid",
+     lambda v: MonoidActionSample(1, {"kind": "builtin", "name": "scalar"},
+                                  [[1.0]], (0.0, 1.0, v))),
+    ("monoid.MonoidActionSample.builtin:t_grid", "t_grid",
+     lambda v: MonoidActionSample.builtin("scalar", 1, [[1.0]],
+                                          t_grid=(0.0, 1.0, v))),
+    ("monoid.MonoidActionSample.polynomial:t_grid", "t_grid",
+     lambda v: MonoidActionSample.polynomial(
+         [[{"powers": [1, 1], "coef": 1.0}]], 1, [[1.0]],
+         t_grid=(0.0, 1.0, v))),
 ]
 
 # (entry:parameter, the name its errors give, call with the value, the
@@ -215,6 +248,18 @@ INTEGERS = [
          [[{"powers": [1, 1], "coef": 1.0}]], v, [[1.0]]), 1),
     ("fixtures.cantor_stratification:level", "level",
      lambda v: cantor_stratification(v), 1),
+    ("fixtures.dyadic_line_stratification:depth", "depth",
+     lambda v: dyadic_line_stratification(v), 0),
+    ("fixtures.cone_bundle:depth", "depth",
+     lambda v: cone_bundle("pass", v), 0),
+    ("fixtures.cone_scenario:depth", "depth", lambda v: cone_scenario(v), 0),
+    ("fixtures.rotation_group:n", "n", lambda v: rotation_group(v), 1),
+    ("fixtures.ring_tangent_bundle:n", "n",
+     lambda v: ring_tangent_bundle(v), 1),
+    ("fixtures.line_scaling_fields:power", "power",
+     lambda v: line_scaling_fields(v), 0),
+    ("fixtures.line_scaling_fields:n_samples", "n_samples",
+     lambda v: line_scaling_fields(n_samples=v), 1),
 ]
 
 
@@ -245,6 +290,29 @@ class TestRealThresholds:
     @pytest.mark.parametrize("entry, name, call", REALS, ids=_ids(REALS))
     def test_smallest_positive_float_accepted(self, entry, name, call):
         _accepted(call, TINY, name)
+
+
+class TestTimes:
+    @pytest.mark.parametrize("value, text", [
+        (math.nan, "non-finite value (NaN or infinity)"),
+        (math.inf, "non-finite value (NaN or infinity)"),
+        (-math.inf, "non-finite value (NaN or infinity)"),
+        (True, "expected int/float, got bool"),
+        ("1", "expected int/float, got str"),
+        (None, "expected int/float, got NoneType"),
+        (1j, "expected int/float, got complex"),
+        (10 ** 400, "number beyond the float range")],
+        ids=["nan", "inf", "-inf", "bool", "str", "none", "complex", "huge"])
+    @pytest.mark.parametrize("entry, name, call", TIMES, ids=_ids(TIMES))
+    def test_refused(self, entry, name, call, value, text):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)}: "
+                           f"{re.escape(text)}$"):
+            call(value)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0], ids=["zero", "negative"])
+    @pytest.mark.parametrize("entry, name, call", TIMES, ids=_ids(TIMES))
+    def test_accepted(self, entry, name, call, value):
+        call(value)
 
 
 class TestIntegers:
@@ -351,12 +419,13 @@ class TestCliFlags:
 NUMERIC = re.compile(r"tol\w*|eps\w*|delta\w*|r|r_cc|\w*radius|radii"
                      r"|threshold|\w+_len|\w*dim|k|n|n_\w+|level|depth"
                      r"|spacing|step|power|\w*ambient\w*|\w*_index"
-                     r"|\w*_indices")
+                     r"|\w*_indices|t|t_grid")
 
 # Parameters the rule does not cover, each with the reason.
 EXCLUDED = {
     # near_pairs documents its own contract: r < 0 yields no pair and
-    # r = inf every pair; only a NaN radius is refused.
+    # r = inf every pair; a NaN radius, or one that is not a real number,
+    # is refused.
     "strata.near_pairs:r",
     # 0 means "no absolute cutoff"; its one caller passes a checked value.
     "grassmann.span:tol_abs",
@@ -368,18 +437,6 @@ EXCLUDED = {
     # went through _integer.
     "terms.parse_powers:n_vars", "terms.read_terms:n_vars",
     "terms.read_terms:out_dim", "terms.evaluate_terms:out_dim",
-    # The functions that make the shipped test scenes: their sizes shape
-    # a sample, not a verdict.
-    "fixtures.line_stratification:spacing",
-    "fixtures.cone_stratification:spacing",
-    "fixtures.dyadic_line_stratification:depth",
-    "fixtures.cone_bundle:depth", "fixtures.cone_scenario:depth",
-    "fixtures.rotation_group:n", "fixtures.ring_tangent_bundle:n",
-    "fixtures.ring_tangent_bundle:radii",
-    "fixtures.line_scaling_fields:power",
-    "fixtures.line_scaling_fields:n_samples",
-    "fixtures.constant_field_plane:step",
-    "fixtures.axis_scaling_fields_plane:step",
     # fixtures re-exports bundle.trivial_bundle, listed in the table.
     "fixtures.trivial_bundle:fiber_dim",
 }
@@ -393,7 +450,7 @@ def _public_numeric_parameters():
 
 class TestEveryParameterIsListed:
     def test_walk(self):
-        listed = {row[0] for row in REALS + INTEGERS} | EXCLUDED
+        listed = {row[0] for row in REALS + TIMES + INTEGERS} | EXCLUDED
         missing = [p for p in _public_numeric_parameters()
                    if p not in listed]
         assert missing == []

@@ -69,6 +69,16 @@ class TestValidateBundle:
     def test_cone_bundle_passes(self):
         assert validate_bundle(cone_bundle("pass")).passed
 
+    def test_cone_bundle_unknown_variant(self):
+        with pytest.raises(ValueError,
+                           match="^unknown cone_bundle variant 'pass2'$"):
+            cone_bundle("pass2")
+
+    def test_repr(self):
+        assert repr(cone_bundle("pass", depth=2)) == (
+            "SampledStratifiedBundle(base=['S0', 'S+', 'S-'], "
+            "fiber_ambient=2)")
+
     def test_rank_violation_names_the_point(self):
         b = trivial_bundle(line_stratification(), 2)
         fibers = {key: b.fiber(key) for key in b.point_keys()}

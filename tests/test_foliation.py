@@ -258,6 +258,25 @@ class TestFoliationBundle:
             assert stack.tobytes() == expected[name].tobytes()
 
 
+class TestLineFoliationScenario:
+    def test_bundle_without_a_rank_0_stratum(self):
+        # The constant field has rank 1 everywhere.
+        b = foliation_bundle(constant_field_plane())
+        with pytest.raises(ValueError,
+                           match="^bundle has no rank-0 stratum$"):
+            line_foliation_scenario(b)
+
+    def test_bundle_without_a_positive_rank_1_component(self):
+        # x d/dx sampled only at x <= 0: the origin and the negative half.
+        vfs = VectorFieldSet(1, line_scaling_fields().fields,
+                             np.linspace(-1.0, 0.0, 101).reshape(-1, 1))
+        b = foliation_bundle(vfs, r_cc=0.015)
+        assert sorted(b.stratum_rank.values()) == [0, 1]
+        with pytest.raises(ValueError, match="^bundle has no positive "
+                           "rank-1 component$"):
+            line_foliation_scenario(b)
+
+
 class TestProperties:
     def test_scaling_by_nonvanishing_polynomial(self):
         # (1 + x^2) x d/dx spans the same line as x d/dx wherever x != 0.

@@ -219,6 +219,17 @@ class TestSubspace:
         assert Subspace(3, np.zeros((0, 3))).dim == 0
         assert Subspace(0, []).dim == 0
 
+    def test_repr(self):
+        assert repr(Subspace(2, [[1.0, 0.0]])) == "Subspace(dim=1, ambient=2)"
+        assert repr(Subspace.zero(3)) == "Subspace(dim=0, ambient=3)"
+
+    @pytest.mark.parametrize("name", ["basis", "dim", "other"])
+    def test_immutable(self, name):
+        w = Subspace(2, [[1.0, 0.0]])
+        with pytest.raises(AttributeError, match="^Subspace is immutable$"):
+            setattr(w, name, None)
+        assert w.basis.tolist() == [[1.0, 0.0]]
+
 
 class TestSpan:
     def test_full_space(self):

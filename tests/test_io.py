@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import importlib.util
 import io
 import json
@@ -871,6 +872,25 @@ class TestWriter:
     def test_fixture(self, name):
         obj = read_json(os.path.join(FIXTURES, name))
         assert dumps(obj) == self._stdlib(obj)
+
+    def test_pure_python_encoder(self, monkeypatch):
+        # Without the C encoder, _encoder builds json.JSONEncoder's: the
+        # writer's text must not change.  A fresh cache holds those
+        # encoders, so the module's own cache never sees them.
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        monkeypatch.setattr(jsonio, "_encoder",
+                            functools.cache(jsonio._encoder.__wrapped__))
+        monkeypatch.setattr(jsonio, "_scalar", jsonio._encoder(","))
+        monkeypatch.setattr(jsonio, "_leaves", jsonio._encoder("\n"))
+        assert isinstance(jsonio._scalar.__self__, json.JSONEncoder)
+        golden = os.path.join(os.path.dirname(__file__), "golden", "corpus")
+        paths = [os.path.join(folder, name) for folder in (golden, FIXTURES)
+                 for name in sorted(os.listdir(folder))]
+        assert paths
+        for path in paths:
+            obj = read_json(path)
+            assert dumps(obj) == json.dumps(obj, indent=2, sort_keys=True), \
+                path
 
     @pytest.mark.parametrize("obj", [
         [float("nan"), float("inf"), -float("inf"), -0.0, 1e-300, 10 ** 40],

@@ -163,6 +163,26 @@ class TestClosureOrder:
         with pytest.raises(ValueError, match=f"^closure order {message}$"):
             Stratification(strata, closure_order=order)
 
+    @pytest.mark.parametrize("entry", ["12", ("1", "2", "2"), ("1",),
+                                       {"1": "2"}, None],
+                             ids=["str", "triple", "single", "dict", "none"])
+    def test_entry_must_be_a_pair(self, entry):
+        # "12" is no pair ("1", "2"): an entry is a tuple or list of two.
+        strata = [Stratum("1", 0, [[0.0]]), Stratum("2", 1, [[1.0], [2.0]])]
+        with pytest.raises(ValueError, match=re.escape(
+                "closure order entry 1 is not a pair of stratum names: "
+                f"{entry!r}") + "$"):
+            Stratification(strata, closure_order=[("1", "2"), entry])
+
+    def test_list_pairs_are_pairs(self):
+        strata = [Stratum("1", 0, [[0.0]]), Stratum("2", 1, [[1.0], [2.0]])]
+        s = Stratification(strata, closure_order=[["1", "2"], ("1", "2")])
+        assert s.closure_order == {("1", "2")} and s.in_closure("1", "2")
+
+    def test_repr(self):
+        assert repr(line_stratification()) == (
+            "Stratification(ambient=1, strata=['S0', 'S+', 'S-'])")
+
     def test_unknown_names_are_not_in_closure(self):
         s = _points(5, [("s0", "s4"), ("s2", "s4")])
         for other in ("s0", "s3", "s4", "ghost"):
@@ -1233,6 +1253,21 @@ class TestPartitionByLabel:
                 dim=lambda label, cloud: 0, below=lambda low, high: False,
                 r_cc=0.5)
 
+    @pytest.mark.parametrize("entry", ["sa", (1, "a"), ("s", "a", "x"),
+                                       ("s",), None],
+                             ids=["str", "int-prefix", "triple", "single",
+                                  "none"])
+    def test_classes_entry_must_be_a_pair(self, entry, monkeypatch):
+        # "sa" is no pair ("s", "a"), and 1 names no strata "1_c0".
+        monkeypatch.setattr(strata, "near_pairs", None)
+        with pytest.raises(ValueError, match=re.escape(
+                f"classes entry 1 is not a (prefix, label) pair: {entry!r}")
+                + "$"):
+            partition_by_label(
+                [[0.0], [1.0]], ["a", "b"], [("B", "b"), entry],
+                dim=lambda label, cloud: 0, below=lambda low, high: False,
+                r_cc=0.5)
+
     def test_within_refines(self):
         part = self._four_close([0, 0, 1, 1], np.array([1, 0, 0, 0],
                                                        dtype=np.uint8))
@@ -1245,6 +1280,11 @@ class TestPartitionByLabel:
             partition_by_label(np.zeros((2, 1)), ["a", "a"], [("s", "a")],
                                dim=lambda label, cloud: 0,
                                below=lambda low, high: False, r_cc=r_cc)
+
+
+def _pair_list(a, b, r):
+    return sorted((p, q) for i, j, _ in near_pairs(a, b, r)
+                  for p, q in zip(i.tolist(), j.tolist()))
 
 
 class TestInputRaises:
@@ -1267,6 +1307,30 @@ class TestInputRaises:
         a = np.zeros((3, 2))
         b = a if self_join else np.zeros((2, 2))
         assert list(near_pairs(a, b, radius)) == []
+
+    @pytest.mark.parametrize("radius", [True, np.True_, "0.5", None, 1j,
+                                        [0.5]],
+                             ids=["bool", "numpy-bool", "str", "none",
+                                  "complex", "list"])
+    def test_near_pairs_refuses_a_radius_that_is_not_real(self, radius):
+        # True is no radius 1, and the others no numpy TypeError.
+        a = np.zeros((3, 2))
+        with pytest.raises(ValueError, match=re.escape(
+                f"near_pairs radius must be a real number, got {radius!r}")
+                + "$"):
+            near_pairs(a, a, radius)
+
+    @pytest.mark.parametrize("radius", [1, np.float32(0.5), np.int64(0)],
+                             ids=["int", "float32", "numpy-int"])
+    def test_near_pairs_takes_any_real_radius(self, radius):
+        x = [0.0, 0.5, 2.0]
+        assert _pair_list(np.array([x]).T, np.array([x]).T, radius) == [
+            (p, q) for p in range(3) for q in range(3)
+            if abs(x[p] - x[q]) <= radius]
+
+    def test_near_pairs_at_an_infinite_radius_yields_every_pair(self):
+        assert _pair_list(np.zeros((3, 2)), np.ones((2, 2)), np.inf) == [
+            (p, q) for p in range(3) for q in range(2)]
 
     @pytest.mark.parametrize("self_join", [True, False],
                              ids=["self", "two-clouds"])
